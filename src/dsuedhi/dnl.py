@@ -23,6 +23,31 @@ loader refines its internal step until every link spans at least one step, so
 sub-interval traversal stays exact whenever free-flow times divide the
 interval; departures, probes, and reported travel times remain on the
 departure grid.
+
+Layout. Every cumulative curve pair (entries, exits) is a *row*: the links,
+then one source connector per distinct first link. A *slot* is one (row,
+path) pair and holds that path's share of the row's entry curve; all slot
+curves live in one slots x steps array, numbered row-major and in path order
+within a row, so each row owns a contiguous block of slots. Index arrays give
+each slot its row, its path's next link, and the path's slot there. A step is
+a fixed handful of numpy operations over all rows at once: row-batched
+interpolation of the curves; one row-batched inversion for the FIFO window
+[tau0, tau1] of every row's outflow; ``np.add.at`` for merge inflows, links
+before sources as in a loop over them; ``np.minimum.at`` for every diverge
+factor; and one scatter to the successor slots, which never collides because
+a path visits a link once.
+
+Exact sums. Results are bit-identical to a loop that sums each row's slots
+with ``ndarray.sum``. numpy adds fewer than 8 numbers in sequence, as
+``np.bincount`` does, and 8 or more pairwise, so per-row totals come from
+``bincount`` and rows with 8 or more slots are summed again on their slice.
+
+Sensitivity. The sending rule branches on an absolute backlog
+``> _EPS_VEH`` (1e-12 vehicles). A last-bit change in a per-row total can
+flip that branch and hold back a whole step of discharge: on a test lattice
+with 20 slots per link, summing wide rows with ``bincount`` alone moved path
+times by one whole step. Outputs therefore depend on the summation order
+above, not only on the model.
 """
 
 from __future__ import annotations
@@ -103,7 +128,7 @@ class LoadingResult:
     link_time: np.ndarray | None = None  # links x T, entry-time travel times
     instant_path_time: np.ndarray | None = None  # paths x T, sums of current link times
     drained: bool = True
-    _pup: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
+    _state: tuple | None = field(default=None, repr=False)  # plan, departures, slots
 
     @property
     def boundaries(self) -> np.ndarray:
@@ -126,35 +151,23 @@ class LoadingResult:
                     )
 
 
-def link_demand_rate(
-    n_up_lagged: float,
-    n_dn_now: float,
-    arrival_mass: float,
-    capacity_vps: float,
-    dt_s: float,
-) -> float:
-    """Sending flow rate of one link over one step.
+def link_demand_rate(n_up_lagged, n_dn_now, arrival_mass, capacity_vps, dt_s):
+    """Sending flow rate of links over one step, elementwise over arrays.
 
     ``n_up_lagged`` is the upstream cumulative count one free-flow time ago,
     ``arrival_mass`` the flow reaching the downstream end during the step when
     no backlog is queued.
     """
-    backlog = n_up_lagged - n_dn_now
-    if backlog > _EPS_VEH:
-        return min(capacity_vps, backlog / dt_s)
-    return min(capacity_vps, max(arrival_mass, 0.0) / dt_s)
+    backlog = np.subtract(n_up_lagged, n_dn_now)
+    queued = np.minimum(capacity_vps, backlog / dt_s)
+    free = np.minimum(capacity_vps, np.maximum(arrival_mass, 0.0) / dt_s)
+    return np.where(backlog > _EPS_VEH, queued, free)[()]
 
 
-def link_supply_rate(
-    n_dn_wave_lagged: float,
-    n_up_now: float,
-    storage_veh: float,
-    capacity_vps: float,
-    dt_s: float,
-) -> float:
-    """Receiving flow rate of one link over one step, floored at zero."""
-    room = n_dn_wave_lagged + storage_veh - n_up_now
-    return max(0.0, min(capacity_vps, room / dt_s))
+def link_supply_rate(n_dn_wave_lagged, n_up_now, storage_veh, capacity_vps, dt_s):
+    """Receiving flow rate of links over one step, floored at zero, elementwise."""
+    room = np.add(n_dn_wave_lagged, storage_veh) - n_up_now
+    return np.maximum(0.0, np.minimum(capacity_vps, room / dt_s))[()]
 
 
 def node_flux(
@@ -187,94 +200,115 @@ def node_flux(
     }
 
 
-def _interp(values: np.ndarray, dt: float, t: float) -> float:
-    """Piecewise-linear value of a boundary-sampled curve, clamped outside."""
-    if t <= 0.0:
-        return float(values[0])
-    x = t / dt
-    idx = int(x)
-    last = len(values) - 1
-    if idx >= last:
-        return float(values[last])
-    return float(values[idx]) + (x - idx) * (float(values[idx + 1]) - float(values[idx]))
+def _interp_rows(curves: np.ndarray, times, dt: float, hold: bool = False) -> np.ndarray:
+    """Piecewise-linear values of boundary-sampled curves, one row per curve.
 
-
-def _interp_vec(values: np.ndarray, dt: float, times: np.ndarray) -> np.ndarray:
-    last = len(values) - 1
-    x = np.clip(times / dt, 0.0, float(last))
-    idx = np.minimum(x.astype(np.intp), last - 1)
-    frac = x - idx
-    return values[idx] + frac * (values[idx + 1] - values[idx])
-
-
-def _invert_vec(
-    values: np.ndarray, dt: float, targets: np.ndarray, rate_beyond: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Earliest times at which a non-decreasing curve reaches the targets.
-
-    Targets are relaxed by a vanishing epsilon so that a probe carrying only
-    numerical dust (logit tail masses far below one vehicle) does not wait for
-    the next real cohort. Beyond the last sample the curve is extended at
-    ``rate_beyond``; the second return flags targets that needed that
-    extension.
+    ``times`` has one row per curve, with any number of columns. Times before
+    the start read column 0. From the last column on, the last segment's
+    formula is evaluated at its end, or with ``hold`` the last sample itself.
     """
-    targets = np.asarray(targets, dtype=float)
+    last = curves.shape[1] - 1
+    x = np.minimum(np.maximum(times / dt, 0.0), last)
+    idx = np.minimum(x.astype(np.intp), last - 1)
+    rows = np.arange(len(curves)).reshape((-1,) + (1,) * (idx.ndim - 1))
+    lo = curves[rows, idx]
+    out = lo + (x - idx) * (curves[rows, idx + 1] - lo)
+    return np.where(x >= last, curves[rows, last], out) if hold else out
+
+
+def _invert_rows(curves, targets, dt: float, rate_beyond, n=None) -> tuple[np.ndarray, np.ndarray]:
+    """Earliest times at which non-decreasing curves reach targets, per row.
+
+    ``targets`` is rows x targets per row, searched among the first ``n``
+    samples of each row (per row; default all). Targets are relaxed by a
+    vanishing epsilon so that a probe carrying only numerical dust (logit
+    tail masses far below one vehicle) does not wait for the next real
+    cohort. Counting the samples below a target is
+    ``searchsorted(side="left")`` on these curves. Beyond its last sample a
+    row's curve is extended at its ``rate_beyond``; the second return flags
+    targets that needed that extension.
+    """
+    rows = np.arange(len(curves))[:, None]
+    if n is None:
+        n = np.full((len(curves), 1), curves.shape[1])
     targets = np.maximum(targets - (_EPS_VEH + _EPS_VEH * targets), 0.0)
-    idx = np.searchsorted(values, targets, side="left")
-    out = np.empty_like(targets)
-    beyond = idx >= len(values)
-    inside = (~beyond) & (idx > 0)
-    at_zero = idx == 0
-    out[at_zero] = 0.0
-    if np.any(inside):
-        i = idx[inside]
-        lo = values[i - 1]
-        hi = values[i]
-        out[inside] = ((i - 1) + (targets[inside] - lo) / (hi - lo)) * dt
-    if np.any(beyond):
-        out[beyond] = (len(values) - 1) * dt + (targets[beyond] - values[-1]) / rate_beyond
+    idx = np.minimum((curves[:, None, :] < targets[:, :, None]).sum(axis=2), n)
+    beyond = idx >= n
+    i = np.minimum(np.maximum(idx, 1), n - 1)
+    lo = curves[rows, i - 1]
+    inside = (idx > 0) & ~beyond
+    step = np.divide(targets - lo, curves[rows, i] - lo, out=np.zeros(targets.shape), where=inside)
+    out = ((i - 1) + step) * dt  # 0 where no sample is below the target
+    if beyond.any():
+        extended = (n - 1) * dt + (targets - curves[rows, n - 1]) / rate_beyond[:, None]
+        out = np.where(beyond, extended, out)
     return out, beyond
 
 
-def _invert(values: np.ndarray, dt: float, target: float, rate_beyond: float) -> float:
-    out, _ = _invert_vec(values, dt, np.array([target]), rate_beyond)
-    return float(out[0])
+def _group_sums(x: np.ndarray, group: np.ndarray, n: int, wide) -> np.ndarray:
+    """Per-group totals of ``x``, each bit-identical to ``x[start:end].sum()``.
+
+    numpy sums fewer than 8 elements sequentially, as ``bincount`` does, and
+    8 or more pairwise; ``wide`` lists (group, start, end) of the latter.
+    """
+    out = np.bincount(group, weights=x, minlength=n)
+    for g, start, end in wide:
+        out[g] = x[start:end].sum()
+    return out
 
 
 class _Plan:
-    """Static per-(network, path set) structure used by the stepper."""
+    """Index arrays of one (network, path set, grid) for the stepper.
 
-    def __init__(self, net: Network, path_set: PathSet):
-        self.n_links = net.n_links
-        self.ff = np.array([l.free_flow_s for l in net.links])
-        self.wave_lag = np.array([l.length_m / l.backward_wave_mps for l in net.links])
-        self.cap = np.array([l.capacity_vps for l in net.links])
-        self.storage = np.array([l.storage_veh for l in net.links])
+    Rows are the links, then one source connector per distinct first link.
+    A slot is one (row, path) pair; slots are numbered row-major, in path
+    order within a row.
+    """
 
-        first_links = sorted({seq[0] for seq in path_set.link_seq})
-        self.source_links = tuple(first_links)
-        self.src_index = {a: s for s, a in enumerate(first_links)}
-        self.src_of_path = np.array(
-            [self.src_index[seq[0]] for seq in path_set.link_seq], dtype=np.intp
-        )
-        self.src_paths: list[list[int]] = [[] for _ in first_links]
-        for p, seq in enumerate(path_set.link_seq):
-            self.src_paths[self.src_index[seq[0]]].append(p)
+    def __init__(self, net: Network, path_set: PathSet, grid: TimeGrid):
+        links = net.links
+        seqs = path_set.link_seq
+        self.n_links = A = net.n_links
+        self.ff = np.array([l.free_flow_s for l in links])
+        self.wave_lag = np.array([l.length_m / l.backward_wave_mps for l in links])
+        self.cap = np.array([l.capacity_vps for l in links])
+        self.storage = np.array([l.storage_veh for l in links])
+        # refine the internal step until every link spans at least one step
+        min_ff = float(self.ff.min()) if A else grid.dt_s
+        self.refine = max(1, int(np.ceil(grid.dt_s / min_ff - 1e-12)))
+        self.dt = grid.dt_s / self.refine
+        self.key = (links, seqs, grid)
 
-        # per link: paths traversing it and each path's successor link (-1 exits)
-        self.link_paths: list[list[int]] = [[] for _ in range(net.n_links)]
-        self.link_next: list[list[int]] = [[] for _ in range(net.n_links)]
-        for p, seq in enumerate(path_set.link_seq):
-            for pos, a in enumerate(seq):
-                self.link_paths[a].append(p)
-                self.link_next[a].append(seq[pos + 1] if pos + 1 < len(seq) else -1)
-        # slot of each path within its downstream link's slot list
-        self.slot_in_link = [
-            {p: j for j, p in enumerate(paths)} for paths in self.link_paths
-        ]
-        self.link_targets: list[np.ndarray] = [
-            np.array(nxt, dtype=np.intp) for nxt in self.link_next
-        ]
+        self.source_links = tuple(sorted({seq[0] for seq in seqs}))
+        self.src_links = np.array(self.source_links, dtype=np.intp)
+        n_src = len(self.source_links)
+        src_index = {a: s for s, a in enumerate(self.source_links)}
+        self.src_of_path = np.array([src_index[seq[0]] for seq in seqs], dtype=np.intp)
+        # (row, path) -> next row of the path: its next link, or -1 at the exit
+        succ = {(A + src_index[seq[0]], p): seq[0] for p, seq in enumerate(seqs)}
+        for p, seq in enumerate(seqs):
+            for i, a in enumerate(seq):
+                succ[a, p] = seq[i + 1] if i + 1 < len(seq) else -1
+        pairs = sorted(succ)
+        slot_of = {pair: j for j, pair in enumerate(pairs)}
+        self.n_link_slots = sum(len(seq) for seq in seqs)
+        self.slot_row = np.array([r for r, _ in pairs], dtype=np.intp)
+        self.slot_path = np.array([p for _, p in pairs], dtype=np.intp)
+        self.slot_next = np.array([succ[pair] for pair in pairs], dtype=np.intp)
+        self.slot_dest = np.array([slot_of.get((succ[r, p], p), -1) for r, p in pairs],
+                                  dtype=np.intp)
+        self.row_start = np.searchsorted(self.slot_row, np.arange(A + n_src + 1))
+        self.wide = [(r, int(self.row_start[r]), int(self.row_start[r + 1]))
+                     for r in range(A + n_src) if self.row_start[r + 1] - self.row_start[r] >= 8]
+        self.rate_beyond = np.concatenate((self.cap, np.ones(n_src)))
+        # samples known at step 0: a link's entries up to now, a source's one step ahead
+        self.n_known = (np.arange(A + n_src) >= A).astype(np.intp)[:, None] + 1
+
+        # link of every path at each hop, padded with -1
+        hops = max((len(seq) for seq in seqs), default=0)
+        self.path_links = np.full((len(seqs), max(hops, 1)), -1, dtype=np.intp)
+        for p, seq in enumerate(seqs):
+            self.path_links[p, : len(seq)] = seq
 
 
 def load(
@@ -291,9 +325,10 @@ def load(
     """Map total path departures to link and path travel times.
 
     Deterministic: identical inputs give bit-identical results. With
-    ``warm_start=(base, k)`` the first k steps are copied from ``base`` (which
-    must have been run with ``keep_state=True`` on departures identical below
-    column k); the outcome is bit-identical to a cold run.
+    ``warm_start=(base, k)`` the first k intervals are copied from ``base``,
+    which must have been run with ``keep_state=True`` on the same network,
+    path set and grid, with departures identical below column k; the outcome
+    is bit-identical to a cold run.
     """
     global _load_calls
     with _counter_lock:
@@ -309,182 +344,124 @@ def load(
         raise DnlError("negative departures")
     h = np.maximum(h, 0.0)
 
-    plan = _Plan(net, path_set)
+    plan = None
+    if warm_start is not None:
+        base, start_interval = warm_start
+        if base._state is None:
+            raise DnlError("warm start requires a base loading kept with state")
+        plan, base_h, base_slots = base._state
+        if plan.key != (net.links, path_set.link_seq, grid):
+            raise DnlError("warm start base was loaded on another network, path set or grid")
+        if not np.array_equal(base_h[:, :start_interval], h[:, :start_interval]):
+            raise DnlError("warm start base has other departures before the start interval")
+        if start_interval * plan.refine > base.n_steps:
+            raise DnlError("warm start beyond the base loading horizon")
+    if plan is None:
+        plan = _Plan(net, path_set, grid)
     A = plan.n_links
-    n_src = len(plan.source_links)
-    # refine the internal step until every link spans at least one step
-    min_ff = float(plan.ff.min()) if A else grid.dt_s
-    refine = max(1, int(np.ceil(grid.dt_s / min_ff - 1e-12)))
-    dt = grid.dt_s / refine
+    L = plan.n_link_slots
+    R = len(plan.rate_beyond)
+    refine = plan.refine
+    dt = plan.dt
     t_sim = T * refine
     if drain_max_steps is None:
         drain_max_steps = 20 * t_sim + 200
     s_max = t_sim + drain_max_steps
 
+    # cumulative entries and exits of every row, entries of every slot
+    up = np.zeros((R, s_max + 1))
+    dn = np.zeros((R, s_max + 1))
+    slots = np.zeros((len(plan.slot_row), s_max + 1))
+    n_up, src_up, n_dn, src_dn = up[:A], up[A:], dn[:A], dn[A:]
+
     # exogenous source entry curves (known for the whole horizon up front);
     # departures ramp linearly inside each departure interval
     h_cum = np.concatenate([np.zeros((path_set.n_paths, 1)), np.cumsum(h, axis=1)], axis=1)
+    rows = h_cum[plan.slot_path[L:]]
+    psrc_up = slots[L:]
+    psrc_up[:, : t_sim + 1 : refine] = rows
     fine = np.linspace(0.0, 1.0, refine + 1)[1:-1] if refine > 1 else np.empty(0)
-    src_up = np.zeros((n_src, s_max + 1))
-    psrc_up: list[np.ndarray] = []
-    for s, paths in enumerate(plan.src_paths):
-        rows = h_cum[paths]
-        curve = np.empty((len(paths), s_max + 1))
-        curve[:, : t_sim + 1 : refine] = rows
-        for j, frac in enumerate(fine, start=1):
-            curve[:, j : t_sim + 1 : refine] = rows[:, :-1] + frac * np.diff(rows, axis=1)
-        curve[:, t_sim + 1 :] = rows[:, -1:]
-        psrc_up.append(curve)
-        src_up[s] = curve.sum(axis=0)
+    for j, frac in enumerate(fine, start=1):
+        psrc_up[:, j : t_sim + 1 : refine] = rows[:, :-1] + frac * np.diff(rows, axis=1)
+    psrc_up[:, t_sim + 1 :] = rows[:, -1:]
+    for r in range(A, R):
+        up[r] = slots[plan.row_start[r] : plan.row_start[r + 1]].sum(axis=0)
     total_demand = float(h.sum())
-
-    n_up = np.zeros((A, s_max + 1))
-    n_dn = np.zeros((A, s_max + 1))
-    src_dn = np.zeros((n_src, s_max + 1))
-    pup = [np.zeros((len(paths), s_max + 1)) for paths in plan.link_paths]
 
     start_step = 0
     if warm_start is not None:
-        base, start_interval = warm_start
         start_step = start_interval * refine
-        if base._pup is None:
-            raise DnlError("warm start requires a base loading kept with state")
-        if start_step > base.n_steps:
-            raise DnlError("warm start beyond the base loading horizon")
-        k = start_step + 1
+        k = start_step + 1  # boundaries copied
         n_up[:, :k] = base.n_up[:, :k]
         n_dn[:, :k] = base.n_dn[:, :k]
         src_dn[:, :k] = base.src_dn[:, :k]
-        for a in range(A):
-            pup[a][:, :k] = base._pup[a][:, :k]
+        slots[:L, :k] = base_slots[:, :k]
 
     drain_tol = 1e-9 * max(1.0, total_demand)
-    cap = plan.cap
-    ff = plan.ff
-    wave = plan.wave_lag
-    storage = plan.storage
+    cap, ff, wave, storage = plan.cap, plan.ff, plan.wave_lag, plan.storage
+    slot_row, slot_next, slot_dest, wide = plan.slot_row, plan.slot_next, plan.slot_dest, plan.wide
+    src_links = plan.src_links
+    moves = slot_next >= 0  # slots whose path continues on a link
+    link_moves = moves[:L]
+    inflow_index = np.concatenate((slot_next[:L][link_moves], src_links))
 
     n_steps = s_max
     drained = False
     for t in range(start_step, s_max):
         now = t * dt
         n_up[:, t + 1] = n_up[:, t]
-        n_dn[:, t + 1] = n_dn[:, t]
-        src_dn[:, t + 1] = src_dn[:, t]
-        for a in range(A):
-            pup[a][:, t + 1] = pup[a][:, t]
+        dn[:, t + 1] = dn[:, t]
+        slots[:L, t + 1] = slots[:L, t]
 
-        # sending masses and FIFO compositions
-        comps: list[np.ndarray | None] = [None] * A
-        for a in range(A):
-            ndn_now = float(n_dn[a, t])
-            nup_lag = _interp(n_up[a], dt, now - ff[a])
-            arr_hi = _interp(n_up[a], dt, min(now + dt - ff[a], now))
-            rate = link_demand_rate(nup_lag, ndn_now, arr_hi - nup_lag, cap[a], dt)
-            mass = rate * dt
-            if mass <= _EPS_VEH:
-                continue
-            bound = (nup_lag if nup_lag - ndn_now > _EPS_VEH else arr_hi) - ndn_now
-            mass = min(mass, bound)
-            tau0 = _invert(n_up[a][: t + 1], dt, ndn_now, cap[a])
-            tau1 = _invert(n_up[a][: t + 1], dt, ndn_now + mass, cap[a])
-            comp = (
-                _interp_cols(pup[a], t + 1, dt, tau1)
-                - _interp_cols(pup[a], t + 1, dt, tau0)
-            )
-            np.maximum(comp, 0.0, out=comp)
-            total = comp.sum()
-            if total > 0.0:
-                comp *= mass / total
-            comps[a] = comp
+        # sending masses: links by the demand rule, sources all that entered
+        lagged = _interp_rows(n_up, np.minimum(np.array((now, now + dt)) - ff[:, None], now), dt)
+        nup_lag, arr_hi = lagged[:, 0], lagged[:, 1]
+        ndn_now = n_dn[:, t]
+        mass = np.concatenate((link_demand_rate(nup_lag, ndn_now, arr_hi - nup_lag, cap, dt) * dt,
+                               src_up[:, t + 1] - src_dn[:, t]))
+        sends = mass > _EPS_VEH
+        bound = np.where(nup_lag - ndn_now > _EPS_VEH, nup_lag, arr_hi) - ndn_now
+        mass[:A] = np.minimum(mass[:A], bound)
+        mass[~sends] = 0.0
 
-        src_mass = np.zeros(n_src)
-        src_comps: list[np.ndarray | None] = [None] * n_src
-        for s in range(n_src):
-            mass = float(src_up[s, t + 1] - src_dn[s, t])
-            if mass <= _EPS_VEH:
-                continue
-            tau0 = _invert(src_up[s][: t + 2], dt, float(src_dn[s, t]), 1.0)
-            tau1 = _invert(src_up[s][: t + 2], dt, float(src_dn[s, t]) + mass, 1.0)
-            comp = (
-                _interp_cols(psrc_up[s], t + 2, dt, tau1)
-                - _interp_cols(psrc_up[s], t + 2, dt, tau0)
-            )
-            np.maximum(comp, 0.0, out=comp)
-            total = comp.sum()
-            if total > 0.0:
-                comp *= mass / total
-            src_mass[s] = mass
-            src_comps[s] = comp
+        # FIFO: the mass leaving a row entered it during [tau0, tau1]; each
+        # slot's entries over that window, scaled to the mass, leave with it
+        window = np.empty((R, 2))
+        window[:, 0] = dn[:, t]
+        np.add(dn[:, t], mass, out=window[:, 1])
+        tau, _ = _invert_rows(up[:, : t + 2], window, dt, plan.rate_beyond, plan.n_known + t)
+        ends = _interp_rows(slots[:, : t + 2], tau[slot_row], dt, hold=True)
+        comp = np.maximum(ends[:, 1] - ends[:, 0], 0.0)
+        total = _group_sums(comp, slot_row, R, wide)
+        comp *= np.divide(mass, total, out=np.ones(R), where=total > 0.0)[slot_row]
 
-        # receiving masses and movement aggregation
-        recv_mass = np.empty(A)
-        for b in range(A):
-            ndn_wave = _interp(n_dn[b], dt, now - wave[b])
-            recv_mass[b] = (
-                link_supply_rate(ndn_wave, float(n_up[b, t]), storage[b], cap[b], dt) * dt
-            )
-
+        # receiving masses; merges scale inflows to supply
+        ndn_wave = _interp_rows(n_dn, now - wave, dt)
+        recv_mass = link_supply_rate(ndn_wave, n_up[:, t], storage, cap, dt) * dt
         inflow_demand = np.zeros(A)
-        for a in range(A):
-            if comps[a] is None:
-                continue
-            targets = plan.link_targets[a]
-            mask = targets >= 0
-            if np.any(mask):
-                np.add.at(inflow_demand, targets[mask], comps[a][mask])
-        for s in range(n_src):
-            if src_comps[s] is not None:
-                inflow_demand[plan.source_links[s]] += src_mass[s]
+        np.add.at(inflow_demand, inflow_index, np.concatenate((comp[:L][link_moves], mass[A:])))
+        factor = np.divide(recv_mass, inflow_demand, out=np.ones(A),
+                           where=inflow_demand > recv_mass)
 
-        factor = np.ones(A)
-        constrained = inflow_demand > recv_mass
-        factor[constrained] = recv_mass[constrained] / inflow_demand[constrained]
+        # diverges scale a row's whole outflow by its most restrictive factor
+        theta = np.ones(R)
+        restricted = moves & (comp > 0.0)
+        np.minimum.at(theta, slot_row[restricted], factor[slot_next[restricted]])
+        out = comp * theta[slot_row]
+        total = _group_sums(out, slot_row, R, wide)
+        dn[:, t + 1] += total
 
-        # apply flows: diverge scaling, per-path transfer to successor links
-        for a in range(A):
-            comp = comps[a]
-            if comp is None:
-                continue
-            targets = plan.link_targets[a]
-            theta = 1.0
-            for j in range(len(targets)):
-                b = targets[j]
-                if b >= 0 and comp[j] > 0.0:
-                    f = factor[b]
-                    if f < theta:
-                        theta = f
-            if theta <= 0.0:
-                continue
-            out = comp if theta == 1.0 else comp * theta
-            n_dn[a, t + 1] += out.sum()
-            paths_a = plan.link_paths[a]
-            for j in range(len(targets)):
-                b = targets[j]
-                if b >= 0 and out[j] > 0.0:
-                    slot = plan.slot_in_link[b][paths_a[j]]
-                    pup[b][slot, t + 1] += out[j]
-                    n_up[b, t + 1] += out[j]
-        for s in range(n_src):
-            comp = src_comps[s]
-            if comp is None:
-                continue
-            b = plan.source_links[s]
-            theta = factor[b]
-            if theta <= 0.0:
-                continue
-            out = comp if theta == 1.0 else comp * theta
-            src_dn[s, t + 1] += out.sum()
-            n_up[b, t + 1] += out.sum()
-            paths_s = plan.src_paths[s]
-            for j in range(len(paths_s)):
-                if out[j] > 0.0:
-                    slot = plan.slot_in_link[b][paths_s[j]]
-                    pup[b][slot, t + 1] += out[j]
+        # transfer to each path's slot on its next link (never collides);
+        # a source adds its total to its link in one sum
+        moved = moves & (out > 0.0)
+        slots[slot_dest[moved], t + 1] += out[moved]
+        link_moved = moved[:L]
+        np.add.at(n_up[:, t + 1], np.concatenate((slot_next[:L][link_moved], src_links)),
+                  np.concatenate((out[:L][link_moved], total[A:])))
 
         if t + 1 >= t_sim:
-            stored = float(np.sum(n_up[:, t + 1] - n_dn[:, t + 1]))
-            stored += float(np.sum(src_up[:, t + 1] - src_dn[:, t + 1]))
+            inside = up[:, t + 1] - dn[:, t + 1]
+            stored = float(np.sum(inside[:A])) + float(np.sum(inside[A:]))
             if stored <= drain_tol:
                 n_steps = t + 1
                 drained = True
@@ -495,17 +472,16 @@ def load(
     n_dn = np.ascontiguousarray(n_dn[:, : S + 1])
     src_up = np.ascontiguousarray(src_up[:, : S + 1])
     src_dn = np.ascontiguousarray(src_dn[:, : S + 1])
-    pup = [np.ascontiguousarray(c[:, : S + 1]) for c in pup]
 
-    path_time, extrapolated = _path_times(plan, path_set, grid, dt, n_up, n_dn, src_up, src_dn)
+    path_time, extrapolated = _path_times(plan, grid, dt, n_up, n_dn, src_up, src_dn)
     link_time = None
     instant = None
     if compute_link_times:
         link_time = _link_times(plan, grid, dt, n_up, n_dn)
         instant = np.zeros((path_set.n_paths, T))
-        for p, seq in enumerate(path_set.link_seq):
-            for a in seq:
-                instant[p] += link_time[a]
+        for hop in plan.path_links.T:
+            on = hop >= 0
+            instant[on] += link_time[hop[on]]
 
     return LoadingResult(
         grid=grid,
@@ -521,36 +497,26 @@ def load(
         link_time=link_time,
         instant_path_time=instant,
         drained=drained,
-        _pup=tuple(pup) if keep_state else None,
+        _state=(plan, h, np.ascontiguousarray(slots[:L, : S + 1])) if keep_state else None,
     )
-
-
-def _interp_cols(curves: np.ndarray, n_known: int, dt: float, t: float) -> np.ndarray:
-    """Interpolate several boundary-sampled curves (rows) at one time."""
-    last = n_known - 1
-    if t <= 0.0:
-        return curves[:, 0].copy()
-    x = t / dt
-    idx = int(x)
-    if idx >= last:
-        return curves[:, last].copy()
-    frac = x - idx
-    return curves[:, idx] + frac * (curves[:, idx + 1] - curves[:, idx])
 
 
 def _link_times(plan: _Plan, grid: TimeGrid, sim_dt: float, n_up, n_dn) -> np.ndarray:
     """Travel time for entry at each departure-interval boundary, per link."""
     times = grid.interval_starts()
-    out = np.empty((plan.n_links, grid.n_intervals))
-    for a in range(plan.n_links):
-        entries = _interp_vec(n_up[a], sim_dt, times)
-        exit_t, _ = _invert_vec(n_dn[a], sim_dt, entries, plan.cap[a])
-        out[a] = np.maximum(plan.ff[a], exit_t - times)
-    return out
+    entries = _interp_rows(n_up, np.broadcast_to(times, (plan.n_links, len(times))), sim_dt)
+    exit_t = np.empty_like(entries)
+    # at most as many links per inversion as there are paths, so its
+    # temporary stays within the paths x T x steps of _path_times
+    chunk = max(1, len(plan.path_links))
+    for lo in range(0, plan.n_links, chunk):
+        rows = slice(lo, lo + chunk)
+        exit_t[rows] = _invert_rows(n_dn[rows], entries[rows], sim_dt, plan.cap[rows])[0]
+    return np.maximum(plan.ff[:, None], exit_t - times)
 
 
 def _path_times(
-    plan: _Plan, path_set: PathSet, grid: TimeGrid, sim_dt: float, n_up, n_dn, src_up, src_dn
+    plan: _Plan, grid: TimeGrid, sim_dt: float, n_up, n_dn, src_up, src_dn
 ) -> tuple[np.ndarray, np.ndarray]:
     """Chain FIFO exit times through source and links, per departure interval.
 
@@ -559,22 +525,18 @@ def _path_times(
     feels the queue it builds itself.
     """
     mids = grid.interval_mids()
-    path_time = np.empty((path_set.n_paths, grid.n_intervals))
-    extrapolated = np.zeros((path_set.n_paths, grid.n_intervals), dtype=bool)
-    for p, seq in enumerate(path_set.link_seq):
-        s = plan.src_of_path[p]
-        counts = _interp_vec(src_up[s], sim_dt, mids)
-        clock, beyond = _invert_vec(src_dn[s], sim_dt, counts, plan.cap[seq[0]])
-        clock = np.maximum(clock, mids)
-        flagged = beyond.copy()
-        for a in seq:
-            counts = _interp_vec(n_up[a], sim_dt, clock)
-            exit_t, beyond = _invert_vec(n_dn[a], sim_dt, counts, plan.cap[a])
-            clock = np.maximum(clock + plan.ff[a], exit_t)
-            flagged |= beyond
-        path_time[p] = clock - mids
-        extrapolated[p] = flagged
-    return path_time, extrapolated
+    src = plan.src_of_path
+    counts = _interp_rows(src_up[src], np.broadcast_to(mids, (len(src), len(mids))), sim_dt)
+    clock, flagged = _invert_rows(src_dn[src], counts, sim_dt, plan.cap[plan.path_links[:, 0]])
+    clock = np.maximum(clock, mids)
+    for hop in plan.path_links.T:
+        on = hop >= 0
+        a = hop[on]
+        counts = _interp_rows(n_up[a], clock[on], sim_dt)
+        exit_t, beyond = _invert_rows(n_dn[a], counts, sim_dt, plan.cap[a])
+        clock[on] = np.maximum(clock[on] + plan.ff[a][:, None], exit_t)
+        flagged[on] |= beyond
+    return clock - mids, flagged
 
 
 def instantaneous_path_times(loading: LoadingResult, t_index: int) -> np.ndarray:

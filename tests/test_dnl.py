@@ -325,3 +325,100 @@ class TestDepartureMatrix:
         dnl.check_feasible(h, ps, d_i)
         with pytest.raises(ValueError):
             dnl.check_feasible(h * 2, ps, d_i)
+
+
+class TestWarmStartIndexing:
+    """Warm starts equal cold loads where step and slot indexing can slip."""
+
+    @staticmethod
+    def _assert_warm_equals_cold(net, ps, grid, h, k, seed):
+        base = dnl.load(net, ps, grid, h, keep_state=True)
+        modified = h.copy()
+        rng = np.random.default_rng(seed)
+        modified[:, k:] = rng.uniform(0, 4, size=(ps.n_paths, grid.n_intervals - k))
+        cold = dnl.load(net, ps, grid, modified)
+        warm = dnl.load(net, ps, grid, modified, warm_start=(base, k))
+        assert warm.n_steps == cold.n_steps
+        for field in ("path_time", "link_time", "n_up", "n_dn", "src_dn", "extrapolated"):
+            assert np.array_equal(getattr(cold, field), getattr(warm, field)), field
+
+    @pytest.mark.parametrize("k", [0, 7, 19])
+    def test_refined_wide_lattice(self, k):
+        from golden_cases import wide_lattice
+
+        net, ps, grid, h = wide_lattice()
+        assert grid.dt_s / dnl.load(net, ps, grid, h).sim_dt_s == 2
+        assert grid.n_intervals == 20  # k = 19 is the last interval
+        self._assert_warm_equals_cold(net, ps, grid, h, k, seed=k)
+
+    @pytest.mark.parametrize("first_or_last", [True, False])
+    def test_first_and_last_interval(self, grid_congested, first_or_last):
+        net, ps, grid, _ = grid_congested
+        h = np.random.default_rng(21).uniform(0, 4, size=(ps.n_paths, grid.n_intervals))
+        k = 0 if first_or_last else grid.n_intervals - 1
+        self._assert_warm_equals_cold(net, ps, grid, h, k, seed=22)
+
+
+class TestForeignWarmStart:
+    def test_same_shapes_other_scenario_rejected(self, grid_congested, grid_uncongested):
+        net, ps, grid, _ = grid_congested
+        net_u, ps_u, grid_u, _ = grid_uncongested
+        rng = np.random.default_rng(23)
+        h_u = rng.uniform(0, 0.1, size=(ps_u.n_paths, grid_u.n_intervals))
+        base = dnl.load(net_u, ps_u, grid_u, h_u, keep_state=True)
+        h = rng.uniform(0, 4, size=(ps.n_paths, grid.n_intervals))
+        with pytest.raises(dnl.DnlError):
+            dnl.load(net, ps, grid, h, warm_start=(base, 20))
+
+    def test_other_network_rejected(self, grid_congested, three_link):
+        net, ps, grid, _ = grid_congested
+        net_3, ps_3, grid_3, _ = three_link
+        base = dnl.load(net_3, ps_3, grid_3, np.ones((ps_3.n_paths, grid_3.n_intervals)),
+                        keep_state=True)
+        with pytest.raises(dnl.DnlError):
+            dnl.load(net, ps, grid, np.ones((ps.n_paths, grid.n_intervals)), warm_start=(base, 5))
+
+    def test_other_departure_prefix_rejected(self, grid_congested):
+        net, ps, grid, _ = grid_congested
+        h = np.ones((ps.n_paths, grid.n_intervals))
+        base = dnl.load(net, ps, grid, h, keep_state=True)
+        changed = h.copy()
+        changed[0, 3] = 2.0
+        with pytest.raises(dnl.DnlError):
+            dnl.load(net, ps, grid, changed, warm_start=(base, 10))
+        # a change at or after the start interval is what warm starts are for
+        changed[0, 3] = 1.0
+        changed[0, 10] = 2.0
+        dnl.load(net, ps, grid, changed, warm_start=(base, 10))
+
+
+def _demand_rule(n_up_lagged, n_dn_now, arrival_mass, cap, dt):
+    backlog = n_up_lagged - n_dn_now
+    if backlog > 1e-12:
+        return min(cap, backlog / dt)
+    return min(cap, max(arrival_mass, 0.0) / dt)
+
+
+def _supply_rule(n_dn_wave_lagged, n_up_now, storage, cap, dt):
+    return max(0.0, min(cap, (n_dn_wave_lagged + storage - n_up_now) / dt))
+
+
+class TestRateRulesArrays:
+    def test_array_calls_equal_scalar_calls(self):
+        rng = np.random.default_rng(24)
+        n = 400
+        n_dn = rng.uniform(0, 50, n)
+        # backlogs around zero and the threshold, arrivals of either sign
+        n_up = n_dn + rng.choice([0.0, 1e-13, 1e-12, 2e-12, -1e-13, 3.0, 40.0], n)
+        arrival = rng.uniform(-1, 80, n)
+        storage = rng.uniform(0, 100, n)
+        cap = rng.uniform(0.1, 1.0, n)
+        dt = 120.0
+        demand = dnl.link_demand_rate(n_up, n_dn, arrival, cap, dt)
+        supply = dnl.link_supply_rate(n_dn, n_up, storage, cap, dt)
+        assert demand.shape == supply.shape == (n,)
+        for i in range(n):
+            d_args = (float(n_up[i]), float(n_dn[i]), float(arrival[i]), float(cap[i]), dt)
+            s_args = (float(n_dn[i]), float(n_up[i]), float(storage[i]), float(cap[i]), dt)
+            assert demand[i] == dnl.link_demand_rate(*d_args) == _demand_rule(*d_args)
+            assert supply[i] == dnl.link_supply_rate(*s_args) == _supply_rule(*s_args)

@@ -1,0 +1,92 @@
+"""Loader outputs equal the stored golden arrays and the loop loader bit for bit."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import loop_loader
+from dsuedhi import dnl
+from dsuedhi import network as nw
+from golden_cases import FIELDS, GOLDEN, cases, outputs
+
+CASES = cases()
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with np.load(GOLDEN) as data:
+        return {key: data[key] for key in data.files}
+
+
+def assert_same(got: dict, want: dict) -> None:
+    for field in FIELDS:
+        assert np.shape(got[field]) == np.shape(want[field]), field
+        assert np.array_equal(got[field], want[field]), field
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_load_matches_golden_exactly(golden, name):
+    net, ps, grid, h, kwargs = CASES[name]
+    got = outputs(dnl.load(net, ps, grid, h, **kwargs))
+    assert_same(got, {f: golden[f"{name}__{f}"] for f in FIELDS})
+
+
+def test_cases_cover_wide_links_and_refinement():
+    net, ps, grid, h, _ = CASES["wide_lattice"]
+    slots = np.bincount([a for seq in ps.link_seq for a in seq])
+    assert slots.max() >= 8
+    assert dnl.load(net, ps, grid, h).sim_dt_s == grid.dt_s / 2
+    capped = dnl.load(*CASES["three_link_capped"][:4], drain_max_steps=0)
+    assert not capped.drained and capped.extrapolated.any()
+
+
+def random_lattice(seed: int):
+    """A lattice with random size, link parameters, ODs, paths and departures.
+
+    Link lengths are drawn so that the loader refines each interval into one,
+    two or three steps; a short step cap sometimes leaves trips extrapolated.
+    """
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(2, 5, size=2)
+    base = rng.choice([2500.0, 1300.0, 900.0])
+    links = []
+    for r in range(rows):
+        for c in range(cols):
+            for link_id, head, ok in ((f"e{r}{c}", f"n{r}{c + 1}", c + 1 < cols),
+                                      (f"s{r}{c}", f"n{r + 1}{c}", r + 1 < rows)):
+                if ok:
+                    links.append(nw.Link(link_id, f"n{r}{c}", head,
+                                         float(base * rng.uniform(1.0, 1.4)), 20.0, 5.0,
+                                         float(rng.uniform(0.1, 0.6)),
+                                         float(rng.uniform(0.1, 0.2))))
+    # corner to corner has the most paths, so links with many path slots
+    pairs = {("n00", f"n{rows - 1}{cols - 1}")}
+    for _ in range(rng.integers(0, 4)):
+        o = (int(rng.integers(0, rows - 1)), int(rng.integers(0, cols - 1)))
+        d = (int(rng.integers(o[0] + 1, rows)), int(rng.integers(o[1] + 1, cols)))
+        pairs.add((f"n{o[0]}{o[1]}", f"n{d[0]}{d[1]}"))
+    ods = [nw.OdDemand(o, d, 1.0, 0.0, 1800.0) for o, d in sorted(pairs)]
+    net = nw.validate_network(links, ods)
+    ps = nw.build_path_set(net, k_max=int(rng.integers(1, 21)), time_ratio=3.0, length_ratio=3.0)
+    grid = nw.TimeGrid(120.0 * int(rng.integers(4, 13)), 120.0)
+    h = rng.uniform(0.0, rng.choice([0.5, 20.0, 60.0]), size=(ps.n_paths, grid.n_intervals))
+    h[rng.random(h.shape) < 0.3] = 0.0
+    cap = None if rng.random() < 0.7 else int(rng.integers(0, 6))
+    return net, ps, grid, h, cap
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_load_matches_loop_loader_on_random_lattices(seed):
+    net, ps, grid, h, cap = random_lattice(seed)
+    want = loop_loader.load(net, ps, grid, h, drain_max_steps=cap)
+    got = dnl.load(net, ps, grid, h, drain_max_steps=cap, keep_state=True)
+    assert_same(outputs(got), {f: getattr(want, f) for f in FIELDS})
+    # a warm start from this loading equals a cold load of changed departures
+    k = int(np.random.default_rng(seed).integers(0, grid.n_intervals))
+    changed = h.copy()
+    changed[:, k:] = changed[:, k:][::-1]
+    cold = dnl.load(net, ps, grid, changed, drain_max_steps=cap)
+    warm = dnl.load(net, ps, grid, changed, drain_max_steps=cap, warm_start=(got, k))
+    assert_same(outputs(warm), outputs(cold))
