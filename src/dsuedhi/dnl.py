@@ -37,6 +37,16 @@ before sources as in a loop over them; ``np.minimum.at`` for every diverge
 factor; and one scatter to the successor slots, which never collides because
 a path visits a link once.
 
+Batch axis. ``load_batch`` steps B departure patterns of one (network, path
+set, grid) together as B disjoint copies of those rows and slots: the links
+of every copy, then the sources of every copy, each copy's slots a block in
+the single-pattern order. Every pattern keeps its own drain test, tolerance
+and step count, and gets exactly the result of loading it alone; ``load`` is
+the batch of one. The time axis holds the boundaries stepped so far: it
+starts at the horizon plus half of it, grows by half while a pattern has not
+drained, and stops at the step cap. A batch whose curves would exceed a fixed
+byte budget at that first size is stepped in equal chunks.
+
 Exact sums. Results are bit-identical to a loop that sums each row's slots
 with ``ndarray.sum``. numpy adds fewer than 8 numbers in sequence, as
 ``np.bincount`` does, and 8 or more pairwise, so per-row totals come from
@@ -200,14 +210,17 @@ def node_flux(
     }
 
 
-def _interp_rows(curves: np.ndarray, times, dt: float, hold: bool = False) -> np.ndarray:
+def _interp_rows(curves: np.ndarray, times, dt: float, hold: bool = False,
+                 last=None) -> np.ndarray:
     """Piecewise-linear values of boundary-sampled curves, one row per curve.
 
     ``times`` has one row per curve, with any number of columns. Times before
-    the start read column 0. From the last column on, the last segment's
-    formula is evaluated at its end, or with ``hold`` the last sample itself.
+    the start read column 0. From the last sample on (column ``last``, per
+    row; default the last column), the last segment's formula is evaluated at
+    its end, or with ``hold`` the last sample itself.
     """
-    last = curves.shape[1] - 1
+    if last is None:
+        last = curves.shape[1] - 1
     x = np.minimum(np.maximum(times / dt, 0.0), last)
     idx = np.minimum(x.astype(np.intp), last - 1)
     rows = np.arange(len(curves)).reshape((-1,) + (1,) * (idx.ndim - 1))
@@ -249,16 +262,25 @@ def _group_sums(x: np.ndarray, group: np.ndarray, n: int, wide) -> np.ndarray:
     """Per-group totals of ``x``, each bit-identical to ``x[start:end].sum()``.
 
     numpy sums fewer than 8 elements sequentially, as ``bincount`` does, and
-    8 or more pairwise; ``wide`` lists (group, start, end) of the latter.
+    8 or more pairwise; ``wide`` lists (groups, element indices) of the
+    latter, one entry per group size, and each index row is summed on its own.
     """
     out = np.bincount(group, weights=x, minlength=n)
-    for g, start, end in wide:
-        out[g] = x[start:end].sum()
+    for groups, index in wide:
+        out[groups] = x[index].sum(axis=1)
+    return out
+
+
+def _widen(curves: np.ndarray, cols: int) -> np.ndarray:
+    """``curves`` with ``cols`` columns, the new ones copies of the last."""
+    out = np.empty((len(curves), cols))
+    out[:, : curves.shape[1]] = curves
+    out[:, curves.shape[1] :] = curves[:, -1:]
     return out
 
 
 class _Plan:
-    """Index arrays of one (network, path set, grid) for the stepper.
+    """Index arrays of one (network, path set, grid).
 
     Rows are the links, then one source connector per distinct first link.
     A slot is one (row, path) pair; slots are numbered row-major, in path
@@ -281,7 +303,6 @@ class _Plan:
 
         self.source_links = tuple(sorted({seq[0] for seq in seqs}))
         self.src_links = np.array(self.source_links, dtype=np.intp)
-        n_src = len(self.source_links)
         src_index = {a: s for s, a in enumerate(self.source_links)}
         self.src_of_path = np.array([src_index[seq[0]] for seq in seqs], dtype=np.intp)
         # (row, path) -> next row of the path: its next link, or -1 at the exit
@@ -297,18 +318,88 @@ class _Plan:
         self.slot_next = np.array([succ[pair] for pair in pairs], dtype=np.intp)
         self.slot_dest = np.array([slot_of.get((succ[r, p], p), -1) for r, p in pairs],
                                   dtype=np.intp)
-        self.row_start = np.searchsorted(self.slot_row, np.arange(A + n_src + 1))
-        self.wide = [(r, int(self.row_start[r]), int(self.row_start[r + 1]))
-                     for r in range(A + n_src) if self.row_start[r + 1] - self.row_start[r] >= 8]
-        self.rate_beyond = np.concatenate((self.cap, np.ones(n_src)))
-        # samples known at step 0: a link's entries up to now, a source's one step ahead
-        self.n_known = (np.arange(A + n_src) >= A).astype(np.intp)[:, None] + 1
+        self.src_row_start = np.searchsorted(self.slot_row[self.n_link_slots :],
+                                             np.arange(A, A + len(self.source_links) + 1))
 
         # link of every path at each hop, padded with -1
         hops = max((len(seq) for seq in seqs), default=0)
         self.path_links = np.full((len(seqs), max(hops, 1)), -1, dtype=np.intp)
         for p, seq in enumerate(seqs):
             self.path_links[p, : len(seq)] = seq
+
+
+class _Copies:
+    """B disjoint copies of a plan's rows and slots, stepped as one network.
+
+    Rows are the links of copy 0, copy 1, ..., then the sources of copy 0,
+    copy 1, ...; slots are numbered row-major, so the link slots of each
+    copy, and its source slots, form blocks in the plan's slot order. A
+    merge, a row total or a drain sum therefore adds the same numbers in the
+    same order as a load of that copy alone.
+    """
+
+    def __init__(self, plan: _Plan, B: int):
+        A, L, n_src = plan.n_links, plan.n_link_slots, len(plan.source_links)
+        copy = np.arange(B)[:, None]
+
+        def tiled(index, shift):  # per-copy index blocks; -1 stays -1
+            return np.where(index >= 0, index + shift * copy, -1).ravel()
+
+        self.n_links = B * A
+        self.n_link_slots = B * L
+        self.slot_row = np.concatenate((tiled(plan.slot_row[:L], A),
+                                        tiled(plan.slot_row[L:] - A, n_src) + B * A))
+        self.slot_next = np.concatenate((tiled(plan.slot_next[:L], A),
+                                         tiled(plan.slot_next[L:], A)))
+        self.slot_dest = np.concatenate((tiled(plan.slot_dest[:L], L),
+                                         tiled(plan.slot_dest[L:], L)))
+        self.src_links = tiled(plan.src_links, A)
+        self.ff, self.wave_lag, self.cap, self.storage = (
+            np.tile(x, B) for x in (plan.ff, plan.wave_lag, plan.cap, plan.storage))
+        R = B * (A + n_src)
+        row_start = np.searchsorted(self.slot_row, np.arange(R + 1))
+        size = np.diff(row_start)
+        self.wide = []
+        for n in sorted(set(size[size >= 8].tolist())):
+            rows = np.flatnonzero(size == n)
+            self.wide.append((rows, row_start[rows][:, None] + np.arange(n)))
+        self.rate_beyond = np.concatenate((self.cap, np.ones(B * n_src)))
+        # samples known at step 0: a link's entries up to now, a source's one step ahead
+        self.n_known = (np.arange(R) >= B * A).astype(np.intp)[:, None] + 1
+
+
+def _step_cap(t_sim: int, drain_max_steps: int | None) -> int:
+    """Steps after which loading stops, drained or not."""
+    return t_sim + (20 * t_sim + 200 if drain_max_steps is None else drain_max_steps)
+
+
+def _first_cols(t_sim: int, start_step: int, s_max: int) -> int:
+    """Boundaries allocated up front: the horizon plus half of it to drain."""
+    return min(s_max, max(t_sim + t_sim // 2 + 1, start_step + 1)) + 1
+
+
+# Curves of one batch chunk (entries, exits and slot entries of every pattern
+# at the first allocation) stay under 2**18 float64 samples, 2 MiB: about one
+# load of a 60-link network at the default step cap, so a batch of forecasts
+# needs little more memory than the one-at-a-time loads it replaces. A batch
+# over the budget is split into chunks of equal size.
+_CHUNK_BYTES = 8 * 2**18
+
+# Booleans compared at once when path times count the samples below their
+# targets (256 KiB): batches are timed a few patterns at a time within it.
+_COUNT_CELLS = 2**18
+
+
+def _departures(values, ndim: int, path_set: PathSet, grid: TimeGrid) -> np.ndarray:
+    """Departures with ``ndim`` axes, the last two (paths, intervals), floored at 0."""
+    h = np.asarray(values, dtype=float)
+    want = (path_set.n_paths, grid.n_intervals)
+    if h.ndim != ndim or h.shape[-2:] != want:
+        axes = "(patterns, paths, intervals)" if ndim == 3 else "(paths, intervals)"
+        raise DnlError(f"departure matrix shape {h.shape} is not {axes} ending in {want}")
+    if h.min(initial=0.0) < -1e-9:
+        raise DnlError("negative departures")
+    return np.maximum(h, 0.0)
 
 
 def load(
@@ -324,32 +415,21 @@ def load(
 ) -> LoadingResult:
     """Map total path departures to link and path travel times.
 
-    Deterministic: identical inputs give bit-identical results. With
-    ``warm_start=(base, k)`` the first k intervals are copied from ``base``,
-    which must have been run with ``keep_state=True`` on the same network,
-    path set and grid, with departures identical below column k; the outcome
-    is bit-identical to a cold run.
+    A batch of one of the stepper behind ``load_batch``. Deterministic:
+    identical inputs give bit-identical results. With ``warm_start=(base, k)``
+    the first k intervals are copied from ``base``, which must have been run
+    with ``keep_state=True`` on the same network, path set and grid, with
+    departures identical below column k; the outcome is bit-identical to a
+    cold run.
     """
-    global _load_calls
-    with _counter_lock:
-        _load_calls += 1
-
     h = departures.values if isinstance(departures, DepartureMatrix) else departures
-    h = np.asarray(h, dtype=float)
-    T = grid.n_intervals
-    if h.shape != (path_set.n_paths, T):
-        raise DnlError(f"departure matrix shape {h.shape} != (paths, intervals) "
-                       f"({path_set.n_paths}, {T})")
-    if h.min(initial=0.0) < -1e-9:
-        raise DnlError("negative departures")
-    h = np.maximum(h, 0.0)
-
+    h = _departures(h, 2, path_set, grid)
     plan = None
     if warm_start is not None:
         base, start_interval = warm_start
         if base._state is None:
             raise DnlError("warm start requires a base loading kept with state")
-        plan, base_h, base_slots = base._state
+        plan, base_h, _ = base._state
         if plan.key != (net.links, path_set.link_seq, grid):
             raise DnlError("warm start base was loaded on another network, path set or grid")
         if not np.array_equal(base_h[:, :start_interval], h[:, :start_interval]):
@@ -358,56 +438,126 @@ def load(
             raise DnlError("warm start beyond the base loading horizon")
     if plan is None:
         plan = _Plan(net, path_set, grid)
-    A = plan.n_links
-    L = plan.n_link_slots
-    R = len(plan.rate_beyond)
+    return _step(plan, grid, h[None], compute_link_times, drain_max_steps,
+                 warm_start, keep_state)[0]
+
+
+def load_batch(
+    net: Network,
+    path_set: PathSet,
+    grid: TimeGrid,
+    departures: np.ndarray,
+    *,
+    compute_link_times: bool = True,
+    drain_max_steps: int | None = None,
+) -> list[LoadingResult]:
+    """Load B departure patterns, ``departures[B, P, T]``, in one pass.
+
+    The patterns step forward together on disjoint copies of the network;
+    each keeps its own drain test and step count, and its result is
+    bit-identical to ``load`` of that pattern alone. Large batches are
+    stepped in chunks whose curves stay under a fixed byte budget.
+    """
+    h = _departures(departures, 3, path_set, grid)
+    if not len(h):
+        return []
+    plan = _Plan(net, path_set, grid)
+    t_sim = grid.n_intervals * plan.refine
+    rows = 2 * (plan.n_links + len(plan.source_links)) + len(plan.slot_row)  # entries, exits, slots
+    per_pattern = 8 * rows * _first_cols(t_sim, 0, _step_cap(t_sim, drain_max_steps))
+    chunks = -(-len(h) // max(1, _CHUNK_BYTES // per_pattern))
+    return [res for part in np.array_split(h, chunks)
+            for res in _step(plan, grid, part, compute_link_times, drain_max_steps)]
+
+
+def _fill_sources(plan: _Plan, h: np.ndarray, src_slots: np.ndarray, src_rows: np.ndarray) -> None:
+    """Write the source entry curves of the patterns ``h[B, P, T]``.
+
+    They are exogenous, so known for the whole horizon up front; departures
+    ramp linearly inside each departure interval. ``src_slots`` and
+    ``src_rows`` are the source slots and source rows of a batch.
+    """
+    B, _, T = h.shape
     refine = plan.refine
-    dt = plan.dt
     t_sim = T * refine
-    if drain_max_steps is None:
-        drain_max_steps = 20 * t_sim + 200
-    s_max = t_sim + drain_max_steps
-
-    # cumulative entries and exits of every row, entries of every slot
-    up = np.zeros((R, s_max + 1))
-    dn = np.zeros((R, s_max + 1))
-    slots = np.zeros((len(plan.slot_row), s_max + 1))
-    n_up, src_up, n_dn, src_dn = up[:A], up[A:], dn[:A], dn[A:]
-
-    # exogenous source entry curves (known for the whole horizon up front);
-    # departures ramp linearly inside each departure interval
-    h_cum = np.concatenate([np.zeros((path_set.n_paths, 1)), np.cumsum(h, axis=1)], axis=1)
-    rows = h_cum[plan.slot_path[L:]]
-    psrc_up = slots[L:]
-    psrc_up[:, : t_sim + 1 : refine] = rows
+    h_cum = np.concatenate([np.zeros((B, h.shape[1], 1)), np.cumsum(h, axis=2)], axis=2)
+    rows = h_cum[:, plan.slot_path[plan.n_link_slots :]].reshape(-1, T + 1)
+    src_slots[:, : t_sim + 1 : refine] = rows
     fine = np.linspace(0.0, 1.0, refine + 1)[1:-1] if refine > 1 else np.empty(0)
     for j, frac in enumerate(fine, start=1):
-        psrc_up[:, j : t_sim + 1 : refine] = rows[:, :-1] + frac * np.diff(rows, axis=1)
-    psrc_up[:, t_sim + 1 :] = rows[:, -1:]
-    for r in range(A, R):
-        up[r] = slots[plan.row_start[r] : plan.row_start[r + 1]].sum(axis=0)
-    total_demand = float(h.sum())
+        src_slots[:, j : t_sim + 1 : refine] = rows[:, :-1] + frac * np.diff(rows, axis=1)
+    src_slots[:, t_sim + 1 :] = rows[:, -1:]
+    cols = src_slots.shape[1]
+    per_copy = src_slots.reshape(B, -1, cols)
+    per_row = src_rows.reshape(B, -1, cols)
+    start = plan.src_row_start
+    for s in range(len(start) - 1):
+        per_row[:, s] = per_copy[:, start[s] : start[s + 1]].sum(axis=1)
 
-    start_step = 0
-    if warm_start is not None:
-        start_step = start_interval * refine
+
+def _step(
+    plan: _Plan,
+    grid: TimeGrid,
+    h: np.ndarray,
+    compute_link_times: bool,
+    drain_max_steps: int | None,
+    warm_start: tuple[LoadingResult, int] | None = None,
+    keep_state: bool = False,
+) -> list[LoadingResult]:
+    """Step the patterns ``h[B, P, T]`` together; one result per pattern.
+
+    A drained pattern's result ends at its own step; the copy of it that is
+    stepped on with the rest is never read past there.
+    """
+    global _load_calls
+    B = len(h)
+    with _counter_lock:
+        _load_calls += B
+
+    c = _Copies(plan, B)
+    A = c.n_links
+    L = c.n_link_slots
+    R = len(c.rate_beyond)
+    A1, L1, n_src = plan.n_links, plan.n_link_slots, len(plan.source_links)
+    refine = plan.refine
+    dt = plan.dt
+    T = grid.n_intervals
+    t_sim = T * refine
+    s_max = _step_cap(t_sim, drain_max_steps)
+    start_step = 0 if warm_start is None else warm_start[1] * refine
+    cols = _first_cols(t_sim, start_step, s_max)
+
+    # cumulative entries and exits of every row, entries of every slot
+    up = np.zeros((R, cols))
+    dn = np.zeros((R, cols))
+    slots = np.zeros((len(c.slot_row), cols))
+
+    _fill_sources(plan, h, slots[L:], up[A:])
+
+    if warm_start is not None:  # a batch of one
+        base = warm_start[0]
         k = start_step + 1  # boundaries copied
-        n_up[:, :k] = base.n_up[:, :k]
-        n_dn[:, :k] = base.n_dn[:, :k]
-        src_dn[:, :k] = base.src_dn[:, :k]
-        slots[:L, :k] = base_slots[:, :k]
+        up[:A, :k] = base.n_up[:, :k]
+        dn[:A, :k] = base.n_dn[:, :k]
+        dn[A:, :k] = base.src_dn[:, :k]
+        slots[:L, :k] = base._state[2][:, :k]
 
-    drain_tol = 1e-9 * max(1.0, total_demand)
-    cap, ff, wave, storage = plan.cap, plan.ff, plan.wave_lag, plan.storage
-    slot_row, slot_next, slot_dest, wide = plan.slot_row, plan.slot_next, plan.slot_dest, plan.wide
-    src_links = plan.src_links
+    drain_tol = np.array([1e-9 * max(1.0, float(x.sum())) for x in h])
+    ff, wave, storage, cap = c.ff, c.wave_lag, c.storage, c.cap
+    slot_row, slot_next, slot_dest, wide = c.slot_row, c.slot_next, c.slot_dest, c.wide
+    src_links = c.src_links
     moves = slot_next >= 0  # slots whose path continues on a link
     link_moves = moves[:L]
     inflow_index = np.concatenate((slot_next[:L][link_moves], src_links))
 
-    n_steps = s_max
-    drained = False
+    n_steps = np.full(B, s_max)
+    drained = np.zeros(B, dtype=bool)
+    n_up, src_up, n_dn, src_dn = up[:A], up[A:], dn[:A], dn[A:]
     for t in range(start_step, s_max):
+        if t + 2 > cols:
+            cols = min(s_max + 1, cols + cols // 2)
+            up, dn, slots = (_widen(x, cols) for x in (up, dn, slots))
+            n_up, src_up, n_dn, src_dn = up[:A], up[A:], dn[:A], dn[A:]
         now = t * dt
         n_up[:, t + 1] = n_up[:, t]
         dn[:, t + 1] = dn[:, t]
@@ -429,7 +579,7 @@ def load(
         window = np.empty((R, 2))
         window[:, 0] = dn[:, t]
         np.add(dn[:, t], mass, out=window[:, 1])
-        tau, _ = _invert_rows(up[:, : t + 2], window, dt, plan.rate_beyond, plan.n_known + t)
+        tau, _ = _invert_rows(up[:, : t + 2], window, dt, c.rate_beyond, c.n_known + t)
         ends = _interp_rows(slots[:, : t + 2], tau[slot_row], dt, hold=True)
         comp = np.maximum(ends[:, 1] - ends[:, 0], 0.0)
         total = _group_sums(comp, slot_row, R, wide)
@@ -461,44 +611,56 @@ def load(
 
         if t + 1 >= t_sim:
             inside = up[:, t + 1] - dn[:, t + 1]
-            stored = float(np.sum(inside[:A])) + float(np.sum(inside[A:]))
-            if stored <= drain_tol:
-                n_steps = t + 1
-                drained = True
-                break
+            stored = inside[:A].reshape(B, -1).sum(axis=1) + inside[A:].reshape(B, -1).sum(axis=1)
+            done = stored <= drain_tol
+            if done.any():
+                n_steps[done & ~drained] = t + 1
+                drained |= done
+                if drained.all():
+                    break
 
-    S = n_steps
-    n_up = np.ascontiguousarray(n_up[:, : S + 1])
-    n_dn = np.ascontiguousarray(n_dn[:, : S + 1])
-    src_up = np.ascontiguousarray(src_up[:, : S + 1])
-    src_dn = np.ascontiguousarray(src_dn[:, : S + 1])
+    states = [(plan, h[b], np.ascontiguousarray(slots[b * L1 : (b + 1) * L1, : S + 1]))
+              for b, S in enumerate(n_steps)] if keep_state else [None] * B
+    del slots
+    S_end = int(n_steps.max())  # every pattern was stepped this far
+    up, dn = up[:, : S_end + 1], dn[:, : S_end + 1]
+    # a few patterns at a time, so no temporary outgrows the curves
+    group = max(1, _COUNT_CELLS // (h.shape[1] * T * (S_end + 1)))
+    parts = [_path_times(plan, grid, dt, up, dn, n_steps, np.arange(lo, min(B, lo + group)))
+             for lo in range(0, B, group)]
+    path_time = np.concatenate([times for times, _ in parts])
+    extrapolated = np.concatenate([flags for _, flags in parts])
 
-    path_time, extrapolated = _path_times(plan, grid, dt, n_up, n_dn, src_up, src_dn)
-    link_time = None
-    instant = None
-    if compute_link_times:
-        link_time = _link_times(plan, grid, dt, n_up, n_dn)
-        instant = np.zeros((path_set.n_paths, T))
-        for hop in plan.path_links.T:
-            on = hop >= 0
-            instant[on] += link_time[hop[on]]
-
-    return LoadingResult(
-        grid=grid,
-        n_steps=S,
-        sim_dt_s=dt,
-        n_up=n_up,
-        n_dn=n_dn,
-        src_up=src_up,
-        src_dn=src_dn,
-        source_links=plan.source_links,
-        path_time=path_time,
-        extrapolated=extrapolated,
-        link_time=link_time,
-        instant_path_time=instant,
-        drained=drained,
-        _state=(plan, h, np.ascontiguousarray(slots[:L, : S + 1])) if keep_state else None,
-    )
+    results = []
+    for b, S in enumerate(n_steps.tolist()):
+        links = slice(b * A1, (b + 1) * A1)
+        sources = slice(A + b * n_src, A + (b + 1) * n_src)
+        n_up, n_dn = up[links, : S + 1], dn[links, : S + 1]
+        link_time = None
+        instant = None
+        if compute_link_times:
+            link_time = _link_times(plan, grid, dt, n_up, n_dn)
+            instant = np.zeros((h.shape[1], T))
+            for hop in plan.path_links.T:
+                on = hop >= 0
+                instant[on] += link_time[hop[on]]
+        results.append(LoadingResult(
+            grid=grid,
+            n_steps=S,
+            sim_dt_s=dt,
+            n_up=n_up,
+            n_dn=n_dn,
+            src_up=up[sources, : S + 1],
+            src_dn=dn[sources, : S + 1],
+            source_links=plan.source_links,
+            path_time=path_time[b],
+            extrapolated=extrapolated[b],
+            link_time=link_time,
+            instant_path_time=instant,
+            drained=bool(drained[b]),
+            _state=states[b],
+        ))
+    return results
 
 
 def _link_times(plan: _Plan, grid: TimeGrid, sim_dt: float, n_up, n_dn) -> np.ndarray:
@@ -516,27 +678,37 @@ def _link_times(plan: _Plan, grid: TimeGrid, sim_dt: float, n_up, n_dn) -> np.nd
 
 
 def _path_times(
-    plan: _Plan, grid: TimeGrid, sim_dt: float, n_up, n_dn, src_up, src_dn
+    plan: _Plan, grid: TimeGrid, sim_dt: float, up, dn, n_steps, copies
 ) -> tuple[np.ndarray, np.ndarray]:
     """Chain FIFO exit times through source and links, per departure interval.
 
     The probe for interval t is the cohort's median vehicle: it departs at the
     interval midpoint with half of its own column ahead of it, so a column
-    feels the queue it builds itself.
+    feels the queue it builds itself. ``up`` and ``dn`` hold the rows of a
+    batch in the layout of ``_Copies``, and pattern b's curves end at its own
+    step ``n_steps[b]``; the results are copies x paths x intervals.
     """
+    A1, n_src, P = plan.n_links, len(plan.source_links), len(plan.path_links)
+    B, k = len(up) // (A1 + n_src), len(copies)
+    hops = np.tile(plan.path_links, (k, 1))  # link of each (pattern, path) row per hop
+    first_row = np.repeat(A1 * copies, P)  # row of each pattern's link 0
+    n = np.repeat(n_steps[copies] + 1, P)[:, None]  # samples per row
+    last = n - 1
     mids = grid.interval_mids()
-    src = plan.src_of_path
-    counts = _interp_rows(src_up[src], np.broadcast_to(mids, (len(src), len(mids))), sim_dt)
-    clock, flagged = _invert_rows(src_dn[src], counts, sim_dt, plan.cap[plan.path_links[:, 0]])
+    src = B * A1 + np.repeat(n_src * copies, P) + np.tile(plan.src_of_path, k)
+    counts = _interp_rows(up[src], np.broadcast_to(mids, (len(src), len(mids))), sim_dt,
+                          last=last)
+    clock, flagged = _invert_rows(dn[src], counts, sim_dt, plan.cap[hops[:, 0]], n)
     clock = np.maximum(clock, mids)
-    for hop in plan.path_links.T:
+    for hop in hops.T:
         on = hop >= 0
         a = hop[on]
-        counts = _interp_rows(n_up[a], clock[on], sim_dt)
-        exit_t, beyond = _invert_rows(n_dn[a], counts, sim_dt, plan.cap[a])
+        row = first_row[on] + a
+        counts = _interp_rows(up[row], clock[on], sim_dt, last=last[on])
+        exit_t, beyond = _invert_rows(dn[row], counts, sim_dt, plan.cap[a], n[on])
         clock[on] = np.maximum(clock[on] + plan.ff[a][:, None], exit_t)
         flagged[on] |= beyond
-    return clock - mids, flagged
+    return (clock - mids).reshape(k, P, -1), flagged.reshape(k, P, -1)
 
 
 def instantaneous_path_times(loading: LoadingResult, t_index: int) -> np.ndarray:

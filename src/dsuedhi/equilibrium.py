@@ -1,10 +1,10 @@
 """Fixed-point formulation and the self-regulated averaging solver.
 
 One application of the map rolls the within-day loop forward: load the
-candidate pattern once, then interval by interval generate instantaneous and
-forecast information, let each class make tentative choices from its own
-remaining demand, and realize only the current column. A pattern is at
-equilibrium when the map reproduces it.
+candidate pattern once, generate the instantaneous and forecast information
+of every interval from it, then interval by interval let each class make
+tentative choices from its own remaining demand and realize only the current
+column. A pattern is at equilibrium when the map reproduces it.
 
 The solver averages each iterate toward the map image with a self-regulated
 step: the inverse step size grows fast when the residual gap grows and slowly
@@ -94,9 +94,14 @@ def fixed_point_map(
 ) -> MapResult:
     """Roll the closed loop forward once from a candidate class pair.
 
-    The pooled remaining demand behind each forecast comes from the candidate
-    total pattern; the per-class remaining demands evolve from the rollout's
-    own realized columns. The two coincide at any fixed point.
+    Information first: the instantaneous times of every interval come from
+    the candidate loading, and the forecast made at t loads the candidate
+    history spliced with the pooled remaining demand's reaction to them. Both
+    depend on the candidate alone, so all T forecasts are loaded in one
+    batch. The rollout then realizes one column per interval. The pooled
+    remaining demand behind each forecast comes from the candidate total
+    pattern; the per-class remaining demands evolve from the rollout's own
+    realized columns. The two coincide at any fixed point.
     """
     h_instant = np.asarray(h_instant, dtype=float)
     h_forecast = np.asarray(h_forecast, dtype=float)
@@ -105,7 +110,15 @@ def fixed_point_map(
     P = path_set.n_paths
     d_instant, d_forecast = net.class_demands()
 
-    base = dnl.load(net, path_set, grid, h_total, keep_state=True)
+    base = dnl.load(net, path_set, grid, h_total)
+    instants = [info.instant_info(base, t) for t in range(T)]
+    spliced = np.empty((T, P, T))
+    for t, inst in enumerate(instants):
+        pooled = info.pooled_remaining_demand(h_total, t, net, path_set)
+        predicted = info.forecast_departures(inst, pooled, grid, path_set, params)
+        spliced[t] = info.splice(h_total, predicted, t)
+    forecasts = info.forecast_batch(net, path_set, grid, spliced, range(T))
+
     y_instant = np.zeros((P, T))
     y_forecast = np.zeros((P, T))
     instant_trace = np.zeros((P, T))
@@ -114,14 +127,8 @@ def fixed_point_map(
 
     rem_i = d_instant.astype(float).copy()
     rem_f = d_forecast.astype(float).copy()
-    for t in range(T):
-        inst = info.instant_info(base, t)
+    for t, (inst, fc) in enumerate(zip(instants, forecasts)):
         instant_trace[:, t] = inst.phi_s
-
-        pooled = info.pooled_remaining_demand(h_total, t, net, path_set)
-        predicted = info.forecast_departures(inst, pooled, grid, path_set, params)
-        spliced = info.splice(h_total, predicted, t)
-        fc = info.forecast_info(net, path_set, grid, spliced, t, base_loading=base)
         forecast_diag[:, t] = fc.phi_s[:, 0]
         if forecast_full is not None:
             forecast_full.append(fc.phi_s)

@@ -9,9 +9,11 @@ the instantaneous times, the predicted columns are spliced onto the realized
 history, and the spliced pattern is loaded again; the forecast travel times
 are the realized-style path times of that hypothetical world.
 
-Generating the full information set for one candidate therefore costs exactly
-one loading for the instantaneous product plus one loading per provision
-interval; ``dnl.load_call_count`` exposes the tally.
+Generating the full information set for one candidate therefore loads one
+pattern for the instantaneous product plus one per provision interval. The
+forecast patterns do not depend on each other, so they are loaded together
+in one batched pass (``dnl.load_batch``); ``dnl.load_call_count`` counts
+every loaded pattern.
 """
 
 from __future__ import annotations
@@ -79,6 +81,23 @@ def splice(h_history: np.ndarray, h_predicted: np.ndarray, t_index: int) -> np.n
     return out
 
 
+def forecast_batch(
+    net: Network,
+    path_set: PathSet,
+    grid: TimeGrid,
+    spliced: np.ndarray,
+    t_indices,
+) -> list[ForecastInfo]:
+    """Load spliced patterns ``spliced[B, P, T]`` in one batch.
+
+    Pattern b was spliced at ``t_indices[b]``; its forecast holds the path
+    travel times from that interval on.
+    """
+    loadings = dnl.load_batch(net, path_set, grid, spliced, compute_link_times=False)
+    return [ForecastInfo(t, loading.path_time[:, t:].copy())
+            for t, loading in zip(t_indices, loadings, strict=True)]
+
+
 def forecast_info(
     net: Network,
     path_set: PathSet,
@@ -89,11 +108,8 @@ def forecast_info(
 ) -> ForecastInfo:
     """Load the spliced pattern and read off its path travel times from now on.
 
-    ``base_loading`` (the candidate loading kept with state) lets the shared
-    history prefix be reused; the result is bit-identical to a cold load.
+    A batch of one. ``base_loading`` is not used: the load is cold, which is
+    bit-identical to the warm start from the candidate loading it once took.
     """
-    warm = (base_loading, t_index) if base_loading is not None else None
-    loading = dnl.load(
-        net, path_set, grid, spliced, compute_link_times=False, warm_start=warm
-    )
-    return ForecastInfo(t_index, loading.path_time[:, t_index:].copy())
+    return forecast_batch(net, path_set, grid, np.asarray(spliced, dtype=float)[None],
+                          [t_index])[0]
