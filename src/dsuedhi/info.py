@@ -93,7 +93,7 @@ def forecast_batch(
     Pattern b was spliced at ``t_indices[b]``; its forecast holds the path
     travel times from that interval on.
     """
-    loadings = dnl.load_batch(net, path_set, grid, spliced, compute_link_times=False)
+    loadings = dnl.load_batch(net, path_set, grid, spliced)
     return [ForecastInfo(t, loading.path_time[:, t:].copy())
             for t, loading in zip(t_indices, loadings, strict=True)]
 

@@ -9,7 +9,7 @@ from dsuedhi import dnl, info
 from test_golden import random_lattice
 
 FIELDS = ("path_time", "extrapolated", "n_steps", "drained", "n_up", "n_dn", "src_up",
-          "src_dn", "link_time", "instant_path_time")
+          "src_dn")
 
 
 def assert_batch_equals_solo(net, ps, grid, batch, cap=None):
@@ -89,7 +89,7 @@ def test_batch_adds_one_load_per_pattern(three_link):
     net, ps, grid, _ = three_link
     batch = np.ones((5, ps.n_paths, grid.n_intervals))
     dnl.reset_load_call_count()
-    dnl.load_batch(net, ps, grid, batch, compute_link_times=False)
+    dnl.load_batch(net, ps, grid, batch)
     assert dnl.load_call_count() == 5
 
 
