@@ -2,7 +2,7 @@
 travel-time information provision."""
 
 from .choice import ChoiceError, ChoiceParams
-from .dnl import DepartureMatrix, DnlError, LoadingResult, load
+from .dnl import DnlError, LoadingResult, load
 from .equilibrium import (
     EquilibriumResult,
     SolverConfig,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -184,7 +183,7 @@ def _dump_forecasts(path: Path, sc: Scenario, built, result: EquilibriumResult) 
     _write_rows(path, ["provided_at", "path_id", "departure_t", "phi_s"], rows)
 
 
-def run_sweep(sc: Scenario, parameter: str, values: list[float], out_dir: Path, threads: int) -> int:
+def run_sweep(sc: Scenario, parameter: str, values: list[float], out_dir: Path) -> int:
     if len(values) < 2:
         print("sweep needs at least two values", file=sys.stderr)
         return EXIT_USAGE
@@ -203,11 +202,7 @@ def run_sweep(sc: Scenario, parameter: str, values: list[float], out_dir: Path, 
         except (NetworkError, ChoiceError, DnlError, ScenarioError) as exc:
             return None, None, str(exc)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, scenarios))
-    else:
-        outcomes = [one(s) for s in scenarios]
+    outcomes = [one(s) for s in scenarios]
 
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -329,7 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--scenario", required=True)
         p.add_argument("--out", default="out")
-        p.add_argument("--threads", type=int, default=1)
 
     common(sub.add_parser("validate", help="parse and validate a scenario"))
     common(sub.add_parser("solve", help="solve one equilibrium and write artifacts"))
@@ -371,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
             return run_solve(sc, out_dir)
         if args.command == "sweep":
             values = [float(v) for v in args.values.split(",") if v.strip()]
-            return run_sweep(sc, args.param, values, out_dir, args.threads)
+            return run_sweep(sc, args.param, values, out_dir)
         if args.command == "compare-dsue":
             return run_compare_dsue(sc, out_dir)
         if args.command == "multistart":

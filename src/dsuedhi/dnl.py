@@ -39,13 +39,20 @@ a path visits a link once.
 
 Batch axis. ``load_batch`` steps B departure patterns of one (network, path
 set, grid) together as B disjoint copies of those rows and slots: the links
-of every copy, then the sources of every copy, each copy's slots a block in
-the single-pattern order. Every pattern keeps its own drain test, tolerance
-and step count, and gets exactly the result of loading it alone; ``load`` is
-the batch of one. The time axis holds the boundaries stepped so far: it
-starts at the horizon plus half of it, grows by half while a pattern has not
-drained, and stops at the step cap. A batch whose curves would exceed a fixed
-byte budget at that first size is stepped in equal chunks.
+of copies B-1, ..., 0, then the sources of copies 0, ..., B-1, each copy's
+slots a block in the single-pattern order, so the first k copies occupy one
+contiguous range of rows and slots. A pattern may start at interval t from a
+base loading whose departures it shares before t (a strategic forecast
+spliced at t shares the candidate's): it copies the base's curves up to step
+t * refine and joins the lockstep pass there. Copies are sorted by start, so
+each step works on the contiguous range of those that have joined, and path
+times are computed for intervals from t on only. Every pattern keeps its own
+drain test, tolerance and step count, and gets exactly the result of loading
+it alone from step 0; ``load`` is the batch of one. The time axis holds the
+boundaries stepped so far: it starts at the horizon plus half of it, grows
+by half while a pattern has not drained, and stops at the step cap. A batch
+whose curves would exceed a fixed byte budget at that first size is stepped
+in equal chunks.
 
 Exact sums. Results are bit-identical to a loop that sums each row's slots
 with ``ndarray.sum``. numpy adds fewer than 8 numbers in sequence, as
@@ -90,20 +97,6 @@ def reset_load_call_count() -> None:
         _load_calls = 0
 
 
-@dataclass(frozen=True)
-class DepartureMatrix:
-    """Path-by-interval departures (vehicles per interval) with a class tag."""
-
-    values: np.ndarray
-    kind: str = "total"  # instantaneous | forecast | total
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("instantaneous", "forecast", "total"):
-            raise ValueError(f"unknown departure class tag {self.kind!r}")
-        if np.min(self.values, initial=0.0) < -1e-9:
-            raise ValueError("departure matrix has negative entries")
-
-
 def check_feasible(
     values: np.ndarray,
     path_set: PathSet,
@@ -138,7 +131,7 @@ class LoadingResult:
     link_time: np.ndarray | None = None  # links x T, entry-time travel times
     instant_path_time: np.ndarray | None = None  # paths x T, sums of current link times
     drained: bool = True
-    _state: tuple | None = field(default=None, repr=False)  # plan, departures, slots
+    _state: tuple | None = field(default=None, repr=False)  # plan, departures, link slots
 
     @property
     def boundaries(self) -> np.ndarray:
@@ -331,29 +324,32 @@ class _Plan:
 class _Copies:
     """B disjoint copies of a plan's rows and slots, stepped as one network.
 
-    Rows are the links of copy 0, copy 1, ..., then the sources of copy 0,
-    copy 1, ...; slots are numbered row-major, so the link slots of each
-    copy, and its source slots, form blocks in the plan's slot order. A
-    merge, a row total or a drain sum therefore adds the same numbers in the
-    same order as a load of that copy alone.
+    Rows are the links of copies B-1, ..., 1, 0, then the sources of copies
+    0, 1, ..., B-1; slots are numbered row-major, so the link slots of each
+    copy, and its source slots, form blocks in the plan's slot order. The
+    first k copies thus hold one contiguous range of rows and one of slots,
+    links before sources (``_Active``). A merge, a row total or a drain sum
+    adds the same numbers in the same order as a load of one copy alone.
     """
 
     def __init__(self, plan: _Plan, B: int):
         A, L, n_src = plan.n_links, plan.n_link_slots, len(plan.source_links)
-        copy = np.arange(B)[:, None]
+        self.B = B
+        self.sizes = (A, L, n_src, len(plan.slot_row) - L)
+        block = np.arange(B)[:, None]  # copy j's sources are block j
+        link_block = block[::-1]  # and its links block B-1-j
 
-        def tiled(index, shift):  # per-copy index blocks; -1 stays -1
-            return np.where(index >= 0, index + shift * copy, -1).ravel()
+        def tiled(index, shift, blocks):  # per-block index arrays; -1 stays -1
+            return np.where(index >= 0, index + shift * blocks, -1).ravel()
 
-        self.n_links = B * A
-        self.n_link_slots = B * L
-        self.slot_row = np.concatenate((tiled(plan.slot_row[:L], A),
-                                        tiled(plan.slot_row[L:] - A, n_src) + B * A))
-        self.slot_next = np.concatenate((tiled(plan.slot_next[:L], A),
-                                         tiled(plan.slot_next[L:], A)))
-        self.slot_dest = np.concatenate((tiled(plan.slot_dest[:L], L),
-                                         tiled(plan.slot_dest[L:], L)))
-        self.src_links = tiled(plan.src_links, A)
+        self.slot_row = np.concatenate((tiled(plan.slot_row[:L], A, block),
+                                        tiled(plan.slot_row[L:] - A, n_src, block) + B * A))
+        self.slot_next = np.concatenate((tiled(plan.slot_next[:L], A, block),
+                                         tiled(plan.slot_next[L:], A, link_block)))
+        self.slot_dest = np.concatenate((tiled(plan.slot_dest[:L], L, block),
+                                         tiled(plan.slot_dest[L:], L, link_block)))
+        self.moves = self.slot_next >= 0  # slots whose path continues on a link
+        self.src_links = tiled(plan.src_links, A, link_block)
         self.ff, self.wave_lag, self.cap, self.storage = (
             np.tile(x, B) for x in (plan.ff, plan.wave_lag, plan.cap, plan.storage))
         R = B * (A + n_src)
@@ -368,14 +364,45 @@ class _Copies:
         self.n_known = (np.arange(R) >= B * A).astype(np.intp)[:, None] + 1
 
 
+class _Active:
+    """The rows and slots of the first k copies, indexed from their start."""
+
+    def __init__(self, c: _Copies, k: int):
+        A, L, n_src, n_src_slots = c.sizes
+        r0, q0 = (c.B - k) * A, (c.B - k) * L
+        r1, q1 = c.B * A + k * n_src, c.B * L + k * n_src_slots
+        self.rows, self.slots = slice(r0, r1), slice(q0, q1)
+        self.A, self.L = k * A, k * L
+        self.R = r1 - r0
+        links = slice(r0, c.B * A)
+        self.ff, self.wave_lag, self.cap, self.storage = (
+            x[links] for x in (c.ff, c.wave_lag, c.cap, c.storage))
+        self.rate_beyond = c.rate_beyond[self.rows]
+        self.n_known = c.n_known[self.rows]
+        # indices of moving slots only are read, so -1 needs no care here
+        self.slot_row = c.slot_row[self.slots] - r0
+        self.slot_next = c.slot_next[self.slots] - r0
+        self.slot_dest = c.slot_dest[self.slots] - q0
+        self.moves = c.moves[self.slots]
+        self.src_links = c.src_links[: k * n_src] - r0
+        self.link_moves = self.moves[: self.L]
+        self.inflow_index = np.concatenate((self.slot_next[: self.L][self.link_moves],
+                                            self.src_links))
+        self.wide = []
+        for rows, index in c.wide:
+            lo, hi = np.searchsorted(rows, (r0, r1))
+            if hi > lo:
+                self.wide.append((rows[lo:hi] - r0, index[lo:hi] - q0))
+
+
 def _step_cap(t_sim: int, drain_max_steps: int | None) -> int:
     """Steps after which loading stops, drained or not."""
     return t_sim + (20 * t_sim + 200 if drain_max_steps is None else drain_max_steps)
 
 
-def _first_cols(t_sim: int, start_step: int, s_max: int) -> int:
+def _first_cols(t_sim: int, s_max: int) -> int:
     """Boundaries allocated up front: the horizon plus half of it to drain."""
-    return min(s_max, max(t_sim + t_sim // 2 + 1, start_step + 1)) + 1
+    return min(s_max, t_sim + t_sim // 2 + 1) + 1
 
 
 # Curves of one batch chunk (entries, exits and slot entries of every pattern
@@ -391,6 +418,13 @@ _CHUNK_BYTES = 2 * 2**20
 # Booleans compared at once when path times count the samples below their
 # targets (256 KiB): batches are timed a few patterns at a time within it.
 _COUNT_CELLS = 2**18
+
+
+def _pattern_bytes(plan: _Plan, grid: TimeGrid, drain_max_steps: int | None) -> int:
+    """Bytes of one pattern's curves at the first allocation of the time axis."""
+    t_sim = grid.n_intervals * plan.refine
+    rows = 2 * (plan.n_links + len(plan.source_links)) + len(plan.slot_row)  # entries, exits, slots
+    return 8 * rows * _first_cols(t_sim, _step_cap(t_sim, drain_max_steps))
 
 
 def _departures(values, ndim: int, path_set: PathSet, grid: TimeGrid) -> np.ndarray:
@@ -409,41 +443,22 @@ def load(
     net: Network,
     path_set: PathSet,
     grid: TimeGrid,
-    departures: np.ndarray | DepartureMatrix,
+    departures: np.ndarray,
     *,
     compute_link_times: bool = True,
-    keep_state: bool = False,
-    warm_start: tuple[LoadingResult, int] | None = None,
     drain_max_steps: int | None = None,
 ) -> LoadingResult:
     """Map total path departures to link and path travel times.
 
     A batch of one of the stepper behind ``load_batch``. Deterministic:
-    identical inputs give bit-identical results. With ``warm_start=(base, k)``
-    the first k intervals are copied from ``base``, which must have been run
-    with ``keep_state=True`` on the same network, path set and grid, with
-    departures identical below column k; the outcome is bit-identical to a
-    cold run. The curves are views of arrays with up to half as many columns
-    again as the loading used.
+    identical inputs give bit-identical results. The curves are views of
+    arrays with up to half as many columns again as the loading used. The
+    result keeps its slot curves, so it can serve as the base of a
+    ``load_batch`` whose patterns start after interval 0.
     """
-    h = departures.values if isinstance(departures, DepartureMatrix) else departures
-    h = _departures(h, 2, path_set, grid)
-    plan = None
-    if warm_start is not None:
-        base, start_interval = warm_start
-        if base._state is None:
-            raise DnlError("warm start requires a base loading kept with state")
-        plan, base_h, _ = base._state
-        if plan.key != (net.links, path_set.link_seq, grid):
-            raise DnlError("warm start base was loaded on another network, path set or grid")
-        if not np.array_equal(base_h[:, :start_interval], h[:, :start_interval]):
-            raise DnlError("warm start base has other departures before the start interval")
-        if start_interval * plan.refine > base.n_steps:
-            raise DnlError("warm start beyond the base loading horizon")
-    if plan is None:
-        plan = _Plan(net, path_set, grid)
-    return _step(plan, grid, h[None], compute_link_times, drain_max_steps,
-                 warm_start, keep_state)[0]
+    h = _departures(departures, 2, path_set, grid)
+    return _step(_Plan(net, path_set, grid), grid, h[None], compute_link_times,
+                 drain_max_steps, np.zeros(1, dtype=np.intp))[0]
 
 
 def load_batch(
@@ -452,14 +467,21 @@ def load_batch(
     grid: TimeGrid,
     departures: np.ndarray,
     *,
+    base: LoadingResult | None = None,
+    starts=None,
     drain_max_steps: int | None = None,
 ) -> list[LoadingResult]:
     """Load B departure patterns, ``departures[B, P, T]``, in one pass.
 
     The patterns step forward together on disjoint copies of the network;
-    each keeps its own drain test and step count, and its result is
-    bit-identical to ``load`` of that pattern alone, without link times
-    (``link_time`` and ``instant_path_time`` are None). Large batches are
+    each keeps its own drain test and step count. Pattern b starts at
+    interval ``starts[b]`` (default 0): it must have the departures of
+    ``base``, a loading of the same network, path set and grid, before that
+    interval, takes the base's curves up to there and is stepped from there
+    on. Its curves, step count and drain flag are bit-identical to ``load``
+    of that pattern alone, and so are its path times from its start on;
+    ``path_time`` is NaN (and ``extrapolated`` False) before it, and
+    ``link_time`` and ``instant_path_time`` are None. Large batches are
     stepped in chunks whose curves stay under a fixed byte budget.
 
     The curves of a result are views into arrays shared by its whole chunk,
@@ -467,15 +489,34 @@ def load_batch(
     copy what is kept.
     """
     h = _departures(departures, 3, path_set, grid)
-    if not len(h):
+    B, _, T = h.shape
+    starts = np.zeros(B, dtype=np.intp) if starts is None else np.asarray(starts)
+    if starts.shape != (B,) or (B and (starts.dtype.kind not in "iu"
+                                       or starts.min() < 0 or starts.max() >= T)):
+        raise DnlError(f"starts must be {B} intervals in [0, {T})")
+    if base is None:
+        if starts.any():
+            raise DnlError("patterns that start after interval 0 need a base loading")
+        plan = _Plan(net, path_set, grid)
+    else:
+        if base._state is None:
+            raise DnlError("base loading carries no loader state")
+        plan, base_h, _ = base._state
+        if plan.key != (net.links, path_set.link_seq, grid):
+            raise DnlError("base was loaded on another network, path set or grid")
+        before = np.arange(T) < starts[:, None]
+        if np.any((h != base_h) & before[:, None, :]):
+            raise DnlError("a pattern has other departures than the base before its start")
+    if not B:
         return []
-    plan = _Plan(net, path_set, grid)
-    t_sim = grid.n_intervals * plan.refine
-    rows = 2 * (plan.n_links + len(plan.source_links)) + len(plan.slot_row)  # entries, exits, slots
-    per_pattern = 8 * rows * _first_cols(t_sim, 0, _step_cap(t_sim, drain_max_steps))
-    chunks = -(-len(h) // max(1, _CHUNK_BYTES // per_pattern))
-    return [res for part in np.array_split(h, chunks)
-            for res in _step(plan, grid, part, False, drain_max_steps)]
+    order = np.argsort(starts, kind="stable")
+    chunks = -(-B // max(1, _CHUNK_BYTES // _pattern_bytes(plan, grid, drain_max_steps)))
+    results: list[LoadingResult] = [None] * B
+    for part in np.array_split(order, chunks):
+        for b, res in zip(part, _step(plan, grid, h[part], False, drain_max_steps,
+                                      starts[part], base)):
+            results[b] = res
+    return results
 
 
 def _fill_sources(plan: _Plan, h: np.ndarray, src_slots: np.ndarray, src_rows: np.ndarray) -> None:
@@ -509,67 +550,72 @@ def _step(
     h: np.ndarray,
     compute_link_times: bool,
     drain_max_steps: int | None,
-    warm_start: tuple[LoadingResult, int] | None = None,
-    keep_state: bool = False,
+    starts: np.ndarray,
+    base: LoadingResult | None = None,
 ) -> list[LoadingResult]:
     """Step the patterns ``h[B, P, T]`` together; one result per pattern.
 
-    A drained pattern's result ends at its own step; the copy of it that is
-    stepped on with the rest is never read past there.
+    ``starts`` is ascending. Pattern b takes the base's curves up to step
+    ``starts[b] * refine`` and joins the pass there; until then its copy is
+    not stepped. A drained pattern's result ends at its own step; the copy
+    of it that is stepped on with the rest is never read past there. A
+    batch of one keeps its link slot curves, so its result can serve as a
+    base.
     """
     global _load_calls
-    B = len(h)
+    B, P, T = h.shape
     with _counter_lock:
         _load_calls += B
 
     c = _Copies(plan, B)
-    A = c.n_links
-    L = c.n_link_slots
-    R = len(c.rate_beyond)
-    A1, L1, n_src = plan.n_links, plan.n_link_slots, len(plan.source_links)
+    A1, L1, n_src, _ = c.sizes
+    AB, LB = B * A1, B * L1
     refine = plan.refine
     dt = plan.dt
-    T = grid.n_intervals
     t_sim = T * refine
     s_max = _step_cap(t_sim, drain_max_steps)
-    start_step = 0 if warm_start is None else warm_start[1] * refine
-    cols = _first_cols(t_sim, start_step, s_max)
+    cols = _first_cols(t_sim, s_max)
 
     # cumulative entries and exits of every row, entries of every slot
-    up = np.zeros((R, cols))
-    dn = np.zeros((R, cols))
+    up = np.zeros((len(c.rate_beyond), cols))
+    dn = np.zeros((len(c.rate_beyond), cols))
     slots = np.zeros((len(c.slot_row), cols))
 
-    _fill_sources(plan, h, slots[L:], up[A:])
+    _fill_sources(plan, h, slots[LB:], up[AB:])
 
-    if warm_start is not None:  # a batch of one
-        base = warm_start[0]
-        k = start_step + 1  # boundaries copied
-        up[:A, :k] = base.n_up[:, :k]
-        dn[:A, :k] = base.n_dn[:, :k]
-        dn[A:, :k] = base.src_dn[:, :k]
-        slots[:L, :k] = base._state[2][:, :k]
+    joins = starts * refine
+    k = int(joins[-1]) + 1  # boundaries up to the last join, taken from the base
+    if k > 1:
+        base_slots = base._state[2]
+        for rows, curves in ((up[:AB], base.n_up), (dn[:AB], base.n_dn),
+                             (dn[AB:], base.src_dn), (slots[:LB], base_slots)):
+            # columns past a copy's own join are rewritten before it reads them
+            rows.reshape(B, -1, cols)[:, :, :k] = curves[:, :k]
 
     drain_tol = np.array([1e-9 * max(1.0, float(x.sum())) for x in h])
-    ff, wave, storage, cap = c.ff, c.wave_lag, c.storage, c.cap
-    slot_row, slot_next, slot_dest, wide = c.slot_row, c.slot_next, c.slot_dest, c.wide
-    src_links = c.src_links
-    moves = slot_next >= 0  # slots whose path continues on a link
-    link_moves = moves[:L]
-    inflow_index = np.concatenate((slot_next[:L][link_moves], src_links))
-
     n_steps = np.full(B, s_max)
     drained = np.zeros(B, dtype=bool)
-    n_up, src_up, n_dn, src_dn = up[:A], up[A:], dn[:A], dn[A:]
-    for t in range(start_step, s_max):
-        if t + 2 > cols:
+    joined = 0
+    for t in range(int(joins[0]), s_max):
+        stale = t + 2 > cols  # views of the curves to take again
+        if stale:
             cols = min(s_max + 1, cols + cols // 2)
             up, dn, slots = (_widen(x, cols) for x in (up, dn, slots))
-            n_up, src_up, n_dn, src_dn = up[:A], up[A:], dn[:A], dn[A:]
+        if joined < B and joins[joined] <= t:
+            joined = int(np.searchsorted(joins, t, side="right"))
+            act = _Active(c, joined)
+            A, L, R = act.A, act.L, act.R
+            ff, wave, storage, cap = act.ff, act.wave_lag, act.storage, act.cap
+            slot_row, slot_next, slot_dest = act.slot_row, act.slot_next, act.slot_dest
+            moves, link_moves, src_links, wide = act.moves, act.link_moves, act.src_links, act.wide
+            stale = True
+        if stale:
+            u, d, s = up[act.rows], dn[act.rows], slots[act.slots]
+            n_up, src_up, n_dn, src_dn = u[:A], u[A:], d[:A], d[A:]
         now = t * dt
         n_up[:, t + 1] = n_up[:, t]
-        dn[:, t + 1] = dn[:, t]
-        slots[:L, t + 1] = slots[:L, t]
+        d[:, t + 1] = d[:, t]
+        s[:L, t + 1] = s[:L, t]
 
         # sending masses: links by the demand rule, sources all that entered
         lagged = _interp_rows(n_up, np.minimum(np.array((now, now + dt)) - ff[:, None], now), dt)
@@ -585,10 +631,10 @@ def _step(
         # FIFO: the mass leaving a row entered it during [tau0, tau1]; each
         # slot's entries over that window, scaled to the mass, leave with it
         window = np.empty((R, 2))
-        window[:, 0] = dn[:, t]
-        np.add(dn[:, t], mass, out=window[:, 1])
-        tau, _ = _invert_rows(up[:, : t + 2], window, dt, c.rate_beyond, c.n_known + t)
-        ends = _interp_rows(slots[:, : t + 2], tau[slot_row], dt, hold=True)
+        window[:, 0] = d[:, t]
+        np.add(d[:, t], mass, out=window[:, 1])
+        tau, _ = _invert_rows(u[:, : t + 2], window, dt, act.rate_beyond, act.n_known + t)
+        ends = _interp_rows(s[:, : t + 2], tau[slot_row], dt, hold=True)
         comp = np.maximum(ends[:, 1] - ends[:, 0], 0.0)
         total = _group_sums(comp, slot_row, R, wide)
         comp *= np.divide(mass, total, out=np.ones(R), where=total > 0.0)[slot_row]
@@ -597,7 +643,7 @@ def _step(
         ndn_wave = _interp_rows(n_dn, now - wave, dt)
         recv_mass = link_supply_rate(ndn_wave, n_up[:, t], storage, cap, dt) * dt
         inflow_demand = np.zeros(A)
-        np.add.at(inflow_demand, inflow_index, np.concatenate((comp[:L][link_moves], mass[A:])))
+        np.add.at(inflow_demand, act.inflow_index, np.concatenate((comp[:L][link_moves], mass[A:])))
         factor = np.divide(recv_mass, inflow_demand, out=np.ones(A),
                            where=inflow_demand > recv_mass)
 
@@ -607,19 +653,20 @@ def _step(
         np.minimum.at(theta, slot_row[restricted], factor[slot_next[restricted]])
         out = comp * theta[slot_row]
         total = _group_sums(out, slot_row, R, wide)
-        dn[:, t + 1] += total
+        d[:, t + 1] += total
 
         # transfer to each path's slot on its next link (never collides);
         # a source adds its total to its link in one sum
         moved = moves & (out > 0.0)
-        slots[slot_dest[moved], t + 1] += out[moved]
+        s[slot_dest[moved], t + 1] += out[moved]
         link_moved = moved[:L]
         np.add.at(n_up[:, t + 1], np.concatenate((slot_next[:L][link_moved], src_links)),
                   np.concatenate((out[:L][link_moved], total[A:])))
 
-        if t + 1 >= t_sim:
-            inside = up[:, t + 1] - dn[:, t + 1]
-            stored = inside[:A].reshape(B, -1).sum(axis=1) + inside[A:].reshape(B, -1).sum(axis=1)
+        if t + 1 >= t_sim:  # every copy has joined
+            inside = u[:, t + 1] - d[:, t + 1]
+            stored = (inside[:A].reshape(B, -1).sum(axis=1)[::-1]
+                      + inside[A:].reshape(B, -1).sum(axis=1))
             done = stored <= drain_tol
             if done.any():
                 n_steps[done & ~drained] = t + 1
@@ -627,28 +674,32 @@ def _step(
                 if drained.all():
                     break
 
-    states = [(plan, h[b], np.ascontiguousarray(slots[b * L1 : (b + 1) * L1, : S + 1]))
-              for b, S in enumerate(n_steps)] if keep_state else [None] * B
-    del slots
     S_end = int(n_steps.max())  # every pattern was stepped this far
     up, dn = up[:, : S_end + 1], dn[:, : S_end + 1]
-    # a few patterns at a time, so no temporary outgrows the curves
-    group = max(1, _COUNT_CELLS // (h.shape[1] * T * (S_end + 1)))
-    parts = [_path_times(plan, grid, dt, up, dn, n_steps, np.arange(lo, min(B, lo + group)))
-             for lo in range(0, B, group)]
-    path_time = np.concatenate([times for times, _ in parts])
-    extrapolated = np.concatenate([flags for _, flags in parts])
+    path_time = np.full((B, P, T), np.nan)
+    extrapolated = np.zeros((B, P, T), dtype=bool)
+    lo = 0
+    while lo < B:
+        # a few patterns at a time, so no temporary outgrows the curves; each
+        # is timed from the earliest start among them, kept from its own
+        t0 = int(starts[lo])
+        hi = min(B, lo + max(1, _COUNT_CELLS // max(1, P * (T - t0) * (S_end + 1))))
+        times, flags = _path_times(plan, grid, dt, up, dn, n_steps, np.arange(lo, hi), t0)
+        timed = np.arange(t0, T) >= starts[lo:hi, None, None]
+        np.copyto(path_time[lo:hi, :, t0:], times, where=timed)
+        np.copyto(extrapolated[lo:hi, :, t0:], flags, where=timed)
+        lo = hi
 
     results = []
-    for b, S in enumerate(n_steps.tolist()):
-        links = slice(b * A1, (b + 1) * A1)
-        sources = slice(A + b * n_src, A + (b + 1) * n_src)
+    for j, S in enumerate(n_steps.tolist()):
+        links = slice((B - 1 - j) * A1, (B - j) * A1)
+        sources = slice(AB + j * n_src, AB + (j + 1) * n_src)
         n_up, n_dn = up[links, : S + 1], dn[links, : S + 1]
         link_time = None
         instant = None
         if compute_link_times:
             link_time = _link_times(plan, grid, dt, n_up, n_dn)
-            instant = np.zeros((h.shape[1], T))
+            instant = np.zeros((P, T))
             for hop in plan.path_links.T:
                 on = hop >= 0
                 instant[on] += link_time[hop[on]]
@@ -661,12 +712,12 @@ def _step(
             src_up=up[sources, : S + 1],
             src_dn=dn[sources, : S + 1],
             source_links=plan.source_links,
-            path_time=path_time[b],
-            extrapolated=extrapolated[b],
+            path_time=path_time[j],
+            extrapolated=extrapolated[j],
             link_time=link_time,
             instant_path_time=instant,
-            drained=bool(drained[b]),
-            _state=states[b],
+            drained=bool(drained[j]),
+            _state=(plan, h[j], slots[:L1, : S + 1]) if B == 1 else None,
         ))
     return results
 
@@ -686,7 +737,7 @@ def _link_times(plan: _Plan, grid: TimeGrid, sim_dt: float, n_up, n_dn) -> np.nd
 
 
 def _path_times(
-    plan: _Plan, grid: TimeGrid, sim_dt: float, up, dn, n_steps, copies
+    plan: _Plan, grid: TimeGrid, sim_dt: float, up, dn, n_steps, copies, t0: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Chain FIFO exit times through source and links, per departure interval.
 
@@ -694,15 +745,15 @@ def _path_times(
     interval midpoint with half of its own column ahead of it, so a column
     feels the queue it builds itself. ``up`` and ``dn`` hold the rows of a
     batch in the layout of ``_Copies``, and pattern b's curves end at its own
-    step ``n_steps[b]``; the results are copies x paths x intervals.
+    step ``n_steps[b]``; the results are copies x paths x intervals t0 on.
     """
     A1, n_src, P = plan.n_links, len(plan.source_links), len(plan.path_links)
     B, k = len(up) // (A1 + n_src), len(copies)
     hops = np.tile(plan.path_links, (k, 1))  # link of each (pattern, path) row per hop
-    first_row = np.repeat(A1 * copies, P)  # row of each pattern's link 0
+    first_row = np.repeat(A1 * (B - 1 - copies), P)  # row of each pattern's link 0
     n = np.repeat(n_steps[copies] + 1, P)[:, None]  # samples per row
     last = n - 1
-    mids = grid.interval_mids()
+    mids = grid.interval_mids()[t0:]
     src = B * A1 + np.repeat(n_src * copies, P) + np.tile(plan.src_of_path, k)
     counts = _interp_rows(up[src], np.broadcast_to(mids, (len(src), len(mids))), sim_dt,
                           last=last)
@@ -724,8 +775,3 @@ def instantaneous_path_times(loading: LoadingResult, t_index: int) -> np.ndarray
     if loading.instant_path_time is None:
         raise DnlError("loading was computed without link times")
     return loading.instant_path_time[:, t_index].copy()
-
-
-def path_travel_time(loading: LoadingResult, path_index: int, t_index: int) -> float:
-    """Realized travel time for a departure at one interval boundary."""
-    return float(loading.path_time[path_index, t_index])

@@ -98,10 +98,11 @@ def fixed_point_map(
     the candidate loading, and the forecast made at t loads the candidate
     history spliced with the pooled remaining demand's reaction to them. Both
     depend on the candidate alone, so all T forecasts are loaded in one
-    batch. The rollout then realizes one column per interval. The pooled
-    remaining demand behind each forecast comes from the candidate total
-    pattern; the per-class remaining demands evolve from the rollout's own
-    realized columns. The two coincide at any fixed point.
+    batch, each starting from the candidate loading at its own interval. The
+    rollout then realizes one column per interval. The pooled remaining
+    demand behind each forecast comes from the candidate total pattern; the
+    per-class remaining demands evolve from the rollout's own realized
+    columns. The two coincide at any fixed point.
     """
     h_instant = np.asarray(h_instant, dtype=float)
     h_forecast = np.asarray(h_forecast, dtype=float)
@@ -117,7 +118,7 @@ def fixed_point_map(
         pooled = info.pooled_remaining_demand(h_total, t, net, path_set)
         predicted = info.forecast_departures(inst, pooled, grid, path_set, params)
         spliced[t] = info.splice(h_total, predicted, t)
-    forecasts = info.forecast_batch(net, path_set, grid, spliced, range(T))
+    forecasts = info.forecast_batch(net, path_set, grid, spliced, range(T), base)
 
     y_instant = np.zeros((P, T))
     y_forecast = np.zeros((P, T))

@@ -11,9 +11,11 @@ are the realized-style path times of that hypothetical world.
 
 Generating the full information set for one candidate therefore loads one
 pattern for the instantaneous product plus one per provision interval. The
-forecast patterns do not depend on each other, so they are loaded together
-in one batched pass (``dnl.load_batch``); ``dnl.load_call_count`` counts
-every loaded pattern.
+forecast spliced at t has the candidate's departures before t, so its loading
+repeats the candidate loading up to there: the forecast patterns are loaded
+together in one batched pass (``dnl.load_batch``) in which each starts from
+the candidate loading's state at its own interval and is timed from there
+on. ``dnl.load_call_count`` counts every loaded pattern.
 """
 
 from __future__ import annotations
@@ -87,29 +89,14 @@ def forecast_batch(
     grid: TimeGrid,
     spliced: np.ndarray,
     t_indices,
+    base: dnl.LoadingResult,
 ) -> list[ForecastInfo]:
     """Load spliced patterns ``spliced[B, P, T]`` in one batch.
 
-    Pattern b was spliced at ``t_indices[b]``; its forecast holds the path
-    travel times from that interval on.
+    Pattern b was spliced at ``t_indices[b]`` onto the departures that
+    ``base`` loaded, and starts from the base's state there; its forecast
+    holds the path travel times from that interval on.
     """
-    loadings = dnl.load_batch(net, path_set, grid, spliced)
+    loadings = dnl.load_batch(net, path_set, grid, spliced, base=base, starts=t_indices)
     return [ForecastInfo(t, loading.path_time[:, t:].copy())
             for t, loading in zip(t_indices, loadings, strict=True)]
-
-
-def forecast_info(
-    net: Network,
-    path_set: PathSet,
-    grid: TimeGrid,
-    spliced: np.ndarray,
-    t_index: int,
-    base_loading: dnl.LoadingResult | None = None,
-) -> ForecastInfo:
-    """Load the spliced pattern and read off its path travel times from now on.
-
-    A batch of one. ``base_loading`` is not used: the load is cold, which is
-    bit-identical to the warm start from the candidate loading it once took.
-    """
-    return forecast_batch(net, path_set, grid, np.asarray(spliced, dtype=float)[None],
-                          [t_index])[0]

@@ -380,9 +380,6 @@ class PathSet:
     def n_paths(self) -> int:
         return len(self.paths)
 
-    def od_block(self, values: np.ndarray, od_index: int) -> np.ndarray:
-        return values[self.od_slices[od_index]]
-
 
 def build_path_set(
     net: Network,

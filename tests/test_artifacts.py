@@ -1,0 +1,31 @@
+"""Fresh CLI runs reproduce the committed artifacts under ``out/`` byte for byte."""
+
+import os
+from pathlib import Path
+
+import pytest
+
+from dsuedhi import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+
+RUNS = {  # artifact directory under out/: command and scenario
+    "three_link": ("solve", "three_link"),
+    "grid": ("solve", "grid"),
+    "compare_dsue": ("compare-dsue", "three_link"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_cli_run_reproduces_committed_artifacts(name, tmp_path, monkeypatch):
+    for key in list(os.environ):
+        if key.startswith("DSUEDHI_"):  # overrides would change the scenario
+            monkeypatch.delenv(key)
+    command, scenario = RUNS[name]
+    out = tmp_path / name
+    ini = ROOT / "scenarios" / scenario / "scenario.ini"
+    assert cli.main([command, "--scenario", str(ini), "--out", str(out)]) == 0
+    committed = ROOT / "out" / name
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in committed.iterdir())
+    for path in sorted(committed.iterdir()):
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name

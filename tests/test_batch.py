@@ -80,7 +80,7 @@ def test_batch_grows_its_time_axis_and_splits_into_chunks(three_link, monkeypatc
     batch = np.stack([light, late, light, late, light])
     got = assert_batch_equals_solo(net, ps, grid, batch)
     t_sim = T * round(grid.dt_s / got[1].sim_dt_s)
-    assert got[1].n_steps + 1 > dnl._first_cols(t_sim, 0, 21 * t_sim + 200)
+    assert got[1].n_steps + 1 > dnl._first_cols(t_sim, 21 * t_sim + 200)
     monkeypatch.setattr(dnl, "_CHUNK_BYTES", 1)  # one pattern per chunk
     assert_batch_equals_solo(net, ps, grid, batch)
 
@@ -108,8 +108,83 @@ def test_forecast_batch_equals_single_forecasts(grid_congested):
     ts = [0, 7, grid.n_intervals - 1]
     spliced = np.stack([info.splice(h, rng.uniform(0, 4, size=(ps.n_paths, grid.n_intervals - t)), t)
                         for t in ts])
-    batch = info.forecast_batch(net, ps, grid, spliced, ts)
+    base = dnl.load(net, ps, grid, h)
+    batch = info.forecast_batch(net, ps, grid, spliced, ts, base)
     for t, s, fc in zip(ts, spliced, batch):
-        one = info.forecast_info(net, ps, grid, s, t)
+        one = info.forecast_batch(net, ps, grid, s[None], [t], base)[0]
         assert fc.t_index == one.t_index == t
         assert np.array_equal(fc.phi_s, one.phi_s)
+
+
+def assert_started_equals_solo(net, ps, grid, base, batch, starts, cap=None):
+    got = dnl.load_batch(net, ps, grid, batch, base=base, starts=starts, drain_max_steps=cap)
+    forecasts = info.forecast_batch(net, ps, grid, batch, starts, base) if cap is None else None
+    for i, (t, pattern, res) in enumerate(zip(starts, batch, got)):
+        solo = dnl.load(net, ps, grid, pattern, drain_max_steps=cap)
+        assert np.isnan(res.path_time[:, :t]).all() and not res.extrapolated[:, :t].any()
+        assert np.array_equal(res.path_time[:, t:], solo.path_time[:, t:])
+        assert np.array_equal(res.extrapolated[:, t:], solo.extrapolated[:, t:])
+        for field in ("n_steps", "drained", "n_up", "n_dn", "src_up", "src_dn"):
+            mine, want = getattr(res, field), getattr(solo, field)
+            assert np.shape(mine) == np.shape(want), field
+            assert np.array_equal(mine, want), field
+        if forecasts is not None:
+            assert forecasts[i].t_index == t
+            assert np.array_equal(forecasts[i].phi_s, solo.path_time[:, t:])
+    return got
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(4, 8), per_chunk=st.integers(1, 3))
+def test_staggered_starts_equal_cold_solo_loads_on_random_lattices(seed, size, per_chunk):
+    # refine 1-3 and capped drains come from the lattice; 4 or more patterns
+    # at 1-3 patterns per chunk make at least two chunks
+    net, ps, grid, h, cap = random_lattice(seed)
+    rng = np.random.default_rng(seed)
+    T = grid.n_intervals
+    base = dnl.load(net, ps, grid, h, drain_max_steps=cap)
+    starts = np.concatenate(([0, T - 1], rng.integers(0, T, size=size - 2)))
+    rng.shuffle(starts)
+    batch = []
+    for t in starts:
+        # scaled tails drain at different steps; some end in a late burst
+        tail = h[:, t:] * rng.uniform(0.0, 3.0)
+        if rng.random() < 0.3:
+            tail[:, -1] += rng.uniform(0.0, 80.0, size=ps.n_paths)
+        batch.append(info.splice(h, tail, t))
+    budget = per_chunk * dnl._pattern_bytes(dnl._Plan(net, ps, grid), grid, cap)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dnl, "_CHUNK_BYTES", budget)
+        assert_started_equals_solo(net, ps, grid, base, np.stack(batch), starts, cap)
+        if cap is None:  # the forecasts of a batch loaded at the default chunking
+            mp.undo()
+            assert_started_equals_solo(net, ps, grid, base, np.stack(batch), starts)
+
+
+def test_staggered_batch_keeps_a_capped_pattern_beside_drained_ones(three_link):
+    net, ps, grid, _ = three_link
+    T = grid.n_intervals
+    h = np.zeros((ps.n_paths, T))
+    h[:, 0] = 1.0
+    heavy = h.copy()
+    heavy[:, T // 2 :] = 40.0
+    base = dnl.load(net, ps, grid, h, drain_max_steps=3)
+    got = assert_started_equals_solo(net, ps, grid, base, np.stack([h, heavy, h]),
+                                     np.array([T - 1, T // 2, 0]), cap=3)
+    assert got[0].drained and got[2].drained and not got[1].drained
+    assert got[1].extrapolated.any() and got[0].n_steps < got[1].n_steps
+
+
+def test_started_patterns_need_a_matching_base(three_link):
+    net, ps, grid, _ = three_link
+    h = np.ones((2, ps.n_paths, grid.n_intervals))
+    base = dnl.load(net, ps, grid, h[0])
+    for kwargs in ({"starts": [0, 3]}, {"base": base, "starts": [0, grid.n_intervals]},
+                   {"base": base, "starts": [0]}, {"base": base, "starts": [0.0, 1.0]}):
+        with pytest.raises(dnl.DnlError):
+            dnl.load_batch(net, ps, grid, h, **kwargs)
+    changed = h.copy()
+    changed[1, 0, 2] = 2.0
+    with pytest.raises(dnl.DnlError):
+        dnl.load_batch(net, ps, grid, changed, base=base, starts=[0, 3])
+    dnl.load_batch(net, ps, grid, changed, base=base, starts=[0, 2])

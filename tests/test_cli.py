@@ -52,8 +52,7 @@ class TestSolve:
     def test_artifacts_written_and_deterministic(self, three_link_dir, tmp_path):
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
         assert run(["solve", "--scenario", three_link_dir / "scenario.ini", "--out", out1]) == 0
-        assert run(["solve", "--scenario", three_link_dir / "scenario.ini", "--out", out2,
-                    "--threads", "8"]) == 0
+        assert run(["solve", "--scenario", three_link_dir / "scenario.ini", "--out", out2]) == 0
         for name in ("equilibrium.csv", "trace.csv", "accuracy.csv", "metrics.json"):
             assert (out1 / name).exists()
         assert dir_bytes(out1) == dir_bytes(out2)
@@ -117,13 +116,12 @@ class TestSweep:
         _, rows = cli._read_rows(out / "sweep.csv")
         assert rows[0] == rows[1]
 
-    def test_thread_count_does_not_change_bytes(self, three_link_dir, tmp_path):
+    def test_rerun_does_not_change_bytes(self, three_link_dir, tmp_path):
         outs = []
-        for threads in (1, 2):
-            out = tmp_path / f"t{threads}"
+        for run_index in (1, 2):
+            out = tmp_path / f"r{run_index}"
             assert run(["sweep", "--scenario", three_link_dir / "scenario.ini", "--out", out,
-                        "--param", "lambda", "--values", "0.25,0.75",
-                        "--threads", threads]) == 0
+                        "--param", "lambda", "--values", "0.25,0.75"]) == 0
             outs.append(dir_bytes(out))
         assert outs[0] == outs[1]
 

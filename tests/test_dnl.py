@@ -12,6 +12,11 @@ from oracles import (
 )
 
 
+def started(net, ps, grid, h, base, k, cap=None):
+    """``h`` loaded as a batch of one that starts at interval k from ``base``."""
+    return dnl.load_batch(net, ps, grid, h[None], base=base, starts=[k], drain_max_steps=cap)[0]
+
+
 def single_link_net(length=2400.0, speed=20.0, cap=0.25, jam=0.2, demand=600.0):
     link = nw.Link("1", "A", "B", length, speed, 5.0, cap, jam)
     net = nw.validate_network([link], [nw.OdDemand("A", "B", demand, 0, 0.0)])
@@ -140,7 +145,7 @@ class TestPathTravelTime:
         h = np.zeros((1, 20))
         h[0, 0] = 1.0
         res = dnl.load(net, ps, grid, h)
-        assert dnl.path_travel_time(res, 0, 0) == pytest.approx(420.0, abs=1e-9)
+        assert res.path_time[0, 0] == pytest.approx(420.0, abs=1e-9)
 
     def test_congested_equals_curve_inversion(self):
         cap = 0.25
@@ -281,12 +286,14 @@ class TestWarmStart:
         net, ps, grid, _ = grid_congested
         rng = np.random.default_rng(9)
         h = rng.uniform(0, 4, size=(ps.n_paths, grid.n_intervals))
-        base = dnl.load(net, ps, grid, h, keep_state=True)
+        base = dnl.load(net, ps, grid, h)
         modified = h.copy()
         modified[:, 20:] = rng.uniform(0, 4, size=(ps.n_paths, grid.n_intervals - 20))
         cold = dnl.load(net, ps, grid, modified)
-        warm = dnl.load(net, ps, grid, modified, warm_start=(base, 20))
-        assert np.array_equal(cold.path_time, warm.path_time)
+        warm = started(net, ps, grid, modified, base, 20)
+        # intervals before the start are not timed
+        assert np.isnan(warm.path_time[:, :20]).all()
+        assert np.array_equal(cold.path_time[:, 20:], warm.path_time[:, 20:])
         assert np.array_equal(cold.n_dn, warm.n_dn)
 
 
@@ -300,22 +307,7 @@ class TestLoadCounter:
         assert dnl.load_call_count() == 2
 
 
-class TestDepartureMatrix:
-    def test_class_tags(self):
-        dm = dnl.DepartureMatrix(np.zeros((2, 3)), "total")
-        assert dm.kind == "total"
-        with pytest.raises(ValueError):
-            dnl.DepartureMatrix(np.zeros((2, 3)), "bogus")
-
-    def test_load_accepts_tagged_matrix(self):
-        net, ps = single_link_net(demand=1.0)
-        grid = nw.TimeGrid(1200.0, 120.0)
-        h = np.zeros((1, 10))
-        h[0, 0] = 1.0
-        tagged = dnl.load(net, ps, grid, dnl.DepartureMatrix(h, "total"))
-        plain = dnl.load(net, ps, grid, h)
-        assert np.array_equal(tagged.path_time, plain.path_time)
-
+class TestCheckFeasible:
     def test_feasibility_check(self, grid_congested):
         net, ps, grid, _ = grid_congested
         d_i, _ = net.class_demands()
@@ -332,15 +324,20 @@ class TestWarmStartIndexing:
 
     @staticmethod
     def _assert_warm_equals_cold(net, ps, grid, h, k, seed):
-        base = dnl.load(net, ps, grid, h, keep_state=True)
+        base = dnl.load(net, ps, grid, h)
         modified = h.copy()
         rng = np.random.default_rng(seed)
         modified[:, k:] = rng.uniform(0, 4, size=(ps.n_paths, grid.n_intervals - k))
         cold = dnl.load(net, ps, grid, modified)
-        warm = dnl.load(net, ps, grid, modified, warm_start=(base, k))
+        warm = started(net, ps, grid, modified, base, k)
         assert warm.n_steps == cold.n_steps
-        for field in ("path_time", "link_time", "n_up", "n_dn", "src_dn", "extrapolated"):
+        for field in ("n_up", "n_dn", "src_dn"):
             assert np.array_equal(getattr(cold, field), getattr(warm, field)), field
+        for field in ("path_time", "extrapolated"):  # timed from the start on
+            assert np.array_equal(getattr(cold, field)[:, k:], getattr(warm, field)[:, k:]), field
+        # a batch computes no link times; those of its curves equal the cold ones
+        link_time = dnl._link_times(base._state[0], grid, warm.sim_dt_s, warm.n_up, warm.n_dn)
+        assert np.array_equal(cold.link_time, link_time)
 
     @pytest.mark.parametrize("k", [0, 7, 19])
     def test_refined_wide_lattice(self, k):
@@ -365,31 +362,30 @@ class TestForeignWarmStart:
         net_u, ps_u, grid_u, _ = grid_uncongested
         rng = np.random.default_rng(23)
         h_u = rng.uniform(0, 0.1, size=(ps_u.n_paths, grid_u.n_intervals))
-        base = dnl.load(net_u, ps_u, grid_u, h_u, keep_state=True)
+        base = dnl.load(net_u, ps_u, grid_u, h_u)
         h = rng.uniform(0, 4, size=(ps.n_paths, grid.n_intervals))
         with pytest.raises(dnl.DnlError):
-            dnl.load(net, ps, grid, h, warm_start=(base, 20))
+            started(net, ps, grid, h, base, 20)
 
     def test_other_network_rejected(self, grid_congested, three_link):
         net, ps, grid, _ = grid_congested
         net_3, ps_3, grid_3, _ = three_link
-        base = dnl.load(net_3, ps_3, grid_3, np.ones((ps_3.n_paths, grid_3.n_intervals)),
-                        keep_state=True)
+        base = dnl.load(net_3, ps_3, grid_3, np.ones((ps_3.n_paths, grid_3.n_intervals)))
         with pytest.raises(dnl.DnlError):
-            dnl.load(net, ps, grid, np.ones((ps.n_paths, grid.n_intervals)), warm_start=(base, 5))
+            started(net, ps, grid, np.ones((ps.n_paths, grid.n_intervals)), base, 5)
 
     def test_other_departure_prefix_rejected(self, grid_congested):
         net, ps, grid, _ = grid_congested
         h = np.ones((ps.n_paths, grid.n_intervals))
-        base = dnl.load(net, ps, grid, h, keep_state=True)
+        base = dnl.load(net, ps, grid, h)
         changed = h.copy()
         changed[0, 3] = 2.0
         with pytest.raises(dnl.DnlError):
-            dnl.load(net, ps, grid, changed, warm_start=(base, 10))
+            started(net, ps, grid, changed, base, 10)
         # a change at or after the start interval is what warm starts are for
         changed[0, 3] = 1.0
         changed[0, 10] = 2.0
-        dnl.load(net, ps, grid, changed, warm_start=(base, 10))
+        started(net, ps, grid, changed, base, 10)
 
 
 def _demand_rule(n_up_lagged, n_dn_now, arrival_mass, cap, dt):

@@ -81,12 +81,32 @@ def random_lattice(seed: int):
 def test_load_matches_loop_loader_on_random_lattices(seed):
     net, ps, grid, h, cap = random_lattice(seed)
     want = loop_loader.load(net, ps, grid, h, drain_max_steps=cap)
-    got = dnl.load(net, ps, grid, h, drain_max_steps=cap, keep_state=True)
+    got = dnl.load(net, ps, grid, h, drain_max_steps=cap)
     assert_same(outputs(got), {f: getattr(want, f) for f in FIELDS})
     # a warm start from this loading equals a cold load of changed departures
     k = int(np.random.default_rng(seed).integers(0, grid.n_intervals))
     changed = h.copy()
     changed[:, k:] = changed[:, k:][::-1]
     cold = dnl.load(net, ps, grid, changed, drain_max_steps=cap)
-    warm = dnl.load(net, ps, grid, changed, drain_max_steps=cap, warm_start=(got, k))
-    assert_same(outputs(warm), outputs(cold))
+    warm = dnl.load_batch(net, ps, grid, changed[None], base=got, starts=[k],
+                          drain_max_steps=cap)[0]
+    assert np.isnan(warm.path_time[:, :k]).all()
+    assert_same(started_outputs(warm, k, got), {**outputs(cold), **timed_from(cold, k)})
+
+
+def timed_from(res: dnl.LoadingResult, k: int) -> dict:
+    return {f: getattr(res, f)[:, k:] for f in ("path_time", "extrapolated")}
+
+
+def started_outputs(res: dnl.LoadingResult, k: int, base: dnl.LoadingResult) -> dict:
+    """``outputs`` of a batch pattern started at interval k from ``base``, whose
+    path times begin there; its link times, which a batch does not compute,
+    come from its curves as ``load`` computes them."""
+    plan = base._state[0]
+    link_time = dnl._link_times(plan, res.grid, res.sim_dt_s, res.n_up, res.n_dn)
+    instant = np.zeros_like(res.path_time)
+    for hop in plan.path_links.T:
+        on = hop >= 0
+        instant[on] += link_time[hop[on]]
+    return {**outputs(res), **timed_from(res, k), "link_time": link_time,
+            "instant_path_time": instant}

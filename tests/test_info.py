@@ -88,7 +88,7 @@ class TestForecastInfo:
         net, ps, grid, params = grid_uncongested
         zeros = np.zeros((ps.n_paths, grid.n_intervals))
         loading = dnl.load(net, ps, grid, zeros)
-        fc = info.forecast_info(net, ps, grid, zeros, 4)
+        fc = info.forecast_batch(net, ps, grid, zeros[None], [4], loading)[0]
         assert fc.phi_s.shape == (ps.n_paths, grid.n_intervals - 4)
         assert np.abs(fc.phi_s - ps.free_flow_s[:, None]).max() <= 1e-9
         inst = info.instant_info(loading, 4)
@@ -116,10 +116,10 @@ class TestForecastInfo:
         net, ps, grid, params = grid_congested
         rng = np.random.default_rng(12)
         h = rng.uniform(0, 4, size=(ps.n_paths, grid.n_intervals))
-        base = dnl.load(net, ps, grid, h, keep_state=True)
+        base = dnl.load(net, ps, grid, h)
         pred = rng.uniform(0, 4, size=(ps.n_paths, grid.n_intervals - 10))
         spliced = info.splice(h, pred, 10)
-        via_helper = info.forecast_info(net, ps, grid, spliced, 10, base_loading=base)
+        via_helper = info.forecast_batch(net, ps, grid, spliced[None], [10], base)[0]
         cold = dnl.load(net, ps, grid, spliced)
         assert np.array_equal(via_helper.phi_s, cold.path_time[:, 10:])
 
