@@ -9,14 +9,29 @@ the logit; nothing is ever sampled.
 The quadratic penalty is evaluated in a configurable disutility time unit
 (minutes by default); travel times, departure times, and target arrivals are
 converted from seconds before entering the formula.
+
+The logit has two parts. ``share_table`` computes the shares of every OD's
+choice set at any number of provision intervals in one vectorised pass:
+disutility, per-block max shift, ``exp``, normalisation and the first largest
+share of each block. Assignment (``tentative_from_shares``, one interval at a
+time) scales the shares by the remaining demand and folds the floating-point
+residual of each total into the block's first largest share; only this part
+depends on the demand. ``tentative_departures`` is the one-interval case and
+``logit_probabilities`` the one-block case of the same kernel. Per block,
+results are bit-identical to a logit over that block alone: elementwise steps
+and maxima are exact in any layout, and block sums add the same numbers in the
+same order as ``ndarray.sum`` on the block (``dnl._group_sums``).
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dnl import _group_sums
 from .network import PathSet, TimeGrid
 
 
@@ -115,21 +130,208 @@ def disutility_from_forecast(
     )
 
 
+@dataclass(frozen=True)
+class _Interval:
+    """One provision interval's cells and blocks within a ``_Layout``."""
+
+    t: int
+    cells: slice
+    blocks: slice
+    block: np.ndarray  # block of each cell, counted from the interval's first
+    wide: tuple  # ``_group_sums`` groups of the interval's blocks, local indices
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Every OD's choice set at provision intervals ``first``.. as blocks of one array.
+
+    Interval t contributes its paths x (intervals t..T-1) cell matrix
+    row-major, after the intervals before it, so the choice set of one OD at
+    t -- the rows of its paths -- is one contiguous block. Blocks are numbered
+    in that order; ODs without paths have none.
+    """
+
+    interval: np.ndarray  # (cells,) departure interval
+    od: np.ndarray  # (cells,)
+    block: np.ndarray  # (cells,)
+    start: np.ndarray  # (blocks,) first cell
+    block_od: np.ndarray  # (blocks,)
+    wide: tuple  # ``_group_sums`` groups of blocks with 8 or more cells
+    intervals: tuple[_Interval, ...]
+
+
+def _wide_groups(start: np.ndarray, size: np.ndarray) -> tuple:
+    """(blocks, cell indices) per block size of 8 or more, for ``_group_sums``."""
+    groups = []
+    for n in sorted(set(size[size >= 8].tolist())):
+        blocks = np.flatnonzero(size == n)
+        groups.append((blocks, start[blocks][:, None] + np.arange(n)))
+    return tuple(groups)
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(od_sizes: tuple[int, ...], T: int, first: int, n: int) -> _Layout:
+    """Layout of intervals ``first``..``first + n - 1`` for ODs of ``od_sizes`` paths.
+
+    Cached: every table of one path set and grid shares it, and nothing
+    writes to its arrays.
+    """
+    sizes = np.array(od_sizes)
+    P = int(sizes.sum())
+    ods = np.flatnonzero(sizes)
+    intervals, interval, size = [], [], []
+    cell = 0
+    for i, t in enumerate(range(first, first + n)):
+        m = T - t
+        local = sizes[ods] * m
+        intervals.append(_Interval(
+            t, slice(cell, cell + P * m), slice(i * len(ods), (i + 1) * len(ods)),
+            np.repeat(np.arange(len(ods)), local),
+            _wide_groups(np.cumsum(local) - local, local),
+        ))
+        interval.append(np.tile(np.arange(t, T), P))
+        size.append(local)
+        cell += P * m
+    size = np.concatenate(size)
+    start = np.cumsum(size) - size
+    block = np.repeat(np.arange(len(size)), size)
+    block_od = np.tile(ods, n)
+    return _Layout(
+        interval=np.concatenate(interval), od=block_od[block], block=block, start=start,
+        block_od=block_od,
+        wide=_wide_groups(start, size), intervals=tuple(intervals),
+    )
+
+
+def _logit(psi: np.ndarray, block: np.ndarray, start: np.ndarray, wide, theta: float):
+    """Max-shifted logit shares of every block of ``psi`` at once.
+
+    Returns the shares, each block's first cell of largest share and whether
+    the block is all finite. Each block's shares and first largest share are
+    those of a logit over that block alone: the elementwise steps and the
+    maxima are exact in any layout, and ``_group_sums`` adds each block's
+    weights in the order ``ndarray.sum`` would. The shares of a non-finite
+    block are not meaningful, but finite.
+    """
+    finite = np.logical_and.reduceat(np.isfinite(psi), start)
+    if not finite.all():
+        psi = np.where(finite[block], psi, 0.0)
+    z = -theta * psi
+    z -= np.maximum.reduceat(z, start)[block]
+    w = np.exp(z)
+    share = w / _group_sums(w, block, len(start), wide)[block]
+    top = share == np.maximum.reduceat(share, start)[block]
+    first_top = np.minimum.reduceat(np.where(top, np.arange(len(share)), len(share)), start)
+    return share, first_top, finite
+
+
 def logit_probabilities(psi: np.ndarray, theta: float) -> np.ndarray:
     """Logit shares over one choice set (all entries of ``psi`` jointly).
 
     Computed with a max-shift so large theta*psi cannot overflow; entries sum
-    to one up to floating-point residual.
+    to one up to floating-point residual. The one-block case of the kernel
+    behind ``share_table``.
     """
     psi = np.asarray(psi, dtype=float)
-    if psi.size == 0:
+    n = psi.size
+    if n == 0:
         raise ChoiceError("empty choice set")
-    if not np.all(np.isfinite(psi)):
+    start = np.zeros(1, dtype=np.intp)
+    share, _, finite = _logit(psi.reshape(-1), np.zeros(n, dtype=np.intp), start,
+                              _wide_groups(start, np.array([n])), theta)
+    if not finite[0]:
         raise ChoiceError("disutility matrix has non-finite entries")
-    z = -theta * psi
-    z -= z.max()
-    w = np.exp(z)
-    return w / w.sum()
+    return share.reshape(psi.shape)
+
+
+@dataclass(frozen=True)
+class ShareTable:
+    """Logit shares of every OD's choice set at consecutive provision intervals.
+
+    Built once per information product by ``share_table``. Assigning demand
+    to it (``tentative_from_shares``) only scales shares and folds
+    residuals, so it can follow a remaining demand that changes from one
+    interval to the next.
+    """
+
+    first: int  # first provision interval
+    n_paths: int
+    layout: _Layout
+    share: np.ndarray  # (cells,)
+    top: np.ndarray  # (blocks,) cell of each block's first largest share
+    finite: np.ndarray  # (blocks,) whether each block's disutilities are finite
+
+
+def share_table(
+    phi_s: Sequence[np.ndarray],
+    first: int,
+    grid: TimeGrid,
+    path_set: PathSet,
+    params: ChoiceParams,
+) -> ShareTable:
+    """Logit shares of every OD's choice set at intervals ``first``, ``first`` + 1, ...
+
+    ``phi_s[i]`` is the information provided at interval ``first + i``:
+    either a per-path vector of instantaneous travel times, reused for every
+    departure column, or a paths x remaining-intervals forecast matrix. The
+    disutilities and shares of all intervals are computed in one vectorised
+    pass; each OD's block at each interval gets exactly the shares, and the
+    same first largest share, as ``logit_probabilities`` of that block alone.
+    """
+    T = grid.n_intervals
+    P = path_set.n_paths
+    if not (len(phi_s) and 0 <= first and first + len(phi_s) <= T):
+        raise ChoiceError(
+            f"provision intervals {first}..{first + len(phi_s) - 1} outside horizon"
+        )
+    lay = _layout(tuple(sl.stop - sl.start for sl in path_set.od_slices), T, first, len(phi_s))
+    cells = []
+    for iv, p in zip(lay.intervals, phi_s):
+        p = np.asarray(p, dtype=float)
+        if p.shape == (P,):
+            cells.append(np.repeat(p, T - iv.t))
+        elif p.shape == (P, T - iv.t):
+            cells.append(p.ravel())
+        else:
+            raise ChoiceError(
+                f"travel times of shape {p.shape} do not cover the {P} paths x "
+                f"{T - iv.t} remaining intervals at interval {iv.t}"
+            )
+    u = params.time_unit_s
+    dep = (np.arange(T) + 0.5) * grid.dt_s
+    ta = np.asarray(params.target_arrival_s, dtype=float)
+    psi = systematic_disutility(
+        np.concatenate(cells) / u, (dep / u)[lay.interval], (ta / u)[lay.od],
+        params.mu_early, params.mu_late,
+    )
+    share, top, finite = _logit(psi, lay.block, lay.start, lay.wide, params.theta)
+    return ShareTable(first, P, lay, share, top, finite)
+
+
+def tentative_from_shares(
+    table: ShareTable, t_index: int, remaining_demand: np.ndarray
+) -> np.ndarray:
+    """Assign each OD's remaining demand over its choice set at ``t_index``.
+
+    Scales the table's shares by the demand; per-OD totals are conserved
+    exactly (the floating-point residual of each total is folded into the
+    block's first largest share).
+    """
+    lay = table.layout
+    i = t_index - table.first
+    if not 0 <= i < len(lay.intervals):
+        raise ChoiceError(f"provision interval {t_index} not in the share table")
+    iv = lay.intervals[i]
+    ods = lay.block_od[iv.blocks]
+    demand = np.asarray(remaining_demand, dtype=float)[ods]
+    if (demand < 0).any():
+        raise ChoiceError(f"negative remaining demand for OD {ods[np.argmax(demand < 0)]}")
+    if ((demand != 0.0) & ~table.finite[iv.blocks]).any():
+        raise ChoiceError("disutility matrix has non-finite entries")
+    out = table.share[iv.cells] * demand[iv.block]
+    residual = demand - _group_sums(out, iv.block, len(demand), iv.wide)
+    out[table.top[iv.blocks] - iv.cells.start] += residual
+    return out.reshape(table.n_paths, -1)
 
 
 def tentative_departures(
@@ -146,31 +348,11 @@ def tentative_departures(
     paths-x-remaining-intervals forecast matrix; the vector form reuses the
     current time for every future column. Per-OD totals are conserved exactly
     (the floating-point residual of the share sum is folded into the
-    largest-share cell).
+    largest-share cell). The one-interval case of ``share_table`` and
+    ``tentative_from_shares``.
     """
-    phi_s = np.asarray(phi_s, dtype=float)
-    ta = np.array([params.target_arrival_s[od] for od in path_set.od_of_path])
-    if phi_s.ndim == 1:
-        psi = disutility_from_instant(phi_s, t_index, grid, ta, params)
-    else:
-        psi = disutility_from_forecast(phi_s, t_index, grid, ta, params)
-    out = np.zeros_like(psi)
-    remaining_demand = np.asarray(remaining_demand, dtype=float)
-    for od_index, sl in enumerate(path_set.od_slices):
-        if sl.stop == sl.start:
-            continue
-        d = float(remaining_demand[od_index])
-        if d < 0:
-            raise ChoiceError(f"negative remaining demand for OD {od_index}")
-        if d == 0.0:
-            continue
-        prob = logit_probabilities(psi[sl], params.theta)
-        block = prob * d
-        residual = d - block.sum()
-        flat = block.reshape(-1)
-        flat[np.argmax(prob.reshape(-1))] += residual
-        out[sl] = block
-    return out
+    table = share_table([phi_s], t_index, grid, path_set, params)
+    return tentative_from_shares(table, t_index, remaining_demand)
 
 
 def remaining_demand(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +122,9 @@ def _solve_scenario(sc: Scenario) -> tuple[EquilibriumResult, tuple]:
     return result, built
 
 
-def _metrics_payload(sc: Scenario, result: EquilibriumResult, built) -> dict:
+def _metrics_payload(
+    sc: Scenario, result: EquilibriumResult, built, acc: metrics.AccuracyReport
+) -> dict:
     net, path_set, grid, params = built
     payload: dict = {
         "scenario_id": sc.scenario_id,
@@ -132,7 +135,6 @@ def _metrics_payload(sc: Scenario, result: EquilibriumResult, built) -> dict:
         "total_travel_time_veh_s": metrics.total_travel_time(result, grid, sc.trim_fraction),
     }
     if result.model == "dsue-dhi":
-        acc = metrics.information_accuracy(result, grid, sc.trim_fraction, sc.departure_floor)
         dis = metrics.experienced_disutility(
             result, net, path_set, grid, params, sc.trim_fraction
         )
@@ -159,7 +161,7 @@ def run_solve(sc: Scenario, out_dir: Path) -> int:
     write_trace_csv(out_dir / "trace.csv", result)
     acc = metrics.information_accuracy(result, grid, sc.trim_fraction, sc.departure_floor)
     write_accuracy_csv(out_dir / "accuracy.csv", acc, net, path_set)
-    payload = _metrics_payload(sc, result, built)
+    payload = _metrics_payload(sc, result, built, acc)
     with open(out_dir / "metrics.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -188,9 +190,9 @@ def run_sweep(sc: Scenario, parameter: str, values: list[float], out_dir: Path) 
         print("sweep needs at least two values", file=sys.stderr)
         return EXIT_USAGE
     if parameter == "theta":
-        scenarios = [sc.replace_theta(v).replace_instant_share(0.5) for v in values]
+        scenarios = [replace(sc, theta=v, instant_share=0.5) for v in values]
     elif parameter == "lambda":
-        scenarios = [sc.replace_theta(1.0).replace_instant_share(v) for v in values]
+        scenarios = [replace(sc, theta=1.0, instant_share=v) for v in values]
     else:
         print(f"unknown sweep parameter {parameter!r}", file=sys.stderr)
         return EXIT_USAGE

@@ -99,8 +99,12 @@ def fixed_point_map(
     history spliced with the pooled remaining demand's reaction to them. Both
     depend on the candidate alone, so all T forecasts are loaded in one
     batch, each starting from the candidate loading at its own interval. The
-    rollout then realizes one column per interval. The pooled remaining
-    demand behind each forecast comes from the candidate total pattern; the
+    logit shares of each information product are computed once for all
+    intervals: one table from the instantaneous times, which the pooled
+    prediction and the instantaneous class share, and one from the forecast
+    times. The rollout then only assigns each class's remaining demand to its
+    table and realizes one column per interval. The pooled remaining demand
+    behind each forecast comes from the candidate total pattern; the
     per-class remaining demands evolve from the rollout's own realized
     columns. The two coincide at any fixed point.
     """
@@ -113,12 +117,16 @@ def fixed_point_map(
 
     base = dnl.load(net, path_set, grid, h_total)
     instants = [info.instant_info(base, t) for t in range(T)]
+    instant_shares = choice.share_table([i.phi_s for i in instants], 0, grid, path_set,
+                                        params)
     spliced = np.empty((T, P, T))
-    for t, inst in enumerate(instants):
+    for t in range(T):
         pooled = info.pooled_remaining_demand(h_total, t, net, path_set)
-        predicted = info.forecast_departures(inst, pooled, grid, path_set, params)
+        predicted = choice.tentative_from_shares(instant_shares, t, pooled)
         spliced[t] = info.splice(h_total, predicted, t)
     forecasts = info.forecast_batch(net, path_set, grid, spliced, range(T), base)
+    forecast_shares = choice.share_table([f.phi_s for f in forecasts], 0, grid, path_set,
+                                         params)
 
     y_instant = np.zeros((P, T))
     y_forecast = np.zeros((P, T))
@@ -134,8 +142,8 @@ def fixed_point_map(
         if forecast_full is not None:
             forecast_full.append(fc.phi_s)
 
-        tent_i = choice.tentative_departures(inst.phi_s, rem_i, t, grid, path_set, params)
-        tent_f = choice.tentative_departures(fc.phi_s, rem_f, t, grid, path_set, params)
+        tent_i = choice.tentative_from_shares(instant_shares, t, rem_i)
+        tent_f = choice.tentative_from_shares(forecast_shares, t, rem_f)
         col_i = choice.realize_departures(tent_i)
         col_f = choice.realize_departures(tent_f)
         y_instant[:, t] = col_i

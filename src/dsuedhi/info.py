@@ -5,9 +5,10 @@ pattern. The instantaneous product is the per-path sum of current link travel
 times, read directly off the candidate loading. The strategic forecast
 predicts what travel times will be if every traveler still to depart reacts to
 the instantaneous product: the pooled remaining demand is logit-assigned under
-the instantaneous times, the predicted columns are spliced onto the realized
-history, and the spliced pattern is loaded again; the forecast travel times
-are the realized-style path times of that hypothetical world.
+the instantaneous times (by the share table the instantaneous class also
+uses), the predicted columns are spliced onto the realized history, and the
+spliced pattern is loaded again; the forecast travel times are the
+realized-style path times of that hypothetical world.
 
 Generating the full information set for one candidate therefore loads one
 pattern for the instantaneous product plus one per provision interval. The
@@ -54,19 +55,6 @@ def pooled_remaining_demand(
     """Travelers of both classes not yet departed under the candidate pattern."""
     totals = np.array([od.demand_total for od in net.od_pairs])
     return choice.remaining_demand(h_total[:, :t_index], totals, path_set)
-
-
-def forecast_departures(
-    instant: InstantInfo,
-    pooled_demand: np.ndarray,
-    grid: TimeGrid,
-    path_set: PathSet,
-    params: choice.ChoiceParams,
-) -> np.ndarray:
-    """Predicted departures of all remaining travelers reacting to current times."""
-    return choice.tentative_departures(
-        instant.phi_s, pooled_demand, instant.t_index, grid, path_set, params
-    )
 
 
 def splice(h_history: np.ndarray, h_predicted: np.ndarray, t_index: int) -> np.ndarray:

@@ -116,16 +116,6 @@ class Scenario:
         )
         return net, path_set, self.grid, params
 
-    def replace_theta(self, theta: float) -> "Scenario":
-        from dataclasses import replace
-
-        return replace(self, theta=theta)
-
-    def replace_instant_share(self, share: float) -> "Scenario":
-        from dataclasses import replace
-
-        return replace(self, instant_share=share)
-
 
 def _apply_env(values: dict[str, dict[str, str]]) -> None:
     for section, keys in values.items():

@@ -8,7 +8,10 @@ parameters and a seeded random feasible class pair:
 - the shipped ``three_link`` and ``grid`` scenarios;
 - a three-link corridor whose links need two loader steps per departure
   interval, at two inputs whose map images differ, so its map is not
-  constant.
+  constant;
+- a 3x3 lattice whose ODs have 6, 3 and 2 paths over 30 intervals, so the
+  logit's choice sets are of unequal size and some hold more than numpy's
+  128-element pairwise-summation block.
 
 Regenerate the file only for an intended change of map outputs:
 
@@ -53,6 +56,36 @@ def corridor():
     return net, ps, grid, params
 
 
+def lattice():
+    """3x3 lattice, three ODs into one corner, every monotone path kept.
+
+    From the far corner, the middle of the top row and the centre, the ODs
+    have 6, 3 and 2 paths; at T = 30 the first has choice sets of up to
+    180 cells. Links are 1.6-2.2 km at 20 m/s, so the loader refines each
+    interval into two steps, and the two links into the destination are
+    bottlenecks.
+    """
+    rng = np.random.default_rng(2030)
+    n = 3
+    links = []
+    for r in range(n):
+        for c in range(n):
+            for link_id, head, ok in ((f"e{r}{c}", f"n{r}{c + 1}", c + 1 < n),
+                                      (f"s{r}{c}", f"n{r + 1}{c}", r + 1 < n)):
+                if ok:
+                    cap = 0.3 if head == "n22" else 0.6
+                    links.append(nw.Link(link_id, f"n{r}{c}", head,
+                                         float(rng.uniform(1600, 2200)), 20.0, 5.0, cap, 0.15))
+    ods = [nw.OdDemand("n00", "n22", 120.0, 120.0, 2100.0),
+           nw.OdDemand("n01", "n22", 60.0, 60.0, 1980.0),
+           nw.OdDemand("n11", "n22", 45.0, 45.0, 2040.0)]
+    net = nw.validate_network(links, ods)
+    ps = nw.build_path_set(net, k_max=6, time_ratio=3.0, length_ratio=3.0)
+    grid = nw.TimeGrid(30 * 120.0, 120.0)
+    params = ChoiceParams(theta=1.0, target_arrival_s=net.target_arrivals(), time_unit_s=600.0)
+    return net, ps, grid, params
+
+
 def _scenario(name: str):
     return scenario.load_scenario(ROOT / "scenarios" / name / "scenario.ini").build()
 
@@ -63,7 +96,8 @@ def cases():
     for name, built, seed in (("three_link", _scenario("three_link"), 1),
                               ("grid", _scenario("grid"), 2),
                               ("corridor", corridor(), 3),
-                              ("corridor_b", corridor(), 4)):
+                              ("corridor_b", corridor(), 4),
+                              ("lattice", lattice(), 5)):
         net, ps, grid, params = built
         rng = np.random.default_rng(seed)
         parts = equilibrium.random_feasible_parts(rng, ps, grid, net.class_demands())

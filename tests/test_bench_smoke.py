@@ -35,3 +35,9 @@ def test_grid_benchmark_checks_its_chunked_forecast_batches():
     # 30 forecasts per map in two chunks, each operation compared with
     # bench/reference.json
     run_bench("grid_6x6", trace=0)
+
+
+def test_dsue_sweep_benchmark_checks_the_single_class_logit():
+    # solve_dsue assigns one logit per map through tentative_departures;
+    # each operation is compared with bench/reference.json
+    run_bench("dsue_sweep", trace=0)

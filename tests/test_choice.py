@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsuedhi import choice
@@ -297,3 +297,125 @@ class TestClassAdditivity:
         b = choice.tentative_departures(phi, d_f, 0, grid, ps, params)
         total = choice.tentative_departures(phi, d_i + d_f, 0, grid, ps, params)
         np.testing.assert_allclose(a + b, total, atol=1e-9)
+
+
+def loop_tentative(phi_s, remaining, t, grid, ps, params):
+    """Reference: the logit of one interval, one OD block at a time.
+
+    Each block is shifted by its own maximum, normalised with
+    ``ndarray.sum`` and has its residual folded into ``np.argmax`` of its
+    shares. Returns the departures and each live block's argmax cell.
+    """
+    u = params.time_unit_s
+    dep = (np.arange(t, grid.n_intervals) + 0.5) * grid.dt_s
+    ta = np.array([params.target_arrival_s[od] for od in ps.od_of_path])
+    phi = np.asarray(phi_s, dtype=float)
+    phi = phi[:, None] if phi.ndim == 1 else phi
+    psi = choice.systematic_disutility(phi / u, dep[None, :] / u, ta[:, None] / u,
+                                       params.mu_early, params.mu_late)
+    out = np.zeros_like(psi)
+    tops = {}
+    for k, sl in enumerate(ps.od_slices):
+        d = float(remaining[k])
+        if sl.stop == sl.start or d == 0.0:
+            continue
+        if d < 0 or not np.isfinite(psi[sl]).all():
+            raise choice.ChoiceError("reference rejects the block")
+        z = -params.theta * psi[sl]
+        z -= z.max()
+        w = np.exp(z)
+        prob = w / w.sum()
+        block = prob * d
+        tops[k] = int(np.argmax(prob.reshape(-1)))
+        block.reshape(-1)[tops[k]] += d - block.sum()
+        out[sl] = block
+    return out, tops
+
+
+def path_set_of(sizes):
+    """A path set whose ODs have ``sizes`` paths each (no network behind it)."""
+    od_of_path = np.repeat(np.arange(len(sizes)), sizes)
+    starts = np.concatenate(([0], np.cumsum(sizes)))
+    return nw.PathSet(
+        tuple(nw.Path(p, int(k), ("x",), 60.0, 1000.0) for p, k in enumerate(od_of_path)),
+        tuple(slice(int(a), int(b)) for a, b in zip(starts[:-1], starts[1:])),
+        od_of_path, np.full(len(od_of_path), 60.0), tuple(() for _ in od_of_path),
+    )
+
+
+class TestShareTable:
+    """A share table assigns, at every interval, exactly what the one-interval
+    logit does, and both equal the block-at-a-time reference bit for bit."""
+
+    # a NaN or infinite travel time makes NaN disutilities, as it always has
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    # 7 paths x 40 intervals: numpy sums a block of 280 shares in two halves
+    @example(sizes=[7, 2], empty_od=False, T=40, forecast=False, ties=False, theta=0.3,
+             unit=600.0, bad_cell=None, negative=False, seed=7)
+    @given(
+        sizes=st.lists(st.integers(1, 7), min_size=1, max_size=4),
+        empty_od=st.booleans(),
+        T=st.integers(1, 40),
+        forecast=st.booleans(),
+        ties=st.booleans(),
+        theta=st.sampled_from([1e-9, 0.3, 1.0, 4.0]),
+        unit=st.sampled_from([60.0, 600.0]),
+        bad_cell=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+        negative=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_interval_logit(self, sizes, empty_od, T, forecast, ties, theta,
+                                       unit, bad_cell, negative, seed):
+        rng = np.random.default_rng(seed)
+        if empty_od:  # an OD without paths has no choice set
+            sizes = [*sizes[:1], 0, *sizes[1:]]
+        ps = path_set_of(sizes)
+        P, n_od = ps.n_paths, len(sizes)
+        grid = nw.TimeGrid(T * 120.0, 120.0)
+        params = choice.ChoiceParams(
+            theta=theta, time_unit_s=unit,
+            target_arrival_s=tuple(float(60 * rng.integers(0, 2 * T + 1)) for _ in sizes),
+        )
+
+        def times(shape):
+            # whole minutes with few values make exact disutility ties common
+            if ties:
+                return 60.0 * rng.integers(0, 3, size=shape)
+            return rng.uniform(30.0, 900.0, size=shape)
+
+        phi = [times((P, T - t)) if forecast else times(P) for t in range(T)]
+        # remaining demand: zero, dust or ordinary, per interval and OD
+        kind = rng.integers(0, 3, size=(T, n_od))
+        remaining = np.choose(kind, [np.zeros((T, n_od)),
+                                     rng.choice([5e-324, 1e-300, 1e-12], size=(T, n_od)),
+                                     rng.uniform(0.5, 500.0, size=(T, n_od))])
+        if bad_cell is not None:
+            t, p = int(rng.integers(0, T)), int(rng.integers(0, P))
+            phi[t][p] = bad_cell
+            if rng.random() < 0.5:  # the OD is not live there
+                remaining[t, ps.od_of_path[p]] = 0.0
+        if negative:  # an overdrawn OD; one without paths has nothing to assign
+            remaining[rng.integers(0, T), rng.integers(0, n_od)] = -rng.uniform(1e-12, 1.0)
+
+        table = choice.share_table(phi, 0, grid, ps, params)
+        for t in range(T):
+            try:
+                want, tops = loop_tentative(phi[t], remaining[t], t, grid, ps, params)
+            except choice.ChoiceError:
+                with pytest.raises(choice.ChoiceError):
+                    choice.tentative_departures(phi[t], remaining[t], t, grid, ps, params)
+                with pytest.raises(choice.ChoiceError):
+                    choice.tentative_from_shares(table, t, remaining[t])
+                continue
+            one = choice.tentative_departures(phi[t], remaining[t], t, grid, ps, params)
+            got = choice.tentative_from_shares(table, t, remaining[t])
+            assert one.shape == got.shape == want.shape == (P, T - t)
+            assert np.array_equal(one, want)
+            assert np.array_equal(got, want)
+            # the residual goes to the first largest share, even where it is 0
+            iv = table.layout.intervals[t]
+            for b in range(iv.blocks.start, iv.blocks.stop):
+                k = int(table.layout.block_od[b])
+                if k in tops:
+                    assert table.top[b] - table.layout.start[b] == tops[k]

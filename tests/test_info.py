@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dsuedhi import dnl, info
+from dsuedhi import choice, dnl, info
 from dsuedhi import network as nw
 
 
@@ -22,7 +22,7 @@ class TestForecastDepartures:
         loading = dnl.load(net, ps, grid, np.zeros((ps.n_paths, grid.n_intervals)))
         inst = info.instant_info(loading, 0)
         totals = np.array([od.demand_total for od in net.od_pairs])
-        got = info.forecast_departures(inst, totals, grid, ps, params)
+        got = choice.tentative_departures(inst.phi_s, totals, inst.t_index, grid, ps, params)
         dep = grid.interval_mids()
         for od_index, sl in enumerate(ps.od_slices):
             want = softmax_assignment(
@@ -41,7 +41,9 @@ class TestForecastDepartures:
         net, ps, grid, params = grid_uncongested
         loading = dnl.load(net, ps, grid, np.zeros((ps.n_paths, grid.n_intervals)))
         inst = info.instant_info(loading, 5)
-        got = info.forecast_departures(inst, np.zeros(net.n_ods), grid, ps, params)
+        got = choice.tentative_departures(
+            inst.phi_s, np.zeros(net.n_ods), inst.t_index, grid, ps, params
+        )
         assert not got.any()
 
 

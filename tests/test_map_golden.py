@@ -31,3 +31,10 @@ def test_corridor_map_is_refined_and_not_constant(golden):
         assert not np.allclose(golden[f"corridor__{field}"], golden[f"corridor_b__{field}"])
     # forecasts see queues the instantaneous times do not
     assert not np.allclose(golden["corridor__forecast_diag"], golden["corridor__instant_trace"])
+
+
+def test_lattice_choice_sets_are_unequal_and_beyond_the_pairwise_block():
+    _, ps, grid, _, _, _ = CASES["lattice"]
+    sizes = [sl.stop - sl.start for sl in ps.od_slices]
+    assert sizes == [6, 3, 2] and grid.n_intervals == 30
+    assert max(sizes) * grid.n_intervals > 128  # numpy sums the block in halves
