@@ -76,60 +76,6 @@ def systematic_disutility(phi, t, target_arrival, mu_early: float, mu_late: floa
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _departure_times_s(grid: TimeGrid, t_index: int) -> np.ndarray:
-    T = grid.n_intervals
-    if not 0 <= t_index < T:
-        raise ChoiceError(f"provision interval {t_index} outside horizon")
-    return (np.arange(t_index, T) + 0.5) * grid.dt_s
-
-
-def disutility_from_instant(
-    phi_instant_s: np.ndarray,
-    t_index: int,
-    grid: TimeGrid,
-    target_arrival_s: np.ndarray,
-    params: ChoiceParams,
-) -> np.ndarray:
-    """Disutility matrix (paths x remaining intervals) under instantaneous info.
-
-    The single current travel time of each path is reused for every future
-    departure column; only the schedule penalty varies across columns.
-    """
-    dep = _departure_times_s(grid, t_index)
-    u = params.time_unit_s
-    return systematic_disutility(
-        np.asarray(phi_instant_s)[:, None] / u,
-        dep[None, :] / u,
-        np.asarray(target_arrival_s)[:, None] / u,
-        params.mu_early,
-        params.mu_late,
-    )
-
-
-def disutility_from_forecast(
-    phi_forecast_s: np.ndarray,
-    t_index: int,
-    grid: TimeGrid,
-    target_arrival_s: np.ndarray,
-    params: ChoiceParams,
-) -> np.ndarray:
-    """Disutility matrix under forecast info: one travel time per column."""
-    dep = _departure_times_s(grid, t_index)
-    phi = np.asarray(phi_forecast_s)
-    if phi.ndim != 2 or phi.shape[1] != dep.shape[0]:
-        raise ChoiceError(
-            f"forecast shape {phi.shape} does not cover the {dep.shape[0]} remaining intervals"
-        )
-    u = params.time_unit_s
-    return systematic_disutility(
-        phi / u,
-        dep[None, :] / u,
-        np.asarray(target_arrival_s)[:, None] / u,
-        params.mu_early,
-        params.mu_late,
-    )
-
-
 @dataclass(frozen=True)
 class _Interval:
     """One provision interval's cells and blocks within a ``_Layout``."""

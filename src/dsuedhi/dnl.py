@@ -24,35 +24,39 @@ sub-interval traversal stays exact whenever free-flow times divide the
 interval; departures, probes, and reported travel times remain on the
 departure grid.
 
-Layout. Every cumulative curve pair (entries, exits) is a *row*: the links,
-then one source connector per distinct first link. A *slot* is one (row,
-path) pair and holds that path's share of the row's entry curve; all slot
-curves live in one slots x steps array, numbered row-major and in path order
-within a row, so each row owns a contiguous block of slots. Index arrays give
-each slot its row, its path's next link, and the path's slot there. A step is
-a fixed handful of numpy operations over all rows at once: row-batched
-interpolation of the curves; one row-batched inversion for the FIFO window
-[tau0, tau1] of every row's outflow; ``np.add.at`` for merge inflows, links
-before sources as in a loop over them; ``np.minimum.at`` for every diverge
-factor; and one scatter to the successor slots, which never collides because
-a path visits a link once.
+Layout. Every cumulative curve pair (entries, exits) is a *row*: the links
+that some path uses, in link order, then one source connector per distinct
+first link. Vehicles follow enumerated paths, so a link on no path never
+carries one; it gets no row, and the result reports zero curves and its
+free-flow time for it. A *slot* is one (row, path) pair and holds that path's
+share of the row's entry curve; all slot curves live in one slots x steps
+array, numbered row-major and in path order within a row, so each row owns a
+contiguous block of slots. Index arrays give each slot its row, its path's
+next link row, and the path's slot there. A step is a fixed handful of numpy
+operations over all rows at once: row-batched interpolation of the curves;
+one row-batched inversion for the FIFO window [tau0, tau1] of every row's
+outflow; ``np.add.at`` for merge inflows, links before sources as in a loop
+over them; ``np.minimum.at`` for every diverge factor; and one scatter to the
+successor slots, which never collides because a path visits a link once.
+Link rows keep link order, so slots, merges and row totals add the same
+numbers in the same order as they would with a row for every link.
 
 Batch axis. ``load_batch`` steps B departure patterns of one (network, path
-set, grid) together as B disjoint copies of those rows and slots: the links
-of copies B-1, ..., 0, then the sources of copies 0, ..., B-1, each copy's
-slots a block in the single-pattern order, so the first k copies occupy one
-contiguous range of rows and slots. A pattern may start at interval t from a
-base loading whose departures it shares before t (a strategic forecast
-spliced at t shares the candidate's): it copies the base's curves up to step
-t * refine and joins the lockstep pass there. Copies are sorted by start, so
-each step works on the contiguous range of those that have joined, and path
-times are computed for intervals from t on only. Every pattern keeps its own
-drain test, tolerance and step count, and gets exactly the result of loading
-it alone from step 0; ``load`` is the batch of one. The time axis holds the
-boundaries stepped so far: it starts at the horizon plus half of it, grows
-by half while a pattern has not drained, and stops at the step cap. A batch
-whose curves would exceed a fixed byte budget at that first size is stepped
-in equal chunks.
+set, grid) together as B disjoint copies of those rows and slots: the link
+rows of copies B-1, ..., 0, then the sources of copies 0, ..., B-1, each
+copy's slots a block in the single-pattern order, so the first k copies
+occupy one contiguous range of rows and slots. A pattern may start at
+interval t from a base loading whose departures it shares before t (a
+strategic forecast spliced at t shares the candidate's): it copies the
+base's rows up to step t * refine and joins the lockstep pass there. Copies
+are sorted by start, so each step works on the contiguous range of those
+that have joined, and path times are computed for intervals from t on only.
+Every pattern keeps its own drain test, tolerance and step count, and gets
+exactly the result of loading it alone from step 0; ``load`` is the batch of
+one. The time axis holds the boundaries stepped so far: it starts at the
+horizon plus half of it, grows by half while a pattern has not drained, and
+stops at the step cap. A batch whose curves would exceed a fixed byte budget
+at that first size is stepped in equal chunks.
 
 Exact sums. Results are bit-identical to a loop that sums each row's slots
 with ``ndarray.sum``. numpy adds fewer than 8 numbers in sequence, as
@@ -121,8 +125,10 @@ class LoadingResult:
     grid: TimeGrid
     n_steps: int
     sim_dt_s: float
-    n_up: np.ndarray  # links x (n_steps+1), cumulative entries at sim boundaries
-    n_dn: np.ndarray  # links x (n_steps+1), cumulative exits at boundaries
+    link_up: np.ndarray  # used links x (n_steps+1), cumulative entries at sim boundaries
+    link_dn: np.ndarray  # used links x (n_steps+1), cumulative exits at boundaries
+    used_links: np.ndarray  # link of each row of link_up and link_dn, ascending
+    n_links: int
     src_up: np.ndarray  # sources x (n_steps+1)
     src_dn: np.ndarray
     source_links: tuple[int, ...]
@@ -132,6 +138,23 @@ class LoadingResult:
     instant_path_time: np.ndarray | None = None  # paths x T, sums of current link times
     drained: bool = True
     _state: tuple | None = field(default=None, repr=False)  # plan, departures, link slots
+
+    @property
+    def n_up(self) -> np.ndarray:
+        """links x (n_steps+1), cumulative entries; zero on links no path uses."""
+        return self._all_links(self.link_up)
+
+    @property
+    def n_dn(self) -> np.ndarray:
+        """links x (n_steps+1), cumulative exits; zero on links no path uses."""
+        return self._all_links(self.link_dn)
+
+    def _all_links(self, rows: np.ndarray) -> np.ndarray:
+        if len(rows) == self.n_links:
+            return rows
+        out = np.zeros((self.n_links, rows.shape[1]))
+        out[self.used_links] = rows
+        return out
 
     @property
     def boundaries(self) -> np.ndarray:
@@ -144,14 +167,13 @@ class LoadingResult:
         return on_links + at_sources
 
     def write_curves_csv(self, path, links: tuple) -> None:
+        n_up, n_dn = self.n_up, self.n_dn
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("link_id,t,n_up,n_dn\n")
             times = self.boundaries
             for a, link in enumerate(links):
                 for k, t in enumerate(times):
-                    fh.write(
-                        f"{link.link_id},{t:.12g},{self.n_up[a, k]:.12g},{self.n_dn[a, k]:.12g}\n"
-                    )
+                    fh.write(f"{link.link_id},{t:.12g},{n_up[a, k]:.12g},{n_dn[a, k]:.12g}\n")
 
 
 def link_demand_rate(n_up_lagged, n_dn_now, arrival_mass, capacity_vps, dt_s):
@@ -171,36 +193,6 @@ def link_supply_rate(n_dn_wave_lagged, n_up_now, storage_veh, capacity_vps, dt_s
     """Receiving flow rate of links over one step, floored at zero, elementwise."""
     room = np.add(n_dn_wave_lagged, storage_veh) - n_up_now
     return np.maximum(0.0, np.minimum(capacity_vps, room / dt_s))[()]
-
-
-def node_flux(
-    movement_demand: dict[tuple, float],
-    supply: dict,
-) -> dict[tuple, float]:
-    """Resolve per-movement flows at a node.
-
-    Each movement key is (sender, receiver). Receivers absent from ``supply``
-    are unconstrained sinks. Supply is split among competing senders in
-    proportion to their movement demands; each sender's movements are then
-    scaled by a common factor so no receiving supply is exceeded.
-    """
-    inflow_demand: dict = {}
-    for (_, receiver), d in movement_demand.items():
-        inflow_demand[receiver] = inflow_demand.get(receiver, 0.0) + d
-    factor = {}
-    for receiver, total in inflow_demand.items():
-        cap = supply.get(receiver, np.inf)
-        factor[receiver] = 1.0 if total <= cap or total <= 0.0 else cap / total
-    sender_scale: dict = {}
-    for (sender, receiver), d in movement_demand.items():
-        if d <= 0.0:
-            continue
-        f = factor[receiver]
-        sender_scale[sender] = min(sender_scale.get(sender, 1.0), f)
-    return {
-        (sender, receiver): d * sender_scale.get(sender, 1.0)
-        for (sender, receiver), d in movement_demand.items()
-    }
 
 
 def _interp_rows(curves: np.ndarray, times, dt: float, hold: bool = False,
@@ -275,56 +267,71 @@ def _widen(curves: np.ndarray, cols: int) -> np.ndarray:
 class _Plan:
     """Index arrays of one (network, path set, grid).
 
-    Rows are the links, then one source connector per distinct first link.
-    A slot is one (row, path) pair; slots are numbered row-major, in path
-    order within a row.
+    Rows are the links that some path uses, in link order, then one source
+    connector per distinct first link. A slot is one (row, path) pair; slots
+    are numbered row-major, in path order within a row. The other links
+    never carry a vehicle and get no row.
     """
 
     def __init__(self, net: Network, path_set: PathSet, grid: TimeGrid):
         links = net.links
         seqs = path_set.link_seq
-        self.n_links = A = net.n_links
-        self.ff = np.array([l.free_flow_s for l in links])
-        self.wave_lag = np.array([l.length_m / l.backward_wave_mps for l in links])
-        self.cap = np.array([l.capacity_vps for l in links])
-        self.storage = np.array([l.storage_veh for l in links])
-        # refine the internal step until every link spans at least one step
-        min_ff = float(self.ff.min()) if A else grid.dt_s
+        self.n_links = N = net.n_links
+        self.link_ff = np.array([l.free_flow_s for l in links])
+        self.link_cap = np.array([l.capacity_vps for l in links])
+        wave_lag = np.array([l.length_m / l.backward_wave_mps for l in links])
+        storage = np.array([l.storage_veh for l in links])
+        # refine the internal step until every link, used or not, spans at
+        # least one step
+        min_ff = float(self.link_ff.min()) if N else grid.dt_s
         self.refine = max(1, int(np.ceil(grid.dt_s / min_ff - 1e-12)))
         self.dt = grid.dt_s / self.refine
         self.key = (links, seqs, grid)
 
         self.source_links = tuple(sorted({seq[0] for seq in seqs}))
-        self.src_links = np.array(self.source_links, dtype=np.intp)
+        n_src = len(self.source_links)
         src_index = {a: s for s, a in enumerate(self.source_links)}
         self.src_of_path = np.array([src_index[seq[0]] for seq in seqs], dtype=np.intp)
-        # (row, path) -> next row of the path: its next link, or -1 at the exit
-        succ = {(A + src_index[seq[0]], p): seq[0] for p, seq in enumerate(seqs)}
+        # (link or N + source, path) -> the path's next link, or -1 at the exit
+        succ = {(N + src_index[seq[0]], p): seq[0] for p, seq in enumerate(seqs)}
         for p, seq in enumerate(seqs):
             for i, a in enumerate(seq):
                 succ[a, p] = seq[i + 1] if i + 1 < len(seq) else -1
         pairs = sorted(succ)
         slot_of = {pair: j for j, pair in enumerate(pairs)}
-        self.n_link_slots = sum(len(seq) for seq in seqs)
-        self.slot_row = np.array([r for r, _ in pairs], dtype=np.intp)
+        self.n_link_slots = L = sum(len(seq) for seq in seqs)
+        slot_link = np.array([r for r, _ in pairs], dtype=np.intp)
         self.slot_path = np.array([p for _, p in pairs], dtype=np.intp)
-        self.slot_next = np.array([succ[pair] for pair in pairs], dtype=np.intp)
         self.slot_dest = np.array([slot_of.get((succ[r, p], p), -1) for r, p in pairs],
                                   dtype=np.intp)
-        self.src_row_start = np.searchsorted(self.slot_row[self.n_link_slots :],
-                                             np.arange(A, A + len(self.source_links) + 1))
 
-        # link of every path at each hop, padded with -1
+        # Rows are numbered in link order, then the sources, so slots keep
+        # the order of a row for every link. row[x] is the row of link x or
+        # of source x - N; its last entry, -1, maps -1 to itself.
+        self.used_links = np.flatnonzero(np.bincount(slot_link[:L], minlength=N))
+        self.A = A = len(self.used_links)
+        self.ff, self.cap, self.wave_lag, self.storage = (
+            x[self.used_links] for x in (self.link_ff, self.link_cap, wave_lag, storage))
+        row = np.full(N + n_src + 1, -1, dtype=np.intp)
+        row[self.used_links] = np.arange(A)
+        row[N:-1] = np.arange(A, A + n_src)
+        self.slot_row = row[slot_link]
+        self.slot_next = row[[succ[pair] for pair in pairs]]
+        self.src_links = row[list(self.source_links)]
+        self.src_row_start = np.searchsorted(self.slot_row[L:], np.arange(A, A + n_src + 1))
+
+        # link and row of every path at each hop, padded with -1
         hops = max((len(seq) for seq in seqs), default=0)
         self.path_links = np.full((len(seqs), max(hops, 1)), -1, dtype=np.intp)
         for p, seq in enumerate(seqs):
             self.path_links[p, : len(seq)] = seq
+        self.path_rows = row[self.path_links]
 
 
 class _Copies:
     """B disjoint copies of a plan's rows and slots, stepped as one network.
 
-    Rows are the links of copies B-1, ..., 1, 0, then the sources of copies
+    Rows are the link rows of copies B-1, ..., 1, 0, then the sources of copies
     0, 1, ..., B-1; slots are numbered row-major, so the link slots of each
     copy, and its source slots, form blocks in the plan's slot order. The
     first k copies thus hold one contiguous range of rows and one of slots,
@@ -333,7 +340,7 @@ class _Copies:
     """
 
     def __init__(self, plan: _Plan, B: int):
-        A, L, n_src = plan.n_links, plan.n_link_slots, len(plan.source_links)
+        A, L, n_src = plan.A, plan.n_link_slots, len(plan.source_links)
         self.B = B
         self.sizes = (A, L, n_src, len(plan.slot_row) - L)
         block = np.arange(B)[:, None]  # copy j's sources are block j
@@ -410,9 +417,10 @@ def _first_cols(t_sim: int, s_max: int) -> int:
 # chunks of equal size. The step's temporaries are about as large again, so a
 # batch of forecasts adds a few MB at most to the peak memory of the
 # one-at-a-time loads it replaces. Larger chunks save per-step overhead but
-# add memory one for one: the 30 forecasts of a 60-link, 23-path lattice with
-# T = 30 run as 2 chunks of 15; as one chunk they solved about 8 % faster and
-# raised peak RSS by about 1 MB more.
+# add memory one for one. The 30 forecasts of a 60-link, 23-path lattice with
+# T = 30, whose paths use 24 of the links, take 65,424 bytes each and run as
+# one chunk; with a row for every link they took 92,496 bytes and ran as two
+# chunks of 15.
 _CHUNK_BYTES = 2 * 2**20
 
 # Booleans compared at once when path times count the samples below their
@@ -423,7 +431,7 @@ _COUNT_CELLS = 2**18
 def _pattern_bytes(plan: _Plan, grid: TimeGrid, drain_max_steps: int | None) -> int:
     """Bytes of one pattern's curves at the first allocation of the time axis."""
     t_sim = grid.n_intervals * plan.refine
-    rows = 2 * (plan.n_links + len(plan.source_links)) + len(plan.slot_row)  # entries, exits, slots
+    rows = 2 * (plan.A + len(plan.source_links)) + len(plan.slot_row)  # entries, exits, slots
     return 8 * rows * _first_cols(t_sim, _step_cap(t_sim, drain_max_steps))
 
 
@@ -451,10 +459,12 @@ def load(
     """Map total path departures to link and path travel times.
 
     A batch of one of the stepper behind ``load_batch``. Deterministic:
-    identical inputs give bit-identical results. The curves are views of
-    arrays with up to half as many columns again as the loading used. The
-    result keeps its slot curves, so it can serve as the base of a
-    ``load_batch`` whose patterns start after interval 0.
+    identical inputs give bit-identical results. ``link_up`` and ``link_dn``
+    are views of arrays with up to half as many columns again as the loading
+    used; ``n_up`` and ``n_dn`` are those curves themselves when every link
+    is on a path, and otherwise new arrays, with zero rows for the other
+    links, on each access. The result keeps its slot curves, so it can serve
+    as the base of a ``load_batch`` whose patterns start after interval 0.
     """
     h = _departures(departures, 2, path_set, grid)
     return _step(_Plan(net, path_set, grid), grid, h[None], compute_link_times,
@@ -484,9 +494,10 @@ def load_batch(
     ``link_time`` and ``instant_path_time`` are None. Large batches are
     stepped in chunks whose curves stay under a fixed byte budget.
 
-    The curves of a result are views into arrays shared by its whole chunk,
-    so a result kept alive keeps the curves of every pattern of its chunk;
-    copy what is kept.
+    The ``link_up``, ``link_dn``, ``src_up`` and ``src_dn`` curves of a
+    result are views into arrays shared by its whole chunk, so a result kept
+    alive keeps the curves of every pattern of its chunk; copy what is kept.
+    ``n_up`` and ``n_dn`` are built from them on access, as for ``load``.
     """
     h = _departures(departures, 3, path_set, grid)
     B, _, T = h.shape
@@ -587,7 +598,7 @@ def _step(
     k = int(joins[-1]) + 1  # boundaries up to the last join, taken from the base
     if k > 1:
         base_slots = base._state[2]
-        for rows, curves in ((up[:AB], base.n_up), (dn[:AB], base.n_dn),
+        for rows, curves in ((up[:AB], base.link_up), (dn[:AB], base.link_dn),
                              (dn[AB:], base.src_dn), (slots[:LB], base_slots)):
             # columns past a copy's own join are rewritten before it reads them
             rows.reshape(B, -1, cols)[:, :, :k] = curves[:, :k]
@@ -664,10 +675,7 @@ def _step(
                   np.concatenate((out[:L][link_moved], total[A:])))
 
         if t + 1 >= t_sim:  # every copy has joined
-            inside = u[:, t + 1] - d[:, t + 1]
-            stored = (inside[:A].reshape(B, -1).sum(axis=1)[::-1]
-                      + inside[A:].reshape(B, -1).sum(axis=1))
-            done = stored <= drain_tol
+            done = _stored(plan, u[:, t + 1] - d[:, t + 1], B) <= drain_tol
             if done.any():
                 n_steps[done & ~drained] = t + 1
                 drained |= done
@@ -694,32 +702,49 @@ def _step(
     for j, S in enumerate(n_steps.tolist()):
         links = slice((B - 1 - j) * A1, (B - j) * A1)
         sources = slice(AB + j * n_src, AB + (j + 1) * n_src)
-        n_up, n_dn = up[links, : S + 1], dn[links, : S + 1]
-        link_time = None
-        instant = None
-        if compute_link_times:
-            link_time = _link_times(plan, grid, dt, n_up, n_dn)
-            instant = np.zeros((P, T))
-            for hop in plan.path_links.T:
-                on = hop >= 0
-                instant[on] += link_time[hop[on]]
-        results.append(LoadingResult(
+        res = LoadingResult(
             grid=grid,
             n_steps=S,
             sim_dt_s=dt,
-            n_up=n_up,
-            n_dn=n_dn,
+            link_up=up[links, : S + 1],
+            link_dn=dn[links, : S + 1],
+            used_links=plan.used_links,
+            n_links=plan.n_links,
             src_up=up[sources, : S + 1],
             src_dn=dn[sources, : S + 1],
             source_links=plan.source_links,
             path_time=path_time[j],
             extrapolated=extrapolated[j],
-            link_time=link_time,
-            instant_path_time=instant,
             drained=bool(drained[j]),
             _state=(plan, h[j], slots[:L1, : S + 1]) if B == 1 else None,
-        ))
+        )
+        if compute_link_times:
+            res.link_time = _link_times(plan, grid, dt, res.n_up, res.n_dn)
+            res.instant_path_time = np.zeros((P, T))
+            for hop in plan.path_links.T:
+                on = hop >= 0
+                res.instant_path_time[on] += res.link_time[hop[on]]
+        results.append(res)
     return results
+
+
+def _stored(plan: _Plan, inside: np.ndarray, B: int) -> np.ndarray:
+    """Vehicles stored in each of B patterns; ``inside`` is entries minus exits per row.
+
+    A pattern's links are summed over all links in link order, with zeros on
+    the links that have no row, as with a row for every link. Summing only
+    the rows would not give the same total: numpy adds 8 or more numbers
+    pairwise, in partial sums picked by position, so where a number sits
+    changes the rounding, and a last-bit change can move the step at which a
+    pattern drains. With every link on a path the rows are that layout
+    already, and no array is built.
+    """
+    on_links = inside[: B * plan.A].reshape(B, -1)
+    if plan.A < plan.n_links:
+        every_link = np.zeros((B, plan.n_links))
+        every_link[:, plan.used_links] = on_links
+        on_links = every_link
+    return on_links.sum(axis=1)[::-1] + inside[B * plan.A :].reshape(B, -1).sum(axis=1)
 
 
 def _link_times(plan: _Plan, grid: TimeGrid, sim_dt: float, n_up, n_dn) -> np.ndarray:
@@ -732,8 +757,8 @@ def _link_times(plan: _Plan, grid: TimeGrid, sim_dt: float, n_up, n_dn) -> np.nd
     chunk = max(1, len(plan.path_links))
     for lo in range(0, plan.n_links, chunk):
         rows = slice(lo, lo + chunk)
-        exit_t[rows] = _invert_rows(n_dn[rows], entries[rows], sim_dt, plan.cap[rows])[0]
-    return np.maximum(plan.ff[:, None], exit_t - times)
+        exit_t[rows] = _invert_rows(n_dn[rows], entries[rows], sim_dt, plan.link_cap[rows])[0]
+    return np.maximum(plan.link_ff[:, None], exit_t - times)
 
 
 def _path_times(
@@ -747,10 +772,10 @@ def _path_times(
     batch in the layout of ``_Copies``, and pattern b's curves end at its own
     step ``n_steps[b]``; the results are copies x paths x intervals t0 on.
     """
-    A1, n_src, P = plan.n_links, len(plan.source_links), len(plan.path_links)
+    A1, n_src, P = plan.A, len(plan.source_links), len(plan.path_rows)
     B, k = len(up) // (A1 + n_src), len(copies)
-    hops = np.tile(plan.path_links, (k, 1))  # link of each (pattern, path) row per hop
-    first_row = np.repeat(A1 * (B - 1 - copies), P)  # row of each pattern's link 0
+    hops = np.tile(plan.path_rows, (k, 1))  # link row of each (pattern, path) per hop
+    first_row = np.repeat(A1 * (B - 1 - copies), P)  # each pattern's first link row
     n = np.repeat(n_steps[copies] + 1, P)[:, None]  # samples per row
     last = n - 1
     mids = grid.interval_mids()[t0:]

@@ -7,7 +7,9 @@ network, its path set, a time grid and seeded departures:
 - the three shipped scenarios;
 - the three-link scenario with no drain room, so trips are extrapolated;
 - a generated 4x4 lattice whose links need two loader steps per departure
-  interval and where up to 20 paths share one link.
+  interval and where up to 20 paths share one link;
+- a generated 4x4 lattice whose few paths leave links unused, one of them
+  the network's shortest, which sets the loader's refine factor.
 
 Regenerate the file only for an intended change of loader outputs:
 
@@ -58,6 +60,33 @@ def wide_lattice():
     return net, ps, grid, h
 
 
+def sparse_lattice():
+    """4x4 lattice with two paths from each of two ODs: 11 of 25 links unused.
+
+    Links are 1.6-2.2 km at 20 m/s, so the used links alone would need two
+    loader steps per 120 s interval; an exit ramp from the destination that
+    no path uses is 1 km long and makes it three.
+    """
+    rng = np.random.default_rng(2031)
+    n = 4
+    links = [nw.Link("x33", "n33", "exit", 1000.0, 20.0, 5.0, 0.6, 0.15)]
+    for r in range(n):
+        for c in range(n):
+            for link_id, head, ok in ((f"e{r}{c}", f"n{r}{c + 1}", c + 1 < n),
+                                      (f"s{r}{c}", f"n{r + 1}{c}", r + 1 < n)):
+                if ok:
+                    cap = 0.3 if head == f"n{n - 1}{n - 1}" else 0.6
+                    links.append(nw.Link(link_id, f"n{r}{c}", head,
+                                         float(rng.uniform(1600, 2200)), 20.0, 5.0, cap, 0.15))
+    ods = [nw.OdDemand(o, "n33", 1.0, 0.0, 1800.0) for o in ("n00", "n20")]
+    net = nw.validate_network(links, ods)
+    ps = nw.build_path_set(net, k_max=2, time_ratio=3.0, length_ratio=3.0)
+    grid = nw.TimeGrid(2400.0, 120.0)
+    h = rng.uniform(0.0, 20.0, size=(ps.n_paths, grid.n_intervals))
+    h[:, 12:] = 0.0
+    return net, ps, grid, h
+
+
 def _scenario(name: str, seed: int, scale: float, busy: int):
     net, ps, grid, _ = scenario.load_scenario(ROOT / "scenarios" / name / "scenario.ini").build()
     rng = np.random.default_rng(seed)
@@ -74,6 +103,7 @@ def cases():
         "grid": (*_scenario("grid", 2, 150.0, 12), {}),
         "grid_uncongested": (*_scenario("grid_uncongested", 3, 0.2, 30), {}),
         "wide_lattice": (*wide_lattice(), {}),
+        "sparse_lattice": (*sparse_lattice(), {}),
     }
 
 

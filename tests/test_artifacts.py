@@ -9,10 +9,13 @@ from dsuedhi import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
-RUNS = {  # artifact directory under out/: command and scenario
-    "three_link": ("solve", "three_link"),
-    "grid": ("solve", "grid"),
-    "compare_dsue": ("compare-dsue", "three_link"),
+RUNS = {  # artifact directory under out/: command, scenario and further arguments
+    "three_link": ("solve", "three_link", []),
+    "grid": ("solve", "grid", []),
+    "compare_dsue": ("compare-dsue", "three_link", []),
+    "dispersion_sweep": ("sweep", "grid", ["--param", "theta", "--values", "0.5,1.0,1.5,2.0"]),
+    "penetration_sweep": ("sweep", "grid",
+                          ["--param", "lambda", "--values", "0.999,0.75,0.5,0.25,0.001"]),
 }
 
 
@@ -21,10 +24,10 @@ def test_cli_run_reproduces_committed_artifacts(name, tmp_path, monkeypatch):
     for key in list(os.environ):
         if key.startswith("DSUEDHI_"):  # overrides would change the scenario
             monkeypatch.delenv(key)
-    command, scenario = RUNS[name]
+    command, scenario, extra = RUNS[name]
     out = tmp_path / name
     ini = ROOT / "scenarios" / scenario / "scenario.ini"
-    assert cli.main([command, "--scenario", str(ini), "--out", str(out)]) == 0
+    assert cli.main([command, "--scenario", str(ini), "--out", str(out), *extra]) == 0
     committed = ROOT / "out" / name
     assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in committed.iterdir())
     for path in sorted(committed.iterdir()):

@@ -66,49 +66,60 @@ class TestChoiceParams:
 
 
 class TestDisutilityMatrices:
+    """The disutility behind a share table: instantaneous times reused for
+    every departure column, forecasts taken column by column."""
+
+    @staticmethod
+    def shares_at_first(table, ps, T):
+        """The table's shares at its first interval, paths x remaining intervals."""
+        return table.share[: ps.n_paths * (T - table.first)].reshape(ps.n_paths, -1)
+
+    @staticmethod
+    def logit_of(phi, grid, ps, params, t):
+        """Per-OD logit of ``phi`` (paths x intervals t..), block by block."""
+        u = params.time_unit_s
+        dep = (np.arange(t, grid.n_intervals) + 0.5) * grid.dt_s
+        ta = np.array([params.target_arrival_s[od] for od in ps.od_of_path])
+        psi = choice.systematic_disutility(phi / u, dep[None, :] / u, ta[:, None] / u,
+                                           params.mu_early, params.mu_late)
+        return np.concatenate([choice.logit_probabilities(psi[sl], params.theta)
+                               for sl in ps.od_slices])
+
     def test_single_remaining_interval_matches_forecast_form(self, three_path_set):
         net, ps = three_path_set
         grid = nw.TimeGrid(360.0, 120.0)
         params = params_for(net, unit=1.0)
-        ta = np.array([params.target_arrival_s[od] for od in ps.od_of_path])
         phi = np.array([30.0, 40.0, 20.0])
-        a = choice.disutility_from_instant(phi, 2, grid, ta, params)
-        b = choice.disutility_from_forecast(phi[:, None], 2, grid, ta, params)
-        assert a.shape == (3, 1)
-        np.testing.assert_allclose(a, b)
+        a = choice.share_table([phi], 2, grid, ps, params)
+        b = choice.share_table([phi[:, None]], 2, grid, ps, params)
+        assert a.share.shape == (3,)
+        assert np.array_equal(a.share, b.share)
 
     def test_instant_reuses_current_time_across_columns(self, three_path_set):
         net, ps = three_path_set
         grid = nw.TimeGrid(360.0, 120.0)
         params = params_for(net)
-        ta = np.array([params.target_arrival_s[od] for od in ps.od_of_path])
         phi = np.array([3.0, 3.0, 1.0]) * params.time_unit_s
-        psi = choice.disutility_from_instant(phi, 0, grid, ta, params)
-        assert psi.shape == (3, 3)
-        # travel-time component identical across columns; only the schedule
-        # penalty varies, so subtracting it leaves each path's travel time
-        dep = (np.arange(3) + 0.5) * 2.0  # minutes
-        for p in range(3):
-            gap = dep + phi[p] / 60.0 - ta[p] / 60.0
-            mu = np.where(gap < 0, params.mu_early, params.mu_late)
-            np.testing.assert_allclose(psi[p] - mu * gap * gap, phi[p] / 60.0)
+        got = self.shares_at_first(choice.share_table([phi], 0, grid, ps, params), ps, 3)
+        assert got.shape == (3, 3)
+        # the same travel time in every column; only the schedule penalty varies
+        want = self.logit_of(np.repeat(phi[:, None], 3, axis=1), grid, ps, params, 0)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_forecast_column_specific_times(self, three_path_set):
         net, ps = three_path_set
         grid = nw.TimeGrid(360.0, 120.0)
         params = params_for(net)
-        ta = np.array([params.target_arrival_s[od] for od in ps.od_of_path])
         phi = np.array([[3, 4, 5], [3, 4, 3], [2, 1, 1]], dtype=float) * 60.0
-        psi = choice.disutility_from_forecast(phi, 0, grid, ta, params)
-        assert psi.shape == (3, 3)
+        got = self.shares_at_first(choice.share_table([phi], 0, grid, ps, params), ps, 3)
+        np.testing.assert_allclose(got, self.logit_of(phi, grid, ps, params, 0), rtol=1e-12)
 
     def test_forecast_shape_mismatch(self, three_path_set):
         net, ps = three_path_set
         grid = nw.TimeGrid(360.0, 120.0)
         params = params_for(net)
-        ta = np.array([params.target_arrival_s[od] for od in ps.od_of_path])
         with pytest.raises(choice.ChoiceError):
-            choice.disutility_from_forecast(np.zeros((3, 2)), 0, grid, ta, params)
+            choice.share_table([np.zeros((3, 2))], 0, grid, ps, params)
 
 
 class TestLogit:

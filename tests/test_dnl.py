@@ -89,28 +89,84 @@ class TestDemandSupplyRules:
         assert dnl.link_supply_rate(0.0, 500.0, 480.0, 0.5, 120.0) == 0.0
 
 
-class TestNodeFlux:
-    def test_single_movement_passes_demand(self):
-        flows = dnl.node_flux({("a", "b"): 0.1}, {"b": 0.5})
-        assert flows[("a", "b")] == pytest.approx(0.1)
+def node_net(links, ods, dt=120.0, T=40):
+    """A tiny network, its path set, a grid of T intervals and link indices."""
+    net = nw.validate_network(links, [nw.OdDemand(o, d, 1.0, 0, 0.0) for o, d in ods])
+    return net, nw.build_path_set(net), nw.TimeGrid(T * dt, dt), net.link_index
 
-    def test_merge_splits_supply_by_demand(self):
-        flows = dnl.node_flux({("a", "m"): 0.3, ("b", "m"): 0.1}, {"m": 0.2})
-        assert flows[("a", "m")] == pytest.approx(0.15)
-        assert flows[("b", "m")] == pytest.approx(0.05)
 
-    def test_blocked_branch_stalls_whole_link(self):
-        flows = dnl.node_flux(
-            {("a", "x"): 0.2, ("a", "y"): 0.3}, {"x": 0.0, "y": 10.0}
-        )
-        assert flows[("a", "x")] == 0.0
-        assert flows[("a", "y")] == 0.0
+class TestNodeModel:
+    """Merges and diverges resolved by the loader, on networks of 2-3 links."""
 
-    def test_no_movement_exceeds_demand(self):
-        demand = {("a", "m"): 0.3, ("b", "m"): 0.1}
-        flows = dnl.node_flux(demand, {"m": 100.0})
-        for k, v in flows.items():
-            assert v <= demand[k] + 1e-15
+    def test_single_movement_passes_its_demand(self):
+        # a link into one ample successor discharges as if it ended at a sink
+        a = nw.Link("a", "A", "B", 2400, 20, 5, 0.25, 0.2)
+        net, ps, grid, ix = node_net([a, nw.Link("b", "B", "C", 2400, 20, 5, 1.0, 0.2)],
+                                     [("A", "C")])
+        alone, ps_alone, _, _ = node_net([a], [("A", "B")])
+        h = np.zeros((1, 40))
+        h[0, :10] = 0.5 * 120.0  # twice a's capacity, so a queues
+        through = dnl.load(net, ps, grid, h)
+        ending = dnl.load(alone, ps_alone, grid, h)
+        steps = ending.n_steps + 1
+        assert np.array_equal(through.n_dn[ix["a"], :steps], ending.n_dn[0])
+        assert np.array_equal(through.n_up[ix["b"]], through.n_dn[ix["a"]])
+
+    def test_merge_splits_supply_in_proportion_to_demand(self):
+        # queued approaches send 0.3 and 0.1 veh/s into a 0.2 veh/s link
+        net, ps, grid, ix = node_net([nw.Link("a", "A", "M", 2400, 20, 5, 0.3, 0.2),
+                                      nw.Link("b", "B", "M", 2400, 20, 5, 0.1, 0.2),
+                                      nw.Link("m", "M", "C", 2400, 20, 5, 0.2, 0.2)],
+                                     [("A", "C"), ("B", "C")])
+        h = np.zeros((2, 40))
+        h[0, :20] = 0.6 * 120.0
+        h[1, :20] = 0.2 * 120.0
+        res = dnl.load(net, ps, grid, h)
+        rate_a, rate_b = (np.diff(res.n_dn[ix[k], 1:31]) / 120.0 for k in "ab")
+        np.testing.assert_allclose(rate_a, 0.15, rtol=1e-9)
+        np.testing.assert_allclose(rate_b, 0.05, rtol=1e-9)
+        np.testing.assert_allclose(np.diff(res.n_up[ix["m"], 1:31]) / 120.0, 0.2, rtol=1e-9)
+
+    def test_blocked_diverge_branch_stalls_the_whole_link(self):
+        # half of a's vehicles turn into x, which admits 0.01 veh/s: a's
+        # whole outflow is held to twice that, so y gets 0.01 of its 0.6
+        net, ps, grid, ix = node_net([nw.Link("a", "A", "D", 2400, 20, 5, 0.4, 0.2),
+                                      nw.Link("x", "D", "X", 2400, 20, 5, 0.01, 0.2),
+                                      nw.Link("y", "D", "Y", 2400, 20, 5, 0.6, 0.2)],
+                                     [("A", "X"), ("A", "Y")])
+        h = np.zeros((2, 40))
+        h[:, :10] = 0.2 * 120.0
+        res = dnl.load(net, ps, grid, h, drain_max_steps=20)
+        queued = res.n_up[ix["a"], 1:41] - res.n_dn[ix["a"], 1:41]
+        assert queued.min() > 40.0  # half of them bound for y, which stays nearly empty
+        for k in "xy":
+            np.testing.assert_allclose(np.diff(res.n_up[ix[k], 1:41]) / 120.0, 0.01, rtol=1e-9)
+
+    def test_no_movement_exceeds_its_demand(self, grid_congested):
+        # with ample supply a merge passes each approach's own outflow, and
+        # no link ever discharges more than capacity or than has arrived
+        links = [nw.Link("a", "A", "M", 2400, 20, 5, 0.3, 0.2),
+                 nw.Link("b", "B", "M", 2400, 20, 5, 0.1, 0.2)]
+        net, ps, grid, ix = node_net([*links, nw.Link("m", "M", "C", 2400, 20, 5, 1.0, 0.2)],
+                                     [("A", "C"), ("B", "C")])
+        h = np.zeros((2, 40))
+        h[0, :20] = 0.6 * 120.0
+        h[1, :20] = 0.2 * 120.0
+        res = dnl.load(net, ps, grid, h)
+        for k, link in enumerate(links):
+            alone, ps_alone, _, _ = node_net([link], [(link.tail, link.head)])
+            solo = dnl.load(alone, ps_alone, grid, h[k : k + 1])
+            assert np.array_equal(res.n_dn[ix[link.link_id], : solo.n_steps + 1], solo.n_dn[0])
+        net, ps, grid, _ = grid_congested
+        h = np.random.default_rng(10).uniform(0, 6, size=(ps.n_paths, grid.n_intervals))
+        res = dnl.load(net, ps, grid, h)
+        dt = res.sim_dt_s
+        cap = np.array([l.capacity_vps for l in net.links])
+        ff = np.array([l.free_flow_s for l in net.links])
+        assert np.all(np.diff(res.n_dn, axis=1) <= cap[:, None] * dt * (1 + 1e-12))
+        arrived = np.array([np.interp(res.boundaries - f, res.boundaries, up, left=0.0)
+                            for f, up in zip(ff, res.n_up)])
+        assert np.all(res.n_dn <= arrived + 1e-9)
 
 
 class TestRefinedOracle:

@@ -41,6 +41,38 @@ def test_cases_cover_wide_links_and_refinement():
     assert not capped.drained and capped.extrapolated.any()
 
 
+def test_unused_links_carry_nothing_and_keep_the_refine_factor():
+    net, ps, grid, h, _ = CASES["sparse_lattice"]
+    used = sorted({a for seq in ps.link_seq for a in seq})
+    unused = np.setdiff1d(np.arange(net.n_links), used)
+    ff = np.array([link.free_flow_s for link in net.links])
+    refine = np.ceil(grid.dt_s / ff.min())
+    assert int(np.argmin(ff)) in unused and refine > np.ceil(grid.dt_s / ff[used].min())
+    res = dnl.load(net, ps, grid, h)
+    assert res.sim_dt_s == grid.dt_s / refine
+    for got in (res, dnl.load_batch(net, ps, grid, h[None])[0]):
+        assert got.n_up.shape == got.n_dn.shape == (net.n_links, res.n_steps + 1)
+        assert not got.n_up[unused].any() and not got.n_dn[unused].any()
+        assert got.n_up[used, -1].all()
+    assert np.array_equal(res.link_time[unused], np.repeat(ff[unused, None], grid.n_intervals, 1))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_drain_sum_adds_every_link_in_link_order(seed):
+    # numpy sums 8 or more numbers pairwise by position, so the used links'
+    # stored vehicles are summed at their places among all links
+    net, ps, grid, _, _ = CASES["sparse_lattice"]
+    plan = dnl._Plan(net, ps, grid)
+    B, A, n_src = 3, plan.A, len(plan.source_links)
+    assert 8 <= A < net.n_links
+    inside = np.random.default_rng(seed).uniform(0.0, 1.0, B * (A + n_src))
+    links = np.zeros((B, net.n_links))
+    links[:, plan.used_links] = inside[: B * A].reshape(B, A)[::-1]  # copies B-1, ..., 0
+    sources = inside[B * A :].reshape(B, n_src)
+    want = [np.sum(links[j]) + np.sum(sources[j]) for j in range(B)]
+    assert np.array_equal(dnl._stored(plan, inside, B), want)
+
+
 def random_lattice(seed: int):
     """A lattice with random size, link parameters, ODs, paths and departures.
 
