@@ -13,12 +13,10 @@ from .equilibrium import (
     solve_dsue,
     solve_sram,
 )
-from .info import ForecastInfo, InstantInfo
 from .metrics import (
     MetricsError,
     experienced_disutility,
     information_accuracy,
-    relative_difference,
     total_travel_time,
 )
 from .network import (
@@ -32,7 +30,6 @@ from .network import (
     TimeGrid,
     build_path_set,
     enumerate_paths,
-    incidence_matrix,
     validate_network,
 )
 from .scenario import Scenario, ScenarioError, load_scenario

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dnl import _group_sums
+from .dnl import _group_sums, _wide_groups
 from .network import PathSet, TimeGrid
 
 
@@ -104,15 +104,6 @@ class _Layout:
     block_od: np.ndarray  # (blocks,)
     wide: tuple  # ``_group_sums`` groups of blocks with 8 or more cells
     intervals: tuple[_Interval, ...]
-
-
-def _wide_groups(start: np.ndarray, size: np.ndarray) -> tuple:
-    """(blocks, cell indices) per block size of 8 or more, for ``_group_sums``."""
-    groups = []
-    for n in sorted(set(size[size >= 8].tolist())):
-        blocks = np.flatnonzero(size == n)
-        groups.append((blocks, start[blocks][:, None] + np.arange(n)))
-    return tuple(groups)
 
 
 @functools.lru_cache(maxsize=64)

@@ -3,7 +3,7 @@
 Subcommands: validate, solve, sweep, compare-dsue, multistart, print-config.
 Exit codes: 0 success, 1 usage or parse error, 2 non-convergence, 3 model
 error. Artifacts are deterministic: identical scenario and seed give
-byte-identical files, regardless of worker count.
+byte-identical files.
 """
 
 from __future__ import annotations

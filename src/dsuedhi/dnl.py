@@ -73,7 +73,6 @@ above, not only on the model.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,23 +81,9 @@ from .network import Network, PathSet, TimeGrid
 
 _EPS_VEH = 1e-12
 
-_counter_lock = threading.Lock()
-_load_calls = 0
-
 
 class DnlError(RuntimeError):
     """Raised when loading input is infeasible or internally inconsistent."""
-
-
-def load_call_count() -> int:
-    """Number of load() invocations since the last reset (diagnostics)."""
-    return _load_calls
-
-
-def reset_load_call_count() -> None:
-    global _load_calls
-    with _counter_lock:
-        _load_calls = 0
 
 
 def check_feasible(
@@ -256,6 +241,15 @@ def _group_sums(x: np.ndarray, group: np.ndarray, n: int, wide) -> np.ndarray:
     return out
 
 
+def _wide_groups(start: np.ndarray, size: np.ndarray) -> tuple:
+    """(groups, element indices) per group size of 8 or more, for ``_group_sums``."""
+    groups = []
+    for n in sorted(set(size[size >= 8].tolist())):
+        index = np.flatnonzero(size == n)
+        groups.append((index, start[index][:, None] + np.arange(n)))
+    return tuple(groups)
+
+
 def _widen(curves: np.ndarray, cols: int) -> np.ndarray:
     """``curves`` with ``cols`` columns, the new ones copies of the last."""
     out = np.empty((len(curves), cols))
@@ -361,11 +355,7 @@ class _Copies:
             np.tile(x, B) for x in (plan.ff, plan.wave_lag, plan.cap, plan.storage))
         R = B * (A + n_src)
         row_start = np.searchsorted(self.slot_row, np.arange(R + 1))
-        size = np.diff(row_start)
-        self.wide = []
-        for n in sorted(set(size[size >= 8].tolist())):
-            rows = np.flatnonzero(size == n)
-            self.wide.append((rows, row_start[rows][:, None] + np.arange(n)))
+        self.wide = _wide_groups(row_start[:-1], np.diff(row_start))
         self.rate_beyond = np.concatenate((self.cap, np.ones(B * n_src)))
         # samples known at step 0: a link's entries up to now, a source's one step ahead
         self.n_known = (np.arange(R) >= B * A).astype(np.intp)[:, None] + 1
@@ -573,10 +563,7 @@ def _step(
     batch of one keeps its link slot curves, so its result can serve as a
     base.
     """
-    global _load_calls
     B, P, T = h.shape
-    with _counter_lock:
-        _load_calls += B
 
     c = _Copies(plan, B)
     A1, L1, n_src, _ = c.sizes
@@ -793,10 +780,3 @@ def _path_times(
         clock[on] = np.maximum(clock[on] + plan.ff[a][:, None], exit_t)
         flagged[on] |= beyond
     return (clock - mids).reshape(k, P, -1), flagged.reshape(k, P, -1)
-
-
-def instantaneous_path_times(loading: LoadingResult, t_index: int) -> np.ndarray:
-    """Sum of current link travel times along each path at one boundary."""
-    if loading.instant_path_time is None:
-        raise DnlError("loading was computed without link times")
-    return loading.instant_path_time[:, t_index].copy()

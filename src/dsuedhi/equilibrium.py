@@ -57,7 +57,7 @@ class MapResult:
     loading: dnl.LoadingResult
     instant_trace: np.ndarray  # paths x T: current times at each provision interval
     forecast_diag: np.ndarray  # paths x T: forecast made at t for departure at t
-    forecast_full: list[np.ndarray] | None = None
+    forecast_full: list[np.ndarray] | None = None  # paths x (T - t) forecast made at each t
 
 
 @dataclass
@@ -116,32 +116,20 @@ def fixed_point_map(
     d_instant, d_forecast = net.class_demands()
 
     base = dnl.load(net, path_set, grid, h_total)
-    instants = [info.instant_info(base, t) for t in range(T)]
-    instant_shares = choice.share_table([i.phi_s for i in instants], 0, grid, path_set,
-                                        params)
+    instant_shares = choice.share_table(base.instant_path_time.T, 0, grid, path_set, params)
     spliced = np.empty((T, P, T))
     for t in range(T):
         pooled = info.pooled_remaining_demand(h_total, t, net, path_set)
         predicted = choice.tentative_from_shares(instant_shares, t, pooled)
         spliced[t] = info.splice(h_total, predicted, t)
     forecasts = info.forecast_batch(net, path_set, grid, spliced, range(T), base)
-    forecast_shares = choice.share_table([f.phi_s for f in forecasts], 0, grid, path_set,
-                                         params)
+    forecast_shares = choice.share_table(forecasts, 0, grid, path_set, params)
 
     y_instant = np.zeros((P, T))
     y_forecast = np.zeros((P, T))
-    instant_trace = np.zeros((P, T))
-    forecast_diag = np.zeros((P, T))
-    forecast_full: list[np.ndarray] | None = [] if collect_full else None
-
     rem_i = d_instant.astype(float).copy()
     rem_f = d_forecast.astype(float).copy()
-    for t, (inst, fc) in enumerate(zip(instants, forecasts)):
-        instant_trace[:, t] = inst.phi_s
-        forecast_diag[:, t] = fc.phi_s[:, 0]
-        if forecast_full is not None:
-            forecast_full.append(fc.phi_s)
-
+    for t in range(T):
         tent_i = choice.tentative_from_shares(instant_shares, t, rem_i)
         tent_f = choice.tentative_from_shares(forecast_shares, t, rem_f)
         col_i = choice.realize_departures(tent_i)
@@ -158,7 +146,9 @@ def fixed_point_map(
         rem_i = np.maximum(rem_i, 0.0)
         rem_f = np.maximum(rem_f, 0.0)
 
-    return MapResult((y_instant, y_forecast), base, instant_trace, forecast_diag, forecast_full)
+    forecast_diag = np.stack([fc[:, 0] for fc in forecasts], axis=1)
+    return MapResult((y_instant, y_forecast), base, base.instant_path_time, forecast_diag,
+                     forecasts if collect_full else None)
 
 
 def residual(h: np.ndarray, y: np.ndarray) -> float:

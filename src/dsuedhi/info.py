@@ -16,37 +16,15 @@ forecast spliced at t has the candidate's departures before t, so its loading
 repeats the candidate loading up to there: the forecast patterns are loaded
 together in one batched pass (``dnl.load_batch``) in which each starts from
 the candidate loading's state at its own interval and is timed from there
-on. ``dnl.load_call_count`` counts every loaded pattern.
+on.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import choice, dnl
 from .network import Network, PathSet, TimeGrid
-
-
-@dataclass(frozen=True)
-class InstantInfo:
-    """Current travel time per path, provided at one interval."""
-
-    t_index: int
-    phi_s: np.ndarray  # (paths,)
-
-
-@dataclass(frozen=True)
-class ForecastInfo:
-    """Forecast travel time per path and remaining departure interval."""
-
-    t_index: int
-    phi_s: np.ndarray  # (paths, remaining intervals)
-
-
-def instant_info(loading: dnl.LoadingResult, t_index: int) -> InstantInfo:
-    return InstantInfo(t_index, dnl.instantaneous_path_times(loading, t_index))
 
 
 def pooled_remaining_demand(
@@ -78,13 +56,13 @@ def forecast_batch(
     spliced: np.ndarray,
     t_indices,
     base: dnl.LoadingResult,
-) -> list[ForecastInfo]:
+) -> list[np.ndarray]:
     """Load spliced patterns ``spliced[B, P, T]`` in one batch.
 
     Pattern b was spliced at ``t_indices[b]`` onto the departures that
     ``base`` loaded, and starts from the base's state there; its forecast
-    holds the path travel times from that interval on.
+    is the paths x (intervals ``t_indices[b]``..T-1) matrix of path travel
+    times from that interval on.
     """
     loadings = dnl.load_batch(net, path_set, grid, spliced, base=base, starts=t_indices)
-    return [ForecastInfo(t, loading.path_time[:, t:].copy())
-            for t, loading in zip(t_indices, loadings, strict=True)]
+    return [loading.path_time[:, t:] for t, loading in zip(t_indices, loadings, strict=True)]

@@ -25,20 +25,6 @@ class MetricsError(ValueError):
     """Raised on undefined metric requests (zero denominators, missing data)."""
 
 
-def relative_difference(a, b):
-    """(a - b) / b for scalars, norm(a - b) / norm(b) for vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim == 0 and b.ndim == 0:
-        if b == 0.0:
-            raise MetricsError("relative difference to a zero scalar")
-        return float((a - b) / b)
-    denom = float(np.linalg.norm(b))
-    if denom == 0.0:
-        raise MetricsError("relative difference to a zero vector")
-    return float(np.linalg.norm(a - b) / denom)
-
-
 def trim_window(grid: TimeGrid, trim_fraction: float) -> np.ndarray:
     """Boolean mask over departure intervals keeping the mid-horizon part."""
     if not 0 <= trim_fraction < 0.5:

@@ -413,15 +413,6 @@ def build_path_set(
     return PathSet(tuple(paths), tuple(slices), od_of_path, ff, tuple(link_seqs))
 
 
-def incidence_matrix(path_set: PathSet, net: Network) -> np.ndarray:
-    """Link-path incidence: entry (a, p) is 1 iff path p traverses link a."""
-    delta = np.zeros((net.n_links, path_set.n_paths))
-    for p, seq in enumerate(path_set.link_seq):
-        for a in seq:
-            delta[a, p] = 1.0
-    return delta
-
-
 def read_links_csv(path) -> list[Link]:
     """Parse the link table: comma-separated, one header row, 8 fields."""
     fields = 8
@@ -481,21 +472,3 @@ def read_demand_csv(path) -> list[OdDemand]:
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
     return demands
-
-
-def all_simple_paths(net: Network, origin: str, destination: str) -> list[tuple[str, ...]]:
-    """Exhaustive loopless path enumeration (reference for small graphs)."""
-    results: list[tuple[str, ...]] = []
-
-    def walk(node: str, seq: tuple[str, ...], visited: frozenset[str]) -> None:
-        if node == destination:
-            results.append(seq)
-            return
-        for head, link_id, _, _ in net.adjacency.get(node, ()):
-            if head in visited:
-                continue
-            walk(head, seq + (link_id,), visited | {head})
-
-    walk(origin, (), frozenset({origin}))
-    results.sort()
-    return results

@@ -156,7 +156,12 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioError(f"{path}: [{section}] {key} = {raw!r} is not a number") from exc
 
     def _i(section: str, key: str) -> int:
-        return int(round(_f(section, key)))
+        value = _f(section, key)
+        if not value.is_integer():
+            raise ScenarioError(
+                f"{path}: [{section}] {key} = {values[section][key]!r} is not an integer"
+            )
+        return int(value)
 
     def _b(section: str, key: str) -> bool:
         raw = values[section][key].strip().lower()

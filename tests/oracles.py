@@ -2,7 +2,8 @@
 
 The loading oracle integrates cumulative curves at a hundredth of the
 departure interval with plain point-queue recursions; it shares no code with
-the production loader.
+the production loader. The path oracles enumerate every simple path by
+exhaustive search and build the dense link-path incidence matrix.
 """
 
 from __future__ import annotations
@@ -11,6 +12,33 @@ import numpy as np
 
 from dsuedhi import dnl
 from dsuedhi import network as nw
+
+
+def all_simple_paths(net, origin, destination):
+    """Exhaustive loopless path enumeration (reference for small graphs)."""
+    results = []
+
+    def walk(node, seq, visited):
+        if node == destination:
+            results.append(seq)
+            return
+        for head, link_id, _, _ in net.adjacency.get(node, ()):
+            if head in visited:
+                continue
+            walk(head, seq + (link_id,), visited | {head})
+
+    walk(origin, (), frozenset({origin}))
+    results.sort()
+    return results
+
+
+def incidence_matrix(path_set, net):
+    """Link-path incidence: entry (a, p) is 1 iff path p traverses link a."""
+    delta = np.zeros((net.n_links, path_set.n_paths))
+    for p, seq in enumerate(path_set.link_seq):
+        for a in seq:
+            delta[a, p] = 1.0
+    return delta
 
 
 class FineCurve:

@@ -85,14 +85,6 @@ def test_batch_grows_its_time_axis_and_splits_into_chunks(three_link, monkeypatc
     assert_batch_equals_solo(net, ps, grid, batch)
 
 
-def test_batch_adds_one_load_per_pattern(three_link):
-    net, ps, grid, _ = three_link
-    batch = np.ones((5, ps.n_paths, grid.n_intervals))
-    dnl.reset_load_call_count()
-    dnl.load_batch(net, ps, grid, batch)
-    assert dnl.load_call_count() == 5
-
-
 def test_batch_rejects_bad_shapes_and_negative_departures(three_link):
     net, ps, grid, _ = three_link
     good = np.ones((2, ps.n_paths, grid.n_intervals))
@@ -110,10 +102,11 @@ def test_forecast_batch_equals_single_forecasts(grid_congested):
                         for t in ts])
     base = dnl.load(net, ps, grid, h)
     batch = info.forecast_batch(net, ps, grid, spliced, ts, base)
+    assert len(batch) == len(ts)
     for t, s, fc in zip(ts, spliced, batch):
         one = info.forecast_batch(net, ps, grid, s[None], [t], base)[0]
-        assert fc.t_index == one.t_index == t
-        assert np.array_equal(fc.phi_s, one.phi_s)
+        assert fc.shape == one.shape == (ps.n_paths, grid.n_intervals - t)
+        assert np.array_equal(fc, one)
 
 
 def assert_started_equals_solo(net, ps, grid, base, batch, starts, cap=None):
@@ -129,8 +122,8 @@ def assert_started_equals_solo(net, ps, grid, base, batch, starts, cap=None):
             assert np.shape(mine) == np.shape(want), field
             assert np.array_equal(mine, want), field
         if forecasts is not None:
-            assert forecasts[i].t_index == t
-            assert np.array_equal(forecasts[i].phi_s, solo.path_time[:, t:])
+            assert forecasts[i].shape == (ps.n_paths, grid.n_intervals - t)
+            assert np.array_equal(forecasts[i], solo.path_time[:, t:])
     return got
 
 

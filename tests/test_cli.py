@@ -47,6 +47,28 @@ class TestValidate:
         ini.write_text(ini.read_text() + "\n[solver]\nbogus = 1\n")
         assert run(["validate", "--scenario", ini]) == 1
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("paths", "k_max", "1.5"),
+        ("paths", "k_max", "2.5"),
+        ("solver", "max_iterations", "99.5"),
+        ("solver", "max_iterations", "inf"),
+    ])
+    def test_non_integral_integer_key_rejected(self, three_link_dir, monkeypatch, section,
+                                               key, value):
+        # half-way values used to round to the nearest even integer silently
+        monkeypatch.setenv(f"DSUEDHI_{section.upper()}_{key.upper()}", value)
+        assert run(["validate", "--scenario", three_link_dir / "scenario.ini"]) == 1
+        with pytest.raises(ScenarioError, match=f"{key} = '{value}' is not an integer"):
+            load_scenario(three_link_dir / "scenario.ini")
+
+    def test_integral_spellings_of_integer_keys_accepted(self, three_link_dir, monkeypatch):
+        monkeypatch.setenv("DSUEDHI_PATHS_K_MAX", "2.0")
+        monkeypatch.setenv("DSUEDHI_SOLVER_MAX_ITERATIONS", "1e2")
+        sc = load_scenario(three_link_dir / "scenario.ini")
+        assert (sc.k_max, sc.solver.max_iterations) == (2, 100)
+        assert type(sc.k_max) is int and type(sc.solver.max_iterations) is int
+        assert run(["validate", "--scenario", three_link_dir / "scenario.ini"]) == 0
+
 
 class TestSolve:
     def test_artifacts_written_and_deterministic(self, three_link_dir, tmp_path):

@@ -225,7 +225,7 @@ class TestInstantaneousTimes:
         ps = nw.build_path_set(net)
         grid = nw.TimeGrid(1200.0, 60.0)
         res = dnl.load(net, ps, grid, np.zeros((1, 20)))
-        phi = dnl.instantaneous_path_times(res, 0)
+        phi = res.instant_path_time[:, 0]
         assert phi[0] == pytest.approx(res.link_time[0, 0] + res.link_time[1, 0])
         assert phi[0] == pytest.approx(420.0, abs=1e-9)
 
@@ -351,16 +351,6 @@ class TestWarmStart:
         assert np.isnan(warm.path_time[:, :20]).all()
         assert np.array_equal(cold.path_time[:, 20:], warm.path_time[:, 20:])
         assert np.array_equal(cold.n_dn, warm.n_dn)
-
-
-class TestLoadCounter:
-    def test_counter_increments(self):
-        net, ps = single_link_net(demand=1.0)
-        grid = nw.TimeGrid(1200.0, 120.0)
-        dnl.reset_load_call_count()
-        dnl.load(net, ps, grid, np.zeros((1, 10)))
-        dnl.load(net, ps, grid, np.zeros((1, 10)))
-        assert dnl.load_call_count() == 2
 
 
 class TestCheckFeasible:

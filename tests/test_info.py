@@ -20,13 +20,13 @@ class TestForecastDepartures:
     def test_uncongested_matches_direct_formula(self, grid_uncongested):
         net, ps, grid, params = grid_uncongested
         loading = dnl.load(net, ps, grid, np.zeros((ps.n_paths, grid.n_intervals)))
-        inst = info.instant_info(loading, 0)
+        phi = loading.instant_path_time[:, 0]
         totals = np.array([od.demand_total for od in net.od_pairs])
-        got = choice.tentative_departures(inst.phi_s, totals, inst.t_index, grid, ps, params)
+        got = choice.tentative_departures(phi, totals, 0, grid, ps, params)
         dep = grid.interval_mids()
         for od_index, sl in enumerate(ps.od_slices):
             want = softmax_assignment(
-                inst.phi_s[sl],
+                phi[sl],
                 dep,
                 net.od_pairs[od_index].target_arrival_s,
                 totals[od_index],
@@ -40,9 +40,8 @@ class TestForecastDepartures:
     def test_zero_remaining_demand(self, grid_uncongested):
         net, ps, grid, params = grid_uncongested
         loading = dnl.load(net, ps, grid, np.zeros((ps.n_paths, grid.n_intervals)))
-        inst = info.instant_info(loading, 5)
         got = choice.tentative_departures(
-            inst.phi_s, np.zeros(net.n_ods), inst.t_index, grid, ps, params
+            loading.instant_path_time[:, 5], np.zeros(net.n_ods), 5, grid, ps, params
         )
         assert not got.any()
 
@@ -91,10 +90,9 @@ class TestForecastInfo:
         zeros = np.zeros((ps.n_paths, grid.n_intervals))
         loading = dnl.load(net, ps, grid, zeros)
         fc = info.forecast_batch(net, ps, grid, zeros[None], [4], loading)[0]
-        assert fc.phi_s.shape == (ps.n_paths, grid.n_intervals - 4)
-        assert np.abs(fc.phi_s - ps.free_flow_s[:, None]).max() <= 1e-9
-        inst = info.instant_info(loading, 4)
-        np.testing.assert_allclose(fc.phi_s[:, 0], inst.phi_s, atol=1e-9)
+        assert fc.shape == (ps.n_paths, grid.n_intervals - 4)
+        assert np.abs(fc - ps.free_flow_s[:, None]).max() <= 1e-9
+        np.testing.assert_allclose(fc[:, 0], loading.instant_path_time[:, 4], atol=1e-9)
 
     def test_history_consistency_for_completed_trips(self, grid_congested):
         # columns before the provision interval are the real history, so
@@ -123,11 +121,11 @@ class TestForecastInfo:
         spliced = info.splice(h, pred, 10)
         via_helper = info.forecast_batch(net, ps, grid, spliced[None], [10], base)[0]
         cold = dnl.load(net, ps, grid, spliced)
-        assert np.array_equal(via_helper.phi_s, cold.path_time[:, 10:])
+        assert np.array_equal(via_helper, cold.path_time[:, 10:])
 
 
 class TestCostAccounting:
-    def test_one_load_per_provision_interval_plus_one(self, three_link):
+    def test_one_load_per_provision_interval_plus_one(self, three_link, monkeypatch):
         net, ps, grid, params = three_link
         from dsuedhi.equilibrium import fixed_point_map
 
@@ -137,6 +135,20 @@ class TestCostAccounting:
         for od_index, sl in enumerate(ps.od_slices):
             h_i[sl.start, 0] = d_i[od_index]
             h_f[sl.start, 1] = d_f[od_index]
-        dnl.reset_load_call_count()
+        loaded = []
+        load, load_batch = dnl.load, dnl.load_batch
+
+        def counted_load(*args, **kwargs):
+            result = load(*args, **kwargs)
+            loaded.append(result)
+            return result
+
+        def counted_load_batch(*args, **kwargs):
+            results = load_batch(*args, **kwargs)
+            loaded.extend(results)
+            return results
+
+        monkeypatch.setattr(dnl, "load", counted_load)
+        monkeypatch.setattr(dnl, "load_batch", counted_load_batch)
         fixed_point_map(h_i, h_f, net, ps, grid, params)
-        assert dnl.load_call_count() == grid.n_intervals + 1
+        assert len(loaded) == grid.n_intervals + 1

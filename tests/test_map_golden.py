@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dsuedhi import dnl
+from dsuedhi import dnl, equilibrium
 from map_cases import FIELDS, GOLDEN, cases, run
 
 CASES = cases()
@@ -31,6 +31,17 @@ def test_corridor_map_is_refined_and_not_constant(golden):
         assert not np.allclose(golden[f"corridor__{field}"], golden[f"corridor_b__{field}"])
     # forecasts see queues the instantaneous times do not
     assert not np.allclose(golden["corridor__forecast_diag"], golden["corridor__instant_trace"])
+
+
+def test_map_information_is_the_loaders_arrays():
+    net, ps, grid, params, h_i, h_f = CASES["corridor"]
+    res = equilibrium.fixed_point_map(h_i, h_f, net, ps, grid, params, collect_full=True)
+    base = dnl.load(net, ps, grid, h_i + h_f)
+    assert np.array_equal(res.instant_trace, base.instant_path_time)
+    assert len(res.forecast_full) == grid.n_intervals
+    for t, forecast in enumerate(res.forecast_full):
+        assert forecast.shape == (ps.n_paths, grid.n_intervals - t)
+        assert np.array_equal(res.forecast_diag[:, t], forecast[:, 0])
 
 
 def test_lattice_choice_sets_are_unequal_and_beyond_the_pairwise_block():

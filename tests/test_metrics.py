@@ -1,35 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dsuedhi import metrics
 from dsuedhi.equilibrium import SolverConfig, solve_sram
 from dsuedhi.network import TimeGrid
-
-
-class TestRelativeDifference:
-    def test_scalars(self):
-        assert metrics.relative_difference(6.0, 5.0) == pytest.approx(0.2)
-
-    def test_equal_vectors(self):
-        v = np.array([1.0, 2.0, 3.0])
-        assert metrics.relative_difference(v, v) == 0.0
-
-    def test_zero_denominator(self):
-        with pytest.raises(metrics.MetricsError):
-            metrics.relative_difference(1.0, 0.0)
-        with pytest.raises(metrics.MetricsError):
-            metrics.relative_difference(np.ones(3), np.zeros(3))
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_matches_norm_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=7)
-        b = rng.normal(size=7) + 2.0
-        want = float(np.sqrt(((a - b) ** 2).sum()) / np.sqrt((b**2).sum()))
-        assert metrics.relative_difference(a, b) == pytest.approx(want, rel=1e-12)
 
 
 class TestTrimWindow:

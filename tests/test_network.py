@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsuedhi import network as nw
+from oracles import all_simple_paths, incidence_matrix
 
 
 def make_three_link_records():
@@ -126,7 +127,7 @@ class TestEnumerate:
         od = net.od_pairs[0]
         got = nw.enumerate_paths(net, od, k_max=2, time_ratio=1.0, length_ratio=1.0)
         # oracle: enumerate all simple paths, filter by the same bounds, sort
-        every = nw.all_simple_paths(net, od.origin, od.destination)
+        every = all_simple_paths(net, od.origin, od.destination)
         cost = lambda seq: sum(net.link(l).free_flow_s for l in seq)
         best = min(cost(s) for s in every)
         expected = sorted(
@@ -169,7 +170,7 @@ class TestIncidence:
         links, demands = make_three_link_records()
         net = nw.validate_network(links, demands)
         ps = nw.build_path_set(net)
-        delta = nw.incidence_matrix(ps, net)
+        delta = incidence_matrix(ps, net)
         shared = net.link_index["3"]
         assert np.all(delta[shared] == 1.0)
 
@@ -179,13 +180,13 @@ class TestIncidence:
             [nw.OdDemand("A", "B", 3, 0, 0.0)],
         )
         ps = nw.build_path_set(net)
-        delta = nw.incidence_matrix(ps, net)
+        delta = incidence_matrix(ps, net)
         assert delta.shape == (1, 1) and delta[0, 0] == 1.0
 
     def test_transpose_times_link_times_equals_traversal_sums(self):
         net = grid_2x2()
         ps = nw.build_path_set(net, k_max=4, time_ratio=3.0, length_ratio=3.0)
-        delta = nw.incidence_matrix(ps, net)
+        delta = incidence_matrix(ps, net)
         link_ff = np.array([l.free_flow_s for l in net.links])
         via_incidence = delta.T @ link_ff
         via_traversal = np.array(
@@ -196,7 +197,7 @@ class TestIncidence:
     def test_column_sums_count_links_per_path(self):
         net = grid_2x2()
         ps = nw.build_path_set(net, k_max=4, time_ratio=3.0, length_ratio=3.0)
-        delta = nw.incidence_matrix(ps, net)
+        delta = incidence_matrix(ps, net)
         np.testing.assert_array_equal(
             delta.sum(axis=0), [len(p.link_ids) for p in ps.paths]
         )
