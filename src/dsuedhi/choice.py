@@ -16,7 +16,9 @@ disutility, per-block max shift, ``exp``, normalisation and the first largest
 share of each block. Assignment (``tentative_from_shares``, one interval at a
 time) scales the shares by the remaining demand and folds the floating-point
 residual of each total into the block's first largest share; only this part
-depends on the demand. ``tentative_departures`` is the one-interval case and
+depends on the demand. ``rollout`` carries one class through the
+intervals of a table, realizing one column at a time from its own remaining
+demand. ``tentative_departures`` is the one-interval case and
 ``logit_probabilities`` the one-block case of the same kernel. Per block,
 results are bit-identical to a logit over that block alone: elementwise steps
 and maxima are exact in any layout, and block sums add the same numbers in the
@@ -325,3 +327,22 @@ def realize_departures(tentative: np.ndarray) -> np.ndarray:
     if tentative.ndim != 2 or tentative.shape[1] < 1:
         raise ChoiceError("tentative departures must have at least one column")
     return tentative[:, 0].copy()
+
+
+def rollout(table: ShareTable, class_demand: np.ndarray, path_set: PathSet) -> np.ndarray:
+    """One class's realized departures, paths x the table's provision intervals.
+
+    At each interval the class's remaining demand is assigned to the table,
+    and only the current column is realized and subtracted from it. An
+    overdraw beyond floating-point dust raises; dust is clamped to zero.
+    """
+    demand = np.asarray(class_demand, dtype=float)
+    rem = demand.copy()
+    y = np.zeros((table.n_paths, len(table.layout.intervals)))
+    for i, iv in enumerate(table.layout.intervals):
+        y[:, i] = realize_departures(tentative_from_shares(table, iv.t, rem))
+        np.subtract.at(rem, path_set.od_of_path, y[:, i])
+        if np.any(rem < -1e-9 * np.maximum(1.0, demand)):
+            raise ChoiceError(f"interval {iv.t}: realized departures overdraw class demand")
+        rem = np.maximum(rem, 0.0)
+    return y

@@ -166,19 +166,18 @@ def run_solve(sc: Scenario, out_dir: Path) -> int:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if sc.dump_curves:
-        result.loading.write_curves_csv(out_dir / "curves.csv", net.links)
+        n_up, n_dn, times = result.loading.n_up, result.loading.n_dn, result.loading.boundaries
+        rows = [(str(link.link_id), t, n_up[a, k], n_dn[a, k])
+                for a, link in enumerate(net.links) for k, t in enumerate(times)]
+        _write_rows(out_dir / "curves.csv", ["link_id", "t", "n_up", "n_dn"], rows)
     if sc.dump_forecasts:
-        _dump_forecasts(out_dir / "forecasts.csv", sc, built, result)
+        _dump_forecasts(out_dir / "forecasts.csv", result)
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
-def _dump_forecasts(path: Path, sc: Scenario, built, result: EquilibriumResult) -> None:
-    net, path_set, grid, params = built
-    mr = equilibrium.fixed_point_map(
-        result.h_instant, result.h_forecast, net, path_set, grid, params, collect_full=True
-    )
+def _dump_forecasts(path: Path, result: EquilibriumResult) -> None:
     rows = []
-    for t, mat in enumerate(mr.forecast_full):
+    for t, mat in enumerate(result.forecast_full):
         for p in range(mat.shape[0]):
             for j in range(mat.shape[1]):
                 rows.append((str(t), str(p), str(t + j), _fmt(mat[p, j])))

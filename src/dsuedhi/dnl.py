@@ -151,15 +151,6 @@ class LoadingResult:
         at_sources = float(np.sum(self.src_up[:, -1] - self.src_dn[:, -1]))
         return on_links + at_sources
 
-    def write_curves_csv(self, path, links: tuple) -> None:
-        n_up, n_dn = self.n_up, self.n_dn
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("link_id,t,n_up,n_dn\n")
-            times = self.boundaries
-            for a, link in enumerate(links):
-                for k, t in enumerate(times):
-                    fh.write(f"{link.link_id},{t:.12g},{n_up[a, k]:.12g},{n_dn[a, k]:.12g}\n")
-
 
 def link_demand_rate(n_up_lagged, n_dn_now, arrival_mass, capacity_vps, dt_s):
     """Sending flow rate of links over one step, elementwise over arrays.
@@ -706,7 +697,7 @@ def _step(
             _state=(plan, h[j], slots[:L1, : S + 1]) if B == 1 else None,
         )
         if compute_link_times:
-            res.link_time = _link_times(plan, grid, dt, res.n_up, res.n_dn)
+            res.link_time = _link_times(plan, grid, dt, res.link_up, res.link_dn)
             res.instant_path_time = np.zeros((P, T))
             for hop in plan.path_links.T:
                 on = hop >= 0
@@ -734,18 +725,23 @@ def _stored(plan: _Plan, inside: np.ndarray, B: int) -> np.ndarray:
     return on_links.sum(axis=1)[::-1] + inside[B * plan.A :].reshape(B, -1).sum(axis=1)
 
 
-def _link_times(plan: _Plan, grid: TimeGrid, sim_dt: float, n_up, n_dn) -> np.ndarray:
-    """Travel time for entry at each departure-interval boundary, per link."""
+def _link_times(plan: _Plan, grid: TimeGrid, sim_dt: float, link_up, link_dn) -> np.ndarray:
+    """Travel time for entry at each departure-interval boundary, per link.
+
+    Timed on the used links' rows; a link without one takes its free-flow time.
+    """
     times = grid.interval_starts()
-    entries = _interp_rows(n_up, np.broadcast_to(times, (plan.n_links, len(times))), sim_dt)
+    entries = _interp_rows(link_up, np.broadcast_to(times, (plan.A, len(times))), sim_dt)
     exit_t = np.empty_like(entries)
     # at most as many links per inversion as there are paths, so its
     # temporary stays within the paths x T x steps of _path_times
     chunk = max(1, len(plan.path_links))
-    for lo in range(0, plan.n_links, chunk):
+    for lo in range(0, plan.A, chunk):
         rows = slice(lo, lo + chunk)
-        exit_t[rows] = _invert_rows(n_dn[rows], entries[rows], sim_dt, plan.link_cap[rows])[0]
-    return np.maximum(plan.link_ff[:, None], exit_t - times)
+        exit_t[rows] = _invert_rows(link_dn[rows], entries[rows], sim_dt, plan.cap[rows])[0]
+    out = np.repeat(plan.link_ff[:, None], len(times), axis=1)
+    out[plan.used_links] = np.maximum(plan.ff[:, None], exit_t - times)
+    return out
 
 
 def _path_times(

@@ -2,15 +2,18 @@
 
 One application of the map rolls the within-day loop forward: load the
 candidate pattern once, generate the instantaneous and forecast information
-of every interval from it, then interval by interval let each class make
-tentative choices from its own remaining demand and realize only the current
-column. A pattern is at equilibrium when the map reproduces it.
+of every interval from it, then roll each class out on its own information:
+interval by interval it makes tentative choices from its own remaining demand
+and realizes only the current column. A pattern is at equilibrium when the
+map reproduces it.
 
 The solver averages each iterate toward the map image with a self-regulated
 step: the inverse step size grows fast when the residual gap grows and slowly
 when it shrinks. Class matrices are updated with the shared step, so exact
-per-class demand conservation is preserved by convexity. Non-convergence is a
-reported outcome carrying the full trace, never an exception.
+per-class demand conservation is preserved by convexity. The result holds the
+pattern the last map was applied to, with that map's loading and information.
+Non-convergence is a reported outcome carrying the full trace, never an
+exception.
 """
 
 from __future__ import annotations
@@ -76,6 +79,7 @@ class EquilibriumResult:
     loading: dnl.LoadingResult
     instant_trace: np.ndarray
     forecast_diag: np.ndarray
+    forecast_full: list[np.ndarray] | None  # of the last map; None for "dsue"
     iterates: list[tuple[np.ndarray, ...]] | None = None
 
     @property
@@ -90,65 +94,35 @@ def fixed_point_map(
     path_set: PathSet,
     grid: TimeGrid,
     params: ChoiceParams,
-    collect_full: bool = False,
 ) -> MapResult:
     """Roll the closed loop forward once from a candidate class pair.
 
     Information first: the instantaneous times of every interval come from
     the candidate loading, and the forecast made at t loads the candidate
-    history spliced with the pooled remaining demand's reaction to them. Both
-    depend on the candidate alone, so all T forecasts are loaded in one
-    batch, each starting from the candidate loading at its own interval. The
-    logit shares of each information product are computed once for all
-    intervals: one table from the instantaneous times, which the pooled
-    prediction and the instantaneous class share, and one from the forecast
-    times. The rollout then only assigns each class's remaining demand to its
-    table and realizes one column per interval. The pooled remaining demand
-    behind each forecast comes from the candidate total pattern; the
+    history spliced with the pooled remaining demand's reaction to them
+    (``info.forecasts``, one batch for all T). The logit shares of each
+    information product are computed once for all intervals: one table from
+    the instantaneous times, which the pooled prediction and the
+    instantaneous class share, and one from the forecast times. Each class
+    then rolls out on its own table (``choice.rollout``), realizing one
+    column per interval from its own remaining demand. The pooled remaining
+    demand behind each forecast comes from the candidate total pattern; the
     per-class remaining demands evolve from the rollout's own realized
     columns. The two coincide at any fixed point.
     """
-    h_instant = np.asarray(h_instant, dtype=float)
-    h_forecast = np.asarray(h_forecast, dtype=float)
-    h_total = h_instant + h_forecast
-    T = grid.n_intervals
-    P = path_set.n_paths
+    h_total = np.asarray(h_instant, dtype=float) + np.asarray(h_forecast, dtype=float)
     d_instant, d_forecast = net.class_demands()
 
     base = dnl.load(net, path_set, grid, h_total)
     instant_shares = choice.share_table(base.instant_path_time.T, 0, grid, path_set, params)
-    spliced = np.empty((T, P, T))
-    for t in range(T):
-        pooled = info.pooled_remaining_demand(h_total, t, net, path_set)
-        predicted = choice.tentative_from_shares(instant_shares, t, pooled)
-        spliced[t] = info.splice(h_total, predicted, t)
-    forecasts = info.forecast_batch(net, path_set, grid, spliced, range(T), base)
+    forecasts = info.forecasts(net, path_set, grid, h_total, instant_shares, base)
     forecast_shares = choice.share_table(forecasts, 0, grid, path_set, params)
-
-    y_instant = np.zeros((P, T))
-    y_forecast = np.zeros((P, T))
-    rem_i = d_instant.astype(float).copy()
-    rem_f = d_forecast.astype(float).copy()
-    for t in range(T):
-        tent_i = choice.tentative_from_shares(instant_shares, t, rem_i)
-        tent_f = choice.tentative_from_shares(forecast_shares, t, rem_f)
-        col_i = choice.realize_departures(tent_i)
-        col_f = choice.realize_departures(tent_f)
-        y_instant[:, t] = col_i
-        y_forecast[:, t] = col_f
-        np.subtract.at(rem_i, path_set.od_of_path, col_i)
-        np.subtract.at(rem_f, path_set.od_of_path, col_f)
-        for rem, d in ((rem_i, d_instant), (rem_f, d_forecast)):
-            if np.any(rem < -1e-9 * np.maximum(1.0, d)):
-                raise choice.ChoiceError(
-                    f"interval {t}: realized departures overdraw class demand"
-                )
-        rem_i = np.maximum(rem_i, 0.0)
-        rem_f = np.maximum(rem_f, 0.0)
+    y_instant = choice.rollout(instant_shares, d_instant, path_set)
+    y_forecast = choice.rollout(forecast_shares, d_forecast, path_set)
 
     forecast_diag = np.stack([fc[:, 0] for fc in forecasts], axis=1)
     return MapResult((y_instant, y_forecast), base, base.instant_path_time, forecast_diag,
-                     forecasts if collect_full else None)
+                     forecasts)
 
 
 def residual(h: np.ndarray, y: np.ndarray) -> float:
@@ -191,12 +165,18 @@ def _initial_parts(
 
 
 def _run_sram(
+    model: str,
     apply_map,
     parts: list[np.ndarray],
     config: SolverConfig,
     record_iterates: bool = False,
-):
-    """Generic self-regulated averaging loop over a tuple of class matrices."""
+) -> EquilibriumResult:
+    """Generic self-regulated averaging loop over a list of class matrices.
+
+    The loop stops before averaging, so the returned pattern is exactly the
+    one the last map was applied to, and the result carries that map's
+    loading and information.
+    """
     residuals: list[float] = []
     betas: list[float] = []
     alphas: list[float] = []
@@ -205,14 +185,12 @@ def _run_sram(
     beta = 1.0
     prev_gap: float | None = None
     converged = False
-    last_result = None
     for k in range(1, config.max_iterations + 1):
         if iterates is not None:
             iterates.append(tuple(p.copy() for p in parts))
-        last_result = apply_map(parts)
-        y_parts = last_result.y_parts
+        last = apply_map(parts)
         h_total = sum(parts)
-        y_total = sum(y_parts)
+        y_total = sum(last.y_parts)
         gap = float(np.linalg.norm(h_total - y_total))
         res = residual(h_total, y_total)
 
@@ -228,10 +206,26 @@ def _run_sram(
             break
         if k == config.max_iterations:
             break
-        parts = [h + alpha * (y - h) for h, y in zip(parts, y_parts)]
+        parts = [h + alpha * (y - h) for h, y in zip(parts, last.y_parts)]
         prev_gap = gap
 
-    return parts, last_result, np.array(residuals), np.array(betas), np.array(alphas), converged, iterates
+    two = len(parts) == 2
+    return EquilibriumResult(
+        model=model,
+        h_instant=parts[0] if two else None,
+        h_forecast=parts[1] if two else None,
+        h_total=parts[0] + parts[1] if two else parts[0],
+        residuals=np.array(residuals),
+        betas=np.array(betas),
+        alphas=np.array(alphas),
+        n_iterations=len(residuals),
+        converged=converged,
+        loading=last.loading,
+        instant_trace=last.instant_trace,
+        forecast_diag=last.forecast_diag,
+        forecast_full=last.forecast_full,
+        iterates=iterates,
+    )
 
 
 def solve_sram(
@@ -255,24 +249,7 @@ def solve_sram(
     def apply_map(current: list[np.ndarray]) -> MapResult:
         return fixed_point_map(current[0], current[1], net, path_set, grid, params)
 
-    parts, last, residuals, betas, alphas, converged, iterates = _run_sram(
-        apply_map, parts, config, record_iterates
-    )
-    return EquilibriumResult(
-        model="dsue-dhi",
-        h_instant=parts[0],
-        h_forecast=parts[1],
-        h_total=parts[0] + parts[1],
-        residuals=residuals,
-        betas=betas,
-        alphas=alphas,
-        n_iterations=len(residuals),
-        converged=converged,
-        loading=last.loading,
-        instant_trace=last.instant_trace,
-        forecast_diag=last.forecast_diag,
-        iterates=iterates,
-    )
+    return _run_sram("dsue-dhi", apply_map, parts, config, record_iterates)
 
 
 def solve_dsue(
@@ -306,24 +283,7 @@ def solve_dsue(
             forecast_diag=np.zeros((P, T)),
         )
 
-    parts, last, residuals, betas, alphas, converged, iterates = _run_sram(
-        apply_map, parts, config, record_iterates
-    )
-    return EquilibriumResult(
-        model="dsue",
-        h_instant=None,
-        h_forecast=None,
-        h_total=parts[0],
-        residuals=residuals,
-        betas=betas,
-        alphas=alphas,
-        n_iterations=len(residuals),
-        converged=converged,
-        loading=last.loading,
-        instant_trace=last.instant_trace,
-        forecast_diag=last.forecast_diag,
-        iterates=iterates,
-    )
+    return _run_sram("dsue", apply_map, parts, config, record_iterates)
 
 
 @dataclass

@@ -11,12 +11,12 @@ spliced pattern is loaded again; the forecast travel times are the
 realized-style path times of that hypothetical world.
 
 Generating the full information set for one candidate therefore loads one
-pattern for the instantaneous product plus one per provision interval. The
-forecast spliced at t has the candidate's departures before t, so its loading
-repeats the candidate loading up to there: the forecast patterns are loaded
-together in one batched pass (``dnl.load_batch``) in which each starts from
-the candidate loading's state at its own interval and is timed from there
-on.
+pattern for the instantaneous product (its ``instant_path_time``) plus one
+per provision interval. The forecast spliced at t has the candidate's
+departures before t, so its loading repeats the candidate loading up to
+there: ``forecasts`` loads the T spliced patterns together in one batched
+pass (``dnl.load_batch``) in which each starts from the candidate loading's
+state at its own interval and is timed from there on.
 """
 
 from __future__ import annotations
@@ -27,42 +27,29 @@ from . import choice, dnl
 from .network import Network, PathSet, TimeGrid
 
 
-def pooled_remaining_demand(
-    h_total: np.ndarray, t_index: int, net: Network, path_set: PathSet
-) -> np.ndarray:
-    """Travelers of both classes not yet departed under the candidate pattern."""
-    totals = np.array([od.demand_total for od in net.od_pairs])
-    return choice.remaining_demand(h_total[:, :t_index], totals, path_set)
-
-
-def splice(h_history: np.ndarray, h_predicted: np.ndarray, t_index: int) -> np.ndarray:
-    """Columns before ``t_index`` from the history, the rest from the prediction."""
-    h_history = np.asarray(h_history, dtype=float)
-    h_predicted = np.asarray(h_predicted, dtype=float)
-    expected = (h_history.shape[0], h_history.shape[1] - t_index)
-    if h_predicted.shape != expected:
-        raise ValueError(
-            f"predicted departures shape {h_predicted.shape} != {expected}"
-        )
-    out = h_history.copy()
-    out[:, t_index:] = h_predicted
-    return out
-
-
-def forecast_batch(
+def forecasts(
     net: Network,
     path_set: PathSet,
     grid: TimeGrid,
-    spliced: np.ndarray,
-    t_indices,
+    h_total: np.ndarray,
+    instant_shares: choice.ShareTable,
     base: dnl.LoadingResult,
 ) -> list[np.ndarray]:
-    """Load spliced patterns ``spliced[B, P, T]`` in one batch.
+    """Forecast made at every provision interval t from one candidate pattern.
 
-    Pattern b was spliced at ``t_indices[b]`` onto the departures that
-    ``base`` loaded, and starts from the base's state there; its forecast
-    is the paths x (intervals ``t_indices[b]``..T-1) matrix of path travel
-    times from that interval on.
+    ``base`` is the loading of the candidate total ``h_total`` and
+    ``instant_shares`` the share table of its instantaneous times. At t the
+    pooled remaining demand of both classes under the candidate is assigned
+    to that table, and its columns replace the candidate's from t on; all T
+    spliced patterns are loaded in one batch, each from the base's state at
+    its own interval. The forecast made at t is the paths x (intervals
+    t..T-1) matrix of path travel times of the pattern spliced there.
     """
-    loadings = dnl.load_batch(net, path_set, grid, spliced, base=base, starts=t_indices)
-    return [loading.path_time[:, t:] for t, loading in zip(t_indices, loadings, strict=True)]
+    T = grid.n_intervals
+    totals = np.array([od.demand_total for od in net.od_pairs])
+    spliced = np.repeat(h_total[None], T, axis=0)
+    for t in range(T):
+        pooled = choice.remaining_demand(h_total[:, :t], totals, path_set)
+        spliced[t, :, t:] = choice.tentative_from_shares(instant_shares, t, pooled)
+    loadings = dnl.load_batch(net, path_set, grid, spliced, base=base, starts=np.arange(T))
+    return [loading.path_time[:, t:] for t, loading in enumerate(loadings)]

@@ -118,8 +118,7 @@ def outputs(result: equilibrium.MapResult) -> dict[str, np.ndarray]:
 
 def run(case) -> dict[str, np.ndarray]:
     net, ps, grid, params, h_i, h_f = case
-    return outputs(equilibrium.fixed_point_map(h_i, h_f, net, ps, grid, params,
-                                               collect_full=True))
+    return outputs(equilibrium.fixed_point_map(h_i, h_f, net, ps, grid, params))
 
 
 def record(path: Path = GOLDEN) -> None:

@@ -122,8 +122,7 @@ def test_uncongested_reduction(uncongested_solutions, grid_uncongested):
         base = uncongested_solutions[0.5]
         ff = ps.free_flow_s[:, None]
         assert np.abs(base.instant_trace - ff).max() <= 1e-6
-        mr = fixed_point_map(base.h_instant, base.h_forecast, net, ps, grid, params,
-                             collect_full=True)
+        mr = fixed_point_map(base.h_instant, base.h_forecast, net, ps, grid, params)
         worst = max(float(np.abs(m - ff).max()) for m in mr.forecast_full)
         assert worst <= 1e-6
         ref = base.h_total

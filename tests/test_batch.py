@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsuedhi import dnl, info
+from dsuedhi import dnl
 from test_golden import random_lattice
 
 FIELDS = ("path_time", "extrapolated", "n_steps", "drained", "n_up", "n_dn", "src_up",
@@ -93,26 +93,33 @@ def test_batch_rejects_bad_shapes_and_negative_departures(three_link):
             dnl.load_batch(net, ps, grid, bad)
 
 
+def splice(h, tail, t):
+    """``h`` with its columns from interval t on replaced by ``tail``."""
+    out = h.copy()
+    out[:, t:] = tail
+    return out
+
+
 def test_forecast_batch_equals_single_forecasts(grid_congested):
     net, ps, grid, _ = grid_congested
     rng = np.random.default_rng(21)
     h = rng.uniform(0, 4, size=(ps.n_paths, grid.n_intervals))
     ts = [0, 7, grid.n_intervals - 1]
-    spliced = np.stack([info.splice(h, rng.uniform(0, 4, size=(ps.n_paths, grid.n_intervals - t)), t)
+    spliced = np.stack([splice(h, rng.uniform(0, 4, size=(ps.n_paths, grid.n_intervals - t)), t)
                         for t in ts])
     base = dnl.load(net, ps, grid, h)
-    batch = info.forecast_batch(net, ps, grid, spliced, ts, base)
+    batch = dnl.load_batch(net, ps, grid, spliced, base=base, starts=ts)
     assert len(batch) == len(ts)
-    for t, s, fc in zip(ts, spliced, batch):
-        one = info.forecast_batch(net, ps, grid, s[None], [t], base)[0]
+    for t, s, res in zip(ts, spliced, batch):
+        fc = res.path_time[:, t:]
+        one = dnl.load_batch(net, ps, grid, s[None], base=base, starts=[t])[0].path_time[:, t:]
         assert fc.shape == one.shape == (ps.n_paths, grid.n_intervals - t)
         assert np.array_equal(fc, one)
 
 
 def assert_started_equals_solo(net, ps, grid, base, batch, starts, cap=None):
     got = dnl.load_batch(net, ps, grid, batch, base=base, starts=starts, drain_max_steps=cap)
-    forecasts = info.forecast_batch(net, ps, grid, batch, starts, base) if cap is None else None
-    for i, (t, pattern, res) in enumerate(zip(starts, batch, got)):
+    for t, pattern, res in zip(starts, batch, got):
         solo = dnl.load(net, ps, grid, pattern, drain_max_steps=cap)
         assert np.isnan(res.path_time[:, :t]).all() and not res.extrapolated[:, :t].any()
         assert np.array_equal(res.path_time[:, t:], solo.path_time[:, t:])
@@ -121,9 +128,6 @@ def assert_started_equals_solo(net, ps, grid, base, batch, starts, cap=None):
             mine, want = getattr(res, field), getattr(solo, field)
             assert np.shape(mine) == np.shape(want), field
             assert np.array_equal(mine, want), field
-        if forecasts is not None:
-            assert forecasts[i].shape == (ps.n_paths, grid.n_intervals - t)
-            assert np.array_equal(forecasts[i], solo.path_time[:, t:])
     return got
 
 
@@ -144,12 +148,12 @@ def test_staggered_starts_equal_cold_solo_loads_on_random_lattices(seed, size, p
         tail = h[:, t:] * rng.uniform(0.0, 3.0)
         if rng.random() < 0.3:
             tail[:, -1] += rng.uniform(0.0, 80.0, size=ps.n_paths)
-        batch.append(info.splice(h, tail, t))
+        batch.append(splice(h, tail, t))
     budget = per_chunk * dnl._pattern_bytes(dnl._Plan(net, ps, grid), grid, cap)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dnl, "_CHUNK_BYTES", budget)
         assert_started_equals_solo(net, ps, grid, base, np.stack(batch), starts, cap)
-        if cap is None:  # the forecasts of a batch loaded at the default chunking
+        if cap is None:  # again at the default chunking, as the map loads its forecasts
             mp.undo()
             assert_started_equals_solo(net, ps, grid, base, np.stack(batch), starts)
 

@@ -32,7 +32,7 @@ def test_traced_corridor_benchmark_runs_and_passes():
 
 
 def test_grid_benchmark_checks_its_chunked_forecast_batches():
-    # 30 forecasts per map in two chunks, each operation compared with
+    # 30 forecasts per map in one batch, each operation compared with
     # bench/reference.json
     run_bench("grid_6x6", trace=0)
 

@@ -43,8 +43,17 @@ class TestValidate:
         assert run(["validate", "--scenario", tmp_path / "nope.ini"]) == 1
 
     def test_unknown_key_rejected(self, three_link_dir):
+        ini = three_link_dir / "scenario.ini"  # has no [output] section of its own
+        ini.write_text(ini.read_text() + "\n[output]\nbogus = 1\n")
+        with pytest.raises(ScenarioError, match="unknown key 'bogus'"):
+            load_scenario(ini)
+        assert run(["validate", "--scenario", ini]) == 1
+
+    def test_unknown_section_in_file_rejected(self, three_link_dir):
         ini = three_link_dir / "scenario.ini"
-        ini.write_text(ini.read_text() + "\n[solver]\nbogus = 1\n")
+        ini.write_text(ini.read_text() + "\n[bogus]\nx = 1\n")
+        with pytest.raises(ScenarioError, match=r"unknown section \[bogus\]"):
+            load_scenario(ini)
         assert run(["validate", "--scenario", ini]) == 1
 
     @pytest.mark.parametrize("section, key, value", [

@@ -382,7 +382,8 @@ class TestWarmStartIndexing:
         for field in ("path_time", "extrapolated"):  # timed from the start on
             assert np.array_equal(getattr(cold, field)[:, k:], getattr(warm, field)[:, k:]), field
         # a batch computes no link times; those of its curves equal the cold ones
-        link_time = dnl._link_times(base._state[0], grid, warm.sim_dt_s, warm.n_up, warm.n_dn)
+        link_time = dnl._link_times(base._state[0], grid, warm.sim_dt_s, warm.link_up,
+                                    warm.link_dn)
         assert np.array_equal(cold.link_time, link_time)
 
     @pytest.mark.parametrize("k", [0, 7, 19])

@@ -171,6 +171,21 @@ class TestSolveSram:
         assert res.n_iterations == 2
         assert len(res.residuals) == 2
 
+    def test_result_carries_its_last_map(self, three_link, three_link_solution):
+        # the loop stops before averaging, so the returned pattern is the
+        # one the last map was applied to, converged or not
+        net, ps, grid, params = three_link
+        capped = solve_sram(net, ps, grid, params, SolverConfig(max_iterations=2))
+        assert three_link_solution.converged and not capped.converged
+        for res in (three_link_solution, capped):
+            mr = fixed_point_map(res.h_instant, res.h_forecast, net, ps, grid, params)
+            assert len(res.forecast_full) == len(mr.forecast_full) == grid.n_intervals
+            for mine, want in zip(res.forecast_full, mr.forecast_full):
+                assert np.array_equal(mine, want)
+            for field in ("instant_trace", "forecast_diag"):
+                assert np.array_equal(getattr(res, field), getattr(mr, field)), field
+            assert np.array_equal(res.loading.path_time, mr.loading.path_time)
+
     def test_rejects_infeasible_start(self, three_link):
         net, ps, grid, params = three_link
         bad = np.ones((ps.n_paths, grid.n_intervals))
@@ -215,7 +230,7 @@ class TestSolveDsue:
     def test_congested_differs_from_two_class_solution(self, grid_congested, grid_solution):
         net, ps, grid, params = grid_congested
         single = solve_dsue(net, ps, grid, params, SolverConfig())
-        assert single.converged
+        assert single.converged and single.forecast_full is None
         diff = np.linalg.norm(single.h_total - grid_solution.h_total)
         assert diff / np.linalg.norm(grid_solution.h_total) > 1e-3
 

@@ -135,7 +135,7 @@ def started_outputs(res: dnl.LoadingResult, k: int, base: dnl.LoadingResult) -> 
     path times begin there; its link times, which a batch does not compute,
     come from its curves as ``load`` computes them."""
     plan = base._state[0]
-    link_time = dnl._link_times(plan, res.grid, res.sim_dt_s, res.n_up, res.n_dn)
+    link_time = dnl._link_times(plan, res.grid, res.sim_dt_s, res.link_up, res.link_dn)
     instant = np.zeros_like(res.path_time)
     for hop in plan.path_links.T:
         on = hop >= 0

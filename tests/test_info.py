@@ -1,8 +1,9 @@
 import numpy as np
-import pytest
 
 from dsuedhi import choice, dnl, info
 from dsuedhi import network as nw
+from dsuedhi.equilibrium import random_feasible_parts
+from test_batch import splice
 
 
 def softmax_assignment(phi_s, dep_s, ta_s, demand, theta, mu1, mu2, unit):
@@ -46,50 +47,13 @@ class TestForecastDepartures:
         assert not got.any()
 
 
-class TestPooledRemaining:
-    def test_uses_total_pattern(self, grid_congested):
-        net, ps, grid, _ = grid_congested
-        h = np.zeros((ps.n_paths, grid.n_intervals))
-        h[0, 0] = 5.0
-        h[2, 1] = 7.0
-        out = info.pooled_remaining_demand(h, 2, net, ps)
-        totals = np.array([od.demand_total for od in net.od_pairs])
-        want = totals.copy()
-        want[ps.od_of_path[0]] -= 5.0
-        want[ps.od_of_path[2]] -= 7.0
-        np.testing.assert_array_equal(out, want)
-
-
-class TestSplice:
-    def test_at_first_interval_prediction_wins(self):
-        hist = np.arange(12, dtype=float).reshape(3, 4)
-        pred = np.full((3, 4), -1.0)
-        out = info.splice(hist, pred, 0)
-        np.testing.assert_array_equal(out, pred)
-
-    def test_identical_overlap_reproduces_history(self):
-        hist = np.arange(12, dtype=float).reshape(3, 4)
-        out = info.splice(hist, hist[:, 2:].copy(), 2)
-        np.testing.assert_array_equal(out, hist)
-
-    def test_columnwise_construction(self):
-        hist = np.arange(12, dtype=float).reshape(3, 4)
-        pred = 100.0 + np.arange(6, dtype=float).reshape(3, 2)
-        out = info.splice(hist, pred, 2)
-        np.testing.assert_array_equal(out[:, :2], hist[:, :2])
-        np.testing.assert_array_equal(out[:, 2:], pred)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            info.splice(np.zeros((3, 4)), np.zeros((3, 3)), 2)
-
-
 class TestForecastInfo:
     def test_uncongested_equals_free_flow_and_instant(self, grid_uncongested):
         net, ps, grid, params = grid_uncongested
         zeros = np.zeros((ps.n_paths, grid.n_intervals))
         loading = dnl.load(net, ps, grid, zeros)
-        fc = info.forecast_batch(net, ps, grid, zeros[None], [4], loading)[0]
+        started = dnl.load_batch(net, ps, grid, zeros[None], base=loading, starts=[4])[0]
+        fc = started.path_time[:, 4:]
         assert fc.shape == (ps.n_paths, grid.n_intervals - 4)
         assert np.abs(fc - ps.free_flow_s[:, None]).max() <= 1e-9
         np.testing.assert_allclose(fc[:, 0], loading.instant_path_time[:, 4], atol=1e-9)
@@ -106,7 +70,7 @@ class TestForecastInfo:
         done = grid.interval_mids() + base.path_time.max(axis=0) < t_idx * grid.dt_s
         assert done[:4].all()
         pred = np.zeros((ps.n_paths, grid.n_intervals - t_idx))
-        fc_world = info.splice(h, pred, t_idx)
+        fc_world = splice(h, pred, t_idx)
         loading2 = dnl.load(net, ps, grid, fc_world)
         np.testing.assert_allclose(
             base.path_time[:, :4], loading2.path_time[:, :4], atol=1e-9
@@ -118,10 +82,29 @@ class TestForecastInfo:
         h = rng.uniform(0, 4, size=(ps.n_paths, grid.n_intervals))
         base = dnl.load(net, ps, grid, h)
         pred = rng.uniform(0, 4, size=(ps.n_paths, grid.n_intervals - 10))
-        spliced = info.splice(h, pred, 10)
-        via_helper = info.forecast_batch(net, ps, grid, spliced[None], [10], base)[0]
+        spliced = splice(h, pred, 10)
+        started = dnl.load_batch(net, ps, grid, spliced[None], base=base, starts=[10])[0]
         cold = dnl.load(net, ps, grid, spliced)
-        assert np.array_equal(via_helper, cold.path_time[:, 10:])
+        assert np.array_equal(started.path_time[:, 10:], cold.path_time[:, 10:])
+
+    def test_forecast_loads_the_pooled_reaction_spliced_onto_the_history(self, grid_congested):
+        # the pooled remaining demand of both classes reacts to the
+        # instantaneous times; one class's demand alone gives other forecasts
+        net, ps, grid, params = grid_congested
+        T = grid.n_intervals
+        h_i, h_f = random_feasible_parts(np.random.default_rng(13), ps, grid, net.class_demands())
+        h_total = h_i + h_f
+        base = dnl.load(net, ps, grid, h_total)
+        table = choice.share_table(base.instant_path_time.T, 0, grid, ps, params)
+        forecasts = info.forecasts(net, ps, grid, h_total, table, base)
+        assert len(forecasts) == T
+        totals = np.array([od.demand_total for od in net.od_pairs])
+        for t in (0, 7, T - 1):
+            pooled = choice.remaining_demand(h_total[:, :t], totals, ps)
+            spliced = splice(h_total, choice.tentative_from_shares(table, t, pooled), t)
+            want = dnl.load(net, ps, grid, spliced).path_time[:, t:]
+            assert forecasts[t].shape == want.shape
+            assert np.array_equal(forecasts[t], want)
 
 
 class TestCostAccounting:

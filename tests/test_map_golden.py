@@ -35,7 +35,7 @@ def test_corridor_map_is_refined_and_not_constant(golden):
 
 def test_map_information_is_the_loaders_arrays():
     net, ps, grid, params, h_i, h_f = CASES["corridor"]
-    res = equilibrium.fixed_point_map(h_i, h_f, net, ps, grid, params, collect_full=True)
+    res = equilibrium.fixed_point_map(h_i, h_f, net, ps, grid, params)
     base = dnl.load(net, ps, grid, h_i + h_f)
     assert np.array_equal(res.instant_trace, base.instant_path_time)
     assert len(res.forecast_full) == grid.n_intervals
