@@ -19,7 +19,7 @@ import numpy as np
 from . import equilibrium, metrics
 from .choice import ChoiceError
 from .dnl import DnlError
-from .equilibrium import EquilibriumResult
+from .equilibrium import EquilibriumResult, SolverError
 from .network import NetworkError, ParseError
 from .scenario import Scenario, ScenarioError, default_config_text, load_scenario
 
@@ -27,6 +27,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_MODEL = 3
+
+EQUILIBRIUM_HEADER = ["od", "path_id", "t_index", "h_instant", "h_forecast"]
+TRACE_HEADER = ["k", "residual", "beta", "alpha"]
+ACCURACY_HEADER = ["class", "od", "path_id", "t_index", "itt_s", "rtt_s", "rel_diff", "departures"]
 
 
 def _fmt(x: float) -> str:
@@ -47,26 +51,35 @@ def _read_rows(path: Path) -> tuple[list[str], list[list[str]]]:
     return header, [l.split(",") for l in lines[1:]]
 
 
+def _read_artifact(path: Path, header: list[str]) -> list[list[str]]:
+    found, rows = _read_rows(path)
+    if found != header:
+        raise ScenarioError(f"{path}: unexpected header {found}, expected {header}")
+    return rows
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_equilibrium_csv(path: Path, result: EquilibriumResult, net, path_set) -> None:
     rows = []
-    h_i = result.h_instant if result.h_instant is not None else np.zeros_like(result.h_total)
-    h_f = result.h_forecast if result.h_forecast is not None else np.zeros_like(result.h_total)
     for p, pth in enumerate(path_set.paths):
         od = net.od_pairs[pth.od_index]
         for t in range(result.h_total.shape[1]):
             rows.append(
                 (f"{od.origin}-{od.destination}", str(pth.path_id), str(t),
-                 _fmt(h_i[p, t]), _fmt(h_f[p, t]))
+                 _fmt(result.h_instant[p, t]), _fmt(result.h_forecast[p, t]))
             )
-    _write_rows(path, ["od", "path_id", "t_index", "h_instant", "h_forecast"], rows)
+    _write_rows(path, EQUILIBRIUM_HEADER, rows)
 
 
 def read_equilibrium_csv(path: Path) -> dict[tuple[str, int, int], tuple[float, float]]:
-    header, rows = _read_rows(path)
-    if header != ["od", "path_id", "t_index", "h_instant", "h_forecast"]:
-        raise ScenarioError(f"{path}: unexpected equilibrium header {header}")
     return {
-        (r[0], int(r[1]), int(r[2])): (float(r[3]), float(r[4])) for r in rows
+        (r[0], int(r[1]), int(r[2])): (float(r[3]), float(r[4]))
+        for r in _read_artifact(path, EQUILIBRIUM_HEADER)
     }
 
 
@@ -75,14 +88,12 @@ def write_trace_csv(path: Path, result: EquilibriumResult) -> None:
         (str(k + 1), _fmt(result.residuals[k]), _fmt(result.betas[k]), _fmt(result.alphas[k]))
         for k in range(result.n_iterations)
     ]
-    _write_rows(path, ["k", "residual", "beta", "alpha"], rows)
+    _write_rows(path, TRACE_HEADER, rows)
 
 
 def read_trace_csv(path: Path) -> list[tuple[int, float, float, float]]:
-    header, rows = _read_rows(path)
-    if header != ["k", "residual", "beta", "alpha"]:
-        raise ScenarioError(f"{path}: unexpected trace header {header}")
-    return [(int(r[0]), float(r[1]), float(r[2]), float(r[3])) for r in rows]
+    return [(int(r[0]), float(r[1]), float(r[2]), float(r[3]))
+            for r in _read_artifact(path, TRACE_HEADER)]
 
 
 def write_accuracy_csv(path: Path, report: metrics.AccuracyReport, net, path_set) -> None:
@@ -100,19 +111,11 @@ def write_accuracy_csv(path: Path, report: metrics.AccuracyReport, net, path_set
                      "nan" if np.isnan(rd[p, t]) else _fmt(rd[p, t]),
                      _fmt(dep[p, t]))
                 )
-    _write_rows(
-        path,
-        ["class", "od", "path_id", "t_index", "itt_s", "rtt_s", "rel_diff", "departures"],
-        rows,
-    )
+    _write_rows(path, ACCURACY_HEADER, rows)
 
 
 def read_accuracy_csv(path: Path) -> list[dict]:
-    header, rows = _read_rows(path)
-    expected = ["class", "od", "path_id", "t_index", "itt_s", "rtt_s", "rel_diff", "departures"]
-    if header != expected:
-        raise ScenarioError(f"{path}: unexpected accuracy header {header}")
-    return [dict(zip(expected, r)) for r in rows]
+    return [dict(zip(ACCURACY_HEADER, r)) for r in _read_artifact(path, ACCURACY_HEADER)]
 
 
 def _solve_scenario(sc: Scenario) -> tuple[EquilibriumResult, tuple]:
@@ -161,10 +164,7 @@ def run_solve(sc: Scenario, out_dir: Path) -> int:
     write_trace_csv(out_dir / "trace.csv", result)
     acc = metrics.information_accuracy(result, grid, sc.trim_fraction, sc.departure_floor)
     write_accuracy_csv(out_dir / "accuracy.csv", acc, net, path_set)
-    payload = _metrics_payload(sc, result, built, acc)
-    with open(out_dir / "metrics.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "metrics.json", _metrics_payload(sc, result, built, acc))
     if sc.dump_curves:
         n_up, n_dn, times = result.loading.n_up, result.loading.n_dn, result.loading.boundaries
         rows = [(str(link.link_id), t, n_up[a, k], n_dn[a, k])
@@ -280,9 +280,7 @@ def run_compare_dsue(sc: Scenario, out_dir: Path) -> int:
         "avg_disutility_dhi": dis_dhi.overall_average["all"],
         "avg_disutility_dsue": dis_dsue.overall_average["all"],
     }
-    with open(out_dir / "compare.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "compare.json", summary)
     if not (dhi.converged and dsue.converged):
         return EXIT_NOT_CONVERGED
     return EXIT_OK
@@ -303,9 +301,7 @@ def run_multistart(sc: Scenario, n: int, seed: int, out_dir: Path) -> int:
         "n_failed": result.n_failed,
         "max_distance": float(result.distances.max()) if result.distances.size else 0.0,
     }
-    with open(out_dir / "multistart.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "multistart.json", summary)
     return EXIT_NOT_CONVERGED if result.n_failed else EXIT_OK
 
 
@@ -316,6 +312,23 @@ def run_validate(sc: Scenario) -> int:
         f"{net.n_ods} OD pairs, {path_set.n_paths} paths, {grid.n_intervals} intervals"
     )
     return EXIT_OK
+
+
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        if not text.strip().removeprefix("-").isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
+
+
+def _numbers(text: str) -> list[float]:
+    """argparse type: comma-separated numbers."""
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -331,12 +344,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="solve across a parameter grid")
     common(sweep)
     sweep.add_argument("--param", required=True, choices=["theta", "lambda"])
-    sweep.add_argument("--values", required=True, help="comma-separated numbers")
+    sweep.add_argument("--values", required=True, type=_numbers,
+                       help="comma-separated numbers")
     common(sub.add_parser("compare-dsue", help="solve both models and compare"))
     ms = sub.add_parser("multistart", help="solve from seeded random initial patterns")
     common(ms)
-    ms.add_argument("--n", type=int, default=20)
-    ms.add_argument("--seed", type=int, default=0)
+    ms.add_argument("--n", type=_at_least(2), default=20)
+    ms.add_argument("--seed", type=_at_least(0), default=0)
     sub.add_parser("print-config", help="print all scenario defaults")
     return parser
 
@@ -352,26 +366,20 @@ def main(argv: list[str] | None = None) -> int:
         print(default_config_text(), end="")
         return EXIT_OK
 
-    try:
-        sc = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
     out_dir = Path(args.out)
     try:
+        sc = load_scenario(args.scenario)
         if args.command == "validate":
             return run_validate(sc)
         if args.command == "solve":
             return run_solve(sc, out_dir)
         if args.command == "sweep":
-            values = [float(v) for v in args.values.split(",") if v.strip()]
-            return run_sweep(sc, args.param, values, out_dir)
+            return run_sweep(sc, args.param, args.values, out_dir)
         if args.command == "compare-dsue":
             return run_compare_dsue(sc, out_dir)
         if args.command == "multistart":
             return run_multistart(sc, args.n, args.seed, out_dir)
-    except (ParseError, ScenarioError) as exc:
+    except (ParseError, ScenarioError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NetworkError, ChoiceError, DnlError, ValueError) as exc:

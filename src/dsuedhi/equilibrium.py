@@ -39,7 +39,6 @@ class SolverConfig:
     gain_up: float = 1.1  # added to the inverse step when the gap grows
     gain_down: float = 0.2  # added when the gap shrinks
     max_iterations: int = 100
-    init: str = "free-flow"  # or "uniform"
 
     def __post_init__(self) -> None:
         if self.tolerance <= 0:
@@ -137,31 +136,11 @@ def residual(h: np.ndarray, y: np.ndarray) -> float:
 
 
 def _initial_parts(
-    net: Network,
-    path_set: PathSet,
-    grid: TimeGrid,
-    params: ChoiceParams,
-    demands: tuple[np.ndarray, ...],
-    policy: str,
+    path_set: PathSet, grid: TimeGrid, params: ChoiceParams, demands: tuple[np.ndarray, ...]
 ) -> list[np.ndarray]:
-    T = grid.n_intervals
-    if policy == "free-flow":
-        phi_ff = path_set.free_flow_s
-        return [
-            choice.tentative_departures(phi_ff, d, 0, grid, path_set, params)
-            for d in demands
-        ]
-    if policy == "uniform":
-        parts = []
-        for d in demands:
-            h = np.zeros((path_set.n_paths, T))
-            for od_index, sl in enumerate(path_set.od_slices):
-                n = sl.stop - sl.start
-                if n:
-                    h[sl] = d[od_index] / (n * T)
-            parts.append(h)
-        return parts
-    raise SolverError(f"unknown initialization policy {policy!r}")
+    """Each class's logit response to free-flow path times."""
+    phi = path_set.free_flow_s
+    return [choice.tentative_departures(phi, d, 0, grid, path_set, params) for d in demands]
 
 
 def _run_sram(
@@ -240,7 +219,7 @@ def solve_sram(
     """Solve the two-class equilibrium by self-regulated averaging."""
     d_instant, d_forecast = net.class_demands()
     if h0 is None:
-        parts = _initial_parts(net, path_set, grid, params, (d_instant, d_forecast), config.init)
+        parts = _initial_parts(path_set, grid, params, (d_instant, d_forecast))
     else:
         parts = [np.array(h0[0], dtype=float), np.array(h0[1], dtype=float)]
         dnl.check_feasible(parts[0], path_set, d_instant)
@@ -267,7 +246,7 @@ def solve_dsue(
     finds the fixed point.
     """
     totals = np.array([od.demand_total for od in net.od_pairs])
-    parts = _initial_parts(net, path_set, grid, params, (totals,), config.init)
+    parts = _initial_parts(path_set, grid, params, (totals,))
     T = grid.n_intervals
     P = path_set.n_paths
 

@@ -83,8 +83,7 @@ class OdDemand:
     """Demand for one OD pair, split by information class.
 
     ``demand_instant`` travelers receive instantaneous travel times,
-    ``demand_forecast`` travelers receive strategic forecasts. If ``total`` is
-    given explicitly it must equal the class sum.
+    ``demand_forecast`` travelers receive strategic forecasts.
     """
 
     origin: str
@@ -92,7 +91,6 @@ class OdDemand:
     demand_instant: float
     demand_forecast: float
     target_arrival_s: float
-    total: float | None = None
 
     @property
     def demand_total(self) -> float:
@@ -107,7 +105,6 @@ class Path:
     od_index: int
     link_ids: tuple[str, ...]
     free_flow_s: float
-    length_m: float
 
 
 class Network:
@@ -164,13 +161,12 @@ class Network:
 def validate_network(
     links: list[Link] | tuple[Link, ...],
     demands: list[OdDemand] | tuple[OdDemand, ...],
-    nodes: list[str] | None = None,
 ) -> Network:
     """Check invariants and fix the canonical orderings.
 
     Raises NetworkError for duplicate or dangling ids, non-positive physical
-    parameters, class demands that do not sum to a declared total, negative
-    demands, or an OD pair with positive demand but no connecting path.
+    parameters, negative demands, or an OD pair with positive demand but no
+    connecting path.
     """
     seen: set[str] = set()
     for l in links:
@@ -187,30 +183,19 @@ def validate_network(
             if not value > 0:
                 raise NetworkError(f"link {l.link_id!r}: non-positive {name} ({value})")
 
-    link_nodes = {l.tail for l in links} | {l.head for l in links}
-    known = set(nodes) if nodes is not None else link_nodes
-    if nodes is not None:
-        for l in links:
-            if l.tail not in known or l.head not in known:
-                raise NetworkError(f"link {l.link_id!r} references an unknown node")
-
+    nodes = {l.tail for l in links} | {l.head for l in links}
     seen_ods: set[tuple[str, str]] = set()
     for od in demands:
         key = (od.origin, od.destination)
         if key in seen_ods:
             raise NetworkError(f"duplicate OD pair {key}")
         seen_ods.add(key)
-        if od.origin not in known or od.destination not in known:
+        if od.origin not in nodes or od.destination not in nodes:
             raise NetworkError(
                 f"OD pair {od.origin}->{od.destination} references a dangling node"
             )
         if od.demand_instant < 0 or od.demand_forecast < 0:
             raise NetworkError(f"OD pair {key}: negative demand")
-        if od.total is not None and abs(od.total - od.demand_total) > 1e-9 * max(1.0, od.total):
-            raise NetworkError(
-                f"OD pair {key}: class demands {od.demand_instant}+{od.demand_forecast} "
-                f"do not sum to declared total {od.total}"
-            )
 
     sorted_links = tuple(sorted(links, key=lambda l: l.link_id))
     sorted_ods = tuple(sorted(demands, key=lambda od: (od.origin, od.destination)))
@@ -404,8 +389,7 @@ def build_path_set(
         for seq in sequences:
             check_path(net, od, seq)
             ff = sum(net.link(lid).free_flow_s for lid in seq)
-            length = sum(net.link(lid).length_m for lid in seq)
-            paths.append(Path(len(paths), od_index, seq, ff, length))
+            paths.append(Path(len(paths), od_index, seq, ff))
             link_seqs.append(tuple(net.link_index[lid] for lid in seq))
         slices.append(slice(start, len(paths)))
     od_of_path = np.array([p.od_index for p in paths], dtype=np.intp)
@@ -413,62 +397,35 @@ def build_path_set(
     return PathSet(tuple(paths), tuple(slices), od_of_path, ff, tuple(link_seqs))
 
 
-def read_links_csv(path) -> list[Link]:
-    """Parse the link table: comma-separated, one header row, 8 fields."""
-    fields = 8
-    links = []
+def _read_table(path, fields: int, header: str, row) -> list:
+    """Parse a comma-separated table into one ``row(parts)`` record per line.
+
+    Blank lines, ``#`` comments, line 1 and any line starting with the
+    ``header`` text are skipped; every other line must have ``fields`` fields.
+    """
+    records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if lineno == 1 or line.startswith("link_id"):
+            if not line or line.startswith("#") or lineno == 1 or line.startswith(header):
                 continue
             parts = [p.strip() for p in line.split(",")]
             if len(parts) != fields:
                 raise ParseError(f"line {lineno}: expected {fields} fields")
             try:
-                links.append(
-                    Link(
-                        parts[0],
-                        parts[1],
-                        parts[2],
-                        float(parts[3]),
-                        float(parts[4]),
-                        float(parts[5]),
-                        float(parts[6]),
-                        float(parts[7]),
-                    )
-                )
+                records.append(row(parts))
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
-    return links
+    return records
+
+
+def read_links_csv(path) -> list[Link]:
+    """Parse the link table: one header row, 8 fields."""
+    return _read_table(path, 8, "link_id", lambda p: Link(
+        p[0], p[1], p[2], float(p[3]), float(p[4]), float(p[5]), float(p[6]), float(p[7])))
 
 
 def read_demand_csv(path) -> list[OdDemand]:
-    """Parse the demand table: one row per OD pair, 5 fields."""
-    fields = 5
-    demands = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if lineno == 1 or line.startswith("origin"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != fields:
-                raise ParseError(f"line {lineno}: expected {fields} fields")
-            try:
-                demands.append(
-                    OdDemand(
-                        parts[0],
-                        parts[1],
-                        float(parts[2]),
-                        float(parts[3]),
-                        float(parts[4]),
-                    )
-                )
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-    return demands
+    """Parse the demand table: one header row, then one row per OD pair, 5 fields."""
+    return _read_table(path, 5, "origin", lambda p: OdDemand(
+        p[0], p[1], float(p[2]), float(p[3]), float(p[4])))

@@ -54,7 +54,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "gain_up": "1.1",
         "gain_down": "0.2",
         "max_iterations": "100",
-        "init": "free-flow",
     },
     "metrics": {
         "trim_fraction": "0.2",
@@ -172,7 +171,7 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"{path}: [{section}] {key} = {raw!r} is not a boolean")
 
     share_raw = values["demand"]["instant_share"].strip()
-    instant_share = None if share_raw == "" else float(share_raw)
+    instant_share = None if share_raw == "" else _f("demand", "instant_share")
 
     network_file = base / values["scenario"]["network_file"]
     demand_file = base / values["scenario"]["demand_file"]
@@ -187,7 +186,6 @@ def load_scenario(path: str | Path) -> Scenario:
             gain_up=_f("solver", "gain_up"),
             gain_down=_f("solver", "gain_down"),
             max_iterations=_i("solver", "max_iterations"),
-            init=values["solver"]["init"].strip(),
         )
     except ScenarioError:
         raise

@@ -348,7 +348,7 @@ def path_set_of(sizes):
     od_of_path = np.repeat(np.arange(len(sizes)), sizes)
     starts = np.concatenate(([0], np.cumsum(sizes)))
     return nw.PathSet(
-        tuple(nw.Path(p, int(k), ("x",), 60.0, 1000.0) for p, k in enumerate(od_of_path)),
+        tuple(nw.Path(p, int(k), ("x",), 60.0) for p, k in enumerate(od_of_path)),
         tuple(slice(int(a), int(b)) for a, b in zip(starts[:-1], starts[1:])),
         od_of_path, np.full(len(od_of_path), 60.0), tuple(() for _ in od_of_path),
     )

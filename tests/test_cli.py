@@ -7,7 +7,8 @@ import pytest
 from dsuedhi import cli
 from dsuedhi.scenario import ScenarioError, default_config_text, load_scenario
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
 
 
 def run(args):
@@ -25,6 +26,18 @@ def three_link_dir(tmp_path):
     return dst
 
 
+def config_keys(text: str) -> list[str]:
+    """``section.key`` for every key line of an INI text, in order."""
+    keys, section = [], None
+    for line in text.splitlines():
+        line = line.split(";", 1)[0].strip()
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif line:
+            keys.append(f"{section}.{line.split('=', 1)[0].strip()}")
+    return keys
+
+
 class TestPrintConfig:
     def test_prints_all_defaults(self, capsys):
         assert run(["print-config"]) == 0
@@ -32,6 +45,13 @@ class TestPrintConfig:
         for key in ("tolerance", "gain_up", "theta", "k_max", "trim_fraction"):
             assert key in out
         assert out == default_config_text()
+
+    def test_readme_scenario_block_names_every_key_and_no_other(self, capsys):
+        assert run(["print-config"]) == 0
+        printed = config_keys(capsys.readouterr().out)
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("## Scenario files", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+        assert config_keys(block) == printed
 
 
 class TestValidate:
@@ -56,6 +76,13 @@ class TestValidate:
             load_scenario(ini)
         assert run(["validate", "--scenario", ini]) == 1
 
+    def test_non_numeric_instant_share_rejected(self, three_link_dir, monkeypatch, capsys):
+        monkeypatch.setenv("DSUEDHI_DEMAND_INSTANT_SHARE", "abc")
+        with pytest.raises(ScenarioError, match="instant_share = 'abc' is not a number"):
+            load_scenario(three_link_dir / "scenario.ini")
+        assert run(["validate", "--scenario", three_link_dir / "scenario.ini"]) == 1
+        assert "error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section, key, value", [
         ("paths", "k_max", "1.5"),
         ("paths", "k_max", "2.5"),
@@ -77,6 +104,59 @@ class TestValidate:
         assert (sc.k_max, sc.solver.max_iterations) == (2, 100)
         assert type(sc.k_max) is int and type(sc.solver.max_iterations) is int
         assert run(["validate", "--scenario", three_link_dir / "scenario.ini"]) == 0
+
+
+class TestUsageErrors:
+    """Bad arguments exit 1 with an ``error:`` line, never a traceback or exit 3."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["multistart", "--n", "1"], "argument --n"),
+        (["multistart", "--seed", "-1"], "argument --seed"),
+        (["sweep", "--param", "theta", "--values", "1,abc"], "argument --values"),
+    ], ids=["n-below-two", "negative-seed", "non-numeric-value"])
+    def test_rejected_by_the_parser(self, three_link_dir, tmp_path, capsys, args, message):
+        code = run([*args, "--scenario", three_link_dir / "scenario.ini", "--out", tmp_path / "o"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_solver_error_is_a_usage_error(self, three_link_dir, tmp_path, capsys,
+                                           monkeypatch):
+        def bad_start(*args, **kwargs):
+            raise cli.equilibrium.SolverError("multistart needs at least two starts")
+
+        monkeypatch.setattr(cli.equilibrium, "multistart", bad_start)
+        code = run(["multistart", "--scenario", three_link_dir / "scenario.ini",
+                    "--out", tmp_path / "o"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: multistart needs at least two starts" in err
+
+
+class TestArtifactReaders:
+    """Each reader accepts its writer's header and rejects any other."""
+
+    @pytest.mark.parametrize("read, name", [
+        (cli.read_equilibrium_csv, "equilibrium.csv"),
+        (cli.read_trace_csv, "trace.csv"),
+        (cli.read_accuracy_csv, "accuracy.csv"),
+    ])
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda h: h[1:], id="first-column-missing"),
+        pytest.param(lambda h: h + ["extra"], id="extra-column"),
+        pytest.param(lambda h: h[:-2] + h[-1:] + h[-2:-1], id="columns-swapped"),
+        pytest.param(lambda h: [h[0].upper()] + h[1:], id="renamed"),
+    ])
+    def test_header_must_match(self, tmp_path, read, name, edit):
+        committed = ROOT / "out" / "three_link" / name
+        header, body = committed.read_text().split("\n", 1)
+        assert read(committed)
+        f = tmp_path / name
+        f.write_text(",".join(edit(header.split(","))) + "\n" + body)
+        with pytest.raises(ScenarioError, match="unexpected"):
+            read(f)
 
 
 class TestSolve:

@@ -192,19 +192,6 @@ class TestSolveSram:
         with pytest.raises(ValueError):
             solve_sram(net, ps, grid, params, SolverConfig(), h0=(bad, bad))
 
-    def test_uniform_initialization_policy(self, grid_uncongested):
-        net, ps, grid, params = grid_uncongested
-        res = solve_sram(net, ps, grid, params, SolverConfig(init="uniform"))
-        assert res.converged
-        ref = solve_sram(net, ps, grid, params, SolverConfig())
-        dist = np.linalg.norm(res.h_total - ref.h_total) / np.linalg.norm(ref.h_total)
-        assert dist <= 1e-6
-
-    def test_unknown_initialization_rejected(self, three_link):
-        net, ps, grid, params = three_link
-        with pytest.raises(SolverError):
-            solve_sram(net, ps, grid, params, SolverConfig(init="bogus"))
-
 
 class TestSolveDsue:
     def test_uncongested_matches_two_class_solution(self, grid_uncongested):

@@ -57,15 +57,8 @@ class TestValidate:
 
     def test_class_split_six_six_twelve(self):
         links, _ = make_three_link_records()
-        net = nw.validate_network(
-            links, [nw.OdDemand("A", "C", 6, 6, 0.0, total=12.0)]
-        )
+        net = nw.validate_network(links, [nw.OdDemand("A", "C", 6, 6, 0.0)])
         assert net.od_pairs[0].demand_total == 12.0
-
-    def test_class_split_mismatch(self):
-        links, _ = make_three_link_records()
-        with pytest.raises(nw.NetworkError, match="sum"):
-            nw.validate_network(links, [nw.OdDemand("A", "C", 6, 6, 0.0, total=13.0)])
 
     def test_non_positive_parameter(self):
         with pytest.raises(nw.NetworkError, match="non-positive"):
@@ -233,3 +226,61 @@ class TestFiles:
         f.write_text("origin,destination,demand_instant,demand_forecast,target_arrival_s\nA,C,1,2\n")
         with pytest.raises(nw.ParseError, match="line 2: expected 5 fields"):
             nw.read_demand_csv(f)
+
+
+TABLES = [
+    pytest.param(
+        nw.read_links_csv,
+        "link_id,tail,head,length_m,free_speed_mps,backward_wave_speed_mps,"
+        "capacity_veh_per_s,jam_density_veh_per_m",
+        " 7 , A , B , 100 , 10 , 5 , 0.5 , 0.15 ",
+        nw.Link("7", "A", "B", 100.0, 10.0, 5.0, 0.5, 0.15),
+        id="links",
+    ),
+    pytest.param(
+        nw.read_demand_csv,
+        "origin,destination,demand_instant,demand_forecast,target_arrival_s",
+        " A , C , 6 , 4.5 , 2400 ",
+        nw.OdDemand("A", "C", 6.0, 4.5, 2400.0),
+        id="demand",
+    ),
+]
+
+
+@pytest.mark.parametrize("read, header, row, record", TABLES)
+class TestTableParsing:
+    """Both network tables skip the same lines and raise the same errors."""
+
+    def test_skips_blank_comment_and_header_lines(self, tmp_path, read, header, row, record):
+        f = tmp_path / "table.csv"
+        f.write_text(f"{header}\n\n# a comment\n   \n{row}\n  # indented comment\n"
+                     f"{header}\n{row}\n")
+        assert read(f) == [record, record]
+
+    def test_first_line_is_skipped_even_without_header_text(self, tmp_path, read, header,
+                                                            row, record):
+        f = tmp_path / "table.csv"
+        f.write_text(f"{row}\n{row}\n")
+        assert read(f) == [record]
+
+    def test_header_after_leading_comment(self, tmp_path, read, header, row, record):
+        f = tmp_path / "table.csv"
+        f.write_text(f"# units are SI\n{header}\n{row}\n")
+        assert read(f) == [record]
+
+    def test_short_row_names_its_line(self, tmp_path, read, header, row, record):
+        n_fields = len(header.split(","))
+        short = ",".join(row.split(",")[:-1])
+        f = tmp_path / "table.csv"
+        f.write_text(f"{header}\n# skipped\n\n{short}\n")
+        with pytest.raises(nw.ParseError, match=f"^line 4: expected {n_fields} fields$"):
+            read(f)
+
+    def test_non_numeric_field_names_its_line(self, tmp_path, read, header, row, record):
+        parts = row.split(",")
+        parts[-1] = "abc"
+        f = tmp_path / "table.csv"
+        f.write_text(f"{header}\n{row}\n{','.join(parts)}\n")
+        with pytest.raises(nw.ParseError,
+                           match=r"^line 3: could not convert string to float: 'abc'$"):
+            read(f)
