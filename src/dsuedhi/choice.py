@@ -56,6 +56,9 @@ class ChoiceParams:
     time_unit_s: float = 60.0
 
     def __post_init__(self) -> None:
+        if not np.isfinite((self.theta, self.mu_early, self.mu_late, self.time_unit_s,
+                            *self.target_arrival_s)).all():
+            raise ChoiceError("choice parameters must be finite")  # NaN passes every check below
         if self.theta <= 0:
             raise ChoiceError("dispersion theta must be positive")
         if not 0 < self.mu_early < 1 < self.mu_late:

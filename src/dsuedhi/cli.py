@@ -37,11 +37,21 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _write_rows(path: Path, header: list[str], rows) -> None:
+def _column(values) -> list[str]:
+    """Each value of an array, row-major, formatted as ``_fmt`` does."""
+    return [format(x, ".12g") for x in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+def _write_lines(path: Path, header: list[str], lines) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(c) if isinstance(c, str) else _fmt(c) for c in row) + "\n")
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _write_rows(path: Path, header: list[str], rows) -> None:
+    """Rows of cells; a cell that is not a string is formatted with ``_fmt``."""
+    _write_lines(path, header, (",".join(c if isinstance(c, str) else _fmt(c) for c in row)
+                                for row in rows))
 
 
 def _read_rows(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -64,16 +74,19 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def write_equilibrium_csv(path: Path, result: EquilibriumResult, net, path_set) -> None:
-    rows = []
-    for p, pth in enumerate(path_set.paths):
+def _cell_keys(net, path_set, n_intervals: int) -> list[str]:
+    """``od,path_id,t_index`` of every (path, interval) cell, path-major."""
+    keys = []
+    for pth in path_set.paths:
         od = net.od_pairs[pth.od_index]
-        for t in range(result.h_total.shape[1]):
-            rows.append(
-                (f"{od.origin}-{od.destination}", str(pth.path_id), str(t),
-                 _fmt(result.h_instant[p, t]), _fmt(result.h_forecast[p, t]))
-            )
-    _write_rows(path, EQUILIBRIUM_HEADER, rows)
+        keys += [f"{od.origin}-{od.destination},{pth.path_id},{t}" for t in range(n_intervals)]
+    return keys
+
+
+def write_equilibrium_csv(path: Path, result: EquilibriumResult, net, path_set) -> None:
+    keys = _cell_keys(net, path_set, result.h_total.shape[1])
+    _write_lines(path, EQUILIBRIUM_HEADER,
+                 map(",".join, zip(keys, _column(result.h_instant), _column(result.h_forecast))))
 
 
 def read_equilibrium_csv(path: Path) -> dict[tuple[str, int, int], tuple[float, float]]:
@@ -97,21 +110,16 @@ def read_trace_csv(path: Path) -> list[tuple[int, float, float, float]]:
 
 
 def write_accuracy_csv(path: Path, report: metrics.AccuracyReport, net, path_set) -> None:
-    rows = []
+    keys = _cell_keys(net, path_set, report.rtt.shape[1])
+    rtt = _column(report.rtt)
+    lines = []
     for cls, itt, rd, dep in (
         ("instant", report.itt_instant, report.rel_diff_instant, report.departures_instant),
         ("forecast", report.itt_forecast, report.rel_diff_forecast, report.departures_forecast),
     ):
-        for p, pth in enumerate(path_set.paths):
-            od = net.od_pairs[pth.od_index]
-            for t in range(itt.shape[1]):
-                rows.append(
-                    (cls, f"{od.origin}-{od.destination}", str(pth.path_id), str(t),
-                     _fmt(itt[p, t]), _fmt(report.rtt[p, t]),
-                     "nan" if np.isnan(rd[p, t]) else _fmt(rd[p, t]),
-                     _fmt(dep[p, t]))
-                )
-    _write_rows(path, ACCURACY_HEADER, rows)
+        lines += map(",".join, zip([cls] * len(keys), keys, _column(itt), rtt, _column(rd),
+                                   _column(dep)))
+    _write_lines(path, ACCURACY_HEADER, lines)
 
 
 def read_accuracy_csv(path: Path) -> list[dict]:
@@ -190,11 +198,8 @@ def run_sweep(sc: Scenario, parameter: str, values: list[float], out_dir: Path) 
         return EXIT_USAGE
     if parameter == "theta":
         scenarios = [replace(sc, theta=v, instant_share=0.5) for v in values]
-    elif parameter == "lambda":
+    else:  # "lambda", the parser's only other choice
         scenarios = [replace(sc, theta=1.0, instant_share=v) for v in values]
-    else:
-        print(f"unknown sweep parameter {parameter!r}", file=sys.stderr)
-        return EXIT_USAGE
 
     def one(s: Scenario):
         try:
@@ -377,16 +382,13 @@ def main(argv: list[str] | None = None) -> int:
             return run_sweep(sc, args.param, args.values, out_dir)
         if args.command == "compare-dsue":
             return run_compare_dsue(sc, out_dir)
-        if args.command == "multistart":
-            return run_multistart(sc, args.n, args.seed, out_dir)
+        return run_multistart(sc, args.n, args.seed, out_dir)  # the parser's last command
     except (ParseError, ScenarioError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NetworkError, ChoiceError, DnlError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    print(f"unknown command {args.command!r}", file=sys.stderr)
-    return EXIT_USAGE
 
 
 def entrypoint() -> None:

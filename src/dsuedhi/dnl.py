@@ -32,14 +32,22 @@ free-flow time for it. A *slot* is one (row, path) pair and holds that path's
 share of the row's entry curve; all slot curves live in one slots x steps
 array, numbered row-major and in path order within a row, so each row owns a
 contiguous block of slots. Index arrays give each slot its row, its path's
-next link row, and the path's slot there. A step is a fixed handful of numpy
-operations over all rows at once: row-batched interpolation of the curves;
-one row-batched inversion for the FIFO window [tau0, tau1] of every row's
-outflow; ``np.add.at`` for merge inflows, links before sources as in a loop
-over them; ``np.minimum.at`` for every diverge factor; and one scatter to the
-successor slots, which never collides because a path visits a link once.
-Link rows keep link order, so slots, merges and row totals add the same
-numbers in the same order as they would with a row for every link.
+next link row, and the path's slot there. Link rows keep link order, so
+slots, merges and row totals add the same numbers in the same order as they
+would with a row for every link.
+
+Work per plan, per join and per step. A plan (one network's links, path set
+and grid) is built once and kept while among the last few used, with its
+batch copies and the positions of every step's lagged reads, which depend on
+the step alone. A join builds the index arrays of the slots that move on and
+the rows their merge inflows enter. A step is a fixed set of numpy calls over
+all rows, reading curves by flat gathers: one inversion for the FIFO window
+[tau0, tau1] of every row's outflow; ``np.bincount`` for merge inflows, links
+before sources as in a loop over them; ``np.minimum.reduceat`` for each row's
+diverge factor; one scatter to the successor slots, which never collides
+because a path visits a link once; ``np.add.at`` into the existing entry
+column. A slot that moved nothing adds 0.0, which changes no sum: no curve
+holds -0.0.
 
 Batch axis. ``load_batch`` steps B departure patterns of one (network, path
 set, grid) together as B disjoint copies of those rows and slots: the link
@@ -73,6 +81,7 @@ above, not only on the model.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,50 +180,55 @@ def link_supply_rate(n_dn_wave_lagged, n_up_now, storage_veh, capacity_vps, dt_s
     return np.maximum(0.0, np.minimum(capacity_vps, room / dt_s))[()]
 
 
-def _interp_rows(curves: np.ndarray, times, dt: float, hold: bool = False,
-                 last=None) -> np.ndarray:
-    """Piecewise-linear values of boundary-sampled curves, one row per curve.
+def _positions(times, dt: float, last) -> tuple[np.ndarray, np.ndarray]:
+    """Sample index and fraction of the next segment of ``times``, on samples every ``dt``.
 
-    ``times`` has one row per curve, with any number of columns. Times before
-    the start read column 0. From the last sample on (column ``last``, per
-    row; default the last column), the last segment's formula is evaluated at
-    its end, or with ``hold`` the last sample itself.
+    Times before 0 sit at sample 0, and times from sample ``last`` (per row,
+    or one for all) on at fraction 1 of the segment before it.
     """
-    if last is None:
-        last = curves.shape[1] - 1
     x = np.minimum(np.maximum(times / dt, 0.0), last)
     idx = np.minimum(x.astype(np.intp), last - 1)
-    rows = np.arange(len(curves)).reshape((-1,) + (1,) * (idx.ndim - 1))
-    lo = curves[rows, idx]
-    out = lo + (x - idx) * (curves[rows, idx + 1] - lo)
-    return np.where(x >= last, curves[rows, last], out) if hold else out
+    return idx, x - idx
 
 
-def _invert_rows(curves, targets, dt: float, rate_beyond, n=None) -> tuple[np.ndarray, np.ndarray]:
+def _interp_rows(flat: np.ndarray, at, frac, hold: bool = False) -> np.ndarray:
+    """Piecewise-linear values of boundary-sampled curves stored row after row in ``flat``.
+
+    ``at`` is a row's start in ``flat`` plus a sample index, ``frac`` the
+    fraction of the next segment (``_positions``); with ``hold``, fraction 1
+    reads the sample itself instead of evaluating the segment there.
+    """
+    lo = flat[at]
+    hi = flat[at + 1]
+    out = lo + frac * (hi - lo)
+    return np.where(frac >= 1.0, hi, out) if hold else out
+
+
+def _invert_rows(curves, flat, starts, targets, dt: float, rate_beyond,
+                 n) -> tuple[np.ndarray, np.ndarray]:
     """Earliest times at which non-decreasing curves reach targets, per row.
 
-    ``targets`` is rows x targets per row, searched among the first ``n``
-    samples of each row (per row; default all). Targets are relaxed by a
-    vanishing epsilon so that a probe carrying only numerical dust (logit
-    tail masses far below one vehicle) does not wait for the next real
-    cohort. Counting the samples below a target is
+    ``curves`` holds the rows, which ``flat`` stores from ``starts`` (a
+    column) on. ``targets`` is rows x targets per row, searched among the
+    first ``n`` samples of each row (per row, or one for all). Targets are
+    relaxed by a vanishing epsilon so that a probe carrying only numerical
+    dust (logit tail masses far below one vehicle) does not wait for the
+    next real cohort. Counting the samples below a target is
     ``searchsorted(side="left")`` on these curves. Beyond its last sample a
     row's curve is extended at its ``rate_beyond``; the second return flags
     targets that needed that extension.
     """
-    rows = np.arange(len(curves))[:, None]
-    if n is None:
-        n = np.full((len(curves), 1), curves.shape[1])
     targets = np.maximum(targets - (_EPS_VEH + _EPS_VEH * targets), 0.0)
     idx = np.minimum((curves[:, None, :] < targets[:, :, None]).sum(axis=2), n)
     beyond = idx >= n
     i = np.minimum(np.maximum(idx, 1), n - 1)
-    lo = curves[rows, i - 1]
+    at = starts + i
+    lo = flat[at - 1]
     inside = (idx > 0) & ~beyond
-    step = np.divide(targets - lo, curves[rows, i] - lo, out=np.zeros(targets.shape), where=inside)
+    step = np.divide(targets - lo, flat[at] - lo, out=np.zeros(targets.shape), where=inside)
     out = ((i - 1) + step) * dt  # 0 where no sample is below the target
     if beyond.any():
-        extended = (n - 1) * dt + (targets - curves[rows, n - 1]) / rate_beyond[:, None]
+        extended = (n - 1) * dt + (targets - flat[starts + n - 1]) / rate_beyond[:, None]
         out = np.where(beyond, extended, out)
     return out, beyond
 
@@ -250,18 +264,17 @@ def _widen(curves: np.ndarray, cols: int) -> np.ndarray:
 
 
 class _Plan:
-    """Index arrays of one (network, path set, grid).
+    """Index arrays of one (network links, path link sequences, grid).
 
     Rows are the links that some path uses, in link order, then one source
     connector per distinct first link. A slot is one (row, path) pair; slots
     are numbered row-major, in path order within a row. The other links
-    never carry a vehicle and get no row.
+    never carry a vehicle and get no row. ``_plan`` keeps the last few plans,
+    so loads of one network share one; a plan changes only to cache more.
     """
 
-    def __init__(self, net: Network, path_set: PathSet, grid: TimeGrid):
-        links = net.links
-        seqs = path_set.link_seq
-        self.n_links = N = net.n_links
+    def __init__(self, links: tuple, seqs: tuple, grid: TimeGrid):
+        self.n_links = N = len(links)
         self.link_ff = np.array([l.free_flow_s for l in links])
         self.link_cap = np.array([l.capacity_vps for l in links])
         wave_lag = np.array([l.length_m / l.backward_wave_mps for l in links])
@@ -311,6 +324,30 @@ class _Plan:
         for p, seq in enumerate(seqs):
             self.path_links[p, : len(seq)] = seq
         self.path_rows = row[self.path_links]
+        self._copies: dict[int, _Copies] = {}
+        self._lags = (np.empty(0),)
+
+    def copies(self, B: int) -> _Copies:
+        if B not in self._copies:
+            self._copies[B] = _Copies(self, B)
+        return self._copies[B]
+
+    def lags(self, cols: int) -> tuple[np.ndarray, np.ndarray]:
+        """Positions (steps x 3 x 1 x used links) of the lagged reads of steps 0 to ``cols`` - 2.
+
+        Step t reads entries at t*dt - ff and t*dt + dt - ff and exits at t*dt - wave_lag, none
+        after t*dt <= (cols - 2) * dt, so the clamp to the last sample never binds.
+        """
+        if len(self._lags[0]) < cols:
+            now = (np.arange(cols, dtype=float) * self.dt)[:, None]
+            times = np.stack((np.minimum(now - self.ff, now),
+                              np.minimum(now + self.dt - self.ff, now),
+                              now - self.wave_lag), axis=1)
+            self._lags = _positions(times[:, :, None, :], self.dt, cols - 1)
+        return self._lags
+
+
+_plan = functools.lru_cache(maxsize=8)(_Plan)
 
 
 class _Copies:
@@ -340,10 +377,8 @@ class _Copies:
                                          tiled(plan.slot_next[L:], A, link_block)))
         self.slot_dest = np.concatenate((tiled(plan.slot_dest[:L], L, block),
                                          tiled(plan.slot_dest[L:], L, link_block)))
-        self.moves = self.slot_next >= 0  # slots whose path continues on a link
         self.src_links = tiled(plan.src_links, A, link_block)
-        self.ff, self.wave_lag, self.cap, self.storage = (
-            np.tile(x, B) for x in (plan.ff, plan.wave_lag, plan.cap, plan.storage))
+        self.cap, self.storage = np.tile(plan.cap, B), np.tile(plan.storage, B)
         R = B * (A + n_src)
         row_start = np.searchsorted(self.slot_row, np.arange(R + 1))
         self.wide = _wide_groups(row_start[:-1], np.diff(row_start))
@@ -353,7 +388,10 @@ class _Copies:
 
 
 class _Active:
-    """The rows and slots of the first k copies, indexed from their start."""
+    """The rows and slots of the first k copies, indexed from their start.
+
+    Built once per join, with the index arrays a step over them uses.
+    """
 
     def __init__(self, c: _Copies, k: int):
         A, L, n_src, n_src_slots = c.sizes
@@ -363,19 +401,20 @@ class _Active:
         self.A, self.L = k * A, k * L
         self.R = r1 - r0
         links = slice(r0, c.B * A)
-        self.ff, self.wave_lag, self.cap, self.storage = (
-            x[links] for x in (c.ff, c.wave_lag, c.cap, c.storage))
+        self.cap, self.storage = c.cap[links], c.storage[links]
         self.rate_beyond = c.rate_beyond[self.rows]
         self.n_known = c.n_known[self.rows]
-        # indices of moving slots only are read, so -1 needs no care here
         self.slot_row = c.slot_row[self.slots] - r0
-        self.slot_next = c.slot_next[self.slots] - r0
-        self.slot_dest = c.slot_dest[self.slots] - q0
-        self.moves = c.moves[self.slots]
-        self.src_links = c.src_links[: k * n_src] - r0
-        self.link_moves = self.moves[: self.L]
-        self.inflow_index = np.concatenate((self.slot_next[: self.L][self.link_moves],
-                                            self.src_links))
+        self.row_start = np.searchsorted(self.slot_row, np.arange(self.R))  # no row is empty
+        nxt = c.slot_next[self.slots]
+        moves = nxt >= 0  # slots whose path continues on a link
+        self.next_row = np.where(moves, nxt - r0, self.A)  # A, a pad, where it ends
+        self.moving = np.flatnonzero(moves)
+        self.moving_dest = c.slot_dest[self.slots][self.moving] - q0
+        self.link_moving = self.moving[: np.searchsorted(self.moving, self.L)]
+        # merge inflows: the link slots that move, in slot order, then the sources
+        self.inflow_index = np.concatenate((self.next_row[self.link_moving],
+                                            c.src_links[: k * n_src] - r0))
         self.wide = []
         for rows, index in c.wide:
             lo, hi = np.searchsorted(rows, (r0, r1))
@@ -448,7 +487,7 @@ def load(
     as the base of a ``load_batch`` whose patterns start after interval 0.
     """
     h = _departures(departures, 2, path_set, grid)
-    return _step(_Plan(net, path_set, grid), grid, h[None], compute_link_times,
+    return _step(_plan(net.links, path_set.link_seq, grid), grid, h[None], compute_link_times,
                  drain_max_steps, np.zeros(1, dtype=np.intp))[0]
 
 
@@ -489,7 +528,7 @@ def load_batch(
     if base is None:
         if starts.any():
             raise DnlError("patterns that start after interval 0 need a base loading")
-        plan = _Plan(net, path_set, grid)
+        plan = _plan(net.links, path_set.link_seq, grid)
     else:
         if base._state is None:
             raise DnlError("base loading carries no loader state")
@@ -556,7 +595,7 @@ def _step(
     """
     B, P, T = h.shape
 
-    c = _Copies(plan, B)
+    c = plan.copies(B)
     A1, L1, n_src, _ = c.sizes
     AB, LB = B * A1, B * L1
     refine = plan.refine
@@ -593,64 +632,67 @@ def _step(
         if joined < B and joins[joined] <= t:
             joined = int(np.searchsorted(joins, t, side="right"))
             act = _Active(c, joined)
-            A, L, R = act.A, act.L, act.R
-            ff, wave, storage, cap = act.ff, act.wave_lag, act.storage, act.cap
-            slot_row, slot_next, slot_dest = act.slot_row, act.slot_next, act.slot_dest
-            moves, link_moves, src_links, wide = act.moves, act.link_moves, act.src_links, act.wide
+            A, L, R, slot_row = act.A, act.L, act.R, act.slot_row
             stale = True
         if stale:
             u, d, s = up[act.rows], dn[act.rows], slots[act.slots]
             n_up, src_up, n_dn, src_dn = u[:A], u[A:], d[:A], d[A:]
-        now = t * dt
+            # the same rows stored row after row, each row's start there
+            u_flat, d_flat, s_flat = u.reshape(-1), d.reshape(-1), s.reshape(-1)
+            row_at, slot_at = (np.arange(0, x.size, cols)[:, None] for x in (u, s))
+            link_at = row_at[:A].reshape(-1, plan.A)  # copies x the plan's link rows
+            lag_idx, lag_frac = plan.lags(cols)
         n_up[:, t + 1] = n_up[:, t]
         d[:, t + 1] = d[:, t]
         s[:L, t + 1] = s[:L, t]
 
+        # lagged reads: entries a free-flow time before the step's ends, exits a wave time ago
+        at, frac = link_at + lag_idx[t], lag_frac[t]
+        nup_lag, arr_hi = _interp_rows(u_flat, at[:2], frac[:2]).reshape(2, A)
+        ndn_wave = _interp_rows(d_flat, at[2], frac[2]).reshape(A)
+
         # sending masses: links by the demand rule, sources all that entered
-        lagged = _interp_rows(n_up, np.minimum(np.array((now, now + dt)) - ff[:, None], now), dt)
-        nup_lag, arr_hi = lagged[:, 0], lagged[:, 1]
         ndn_now = n_dn[:, t]
-        mass = np.concatenate((link_demand_rate(nup_lag, ndn_now, arr_hi - nup_lag, cap, dt) * dt,
-                               src_up[:, t + 1] - src_dn[:, t]))
-        sends = mass > _EPS_VEH
+        mass = np.concatenate((
+            link_demand_rate(nup_lag, ndn_now, arr_hi - nup_lag, act.cap, dt) * dt,
+            src_up[:, t + 1] - src_dn[:, t]))
+        sends = mass > _EPS_VEH  # tested before the clamp to what has arrived
         bound = np.where(nup_lag - ndn_now > _EPS_VEH, nup_lag, arr_hi) - ndn_now
-        mass[:A] = np.minimum(mass[:A], bound)
-        mass[~sends] = 0.0
+        np.minimum(mass[:A], bound, out=mass[:A])
+        mass = np.where(sends, mass, 0.0)
 
         # FIFO: the mass leaving a row entered it during [tau0, tau1]; each
         # slot's entries over that window, scaled to the mass, leave with it
         window = np.empty((R, 2))
         window[:, 0] = d[:, t]
         np.add(d[:, t], mass, out=window[:, 1])
-        tau, _ = _invert_rows(u[:, : t + 2], window, dt, act.rate_beyond, act.n_known + t)
-        ends = _interp_rows(s[:, : t + 2], tau[slot_row], dt, hold=True)
+        tau, _ = _invert_rows(u[:, : t + 2], u_flat, row_at, window, dt, act.rate_beyond,
+                              act.n_known + t)
+        idx, frac = _positions(tau[slot_row], dt, t + 1)
+        ends = _interp_rows(s_flat, slot_at + idx, frac, hold=True)
         comp = np.maximum(ends[:, 1] - ends[:, 0], 0.0)
-        total = _group_sums(comp, slot_row, R, wide)
+        total = _group_sums(comp, slot_row, R, act.wide)
         comp *= np.divide(mass, total, out=np.ones(R), where=total > 0.0)[slot_row]
 
         # receiving masses; merges scale inflows to supply
-        ndn_wave = _interp_rows(n_dn, now - wave, dt)
-        recv_mass = link_supply_rate(ndn_wave, n_up[:, t], storage, cap, dt) * dt
-        inflow_demand = np.zeros(A)
-        np.add.at(inflow_demand, act.inflow_index, np.concatenate((comp[:L][link_moves], mass[A:])))
-        factor = np.divide(recv_mass, inflow_demand, out=np.ones(A),
-                           where=inflow_demand > recv_mass)
+        recv_mass = link_supply_rate(ndn_wave, n_up[:, t], act.storage, act.cap, dt) * dt
+        inflow_demand = np.bincount(act.inflow_index,
+                                    np.concatenate((comp[act.link_moving], mass[A:])), minlength=A)
+        factor = np.ones(A + 1)  # and 1 for slots whose path ends
+        np.divide(recv_mass, inflow_demand, out=factor[:A], where=inflow_demand > recv_mass)
 
         # diverges scale a row's whole outflow by its most restrictive factor
-        theta = np.ones(R)
-        restricted = moves & (comp > 0.0)
-        np.minimum.at(theta, slot_row[restricted], factor[slot_next[restricted]])
+        theta = np.minimum.reduceat(np.where(comp > 0.0, factor[act.next_row], 1.0), act.row_start)
         out = comp * theta[slot_row]
-        total = _group_sums(out, slot_row, R, wide)
+        total = _group_sums(out, slot_row, R, act.wide)
         d[:, t + 1] += total
 
-        # transfer to each path's slot on its next link (never collides);
-        # a source adds its total to its link in one sum
-        moved = moves & (out > 0.0)
-        s[slot_dest[moved], t + 1] += out[moved]
-        link_moved = moved[:L]
-        np.add.at(n_up[:, t + 1], np.concatenate((slot_next[:L][link_moved], src_links)),
-                  np.concatenate((out[:L][link_moved], total[A:])))
+        # transfer to each path's slot on its next link (never collides); each
+        # inflow is added to the entry column in turn, as a loop does (a sum
+        # added at once rounds otherwise), a source's total in one addition
+        s[:, t + 1][act.moving_dest] += out[act.moving]
+        np.add.at(n_up[:, t + 1], act.inflow_index,
+                  np.concatenate((out[act.link_moving], total[A:])))
 
         if t + 1 >= t_sim:  # every copy has joined
             done = _stored(plan, u[:, t + 1] - d[:, t + 1], B) <= drain_tol
@@ -661,7 +703,6 @@ def _step(
                     break
 
     S_end = int(n_steps.max())  # every pattern was stepped this far
-    up, dn = up[:, : S_end + 1], dn[:, : S_end + 1]
     path_time = np.full((B, P, T), np.nan)
     extrapolated = np.zeros((B, P, T), dtype=bool)
     lo = 0
@@ -731,14 +772,18 @@ def _link_times(plan: _Plan, grid: TimeGrid, sim_dt: float, link_up, link_dn) ->
     Timed on the used links' rows; a link without one takes its free-flow time.
     """
     times = grid.interval_starts()
-    entries = _interp_rows(link_up, np.broadcast_to(times, (plan.A, len(times))), sim_dt)
+    up, dn = np.ascontiguousarray(link_up), np.ascontiguousarray(link_dn)
+    at = np.arange(0, up.size, up.shape[1])[:, None]  # each row's start in the flat curves
+    idx, frac = _positions(times, sim_dt, up.shape[1] - 1)
+    entries = _interp_rows(up.reshape(-1), at + idx, frac)
     exit_t = np.empty_like(entries)
     # at most as many links per inversion as there are paths, so its
     # temporary stays within the paths x T x steps of _path_times
     chunk = max(1, len(plan.path_links))
     for lo in range(0, plan.A, chunk):
         rows = slice(lo, lo + chunk)
-        exit_t[rows] = _invert_rows(link_dn[rows], entries[rows], sim_dt, plan.cap[rows])[0]
+        exit_t[rows] = _invert_rows(dn[rows], dn.reshape(-1), at[rows], entries[rows], sim_dt,
+                                    plan.cap[rows], dn.shape[1])[0]
     out = np.repeat(plan.link_ff[:, None], len(times), axis=1)
     out[plan.used_links] = np.maximum(plan.ff[:, None], exit_t - times)
     return out
@@ -752,27 +797,34 @@ def _path_times(
     The probe for interval t is the cohort's median vehicle: it departs at the
     interval midpoint with half of its own column ahead of it, so a column
     feels the queue it builds itself. ``up`` and ``dn`` hold the rows of a
-    batch in the layout of ``_Copies``, and pattern b's curves end at its own
-    step ``n_steps[b]``; the results are copies x paths x intervals t0 on.
+    batch in the layout of ``_Copies`` (C-contiguous, with columns past the
+    last step), and pattern b's curves end at its own step ``n_steps[b]``;
+    the results are copies x paths x intervals t0 on.
     """
     A1, n_src, P = plan.A, len(plan.source_links), len(plan.path_rows)
     B, k = len(up) // (A1 + n_src), len(copies)
+    cols, width = up.shape[1], int(n_steps.max()) + 1  # every row was stepped this far
     hops = np.tile(plan.path_rows, (k, 1))  # link row of each (pattern, path) per hop
     first_row = np.repeat(A1 * (B - 1 - copies), P)  # each pattern's first link row
     n = np.repeat(n_steps[copies] + 1, P)[:, None]  # samples per row
     last = n - 1
     mids = grid.interval_mids()[t0:]
     src = B * A1 + np.repeat(n_src * copies, P) + np.tile(plan.src_of_path, k)
-    counts = _interp_rows(up[src], np.broadcast_to(mids, (len(src), len(mids))), sim_dt,
-                          last=last)
-    clock, flagged = _invert_rows(dn[src], counts, sim_dt, plan.cap[hops[:, 0]], n)
+    at = src[:, None] * cols
+    idx, frac = _positions(mids, sim_dt, last)
+    counts = _interp_rows(up.reshape(-1), at + idx, frac)
+    clock, flagged = _invert_rows(dn[src, :width], dn.reshape(-1), at, counts, sim_dt,
+                                  plan.cap[hops[:, 0]], n)
     clock = np.maximum(clock, mids)
     for hop in hops.T:
         on = hop >= 0
         a = hop[on]
         row = first_row[on] + a
-        counts = _interp_rows(up[row], clock[on], sim_dt, last=last[on])
-        exit_t, beyond = _invert_rows(dn[row], counts, sim_dt, plan.cap[a], n[on])
+        at = row[:, None] * cols
+        idx, frac = _positions(clock[on], sim_dt, last[on])
+        counts = _interp_rows(up.reshape(-1), at + idx, frac)
+        exit_t, beyond = _invert_rows(dn[row, :width], dn.reshape(-1), at, counts, sim_dt,
+                                      plan.cap[a], n[on])
         clock[on] = np.maximum(clock[on] + plan.ff[a][:, None], exit_t)
         flagged[on] |= beyond
     return (clock - mids).reshape(k, P, -1), flagged.reshape(k, P, -1)

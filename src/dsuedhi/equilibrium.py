@@ -41,6 +41,8 @@ class SolverConfig:
     max_iterations: int = 100
 
     def __post_init__(self) -> None:
+        if not np.isfinite((self.tolerance, self.gain_up, self.gain_down)).all():
+            raise SolverError("solver parameters must be finite")  # NaN passes every check below
         if self.tolerance <= 0:
             raise SolverError("tolerance must be positive")
         if self.gain_up <= 1:

@@ -165,8 +165,8 @@ def validate_network(
     """Check invariants and fix the canonical orderings.
 
     Raises NetworkError for duplicate or dangling ids, non-positive physical
-    parameters, negative demands, or an OD pair with positive demand but no
-    connecting path.
+    parameters, negative or non-finite demands, or an OD pair with positive
+    demand but no connecting path.
     """
     seen: set[str] = set()
     for l in links:
@@ -194,8 +194,8 @@ def validate_network(
             raise NetworkError(
                 f"OD pair {od.origin}->{od.destination} references a dangling node"
             )
-        if od.demand_instant < 0 or od.demand_forecast < 0:
-            raise NetworkError(f"OD pair {key}: negative demand")
+        if not (0 <= od.demand_instant < np.inf and 0 <= od.demand_forecast < np.inf):
+            raise NetworkError(f"OD pair {key}: demand must be finite and non-negative")
 
     sorted_links = tuple(sorted(links, key=lambda l: l.link_id))
     sorted_ods = tuple(sorted(demands, key=lambda od: (od.origin, od.destination)))

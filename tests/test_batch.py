@@ -149,7 +149,7 @@ def test_staggered_starts_equal_cold_solo_loads_on_random_lattices(seed, size, p
         if rng.random() < 0.3:
             tail[:, -1] += rng.uniform(0.0, 80.0, size=ps.n_paths)
         batch.append(splice(h, tail, t))
-    budget = per_chunk * dnl._pattern_bytes(dnl._Plan(net, ps, grid), grid, cap)
+    budget = per_chunk * dnl._pattern_bytes(dnl._plan(net.links, ps.link_seq, grid), grid, cap)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dnl, "_CHUNK_BYTES", budget)
         assert_started_equals_solo(net, ps, grid, base, np.stack(batch), starts, cap)

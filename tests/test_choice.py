@@ -64,6 +64,17 @@ class TestChoiceParams:
         with pytest.raises(choice.ChoiceError):
             choice.ChoiceParams(theta=0.0, target_arrival_s=(0.0,))
 
+    @pytest.mark.parametrize("field", ["theta", "mu_early", "mu_late", "time_unit_s",
+                                       "target_arrival_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        # NaN passes every ordering check, so finiteness is checked first
+        kwargs = {"theta": 1.0, "target_arrival_s": (0.0,), field: value}
+        if field == "target_arrival_s":
+            kwargs[field] = (0.0, value)
+        with pytest.raises(choice.ChoiceError, match="finite"):
+            choice.ChoiceParams(**kwargs)
+
 
 class TestDisutilityMatrices:
     """The disutility behind a share table: instantaneous times reused for

@@ -251,6 +251,18 @@ class TestSweep:
         assert rows[1][1] == "error"
 
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_theta_is_an_error_row(self, three_link_dir, tmp_path, capsys, bad):
+        out = tmp_path / "o"
+        code = run(["sweep", "--scenario", three_link_dir / "scenario.ini", "--out", out,
+                    "--param", "theta", "--values", f"{bad},1"])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        _, rows = cli._read_rows(out / "sweep.csv")
+        assert rows[0][:3] == [bad, "error", "choice parameters must be finite"]
+        assert rows[1][1] == "ok"
+
+
 class TestCompare:
     def test_uncongested_no_difference(self, tmp_path):
         out = tmp_path / "o"

@@ -51,6 +51,12 @@ class TestSolverConfig:
         with pytest.raises(SolverError):
             SolverConfig(max_iterations=0)
 
+    @pytest.mark.parametrize("field", ["tolerance", "gain_up", "gain_down"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(SolverError, match="finite"):
+            SolverConfig(**{field: value})
+
 
 class TestFixedPointMap:
     def test_zero_demand_maps_to_zero(self, grid_congested):

@@ -1,5 +1,7 @@
 """Loader outputs equal the stored golden arrays and the loop loader bit for bit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,7 +64,7 @@ def test_drain_sum_adds_every_link_in_link_order(seed):
     # numpy sums 8 or more numbers pairwise by position, so the used links'
     # stored vehicles are summed at their places among all links
     net, ps, grid, _, _ = CASES["sparse_lattice"]
-    plan = dnl._Plan(net, ps, grid)
+    plan = dnl._plan(net.links, ps.link_seq, grid)
     B, A, n_src = 3, plan.A, len(plan.source_links)
     assert 8 <= A < net.n_links
     inside = np.random.default_rng(seed).uniform(0.0, 1.0, B * (A + n_src))
@@ -124,6 +126,27 @@ def test_load_matches_loop_loader_on_random_lattices(seed):
                           drain_max_steps=cap)[0]
     assert np.isnan(warm.path_time[:, :k]).all()
     assert_same(started_outputs(warm, k, got), {**outputs(cold), **timed_from(cold, k)})
+
+
+def test_loads_of_networks_that_differ_in_one_link_or_the_grid_use_their_own_plans():
+    # the loader keeps a plan per (links, path link sequences, grid): two
+    # networks with one path set and grid that differ in one link's capacity,
+    # and the same links on another dt, loaded in turn, each equal the loop
+    # loader, and loading the first again gives the first result again
+    net, ps, grid, h, _ = CASES["three_link"]
+    links = list(net.links)
+    links[0] = dataclasses.replace(links[0], capacity_vps=links[0].capacity_vps / 2)
+    narrow = nw.validate_network(links, net.od_pairs)
+    fine = nw.TimeGrid(grid.horizon_s, grid.dt_s / 2)
+    runs = [(net, grid, h), (narrow, grid, h), (net, grid, h),
+            (net, fine, np.repeat(h / 2, 2, axis=1))]
+    got = []
+    for n, g, d in runs:
+        got.append(outputs(dnl.load(n, ps, g, d)))
+        want = loop_loader.load(n, ps, g, d)
+        assert_same(got[-1], {f: getattr(want, f) for f in FIELDS})
+    assert_same(got[2], got[0])
+    assert not np.array_equal(got[1]["path_time"], got[0]["path_time"])
 
 
 def timed_from(res: dnl.LoadingResult, k: int) -> dict:

@@ -67,6 +67,13 @@ class TestValidate:
                 [nw.OdDemand("A", "B", 1, 0, 0.0)],
             )
 
+    @pytest.mark.parametrize("demand", [(-1.0, 0.0), (float("nan"), 1.0), (1.0, float("inf"))])
+    def test_negative_or_non_finite_demand(self, demand):
+        # a NaN demand passed a "< 0" check and its OD pair was left out of the solve
+        links, _ = make_three_link_records()
+        with pytest.raises(nw.NetworkError, match="finite and non-negative"):
+            nw.validate_network(links, [nw.OdDemand("A", "C", *demand, 0.0)])
+
     def test_dangling_demand_node(self):
         links, _ = make_three_link_records()
         with pytest.raises(nw.NetworkError, match="dangling"):
