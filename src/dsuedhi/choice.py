@@ -10,6 +10,10 @@ The quadratic penalty is evaluated in a configurable disutility time unit
 (minutes by default); travel times, departure times, and target arrivals are
 converted from seconds before entering the formula.
 
+Information is travel time by (provision interval t, path, departure j),
+read only in its open cells j >= t: instantaneous times are one column
+broadcast over j, strategic forecasts vary with j.
+
 The logit has two parts. ``share_table`` computes the shares of every OD's
 choice set at any number of provision intervals in one vectorised pass:
 disutility, per-block max shift, ``exp``, normalisation and the first largest
@@ -28,7 +32,6 @@ same order as ``ndarray.sum`` on the block (``dnl._group_sums``).
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,16 +102,20 @@ class _Layout:
     Interval t contributes its paths x (intervals t..T-1) cell matrix
     row-major, after the intervals before it, so the choice set of one OD at
     t -- the rows of its paths -- is one contiguous block. Blocks are numbered
-    in that order; ODs without paths have none.
+    in that order; ODs without paths have none: the order ``open`` selects in.
     """
 
-    interval: np.ndarray  # (cells,) departure interval
-    od: np.ndarray  # (cells,)
+    open: np.ndarray  # (n, P, T) bool, departure j >= provision interval first + i
     block: np.ndarray  # (cells,)
     start: np.ndarray  # (blocks,) first cell
     block_od: np.ndarray  # (blocks,)
     wide: tuple  # ``_group_sums`` groups of blocks with 8 or more cells
     intervals: tuple[_Interval, ...]
+
+
+def open_cells(first: int, n: int, T: int) -> np.ndarray:
+    """(n, 1, T) mask of departures j >= t at provision intervals t = first..first + n - 1."""
+    return (np.arange(T) >= np.arange(first, first + n)[:, None])[:, None, :]
 
 
 @functools.lru_cache(maxsize=64)
@@ -121,7 +128,7 @@ def _layout(od_sizes: tuple[int, ...], T: int, first: int, n: int) -> _Layout:
     sizes = np.array(od_sizes)
     P = int(sizes.sum())
     ods = np.flatnonzero(sizes)
-    intervals, interval, size = [], [], []
+    intervals, size = [], []
     cell = 0
     for i, t in enumerate(range(first, first + n)):
         m = T - t
@@ -131,16 +138,13 @@ def _layout(od_sizes: tuple[int, ...], T: int, first: int, n: int) -> _Layout:
             np.repeat(np.arange(len(ods)), local),
             _wide_groups(np.cumsum(local) - local, local),
         ))
-        interval.append(np.tile(np.arange(t, T), P))
         size.append(local)
         cell += P * m
     size = np.concatenate(size)
     start = np.cumsum(size) - size
-    block = np.repeat(np.arange(len(size)), size)
-    block_od = np.tile(ods, n)
     return _Layout(
-        interval=np.concatenate(interval), od=block_od[block], block=block, start=start,
-        block_od=block_od,
+        open=open_cells(first, n, T).repeat(P, axis=1),
+        block=np.repeat(np.arange(len(size)), size), start=start, block_od=np.tile(ods, n),
         wide=_wide_groups(start, size), intervals=tuple(intervals),
     )
 
@@ -205,7 +209,7 @@ class ShareTable:
 
 
 def share_table(
-    phi_s: Sequence[np.ndarray],
+    phi_s: np.ndarray,
     first: int,
     grid: TimeGrid,
     path_set: PathSet,
@@ -213,40 +217,35 @@ def share_table(
 ) -> ShareTable:
     """Logit shares of every OD's choice set at intervals ``first``, ``first`` + 1, ...
 
-    ``phi_s[i]`` is the information provided at interval ``first + i``:
-    either a per-path vector of instantaneous travel times, reused for every
-    departure column, or a paths x remaining-intervals forecast matrix. The
-    disutilities and shares of all intervals are computed in one vectorised
-    pass; each OD's block at each interval gets exactly the shares, and the
-    same first largest share, as ``logit_probabilities`` of that block alone.
+    ``phi_s[i, p, j]`` is the travel time of path p for departure interval j
+    provided at interval ``first + i``; ``phi_s`` may be any 3-D array that
+    broadcasts to (intervals, paths, T), so instantaneous times, reused for
+    every departure, come as (intervals, paths, 1). Cells with j before the
+    provision interval are not read. The disutilities and shares of all
+    intervals are computed in one vectorised pass; each OD's block at each
+    interval gets exactly the shares, and the same first largest share, as
+    ``logit_probabilities`` of that block alone.
     """
     T = grid.n_intervals
     P = path_set.n_paths
-    if not (len(phi_s) and 0 <= first and first + len(phi_s) <= T):
+    phi = np.asarray(phi_s, dtype=float)
+    if phi.ndim != 3 or phi.shape[1] not in (1, P) or phi.shape[2] not in (1, T):
         raise ChoiceError(
-            f"provision intervals {first}..{first + len(phi_s) - 1} outside horizon"
+            f"travel times of shape {phi.shape} do not broadcast to "
+            f"(intervals, {P} paths, {T} departure intervals)"
         )
-    lay = _layout(tuple(sl.stop - sl.start for sl in path_set.od_slices), T, first, len(phi_s))
-    cells = []
-    for iv, p in zip(lay.intervals, phi_s):
-        p = np.asarray(p, dtype=float)
-        if p.shape == (P,):
-            cells.append(np.repeat(p, T - iv.t))
-        elif p.shape == (P, T - iv.t):
-            cells.append(p.ravel())
-        else:
-            raise ChoiceError(
-                f"travel times of shape {p.shape} do not cover the {P} paths x "
-                f"{T - iv.t} remaining intervals at interval {iv.t}"
-            )
+    n = len(phi)
+    if not (n and 0 <= first and first + n <= T):
+        raise ChoiceError(f"provision intervals {first}..{first + n - 1} outside horizon")
+    lay = _layout(tuple(sl.stop - sl.start for sl in path_set.od_slices), T, first, n)
     u = params.time_unit_s
     dep = (np.arange(T) + 0.5) * grid.dt_s
     ta = np.asarray(params.target_arrival_s, dtype=float)
     psi = systematic_disutility(
-        np.concatenate(cells) / u, (dep / u)[lay.interval], (ta / u)[lay.od],
+        phi / u, dep / u, (ta / u)[path_set.od_of_path][:, None],
         params.mu_early, params.mu_late,
     )
-    share, top, finite = _logit(psi, lay.block, lay.start, lay.wide, params.theta)
+    share, top, finite = _logit(psi[lay.open], lay.block, lay.start, lay.wide, params.theta)
     return ShareTable(first, P, lay, share, top, finite)
 
 
@@ -286,14 +285,16 @@ def tentative_departures(
 ) -> np.ndarray:
     """Assign each OD's remaining demand over its open (path, interval) choices.
 
-    ``phi_s`` is either a per-path vector of instantaneous travel times or a
-    paths-x-remaining-intervals forecast matrix; the vector form reuses the
-    current time for every future column. Per-OD totals are conserved exactly
-    (the floating-point residual of the share sum is folded into the
-    largest-share cell). The one-interval case of ``share_table`` and
-    ``tentative_from_shares``.
+    ``phi_s`` is either a per-path vector of instantaneous travel times,
+    reused for every departure, or a paths x T matrix of travel times by
+    departure interval, of which the columns from ``t_index`` on are read.
+    Per-OD totals are conserved exactly (the floating-point residual of the
+    share sum is folded into the largest-share cell). The one-interval case
+    of ``share_table`` and ``tentative_from_shares``.
     """
-    table = share_table([phi_s], t_index, grid, path_set, params)
+    phi = np.asarray(phi_s, dtype=float)
+    table = share_table(phi[None, :, None] if phi.ndim == 1 else phi[None], t_index, grid,
+                        path_set, params)
     return tentative_from_shares(table, t_index, remaining_demand)
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import equilibrium, metrics
-from .choice import ChoiceError
+from .choice import ChoiceError, open_cells
 from .dnl import DnlError
 from .equilibrium import EquilibriumResult, SolverError
 from .network import NetworkError, ParseError
@@ -31,6 +31,8 @@ EXIT_MODEL = 3
 EQUILIBRIUM_HEADER = ["od", "path_id", "t_index", "h_instant", "h_forecast"]
 TRACE_HEADER = ["k", "residual", "beta", "alpha"]
 ACCURACY_HEADER = ["class", "od", "path_id", "t_index", "itt_s", "rtt_s", "rel_diff", "departures"]
+CURVES_HEADER = ["link_id", "t", "n_up", "n_dn"]
+FORECASTS_HEADER = ["provided_at", "path_id", "departure_t", "phi_s"]
 
 
 def _fmt(x: float) -> str:
@@ -173,23 +175,23 @@ def run_solve(sc: Scenario, out_dir: Path) -> int:
     acc = metrics.information_accuracy(result, grid, sc.trim_fraction, sc.departure_floor)
     write_accuracy_csv(out_dir / "accuracy.csv", acc, net, path_set)
     _write_json(out_dir / "metrics.json", _metrics_payload(sc, result, built, acc))
-    if sc.dump_curves:
-        n_up, n_dn, times = result.loading.n_up, result.loading.n_dn, result.loading.boundaries
-        rows = [(str(link.link_id), t, n_up[a, k], n_dn[a, k])
-                for a, link in enumerate(net.links) for k, t in enumerate(times)]
-        _write_rows(out_dir / "curves.csv", ["link_id", "t", "n_up", "n_dn"], rows)
+    if sc.dump_curves:  # every link's curves at every simulation boundary, link-major
+        ld = result.loading
+        ids = [str(link.link_id) for link in net.links for _ in ld.boundaries]
+        _write_lines(out_dir / "curves.csv", CURVES_HEADER, map(",".join, zip(
+            ids, _column(np.tile(ld.boundaries, len(net.links))),
+            _column(ld.n_up), _column(ld.n_dn))))
     if sc.dump_forecasts:
-        _dump_forecasts(out_dir / "forecasts.csv", result)
+        _dump_forecasts(out_dir / "forecasts.csv", result.forecasts)
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
-def _dump_forecasts(path: Path, result: EquilibriumResult) -> None:
-    rows = []
-    for t, mat in enumerate(result.forecast_full):
-        for p in range(mat.shape[0]):
-            for j in range(mat.shape[1]):
-                rows.append((str(t), str(p), str(t + j), _fmt(mat[p, j])))
-    _write_rows(path, ["provided_at", "path_id", "departure_t", "phi_s"], rows)
+def _dump_forecasts(path: Path, forecasts: np.ndarray) -> None:
+    """Every open cell (departure at or after provision) of the forecasts, row-major."""
+    T = len(forecasts)
+    cells = np.nonzero(np.broadcast_to(open_cells(0, T, T), forecasts.shape))
+    _write_lines(path, FORECASTS_HEADER, map(",".join, zip(
+        *(map(str, index.tolist()) for index in cells), _column(forecasts[cells]))))
 
 
 def run_sweep(sc: Scenario, parameter: str, values: list[float], out_dir: Path) -> int:

@@ -11,7 +11,9 @@ The solver averages each iterate toward the map image with a self-regulated
 step: the inverse step size grows fast when the residual gap grows and slowly
 when it shrinks. Class matrices are updated with the shared step, so exact
 per-class demand conservation is preserved by convexity. The result holds the
-pattern the last map was applied to, with that map's loading and information.
+pattern the last map was applied to, with that map's information: its
+loading, whose ``instant_path_time`` is the instantaneous product, and its
+forecasts as one (provision interval, path, departure interval) array.
 Non-convergence is a reported outcome carrying the full trace, never an
 exception.
 """
@@ -58,10 +60,8 @@ class MapResult:
     """Image of one map application plus the information it generated."""
 
     y_parts: tuple[np.ndarray, ...]
-    loading: dnl.LoadingResult
-    instant_trace: np.ndarray  # paths x T: current times at each provision interval
-    forecast_diag: np.ndarray  # paths x T: forecast made at t for departure at t
-    forecast_full: list[np.ndarray] | None = None  # paths x (T - t) forecast made at each t
+    loading: dnl.LoadingResult  # of the candidate; its instant_path_time is the instant product
+    forecasts: np.ndarray | None = None  # T x paths x T, ``info.forecasts``; None for "dsue"
 
 
 @dataclass
@@ -78,9 +78,7 @@ class EquilibriumResult:
     n_iterations: int
     converged: bool
     loading: dnl.LoadingResult
-    instant_trace: np.ndarray
-    forecast_diag: np.ndarray
-    forecast_full: list[np.ndarray] | None  # of the last map; None for "dsue"
+    forecasts: np.ndarray | None  # of the last map; None for "dsue"
     iterates: list[tuple[np.ndarray, ...]] | None = None
 
     @property
@@ -115,15 +113,13 @@ def fixed_point_map(
     d_instant, d_forecast = net.class_demands()
 
     base = dnl.load(net, path_set, grid, h_total)
-    instant_shares = choice.share_table(base.instant_path_time.T, 0, grid, path_set, params)
+    instant = base.instant_path_time.T[:, :, None]  # the time at t, for every departure
+    instant_shares = choice.share_table(instant, 0, grid, path_set, params)
     forecasts = info.forecasts(net, path_set, grid, h_total, instant_shares, base)
     forecast_shares = choice.share_table(forecasts, 0, grid, path_set, params)
     y_instant = choice.rollout(instant_shares, d_instant, path_set)
     y_forecast = choice.rollout(forecast_shares, d_forecast, path_set)
-
-    forecast_diag = np.stack([fc[:, 0] for fc in forecasts], axis=1)
-    return MapResult((y_instant, y_forecast), base, base.instant_path_time, forecast_diag,
-                     forecasts)
+    return MapResult((y_instant, y_forecast), base, forecasts)
 
 
 def residual(h: np.ndarray, y: np.ndarray) -> float:
@@ -202,9 +198,7 @@ def _run_sram(
         n_iterations=len(residuals),
         converged=converged,
         loading=last.loading,
-        instant_trace=last.instant_trace,
-        forecast_diag=last.forecast_diag,
-        forecast_full=last.forecast_full,
+        forecasts=last.forecasts,
         iterates=iterates,
     )
 
@@ -249,20 +243,13 @@ def solve_dsue(
     """
     totals = np.array([od.demand_total for od in net.od_pairs])
     parts = _initial_parts(path_set, grid, params, (totals,))
-    T = grid.n_intervals
-    P = path_set.n_paths
 
     def apply_map(current: list[np.ndarray]) -> MapResult:
         loading = dnl.load(net, path_set, grid, current[0], compute_link_times=False)
         y = choice.tentative_departures(
             loading.path_time, totals, 0, grid, path_set, params
         )
-        return MapResult(
-            (y,),
-            loading,
-            instant_trace=np.zeros((P, T)),
-            forecast_diag=np.zeros((P, T)),
-        )
+        return MapResult((y,), loading)
 
     return _run_sram("dsue", apply_map, parts, config, record_iterates)
 

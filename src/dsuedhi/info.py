@@ -16,7 +16,9 @@ per provision interval. The forecast spliced at t has the candidate's
 departures before t, so its loading repeats the candidate loading up to
 there: ``forecasts`` loads the T spliced patterns together in one batched
 pass (``dnl.load_batch``) in which each starts from the candidate loading's
-state at its own interval and is timed from there on.
+state at its own interval and is timed from there on. It returns them as one
+(provision interval, path, departure interval) array, the layout that
+``choice.share_table`` reads.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ def forecasts(
     h_total: np.ndarray,
     instant_shares: choice.ShareTable,
     base: dnl.LoadingResult,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Forecast made at every provision interval t from one candidate pattern.
 
     ``base`` is the loading of the candidate total ``h_total`` and
@@ -42,8 +44,9 @@ def forecasts(
     pooled remaining demand of both classes under the candidate is assigned
     to that table, and its columns replace the candidate's from t on; all T
     spliced patterns are loaded in one batch, each from the base's state at
-    its own interval. The forecast made at t is the paths x (intervals
-    t..T-1) matrix of path travel times of the pattern spliced there.
+    its own interval. Entry ``[t, p, j]`` of the returned (T, paths, T)
+    array is the travel time of path p for departure j in the pattern
+    spliced at t; it is NaN for j < t, before that pattern's loading starts.
     """
     T = grid.n_intervals
     totals = np.array([od.demand_total for od in net.od_pairs])
@@ -52,4 +55,4 @@ def forecasts(
         pooled = choice.remaining_demand(h_total[:, :t], totals, path_set)
         spliced[t, :, t:] = choice.tentative_from_shares(instant_shares, t, pooled)
     loadings = dnl.load_batch(net, path_set, grid, spliced, base=base, starts=np.arange(T))
-    return [loading.path_time[:, t:] for t, loading in enumerate(loadings)]
+    return np.stack([loading.path_time for loading in loadings])

@@ -62,8 +62,8 @@ def information_accuracy(
     """Compare the information provided at each interval with realized times."""
     if result.model != "dsue-dhi":
         raise MetricsError("information accuracy requires stored per-interval information")
-    itt_i = result.instant_trace
-    itt_f = result.forecast_diag
+    itt_i = result.loading.instant_path_time
+    itt_f = np.diagonal(result.forecasts, axis1=0, axis2=2)  # made at t for departure t
     rtt = result.loading.path_time
     window = trim_window(grid, trim_fraction)
 

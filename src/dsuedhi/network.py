@@ -37,6 +37,8 @@ class TimeGrid:
     dt_s: float
 
     def __post_init__(self) -> None:
+        if not np.isfinite((self.horizon_s, self.dt_s)).all():
+            raise NetworkError("horizon and interval length must be finite")  # round(inf) overflows
         if self.dt_s <= 0:
             raise NetworkError("interval length must be positive")
         n = self.horizon_s / self.dt_s

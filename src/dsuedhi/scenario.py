@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import network
+from . import metrics, network
 from .choice import ChoiceParams
 from .equilibrium import SolverConfig
 from .network import Network, PathSet, TimeGrid
@@ -181,6 +181,8 @@ def load_scenario(path: str | Path) -> Scenario:
 
     try:
         grid = TimeGrid(_f("time", "horizon_s"), _f("time", "dt_s"))
+        trim_fraction = _f("metrics", "trim_fraction")
+        metrics.trim_window(grid, trim_fraction)  # checked before anything is solved
         solver = SolverConfig(
             tolerance=_f("solver", "tolerance"),
             gain_up=_f("solver", "gain_up"),
@@ -206,7 +208,7 @@ def load_scenario(path: str | Path) -> Scenario:
         time_ratio=_f("paths", "time_ratio"),
         length_ratio=_f("paths", "length_ratio"),
         solver=solver,
-        trim_fraction=_f("metrics", "trim_fraction"),
+        trim_fraction=trim_fraction,
         departure_floor=_f("metrics", "departure_floor"),
         dump_forecasts=_b("output", "dump_forecasts"),
         dump_curves=_b("output", "dump_curves"),

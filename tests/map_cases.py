@@ -1,8 +1,8 @@
 """Fixed map inputs whose outputs are stored in ``data/map_golden.npz``.
 
 The stored arrays pin ``equilibrium.fixed_point_map`` bit for bit: the two
-class images, the instantaneous trace, the forecast diagonal and every full
-forecast matrix. Each case is a network, its path set, a time grid, choice
+class images, the instantaneous times of every provision interval, the
+forecast diagonal and the open cells of every forecast. Each case is a network, its path set, a time grid, choice
 parameters and a seeded random feasible class pair:
 
 - the shipped ``three_link`` and ``grid`` scenarios;
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dsuedhi import equilibrium
+from dsuedhi import choice, equilibrium
 from dsuedhi import network as nw
 from dsuedhi import scenario
 from dsuedhi.choice import ChoiceParams
@@ -106,13 +106,16 @@ def cases():
 
 
 def outputs(result: equilibrium.MapResult) -> dict[str, np.ndarray]:
-    """The map's outputs; the full forecasts side by side, t = 0 first."""
+    """The map's outputs: the instantaneous times of every provision interval,
+    the forecast made at t for departure t, and the open cells (j >= t) of
+    every forecast, paths x (t, j) in row-major order."""
+    T = len(result.forecasts)
     return {
         "y_instant": result.y_parts[0],
         "y_forecast": result.y_parts[1],
-        "instant_trace": result.instant_trace,
-        "forecast_diag": result.forecast_diag,
-        "forecast_full": np.concatenate(result.forecast_full, axis=1),
+        "instant_trace": result.loading.instant_path_time,
+        "forecast_diag": np.diagonal(result.forecasts, axis1=0, axis2=2),
+        "forecast_full": result.forecasts.transpose(1, 0, 2)[:, choice.open_cells(0, T, T)[:, 0]],
     }
 
 

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dsuedhi import choice
+from dsuedhi import choice, dnl, info
 from dsuedhi import network as nw
+from dsuedhi.equilibrium import random_feasible_parts
 
 
 @pytest.fixture()
@@ -101,8 +102,10 @@ class TestDisutilityMatrices:
         grid = nw.TimeGrid(360.0, 120.0)
         params = params_for(net, unit=1.0)
         phi = np.array([30.0, 40.0, 20.0])
-        a = choice.share_table([phi], 2, grid, ps, params)
-        b = choice.share_table([phi[:, None]], 2, grid, ps, params)
+        by_departure = np.full((1, 3, 3), np.nan)
+        by_departure[0, :, 2] = phi
+        a = choice.share_table(phi[None, :, None], 2, grid, ps, params)
+        b = choice.share_table(by_departure, 2, grid, ps, params)
         assert a.share.shape == (3,)
         assert np.array_equal(a.share, b.share)
 
@@ -111,7 +114,8 @@ class TestDisutilityMatrices:
         grid = nw.TimeGrid(360.0, 120.0)
         params = params_for(net)
         phi = np.array([3.0, 3.0, 1.0]) * params.time_unit_s
-        got = self.shares_at_first(choice.share_table([phi], 0, grid, ps, params), ps, 3)
+        got = self.shares_at_first(choice.share_table(phi[None, :, None], 0, grid, ps, params),
+                                   ps, 3)
         assert got.shape == (3, 3)
         # the same travel time in every column; only the schedule penalty varies
         want = self.logit_of(np.repeat(phi[:, None], 3, axis=1), grid, ps, params, 0)
@@ -122,15 +126,63 @@ class TestDisutilityMatrices:
         grid = nw.TimeGrid(360.0, 120.0)
         params = params_for(net)
         phi = np.array([[3, 4, 5], [3, 4, 3], [2, 1, 1]], dtype=float) * 60.0
-        got = self.shares_at_first(choice.share_table([phi], 0, grid, ps, params), ps, 3)
+        got = self.shares_at_first(choice.share_table(phi[None], 0, grid, ps, params), ps, 3)
         np.testing.assert_allclose(got, self.logit_of(phi, grid, ps, params, 0), rtol=1e-12)
 
     def test_forecast_shape_mismatch(self, three_path_set):
+        # 3 paths, 3 intervals: no shape here broadcasts to (n, 3, 3)
         net, ps = three_path_set
         grid = nw.TimeGrid(360.0, 120.0)
         params = params_for(net)
-        with pytest.raises(choice.ChoiceError):
-            choice.share_table([np.zeros((3, 2))], 0, grid, ps, params)
+        for shape in [(1, 3, 2), (1, 2, 3), (3, 3), (1, 3, 3, 1), (3,)]:
+            with pytest.raises(choice.ChoiceError, match="do not broadcast"):
+                choice.share_table(np.zeros(shape), 0, grid, ps, params)
+
+
+class TestInformationLayout:
+    """Travel times by (provision interval, path, departure interval): only the
+    open cells, departure at or after provision, reach a share table."""
+
+    @staticmethod
+    def same_table(a, b):
+        return all(x.tobytes() == y.tobytes() for x, y in
+                   ((a.share, b.share), (a.top, b.top), (a.finite, b.finite)))
+
+    @pytest.mark.parametrize("fill", [np.nan, np.inf])
+    @pytest.mark.parametrize("first", [0, 2])
+    def test_closed_cells_are_not_read(self, three_path_set, first, fill):
+        net, ps = three_path_set
+        grid = nw.TimeGrid(720.0, 120.0)
+        params = params_for(net)
+        T = grid.n_intervals
+        phi = np.random.default_rng(3).uniform(60.0, 900.0, size=(T - first, 3, T))
+        closed = ~np.broadcast_to(choice.open_cells(first, T - first, T), phi.shape)
+        assert closed.sum() == 3 * sum(range(first, T))
+        filled = np.where(closed, fill, phi)
+        assert self.same_table(choice.share_table(filled, first, grid, ps, params),
+                               choice.share_table(phi, first, grid, ps, params))
+
+    @pytest.mark.parametrize("first, n", [(0, 6), (1, 3)])
+    def test_one_departure_column_equals_its_repetition(self, three_path_set, first, n):
+        net, ps = three_path_set
+        grid = nw.TimeGrid(720.0, 120.0)
+        params = params_for(net)
+        phi = np.random.default_rng(4).uniform(60.0, 900.0, size=(n, 3, 1))
+        repeated = np.repeat(phi, grid.n_intervals, axis=2)
+        assert self.same_table(choice.share_table(phi, first, grid, ps, params),
+                               choice.share_table(repeated, first, grid, ps, params))
+
+    def test_forecasts_are_nan_exactly_before_their_provision(self, grid_congested):
+        net, ps, grid, params = grid_congested
+        T = grid.n_intervals
+        h_i, h_f = random_feasible_parts(np.random.default_rng(14), ps, grid,
+                                         net.class_demands())
+        base = dnl.load(net, ps, grid, h_i + h_f)
+        table = choice.share_table(base.instant_path_time.T[:, :, None], 0, grid, ps, params)
+        forecasts = info.forecasts(net, ps, grid, h_i + h_f, table, base)
+        assert forecasts.shape == (T, ps.n_paths, T)
+        closed = ~np.broadcast_to(choice.open_cells(0, T, T), forecasts.shape)
+        assert np.array_equal(np.isnan(forecasts), closed)
 
 
 class TestLogit:
@@ -224,7 +276,8 @@ class TestTentativeDepartures:
         grid = nw.TimeGrid(1200.0, 120.0)
         params = params_for(net, theta=0.31)
         rng = np.random.default_rng(1)
-        phi = rng.uniform(60, 900, size=(3, 7))
+        phi = np.full((3, 10), np.nan)  # read from interval 3 on
+        phi[:, 3:] = rng.uniform(60, 900, size=(3, 7))
         h = choice.tentative_departures(
             phi, np.array([12.0, 5.5]), 3, grid, ps, params
         )
@@ -406,7 +459,14 @@ class TestShareTable:
                 return 60.0 * rng.integers(0, 3, size=shape)
             return rng.uniform(30.0, 900.0, size=shape)
 
-        phi = [times((P, T - t)) if forecast else times(P) for t in range(T)]
+        # information by (provision, path, departure): forecasts are NaN before
+        # their provision interval, instantaneous times one column for all
+        phi = np.full((T, P, T if forecast else 1), np.nan)
+        for t in range(T):
+            if forecast:
+                phi[t, :, t:] = times((P, T - t))
+            else:
+                phi[t, :, 0] = times(P)
         # remaining demand: zero, dust or ordinary, per interval and OD
         kind = rng.integers(0, 3, size=(T, n_od))
         remaining = np.choose(kind, [np.zeros((T, n_od)),
@@ -414,7 +474,7 @@ class TestShareTable:
                                      rng.uniform(0.5, 500.0, size=(T, n_od))])
         if bad_cell is not None:
             t, p = int(rng.integers(0, T)), int(rng.integers(0, P))
-            phi[t][p] = bad_cell
+            phi[t, p] = bad_cell
             if rng.random() < 0.5:  # the OD is not live there
                 remaining[t, ps.od_of_path[p]] = 0.0
         if negative:  # an overdrawn OD; one without paths has nothing to assign
@@ -422,15 +482,18 @@ class TestShareTable:
 
         table = choice.share_table(phi, 0, grid, ps, params)
         for t in range(T):
+            # the reference takes (P,) or (P, T - t); the one-interval logit
+            # takes (P,) or the whole horizon (P, T)
+            ref, given = (phi[t, :, t:], phi[t]) if forecast else (phi[t, :, 0], phi[t, :, 0])
             try:
-                want, tops = loop_tentative(phi[t], remaining[t], t, grid, ps, params)
+                want, tops = loop_tentative(ref, remaining[t], t, grid, ps, params)
             except choice.ChoiceError:
                 with pytest.raises(choice.ChoiceError):
-                    choice.tentative_departures(phi[t], remaining[t], t, grid, ps, params)
+                    choice.tentative_departures(given, remaining[t], t, grid, ps, params)
                 with pytest.raises(choice.ChoiceError):
                     choice.tentative_from_shares(table, t, remaining[t])
                 continue
-            one = choice.tentative_departures(phi[t], remaining[t], t, grid, ps, params)
+            one = choice.tentative_departures(given, remaining[t], t, grid, ps, params)
             got = choice.tentative_from_shares(table, t, remaining[t])
             assert one.shape == got.shape == want.shape == (P, T - t)
             assert np.array_equal(one, want)

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -96,6 +97,17 @@ class TestValidate:
         assert run(["validate", "--scenario", three_link_dir / "scenario.ini"]) == 1
         with pytest.raises(ScenarioError, match=f"{key} = '{value}' is not an integer"):
             load_scenario(three_link_dir / "scenario.ini")
+
+    @pytest.mark.parametrize("key", ["horizon_s", "dt_s"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_time_grid_rejected(self, three_link_dir, monkeypatch, capsys, key,
+                                           value):
+        # round(inf) used to end in an OverflowError traceback
+        monkeypatch.setenv(f"DSUEDHI_TIME_{key.upper()}", value)
+        assert run(["validate", "--scenario", three_link_dir / "scenario.ini"]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "horizon and interval length must be finite" in err
+        assert "Traceback" not in err
 
     def test_integral_spellings_of_integer_keys_accepted(self, three_link_dir, monkeypatch):
         monkeypatch.setenv("DSUEDHI_PATHS_K_MAX", "2.0")
@@ -201,6 +213,16 @@ class TestSolve:
         assert len(cli.read_trace_csv(out / "trace.csv")) == 2
         assert (out / "equilibrium.csv").exists()
 
+    @pytest.mark.parametrize("value", ["0.6", "-0.1", "nan"])
+    def test_bad_trim_fraction_rejected_before_solving(self, three_link_dir, tmp_path,
+                                                      monkeypatch, capsys, value):
+        # 0.6 used to solve and write equilibrium.csv and trace.csv, then exit 3
+        monkeypatch.setenv("DSUEDHI_METRICS_TRIM_FRACTION", value)
+        out = tmp_path / "o"
+        assert run(["solve", "--scenario", three_link_dir / "scenario.ini", "--out", out]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_optional_dumps(self, three_link_dir, tmp_path):
         ini = three_link_dir / "scenario.ini"
         ini.write_text(ini.read_text() + "\n[output]\ndump_forecasts = true\ndump_curves = true\n")
@@ -208,6 +230,22 @@ class TestSolve:
         assert run(["solve", "--scenario", ini, "--out", out]) == 0
         assert (out / "curves.csv").exists()
         assert (out / "forecasts.csv").exists()
+
+
+def test_readme_artifact_list_names_every_file_written(three_link_dir, tmp_path,
+                                                       monkeypatch):
+    ini = three_link_dir / "scenario.ini"
+    monkeypatch.setenv("DSUEDHI_OUTPUT_DUMP_FORECASTS", "true")
+    monkeypatch.setenv("DSUEDHI_OUTPUT_DUMP_CURVES", "true")
+    for name, args in (("solve", []),
+                       ("sweep", ["--param", "lambda", "--values", "0.25,0.75"]),
+                       ("compare-dsue", []),
+                       ("multistart", ["--n", "2", "--seed", "1"])):
+        assert run([name, "--scenario", ini, "--out", tmp_path / "out" / name, *args]) == 0, name
+    written = {p.name for p in (tmp_path / "out").glob("*/*")}
+    section = (ROOT / "README.md").read_text().split("## Output artifacts", 1)[1]
+    named = set(re.findall(r"`(\w+\.(?:csv|json))`", section.split("\n## ", 1)[0]))
+    assert written == named
 
 
 class TestSweep:

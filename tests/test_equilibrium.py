@@ -185,11 +185,11 @@ class TestSolveSram:
         assert three_link_solution.converged and not capped.converged
         for res in (three_link_solution, capped):
             mr = fixed_point_map(res.h_instant, res.h_forecast, net, ps, grid, params)
-            assert len(res.forecast_full) == len(mr.forecast_full) == grid.n_intervals
-            for mine, want in zip(res.forecast_full, mr.forecast_full):
-                assert np.array_equal(mine, want)
-            for field in ("instant_trace", "forecast_diag"):
-                assert np.array_equal(getattr(res, field), getattr(mr, field)), field
+            T = grid.n_intervals
+            assert res.forecasts.shape == mr.forecasts.shape == (T, ps.n_paths, T)
+            open_ = np.broadcast_to(choice.open_cells(0, T, T), mr.forecasts.shape)
+            assert np.array_equal(res.forecasts[open_], mr.forecasts[open_])
+            assert np.array_equal(res.loading.instant_path_time, mr.loading.instant_path_time)
             assert np.array_equal(res.loading.path_time, mr.loading.path_time)
 
     def test_rejects_infeasible_start(self, three_link):
@@ -223,7 +223,7 @@ class TestSolveDsue:
     def test_congested_differs_from_two_class_solution(self, grid_congested, grid_solution):
         net, ps, grid, params = grid_congested
         single = solve_dsue(net, ps, grid, params, SolverConfig())
-        assert single.converged and single.forecast_full is None
+        assert single.converged and single.forecasts is None
         diff = np.linalg.norm(single.h_total - grid_solution.h_total)
         assert diff / np.linalg.norm(grid_solution.h_total) > 1e-3
 

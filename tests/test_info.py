@@ -95,16 +95,15 @@ class TestForecastInfo:
         h_i, h_f = random_feasible_parts(np.random.default_rng(13), ps, grid, net.class_demands())
         h_total = h_i + h_f
         base = dnl.load(net, ps, grid, h_total)
-        table = choice.share_table(base.instant_path_time.T, 0, grid, ps, params)
+        table = choice.share_table(base.instant_path_time.T[:, :, None], 0, grid, ps, params)
         forecasts = info.forecasts(net, ps, grid, h_total, table, base)
-        assert len(forecasts) == T
+        assert forecasts.shape == (T, ps.n_paths, T)
         totals = np.array([od.demand_total for od in net.od_pairs])
         for t in (0, 7, T - 1):
             pooled = choice.remaining_demand(h_total[:, :t], totals, ps)
             spliced = splice(h_total, choice.tentative_from_shares(table, t, pooled), t)
             want = dnl.load(net, ps, grid, spliced).path_time[:, t:]
-            assert forecasts[t].shape == want.shape
-            assert np.array_equal(forecasts[t], want)
+            assert np.array_equal(forecasts[t, :, t:], want)
 
 
 class TestCostAccounting:

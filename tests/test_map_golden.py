@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dsuedhi import dnl, equilibrium
+from dsuedhi import choice, dnl, equilibrium
 from map_cases import FIELDS, GOLDEN, cases, run
 
 CASES = cases()
@@ -37,11 +37,12 @@ def test_map_information_is_the_loaders_arrays():
     net, ps, grid, params, h_i, h_f = CASES["corridor"]
     res = equilibrium.fixed_point_map(h_i, h_f, net, ps, grid, params)
     base = dnl.load(net, ps, grid, h_i + h_f)
-    assert np.array_equal(res.instant_trace, base.instant_path_time)
-    assert len(res.forecast_full) == grid.n_intervals
-    for t, forecast in enumerate(res.forecast_full):
-        assert forecast.shape == (ps.n_paths, grid.n_intervals - t)
-        assert np.array_equal(res.forecast_diag[:, t], forecast[:, 0])
+    T = grid.n_intervals
+    assert np.array_equal(res.loading.instant_path_time, base.instant_path_time)
+    assert res.forecasts.shape == (T, ps.n_paths, T)
+    open_ = np.broadcast_to(choice.open_cells(0, T, T), res.forecasts.shape)
+    assert np.isfinite(res.forecasts[open_]).all()
+    assert np.isnan(res.forecasts[~open_]).all()
 
 
 def test_lattice_choice_sets_are_unequal_and_beyond_the_pairwise_block():
