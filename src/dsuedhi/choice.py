@@ -302,12 +302,12 @@ def remaining_demand(
     realized_history: np.ndarray,
     class_demand: np.ndarray,
     path_set: PathSet,
-    rel_tol: float = 1e-9,
 ) -> np.ndarray:
     """Per-OD demand not yet departed, given realized columns before now.
 
-    Tiny negative remainders (floating-point dust within ``rel_tol``) are
-    clamped to zero; anything larger is an overdraw error.
+    Tiny negative remainders (floating-point dust within 1e-9 of the class
+    demand, or of one vehicle) are clamped to zero; anything larger is an
+    overdraw error.
     """
     class_demand = np.asarray(class_demand, dtype=float)
     departed = np.zeros_like(class_demand)
@@ -315,7 +315,7 @@ def remaining_demand(
         per_path = realized_history.sum(axis=1)
         np.add.at(departed, path_set.od_of_path, per_path)
     remaining = class_demand - departed
-    floor = -rel_tol * np.maximum(1.0, class_demand)
+    floor = -1e-9 * np.maximum(1.0, class_demand)
     if np.any(remaining < floor):
         worst = int(np.argmin(remaining - floor))
         raise ChoiceError(

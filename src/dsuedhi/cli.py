@@ -50,12 +50,6 @@ def _write_lines(path: Path, header: list[str], lines) -> None:
         fh.writelines(line + "\n" for line in lines)
 
 
-def _write_rows(path: Path, header: list[str], rows) -> None:
-    """Rows of cells; a cell that is not a string is formatted with ``_fmt``."""
-    _write_lines(path, header, (",".join(c if isinstance(c, str) else _fmt(c) for c in row)
-                                for row in rows))
-
-
 def _read_rows(path: Path) -> tuple[list[str], list[list[str]]]:
     with open(path, encoding="utf-8") as fh:
         lines = [l.rstrip("\n") for l in fh if l.strip()]
@@ -103,7 +97,7 @@ def write_trace_csv(path: Path, result: EquilibriumResult) -> None:
         (str(k + 1), _fmt(result.residuals[k]), _fmt(result.betas[k]), _fmt(result.alphas[k]))
         for k in range(result.n_iterations)
     ]
-    _write_rows(path, TRACE_HEADER, rows)
+    _write_lines(path, TRACE_HEADER, map(",".join, rows))
 
 
 def read_trace_csv(path: Path) -> list[tuple[int, float, float, float]]:
@@ -167,12 +161,12 @@ def _metrics_payload(
 
 
 def run_solve(sc: Scenario, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
     result, built = _solve_scenario(sc)
     net, path_set, grid, params = built
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_equilibrium_csv(out_dir / "equilibrium.csv", result, net, path_set)
     write_trace_csv(out_dir / "trace.csv", result)
-    acc = metrics.information_accuracy(result, grid, sc.trim_fraction, sc.departure_floor)
+    acc = metrics.information_accuracy(result, grid, sc.trim_fraction)
     write_accuracy_csv(out_dir / "accuracy.csv", acc, net, path_set)
     _write_json(out_dir / "metrics.json", _metrics_payload(sc, result, built, acc))
     if sc.dump_curves:  # every link's curves at every simulation boundary, link-major
@@ -195,9 +189,6 @@ def _dump_forecasts(path: Path, forecasts: np.ndarray) -> None:
 
 
 def run_sweep(sc: Scenario, parameter: str, values: list[float], out_dir: Path) -> int:
-    if len(values) < 2:
-        print("sweep needs at least two values", file=sys.stderr)
-        return EXIT_USAGE
     if parameter == "theta":
         scenarios = [replace(sc, theta=v, instant_share=0.5) for v in values]
     else:  # "lambda", the parser's only other choice
@@ -221,7 +212,7 @@ def run_sweep(sc: Scenario, parameter: str, values: list[float], out_dir: Path) 
             any_failed = True
             continue
         net, path_set, grid, params = built
-        acc = metrics.information_accuracy(result, grid, sc.trim_fraction, sc.departure_floor)
+        acc = metrics.information_accuracy(result, grid, sc.trim_fraction)
         dis = metrics.experienced_disutility(result, net, path_set, grid, params, sc.trim_fraction)
         rows.append(
             (
@@ -237,11 +228,11 @@ def run_sweep(sc: Scenario, parameter: str, values: list[float], out_dir: Path) 
         )
         if not result.converged:
             any_failed = True
-    _write_rows(
+    _write_lines(
         out_dir / "sweep.csv",
         ["value", "status", "avg_disutility_instant", "avg_disutility_forecast",
          "total_travel_time", "accuracy_norm_instant", "accuracy_norm_forecast", "iterations"],
-        rows,
+        map(",".join, rows),
     )
     return EXIT_NOT_CONVERGED if any_failed else EXIT_OK
 
@@ -272,11 +263,11 @@ def run_compare_dsue(sc: Scenario, out_dir: Path) -> int:
             (f"{od.origin}-{od.destination}", _fmt(dis_a), _fmt(dis_b), _fmt(rel_dis),
              _fmt(tt_dhi), _fmt(tt_dsue), _fmt(rel_tt))
         )
-    _write_rows(
+    _write_lines(
         out_dir / "compare.csv",
         ["od", "disutility_dhi", "disutility_dsue", "rel_diff_disutility",
          "travel_time_dhi", "travel_time_dsue", "rel_diff_travel_time"],
-        rows,
+        map(",".join, rows),
     )
     summary = {
         "scenario_id": sc.scenario_id,
@@ -299,7 +290,7 @@ def run_multistart(sc: Scenario, n: int, seed: int, out_dir: Path) -> int:
     result = equilibrium.multistart(net, path_set, grid, params, sc.solver, n, seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = [(str(i), _fmt(d)) for i, d in enumerate(result.distances)]
-    _write_rows(out_dir / "multistart.csv", ["run", "relative_distance"], rows)
+    _write_lines(out_dir / "multistart.csv", ["run", "relative_distance"], map(",".join, rows))
     summary = {
         "scenario_id": sc.scenario_id,
         "n_starts": n,
@@ -331,11 +322,14 @@ def _at_least(low: int):
 
 
 def _numbers(text: str) -> list[float]:
-    """argparse type: comma-separated numbers."""
+    """argparse type: two or more comma-separated numbers."""
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if len(values) < 2:
+        raise argparse.ArgumentTypeError(f"expected at least two values, got {text!r}")
+    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -352,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sweep)
     sweep.add_argument("--param", required=True, choices=["theta", "lambda"])
     sweep.add_argument("--values", required=True, type=_numbers,
-                       help="comma-separated numbers")
+                       help="two or more comma-separated numbers")
     common(sub.add_parser("compare-dsue", help="solve both models and compare"))
     ms = sub.add_parser("multistart", help="solve from seeded random initial patterns")
     common(ms)

@@ -16,7 +16,9 @@ toward path travel time; destinations are sinks with infinite supply.
 
 Loading continues past the departure horizon until the network drains (or a
 step cap is hit, in which case remaining trips are extrapolated at terminal
-discharge rate and flagged).
+discharge rate and flagged). The cap, ``_step_cap``, allows 20 times the
+horizon's steps plus 200 to drain; tests lower it by patching that function,
+as they patch ``_CHUNK_BYTES``.
 
 When some link's free-flow time is shorter than the departure interval, the
 loader refines its internal step until every link spans at least one step, so
@@ -95,18 +97,19 @@ class DnlError(RuntimeError):
     """Raised when loading input is infeasible or internally inconsistent."""
 
 
-def check_feasible(
-    values: np.ndarray,
-    path_set: PathSet,
-    demand_per_od: np.ndarray,
-    rel_tol: float = 1e-9,
-) -> None:
-    """Verify per-OD totals match the class demands (membership in the feasible set)."""
-    if values.min(initial=0.0) < -rel_tol:
+def check_feasible(values: np.ndarray, path_set: PathSet, demand_per_od: np.ndarray) -> None:
+    """Verify per-OD totals match the class demands (membership in the feasible set).
+
+    Entries must be finite and at least -1e-9; each OD's total must lie
+    within 1e-9 of its demand, relative to the demand or to one vehicle.
+    """
+    if not np.isfinite(values).all():
+        raise ValueError("departure matrix has non-finite entries")
+    if values.min(initial=0.0) < -1e-9:
         raise ValueError("departure matrix has negative entries")
     for od_index, d in enumerate(demand_per_od):
         got = values[path_set.od_slices[od_index]].sum()
-        if abs(got - d) > rel_tol * max(1.0, d):
+        if abs(got - d) > 1e-9 * max(1.0, d):
             raise ValueError(
                 f"OD {od_index}: departures sum to {got!r}, demand is {d!r}"
             )
@@ -153,12 +156,6 @@ class LoadingResult:
     @property
     def boundaries(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.sim_dt_s
-
-    def vehicles_stored(self) -> float:
-        """Vehicles inside links or waiting at sources at the final boundary."""
-        on_links = float(np.sum(self.n_up[:, -1] - self.n_dn[:, -1]))
-        at_sources = float(np.sum(self.src_up[:, -1] - self.src_dn[:, -1]))
-        return on_links + at_sources
 
 
 def link_demand_rate(n_up_lagged, n_dn_now, arrival_mass, capacity_vps, dt_s):
@@ -422,9 +419,9 @@ class _Active:
                 self.wide.append((rows[lo:hi] - r0, index[lo:hi] - q0))
 
 
-def _step_cap(t_sim: int, drain_max_steps: int | None) -> int:
-    """Steps after which loading stops, drained or not."""
-    return t_sim + (20 * t_sim + 200 if drain_max_steps is None else drain_max_steps)
+def _step_cap(t_sim: int) -> int:
+    """Steps after which a loading of ``t_sim`` departure steps stops, drained or not."""
+    return t_sim + 20 * t_sim + 200
 
 
 def _first_cols(t_sim: int, s_max: int) -> int:
@@ -448,11 +445,11 @@ _CHUNK_BYTES = 2 * 2**20
 _COUNT_CELLS = 2**18
 
 
-def _pattern_bytes(plan: _Plan, grid: TimeGrid, drain_max_steps: int | None) -> int:
+def _pattern_bytes(plan: _Plan, grid: TimeGrid) -> int:
     """Bytes of one pattern's curves at the first allocation of the time axis."""
     t_sim = grid.n_intervals * plan.refine
     rows = 2 * (plan.A + len(plan.source_links)) + len(plan.slot_row)  # entries, exits, slots
-    return 8 * rows * _first_cols(t_sim, _step_cap(t_sim, drain_max_steps))
+    return 8 * rows * _first_cols(t_sim, _step_cap(t_sim))
 
 
 def _departures(values, ndim: int, path_set: PathSet, grid: TimeGrid) -> np.ndarray:
@@ -462,6 +459,8 @@ def _departures(values, ndim: int, path_set: PathSet, grid: TimeGrid) -> np.ndar
     if h.ndim != ndim or h.shape[-2:] != want:
         axes = "(patterns, paths, intervals)" if ndim == 3 else "(paths, intervals)"
         raise DnlError(f"departure matrix shape {h.shape} is not {axes} ending in {want}")
+    if not np.isfinite(h).all():
+        raise DnlError("departures must be finite")
     if h.min(initial=0.0) < -1e-9:
         raise DnlError("negative departures")
     return np.maximum(h, 0.0)
@@ -474,7 +473,6 @@ def load(
     departures: np.ndarray,
     *,
     compute_link_times: bool = True,
-    drain_max_steps: int | None = None,
 ) -> LoadingResult:
     """Map total path departures to link and path travel times.
 
@@ -487,8 +485,15 @@ def load(
     as the base of a ``load_batch`` whose patterns start after interval 0.
     """
     h = _departures(departures, 2, path_set, grid)
-    return _step(_plan(net.links, path_set.link_seq, grid), grid, h[None], compute_link_times,
-                 drain_max_steps, np.zeros(1, dtype=np.intp))[0]
+    plan = _plan(net.links, path_set.link_seq, grid)
+    res = _step(plan, grid, h[None], np.zeros(1, dtype=np.intp))[0]
+    if compute_link_times:
+        res.link_time = _link_times(plan, grid, res.sim_dt_s, res.link_up, res.link_dn)
+        res.instant_path_time = np.zeros(h.shape)
+        for hop in plan.path_links.T:
+            on = hop >= 0
+            res.instant_path_time[on] += res.link_time[hop[on]]
+    return res
 
 
 def load_batch(
@@ -499,7 +504,6 @@ def load_batch(
     *,
     base: LoadingResult | None = None,
     starts=None,
-    drain_max_steps: int | None = None,
 ) -> list[LoadingResult]:
     """Load B departure patterns, ``departures[B, P, T]``, in one pass.
 
@@ -541,11 +545,10 @@ def load_batch(
     if not B:
         return []
     order = np.argsort(starts, kind="stable")
-    chunks = -(-B // max(1, _CHUNK_BYTES // _pattern_bytes(plan, grid, drain_max_steps)))
+    chunks = -(-B // max(1, _CHUNK_BYTES // _pattern_bytes(plan, grid)))
     results: list[LoadingResult] = [None] * B
     for part in np.array_split(order, chunks):
-        for b, res in zip(part, _step(plan, grid, h[part], False, drain_max_steps,
-                                      starts[part], base)):
+        for b, res in zip(part, _step(plan, grid, h[part], starts[part], base)):
             results[b] = res
     return results
 
@@ -579,8 +582,6 @@ def _step(
     plan: _Plan,
     grid: TimeGrid,
     h: np.ndarray,
-    compute_link_times: bool,
-    drain_max_steps: int | None,
     starts: np.ndarray,
     base: LoadingResult | None = None,
 ) -> list[LoadingResult]:
@@ -601,7 +602,7 @@ def _step(
     refine = plan.refine
     dt = plan.dt
     t_sim = T * refine
-    s_max = _step_cap(t_sim, drain_max_steps)
+    s_max = _step_cap(t_sim)
     cols = _first_cols(t_sim, s_max)
 
     # cumulative entries and exits of every row, entries of every slot
@@ -721,7 +722,7 @@ def _step(
     for j, S in enumerate(n_steps.tolist()):
         links = slice((B - 1 - j) * A1, (B - j) * A1)
         sources = slice(AB + j * n_src, AB + (j + 1) * n_src)
-        res = LoadingResult(
+        results.append(LoadingResult(
             grid=grid,
             n_steps=S,
             sim_dt_s=dt,
@@ -736,14 +737,7 @@ def _step(
             extrapolated=extrapolated[j],
             drained=bool(drained[j]),
             _state=(plan, h[j], slots[:L1, : S + 1]) if B == 1 else None,
-        )
-        if compute_link_times:
-            res.link_time = _link_times(plan, grid, dt, res.link_up, res.link_dn)
-            res.instant_path_time = np.zeros((P, T))
-            for hop in plan.path_links.T:
-                on = hop >= 0
-                res.instant_path_time[on] += res.link_time[hop[on]]
-        results.append(res)
+        ))
     return results
 
 

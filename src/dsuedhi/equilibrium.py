@@ -262,7 +262,6 @@ class MultistartResult:
     distances: np.ndarray  # converged runs only
     n_converged: int
     n_failed: int
-    seeds: tuple[int, ...]
 
 
 def random_feasible_parts(
@@ -301,10 +300,9 @@ def multistart(
     ref_norm2 = float(np.sum(ref * ref))
     demands = net.class_demands()
 
-    children = np.random.SeedSequence(seed).spawn(n_starts)
     distances = []
     n_failed = 0
-    for child in children:
+    for child in np.random.SeedSequence(seed).spawn(n_starts):
         rng = np.random.Generator(np.random.PCG64(child))
         h0 = random_feasible_parts(rng, path_set, grid, demands)
         result = solve_sram(net, path_set, grid, params, config, h0=h0)
@@ -318,5 +316,4 @@ def multistart(
         distances=np.array(distances),
         n_converged=len(distances),
         n_failed=n_failed,
-        seeds=tuple(int(c.generate_state(1)[0]) for c in children),
     )

@@ -7,7 +7,7 @@ made at t for departure at t. Realized travel time (RTT) comes from loading
 the equilibrium pattern itself. Accuracy norms are plain Euclidean norms over
 all (path, interval) cells inside the trim window, unweighted by departures;
 elementwise relative differences are only reported where the class actually
-departs more than a floor number of vehicles.
+departs more than 1e-6 vehicles.
 """
 
 from __future__ import annotations
@@ -43,11 +43,10 @@ class AccuracyReport:
     itt_instant: np.ndarray  # paths x T
     itt_forecast: np.ndarray  # paths x T
     rtt: np.ndarray  # paths x T
-    rel_diff_instant: np.ndarray  # paths x T, NaN where below departure floor
+    rel_diff_instant: np.ndarray  # paths x T, NaN where at most 1e-6 vehicles depart
     rel_diff_forecast: np.ndarray
     departures_instant: np.ndarray
     departures_forecast: np.ndarray
-    window: np.ndarray  # bool over intervals
     norm_instant: float  # ||ITT_I - RTT|| over the window
     norm_forecast: float
     norm_rtt: float
@@ -57,7 +56,6 @@ def information_accuracy(
     result: EquilibriumResult,
     grid: TimeGrid,
     trim_fraction: float = 0.2,
-    departure_floor: float = 1e-6,
 ) -> AccuracyReport:
     """Compare the information provided at each interval with realized times."""
     if result.model != "dsue-dhi":
@@ -70,12 +68,8 @@ def information_accuracy(
     dep_i = result.h_instant
     dep_f = result.h_forecast
     with np.errstate(invalid="ignore", divide="ignore"):
-        rd_i = np.where(
-            (dep_i > departure_floor) & (rtt > 0), (itt_i - rtt) / rtt, np.nan
-        )
-        rd_f = np.where(
-            (dep_f > departure_floor) & (rtt > 0), (itt_f - rtt) / rtt, np.nan
-        )
+        rd_i = np.where((dep_i > 1e-6) & (rtt > 0), (itt_i - rtt) / rtt, np.nan)
+        rd_f = np.where((dep_f > 1e-6) & (rtt > 0), (itt_f - rtt) / rtt, np.nan)
 
     win = window[None, :]
     norm_i = float(np.linalg.norm(np.where(win, itt_i - rtt, 0.0)))
@@ -89,7 +83,6 @@ def information_accuracy(
         rel_diff_forecast=rd_f,
         departures_instant=dep_i,
         departures_forecast=dep_f,
-        window=window,
         norm_instant=norm_i,
         norm_forecast=norm_f,
         norm_rtt=norm_rtt,

@@ -167,8 +167,8 @@ def validate_network(
     """Check invariants and fix the canonical orderings.
 
     Raises NetworkError for duplicate or dangling ids, non-positive physical
-    parameters, negative or non-finite demands, or an OD pair with positive
-    demand but no connecting path.
+    parameters, or negative or non-finite demands. An OD pair with positive
+    demand but no connecting path fails later, in ``build_path_set``.
     """
     seen: set[str] = set()
     for l in links:
@@ -201,26 +201,7 @@ def validate_network(
 
     sorted_links = tuple(sorted(links, key=lambda l: l.link_id))
     sorted_ods = tuple(sorted(demands, key=lambda od: (od.origin, od.destination)))
-    net = Network(sorted_links, sorted_ods)
-
-    for od in sorted_ods:
-        if od.demand_total > 0 and not _reachable(net, od.origin, od.destination):
-            raise NetworkError(f"OD pair with no path: {od.origin}->{od.destination}")
-    return net
-
-
-def _reachable(net: Network, origin: str, destination: str) -> bool:
-    frontier = [origin]
-    visited = {origin}
-    while frontier:
-        node = frontier.pop()
-        if node == destination:
-            return True
-        for head, _, _, _ in net.adjacency.get(node, ()):
-            if head not in visited:
-                visited.add(head)
-                frontier.append(head)
-    return False
+    return Network(sorted_links, sorted_ods)
 
 
 def _shortest_path(

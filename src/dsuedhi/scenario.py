@@ -57,7 +57,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
     },
     "metrics": {
         "trim_fraction": "0.2",
-        "departure_floor": "1e-6",
     },
     "output": {
         "dump_forecasts": "false",
@@ -94,7 +93,6 @@ class Scenario:
     length_ratio: float
     solver: SolverConfig
     trim_fraction: float
-    departure_floor: float
     dump_forecasts: bool
     dump_curves: bool
 
@@ -209,7 +207,6 @@ def load_scenario(path: str | Path) -> Scenario:
         length_ratio=_f("paths", "length_ratio"),
         solver=solver,
         trim_fraction=trim_fraction,
-        departure_floor=_f("metrics", "departure_floor"),
         dump_forecasts=_b("output", "dump_forecasts"),
         dump_curves=_b("output", "dump_curves"),
     )

@@ -5,7 +5,9 @@ result by one unit in the last place fails ``test_golden.py``. Each case is a
 network, its path set, a time grid and seeded departures:
 
 - the three shipped scenarios;
-- the three-link scenario with no drain room, so trips are extrapolated;
+- the three-link scenario with no drain room, so trips are extrapolated: its
+  load runs inside ``oracles.step_cap(0)``, which patches the loader's step
+  cap, ``dnl._step_cap``, to stop at the end of the horizon;
 - a generated 4x4 lattice whose links need two loader steps per departure
   interval and where up to 20 paths share one link;
 - a generated 4x4 lattice whose few paths leave links unused, one of them
@@ -25,6 +27,7 @@ import numpy as np
 from dsuedhi import dnl
 from dsuedhi import network as nw
 from dsuedhi import scenario
+from oracles import step_cap
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "data" / "loader_golden.npz"
@@ -96,15 +99,21 @@ def _scenario(name: str, seed: int, scale: float, busy: int):
 
 
 def cases():
-    """Name -> (net, path set, grid, departures, load keyword arguments)."""
+    """Name -> (net, path set, grid, departures, drain steps for ``step_cap``)."""
     return {
-        "three_link": (*_scenario("three_link", 1, 50.0, 20), {}),
-        "three_link_capped": (*_scenario("three_link", 1, 50.0, 40), {"drain_max_steps": 0}),
-        "grid": (*_scenario("grid", 2, 150.0, 12), {}),
-        "grid_uncongested": (*_scenario("grid_uncongested", 3, 0.2, 30), {}),
-        "wide_lattice": (*wide_lattice(), {}),
-        "sparse_lattice": (*sparse_lattice(), {}),
+        "three_link": (*_scenario("three_link", 1, 50.0, 20), None),
+        "three_link_capped": (*_scenario("three_link", 1, 50.0, 40), 0),
+        "grid": (*_scenario("grid", 2, 150.0, 12), None),
+        "grid_uncongested": (*_scenario("grid_uncongested", 3, 0.2, 30), None),
+        "wide_lattice": (*wide_lattice(), None),
+        "sparse_lattice": (*sparse_lattice(), None),
     }
+
+
+def load(case) -> dnl.LoadingResult:
+    net, ps, grid, h, cap = case
+    with step_cap(cap):
+        return dnl.load(net, ps, grid, h)
 
 
 def outputs(res: dnl.LoadingResult) -> dict[str, np.ndarray]:
@@ -113,8 +122,8 @@ def outputs(res: dnl.LoadingResult) -> dict[str, np.ndarray]:
 
 def record(path: Path = GOLDEN) -> None:
     arrays = {}
-    for name, (net, ps, grid, h, kwargs) in cases().items():
-        for f, value in outputs(dnl.load(net, ps, grid, h, **kwargs)).items():
+    for name, case in cases().items():
+        for f, value in outputs(load(case)).items():
             arrays[f"{name}__{f}"] = value
     path.parent.mkdir(parents=True, exist_ok=True)
     np.savez_compressed(path, **arrays)

@@ -3,15 +3,40 @@
 The loading oracle integrates cumulative curves at a hundredth of the
 departure interval with plain point-queue recursions; it shares no code with
 the production loader. The path oracles enumerate every simple path by
-exhaustive search and build the dense link-path incidence matrix.
+exhaustive search and build the dense link-path incidence matrix. Two helpers
+read or set up loadings: ``vehicles_stored`` and ``step_cap``.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
 from dsuedhi import dnl
 from dsuedhi import network as nw
+
+
+def vehicles_stored(res: dnl.LoadingResult) -> float:
+    """Vehicles inside links or waiting at sources at a loading's final boundary."""
+    on_links = float(np.sum(res.n_up[:, -1] - res.n_dn[:, -1]))
+    at_sources = float(np.sum(res.src_up[:, -1] - res.src_dn[:, -1]))
+    return on_links + at_sources
+
+
+@contextlib.contextmanager
+def step_cap(drain_steps: int | None):
+    """Loads inside stop ``drain_steps`` steps after the horizon, drained or not.
+
+    Patches ``dnl._step_cap`` for the block; None keeps the loader's own cap.
+    """
+    own = dnl._step_cap
+    if drain_steps is not None:
+        dnl._step_cap = lambda t_sim: t_sim + drain_steps
+    try:
+        yield
+    finally:
+        dnl._step_cap = own
 
 
 def all_simple_paths(net, origin, destination):

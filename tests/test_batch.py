@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsuedhi import dnl
+from oracles import step_cap
 from test_golden import random_lattice
 
 FIELDS = ("path_time", "extrapolated", "n_steps", "drained", "n_up", "n_dn", "src_up",
@@ -13,10 +14,11 @@ FIELDS = ("path_time", "extrapolated", "n_steps", "drained", "n_up", "n_dn", "sr
 
 
 def assert_batch_equals_solo(net, ps, grid, batch, cap=None):
-    got = dnl.load_batch(net, ps, grid, batch, drain_max_steps=cap)
+    with step_cap(cap):
+        got = dnl.load_batch(net, ps, grid, batch)
+        solos = [dnl.load(net, ps, grid, pattern) for pattern in batch]
     assert len(got) == len(batch)
-    for pattern, res in zip(batch, got):
-        solo = dnl.load(net, ps, grid, pattern, drain_max_steps=cap)
+    for solo, res in zip(solos, got):
         for field in FIELDS:
             a, b = getattr(res, field), getattr(solo, field)
             assert np.shape(a) == np.shape(b), field
@@ -118,9 +120,10 @@ def test_forecast_batch_equals_single_forecasts(grid_congested):
 
 
 def assert_started_equals_solo(net, ps, grid, base, batch, starts, cap=None):
-    got = dnl.load_batch(net, ps, grid, batch, base=base, starts=starts, drain_max_steps=cap)
-    for t, pattern, res in zip(starts, batch, got):
-        solo = dnl.load(net, ps, grid, pattern, drain_max_steps=cap)
+    with step_cap(cap):
+        got = dnl.load_batch(net, ps, grid, batch, base=base, starts=starts)
+        solos = [dnl.load(net, ps, grid, pattern) for pattern in batch]
+    for t, solo, res in zip(starts, solos, got):
         assert np.isnan(res.path_time[:, :t]).all() and not res.extrapolated[:, :t].any()
         assert np.array_equal(res.path_time[:, t:], solo.path_time[:, t:])
         assert np.array_equal(res.extrapolated[:, t:], solo.extrapolated[:, t:])
@@ -139,7 +142,9 @@ def test_staggered_starts_equal_cold_solo_loads_on_random_lattices(seed, size, p
     net, ps, grid, h, cap = random_lattice(seed)
     rng = np.random.default_rng(seed)
     T = grid.n_intervals
-    base = dnl.load(net, ps, grid, h, drain_max_steps=cap)
+    with step_cap(cap):
+        base = dnl.load(net, ps, grid, h)
+        budget = per_chunk * dnl._pattern_bytes(dnl._plan(net.links, ps.link_seq, grid), grid)
     starts = np.concatenate(([0, T - 1], rng.integers(0, T, size=size - 2)))
     rng.shuffle(starts)
     batch = []
@@ -149,7 +154,6 @@ def test_staggered_starts_equal_cold_solo_loads_on_random_lattices(seed, size, p
         if rng.random() < 0.3:
             tail[:, -1] += rng.uniform(0.0, 80.0, size=ps.n_paths)
         batch.append(splice(h, tail, t))
-    budget = per_chunk * dnl._pattern_bytes(dnl._plan(net.links, ps.link_seq, grid), grid, cap)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dnl, "_CHUNK_BYTES", budget)
         assert_started_equals_solo(net, ps, grid, base, np.stack(batch), starts, cap)
@@ -165,7 +169,8 @@ def test_staggered_batch_keeps_a_capped_pattern_beside_drained_ones(three_link):
     h[:, 0] = 1.0
     heavy = h.copy()
     heavy[:, T // 2 :] = 40.0
-    base = dnl.load(net, ps, grid, h, drain_max_steps=3)
+    with step_cap(3):
+        base = dnl.load(net, ps, grid, h)
     got = assert_started_equals_solo(net, ps, grid, base, np.stack([h, heavy, h]),
                                      np.array([T - 1, T // 2, 0]), cap=3)
     assert got[0].drained and got[2].drained and not got[1].drained

@@ -70,6 +70,12 @@ class TestValidate:
             load_scenario(ini)
         assert run(["validate", "--scenario", ini]) == 1
 
+    def test_departure_floor_is_not_a_key(self, three_link_dir, capsys):
+        ini = three_link_dir / "scenario.ini"  # has no [metrics] section of its own
+        ini.write_text(ini.read_text() + "\n[metrics]\ndeparture_floor = 1e-6\n")
+        assert run(["validate", "--scenario", ini]) == 1
+        assert "unknown key 'departure_floor' in [metrics]" in capsys.readouterr().err
+
     def test_unknown_section_in_file_rejected(self, three_link_dir):
         ini = three_link_dir / "scenario.ini"
         ini.write_text(ini.read_text() + "\n[bogus]\nx = 1\n")
@@ -125,7 +131,8 @@ class TestUsageErrors:
         (["multistart", "--n", "1"], "argument --n"),
         (["multistart", "--seed", "-1"], "argument --seed"),
         (["sweep", "--param", "theta", "--values", "1,abc"], "argument --values"),
-    ], ids=["n-below-two", "negative-seed", "non-numeric-value"])
+        (["sweep", "--param", "theta", "--values", "1.0"], "expected at least two values"),
+    ], ids=["n-below-two", "negative-seed", "non-numeric-value", "one-value"])
     def test_rejected_by_the_parser(self, three_link_dir, tmp_path, capsys, args, message):
         code = run([*args, "--scenario", three_link_dir / "scenario.ini", "--out", tmp_path / "o"])
         err = capsys.readouterr().err
@@ -145,6 +152,38 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == 1
         assert "error: multistart needs at least two starts" in err
+
+
+class TestFailureExitCodes:
+    def test_model_error_exits_3_and_writes_nothing(self, three_link_dir, tmp_path, capsys):
+        demand = three_link_dir / "demand.csv"
+        demand.write_text(demand.read_text() + "C,A,5,5,2400\n")  # no link leaves C
+        out = tmp_path / "o"
+        assert run(["solve", "--scenario", three_link_dir / "scenario.ini", "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "error: OD pair with no path: C->A" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, files", [
+        (["sweep", "--param", "lambda", "--values", "0.25,0.75"], ["sweep.csv"]),
+        (["compare-dsue"], ["compare.csv", "compare.json"]),
+        (["multistart", "--n", "2", "--seed", "1"], ["multistart.csv", "multistart.json"]),
+    ], ids=["sweep", "compare-dsue", "multistart"])
+    def test_one_iteration_exits_2_and_writes_its_files(self, three_link_dir, tmp_path,
+                                                        monkeypatch, args, files):
+        monkeypatch.setenv("DSUEDHI_SOLVER_MAX_ITERATIONS", "1")
+        out = tmp_path / "o"
+        assert run([*args, "--scenario", three_link_dir / "scenario.ini", "--out", out]) == 2
+        assert sorted(p.name for p in out.iterdir()) == files
+        if args[0] == "sweep":
+            _, rows = cli._read_rows(out / "sweep.csv")
+            assert [r[1] for r in rows] == ["not-converged"] * 2
+        elif args[0] == "compare-dsue":
+            summary = json.loads((out / "compare.json").read_text())
+            assert not summary["converged_dhi"] and not summary["converged_dsue"]
+        else:  # every start failed, so no distance is written
+            assert json.loads((out / "multistart.json").read_text())["n_failed"] == 2
+            assert cli._read_rows(out / "multistart.csv") == (["run", "relative_distance"], [])
 
 
 class TestArtifactReaders:
@@ -273,11 +312,6 @@ class TestSweep:
                         "--param", "lambda", "--values", "0.25,0.75"]) == 0
             outs.append(dir_bytes(out))
         assert outs[0] == outs[1]
-
-    def test_needs_two_values(self, three_link_dir, tmp_path):
-        code = run(["sweep", "--scenario", three_link_dir / "scenario.ini",
-                    "--out", tmp_path / "o", "--param", "theta", "--values", "1.0"])
-        assert code == 1
 
     def test_per_point_failure_recorded_and_sweep_continues(self, three_link_dir, tmp_path):
         out = tmp_path / "o"

@@ -9,12 +9,14 @@ from oracles import (
     merge_comparison,
     overloaded_link_comparison,
     partially_full_supply_comparison,
+    step_cap,
+    vehicles_stored,
 )
 
 
-def started(net, ps, grid, h, base, k, cap=None):
+def started(net, ps, grid, h, base, k):
     """``h`` loaded as a batch of one that starts at interval k from ``base``."""
-    return dnl.load_batch(net, ps, grid, h[None], base=base, starts=[k], drain_max_steps=cap)[0]
+    return dnl.load_batch(net, ps, grid, h[None], base=base, starts=[k])[0]
 
 
 def single_link_net(length=2400.0, speed=20.0, cap=0.25, jam=0.2, demand=600.0):
@@ -66,6 +68,17 @@ class TestLoadBasics:
         h[0, 0] = -1.0
         with pytest.raises(dnl.DnlError):
             dnl.load(net, ps, grid, h)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_departures(self, three_link, bad):
+        # a NaN cell used to load to the step cap and report finite path times
+        net, ps, grid, _ = three_link
+        h = np.ones((ps.n_paths, grid.n_intervals))
+        h[1, 3] = bad
+        with pytest.raises(dnl.DnlError, match="departures must be finite"):
+            dnl.load(net, ps, grid, h)
+        with pytest.raises(dnl.DnlError, match="departures must be finite"):
+            dnl.load_batch(net, ps, grid, np.stack([np.ones_like(h), h]))
 
 
 class TestDemandSupplyRules:
@@ -136,7 +149,8 @@ class TestNodeModel:
                                      [("A", "X"), ("A", "Y")])
         h = np.zeros((2, 40))
         h[:, :10] = 0.2 * 120.0
-        res = dnl.load(net, ps, grid, h, drain_max_steps=20)
+        with step_cap(20):
+            res = dnl.load(net, ps, grid, h)
         queued = res.n_up[ix["a"], 1:41] - res.n_dn[ix["a"], 1:41]
         assert queued.min() > 40.0  # half of them bound for y, which stays nearly empty
         for k in "xy":
@@ -254,7 +268,7 @@ class TestLoadingInvariants:
         h = rng.uniform(0, 4, size=(ps.n_paths, grid.n_intervals))
         res = dnl.load(net, ps, grid, h)
         assert res.drained
-        assert res.vehicles_stored() <= 1e-9 * max(1.0, h.sum())
+        assert vehicles_stored(res) <= 1e-9 * max(1.0, h.sum())
         total_in = res.src_up[:, -1].sum()
         assert total_in == pytest.approx(h.sum(), rel=1e-12)
 
@@ -315,10 +329,11 @@ class TestReportingAndConcurrency:
         grid = nw.TimeGrid(1440.0, 120.0)
         cols = np.zeros(12)
         cols[:10] = 60.0
-        res = dnl.load(net, ps, grid, cols[None, :], drain_max_steps=0)
+        with step_cap(0):
+            res = dnl.load(net, ps, grid, cols[None, :])
         assert not res.drained
         assert res.extrapolated[0, -1]
-        assert res.vehicles_stored() > 1.0
+        assert vehicles_stored(res) > 1.0
         # extrapolated values keep the free-flow bound and departure order
         assert np.all(res.path_time[0] >= ps.free_flow_s[0] - 1e-9)
         arrive = grid.interval_mids() + res.path_time[0]
@@ -363,6 +378,18 @@ class TestCheckFeasible:
         dnl.check_feasible(h, ps, d_i)
         with pytest.raises(ValueError):
             dnl.check_feasible(h * 2, ps, d_i)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, grid_congested, bad):
+        # a NaN cell makes its OD total NaN, which no tolerance test used to catch
+        net, ps, grid, _ = grid_congested
+        d_i, _ = net.class_demands()
+        h = np.zeros((ps.n_paths, grid.n_intervals))
+        for od, sl in enumerate(ps.od_slices):
+            h[sl.start, 0] = d_i[od]
+        h[0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            dnl.check_feasible(h, ps, d_i)
 
 
 class TestWarmStartIndexing:

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import golden_cases
 import loop_loader
+import map_cases
 from dsuedhi import dnl
 from dsuedhi import network as nw
-from golden_cases import FIELDS, GOLDEN, cases, outputs
+from golden_cases import FIELDS, GOLDEN, cases, load, outputs
+from oracles import step_cap
 
 CASES = cases()
 
@@ -29,9 +32,20 @@ def assert_same(got: dict, want: dict) -> None:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_load_matches_golden_exactly(golden, name):
-    net, ps, grid, h, kwargs = CASES[name]
-    got = outputs(dnl.load(net, ps, grid, h, **kwargs))
+    got = outputs(load(CASES[name]))
     assert_same(got, {f: golden[f"{name}__{f}"] for f in FIELDS})
+
+
+@pytest.mark.parametrize("recorder", [golden_cases, map_cases], ids=["loader", "map"])
+def test_recorder_writes_the_committed_file(tmp_path, recorder):
+    # the scripts that regenerate the golden files reproduce them as committed
+    path = tmp_path / recorder.GOLDEN.name
+    recorder.record(path)
+    with np.load(path) as got, np.load(recorder.GOLDEN) as want:
+        assert sorted(got.files) == sorted(want.files)
+        for key in want.files:
+            assert got[key].dtype == want[key].dtype, key
+            assert np.array_equal(got[key], want[key]), key
 
 
 def test_cases_cover_wide_links_and_refinement():
@@ -39,7 +53,7 @@ def test_cases_cover_wide_links_and_refinement():
     slots = np.bincount([a for seq in ps.link_seq for a in seq])
     assert slots.max() >= 8
     assert dnl.load(net, ps, grid, h).sim_dt_s == grid.dt_s / 2
-    capped = dnl.load(*CASES["three_link_capped"][:4], drain_max_steps=0)
+    capped = load(CASES["three_link_capped"])
     assert not capped.drained and capped.extrapolated.any()
 
 
@@ -115,15 +129,15 @@ def random_lattice(seed: int):
 def test_load_matches_loop_loader_on_random_lattices(seed):
     net, ps, grid, h, cap = random_lattice(seed)
     want = loop_loader.load(net, ps, grid, h, drain_max_steps=cap)
-    got = dnl.load(net, ps, grid, h, drain_max_steps=cap)
-    assert_same(outputs(got), {f: getattr(want, f) for f in FIELDS})
     # a warm start from this loading equals a cold load of changed departures
     k = int(np.random.default_rng(seed).integers(0, grid.n_intervals))
     changed = h.copy()
     changed[:, k:] = changed[:, k:][::-1]
-    cold = dnl.load(net, ps, grid, changed, drain_max_steps=cap)
-    warm = dnl.load_batch(net, ps, grid, changed[None], base=got, starts=[k],
-                          drain_max_steps=cap)[0]
+    with step_cap(cap):
+        got = dnl.load(net, ps, grid, h)
+        cold = dnl.load(net, ps, grid, changed)
+        warm = dnl.load_batch(net, ps, grid, changed[None], base=got, starts=[k])[0]
+    assert_same(outputs(got), {f: getattr(want, f) for f in FIELDS})
     assert np.isnan(warm.path_time[:, :k]).all()
     assert_same(started_outputs(warm, k, got), {**outputs(cold), **timed_from(cold, k)})
 

@@ -52,7 +52,7 @@ class TestInformationAccuracy:
 
     def test_floor_masks_unused_cells(self, grid_solution, grid_congested):
         _, _, grid, _ = grid_congested
-        rep = metrics.information_accuracy(grid_solution, grid, departure_floor=1e-6)
+        rep = metrics.information_accuracy(grid_solution, grid)
         unused = grid_solution.h_instant <= 1e-6
         assert np.isnan(rep.rel_diff_instant[unused]).all()
 

@@ -45,11 +45,12 @@ class TestValidate:
         assert [p.link_ids for p in ps.paths] == [("1", "3"), ("2", "3"), ("3",)]
 
     def test_no_path_for_demand(self):
-        with pytest.raises(nw.NetworkError, match="no path"):
-            nw.validate_network(
-                [nw.Link("1", "A", "B", 100, 10, 5, 1, 0.1)],
-                [nw.OdDemand("B", "A", 1, 0, 0.0)],
-            )
+        net = nw.validate_network(
+            [nw.Link("1", "A", "B", 100, 10, 5, 1, 0.1)],
+            [nw.OdDemand("B", "A", 1, 0, 0.0)],
+        )
+        with pytest.raises(nw.NetworkError, match="OD pair with no path: B->A"):
+            nw.build_path_set(net)
 
     def test_empty_links_with_demand(self):
         with pytest.raises(nw.NetworkError):
