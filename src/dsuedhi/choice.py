@@ -25,8 +25,9 @@ intervals of a table, realizing one column at a time from its own remaining
 demand. ``tentative_departures`` is the one-interval case and
 ``logit_probabilities`` the one-block case of the same kernel. Per block,
 results are bit-identical to a logit over that block alone: elementwise steps
-and maxima are exact in any layout, and block sums add the same numbers in the
-same order as ``ndarray.sum`` on the block (``dnl._group_sums``).
+and maxima are exact in any layout, and the blocks are runs of a
+``dnl._Segments``, whose sums add the same numbers in the same order as
+``ndarray.sum`` on the block.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dnl import _group_sums, _wide_groups
+from .dnl import _Segments
 from .network import PathSet, TimeGrid
 
 
@@ -85,17 +86,6 @@ def systematic_disutility(phi, t, target_arrival, mu_early: float, mu_late: floa
 
 
 @dataclass(frozen=True)
-class _Interval:
-    """One provision interval's cells and blocks within a ``_Layout``."""
-
-    t: int
-    cells: slice
-    blocks: slice
-    block: np.ndarray  # block of each cell, counted from the interval's first
-    wide: tuple  # ``_group_sums`` groups of the interval's blocks, local indices
-
-
-@dataclass(frozen=True)
 class _Layout:
     """Every OD's choice set at provision intervals ``first``.. as blocks of one array.
 
@@ -106,11 +96,9 @@ class _Layout:
     """
 
     open: np.ndarray  # (n, P, T) bool, departure j >= provision interval first + i
-    block: np.ndarray  # (cells,)
-    start: np.ndarray  # (blocks,) first cell
+    blocks: _Segments  # the cells of every block
     block_od: np.ndarray  # (blocks,)
-    wide: tuple  # ``_group_sums`` groups of blocks with 8 or more cells
-    intervals: tuple[_Interval, ...]
+    intervals: tuple[tuple[_Segments, slice], ...]  # ``blocks.part`` of each interval
 
 
 def open_cells(first: int, n: int, T: int) -> np.ndarray:
@@ -126,46 +114,35 @@ def _layout(od_sizes: tuple[int, ...], T: int, first: int, n: int) -> _Layout:
     writes to its arrays.
     """
     sizes = np.array(od_sizes)
-    P = int(sizes.sum())
     ods = np.flatnonzero(sizes)
-    intervals, size = [], []
-    cell = 0
-    for i, t in enumerate(range(first, first + n)):
-        m = T - t
-        local = sizes[ods] * m
-        intervals.append(_Interval(
-            t, slice(cell, cell + P * m), slice(i * len(ods), (i + 1) * len(ods)),
-            np.repeat(np.arange(len(ods)), local),
-            _wide_groups(np.cumsum(local) - local, local),
-        ))
-        size.append(local)
-        cell += P * m
-    size = np.concatenate(size)
-    start = np.cumsum(size) - size
+    m = len(ods)  # blocks per interval
+    cells = sizes[ods] * (T - np.arange(first, first + n))[:, None]  # per interval and OD
+    blocks = _Segments.from_sizes(cells.ravel())
     return _Layout(
-        open=open_cells(first, n, T).repeat(P, axis=1),
-        block=np.repeat(np.arange(len(size)), size), start=start, block_od=np.tile(ods, n),
-        wide=_wide_groups(start, size), intervals=tuple(intervals),
+        open=open_cells(first, n, T).repeat(int(sizes.sum()), axis=1),
+        blocks=blocks, block_od=np.tile(ods, n),
+        intervals=tuple(blocks.part(i * m, (i + 1) * m) for i in range(n)),
     )
 
 
-def _logit(psi: np.ndarray, block: np.ndarray, start: np.ndarray, wide, theta: float):
+def _logit(psi: np.ndarray, blocks: _Segments, theta: float):
     """Max-shifted logit shares of every block of ``psi`` at once.
 
     Returns the shares, each block's first cell of largest share and whether
     the block is all finite. Each block's shares and first largest share are
     those of a logit over that block alone: the elementwise steps and the
-    maxima are exact in any layout, and ``_group_sums`` adds each block's
+    maxima are exact in any layout, and ``blocks.sums`` adds each block's
     weights in the order ``ndarray.sum`` would. The shares of a non-finite
     block are not meaningful, but finite.
     """
+    start, block = blocks.start, blocks.of
     finite = np.logical_and.reduceat(np.isfinite(psi), start)
     if not finite.all():
         psi = np.where(finite[block], psi, 0.0)
     z = -theta * psi
     z -= np.maximum.reduceat(z, start)[block]
     w = np.exp(z)
-    share = w / _group_sums(w, block, len(start), wide)[block]
+    share = w / blocks.sums(w)[block]
     top = share == np.maximum.reduceat(share, start)[block]
     first_top = np.minimum.reduceat(np.where(top, np.arange(len(share)), len(share)), start)
     return share, first_top, finite
@@ -179,12 +156,9 @@ def logit_probabilities(psi: np.ndarray, theta: float) -> np.ndarray:
     behind ``share_table``.
     """
     psi = np.asarray(psi, dtype=float)
-    n = psi.size
-    if n == 0:
+    if psi.size == 0:
         raise ChoiceError("empty choice set")
-    start = np.zeros(1, dtype=np.intp)
-    share, _, finite = _logit(psi.reshape(-1), np.zeros(n, dtype=np.intp), start,
-                              _wide_groups(start, np.array([n])), theta)
+    share, _, finite = _logit(psi.reshape(-1), _Segments.from_sizes([psi.size]), theta)
     if not finite[0]:
         raise ChoiceError("disutility matrix has non-finite entries")
     return share.reshape(psi.shape)
@@ -245,7 +219,7 @@ def share_table(
         phi / u, dep / u, (ta / u)[path_set.od_of_path][:, None],
         params.mu_early, params.mu_late,
     )
-    share, top, finite = _logit(psi[lay.open], lay.block, lay.start, lay.wide, params.theta)
+    share, top, finite = _logit(psi[lay.open], lay.blocks, params.theta)
     return ShareTable(first, P, lay, share, top, finite)
 
 
@@ -262,16 +236,17 @@ def tentative_from_shares(
     i = t_index - table.first
     if not 0 <= i < len(lay.intervals):
         raise ChoiceError(f"provision interval {t_index} not in the share table")
-    iv = lay.intervals[i]
-    ods = lay.block_od[iv.blocks]
+    seg, cells = lay.intervals[i]
+    blocks = slice(i * len(seg.start), (i + 1) * len(seg.start))
+    ods = lay.block_od[blocks]
     demand = np.asarray(remaining_demand, dtype=float)[ods]
     if (demand < 0).any():
         raise ChoiceError(f"negative remaining demand for OD {ods[np.argmax(demand < 0)]}")
-    if ((demand != 0.0) & ~table.finite[iv.blocks]).any():
+    if ((demand != 0.0) & ~table.finite[blocks]).any():
         raise ChoiceError("disutility matrix has non-finite entries")
-    out = table.share[iv.cells] * demand[iv.block]
-    residual = demand - _group_sums(out, iv.block, len(demand), iv.wide)
-    out[table.top[iv.blocks] - iv.cells.start] += residual
+    out = table.share[cells] * demand[seg.of]
+    residual = demand - seg.sums(out)
+    out[table.top[blocks] - cells.start] += residual
     return out.reshape(table.n_paths, -1)
 
 
@@ -305,23 +280,28 @@ def remaining_demand(
 ) -> np.ndarray:
     """Per-OD demand not yet departed, given realized columns before now.
 
-    Tiny negative remainders (floating-point dust within 1e-9 of the class
-    demand, or of one vehicle) are clamped to zero; anything larger is an
-    overdraw error.
+    Tiny negative remainders are clamped to zero; anything larger is an
+    overdraw error (``_unspent``).
     """
     class_demand = np.asarray(class_demand, dtype=float)
     departed = np.zeros_like(class_demand)
     if realized_history.size:
         per_path = realized_history.sum(axis=1)
         np.add.at(departed, path_set.od_of_path, per_path)
-    remaining = class_demand - departed
+    return _unspent(class_demand - departed, class_demand)
+
+
+def _unspent(remaining: np.ndarray, class_demand: np.ndarray) -> np.ndarray:
+    """``remaining`` per OD, floating-point dust below zero clamped to zero.
+
+    Dust lies within 1e-9 of the class demand, or of one vehicle; a larger
+    negative remainder is an overdraw and raises.
+    """
     floor = -1e-9 * np.maximum(1.0, class_demand)
     if np.any(remaining < floor):
         worst = int(np.argmin(remaining - floor))
-        raise ChoiceError(
-            f"OD {worst}: cumulative departures {departed[worst]!r} exceed "
-            f"class demand {class_demand[worst]!r}"
-        )
+        raise ChoiceError(f"OD {worst}: departures exceed class demand "
+                          f"{class_demand[worst]!r} by {-remaining[worst]!r}")
     return np.maximum(remaining, 0.0)
 
 
@@ -338,15 +318,14 @@ def rollout(table: ShareTable, class_demand: np.ndarray, path_set: PathSet) -> n
 
     At each interval the class's remaining demand is assigned to the table,
     and only the current column is realized and subtracted from it. An
-    overdraw beyond floating-point dust raises; dust is clamped to zero.
+    overdraw beyond floating-point dust raises; dust is clamped to zero
+    (``_unspent``).
     """
     demand = np.asarray(class_demand, dtype=float)
     rem = demand.copy()
     y = np.zeros((table.n_paths, len(table.layout.intervals)))
-    for i, iv in enumerate(table.layout.intervals):
-        y[:, i] = realize_departures(tentative_from_shares(table, iv.t, rem))
+    for i in range(y.shape[1]):
+        y[:, i] = realize_departures(tentative_from_shares(table, table.first + i, rem))
         np.subtract.at(rem, path_set.od_of_path, y[:, i])
-        if np.any(rem < -1e-9 * np.maximum(1.0, demand)):
-            raise ChoiceError(f"interval {iv.t}: realized departures overdraw class demand")
-        rem = np.maximum(rem, 0.0)
+        rem = _unspent(rem, demand)
     return y

@@ -69,14 +69,18 @@ stops at the step cap. A batch whose curves would exceed a fixed byte budget
 at that first size is stepped in equal chunks.
 
 Exact sums. Results are bit-identical to a loop that sums each row's slots
-with ``ndarray.sum``. numpy adds fewer than 8 numbers in sequence, as
-``np.bincount`` does, and 8 or more pairwise, so per-row totals come from
-``bincount`` and rows with 8 or more slots are summed again on their slice.
+with ``ndarray.sum``. ``_Segments`` is the one place that rule lives: numpy
+adds fewer than 8 numbers in sequence, as ``np.bincount`` does, and 8 or
+more pairwise, so its per-run totals come from ``bincount`` and runs of 8 or
+more are summed again on their slice. The loader's rows and the logit's
+blocks (``choice``) are both runs of it. ``_fill_sources`` keeps its own
+source-row sums: they run across a non-contiguous axis, which numpy adds in
+sequence, so ``_Segments`` would change their bits.
 
 Sensitivity. The sending rule branches on an absolute backlog
 ``> _EPS_VEH`` (1e-12 vehicles). A last-bit change in a per-row total can
 flip that branch and hold back a whole step of discharge: on a test lattice
-with 20 slots per link, summing wide rows with ``bincount`` alone moved path
+with 20 slots per link, summing rows with ``bincount`` alone moved path
 times by one whole step. Outputs therefore depend on the summation order
 above, not only on the model.
 """
@@ -230,26 +234,47 @@ def _invert_rows(curves, flat, starts, targets, dt: float, rate_beyond,
     return out, beyond
 
 
-def _group_sums(x: np.ndarray, group: np.ndarray, n: int, wide) -> np.ndarray:
-    """Per-group totals of ``x``, each bit-identical to ``x[start:end].sum()``.
+@dataclass(frozen=True)
+class _Segments:
+    """Consecutive runs of a flat array, each totalled as ``ndarray.sum`` totals it.
 
-    numpy sums fewer than 8 elements sequentially, as ``bincount`` does, and
-    8 or more pairwise; ``wide`` lists (groups, element indices) of the
-    latter, one entry per group size, and each index row is summed on its own.
+    ``start`` holds each run's first element and ``of`` the run of every
+    element. numpy adds fewer than 8 numbers in sequence, as ``np.bincount``
+    does, and 8 or more pairwise, so ``sums`` takes every total from
+    ``bincount`` and sums the runs of 8 or more again, each on its own row of
+    element indices: ``wide`` holds (runs, element indices) per run size.
     """
-    out = np.bincount(group, weights=x, minlength=n)
-    for groups, index in wide:
-        out[groups] = x[index].sum(axis=1)
-    return out
 
+    start: np.ndarray  # (runs,)
+    of: np.ndarray  # (elements,)
+    wide: tuple
 
-def _wide_groups(start: np.ndarray, size: np.ndarray) -> tuple:
-    """(groups, element indices) per group size of 8 or more, for ``_group_sums``."""
-    groups = []
-    for n in sorted(set(size[size >= 8].tolist())):
-        index = np.flatnonzero(size == n)
-        groups.append((index, start[index][:, None] + np.arange(n)))
-    return tuple(groups)
+    @classmethod
+    def from_sizes(cls, size) -> _Segments:
+        size = np.asarray(size, dtype=np.intp)
+        start = np.cumsum(size) - size
+        wide = []
+        for n in sorted(set(size[size >= 8].tolist())):
+            runs = np.flatnonzero(size == n)
+            wide.append((runs, start[runs][:, None] + np.arange(n)))
+        return cls(start, np.repeat(np.arange(len(size)), size), tuple(wide))
+
+    def sums(self, x: np.ndarray) -> np.ndarray:
+        """Per-run totals of ``x``, each bit-identical to ``x[run].sum()``."""
+        out = np.bincount(self.of, weights=x, minlength=len(self.start))
+        for runs, index in self.wide:
+            out[runs] = x[index].sum(axis=1)
+        return out
+
+    def part(self, lo: int, hi: int) -> tuple[_Segments, slice]:
+        """Runs ``lo``..``hi - 1``, re-based to start at 0, and the slice of their elements."""
+        e0, e1 = (int(self.start[r]) if r < len(self.start) else len(self.of) for r in (lo, hi))
+        wide = []
+        for runs, index in self.wide:
+            a, b = np.searchsorted(runs, (lo, hi))
+            if b > a:
+                wide.append((runs[a:b] - lo, index[a:b] - e0))
+        return _Segments(self.start[lo:hi] - e0, self.of[e0:e1] - lo, tuple(wide)), slice(e0, e1)
 
 
 def _widen(curves: np.ndarray, cols: int) -> np.ndarray:
@@ -361,15 +386,16 @@ class _Copies:
     def __init__(self, plan: _Plan, B: int):
         A, L, n_src = plan.A, plan.n_link_slots, len(plan.source_links)
         self.B = B
-        self.sizes = (A, L, n_src, len(plan.slot_row) - L)
+        self.sizes = (A, L, n_src)
         block = np.arange(B)[:, None]  # copy j's sources are block j
         link_block = block[::-1]  # and its links block B-1-j
 
         def tiled(index, shift, blocks):  # per-block index arrays; -1 stays -1
             return np.where(index >= 0, index + shift * blocks, -1).ravel()
 
-        self.slot_row = np.concatenate((tiled(plan.slot_row[:L], A, block),
-                                        tiled(plan.slot_row[L:] - A, n_src, block) + B * A))
+        size = np.bincount(plan.slot_row)  # slots per row: links, then sources
+        self.seg = _Segments.from_sizes(np.concatenate((np.tile(size[:A], B),
+                                                        np.tile(size[A:], B))))
         self.slot_next = np.concatenate((tiled(plan.slot_next[:L], A, block),
                                          tiled(plan.slot_next[L:], A, link_block)))
         self.slot_dest = np.concatenate((tiled(plan.slot_dest[:L], L, block),
@@ -377,8 +403,6 @@ class _Copies:
         self.src_links = tiled(plan.src_links, A, link_block)
         self.cap, self.storage = np.tile(plan.cap, B), np.tile(plan.storage, B)
         R = B * (A + n_src)
-        row_start = np.searchsorted(self.slot_row, np.arange(R + 1))
-        self.wide = _wide_groups(row_start[:-1], np.diff(row_start))
         self.rate_beyond = np.concatenate((self.cap, np.ones(B * n_src)))
         # samples known at step 0: a link's entries up to now, a source's one step ahead
         self.n_known = (np.arange(R) >= B * A).astype(np.intp)[:, None] + 1
@@ -391,32 +415,25 @@ class _Active:
     """
 
     def __init__(self, c: _Copies, k: int):
-        A, L, n_src, n_src_slots = c.sizes
-        r0, q0 = (c.B - k) * A, (c.B - k) * L
-        r1, q1 = c.B * A + k * n_src, c.B * L + k * n_src_slots
-        self.rows, self.slots = slice(r0, r1), slice(q0, q1)
+        A, L, n_src = c.sizes
+        r0, r1 = (c.B - k) * A, c.B * A + k * n_src
+        self.rows = slice(r0, r1)
+        self.seg, self.slots = c.seg.part(r0, r1)  # each row's slots; no row is empty
         self.A, self.L = k * A, k * L
         self.R = r1 - r0
         links = slice(r0, c.B * A)
         self.cap, self.storage = c.cap[links], c.storage[links]
         self.rate_beyond = c.rate_beyond[self.rows]
         self.n_known = c.n_known[self.rows]
-        self.slot_row = c.slot_row[self.slots] - r0
-        self.row_start = np.searchsorted(self.slot_row, np.arange(self.R))  # no row is empty
         nxt = c.slot_next[self.slots]
         moves = nxt >= 0  # slots whose path continues on a link
         self.next_row = np.where(moves, nxt - r0, self.A)  # A, a pad, where it ends
         self.moving = np.flatnonzero(moves)
-        self.moving_dest = c.slot_dest[self.slots][self.moving] - q0
+        self.moving_dest = c.slot_dest[self.slots][self.moving] - self.slots.start
         self.link_moving = self.moving[: np.searchsorted(self.moving, self.L)]
         # merge inflows: the link slots that move, in slot order, then the sources
         self.inflow_index = np.concatenate((self.next_row[self.link_moving],
                                             c.src_links[: k * n_src] - r0))
-        self.wide = []
-        for rows, index in c.wide:
-            lo, hi = np.searchsorted(rows, (r0, r1))
-            if hi > lo:
-                self.wide.append((rows[lo:hi] - r0, index[lo:hi] - q0))
 
 
 def _step_cap(t_sim: int) -> int:
@@ -597,7 +614,7 @@ def _step(
     B, P, T = h.shape
 
     c = plan.copies(B)
-    A1, L1, n_src, _ = c.sizes
+    A1, L1, n_src = c.sizes
     AB, LB = B * A1, B * L1
     refine = plan.refine
     dt = plan.dt
@@ -608,7 +625,7 @@ def _step(
     # cumulative entries and exits of every row, entries of every slot
     up = np.zeros((len(c.rate_beyond), cols))
     dn = np.zeros((len(c.rate_beyond), cols))
-    slots = np.zeros((len(c.slot_row), cols))
+    slots = np.zeros((len(c.seg.of), cols))
 
     _fill_sources(plan, h, slots[LB:], up[AB:])
 
@@ -633,7 +650,7 @@ def _step(
         if joined < B and joins[joined] <= t:
             joined = int(np.searchsorted(joins, t, side="right"))
             act = _Active(c, joined)
-            A, L, R, slot_row = act.A, act.L, act.R, act.slot_row
+            A, L, R, seg = act.A, act.L, act.R, act.seg
             stale = True
         if stale:
             u, d, s = up[act.rows], dn[act.rows], slots[act.slots]
@@ -669,11 +686,11 @@ def _step(
         np.add(d[:, t], mass, out=window[:, 1])
         tau, _ = _invert_rows(u[:, : t + 2], u_flat, row_at, window, dt, act.rate_beyond,
                               act.n_known + t)
-        idx, frac = _positions(tau[slot_row], dt, t + 1)
+        idx, frac = _positions(tau[seg.of], dt, t + 1)
         ends = _interp_rows(s_flat, slot_at + idx, frac, hold=True)
         comp = np.maximum(ends[:, 1] - ends[:, 0], 0.0)
-        total = _group_sums(comp, slot_row, R, act.wide)
-        comp *= np.divide(mass, total, out=np.ones(R), where=total > 0.0)[slot_row]
+        total = seg.sums(comp)
+        comp *= np.divide(mass, total, out=np.ones(R), where=total > 0.0)[seg.of]
 
         # receiving masses; merges scale inflows to supply
         recv_mass = link_supply_rate(ndn_wave, n_up[:, t], act.storage, act.cap, dt) * dt
@@ -683,9 +700,9 @@ def _step(
         np.divide(recv_mass, inflow_demand, out=factor[:A], where=inflow_demand > recv_mass)
 
         # diverges scale a row's whole outflow by its most restrictive factor
-        theta = np.minimum.reduceat(np.where(comp > 0.0, factor[act.next_row], 1.0), act.row_start)
-        out = comp * theta[slot_row]
-        total = _group_sums(out, slot_row, R, act.wide)
+        theta = np.minimum.reduceat(np.where(comp > 0.0, factor[act.next_row], 1.0), seg.start)
+        out = comp * theta[seg.of]
+        total = seg.sums(out)
         d[:, t + 1] += total
 
         # transfer to each path's slot on its next link (never collides); each

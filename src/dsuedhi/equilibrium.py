@@ -79,7 +79,6 @@ class EquilibriumResult:
     converged: bool
     loading: dnl.LoadingResult
     forecasts: np.ndarray | None  # of the last map; None for "dsue"
-    iterates: list[tuple[np.ndarray, ...]] | None = None
 
     @property
     def final_residual(self) -> float:
@@ -146,7 +145,6 @@ def _run_sram(
     apply_map,
     parts: list[np.ndarray],
     config: SolverConfig,
-    record_iterates: bool = False,
 ) -> EquilibriumResult:
     """Generic self-regulated averaging loop over a list of class matrices.
 
@@ -157,14 +155,11 @@ def _run_sram(
     residuals: list[float] = []
     betas: list[float] = []
     alphas: list[float] = []
-    iterates: list[tuple[np.ndarray, ...]] | None = [] if record_iterates else None
 
     beta = 1.0
     prev_gap: float | None = None
     converged = False
     for k in range(1, config.max_iterations + 1):
-        if iterates is not None:
-            iterates.append(tuple(p.copy() for p in parts))
         last = apply_map(parts)
         h_total = sum(parts)
         y_total = sum(last.y_parts)
@@ -199,7 +194,6 @@ def _run_sram(
         converged=converged,
         loading=last.loading,
         forecasts=last.forecasts,
-        iterates=iterates,
     )
 
 
@@ -210,7 +204,6 @@ def solve_sram(
     params: ChoiceParams,
     config: SolverConfig,
     h0: tuple[np.ndarray, np.ndarray] | None = None,
-    record_iterates: bool = False,
 ) -> EquilibriumResult:
     """Solve the two-class equilibrium by self-regulated averaging."""
     d_instant, d_forecast = net.class_demands()
@@ -224,7 +217,7 @@ def solve_sram(
     def apply_map(current: list[np.ndarray]) -> MapResult:
         return fixed_point_map(current[0], current[1], net, path_set, grid, params)
 
-    return _run_sram("dsue-dhi", apply_map, parts, config, record_iterates)
+    return _run_sram("dsue-dhi", apply_map, parts, config)
 
 
 def solve_dsue(
@@ -233,7 +226,6 @@ def solve_dsue(
     grid: TimeGrid,
     params: ChoiceParams,
     config: SolverConfig,
-    record_iterates: bool = False,
 ) -> EquilibriumResult:
     """Single-class baseline: one logit over realized travel times.
 
@@ -251,7 +243,7 @@ def solve_dsue(
         )
         return MapResult((y,), loading)
 
-    return _run_sram("dsue", apply_map, parts, config, record_iterates)
+    return _run_sram("dsue", apply_map, parts, config)
 
 
 @dataclass

@@ -355,7 +355,12 @@ def build_path_set(
     time_ratio: float = 1.5,
     length_ratio: float = 1.5,
 ) -> PathSet:
-    """Enumerate constrained paths for all OD pairs with positive demand."""
+    """Enumerate constrained paths for all OD pairs with positive demand.
+
+    Raises NetworkError when no OD pair has demand: there is nothing to load.
+    """
+    if not any(od.demand_total > 0 for od in net.od_pairs):
+        raise NetworkError("no OD pair has demand")
     paths: list[Path] = []
     slices: list[slice] = []
     link_seqs: list[tuple[int, ...]] = []

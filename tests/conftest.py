@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from dsuedhi import scenario
-from dsuedhi.equilibrium import SolverConfig, solve_sram
+from dsuedhi.equilibrium import SolverConfig
+from oracles import solve_recording
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -36,12 +37,24 @@ def grid_uncongested():
 
 
 @pytest.fixture(scope="session")
-def three_link_solution(three_link):
+def three_link_run(three_link):
+    """The three-link solve and the input of each of its maps."""
     net, ps, grid, params = three_link
-    return solve_sram(net, ps, grid, params, SolverConfig(), record_iterates=True)
+    return solve_recording(net, ps, grid, params, SolverConfig())
 
 
 @pytest.fixture(scope="session")
-def grid_solution(grid_congested):
+def three_link_solution(three_link_run):
+    return three_link_run[0]
+
+
+@pytest.fixture(scope="session")
+def grid_run(grid_congested):
+    """The congested grid solve and the input of each of its maps."""
     net, ps, grid, params = grid_congested
-    return solve_sram(net, ps, grid, params, SolverConfig(), record_iterates=True)
+    return solve_recording(net, ps, grid, params, SolverConfig())
+
+
+@pytest.fixture(scope="session")
+def grid_solution(grid_run):
+    return grid_run[0]

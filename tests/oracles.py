@@ -4,7 +4,8 @@ The loading oracle integrates cumulative curves at a hundredth of the
 departure interval with plain point-queue recursions; it shares no code with
 the production loader. The path oracles enumerate every simple path by
 exhaustive search and build the dense link-path incidence matrix. Two helpers
-read or set up loadings: ``vehicles_stored`` and ``step_cap``.
+read or set up loadings: ``vehicles_stored`` and ``step_cap``; ``solve_recording``
+keeps the input of every map a solve applies.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import contextlib
 
 import numpy as np
+import pytest
 
-from dsuedhi import dnl
+from dsuedhi import dnl, equilibrium
 from dsuedhi import network as nw
 
 
@@ -37,6 +39,23 @@ def step_cap(drain_steps: int | None):
         yield
     finally:
         dnl._step_cap = own
+
+
+def solve_recording(net, ps, grid, params, config):
+    """``solve_sram`` and the class pair (instant, forecast) of every map it applied, in order.
+
+    Wraps ``equilibrium.fixed_point_map`` for the solve.
+    """
+    iterates = []
+    own = equilibrium.fixed_point_map
+
+    def recording(h_instant, h_forecast, *args):
+        iterates.append((h_instant.copy(), h_forecast.copy()))
+        return own(h_instant, h_forecast, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equilibrium, "fixed_point_map", recording)
+        return equilibrium.solve_sram(net, ps, grid, params, config), iterates
 
 
 def all_simple_paths(net, origin, destination):

@@ -27,6 +27,7 @@ from oracles import (
     diverge_comparison,
     merge_comparison,
     overloaded_link_comparison,
+    solve_recording,
     vehicles_stored,
 )
 
@@ -66,11 +67,16 @@ def grid_lambda_sweep(grid_congested):
 
 
 @pytest.fixture(scope="module")
-def grid_all_instant_tight(grid_congested):
+def grid_all_instant_tight_run(grid_congested):
+    """The all-instantaneous grid solved tightly, and the input of each of its maps."""
     net, ps, grid, params = grid_congested
     cfg = SolverConfig(tolerance=1e-12, max_iterations=300)
-    return solve_sram(net.with_class_split(1.0), ps, grid, params, cfg,
-                      record_iterates=True)
+    return solve_recording(net.with_class_split(1.0), ps, grid, params, cfg)
+
+
+@pytest.fixture(scope="module")
+def grid_all_instant_tight(grid_all_instant_tight_run):
+    return grid_all_instant_tight_run[0]
 
 
 @pytest.fixture(scope="module")
@@ -197,21 +203,22 @@ def test_solver_budget_and_dispersion_trend(
 
 
 def test_conservation_everywhere(
-    three_link_solution, grid_solution, grid_all_instant_tight,
+    three_link_run, grid_run, grid_all_instant_tight_run,
     three_link, grid_congested, converged_registry
 ):
     """Class demand conservation per iterate, loading conservation, FIFO order."""
     with _report("A06 conservation-and-fifo"):
-        for res, built, instant_share in (
-            (three_link_solution, three_link, None),
-            (grid_solution, grid_congested, None),
-            (grid_all_instant_tight, grid_congested, 1.0),
+        for (res, iterates), built, instant_share in (
+            (three_link_run, three_link, None),
+            (grid_run, grid_congested, None),
+            (grid_all_instant_tight_run, grid_congested, 1.0),
         ):
             net, ps, grid, _ = built
             if instant_share is not None:
                 net = net.with_class_split(instant_share)
             d_i, d_f = net.class_demands()
-            for h_i, h_f in res.iterates:
+            assert len(iterates) == res.n_iterations
+            for h_i, h_f in iterates:
                 dnl.check_feasible(h_i, ps, d_i)
                 dnl.check_feasible(h_f, ps, d_f)
         for name, res, grid in converged_registry:

@@ -317,6 +317,17 @@ class TestRemainingDemand:
         with pytest.raises(choice.ChoiceError, match="exceed"):
             choice.remaining_demand(realized, np.array([12.0, 12.0]), ps)
 
+    def test_overdraw_in_rollout_raises(self, three_path_set, monkeypatch):
+        net, ps = three_path_set
+        grid = nw.TimeGrid(360.0, 120.0)
+        table = choice.share_table(np.full((3, ps.n_paths, 1), 60.0), 0, grid, ps,
+                                   params_for(net))
+        # every path departs 100 vehicles at once, far more than either OD's 12
+        monkeypatch.setattr(choice, "tentative_from_shares",
+                            lambda table, t, rem: np.full((ps.n_paths, 3 - t), 100.0))
+        with pytest.raises(choice.ChoiceError, match="exceed"):
+            choice.rollout(table, np.array([12.0, 12.0]), ps)
+
     def test_dust_clamped(self, three_path_set):
         net, ps = three_path_set
         realized = np.array([[6.0 + 2e-10], [6.0], [0.0]])
@@ -499,8 +510,8 @@ class TestShareTable:
             assert np.array_equal(one, want)
             assert np.array_equal(got, want)
             # the residual goes to the first largest share, even where it is 0
-            iv = table.layout.intervals[t]
-            for b in range(iv.blocks.start, iv.blocks.stop):
+            m = len(table.layout.intervals[t][0].start)  # blocks per interval
+            for b in range(t * m, (t + 1) * m):
                 k = int(table.layout.block_od[b])
                 if k in tops:
-                    assert table.top[b] - table.layout.start[b] == tops[k]
+                    assert table.top[b] - table.layout.blocks.start[b] == tops[k]

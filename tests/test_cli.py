@@ -164,6 +164,18 @@ class TestFailureExitCodes:
         assert "error: OD pair with no path: C->A" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_no_demand_exits_3(self, three_link_dir, tmp_path, capsys, command):
+        demand = three_link_dir / "demand.csv"
+        header, *rows = demand.read_text().splitlines()
+        zero = [",".join([*r.split(",")[:2], "0", "0", r.split(",")[4]]) for r in rows]
+        demand.write_text("\n".join([header, *zero]) + "\n")
+        out = tmp_path / "o"
+        assert run([command, "--scenario", three_link_dir / "scenario.ini", "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "error: no OD pair has demand" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("args, files", [
         (["sweep", "--param", "lambda", "--values", "0.25,0.75"], ["sweep.csv"]),
         (["compare-dsue"], ["compare.csv", "compare.json"]),

@@ -140,10 +140,12 @@ class TestSolveSram:
             iters[theta] = res.n_iterations
         assert iters[0.1] <= iters[2.0]
 
-    def test_every_iterate_feasible(self, grid_solution, grid_congested):
+    def test_every_iterate_feasible(self, grid_run, grid_congested):
         net, ps, grid, _ = grid_congested
         d_i, d_f = net.class_demands()
-        for h_i, h_f in grid_solution.iterates:
+        res, iterates = grid_run
+        assert len(iterates) == res.n_iterations
+        for h_i, h_f in iterates:
             dnl.check_feasible(h_i, ps, d_i)
             dnl.check_feasible(h_f, ps, d_f)
 
