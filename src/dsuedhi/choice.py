@@ -22,11 +22,10 @@ time) scales the shares by the remaining demand and folds the floating-point
 residual of each total into the block's first largest share; only this part
 depends on the demand. ``rollout`` carries one class through the
 intervals of a table, realizing one column at a time from its own remaining
-demand. ``tentative_departures`` is the one-interval case and
-``logit_probabilities`` the one-block case of the same kernel. Per block,
-results are bit-identical to a logit over that block alone: elementwise steps
-and maxima are exact in any layout, and the blocks are runs of a
-``dnl._Segments``, whose sums add the same numbers in the same order as
+demand. ``tentative_departures`` is the one-interval case of both. Per
+block, results are bit-identical to a logit over that block alone:
+elementwise steps and maxima are exact in any layout, and the blocks are runs
+of a ``dnl._Segments``, whose sums add the same numbers in the same order as
 ``ndarray.sum`` on the block.
 """
 
@@ -148,22 +147,6 @@ def _logit(psi: np.ndarray, blocks: _Segments, theta: float):
     return share, first_top, finite
 
 
-def logit_probabilities(psi: np.ndarray, theta: float) -> np.ndarray:
-    """Logit shares over one choice set (all entries of ``psi`` jointly).
-
-    Computed with a max-shift so large theta*psi cannot overflow; entries sum
-    to one up to floating-point residual. The one-block case of the kernel
-    behind ``share_table``.
-    """
-    psi = np.asarray(psi, dtype=float)
-    if psi.size == 0:
-        raise ChoiceError("empty choice set")
-    share, _, finite = _logit(psi.reshape(-1), _Segments.from_sizes([psi.size]), theta)
-    if not finite[0]:
-        raise ChoiceError("disutility matrix has non-finite entries")
-    return share.reshape(psi.shape)
-
-
 @dataclass(frozen=True)
 class ShareTable:
     """Logit shares of every OD's choice set at consecutive provision intervals.
@@ -197,8 +180,8 @@ def share_table(
     every departure, come as (intervals, paths, 1). Cells with j before the
     provision interval are not read. The disutilities and shares of all
     intervals are computed in one vectorised pass; each OD's block at each
-    interval gets exactly the shares, and the same first largest share, as
-    ``logit_probabilities`` of that block alone.
+    interval gets exactly the shares, and the same first largest share, as a
+    logit over that block alone.
     """
     T = grid.n_intervals
     P = path_set.n_paths
@@ -305,14 +288,6 @@ def _unspent(remaining: np.ndarray, class_demand: np.ndarray) -> np.ndarray:
     return np.maximum(remaining, 0.0)
 
 
-def realize_departures(tentative: np.ndarray) -> np.ndarray:
-    """Only the current interval's column of a tentative plan executes."""
-    tentative = np.asarray(tentative, dtype=float)
-    if tentative.ndim != 2 or tentative.shape[1] < 1:
-        raise ChoiceError("tentative departures must have at least one column")
-    return tentative[:, 0].copy()
-
-
 def rollout(table: ShareTable, class_demand: np.ndarray, path_set: PathSet) -> np.ndarray:
     """One class's realized departures, paths x the table's provision intervals.
 
@@ -325,7 +300,7 @@ def rollout(table: ShareTable, class_demand: np.ndarray, path_set: PathSet) -> n
     rem = demand.copy()
     y = np.zeros((table.n_paths, len(table.layout.intervals)))
     for i in range(y.shape[1]):
-        y[:, i] = realize_departures(tentative_from_shares(table, table.first + i, rem))
+        y[:, i] = tentative_from_shares(table, table.first + i, rem)[:, 0]
         np.subtract.at(rem, path_set.od_of_path, y[:, i])
         rem = _unspent(rem, demand)
     return y

@@ -379,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare-dsue":
             return run_compare_dsue(sc, out_dir)
         return run_multistart(sc, args.n, args.seed, out_dir)  # the parser's last command
-    except (ParseError, ScenarioError, SolverError) as exc:
+    except (ParseError, ScenarioError, SolverError, OSError) as exc:  # OSError: an unusable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NetworkError, ChoiceError, DnlError, ValueError) as exc:

@@ -29,14 +29,13 @@ departure grid.
 Layout. Every cumulative curve pair (entries, exits) is a *row*: the links
 that some path uses, in link order, then one source connector per distinct
 first link. Vehicles follow enumerated paths, so a link on no path never
-carries one; it gets no row, and the result reports zero curves and its
-free-flow time for it. A *slot* is one (row, path) pair and holds that path's
-share of the row's entry curve; all slot curves live in one slots x steps
-array, numbered row-major and in path order within a row, so each row owns a
-contiguous block of slots. Index arrays give each slot its row, its path's
-next link row, and the path's slot there. Link rows keep link order, so
-slots, merges and row totals add the same numbers in the same order as they
-would with a row for every link.
+carries one; it gets no row, and the result reports zero curves for it. A
+*slot* is one (row, path) pair and holds that path's share of the row's entry
+curve; all slot curves live in one slots x steps array, numbered row-major
+and in path order within a row, so each row owns a contiguous block of slots.
+Index arrays give each slot its row, its path's next link row, and the path's
+slot there. Link rows keep link order, so slots, merges and row totals add
+the same numbers in the same order as they would with a row for every link.
 
 Work per plan, per join and per step. A plan (one network's links, path set
 and grid) is built once and kept while among the last few used, with its
@@ -121,7 +120,7 @@ def check_feasible(values: np.ndarray, path_set: PathSet, demand_per_od: np.ndar
 
 @dataclass
 class LoadingResult:
-    """Cumulative curves plus link and path travel times of one loading."""
+    """Cumulative curves and path travel times of one loading."""
 
     grid: TimeGrid
     n_steps: int
@@ -132,11 +131,9 @@ class LoadingResult:
     n_links: int
     src_up: np.ndarray  # sources x (n_steps+1)
     src_dn: np.ndarray
-    source_links: tuple[int, ...]
     path_time: np.ndarray  # paths x T, travel time per departure interval
     extrapolated: np.ndarray  # paths x T bool, trip extended past simulation
-    link_time: np.ndarray | None = None  # links x T, entry-time travel times
-    instant_path_time: np.ndarray | None = None  # paths x T, sums of current link times
+    instant_path_time: np.ndarray | None = None  # paths x T, sums of entry-time link times
     drained: bool = True
     _state: tuple | None = field(default=None, repr=False)  # plan, departures, link slots
 
@@ -297,13 +294,13 @@ class _Plan:
 
     def __init__(self, links: tuple, seqs: tuple, grid: TimeGrid):
         self.n_links = N = len(links)
-        self.link_ff = np.array([l.free_flow_s for l in links])
-        self.link_cap = np.array([l.capacity_vps for l in links])
+        link_ff = np.array([l.free_flow_s for l in links])
+        link_cap = np.array([l.capacity_vps for l in links])
         wave_lag = np.array([l.length_m / l.backward_wave_mps for l in links])
         storage = np.array([l.storage_veh for l in links])
         # refine the internal step until every link, used or not, spans at
         # least one step
-        min_ff = float(self.link_ff.min()) if N else grid.dt_s
+        min_ff = float(link_ff.min()) if N else grid.dt_s
         self.refine = max(1, int(np.ceil(grid.dt_s / min_ff - 1e-12)))
         self.dt = grid.dt_s / self.refine
         self.key = (links, seqs, grid)
@@ -331,7 +328,7 @@ class _Plan:
         self.used_links = np.flatnonzero(np.bincount(slot_link[:L], minlength=N))
         self.A = A = len(self.used_links)
         self.ff, self.cap, self.wave_lag, self.storage = (
-            x[self.used_links] for x in (self.link_ff, self.link_cap, wave_lag, storage))
+            x[self.used_links] for x in (link_ff, link_cap, wave_lag, storage))
         row = np.full(N + n_src + 1, -1, dtype=np.intp)
         row[self.used_links] = np.arange(A)
         row[N:-1] = np.arange(A, A + n_src)
@@ -340,12 +337,12 @@ class _Plan:
         self.src_links = row[list(self.source_links)]
         self.src_row_start = np.searchsorted(self.slot_row[L:], np.arange(A, A + n_src + 1))
 
-        # link and row of every path at each hop, padded with -1
+        # row of every path at each hop, padded with -1
         hops = max((len(seq) for seq in seqs), default=0)
-        self.path_links = np.full((len(seqs), max(hops, 1)), -1, dtype=np.intp)
+        path_links = np.full((len(seqs), max(hops, 1)), -1, dtype=np.intp)
         for p, seq in enumerate(seqs):
-            self.path_links[p, : len(seq)] = seq
-        self.path_rows = row[self.path_links]
+            path_links[p, : len(seq)] = seq
+        self.path_rows = row[path_links]
         self._copies: dict[int, _Copies] = {}
         self._lags = (np.empty(0),)
 
@@ -491,25 +488,27 @@ def load(
     *,
     compute_link_times: bool = True,
 ) -> LoadingResult:
-    """Map total path departures to link and path travel times.
+    """Map total path departures to path travel times.
 
     A batch of one of the stepper behind ``load_batch``. Deterministic:
-    identical inputs give bit-identical results. ``link_up`` and ``link_dn``
-    are views of arrays with up to half as many columns again as the loading
-    used; ``n_up`` and ``n_dn`` are those curves themselves when every link
-    is on a path, and otherwise new arrays, with zero rows for the other
-    links, on each access. The result keeps its slot curves, so it can serve
-    as the base of a ``load_batch`` whose patterns start after interval 0.
+    identical inputs give bit-identical results. With ``compute_link_times``,
+    ``instant_path_time`` sums each path's link times for entry at each
+    interval start. ``link_up`` and ``link_dn`` are views of arrays with up
+    to half as many columns again as the loading used; ``n_up`` and ``n_dn``
+    are those curves themselves when every link is on a path, and otherwise
+    new arrays, with zero rows for the other links, on each access. The
+    result keeps its slot curves, so it can serve as the base of a
+    ``load_batch`` whose patterns start after interval 0.
     """
     h = _departures(departures, 2, path_set, grid)
     plan = _plan(net.links, path_set.link_seq, grid)
     res = _step(plan, grid, h[None], np.zeros(1, dtype=np.intp))[0]
     if compute_link_times:
-        res.link_time = _link_times(plan, grid, res.sim_dt_s, res.link_up, res.link_dn)
+        link_time = _link_times(plan, grid, res.link_up, res.link_dn)
         res.instant_path_time = np.zeros(h.shape)
-        for hop in plan.path_links.T:
+        for hop in plan.path_rows.T:
             on = hop >= 0
-            res.instant_path_time[on] += res.link_time[hop[on]]
+            res.instant_path_time[on] += link_time[hop[on]]
     return res
 
 
@@ -532,7 +531,7 @@ def load_batch(
     on. Its curves, step count and drain flag are bit-identical to ``load``
     of that pattern alone, and so are its path times from its start on;
     ``path_time`` is NaN (and ``extrapolated`` False) before it, and
-    ``link_time`` and ``instant_path_time`` are None. Large batches are
+    ``instant_path_time`` is None. Large batches are
     stepped in chunks whose curves stay under a fixed byte budget.
 
     The ``link_up``, ``link_dn``, ``src_up`` and ``src_dn`` curves of a
@@ -749,7 +748,6 @@ def _step(
             n_links=plan.n_links,
             src_up=up[sources, : S + 1],
             src_dn=dn[sources, : S + 1],
-            source_links=plan.source_links,
             path_time=path_time[j],
             extrapolated=extrapolated[j],
             drained=bool(drained[j]),
@@ -777,27 +775,22 @@ def _stored(plan: _Plan, inside: np.ndarray, B: int) -> np.ndarray:
     return on_links.sum(axis=1)[::-1] + inside[B * plan.A :].reshape(B, -1).sum(axis=1)
 
 
-def _link_times(plan: _Plan, grid: TimeGrid, sim_dt: float, link_up, link_dn) -> np.ndarray:
-    """Travel time for entry at each departure-interval boundary, per link.
-
-    Timed on the used links' rows; a link without one takes its free-flow time.
-    """
+def _link_times(plan: _Plan, grid: TimeGrid, link_up, link_dn) -> np.ndarray:
+    """Travel time for entry at each departure-interval boundary, per used link row."""
     times = grid.interval_starts()
     up, dn = np.ascontiguousarray(link_up), np.ascontiguousarray(link_dn)
     at = np.arange(0, up.size, up.shape[1])[:, None]  # each row's start in the flat curves
-    idx, frac = _positions(times, sim_dt, up.shape[1] - 1)
+    idx, frac = _positions(times, plan.dt, up.shape[1] - 1)
     entries = _interp_rows(up.reshape(-1), at + idx, frac)
     exit_t = np.empty_like(entries)
     # at most as many links per inversion as there are paths, so its
     # temporary stays within the paths x T x steps of _path_times
-    chunk = max(1, len(plan.path_links))
+    chunk = max(1, len(plan.path_rows))
     for lo in range(0, plan.A, chunk):
         rows = slice(lo, lo + chunk)
-        exit_t[rows] = _invert_rows(dn[rows], dn.reshape(-1), at[rows], entries[rows], sim_dt,
+        exit_t[rows] = _invert_rows(dn[rows], dn.reshape(-1), at[rows], entries[rows], plan.dt,
                                     plan.cap[rows], dn.shape[1])[0]
-    out = np.repeat(plan.link_ff[:, None], len(times), axis=1)
-    out[plan.used_links] = np.maximum(plan.ff[:, None], exit_t - times)
-    return out
+    return np.maximum(plan.ff[:, None], exit_t - times)
 
 
 def _path_times(

@@ -250,7 +250,6 @@ def solve_dsue(
 class MultistartResult:
     """Relative distances of seeded random starts to the default-start solution."""
 
-    baseline: EquilibriumResult
     distances: np.ndarray  # converged runs only
     n_converged: int
     n_failed: int
@@ -287,8 +286,7 @@ def multistart(
     """Solve from seeded random initial patterns and measure solution spread."""
     if n_starts < 2:
         raise SolverError("multistart needs at least two starts")
-    baseline = solve_sram(net, path_set, grid, params, config)
-    ref = baseline.h_total
+    ref = solve_sram(net, path_set, grid, params, config).h_total
     ref_norm2 = float(np.sum(ref * ref))
     demands = net.class_demands()
 
@@ -304,7 +302,6 @@ def multistart(
         diff = result.h_total - ref
         distances.append(float(np.sum(diff * diff)) / ref_norm2)
     return MultistartResult(
-        baseline=baseline,
         distances=np.array(distances),
         n_converged=len(distances),
         n_failed=n_failed,

@@ -93,9 +93,8 @@ def information_accuracy(
 class DisutilityReport:
     """Experienced systematic disutility, weighted by realized departures."""
 
-    per_od_average: dict[str, np.ndarray]  # class name -> (n_ods,), NaN if class empty
-    per_od_total: dict[str, np.ndarray]
-    overall_average: dict[str, float]
+    per_od_total: dict[str, np.ndarray]  # class name -> (n_ods,)
+    overall_average: dict[str, float]  # class name -> average, NaN if class empty
     window: np.ndarray
 
 
@@ -129,7 +128,6 @@ def experienced_disutility(
     window = trim_window(grid, trim_fraction)
     v_win = np.where(window[None, :], v, 0.0)
 
-    per_od_avg: dict[str, np.ndarray] = {}
     per_od_tot: dict[str, np.ndarray] = {}
     overall: dict[str, float] = {}
     for name, weights in _class_matrices(result).items():
@@ -138,13 +136,10 @@ def experienced_disutility(
         mass = np.zeros(net.n_ods)
         np.add.at(tot, path_set.od_of_path, (w_win * v_win).sum(axis=1))
         np.add.at(mass, path_set.od_of_path, w_win.sum(axis=1))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            avg = np.where(mass > 0, tot / mass, np.nan)
-        per_od_avg[name] = avg
         per_od_tot[name] = tot
         total_mass = mass.sum()
         overall[name] = float(tot.sum() / total_mass) if total_mass > 0 else float("nan")
-    return DisutilityReport(per_od_avg, per_od_tot, overall, window)
+    return DisutilityReport(per_od_tot, overall, window)
 
 
 def total_travel_time(

@@ -145,8 +145,7 @@ class Network:
 
     def with_class_split(self, instant_share: float) -> "Network":
         """Rescale every OD's class split to the given instantaneous share."""
-        if not 0.0 <= instant_share <= 1.0:
-            raise NetworkError("instantaneous share must lie in [0, 1]")
+        check_share(instant_share)
         ods = tuple(
             OdDemand(
                 od.origin,
@@ -235,6 +234,20 @@ def _shortest_path(
     return None
 
 
+def check_share(instant_share: float) -> None:
+    """Raise unless the instantaneous share lies in [0, 1] (NaN does not)."""
+    if not 0.0 <= instant_share <= 1.0:
+        raise NetworkError("instantaneous share must lie in [0, 1]")
+
+
+def check_path_limits(k_max: int, time_ratio: float, length_ratio: float) -> None:
+    """Raise unless ``enumerate_paths`` may keep a path: k_max >= 1, ratios >= 1, none NaN."""
+    if k_max < 1:
+        raise NetworkError("k_max must be at least 1")
+    if not (time_ratio >= 1 and length_ratio >= 1):  # NaN fails both comparisons
+        raise NetworkError("ratio constraints must be at least 1")
+
+
 def enumerate_paths(
     net: Network,
     od: OdDemand,
@@ -249,11 +262,7 @@ def enumerate_paths(
     ``time_ratio`` of the fastest path and length within ``length_ratio`` of
     the shortest path. Output is sorted by (free-flow time, link-id sequence).
     """
-    if k_max < 1:
-        raise NetworkError("k_max must be at least 1")
-    if time_ratio < 1 or length_ratio < 1:
-        raise NetworkError("ratio constraints must be at least 1")
-
+    check_path_limits(k_max, time_ratio, length_ratio)
     first = _shortest_path(net, od.origin, od.destination, "time")
     if first is None:
         raise NetworkError(f"OD pair with no path: {od.origin}->{od.destination}")

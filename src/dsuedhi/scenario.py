@@ -177,10 +177,18 @@ def load_scenario(path: str | Path) -> Scenario:
         if not f.exists():
             raise ScenarioError(f"referenced file not found: {f}")
 
+    # each value is checked by the rule that uses it, before any file is read
     try:
+        if instant_share is not None:
+            network.check_share(instant_share)
+        taste = {k: _f("choice", k) for k in ("theta", "mu_early", "mu_late", "time_unit_s")}
+        ChoiceParams(target_arrival_s=(), **taste)
+        limits = {"k_max": _i("paths", "k_max"), "time_ratio": _f("paths", "time_ratio"),
+                  "length_ratio": _f("paths", "length_ratio")}
+        network.check_path_limits(**limits)
         grid = TimeGrid(_f("time", "horizon_s"), _f("time", "dt_s"))
         trim_fraction = _f("metrics", "trim_fraction")
-        metrics.trim_window(grid, trim_fraction)  # checked before anything is solved
+        metrics.trim_window(grid, trim_fraction)
         solver = SolverConfig(
             tolerance=_f("solver", "tolerance"),
             gain_up=_f("solver", "gain_up"),
@@ -198,13 +206,8 @@ def load_scenario(path: str | Path) -> Scenario:
         demand_file=demand_file,
         grid=grid,
         instant_share=instant_share,
-        theta=_f("choice", "theta"),
-        mu_early=_f("choice", "mu_early"),
-        mu_late=_f("choice", "mu_late"),
-        time_unit_s=_f("choice", "time_unit_s"),
-        k_max=_i("paths", "k_max"),
-        time_ratio=_f("paths", "time_ratio"),
-        length_ratio=_f("paths", "length_ratio"),
+        **taste,
+        **limits,
         solver=solver,
         trim_fraction=trim_fraction,
         dump_forecasts=_b("output", "dump_forecasts"),

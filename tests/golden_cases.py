@@ -116,14 +116,24 @@ def load(case) -> dnl.LoadingResult:
         return dnl.load(net, ps, grid, h)
 
 
-def outputs(res: dnl.LoadingResult) -> dict[str, np.ndarray]:
-    return {f: np.asarray(getattr(res, f)) for f in FIELDS}
+def link_times(res: dnl.LoadingResult, net, ps) -> np.ndarray:
+    """Links x intervals travel times for entry at each interval start:
+    ``dnl._link_times`` on the links some path uses, free-flow time on the others."""
+    plan = dnl._plan(net.links, ps.link_seq, res.grid)
+    out = np.repeat([[link.free_flow_s] for link in net.links], res.grid.n_intervals, axis=1)
+    out[res.used_links] = dnl._link_times(plan, res.grid, res.link_up, res.link_dn)
+    return out
+
+
+def outputs(res: dnl.LoadingResult, net, ps) -> dict[str, np.ndarray]:
+    times = link_times(res, net, ps)
+    return {f: times if f == "link_time" else np.asarray(getattr(res, f)) for f in FIELDS}
 
 
 def record(path: Path = GOLDEN) -> None:
     arrays = {}
     for name, case in cases().items():
-        for f, value in outputs(load(case)).items():
+        for f, value in outputs(load(case), *case[:2]).items():
             arrays[f"{name}__{f}"] = value
     path.parent.mkdir(parents=True, exist_ok=True)
     np.savez_compressed(path, **arrays)

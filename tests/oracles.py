@@ -5,7 +5,8 @@ departure interval with plain point-queue recursions; it shares no code with
 the production loader. The path oracles enumerate every simple path by
 exhaustive search and build the dense link-path incidence matrix. Two helpers
 read or set up loadings: ``vehicles_stored`` and ``step_cap``; ``solve_recording``
-keeps the input of every map a solve applies.
+keeps the input of every map a solve applies; ``logit`` runs the production
+logit kernel on one choice set.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from dsuedhi import dnl, equilibrium
+from dsuedhi import choice, dnl, equilibrium
 from dsuedhi import network as nw
 
 
@@ -39,6 +40,14 @@ def step_cap(drain_steps: int | None):
         yield
     finally:
         dnl._step_cap = own
+
+
+def logit(psi, theta: float) -> np.ndarray:
+    """Logit shares over one choice set, all entries of ``psi`` jointly:
+    ``choice._logit`` on a single block."""
+    psi = np.asarray(psi, dtype=float)
+    share, _, _ = choice._logit(psi.reshape(-1), dnl._Segments.from_sizes([psi.size]), theta)
+    return share.reshape(psi.shape)
 
 
 def solve_recording(net, ps, grid, params, config):

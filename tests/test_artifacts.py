@@ -1,6 +1,7 @@
 """Fresh CLI runs reproduce the committed artifacts under ``out/`` byte for byte."""
 
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -22,14 +23,18 @@ RUNS = {  # artifact directory under out/: command, scenario, further arguments,
 }
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_cli_run_reproduces_committed_artifacts(name, tmp_path, monkeypatch):
+def set_env(monkeypatch, env: dict) -> None:
     for key in list(os.environ):
         if key.startswith("DSUEDHI_"):  # overrides would change the scenario
             monkeypatch.delenv(key)
-    command, scenario, extra, env = RUNS[name]
     for key, value in env.items():
         monkeypatch.setenv(key, value)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_cli_run_reproduces_committed_artifacts(name, tmp_path, monkeypatch):
+    command, scenario, extra, env = RUNS[name]
+    set_env(monkeypatch, env)
     out = tmp_path / name
     ini = ROOT / "scenarios" / scenario / "scenario.ini"
     assert cli.main([command, "--scenario", str(ini), "--out", str(out), *extra]) == 0
@@ -37,3 +42,26 @@ def test_cli_run_reproduces_committed_artifacts(name, tmp_path, monkeypatch):
     assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in committed.iterdir())
     for path in sorted(committed.iterdir()):
         assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def test_link_on_no_path_adds_only_zero_curves(tmp_path, monkeypatch):
+    # every shipped scenario uses all its links; a dead-end link that no path
+    # uses changes no artifact but curves.csv, where its rows read zero
+    set_env(monkeypatch, RUNS["three_link_dumps"][3])
+    work = tmp_path / "three_link"
+    shutil.copytree(ROOT / "scenarios" / "three_link", work)
+    links = work / "network.csv"
+    links.write_text(links.read_text() + "z9,C,Z,5000,20,5,0.5,0.15\n")
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--scenario", str(work / "scenario.ini"), "--out", str(out)]) == 0
+    committed = ROOT / "out" / "three_link_dumps"
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in committed.iterdir())
+    for path in sorted(committed.iterdir()):
+        if path.name != "curves.csv":
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+    lines = (out / "curves.csv").read_text().splitlines(keepends=True)
+    unused = [line for line in lines if line.startswith("z9,")]
+    assert "".join(line for line in lines if not line.startswith("z9,")) == \
+        (committed / "curves.csv").read_text()
+    assert len(unused) == 41
+    assert all(line.endswith(",0,0\n") for line in unused)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from dsuedhi import choice, dnl, info
 from dsuedhi import network as nw
 from dsuedhi.equilibrium import random_feasible_parts
+from oracles import logit
 
 
 @pytest.fixture()
@@ -94,7 +95,7 @@ class TestDisutilityMatrices:
         ta = np.array([params.target_arrival_s[od] for od in ps.od_of_path])
         psi = choice.systematic_disutility(phi / u, dep[None, :] / u, ta[:, None] / u,
                                            params.mu_early, params.mu_late)
-        return np.concatenate([choice.logit_probabilities(psi[sl], params.theta)
+        return np.concatenate([logit(psi[sl], params.theta)
                                for sl in ps.od_slices])
 
     def test_single_remaining_interval_matches_forecast_form(self, three_path_set):
@@ -187,31 +188,33 @@ class TestInformationLayout:
 
 class TestLogit:
     def test_two_equal_choices(self):
-        p = choice.logit_probabilities(np.array([5.0, 5.0]), theta=1.0)
+        p = logit(np.array([5.0, 5.0]), theta=1.0)
         np.testing.assert_array_equal(p, [0.5, 0.5])
 
     def test_near_zero_dispersion_uniform(self):
         psi = np.array([1.0, 50.0, 3.0, 7.0])
-        p = choice.logit_probabilities(psi, theta=1e-9)
+        p = logit(psi, theta=1e-9)
         np.testing.assert_allclose(p, 0.25, atol=1e-6)
 
     def test_log_two_ratio(self):
-        p = choice.logit_probabilities(np.array([0.0, np.log(2.0)]), theta=1.0)
+        p = logit(np.array([0.0, np.log(2.0)]), theta=1.0)
         np.testing.assert_allclose(p, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(0)
         psi = rng.uniform(0, 50, size=(4, 7))
-        p = choice.logit_probabilities(psi, theta=0.7)
+        p = logit(psi, theta=0.7)
         assert abs(p.sum() - 1.0) <= 1e-12
 
     def test_overflow_safe(self):
-        p = choice.logit_probabilities(np.array([0.0, 1e6]), theta=10.0)
+        p = logit(np.array([0.0, 1e6]), theta=10.0)
         assert p[0] == 1.0 and p[1] == 0.0
 
     def test_empty_choice_set(self):
-        with pytest.raises(choice.ChoiceError):
-            choice.logit_probabilities(np.zeros((0, 3)), theta=1.0)
+        # an OD without paths gets no block, so the kernel never sees an empty choice set
+        layout = choice._layout((2, 0, 1), 3, 0, 1)
+        assert layout.block_od.tolist() == [0, 2]
+        assert np.bincount(layout.blocks.of).tolist() == [6, 3]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -220,24 +223,24 @@ class TestLogit:
     )
     def test_shift_invariance(self, shift, psi):
         psi = np.array(psi)
-        a = choice.logit_probabilities(psi, theta=0.9)
-        b = choice.logit_probabilities(psi + shift, theta=0.9)
+        a = logit(psi, theta=0.9)
+        b = logit(psi + shift, theta=0.9)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(psi=st.lists(st.floats(0, 30), min_size=2, max_size=6, unique=True))
     def test_raising_one_entry_lowers_its_share(self, psi):
         psi = np.array(psi)
-        before = choice.logit_probabilities(psi, theta=1.0)
+        before = logit(psi, theta=1.0)
         bumped = psi.copy()
         bumped[0] += 1.0
-        after = choice.logit_probabilities(bumped, theta=1.0)
+        after = logit(bumped, theta=1.0)
         assert after[0] < before[0]
         assert np.all(after[1:] >= before[1:] - 1e-15)
 
     def test_large_dispersion_concentrates_on_minimum(self):
         psi = np.array([4.0, 1.0, 9.0])
-        p = choice.logit_probabilities(psi, theta=200.0)
+        p = logit(psi, theta=200.0)
         assert p[1] > 1.0 - 1e-12
 
 
@@ -336,17 +339,29 @@ class TestRemainingDemand:
 
 
 class TestRealize:
-    def test_first_column_only(self):
+    """``rollout`` realizes only the current column of each tentative plan."""
+
+    @staticmethod
+    def rollout(monkeypatch, three_path_set, plans):
+        """Realized departures when the plan at interval i is ``plans[i]``."""
+        net, ps = three_path_set
+        table = choice.share_table(np.full((len(plans), ps.n_paths, 1), 60.0), 0,
+                                   nw.TimeGrid(360.0, 120.0), ps, params_for(net))
+        monkeypatch.setattr(choice, "tentative_from_shares", lambda table, t, rem: plans[t])
+        return choice.rollout(table, np.array([6.0, 6.0]), ps)
+
+    def test_first_column_only(self, monkeypatch, three_path_set):
         tentative = np.array([[1.0, 1, 1], [1, 1, 1], [2, 3, 1]])
         np.testing.assert_array_equal(
-            choice.realize_departures(tentative), [1.0, 1.0, 2.0]
+            self.rollout(monkeypatch, three_path_set, [tentative])[:, 0], [1.0, 1.0, 2.0]
         )
 
-    def test_single_column_realizes_fully(self):
+    def test_single_column_realizes_fully(self, monkeypatch, three_path_set):
         tentative = np.array([[0.0], [1.0], [1.0]])
-        np.testing.assert_array_equal(choice.realize_departures(tentative), [0, 1, 1])
+        np.testing.assert_array_equal(
+            self.rollout(monkeypatch, three_path_set, [tentative])[:, 0], [0, 1, 1])
 
-    def test_rolling_realization_recovers_class_matrices(self):
+    def test_rolling_realization_recovers_class_matrices(self, monkeypatch, three_path_set):
         # tentative plans for three successive intervals, first class
         g = np.array([[1.0, 1, 1], [1, 1, 1], [2, 3, 1]])
         h = np.array([[0.0, 0], [3, 1], [3, 1]])
@@ -356,8 +371,8 @@ class TestRealize:
         k = np.array([[0.0, 0], [1, 1], [2, 2]])
         l = np.array([[0.0], [1.0], [2.0]])
 
-        first = np.column_stack([choice.realize_departures(x) for x in (g, h, i)])
-        second = np.column_stack([choice.realize_departures(x) for x in (j, k, l)])
+        first = self.rollout(monkeypatch, three_path_set, [g, h, i])
+        second = self.rollout(monkeypatch, three_path_set, [j, k, l])
 
         m = np.array([[1.0, 0, 0], [1, 3, 1], [2, 3, 1]])
         n = np.array([[2.0, 0, 0], [2, 1, 1], [2, 2, 2]])
@@ -365,10 +380,6 @@ class TestRealize:
         np.testing.assert_array_equal(first, m)
         np.testing.assert_array_equal(second, n)
         np.testing.assert_array_equal(first + second, o)
-
-    def test_rejects_empty(self):
-        with pytest.raises(choice.ChoiceError):
-            choice.realize_departures(np.zeros((3, 0)))
 
 
 class TestClassAdditivity:

@@ -115,6 +115,34 @@ class TestValidate:
         assert "error:" in err and "horizon and interval length must be finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("args", [
+        ["validate"], ["solve"], ["sweep", "--param", "lambda", "--values", "0.25,0.75"],
+    ], ids=["validate", "solve", "sweep"])
+    @pytest.mark.parametrize("key, value, message", [
+        ("CHOICE_THETA", "-1", "theta must be positive"),
+        ("CHOICE_THETA", "nan", "choice parameters must be finite"),
+        ("CHOICE_MU_LATE", "0.5", "0 < mu_early < 1 < mu_late"),
+        ("CHOICE_TIME_UNIT_S", "0", "time unit must be positive"),
+        ("PATHS_K_MAX", "0", "k_max must be at least 1"),
+        ("PATHS_TIME_RATIO", "0.5", "ratio constraints must be at least 1"),
+        ("PATHS_TIME_RATIO", "nan", "ratio constraints must be at least 1"),
+        ("PATHS_LENGTH_RATIO", "nan", "ratio constraints must be at least 1"),
+        ("DEMAND_INSTANT_SHARE", "1.5", "instantaneous share must lie in [0, 1]"),
+        ("DEMAND_INSTANT_SHARE", "nan", "instantaneous share must lie in [0, 1]"),
+    ])
+    def test_bad_model_value_is_a_scenario_error(self, three_link_dir, tmp_path, monkeypatch,
+                                                 capsys, key, value, message, args):
+        # checked when the scenario is read, by the rule the model applies
+        # later; a sweep fails before its first point
+        monkeypatch.setenv(f"DSUEDHI_{key}", value)
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            load_scenario(three_link_dir / "scenario.ini")
+        out = tmp_path / "o"
+        assert run([*args, "--scenario", three_link_dir / "scenario.ini", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_integral_spellings_of_integer_keys_accepted(self, three_link_dir, monkeypatch):
         monkeypatch.setenv("DSUEDHI_PATHS_K_MAX", "2.0")
         monkeypatch.setenv("DSUEDHI_SOLVER_MAX_ITERATIONS", "1e2")
@@ -140,6 +168,17 @@ class TestUsageErrors:
         assert "error:" in err and message in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args, out", [
+        (["solve"], "file"),
+        (["sweep", "--param", "lambda", "--values", "0.25,0.75"], "file/x"),
+    ], ids=["solve-into-a-file", "sweep-under-a-file"])
+    def test_unusable_out_is_a_usage_error(self, three_link_dir, tmp_path, capsys, args, out):
+        (tmp_path / "file").write_text("")
+        code = run([*args, "--scenario", three_link_dir / "scenario.ini", "--out", tmp_path / out])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and "Traceback" not in err
 
     def test_solver_error_is_a_usage_error(self, three_link_dir, tmp_path, capsys,
                                            monkeypatch):

@@ -282,7 +282,8 @@ class TestInstantaneousTimes:
         grid = nw.TimeGrid(1200.0, 60.0)
         res = dnl.load(net, ps, grid, np.zeros((1, 20)))
         phi = res.instant_path_time[:, 0]
-        assert phi[0] == pytest.approx(res.link_time[0, 0] + res.link_time[1, 0])
+        link_time = dnl._link_times(res._state[0], grid, res.link_up, res.link_dn)
+        assert phi[0] == pytest.approx(link_time[0, 0] + link_time[1, 0])
         assert phi[0] == pytest.approx(420.0, abs=1e-9)
 
     def test_empty_network_equals_realized(self):
@@ -451,9 +452,9 @@ class TestWarmStartIndexing:
         for field in ("path_time", "extrapolated"):  # timed from the start on
             assert np.array_equal(getattr(cold, field)[:, k:], getattr(warm, field)[:, k:]), field
         # a batch computes no link times; those of its curves equal the cold ones
-        link_time = dnl._link_times(base._state[0], grid, warm.sim_dt_s, warm.link_up,
-                                    warm.link_dn)
-        assert np.array_equal(cold.link_time, link_time)
+        plan = base._state[0]
+        assert np.array_equal(dnl._link_times(plan, grid, cold.link_up, cold.link_dn),
+                              dnl._link_times(plan, grid, warm.link_up, warm.link_dn))
 
     @pytest.mark.parametrize("k", [0, 7, 19])
     def test_refined_wide_lattice(self, k):

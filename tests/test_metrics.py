@@ -71,14 +71,15 @@ class TestExperiencedDisutility:
         )
         res = solve_sram(net0, ps, grid, params, SolverConfig())
         rep = metrics.experienced_disutility(res, net0, ps, grid, params)
-        assert np.isnan(rep.per_od_average["all"]).all()
+        assert np.isnan(rep.overall_average["all"])
         assert rep.per_od_total["all"].sum() == 0.0
 
     def test_symmetric_ods_equal_averages(self, grid_solution, grid_congested):
+        # symmetric ODs of equal demand experience equal totals
         net, ps, grid, params = grid_congested
         rep = metrics.experienced_disutility(grid_solution, net, ps, grid, params)
-        avg = rep.per_od_average["all"]
-        np.testing.assert_allclose(avg, avg[0], rtol=1e-9)
+        tot = rep.per_od_total["all"]
+        np.testing.assert_allclose(tot, tot[0], rtol=1e-9)
 
     def test_uncongested_classes_equal_averages(self, grid_uncongested):
         # both classes see identical free-flow information, so their
@@ -87,8 +88,10 @@ class TestExperiencedDisutility:
         res = solve_sram(net, ps, grid, params, SolverConfig())
         rep = metrics.experienced_disutility(res, net, ps, grid, params)
         np.testing.assert_allclose(
-            rep.per_od_average["instant"], rep.per_od_average["forecast"], rtol=1e-9
+            rep.per_od_total["instant"], rep.per_od_total["forecast"], rtol=1e-9
         )
+        assert rep.overall_average["instant"] == pytest.approx(
+            rep.overall_average["forecast"], rel=1e-9)
 
     def test_totals_are_departure_weighted(self, grid_uncongested):
         net, ps, grid, params = grid_uncongested

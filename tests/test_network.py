@@ -154,6 +154,9 @@ class TestEnumerate:
             nw.enumerate_paths(net, net.od_pairs[0], k_max=0, time_ratio=1.0, length_ratio=1.0)
         with pytest.raises(nw.NetworkError):
             nw.enumerate_paths(net, net.od_pairs[0], k_max=1, time_ratio=0.5, length_ratio=1.0)
+        for ratios in ((float("nan"), 1.0), (1.0, float("nan"))):  # NaN fails every comparison
+            with pytest.raises(nw.NetworkError, match="at least 1"):
+                nw.enumerate_paths(net, net.od_pairs[0], 1, *ratios)
 
     @settings(max_examples=20, deadline=None)
     @given(perm=st.permutations(range(4)))
