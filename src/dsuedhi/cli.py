@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,35 +33,36 @@ TRACE_HEADER = ["k", "residual", "beta", "alpha"]
 ACCURACY_HEADER = ["class", "od", "path_id", "t_index", "itt_s", "rtt_s", "rel_diff", "departures"]
 CURVES_HEADER = ["link_id", "t", "n_up", "n_dn"]
 FORECASTS_HEADER = ["provided_at", "path_id", "departure_t", "phi_s"]
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+SWEEP_HEADER = ["value", "status", "avg_disutility_instant", "avg_disutility_forecast",
+                "total_travel_time", "accuracy_norm_instant", "accuracy_norm_forecast",
+                "iterations"]
+COMPARE_HEADER = ["od", "disutility_dhi", "disutility_dsue", "rel_diff_disutility",
+                  "travel_time_dhi", "travel_time_dsue", "rel_diff_travel_time"]
+MULTISTART_HEADER = ["run", "relative_distance"]
 
 
 def _column(values) -> list[str]:
-    """Each value of an array, row-major, formatted as ``_fmt`` does."""
+    """Each value of an array, row-major, with 12 significant digits."""
     return [format(x, ".12g") for x in np.asarray(values, dtype=float).ravel().tolist()]
 
 
-def _write_lines(path: Path, header: list[str], lines) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(line + "\n" for line in lines)
+def _write_table(path: Path, header: list[str], *columns) -> None:
+    """Write ``header`` and one line per row.
+
+    Each column is an array, formatted by ``_column``, or a sequence of strings.
+    """
+    cells = [_column(c) if isinstance(c, np.ndarray) else c for c in columns]
+    with open(path, "w", encoding="utf-8") as fh:  # one write: line by line took twice as long
+        fh.write("\n".join([",".join(header), *map(",".join, zip(*cells, strict=True))]) + "\n")
 
 
-def _read_rows(path: Path) -> tuple[list[str], list[list[str]]]:
+def _read_rows(path: Path, header: list[str] | None = None) -> tuple[list[str], list[list[str]]]:
+    """A table's header and rows; with ``header``, a file with any other header is rejected."""
     with open(path, encoding="utf-8") as fh:
-        lines = [l.rstrip("\n") for l in fh if l.strip()]
-    header = lines[0].split(",")
-    return header, [l.split(",") for l in lines[1:]]
-
-
-def _read_artifact(path: Path, header: list[str]) -> list[list[str]]:
-    found, rows = _read_rows(path)
-    if found != header:
+        found, *rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
+    if header is not None and found != header:
         raise ScenarioError(f"{path}: unexpected header {found}, expected {header}")
-    return rows
+    return found, rows
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -81,225 +82,158 @@ def _cell_keys(net, path_set, n_intervals: int) -> list[str]:
 
 def write_equilibrium_csv(path: Path, result: EquilibriumResult, net, path_set) -> None:
     keys = _cell_keys(net, path_set, result.h_total.shape[1])
-    _write_lines(path, EQUILIBRIUM_HEADER,
-                 map(",".join, zip(keys, _column(result.h_instant), _column(result.h_forecast))))
+    _write_table(path, EQUILIBRIUM_HEADER, keys, result.h_instant, result.h_forecast)
 
 
 def read_equilibrium_csv(path: Path) -> dict[tuple[str, int, int], tuple[float, float]]:
     return {
         (r[0], int(r[1]), int(r[2])): (float(r[3]), float(r[4]))
-        for r in _read_artifact(path, EQUILIBRIUM_HEADER)
+        for r in _read_rows(path, EQUILIBRIUM_HEADER)[1]
     }
 
 
 def write_trace_csv(path: Path, result: EquilibriumResult) -> None:
-    rows = [
-        (str(k + 1), _fmt(result.residuals[k]), _fmt(result.betas[k]), _fmt(result.alphas[k]))
-        for k in range(result.n_iterations)
-    ]
-    _write_lines(path, TRACE_HEADER, map(",".join, rows))
-
-
-def read_trace_csv(path: Path) -> list[tuple[int, float, float, float]]:
-    return [(int(r[0]), float(r[1]), float(r[2]), float(r[3]))
-            for r in _read_artifact(path, TRACE_HEADER)]
+    _write_table(path, TRACE_HEADER, np.arange(1, result.n_iterations + 1), result.residuals,
+                 result.betas, result.alphas)
 
 
 def write_accuracy_csv(path: Path, report: metrics.AccuracyReport, net, path_set) -> None:
+    """The instantaneous class's cells, then the forecast class's."""
     keys = _cell_keys(net, path_set, report.rtt.shape[1])
-    rtt = _column(report.rtt)
-    lines = []
-    for cls, itt, rd, dep in (
-        ("instant", report.itt_instant, report.rel_diff_instant, report.departures_instant),
-        ("forecast", report.itt_forecast, report.rel_diff_forecast, report.departures_forecast),
-    ):
-        lines += map(",".join, zip([cls] * len(keys), keys, _column(itt), rtt, _column(rd),
-                                   _column(dep)))
-    _write_lines(path, ACCURACY_HEADER, lines)
+    _write_table(path, ACCURACY_HEADER, ["instant"] * len(keys) + ["forecast"] * len(keys),
+                 keys * 2, np.stack([report.itt_instant, report.itt_forecast]),
+                 _column(report.rtt) * 2,
+                 np.stack([report.rel_diff_instant, report.rel_diff_forecast]),
+                 np.stack([report.departures_instant, report.departures_forecast]))
 
 
-def read_accuracy_csv(path: Path) -> list[dict]:
-    return [dict(zip(ACCURACY_HEADER, r)) for r in _read_artifact(path, ACCURACY_HEADER)]
+@dataclass
+class _Summary:
+    """What the commands report of one solve."""
+
+    converged: bool
+    iterations: int
+    final_residual: float
+    total_travel_time: float
+    disutility: metrics.DisutilityReport
+    accuracy: metrics.AccuracyReport | None  # None for the single-class dsue
 
 
-def _solve_scenario(sc: Scenario) -> tuple[EquilibriumResult, tuple]:
-    built = sc.build()
+def _summary(sc: Scenario, result: EquilibriumResult, built) -> _Summary:
     net, path_set, grid, params = built
-    result = equilibrium.solve_sram(net, path_set, grid, params, sc.solver)
-    return result, built
-
-
-def _metrics_payload(
-    sc: Scenario, result: EquilibriumResult, built, acc: metrics.AccuracyReport
-) -> dict:
-    net, path_set, grid, params = built
-    payload: dict = {
-        "scenario_id": sc.scenario_id,
-        "model": result.model,
-        "converged": bool(result.converged),
-        "iterations": int(result.n_iterations),
-        "final_residual": result.final_residual,
-        "total_travel_time_veh_s": metrics.total_travel_time(result, grid, sc.trim_fraction),
-    }
-    if result.model == "dsue-dhi":
-        dis = metrics.experienced_disutility(
-            result, net, path_set, grid, params, sc.trim_fraction
-        )
-        payload.update(
-            {
-                "accuracy_norm_instant": acc.norm_instant,
-                "accuracy_norm_forecast": acc.norm_forecast,
-                "accuracy_norm_rtt": acc.norm_rtt,
-                # an empty class has no average; keep the file strict JSON
-                "avg_disutility": {
-                    k: (None if np.isnan(v) else v)
-                    for k, v in dis.overall_average.items()
-                },
-            }
-        )
-    return payload
+    return _Summary(
+        converged=bool(result.converged),
+        iterations=int(result.n_iterations),
+        final_residual=result.final_residual,
+        total_travel_time=metrics.total_travel_time(result, grid, sc.trim_fraction),
+        disutility=metrics.experienced_disutility(
+            result, net, path_set, grid, params, sc.trim_fraction),
+        accuracy=(metrics.information_accuracy(result, grid, sc.trim_fraction)
+                  if result.model == "dsue-dhi" else None),
+    )
 
 
 def run_solve(sc: Scenario, out_dir: Path) -> int:
-    result, built = _solve_scenario(sc)
-    net, path_set, grid, params = built
+    built = sc.build()
+    net, path_set, _, _ = built
+    result = equilibrium.solve_sram(*built, sc.solver)
+    s = _summary(sc, result, built)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_equilibrium_csv(out_dir / "equilibrium.csv", result, net, path_set)
     write_trace_csv(out_dir / "trace.csv", result)
-    acc = metrics.information_accuracy(result, grid, sc.trim_fraction)
-    write_accuracy_csv(out_dir / "accuracy.csv", acc, net, path_set)
-    _write_json(out_dir / "metrics.json", _metrics_payload(sc, result, built, acc))
+    write_accuracy_csv(out_dir / "accuracy.csv", s.accuracy, net, path_set)
+    _write_json(out_dir / "metrics.json", {
+        "scenario_id": sc.scenario_id,
+        "model": result.model,
+        "converged": s.converged,
+        "iterations": s.iterations,
+        "final_residual": s.final_residual,
+        "total_travel_time_veh_s": s.total_travel_time,
+        "accuracy_norm_instant": s.accuracy.norm_instant,
+        "accuracy_norm_forecast": s.accuracy.norm_forecast,
+        "accuracy_norm_rtt": s.accuracy.norm_rtt,
+        # an empty class has no average; keep the file strict JSON
+        "avg_disutility": {k: (None if np.isnan(v) else v)
+                           for k, v in s.disutility.overall_average.items()},
+    })
     if sc.dump_curves:  # every link's curves at every simulation boundary, link-major
         ld = result.loading
-        ids = [str(link.link_id) for link in net.links for _ in ld.boundaries]
-        _write_lines(out_dir / "curves.csv", CURVES_HEADER, map(",".join, zip(
-            ids, _column(np.tile(ld.boundaries, len(net.links))),
-            _column(ld.n_up), _column(ld.n_dn))))
-    if sc.dump_forecasts:
-        _dump_forecasts(out_dir / "forecasts.csv", result.forecasts)
-    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
-
-
-def _dump_forecasts(path: Path, forecasts: np.ndarray) -> None:
-    """Every open cell (departure at or after provision) of the forecasts, row-major."""
-    T = len(forecasts)
-    cells = np.nonzero(np.broadcast_to(open_cells(0, T, T), forecasts.shape))
-    _write_lines(path, FORECASTS_HEADER, map(",".join, zip(
-        *(map(str, index.tolist()) for index in cells), _column(forecasts[cells]))))
+        _write_table(out_dir / "curves.csv", CURVES_HEADER,
+                     [str(link.link_id) for link in net.links for _ in ld.boundaries],
+                     np.tile(ld.boundaries, len(net.links)), ld.n_up, ld.n_dn)
+    if sc.dump_forecasts:  # every open cell (departure at or after provision), row-major
+        T = len(result.forecasts)
+        cells = np.nonzero(np.broadcast_to(open_cells(0, T, T), result.forecasts.shape))
+        _write_table(out_dir / "forecasts.csv", FORECASTS_HEADER, *cells,
+                     result.forecasts[cells])
+    return EXIT_OK if s.converged else EXIT_NOT_CONVERGED
 
 
 def run_sweep(sc: Scenario, parameter: str, values: list[float], out_dir: Path) -> int:
-    if parameter == "theta":
-        scenarios = [replace(sc, theta=v, instant_share=0.5) for v in values]
-    else:  # "lambda", the parser's only other choice
-        scenarios = [replace(sc, theta=1.0, instant_share=v) for v in values]
-
-    def one(s: Scenario):
+    cells = []  # per value: every column after the value
+    for v in values:
+        if parameter == "theta":
+            point = replace(sc, theta=v, instant_share=0.5)
+        else:  # "lambda", the parser's only other choice
+            point = replace(sc, theta=1.0, instant_share=v)
         try:
-            result, built = _solve_scenario(s)
-            return result, built, None
+            built = point.build()
+            result = equilibrium.solve_sram(*built, point.solver)
         except (NetworkError, ChoiceError, DnlError, ScenarioError) as exc:
-            return None, None, str(exc)
-
-    outcomes = [one(s) for s in scenarios]
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    any_failed = False
-    for v, (result, built, err) in zip(values, outcomes):
-        if err is not None:
-            rows.append((_fmt(v), "error", err, "", "", "", "", ""))
-            any_failed = True
+            cells.append(["error", str(exc), "", "", "", "", ""])
             continue
-        net, path_set, grid, params = built
-        acc = metrics.information_accuracy(result, grid, sc.trim_fraction)
-        dis = metrics.experienced_disutility(result, net, path_set, grid, params, sc.trim_fraction)
-        rows.append(
-            (
-                _fmt(v),
-                "ok" if result.converged else "not-converged",
-                _fmt(dis.overall_average.get("instant", float("nan"))),
-                _fmt(dis.overall_average.get("forecast", float("nan"))),
-                _fmt(metrics.total_travel_time(result, grid, sc.trim_fraction)),
-                _fmt(acc.norm_instant),
-                _fmt(acc.norm_forecast),
-                str(result.n_iterations),
-            )
-        )
-        if not result.converged:
-            any_failed = True
-    _write_lines(
-        out_dir / "sweep.csv",
-        ["value", "status", "avg_disutility_instant", "avg_disutility_forecast",
-         "total_travel_time", "accuracy_norm_instant", "accuracy_norm_forecast", "iterations"],
-        map(",".join, rows),
-    )
-    return EXIT_NOT_CONVERGED if any_failed else EXIT_OK
+        s = _summary(point, result, built)
+        average = s.disutility.overall_average
+        cells.append(["ok" if s.converged else "not-converged", *_column([
+            average.get("instant", np.nan), average.get("forecast", np.nan),
+            s.total_travel_time, s.accuracy.norm_instant, s.accuracy.norm_forecast,
+        ]), str(s.iterations)])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_table(out_dir / "sweep.csv", SWEEP_HEADER, np.array(values), *zip(*cells))
+    return EXIT_OK if all(c[0] == "ok" for c in cells) else EXIT_NOT_CONVERGED
 
 
 def run_compare_dsue(sc: Scenario, out_dir: Path) -> int:
     built = sc.build()
-    net, path_set, grid, params = built
-    dhi = equilibrium.solve_sram(net, path_set, grid, params, sc.solver)
-    dsue = equilibrium.solve_dsue(net, path_set, grid, params, sc.solver)
+    net, path_set, grid, _ = built
+    window = metrics.trim_window(grid, sc.trim_fraction)[None, :]
+    payload: dict = {"scenario_id": sc.scenario_id}
+    disutility, travel_time = [], []  # per model: (n_ods,)
+    for name, solve in (("dhi", equilibrium.solve_sram), ("dsue", equilibrium.solve_dsue)):
+        result = solve(*built, sc.solver)
+        s = _summary(sc, result, built)
+        timed = result.h_total * result.loading.path_time * window
+        disutility.append(s.disutility.per_od_total["all"])
+        travel_time.append(np.array([np.sum(timed[sl]) for sl in path_set.od_slices]))
+        payload |= {f"converged_{name}": s.converged,
+                    f"total_travel_time_{name}": s.total_travel_time,
+                    f"avg_disutility_{name}": s.disutility.overall_average["all"]}
+
+    def rel_diff(a, b):  # 0 where the single-class value is 0
+        return np.divide(a - b, b, out=np.zeros_like(b), where=b != 0)
+
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    dis_dhi = metrics.experienced_disutility(dhi, net, path_set, grid, params, sc.trim_fraction)
-    dis_dsue = metrics.experienced_disutility(dsue, net, path_set, grid, params, sc.trim_fraction)
-    rtt_dhi = dhi.loading.path_time
-    rtt_dsue = dsue.loading.path_time
-    window = dis_dhi.window[None, :]
-
-    rows = []
-    for od_index, od in enumerate(net.od_pairs):
-        sl = path_set.od_slices[od_index]
-        tt_dhi = float(np.sum((dhi.h_total * rtt_dhi * window)[sl]))
-        tt_dsue = float(np.sum((dsue.h_total * rtt_dsue * window)[sl]))
-        dis_a = dis_dhi.per_od_total["all"][od_index]
-        dis_b = dis_dsue.per_od_total["all"][od_index]
-        rel_dis = (dis_a - dis_b) / dis_b if dis_b else 0.0
-        rel_tt = (tt_dhi - tt_dsue) / tt_dsue if tt_dsue else 0.0
-        rows.append(
-            (f"{od.origin}-{od.destination}", _fmt(dis_a), _fmt(dis_b), _fmt(rel_dis),
-             _fmt(tt_dhi), _fmt(tt_dsue), _fmt(rel_tt))
-        )
-    _write_lines(
-        out_dir / "compare.csv",
-        ["od", "disutility_dhi", "disutility_dsue", "rel_diff_disutility",
-         "travel_time_dhi", "travel_time_dsue", "rel_diff_travel_time"],
-        map(",".join, rows),
-    )
-    summary = {
-        "scenario_id": sc.scenario_id,
-        "converged_dhi": bool(dhi.converged),
-        "converged_dsue": bool(dsue.converged),
-        "total_travel_time_dhi": metrics.total_travel_time(dhi, grid, sc.trim_fraction),
-        "total_travel_time_dsue": metrics.total_travel_time(dsue, grid, sc.trim_fraction),
-        "avg_disutility_dhi": dis_dhi.overall_average["all"],
-        "avg_disutility_dsue": dis_dsue.overall_average["all"],
-    }
-    _write_json(out_dir / "compare.json", summary)
-    if not (dhi.converged and dsue.converged):
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    _write_table(out_dir / "compare.csv", COMPARE_HEADER,
+                 [f"{od.origin}-{od.destination}" for od in net.od_pairs],
+                 *disutility, rel_diff(*disutility), *travel_time, rel_diff(*travel_time))
+    _write_json(out_dir / "compare.json", payload)
+    converged = payload["converged_dhi"] and payload["converged_dsue"]
+    return EXIT_OK if converged else EXIT_NOT_CONVERGED
 
 
 def run_multistart(sc: Scenario, n: int, seed: int, out_dir: Path) -> int:
-    built = sc.build()
-    net, path_set, grid, params = built
-    result = equilibrium.multistart(net, path_set, grid, params, sc.solver, n, seed)
+    result = equilibrium.multistart(*sc.build(), sc.solver, n, seed)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = [(str(i), _fmt(d)) for i, d in enumerate(result.distances)]
-    _write_lines(out_dir / "multistart.csv", ["run", "relative_distance"], map(",".join, rows))
-    summary = {
+    _write_table(out_dir / "multistart.csv", MULTISTART_HEADER,
+                 np.arange(result.distances.size), result.distances)
+    _write_json(out_dir / "multistart.json", {
         "scenario_id": sc.scenario_id,
         "n_starts": n,
         "seed": seed,
         "n_converged": result.n_converged,
         "n_failed": result.n_failed,
         "max_distance": float(result.distances.max()) if result.distances.size else 0.0,
-    }
-    _write_json(out_dir / "multistart.json", summary)
+    })
     return EXIT_NOT_CONVERGED if result.n_failed else EXIT_OK
 
 
@@ -356,6 +290,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out_dir: Path) -> None:
+    """Fail before solving unless ``out_dir`` is a directory or can be made one; make nothing."""
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--out {out_dir}: {existing} is not a directory")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -372,6 +313,7 @@ def main(argv: list[str] | None = None) -> int:
         sc = load_scenario(args.scenario)
         if args.command == "validate":
             return run_validate(sc)
+        _check_out(out_dir)
         if args.command == "solve":
             return run_solve(sc, out_dir)
         if args.command == "sweep":

@@ -95,7 +95,6 @@ class DisutilityReport:
 
     per_od_total: dict[str, np.ndarray]  # class name -> (n_ods,)
     overall_average: dict[str, float]  # class name -> average, NaN if class empty
-    window: np.ndarray
 
 
 def _class_matrices(result: EquilibriumResult) -> dict[str, np.ndarray]:
@@ -139,7 +138,7 @@ def experienced_disutility(
         per_od_tot[name] = tot
         total_mass = mass.sum()
         overall[name] = float(tot.sum() / total_mass) if total_mass > 0 else float("nan")
-    return DisutilityReport(per_od_tot, overall, window)
+    return DisutilityReport(per_od_tot, overall)
 
 
 def total_travel_time(

@@ -166,8 +166,9 @@ def validate_network(
     """Check invariants and fix the canonical orderings.
 
     Raises NetworkError for duplicate or dangling ids, non-positive physical
-    parameters, or negative or non-finite demands. An OD pair with positive
-    demand but no connecting path fails later, in ``build_path_set``.
+    parameters, an OD pair from a node to itself, or negative or non-finite
+    demands. An OD pair with positive demand but no connecting path fails
+    later, in ``build_path_set``.
     """
     seen: set[str] = set()
     for l in links:
@@ -191,6 +192,8 @@ def validate_network(
         if key in seen_ods:
             raise NetworkError(f"duplicate OD pair {key}")
         seen_ods.add(key)
+        if od.origin == od.destination:
+            raise NetworkError(f"OD pair {od.origin}->{od.destination}: origin is its destination")
         if od.origin not in nodes or od.destination not in nodes:
             raise NetworkError(
                 f"OD pair {od.origin}->{od.destination} references a dangling node"
@@ -394,19 +397,34 @@ def build_path_set(
     return PathSet(tuple(paths), tuple(slices), od_of_path, ff, tuple(link_seqs))
 
 
+def _parses(row, parts: list[str]) -> bool:
+    try:
+        row(parts)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_table(path, fields: int, header: str, row) -> list:
     """Parse a comma-separated table into one ``row(parts)`` record per line.
 
-    Blank lines, ``#`` comments, line 1 and any line starting with the
-    ``header`` text are skipped; every other line must have ``fields`` fields.
+    Blank lines, ``#`` comments and any line starting with the ``header``
+    text are skipped. Line 1 is the header row and is skipped whatever its
+    column names, unless it reads as a record: a table without its header
+    would otherwise lose its first record. Every other line must have
+    ``fields`` fields.
     """
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#") or lineno == 1 or line.startswith(header):
+            if not line or line.startswith("#") or line.startswith(header):
                 continue
             parts = [p.strip() for p in line.split(",")]
+            if lineno == 1:
+                if len(parts) == fields and _parses(row, parts):
+                    raise ParseError("line 1: a record where the header row belongs")
+                continue
             if len(parts) != fields:
                 raise ParseError(f"line {lineno}: expected {fields} fields")
             try:

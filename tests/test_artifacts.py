@@ -16,6 +16,7 @@ RUNS = {  # artifact directory under out/: command, scenario, further arguments,
                                                      "DSUEDHI_OUTPUT_DUMP_CURVES": "true"}),
     "grid": ("solve", "grid", [], {}),
     "compare_dsue": ("compare-dsue", "three_link", [], {}),
+    "multistart": ("multistart", "three_link", ["--n", "3", "--seed", "7"], {}),
     "dispersion_sweep": ("sweep", "grid", ["--param", "theta", "--values", "0.5,1.0,1.5,2.0"],
                          {}),
     "penetration_sweep": ("sweep", "grid",

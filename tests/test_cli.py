@@ -172,13 +172,24 @@ class TestUsageErrors:
     @pytest.mark.parametrize("args, out", [
         (["solve"], "file"),
         (["sweep", "--param", "lambda", "--values", "0.25,0.75"], "file/x"),
-    ], ids=["solve-into-a-file", "sweep-under-a-file"])
-    def test_unusable_out_is_a_usage_error(self, three_link_dir, tmp_path, capsys, args, out):
+        (["compare-dsue"], "file/x/y"),
+        (["multistart"], "file"),
+    ], ids=["solve-into-a-file", "sweep-under-a-file", "compare-under-a-file",
+            "multistart-into-a-file"])
+    def test_unusable_out_is_a_usage_error(self, three_link_dir, tmp_path, capsys,
+                                           monkeypatch, args, out):
+        # reported before solving; it used to surface only after the whole solve
+        def never(*args, **kwargs):
+            pytest.fail("solved although --out is unusable")
+
+        for name in ("solve_sram", "solve_dsue", "multistart"):
+            monkeypatch.setattr(cli.equilibrium, name, never)
         (tmp_path / "file").write_text("")
         code = run([*args, "--scenario", three_link_dir / "scenario.ini", "--out", tmp_path / out])
         err = capsys.readouterr().err
         assert code == 1
-        assert "error:" in err and "Traceback" not in err
+        assert "error:" in err and "is not a directory" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "three_link"]
 
     def test_solver_error_is_a_usage_error(self, three_link_dir, tmp_path, capsys,
                                            monkeypatch):
@@ -240,25 +251,32 @@ class TestFailureExitCodes:
 class TestArtifactReaders:
     """Each reader accepts its writer's header and rejects any other."""
 
-    @pytest.mark.parametrize("read, name", [
-        (cli.read_equilibrium_csv, "equilibrium.csv"),
-        (cli.read_trace_csv, "trace.csv"),
-        (cli.read_accuracy_csv, "accuracy.csv"),
-    ])
+    @pytest.mark.parametrize("header, name", [
+        (cli.EQUILIBRIUM_HEADER, "equilibrium.csv"),
+        (cli.TRACE_HEADER, "trace.csv"),
+        (cli.ACCURACY_HEADER, "accuracy.csv"),
+    ], ids=["equilibrium", "trace", "accuracy"])
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda h: h[1:], id="first-column-missing"),
         pytest.param(lambda h: h + ["extra"], id="extra-column"),
         pytest.param(lambda h: h[:-2] + h[-1:] + h[-2:-1], id="columns-swapped"),
         pytest.param(lambda h: [h[0].upper()] + h[1:], id="renamed"),
     ])
-    def test_header_must_match(self, tmp_path, read, name, edit):
+    def test_header_must_match(self, tmp_path, header, name, edit):
         committed = ROOT / "out" / "three_link" / name
-        header, body = committed.read_text().split("\n", 1)
-        assert read(committed)
+        first, body = committed.read_text().split("\n", 1)
+        assert cli._read_rows(committed, header)[1]
         f = tmp_path / name
-        f.write_text(",".join(edit(header.split(","))) + "\n" + body)
+        f.write_text(",".join(edit(first.split(","))) + "\n" + body)
         with pytest.raises(ScenarioError, match="unexpected"):
-            read(f)
+            cli._read_rows(f, header)
+
+    def test_equilibrium_reader_returns_both_classes_per_cell(self):
+        table = cli.read_equilibrium_csv(ROOT / "out" / "three_link" / "equilibrium.csv")
+        header, rows = cli._read_rows(ROOT / "out" / "three_link" / "equilibrium.csv")
+        assert header == cli.EQUILIBRIUM_HEADER and len(table) == len(rows)
+        od, path_id, t, h_instant, h_forecast = rows[-1]
+        assert table[(od, int(path_id), int(t))] == (float(h_instant), float(h_forecast))
 
 
 class TestSolve:
@@ -274,8 +292,8 @@ class TestSolve:
         out = tmp_path / "run"
         assert run(["solve", "--scenario", three_link_dir / "scenario.ini", "--out", out]) == 0
         eq = cli.read_equilibrium_csv(out / "equilibrium.csv")
-        trace = cli.read_trace_csv(out / "trace.csv")
-        acc = cli.read_accuracy_csv(out / "accuracy.csv")
+        _, trace = cli._read_rows(out / "trace.csv", cli.TRACE_HEADER)
+        _, acc = cli._read_rows(out / "accuracy.csv", cli.ACCURACY_HEADER)
         payload = json.loads((out / "metrics.json").read_text())
         assert payload["scenario_id"] == "three-link-base"
         assert payload["converged"] is True
@@ -300,7 +318,7 @@ class TestSolve:
         out = tmp_path / "o"
         code = run(["solve", "--scenario", ini, "--out", out])
         assert code == 2
-        assert len(cli.read_trace_csv(out / "trace.csv")) == 2
+        assert len(cli._read_rows(out / "trace.csv", cli.TRACE_HEADER)[1]) == 2
         assert (out / "equilibrium.csv").exists()
 
     @pytest.mark.parametrize("value", ["0.6", "-0.1", "nan"])
@@ -333,9 +351,23 @@ def test_readme_artifact_list_names_every_file_written(three_link_dir, tmp_path,
                        ("multistart", ["--n", "2", "--seed", "1"])):
         assert run([name, "--scenario", ini, "--out", tmp_path / "out" / name, *args]) == 0, name
     written = {p.name for p in (tmp_path / "out").glob("*/*")}
-    section = (ROOT / "README.md").read_text().split("## Output artifacts", 1)[1]
-    named = set(re.findall(r"`(\w+\.(?:csv|json))`", section.split("\n## ", 1)[0]))
+    named = set(re.findall(r"`(\w+\.(?:csv|json))`", readme_artifact_section()))
     assert written == named
+
+
+def readme_artifact_section() -> str:
+    section = (ROOT / "README.md").read_text().split("## Output artifacts", 1)[1]
+    return section.split("\n## ", 1)[0]
+
+
+def test_readme_column_lists_match_the_headers():
+    # each table is listed as `name.csv` ...: `column, column, ...`
+    listed = {name: [c.strip() for c in columns.split(",")] for name, columns in
+              re.findall(r"`(\w+\.csv)`[^:]*:\s*`([^`]+)`", readme_artifact_section())}
+    headers = {f"{name.removesuffix('_HEADER').lower()}.csv": getattr(cli, name)
+               for name in dir(cli) if name.endswith("_HEADER")}
+    assert len(headers) == 8
+    assert listed == headers
 
 
 class TestSweep:

@@ -80,6 +80,12 @@ class TestValidate:
         with pytest.raises(nw.NetworkError, match="dangling"):
             nw.validate_network(links, [nw.OdDemand("A", "Z", 1, 0, 0.0)])
 
+    def test_od_pair_from_a_node_to_itself(self):
+        # used to fail only when its paths were built, with "empty path"
+        links, _ = make_three_link_records()
+        with pytest.raises(nw.NetworkError, match="^OD pair B->B: origin is its destination$"):
+            nw.validate_network(links, [nw.OdDemand("B", "B", 5, 5, 2100.0)])
+
     def test_duplicate_link_id(self):
         with pytest.raises(nw.NetworkError, match="duplicate"):
             nw.validate_network(
@@ -268,10 +274,17 @@ class TestTableParsing:
                      f"{header}\n{row}\n")
         assert read(f) == [record, record]
 
-    def test_first_line_is_skipped_even_without_header_text(self, tmp_path, read, header,
-                                                            row, record):
+    def test_headerless_table_is_rejected(self, tmp_path, read, header, row, record):
+        # line 1 used to be skipped whatever it held, so the first record was lost
         f = tmp_path / "table.csv"
         f.write_text(f"{row}\n{row}\n")
+        with pytest.raises(nw.ParseError, match="^line 1: a record where the header row belongs$"):
+            read(f)
+
+    def test_header_with_other_column_names_is_skipped(self, tmp_path, read, header, row,
+                                                       record):
+        f = tmp_path / "table.csv"
+        f.write_text(",".join(f"col{i}" for i in range(len(header.split(",")))) + f"\n{row}\n")
         assert read(f) == [record]
 
     def test_header_after_leading_comment(self, tmp_path, read, header, row, record):
