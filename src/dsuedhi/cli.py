@@ -19,7 +19,7 @@ import numpy as np
 from . import equilibrium, metrics
 from .choice import ChoiceError, open_cells
 from .dnl import DnlError
-from .equilibrium import EquilibriumResult, SolverError
+from .equilibrium import CLASS_NAMES, EquilibriumResult, SolverError
 from .network import NetworkError, ParseError
 from .scenario import Scenario, ScenarioError, default_config_text, load_scenario
 
@@ -59,7 +59,10 @@ def _write_table(path: Path, header: list[str], *columns) -> None:
 def _read_rows(path: Path, header: list[str] | None = None) -> tuple[list[str], list[list[str]]]:
     """A table's header and rows; with ``header``, a file with any other header is rejected."""
     with open(path, encoding="utf-8") as fh:
-        found, *rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
+        lines = [line.rstrip("\n").split(",") for line in fh if line.strip()]
+    if not lines:
+        raise ScenarioError(f"{path}: empty file" + (f", expected {header}" if header else ""))
+    found, *rows = lines
     if header is not None and found != header:
         raise ScenarioError(f"{path}: unexpected header {found}, expected {header}")
     return found, rows
@@ -82,7 +85,7 @@ def _cell_keys(net, path_set, n_intervals: int) -> list[str]:
 
 def write_equilibrium_csv(path: Path, result: EquilibriumResult, net, path_set) -> None:
     keys = _cell_keys(net, path_set, result.h_total.shape[1])
-    _write_table(path, EQUILIBRIUM_HEADER, keys, result.h_instant, result.h_forecast)
+    _write_table(path, EQUILIBRIUM_HEADER, keys, *result.h)
 
 
 def read_equilibrium_csv(path: Path) -> dict[tuple[str, int, int], tuple[float, float]]:
@@ -100,11 +103,9 @@ def write_trace_csv(path: Path, result: EquilibriumResult) -> None:
 def write_accuracy_csv(path: Path, report: metrics.AccuracyReport, net, path_set) -> None:
     """The instantaneous class's cells, then the forecast class's."""
     keys = _cell_keys(net, path_set, report.rtt.shape[1])
-    _write_table(path, ACCURACY_HEADER, ["instant"] * len(keys) + ["forecast"] * len(keys),
-                 keys * 2, np.stack([report.itt_instant, report.itt_forecast]),
-                 _column(report.rtt) * 2,
-                 np.stack([report.rel_diff_instant, report.rel_diff_forecast]),
-                 np.stack([report.departures_instant, report.departures_forecast]))
+    _write_table(path, ACCURACY_HEADER, [c for c in CLASS_NAMES["dsue-dhi"] for _ in keys],
+                 keys * 2, report.itt, _column(report.rtt) * 2, report.rel_diff,
+                 report.departures)
 
 
 @dataclass

@@ -16,6 +16,13 @@ loading, whose ``instant_path_time`` is the instantaneous product, and its
 forecasts as one (provision interval, path, departure interval) array.
 Non-convergence is a reported outcome carrying the full trace, never an
 exception.
+
+Departures are one array ``h`` of shape (C, P, T): class, path, departure
+interval. The ``dsue-dhi`` model has C = 2 classes in the order of
+``CLASS_NAMES["dsue-dhi"]``, instantaneous then forecast, and class demands
+of shape (2, ODs) from ``Network.class_demands``; the single-class ``dsue``
+model has C = 1, all demand pooled. The candidate total that is loaded is
+``h.sum(axis=0)``.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ import numpy as np
 from . import choice, dnl, info
 from .choice import ChoiceParams
 from .network import Network, PathSet, TimeGrid
+
+CLASS_NAMES = {"dsue-dhi": ("instant", "forecast"), "dsue": ("all",)}  # the rows of ``h``
 
 
 class SolverError(RuntimeError):
@@ -57,20 +66,28 @@ class SolverConfig:
 
 @dataclass
 class MapResult:
-    """Image of one map application plus the information it generated."""
+    """Image of one map application plus the information it generated.
 
-    y_parts: tuple[np.ndarray, ...]
+    ``y_parts`` is the image of the candidate ``h``, in its layout: (C, P, T),
+    class, path, departure interval, classes in ``CLASS_NAMES`` order.
+    """
+
+    y_parts: np.ndarray
     loading: dnl.LoadingResult  # of the candidate; its instant_path_time is the instant product
     forecasts: np.ndarray | None = None  # T x paths x T, ``info.forecasts``; None for "dsue"
 
 
 @dataclass
 class EquilibriumResult:
-    """Converged (or best-effort) departures with the full solver trace."""
+    """Converged (or best-effort) departures with the full solver trace.
+
+    ``h`` is (C, P, T), class, path, departure interval, classes in
+    ``CLASS_NAMES[model]`` order: instant then forecast for ``dsue-dhi``, the
+    one pooled class for ``dsue``. ``h_total`` is ``h.sum(axis=0)``.
+    """
 
     model: str  # "dsue-dhi" or "dsue"
-    h_instant: np.ndarray | None
-    h_forecast: np.ndarray | None
+    h: np.ndarray
     h_total: np.ndarray
     residuals: np.ndarray
     betas: np.ndarray
@@ -95,6 +112,9 @@ def fixed_point_map(
 ) -> MapResult:
     """Roll the closed loop forward once from a candidate class pair.
 
+    ``h_instant`` and ``h_forecast`` are the rows of a (2, P, T) candidate
+    ``h``; the image ``y_parts`` has the same layout.
+
     Information first: the instantaneous times of every interval come from
     the candidate loading, and the forecast made at t loads the candidate
     history spliced with the pooled remaining demand's reaction to them
@@ -109,16 +129,14 @@ def fixed_point_map(
     columns. The two coincide at any fixed point.
     """
     h_total = np.asarray(h_instant, dtype=float) + np.asarray(h_forecast, dtype=float)
-    d_instant, d_forecast = net.class_demands()
-
     base = dnl.load(net, path_set, grid, h_total)
     instant = base.instant_path_time.T[:, :, None]  # the time at t, for every departure
     instant_shares = choice.share_table(instant, 0, grid, path_set, params)
     forecasts = info.forecasts(net, path_set, grid, h_total, instant_shares, base)
     forecast_shares = choice.share_table(forecasts, 0, grid, path_set, params)
-    y_instant = choice.rollout(instant_shares, d_instant, path_set)
-    y_forecast = choice.rollout(forecast_shares, d_forecast, path_set)
-    return MapResult((y_instant, y_forecast), base, forecasts)
+    y = np.stack([choice.rollout(table, d, path_set)
+                  for table, d in zip((instant_shares, forecast_shares), net.class_demands())])
+    return MapResult(y, base, forecasts)
 
 
 def residual(h: np.ndarray, y: np.ndarray) -> float:
@@ -132,25 +150,22 @@ def residual(h: np.ndarray, y: np.ndarray) -> float:
     return (gap / hn) ** 2
 
 
-def _initial_parts(
-    path_set: PathSet, grid: TimeGrid, params: ChoiceParams, demands: tuple[np.ndarray, ...]
-) -> list[np.ndarray]:
-    """Each class's logit response to free-flow path times."""
+def _free_flow_start(
+    path_set: PathSet, grid: TimeGrid, params: ChoiceParams, demands: np.ndarray
+) -> np.ndarray:
+    """Each class's logit response to free-flow path times, (C, P, T) for (C, ODs) demands."""
     phi = path_set.free_flow_s
-    return [choice.tentative_departures(phi, d, 0, grid, path_set, params) for d in demands]
+    return np.stack([choice.tentative_departures(phi, d, 0, grid, path_set, params)
+                     for d in demands])
 
 
-def _run_sram(
-    model: str,
-    apply_map,
-    parts: list[np.ndarray],
-    config: SolverConfig,
-) -> EquilibriumResult:
-    """Generic self-regulated averaging loop over a list of class matrices.
+def _run_sram(model: str, apply_map, h: np.ndarray, config: SolverConfig) -> EquilibriumResult:
+    """Self-regulated averaging of the (C, P, T) departures ``h``.
 
-    The loop stops before averaging, so the returned pattern is exactly the
-    one the last map was applied to, and the result carries that map's
-    loading and information.
+    Every class moves toward its image with the shared step, and the step
+    rule reads the gap of the class totals. The loop stops before averaging,
+    so the returned pattern is exactly the one the last map was applied to,
+    and the result carries that map's loading and information.
     """
     residuals: list[float] = []
     betas: list[float] = []
@@ -160,9 +175,9 @@ def _run_sram(
     prev_gap: float | None = None
     converged = False
     for k in range(1, config.max_iterations + 1):
-        last = apply_map(parts)
-        h_total = sum(parts)
-        y_total = sum(last.y_parts)
+        last = apply_map(h)
+        h_total = h.sum(axis=0)
+        y_total = last.y_parts.sum(axis=0)
         gap = float(np.linalg.norm(h_total - y_total))
         res = residual(h_total, y_total)
 
@@ -178,15 +193,13 @@ def _run_sram(
             break
         if k == config.max_iterations:
             break
-        parts = [h + alpha * (y - h) for h, y in zip(parts, last.y_parts)]
+        h = h + alpha * (last.y_parts - h)
         prev_gap = gap
 
-    two = len(parts) == 2
     return EquilibriumResult(
         model=model,
-        h_instant=parts[0] if two else None,
-        h_forecast=parts[1] if two else None,
-        h_total=parts[0] + parts[1] if two else parts[0],
+        h=h,
+        h_total=h_total,
         residuals=np.array(residuals),
         betas=np.array(betas),
         alphas=np.array(alphas),
@@ -203,21 +216,26 @@ def solve_sram(
     grid: TimeGrid,
     params: ChoiceParams,
     config: SolverConfig,
-    h0: tuple[np.ndarray, np.ndarray] | None = None,
+    h0: np.ndarray | None = None,
 ) -> EquilibriumResult:
-    """Solve the two-class equilibrium by self-regulated averaging."""
-    d_instant, d_forecast = net.class_demands()
+    """Solve the two-class equilibrium by self-regulated averaging.
+
+    ``h0`` is the start, (2, P, T) with the classes in ``CLASS_NAMES`` order;
+    by default each class's response to free-flow times.
+    """
+    demands = net.class_demands()
     if h0 is None:
-        parts = _initial_parts(path_set, grid, params, (d_instant, d_forecast))
+        h = _free_flow_start(path_set, grid, params, demands)
     else:
-        parts = [np.array(h0[0], dtype=float), np.array(h0[1], dtype=float)]
-        dnl.check_feasible(parts[0], path_set, d_instant)
-        dnl.check_feasible(parts[1], path_set, d_forecast)
-
-    def apply_map(current: list[np.ndarray]) -> MapResult:
-        return fixed_point_map(current[0], current[1], net, path_set, grid, params)
-
-    return _run_sram("dsue-dhi", apply_map, parts, config)
+        h = np.array(h0, dtype=float)
+        shape = (len(demands), path_set.n_paths, grid.n_intervals)
+        if h.shape != shape:
+            raise SolverError(f"start of shape {h.shape}, expected (classes, paths, intervals) "
+                              f"{shape}")
+        for h_c, d in zip(h, demands):
+            dnl.check_feasible(h_c, path_set, d)
+    return _run_sram("dsue-dhi", lambda h: fixed_point_map(*h, net, path_set, grid, params), h,
+                     config)
 
 
 def solve_dsue(
@@ -233,17 +251,15 @@ def solve_dsue(
     path travel times of the candidate loading; the same averaging scheme
     finds the fixed point.
     """
-    totals = np.array([od.demand_total for od in net.od_pairs])
-    parts = _initial_parts(path_set, grid, params, (totals,))
+    totals = net.class_demands().sum(axis=0)
 
-    def apply_map(current: list[np.ndarray]) -> MapResult:
-        loading = dnl.load(net, path_set, grid, current[0], compute_link_times=False)
-        y = choice.tentative_departures(
-            loading.path_time, totals, 0, grid, path_set, params
-        )
-        return MapResult((y,), loading)
+    def apply_map(h: np.ndarray) -> MapResult:
+        loading = dnl.load(net, path_set, grid, h[0], compute_link_times=False)
+        y = choice.tentative_departures(loading.path_time, totals, 0, grid, path_set, params)
+        return MapResult(y[None], loading)
 
-    return _run_sram("dsue", apply_map, parts, config)
+    return _run_sram("dsue", apply_map, _free_flow_start(path_set, grid, params, totals[None]),
+                     config)
 
 
 @dataclass
@@ -259,19 +275,16 @@ def random_feasible_parts(
     rng: np.random.Generator,
     path_set: PathSet,
     grid: TimeGrid,
-    demands: tuple[np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Random positive matrices rescaled onto the per-OD class demands."""
-    T = grid.n_intervals
-    parts = []
-    for d in demands:
-        h = rng.uniform(0.1, 1.0, size=(path_set.n_paths, T))
+    demands: np.ndarray,
+) -> np.ndarray:
+    """Random positive (C, P, T) departures rescaled onto the (C, ODs) class demands."""
+    h = rng.uniform(0.1, 1.0, size=(len(demands), path_set.n_paths, grid.n_intervals))
+    for h_c, d in zip(h, demands):
         for od_index, sl in enumerate(path_set.od_slices):
-            block = h[sl]
+            block = h_c[sl]
             total = block.sum()
-            h[sl] = block * (d[od_index] / total) if total > 0 else 0.0
-        parts.append(h)
-    return parts[0], parts[1]
+            h_c[sl] = block * (d[od_index] / total) if total > 0 else 0.0
+    return h
 
 
 def multistart(

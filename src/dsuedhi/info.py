@@ -49,7 +49,7 @@ def forecasts(
     spliced at t; it is NaN for j < t, before that pattern's loading starts.
     """
     T = grid.n_intervals
-    totals = np.array([od.demand_total for od in net.od_pairs])
+    totals = net.class_demands().sum(axis=0)
     spliced = np.repeat(h_total[None], T, axis=0)
     for t in range(T):
         pooled = choice.remaining_demand(h_total[:, :t], totals, path_set)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .choice import ChoiceParams, systematic_disutility
-from .equilibrium import EquilibriumResult
+from .equilibrium import CLASS_NAMES, EquilibriumResult
 from .network import Network, PathSet, TimeGrid
 
 
@@ -38,15 +38,15 @@ def trim_window(grid: TimeGrid, trim_fraction: float) -> np.ndarray:
 
 @dataclass
 class AccuracyReport:
-    """Elementwise and aggregate information-accuracy measures."""
+    """Elementwise and aggregate information-accuracy measures.
 
-    itt_instant: np.ndarray  # paths x T
-    itt_forecast: np.ndarray  # paths x T
+    The class-stacked arrays are (2, P, T), instantaneous class first.
+    """
+
+    itt: np.ndarray
     rtt: np.ndarray  # paths x T
-    rel_diff_instant: np.ndarray  # paths x T, NaN where at most 1e-6 vehicles depart
-    rel_diff_forecast: np.ndarray
-    departures_instant: np.ndarray
-    departures_forecast: np.ndarray
+    rel_diff: np.ndarray  # NaN where at most 1e-6 vehicles of the class depart
+    departures: np.ndarray
     norm_instant: float  # ||ITT_I - RTT|| over the window
     norm_forecast: float
     norm_rtt: float
@@ -60,33 +60,15 @@ def information_accuracy(
     """Compare the information provided at each interval with realized times."""
     if result.model != "dsue-dhi":
         raise MetricsError("information accuracy requires stored per-interval information")
-    itt_i = result.loading.instant_path_time
-    itt_f = np.diagonal(result.forecasts, axis1=0, axis2=2)  # made at t for departure t
+    itt = np.stack([result.loading.instant_path_time,
+                    np.diagonal(result.forecasts, axis1=0, axis2=2)])  # made at t for departure t
     rtt = result.loading.path_time
     window = trim_window(grid, trim_fraction)
-
-    dep_i = result.h_instant
-    dep_f = result.h_forecast
     with np.errstate(invalid="ignore", divide="ignore"):
-        rd_i = np.where((dep_i > 1e-6) & (rtt > 0), (itt_i - rtt) / rtt, np.nan)
-        rd_f = np.where((dep_f > 1e-6) & (rtt > 0), (itt_f - rtt) / rtt, np.nan)
-
-    win = window[None, :]
-    norm_i = float(np.linalg.norm(np.where(win, itt_i - rtt, 0.0)))
-    norm_f = float(np.linalg.norm(np.where(win, itt_f - rtt, 0.0)))
-    norm_rtt = float(np.linalg.norm(np.where(win, rtt, 0.0)))
-    return AccuracyReport(
-        itt_instant=itt_i,
-        itt_forecast=itt_f,
-        rtt=rtt,
-        rel_diff_instant=rd_i,
-        rel_diff_forecast=rd_f,
-        departures_instant=dep_i,
-        departures_forecast=dep_f,
-        norm_instant=norm_i,
-        norm_forecast=norm_f,
-        norm_rtt=norm_rtt,
-    )
+        rel_diff = np.where((result.h > 1e-6) & (rtt > 0), (itt - rtt) / rtt, np.nan)
+    norm_i, norm_f = (float(np.linalg.norm(gap)) for gap in np.where(window, itt - rtt, 0.0))
+    norm_rtt = float(np.linalg.norm(np.where(window, rtt, 0.0)))
+    return AccuracyReport(itt, rtt, rel_diff, result.h, norm_i, norm_f, norm_rtt)
 
 
 @dataclass
@@ -95,16 +77,6 @@ class DisutilityReport:
 
     per_od_total: dict[str, np.ndarray]  # class name -> (n_ods,)
     overall_average: dict[str, float]  # class name -> average, NaN if class empty
-
-
-def _class_matrices(result: EquilibriumResult) -> dict[str, np.ndarray]:
-    if result.model == "dsue":
-        return {"all": result.h_total}
-    return {
-        "instant": result.h_instant,
-        "forecast": result.h_forecast,
-        "all": result.h_total,
-    }
 
 
 def experienced_disutility(
@@ -129,7 +101,8 @@ def experienced_disutility(
 
     per_od_tot: dict[str, np.ndarray] = {}
     overall: dict[str, float] = {}
-    for name, weights in _class_matrices(result).items():
+    classes = dict(zip(CLASS_NAMES[result.model], result.h)) | {"all": result.h_total}
+    for name, weights in classes.items():
         w_win = np.where(window[None, :], weights, 0.0)
         tot = np.zeros(net.n_ods)
         mass = np.zeros(net.n_ods)

@@ -135,10 +135,10 @@ class Network:
     def link(self, link_id: str) -> Link:
         return self.links[self.link_index[link_id]]
 
-    def class_demands(self) -> tuple[np.ndarray, np.ndarray]:
-        d_i = np.array([od.demand_instant for od in self.od_pairs])
-        d_f = np.array([od.demand_forecast for od in self.od_pairs])
-        return d_i, d_f
+    def class_demands(self) -> np.ndarray:
+        """Per-OD demand of each class, (2, ODs): row 0 instantaneous, row 1 forecast."""
+        return np.array([[od.demand_instant for od in self.od_pairs],
+                         [od.demand_forecast for od in self.od_pairs]])
 
     def target_arrivals(self) -> tuple[float, ...]:
         return tuple(od.target_arrival_s for od in self.od_pairs)
@@ -412,7 +412,7 @@ def _read_table(path, fields: int, header: str, row) -> list:
     text are skipped. Line 1 is the header row and is skipped whatever its
     column names, unless it reads as a record: a table without its header
     would otherwise lose its first record. Every other line must have
-    ``fields`` fields.
+    ``fields`` fields. Every ``ParseError`` names the file and the line.
     """
     records = []
     with open(path, encoding="utf-8") as fh:
@@ -423,14 +423,14 @@ def _read_table(path, fields: int, header: str, row) -> list:
             parts = [p.strip() for p in line.split(",")]
             if lineno == 1:
                 if len(parts) == fields and _parses(row, parts):
-                    raise ParseError("line 1: a record where the header row belongs")
+                    raise ParseError(f"{path}: line 1: a record where the header row belongs")
                 continue
             if len(parts) != fields:
-                raise ParseError(f"line {lineno}: expected {fields} fields")
+                raise ParseError(f"{path}: line {lineno}: expected {fields} fields")
             try:
                 records.append(row(parts))
             except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
+                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
     return records
 
 

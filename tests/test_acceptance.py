@@ -134,7 +134,7 @@ def test_uncongested_reduction(uncongested_solutions, grid_uncongested):
         base = uncongested_solutions[0.5]
         ff = ps.free_flow_s[:, None]
         assert np.abs(base.loading.instant_path_time - ff).max() <= 1e-6
-        mr = fixed_point_map(base.h_instant, base.h_forecast, net, ps, grid, params)
+        mr = fixed_point_map(*base.h, net, ps, grid, params)
         T = grid.n_intervals
         open_ = np.broadcast_to(choice.open_cells(0, T, T), mr.forecasts.shape)
         worst = float(np.abs(mr.forecasts - ff)[open_].max())  # NaN in an open cell fails

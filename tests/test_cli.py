@@ -271,6 +271,13 @@ class TestArtifactReaders:
         with pytest.raises(ScenarioError, match="unexpected"):
             cli._read_rows(f, header)
 
+    def test_empty_file_names_the_path_and_the_header(self, tmp_path):
+        f = tmp_path / "equilibrium.csv"
+        f.write_text("")
+        with pytest.raises(ScenarioError, match=re.escape(f"{f}: empty file, expected "
+                                                          f"{cli.EQUILIBRIUM_HEADER}")):
+            cli.read_equilibrium_csv(f)
+
     def test_equilibrium_reader_returns_both_classes_per_cell(self):
         table = cli.read_equilibrium_csv(ROOT / "out" / "three_link" / "equilibrium.csv")
         header, rows = cli._read_rows(ROOT / "out" / "three_link" / "equilibrium.csv")
@@ -308,6 +315,15 @@ class TestSolve:
                     "--out", tmp_path / "o"])
         assert code == 1
         assert "line 2: expected 5 fields" in capsys.readouterr().err
+
+    def test_headerless_demand_error_names_the_file(self, three_link_dir, tmp_path, capsys):
+        demand = three_link_dir / "demand.csv"
+        demand.write_text(demand.read_text().split("\n", 1)[1])
+        code = run(["solve", "--scenario", three_link_dir / "scenario.ini",
+                    "--out", tmp_path / "o"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {demand}: line 1: a record where the header row belongs" in err
 
     def test_non_convergence_exit_code_and_trace(self, three_link_dir, tmp_path):
         ini = three_link_dir / "scenario.ini"

@@ -106,7 +106,7 @@ class TestFixedPointMap:
     def test_uncongested_solution_is_fixed_point(self, grid_uncongested):
         net, ps, grid, params = grid_uncongested
         res = solve_sram(net, ps, grid, params, SolverConfig())
-        mr = fixed_point_map(res.h_instant, res.h_forecast, net, ps, grid, params)
+        mr = fixed_point_map(*res.h, net, ps, grid, params)
         assert residual(res.h_total, mr.y_parts[0] + mr.y_parts[1]) <= 1e-10
 
 
@@ -165,7 +165,7 @@ class TestSolveSram:
         net, ps, grid, params = grid_congested
         res = grid_solution
         assert res.converged
-        mr = fixed_point_map(res.h_instant, res.h_forecast, net, ps, grid, params)
+        mr = fixed_point_map(*res.h, net, ps, grid, params)
         again = residual(res.h_total, mr.y_parts[0] + mr.y_parts[1])
         assert again <= SolverConfig().tolerance
 
@@ -186,7 +186,7 @@ class TestSolveSram:
         capped = solve_sram(net, ps, grid, params, SolverConfig(max_iterations=2))
         assert three_link_solution.converged and not capped.converged
         for res in (three_link_solution, capped):
-            mr = fixed_point_map(res.h_instant, res.h_forecast, net, ps, grid, params)
+            mr = fixed_point_map(*res.h, net, ps, grid, params)
             T = grid.n_intervals
             assert res.forecasts.shape == mr.forecasts.shape == (T, ps.n_paths, T)
             open_ = np.broadcast_to(choice.open_cells(0, T, T), mr.forecasts.shape)
@@ -200,6 +200,18 @@ class TestSolveSram:
         with pytest.raises(ValueError):
             solve_sram(net, ps, grid, params, SolverConfig(), h0=(bad, bad))
 
+    @pytest.mark.parametrize("reshape", [
+        pytest.param(lambda h: (*h, h[0]), id="third-class"),
+        pytest.param(lambda h: h[:, :, :-1], id="one-interval-short"),
+    ])
+    def test_rejects_a_start_of_another_shape(self, three_link, reshape):
+        # a third class used to be dropped silently, a short start failed on demand
+        net, ps, grid, params = three_link
+        h0 = random_feasible_parts(np.random.default_rng(0), ps, grid, net.class_demands())
+        with pytest.raises(SolverError, match=r"expected \(classes, paths, intervals\) "
+                                              rf"\(2, {ps.n_paths}, {grid.n_intervals}\)"):
+            solve_sram(net, ps, grid, params, SolverConfig(), h0=reshape(h0))
+
     def test_rejects_a_start_with_a_nan_cell(self, three_link):
         # it used to fail in the forecast batch, whose base check finds NaN != NaN
         net, ps, grid, params = three_link
@@ -207,6 +219,32 @@ class TestSolveSram:
         h0[0][1, 3] = np.nan
         with pytest.raises(ValueError, match="departure matrix has non-finite entries"):
             solve_sram(net, ps, grid, params, SolverConfig(), h0=h0)
+
+
+class TestClassLayout:
+    """Both solvers return one (class, path, interval) array ``h``."""
+
+    def test_each_class_row_meets_its_own_demand(self, three_link, three_link_solution):
+        net, ps, grid, _ = three_link
+        res = three_link_solution
+        assert res.h.shape == (2, ps.n_paths, grid.n_intervals)
+        for h_c, d in zip(res.h, net.class_demands()):
+            dnl.check_feasible(h_c, ps, d)
+
+    def test_total_is_the_sum_of_the_class_rows(self, three_link_solution):
+        res = three_link_solution
+        assert np.array_equal(res.h_total, res.h[0] + res.h[1])
+
+    def test_class_demands_sum_to_the_od_totals(self, three_link):
+        net = three_link[0]
+        assert np.array_equal(net.class_demands().sum(axis=0),
+                              [od.demand_total for od in net.od_pairs])
+
+    def test_dsue_has_one_pooled_row(self, three_link):
+        net, ps, grid, params = three_link
+        res = solve_dsue(net, ps, grid, params, SolverConfig())
+        assert res.h.shape == (1, ps.n_paths, grid.n_intervals)
+        assert np.array_equal(res.h[0], res.h_total)
 
 
 class TestSolveDsue:

@@ -28,12 +28,12 @@ class TestInformationAccuracy:
         rep = metrics.information_accuracy(res, grid, trim_fraction=0.0)
         assert rep.norm_instant <= 1e-9
         assert rep.norm_forecast <= 1e-9
-        departed = rep.rel_diff_instant[~np.isnan(rep.rel_diff_instant)]
+        departed = rep.rel_diff[0][~np.isnan(rep.rel_diff[0])]
         assert np.abs(departed).max() <= 1e-9
 
     def test_congested_both_signs_for_instantaneous(self, three_link_solution):
         rep = metrics.information_accuracy(three_link_solution, TimeGrid(4800.0, 120.0))
-        vals = rep.rel_diff_instant[~np.isnan(rep.rel_diff_instant)]
+        vals = rep.rel_diff[0][~np.isnan(rep.rel_diff[0])]
         assert np.any(vals < -1e-3), "no underestimation observed"
         assert np.any(vals > 1e-3), "no overestimation observed"
 
@@ -53,8 +53,8 @@ class TestInformationAccuracy:
     def test_floor_masks_unused_cells(self, grid_solution, grid_congested):
         _, _, grid, _ = grid_congested
         rep = metrics.information_accuracy(grid_solution, grid)
-        unused = grid_solution.h_instant <= 1e-6
-        assert np.isnan(rep.rel_diff_instant[unused]).all()
+        unused = grid_solution.h[0] <= 1e-6
+        assert np.isnan(rep.rel_diff[0][unused]).all()
 
 
 class TestExperiencedDisutility:
