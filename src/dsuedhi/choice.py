@@ -84,6 +84,20 @@ def systematic_disutility(phi, t, target_arrival, mu_early: float, mu_late: floa
     return float(value) if np.ndim(value) == 0 else value
 
 
+def cell_disutility(phi_s, grid: TimeGrid, path_set: PathSet, params: ChoiceParams) -> np.ndarray:
+    """Systematic disutility of travel times ``phi_s`` (seconds), broadcast to (..., paths, T).
+
+    Cell (p, j) departs at the middle of interval j and aims at the target
+    arrival of path p's OD; every time is converted to ``params.time_unit_s``
+    before ``systematic_disutility``.
+    """
+    u = params.time_unit_s
+    ta = np.asarray(params.target_arrival_s, dtype=float)
+    return systematic_disutility(phi_s / u, grid.interval_mids() / u,
+                                 (ta / u)[path_set.od_of_path][:, None],
+                                 params.mu_early, params.mu_late)
+
+
 @dataclass(frozen=True)
 class _Layout:
     """Every OD's choice set at provision intervals ``first``.. as blocks of one array.
@@ -195,13 +209,7 @@ def share_table(
     if not (n and 0 <= first and first + n <= T):
         raise ChoiceError(f"provision intervals {first}..{first + n - 1} outside horizon")
     lay = _layout(tuple(sl.stop - sl.start for sl in path_set.od_slices), T, first, n)
-    u = params.time_unit_s
-    dep = (np.arange(T) + 0.5) * grid.dt_s
-    ta = np.asarray(params.target_arrival_s, dtype=float)
-    psi = systematic_disutility(
-        phi / u, dep / u, (ta / u)[path_set.od_of_path][:, None],
-        params.mu_early, params.mu_late,
-    )
+    psi = cell_disutility(phi, grid, path_set, params)
     share, top, finite = _logit(psi[lay.open], lay.blocks, params.theta)
     return ShareTable(first, P, lay, share, top, finite)
 

@@ -54,12 +54,13 @@ Batch axis. ``load_batch`` steps B departure patterns of one (network, path
 set, grid) together as B disjoint copies of those rows and slots: the link
 rows of copies B-1, ..., 0, then the sources of copies 0, ..., B-1, each
 copy's slots a block in the single-pattern order, so the first k copies
-occupy one contiguous range of rows and slots. A pattern may start at
-interval t from a base loading whose departures it shares before t (a
-strategic forecast spliced at t shares the candidate's): it copies the
-base's rows up to step t * refine and joins the lockstep pass there. Copies
-are sorted by start, so each step works on the contiguous range of those
-that have joined, and path times are computed for intervals from t on only.
+occupy one contiguous range of rows and slots. Each pattern starts at an
+interval t from a base loading and has the base's departures before t (a
+strategic forecast spliced at t has the candidate's), so the batch's cells
+before t are not read: it copies the base's rows up to step t * refine and
+joins the lockstep pass there. Starts are ascending, so each step works on
+the contiguous range of copies that have joined, and path times are
+computed for intervals from t on only.
 Every pattern keeps its own drain test, tolerance and step count, and gets
 exactly the result of loading it alone from step 0; ``load`` is the batch of
 one. The time axis holds the boundaries stepped so far: it starts at the
@@ -466,13 +467,20 @@ def _pattern_bytes(plan: _Plan, grid: TimeGrid) -> int:
     return 8 * rows * _first_cols(t_sim, _step_cap(t_sim))
 
 
-def _departures(values, ndim: int, path_set: PathSet, grid: TimeGrid) -> np.ndarray:
-    """Departures with ``ndim`` axes, the last two (paths, intervals), floored at 0."""
+def _departures(values, P: int, T: int, base_h=None, starts=None) -> np.ndarray:
+    """Departures of shape (P, T), or (patterns, P, T) with ``starts``, floored at 0.
+
+    With ``starts``, pattern b is ``base_h`` before interval ``starts[b]`` and
+    ``values[b]`` from there on, so the cells of ``values`` before its start
+    are not read; the checks apply to the patterns so spliced.
+    """
     h = np.asarray(values, dtype=float)
-    want = (path_set.n_paths, grid.n_intervals)
-    if h.ndim != ndim or h.shape[-2:] != want:
-        axes = "(patterns, paths, intervals)" if ndim == 3 else "(paths, intervals)"
-        raise DnlError(f"departure matrix shape {h.shape} is not {axes} ending in {want}")
+    want = (P, T) if starts is None else (len(starts), P, T)
+    if h.shape != want:
+        axes = "(paths, intervals)" if starts is None else "(patterns, paths, intervals)"
+        raise DnlError(f"departure matrix shape {h.shape} is not {axes} {want}")
+    if starts is not None:
+        h = np.where(np.arange(T) < starts[:, None, None], base_h, h)
     if not np.isfinite(h).all():
         raise DnlError("departures must be finite")
     if h.min(initial=0.0) < -1e-9:
@@ -498,9 +506,9 @@ def load(
     are those curves themselves when every link is on a path, and otherwise
     new arrays, with zero rows for the other links, on each access. The
     result keeps its slot curves, so it can serve as the base of a
-    ``load_batch`` whose patterns start after interval 0.
+    ``load_batch``.
     """
-    h = _departures(departures, 2, path_set, grid)
+    h = _departures(departures, path_set.n_paths, grid.n_intervals)
     plan = _plan(net.links, path_set.link_seq, grid)
     res = _step(plan, grid, h[None], np.zeros(1, dtype=np.intp))[0]
     if compute_link_times:
@@ -512,26 +520,20 @@ def load(
     return res
 
 
-def load_batch(
-    net: Network,
-    path_set: PathSet,
-    grid: TimeGrid,
-    departures: np.ndarray,
-    *,
-    base: LoadingResult | None = None,
-    starts=None,
-) -> list[LoadingResult]:
-    """Load B departure patterns, ``departures[B, P, T]``, in one pass.
+def load_batch(base: LoadingResult, departures: np.ndarray, starts) -> list[LoadingResult]:
+    """Load B patterns that follow ``base`` from their own starts, in one pass.
 
-    The patterns step forward together on disjoint copies of the network;
-    each keeps its own drain test and step count. Pattern b starts at
-    interval ``starts[b]`` (default 0): it must have the departures of
-    ``base``, a loading of the same network, path set and grid, before that
-    interval, takes the base's curves up to there and is stepped from there
-    on. Its curves, step count and drain flag are bit-identical to ``load``
-    of that pattern alone, and so are its path times from its start on;
-    ``path_time`` is NaN (and ``extrapolated`` False) before it, and
-    ``instant_path_time`` is None. Large batches are
+    ``base`` is a loading of one pattern (``load``, or a batch of one); the
+    batch has its network, path set and grid. ``starts`` holds B ascending
+    intervals in [0, T). Pattern b is the base's departures before interval
+    ``starts[b]`` and ``departures[b, P, T]`` from there on: the cells of
+    ``departures`` before each start are not read. Each pattern takes the
+    base's curves up to its start, and from there the patterns step forward
+    together on disjoint copies of the network; each keeps its own drain
+    test and step count. Its curves, step count and drain flag are
+    bit-identical to ``load`` of that pattern alone, and so are its path
+    times from its start on; ``path_time`` is NaN (and ``extrapolated``
+    False) before it, and ``instant_path_time`` is None. Large batches are
     stepped in chunks whose curves stay under a fixed byte budget.
 
     The ``link_up``, ``link_dn``, ``src_up`` and ``src_dn`` curves of a
@@ -539,34 +541,20 @@ def load_batch(
     alive keeps the curves of every pattern of its chunk; copy what is kept.
     ``n_up`` and ``n_dn`` are built from them on access, as for ``load``.
     """
-    h = _departures(departures, 3, path_set, grid)
-    B, _, T = h.shape
-    starts = np.zeros(B, dtype=np.intp) if starts is None else np.asarray(starts)
-    if starts.shape != (B,) or (B and (starts.dtype.kind not in "iu"
-                                       or starts.min() < 0 or starts.max() >= T)):
-        raise DnlError(f"starts must be {B} intervals in [0, {T})")
-    if base is None:
-        if starts.any():
-            raise DnlError("patterns that start after interval 0 need a base loading")
-        plan = _plan(net.links, path_set.link_seq, grid)
-    else:
-        if base._state is None:
-            raise DnlError("base loading carries no loader state")
-        plan, base_h, _ = base._state
-        if plan.key != (net.links, path_set.link_seq, grid):
-            raise DnlError("base was loaded on another network, path set or grid")
-        before = np.arange(T) < starts[:, None]
-        if np.any((h != base_h) & before[:, None, :]):
-            raise DnlError("a pattern has other departures than the base before its start")
-    if not B:
+    if base._state is None:
+        raise DnlError("base loading carries no loader state")
+    plan, base_h, _ = base._state
+    P, T = base_h.shape
+    starts = np.asarray(starts)
+    if starts.ndim != 1 or (len(starts) and (starts.dtype.kind not in "iu" or starts[0] < 0
+                                             or starts[-1] >= T or (np.diff(starts) < 0).any())):
+        raise DnlError(f"starts must be ascending intervals in [0, {T})")
+    h = _departures(departures, P, T, base_h, starts)
+    if not len(h):
         return []
-    order = np.argsort(starts, kind="stable")
-    chunks = -(-B // max(1, _CHUNK_BYTES // _pattern_bytes(plan, grid)))
-    results: list[LoadingResult] = [None] * B
-    for part in np.array_split(order, chunks):
-        for b, res in zip(part, _step(plan, grid, h[part], starts[part], base)):
-            results[b] = res
-    return results
+    chunks = -(-len(h) // max(1, _CHUNK_BYTES // _pattern_bytes(plan, base.grid)))
+    return [res for part in np.array_split(np.arange(len(h)), chunks)
+            for res in _step(plan, base.grid, h[part], starts[part], base)]
 
 
 def _fill_sources(plan: _Plan, h: np.ndarray, src_slots: np.ndarray, src_rows: np.ndarray) -> None:

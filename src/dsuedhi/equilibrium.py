@@ -227,11 +227,14 @@ def solve_sram(
     if h0 is None:
         h = _free_flow_start(path_set, grid, params, demands)
     else:
-        h = np.array(h0, dtype=float)
         shape = (len(demands), path_set.n_paths, grid.n_intervals)
-        if h.shape != shape:
-            raise SolverError(f"start of shape {h.shape}, expected (classes, paths, intervals) "
-                              f"{shape}")
+        try:
+            h = np.array(h0, dtype=float)
+            got = f"shape {h.shape}"
+        except ValueError:  # classes of different shapes
+            h, got = None, "ragged shape"
+        if h is None or h.shape != shape:
+            raise SolverError(f"start of {got}, expected (classes, paths, intervals) {shape}")
         for h_c, d in zip(h, demands):
             dnl.check_feasible(h_c, path_set, d)
     return _run_sram("dsue-dhi", lambda h: fixed_point_map(*h, net, path_set, grid, params), h,

@@ -16,9 +16,11 @@ per provision interval. The forecast spliced at t has the candidate's
 departures before t, so its loading repeats the candidate loading up to
 there: ``forecasts`` loads the T spliced patterns together in one batched
 pass (``dnl.load_batch``) in which each starts from the candidate loading's
-state at its own interval and is timed from there on. It returns them as one
-(provision interval, path, departure interval) array, the layout that
-``choice.share_table`` reads.
+state at its own interval and is timed from there on. Both its input, the
+predicted columns, and its output, the forecast travel times, are (provision
+interval t, path, departure interval j) arrays read only in their open
+cells j >= t, the layout that ``choice.share_table`` reads; the loader takes
+the cells before t from the candidate.
 """
 
 from __future__ import annotations
@@ -44,15 +46,17 @@ def forecasts(
     pooled remaining demand of both classes under the candidate is assigned
     to that table, and its columns replace the candidate's from t on; all T
     spliced patterns are loaded in one batch, each from the base's state at
-    its own interval. Entry ``[t, p, j]`` of the returned (T, paths, T)
-    array is the travel time of path p for departure j in the pattern
-    spliced at t; it is NaN for j < t, before that pattern's loading starts.
+    its own interval. Only the open cells j >= t of the batch are filled;
+    the loader takes the cells before t from the base. Entry ``[t, p, j]``
+    of the returned (T, paths, T) array is the travel time of path p for
+    departure j in the pattern spliced at t; it is NaN for j < t, before
+    that pattern's loading starts.
     """
     T = grid.n_intervals
     totals = net.class_demands().sum(axis=0)
-    spliced = np.repeat(h_total[None], T, axis=0)
+    reaction = np.full((T, *h_total.shape), np.nan)  # open cells only: j >= t
     for t in range(T):
         pooled = choice.remaining_demand(h_total[:, :t], totals, path_set)
-        spliced[t, :, t:] = choice.tentative_from_shares(instant_shares, t, pooled)
-    loadings = dnl.load_batch(net, path_set, grid, spliced, base=base, starts=np.arange(T))
+        reaction[t, :, t:] = choice.tentative_from_shares(instant_shares, t, pooled)
+    loadings = dnl.load_batch(base, reaction, np.arange(T))
     return np.stack([loading.path_time for loading in loadings])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .choice import ChoiceParams, systematic_disutility
+from .choice import ChoiceParams, cell_disutility
 from .equilibrium import CLASS_NAMES, EquilibriumResult
 from .network import Network, PathSet, TimeGrid
 
@@ -88,14 +88,7 @@ def experienced_disutility(
     trim_fraction: float = 0.2,
 ) -> DisutilityReport:
     """Disutility evaluated at realized travel times of the actual departures."""
-    rtt = result.loading.path_time
-    T = grid.n_intervals
-    u = params.time_unit_s
-    dep_times = grid.interval_mids()
-    ta = np.array([params.target_arrival_s[od] for od in path_set.od_of_path])
-    v = systematic_disutility(
-        rtt / u, dep_times[None, :] / u, ta[:, None] / u, params.mu_early, params.mu_late
-    )
+    v = cell_disutility(result.loading.path_time, grid, path_set, params)
     window = trim_window(grid, trim_fraction)
     v_win = np.where(window[None, :], v, 0.0)
 

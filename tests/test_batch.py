@@ -13,10 +13,15 @@ FIELDS = ("path_time", "extrapolated", "n_steps", "drained", "n_up", "n_dn", "sr
           "src_dn")
 
 
+def cold_batch(base, batch):
+    """``batch`` loaded from interval 0 on, ``base`` giving only the network, path set and grid."""
+    return dnl.load_batch(base, batch, np.zeros(len(batch), dtype=np.intp))
+
+
 def assert_batch_equals_solo(net, ps, grid, batch, cap=None):
     with step_cap(cap):
-        got = dnl.load_batch(net, ps, grid, batch)
         solos = [dnl.load(net, ps, grid, pattern) for pattern in batch]
+        got = cold_batch(solos[-1], batch)
     assert len(got) == len(batch)
     for solo, res in zip(solos, got):
         for field in FIELDS:
@@ -90,9 +95,10 @@ def test_batch_grows_its_time_axis_and_splits_into_chunks(three_link, monkeypatc
 def test_batch_rejects_bad_shapes_and_negative_departures(three_link):
     net, ps, grid, _ = three_link
     good = np.ones((2, ps.n_paths, grid.n_intervals))
+    base = dnl.load(net, ps, grid, good[0])
     for bad in (good[0], good[:, :, 1:], -good):
         with pytest.raises(dnl.DnlError):
-            dnl.load_batch(net, ps, grid, bad)
+            cold_batch(base, bad)
 
 
 def splice(h, tail, t):
@@ -110,18 +116,18 @@ def test_forecast_batch_equals_single_forecasts(grid_congested):
     spliced = np.stack([splice(h, rng.uniform(0, 4, size=(ps.n_paths, grid.n_intervals - t)), t)
                         for t in ts])
     base = dnl.load(net, ps, grid, h)
-    batch = dnl.load_batch(net, ps, grid, spliced, base=base, starts=ts)
+    batch = dnl.load_batch(base, spliced, ts)
     assert len(batch) == len(ts)
     for t, s, res in zip(ts, spliced, batch):
         fc = res.path_time[:, t:]
-        one = dnl.load_batch(net, ps, grid, s[None], base=base, starts=[t])[0].path_time[:, t:]
+        one = dnl.load_batch(base, s[None], [t])[0].path_time[:, t:]
         assert fc.shape == one.shape == (ps.n_paths, grid.n_intervals - t)
         assert np.array_equal(fc, one)
 
 
 def assert_started_equals_solo(net, ps, grid, base, batch, starts, cap=None):
     with step_cap(cap):
-        got = dnl.load_batch(net, ps, grid, batch, base=base, starts=starts)
+        got = dnl.load_batch(base, batch, starts)
         solos = [dnl.load(net, ps, grid, pattern) for pattern in batch]
     for t, solo, res in zip(starts, solos, got):
         assert np.isnan(res.path_time[:, :t]).all() and not res.extrapolated[:, :t].any()
@@ -145,8 +151,7 @@ def test_staggered_starts_equal_cold_solo_loads_on_random_lattices(seed, size, p
     with step_cap(cap):
         base = dnl.load(net, ps, grid, h)
         budget = per_chunk * dnl._pattern_bytes(dnl._plan(net.links, ps.link_seq, grid), grid)
-    starts = np.concatenate(([0, T - 1], rng.integers(0, T, size=size - 2)))
-    rng.shuffle(starts)
+    starts = np.sort(np.concatenate(([0, T - 1], rng.integers(0, T, size=size - 2))))
     batch = []
     for t in starts:
         # scaled tails drain at different steps; some end in a late burst
@@ -172,21 +177,37 @@ def test_staggered_batch_keeps_a_capped_pattern_beside_drained_ones(three_link):
     with step_cap(3):
         base = dnl.load(net, ps, grid, h)
     got = assert_started_equals_solo(net, ps, grid, base, np.stack([h, heavy, h]),
-                                     np.array([T - 1, T // 2, 0]), cap=3)
+                                     np.array([0, T // 2, T - 1]), cap=3)
     assert got[0].drained and got[2].drained and not got[1].drained
     assert got[1].extrapolated.any() and got[0].n_steps < got[1].n_steps
 
 
-def test_started_patterns_need_a_matching_base(three_link):
+def test_batch_rejects_starts_out_of_range_order_or_count(three_link):
     net, ps, grid, _ = three_link
     h = np.ones((2, ps.n_paths, grid.n_intervals))
     base = dnl.load(net, ps, grid, h[0])
-    for kwargs in ({"starts": [0, 3]}, {"base": base, "starts": [0, grid.n_intervals]},
-                   {"base": base, "starts": [0]}, {"base": base, "starts": [0.0, 1.0]}):
+    for starts in ([0, grid.n_intervals], [-1, 0], [0], [0.0, 1.0], [3, 0]):
         with pytest.raises(dnl.DnlError):
-            dnl.load_batch(net, ps, grid, h, **kwargs)
-    changed = h.copy()
-    changed[1, 0, 2] = 2.0
-    with pytest.raises(dnl.DnlError):
-        dnl.load_batch(net, ps, grid, changed, base=base, starts=[0, 3])
-    dnl.load_batch(net, ps, grid, changed, base=base, starts=[0, 2])
+            dnl.load_batch(base, h, starts)
+    dnl.load_batch(base, h, [0, 3])
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf, -1.0, 7.5])
+def test_cells_before_each_start_are_not_read(grid_congested, fill):
+    # a pattern has the base's departures before its start, whatever the
+    # batch holds there
+    net, ps, grid, _ = grid_congested
+    T = grid.n_intervals
+    rng = np.random.default_rng(24)
+    h = rng.uniform(0, 4, size=(ps.n_paths, T))
+    base = dnl.load(net, ps, grid, h)
+    starts = np.array([0, 3, 10, T - 1])
+    batch = np.stack([splice(h, rng.uniform(0, 4, size=(ps.n_paths, T - t)), t) for t in starts])
+    closed = np.broadcast_to(np.arange(T) < starts[:, None, None], batch.shape)
+    assert closed.sum() == ps.n_paths * starts.sum()
+    filled = np.where(closed, fill, batch)
+    for want, got in zip(dnl.load_batch(base, batch, starts),
+                         dnl.load_batch(base, filled, starts)):
+        for field in FIELDS:
+            assert np.asarray(getattr(got, field)).tobytes() == \
+                np.asarray(getattr(want, field)).tobytes(), field

@@ -16,9 +16,9 @@ from oracles import (
 )
 
 
-def started(net, ps, grid, h, base, k):
+def started(h, base, k):
     """``h`` loaded as a batch of one that starts at interval k from ``base``."""
-    return dnl.load_batch(net, ps, grid, h[None], base=base, starts=[k])[0]
+    return dnl.load_batch(base, h[None], [k])[0]
 
 
 def single_link_net(length=2400.0, speed=20.0, cap=0.25, jam=0.2, demand=600.0):
@@ -115,12 +115,13 @@ class TestLoadBasics:
     def test_rejects_non_finite_departures(self, three_link, bad):
         # a NaN cell used to load to the step cap and report finite path times
         net, ps, grid, _ = three_link
-        h = np.ones((ps.n_paths, grid.n_intervals))
+        ones = np.ones((ps.n_paths, grid.n_intervals))
+        h = ones.copy()
         h[1, 3] = bad
         with pytest.raises(dnl.DnlError, match="departures must be finite"):
             dnl.load(net, ps, grid, h)
         with pytest.raises(dnl.DnlError, match="departures must be finite"):
-            dnl.load_batch(net, ps, grid, np.stack([np.ones_like(h), h]))
+            dnl.load_batch(dnl.load(net, ps, grid, ones), np.stack([ones, h]), [0, 0])
 
 
 class TestDemandSupplyRules:
@@ -404,7 +405,7 @@ class TestWarmStart:
         modified = h.copy()
         modified[:, 20:] = rng.uniform(0, 4, size=(ps.n_paths, grid.n_intervals - 20))
         cold = dnl.load(net, ps, grid, modified)
-        warm = started(net, ps, grid, modified, base, 20)
+        warm = started(modified, base, 20)
         # intervals before the start are not timed
         assert np.isnan(warm.path_time[:, :20]).all()
         assert np.array_equal(cold.path_time[:, 20:], warm.path_time[:, 20:])
@@ -445,7 +446,7 @@ class TestWarmStartIndexing:
         rng = np.random.default_rng(seed)
         modified[:, k:] = rng.uniform(0, 4, size=(ps.n_paths, grid.n_intervals - k))
         cold = dnl.load(net, ps, grid, modified)
-        warm = started(net, ps, grid, modified, base, k)
+        warm = started(modified, base, k)
         assert warm.n_steps == cold.n_steps
         for field in ("n_up", "n_dn", "src_dn"):
             assert np.array_equal(getattr(cold, field), getattr(warm, field)), field
@@ -471,38 +472,6 @@ class TestWarmStartIndexing:
         h = np.random.default_rng(21).uniform(0, 4, size=(ps.n_paths, grid.n_intervals))
         k = 0 if first_or_last else grid.n_intervals - 1
         self._assert_warm_equals_cold(net, ps, grid, h, k, seed=22)
-
-
-class TestForeignWarmStart:
-    def test_same_shapes_other_scenario_rejected(self, grid_congested, grid_uncongested):
-        net, ps, grid, _ = grid_congested
-        net_u, ps_u, grid_u, _ = grid_uncongested
-        rng = np.random.default_rng(23)
-        h_u = rng.uniform(0, 0.1, size=(ps_u.n_paths, grid_u.n_intervals))
-        base = dnl.load(net_u, ps_u, grid_u, h_u)
-        h = rng.uniform(0, 4, size=(ps.n_paths, grid.n_intervals))
-        with pytest.raises(dnl.DnlError):
-            started(net, ps, grid, h, base, 20)
-
-    def test_other_network_rejected(self, grid_congested, three_link):
-        net, ps, grid, _ = grid_congested
-        net_3, ps_3, grid_3, _ = three_link
-        base = dnl.load(net_3, ps_3, grid_3, np.ones((ps_3.n_paths, grid_3.n_intervals)))
-        with pytest.raises(dnl.DnlError):
-            started(net, ps, grid, np.ones((ps.n_paths, grid.n_intervals)), base, 5)
-
-    def test_other_departure_prefix_rejected(self, grid_congested):
-        net, ps, grid, _ = grid_congested
-        h = np.ones((ps.n_paths, grid.n_intervals))
-        base = dnl.load(net, ps, grid, h)
-        changed = h.copy()
-        changed[0, 3] = 2.0
-        with pytest.raises(dnl.DnlError):
-            started(net, ps, grid, changed, base, 10)
-        # a change at or after the start interval is what warm starts are for
-        changed[0, 3] = 1.0
-        changed[0, 10] = 2.0
-        started(net, ps, grid, changed, base, 10)
 
 
 def _demand_rule(n_up_lagged, n_dn_now, arrival_mass, cap, dt):

@@ -203,9 +203,11 @@ class TestSolveSram:
     @pytest.mark.parametrize("reshape", [
         pytest.param(lambda h: (*h, h[0]), id="third-class"),
         pytest.param(lambda h: h[:, :, :-1], id="one-interval-short"),
+        pytest.param(lambda h: (h[0], h[1][:, :-1]), id="ragged"),
     ])
     def test_rejects_a_start_of_another_shape(self, three_link, reshape):
-        # a third class used to be dropped silently, a short start failed on demand
+        # a third class used to be dropped silently, a short start failed on demand and a
+        # ragged one in numpy
         net, ps, grid, params = three_link
         h0 = random_feasible_parts(np.random.default_rng(0), ps, grid, net.class_demands())
         with pytest.raises(SolverError, match=r"expected \(classes, paths, intervals\) "

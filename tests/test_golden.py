@@ -66,7 +66,7 @@ def test_unused_links_carry_nothing_and_keep_the_refine_factor():
     assert int(np.argmin(ff)) in unused and refine > np.ceil(grid.dt_s / ff[used].min())
     res = dnl.load(net, ps, grid, h)
     assert res.sim_dt_s == grid.dt_s / refine
-    for got in (res, dnl.load_batch(net, ps, grid, h[None])[0]):
+    for got in (res, dnl.load_batch(res, h[None], [0])[0]):
         assert got.n_up.shape == got.n_dn.shape == (net.n_links, res.n_steps + 1)
         assert not got.n_up[unused].any() and not got.n_dn[unused].any()
         assert got.n_up[used, -1].all()
@@ -135,7 +135,7 @@ def test_load_matches_loop_loader_on_random_lattices(seed):
     with step_cap(cap):
         got = dnl.load(net, ps, grid, h)
         cold = dnl.load(net, ps, grid, changed)
-        warm = dnl.load_batch(net, ps, grid, changed[None], base=got, starts=[k])[0]
+        warm = dnl.load_batch(got, changed[None], [k])[0]
     assert_same(outputs(got, net, ps), {f: getattr(want, f) for f in FIELDS})
     assert np.isnan(warm.path_time[:, :k]).all()
     assert_same(started_outputs(warm, k, net, ps),

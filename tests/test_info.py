@@ -52,7 +52,7 @@ class TestForecastInfo:
         net, ps, grid, params = grid_uncongested
         zeros = np.zeros((ps.n_paths, grid.n_intervals))
         loading = dnl.load(net, ps, grid, zeros)
-        started = dnl.load_batch(net, ps, grid, zeros[None], base=loading, starts=[4])[0]
+        started = dnl.load_batch(loading, zeros[None], [4])[0]
         fc = started.path_time[:, 4:]
         assert fc.shape == (ps.n_paths, grid.n_intervals - 4)
         assert np.abs(fc - ps.free_flow_s[:, None]).max() <= 1e-9
@@ -83,7 +83,7 @@ class TestForecastInfo:
         base = dnl.load(net, ps, grid, h)
         pred = rng.uniform(0, 4, size=(ps.n_paths, grid.n_intervals - 10))
         spliced = splice(h, pred, 10)
-        started = dnl.load_batch(net, ps, grid, spliced[None], base=base, starts=[10])[0]
+        started = dnl.load_batch(base, spliced[None], [10])[0]
         cold = dnl.load(net, ps, grid, spliced)
         assert np.array_equal(started.path_time[:, 10:], cold.path_time[:, 10:])
 
