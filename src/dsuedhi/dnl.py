@@ -59,8 +59,8 @@ interval t from a base loading and has the base's departures before t (a
 strategic forecast spliced at t has the candidate's), so the batch's cells
 before t are not read: it copies the base's rows up to step t * refine and
 joins the lockstep pass there. Starts are ascending, so each step works on
-the contiguous range of copies that have joined, and path times are
-computed for intervals from t on only.
+the contiguous range of copies that have joined. Path times are computed
+from t on only: one pass per stepped chunk times its open cells.
 Every pattern keeps its own drain test, tolerance and step count, and gets
 exactly the result of loading it alone from step 0; ``load`` is the batch of
 one. The time axis holds the boundaries stepped so far: it starts at the
@@ -203,31 +203,48 @@ def _interp_rows(flat: np.ndarray, at, frac, hold: bool = False) -> np.ndarray:
     return np.where(frac >= 1.0, hi, out) if hold else out
 
 
-def _invert_rows(curves, flat, starts, targets, dt: float, rate_beyond,
-                 n) -> tuple[np.ndarray, np.ndarray]:
+def _count_below(flat, starts, targets, n) -> np.ndarray:
+    """Samples below each target among the first ``n`` (at least 1) of its row, by bisection.
+
+    Rows are non-decreasing, so ``min((row[:n] < target).sum(), n)`` is a prefix length;
+    probes past sample n - 1 read that sample. Arguments are as for ``_invert_rows``.
+    """
+    last = starts + n - 1
+    top = np.zeros(np.shape(targets), dtype=np.intp) + (starts - 1)  # last sample found below
+    step = 1 << (int(np.max(n)).bit_length() - 1)
+    while step:
+        np.add(top, step, out=top, where=flat[np.minimum(top + step, last)] < targets)
+        step >>= 1
+    return np.minimum(top - (starts - 1), n)
+
+
+def _invert_rows(flat, starts, targets, dt: float, rate_beyond, n,
+                 curves=None) -> tuple[np.ndarray, np.ndarray]:
     """Earliest times at which non-decreasing curves reach targets, per row.
 
-    ``curves`` holds the rows, which ``flat`` stores from ``starts`` (a
-    column) on. ``targets`` is rows x targets per row, searched among the
-    first ``n`` samples of each row (per row, or one for all). Targets are
-    relaxed by a vanishing epsilon so that a probe carrying only numerical
-    dust (logit tail masses far below one vehicle) does not wait for the
-    next real cohort. Counting the samples below a target is
-    ``searchsorted(side="left")`` on these curves. Beyond its last sample a
-    row's curve is extended at its ``rate_beyond``; the second return flags
-    targets that needed that extension.
+    ``flat`` stores each row from ``starts`` on; its targets are searched among
+    its first ``n`` samples. ``starts``, ``n`` and ``rate_beyond`` broadcast
+    against ``targets``, which are relaxed by a vanishing epsilon so that a
+    probe carrying only numerical dust (logit tail masses far below one
+    vehicle) does not wait for the next real cohort. Samples below a target
+    are counted by bisection, or, given ``curves`` (the rows as one array,
+    for targets of shape rows x k), by comparing every sample, which is
+    faster on a step's short rows. Beyond its last sample a row is extended
+    at ``rate_beyond``; the second return flags targets that needed it.
     """
     targets = np.maximum(targets - (_EPS_VEH + _EPS_VEH * targets), 0.0)
-    idx = np.minimum((curves[:, None, :] < targets[:, :, None]).sum(axis=2), n)
+    if curves is None:
+        idx = _count_below(flat, starts, targets, n)
+    else:
+        idx = np.minimum((curves[:, None, :] < targets[:, :, None]).sum(axis=2), n)
     beyond = idx >= n
-    i = np.minimum(np.maximum(idx, 1), n - 1)
-    at = starts + i
-    lo = flat[at - 1]
     inside = (idx > 0) & ~beyond
-    step = np.divide(targets - lo, flat[at] - lo, out=np.zeros(targets.shape), where=inside)
-    out = ((i - 1) + step) * dt  # 0 where no sample is below the target
+    hi = starts + np.where(inside, idx, 0)  # the first sample not below the target
+    lo = flat[hi - inside]
+    step = np.divide(targets - lo, flat[hi] - lo, out=np.zeros(targets.shape), where=inside)
+    out = (np.maximum(idx - 1, 0) + step) * dt  # 0 where no sample is below the target
     if beyond.any():
-        extended = (n - 1) * dt + (targets - flat[starts + n - 1]) / rate_beyond[:, None]
+        extended = (n - 1) * dt + (targets - flat[starts + n - 1]) / rate_beyond
         out = np.where(beyond, extended, out)
     return out, beyond
 
@@ -309,7 +326,6 @@ class _Plan:
         self.source_links = tuple(sorted({seq[0] for seq in seqs}))
         n_src = len(self.source_links)
         src_index = {a: s for s, a in enumerate(self.source_links)}
-        self.src_of_path = np.array([src_index[seq[0]] for seq in seqs], dtype=np.intp)
         # (link or N + source, path) -> the path's next link, or -1 at the exit
         succ = {(N + src_index[seq[0]], p): seq[0] for p, seq in enumerate(seqs)}
         for p, seq in enumerate(seqs):
@@ -338,12 +354,15 @@ class _Plan:
         self.src_links = row[list(self.source_links)]
         self.src_row_start = np.searchsorted(self.slot_row[L:], np.arange(A, A + n_src + 1))
 
-        # row of every path at each hop, padded with -1
+        # row of every path at each hop, its source first, padded with -1; path
+        # times take a source as free-flow time 0 and its first link's capacity
         hops = max((len(seq) for seq in seqs), default=0)
-        path_links = np.full((len(seqs), max(hops, 1)), -1, dtype=np.intp)
+        path_links = np.full((len(seqs), hops + 1), -1, dtype=np.intp)
         for p, seq in enumerate(seqs):
-            path_links[p, : len(seq)] = seq
+            path_links[p, : len(seq) + 1] = (N + src_index[seq[0]], *seq)
         self.path_rows = row[path_links]
+        self.row_ff = np.concatenate((self.ff, np.zeros(n_src)))
+        self.row_cap = np.concatenate((self.cap, self.cap[self.src_links]))
         self._copies: dict[int, _Copies] = {}
         self._lags = (np.empty(0),)
 
@@ -399,6 +418,9 @@ class _Copies:
         self.slot_dest = np.concatenate((tiled(plan.slot_dest[:L], L, block),
                                          tiled(plan.slot_dest[L:], L, link_block)))
         self.src_links = tiled(plan.src_links, A, link_block)
+        # row of copy j's plan row r: links from A * (B-1-j), sources from B * A + n_src * j
+        self.row_of = np.concatenate((A * link_block + np.arange(A),
+                                      B * A + n_src * block + np.arange(n_src)), axis=1)
         self.cap, self.storage = np.tile(plan.cap, B), np.tile(plan.storage, B)
         R = B * (A + n_src)
         self.rate_beyond = np.concatenate((self.cap, np.ones(B * n_src)))
@@ -421,7 +443,7 @@ class _Active:
         self.R = r1 - r0
         links = slice(r0, c.B * A)
         self.cap, self.storage = c.cap[links], c.storage[links]
-        self.rate_beyond = c.rate_beyond[self.rows]
+        self.rate_beyond = c.rate_beyond[self.rows, None]
         self.n_known = c.n_known[self.rows]
         nxt = c.slot_next[self.slots]
         moves = nxt >= 0  # slots whose path continues on a link
@@ -452,12 +474,10 @@ def _first_cols(t_sim: int, s_max: int) -> int:
 # add memory one for one. The 30 forecasts of a 60-link, 23-path lattice with
 # T = 30, whose paths use 24 of the links, take 65,424 bytes each and run as
 # one chunk; with a row for every link they took 92,496 bytes and ran as two
-# chunks of 15.
+# chunks of 15. Path timing then holds a few arrays of one number per open
+# cell of the chunk, at most patterns x paths x intervals: 10,695 cells, or
+# 86 KB per array, for those 30 forecasts.
 _CHUNK_BYTES = 2 * 2**20
-
-# Booleans compared at once when path times count the samples below their
-# targets (256 KiB): batches are timed a few patterns at a time within it.
-_COUNT_CELLS = 2**18
 
 
 def _pattern_bytes(plan: _Plan, grid: TimeGrid) -> int:
@@ -514,7 +534,7 @@ def load(
     if compute_link_times:
         link_time = _link_times(plan, grid, res.link_up, res.link_dn)
         res.instant_path_time = np.zeros(h.shape)
-        for hop in plan.path_rows.T:
+        for hop in plan.path_rows[:, 1:].T:
             on = hop >= 0
             res.instant_path_time[on] += link_time[hop[on]]
     return res
@@ -598,7 +618,7 @@ def _step(
     batch of one keeps its link slot curves, so its result can serve as a
     base.
     """
-    B, P, T = h.shape
+    B, _, T = h.shape
 
     c = plan.copies(B)
     A1, L1, n_src = c.sizes
@@ -671,8 +691,8 @@ def _step(
         window = np.empty((R, 2))
         window[:, 0] = d[:, t]
         np.add(d[:, t], mass, out=window[:, 1])
-        tau, _ = _invert_rows(u[:, : t + 2], u_flat, row_at, window, dt, act.rate_beyond,
-                              act.n_known + t)
+        tau, _ = _invert_rows(u_flat, row_at, window, dt, act.rate_beyond, act.n_known + t,
+                              u[:, : t + 2])
         idx, frac = _positions(tau[seg.of], dt, t + 1)
         ends = _interp_rows(s_flat, slot_at + idx, frac, hold=True)
         comp = np.maximum(ends[:, 1] - ends[:, 0], 0.0)
@@ -707,21 +727,7 @@ def _step(
                 if drained.all():
                     break
 
-    S_end = int(n_steps.max())  # every pattern was stepped this far
-    path_time = np.full((B, P, T), np.nan)
-    extrapolated = np.zeros((B, P, T), dtype=bool)
-    lo = 0
-    while lo < B:
-        # a few patterns at a time, so no temporary outgrows the curves; each
-        # is timed from the earliest start among them, kept from its own
-        t0 = int(starts[lo])
-        hi = min(B, lo + max(1, _COUNT_CELLS // max(1, P * (T - t0) * (S_end + 1))))
-        times, flags = _path_times(plan, grid, dt, up, dn, n_steps, np.arange(lo, hi), t0)
-        timed = np.arange(t0, T) >= starts[lo:hi, None, None]
-        np.copyto(path_time[lo:hi, :, t0:], times, where=timed)
-        np.copyto(extrapolated[lo:hi, :, t0:], flags, where=timed)
-        lo = hi
-
+    path_time, extrapolated = _path_times(plan, grid, c, up, dn, n_steps, starts)
     results = []
     for j, S in enumerate(n_steps.tolist()):
         links = slice((B - 1 - j) * A1, (B - j) * A1)
@@ -764,59 +770,51 @@ def _stored(plan: _Plan, inside: np.ndarray, B: int) -> np.ndarray:
 
 
 def _link_times(plan: _Plan, grid: TimeGrid, link_up, link_dn) -> np.ndarray:
-    """Travel time for entry at each departure-interval boundary, per used link row."""
+    """Travel time for entry at each departure-interval boundary, per used link row.
+
+    Counting by bisection keeps every temporary at rows x intervals, so all rows invert at once.
+    """
     times = grid.interval_starts()
     up, dn = np.ascontiguousarray(link_up), np.ascontiguousarray(link_dn)
     at = np.arange(0, up.size, up.shape[1])[:, None]  # each row's start in the flat curves
     idx, frac = _positions(times, plan.dt, up.shape[1] - 1)
     entries = _interp_rows(up.reshape(-1), at + idx, frac)
-    exit_t = np.empty_like(entries)
-    # at most as many links per inversion as there are paths, so its
-    # temporary stays within the paths x T x steps of _path_times
-    chunk = max(1, len(plan.path_rows))
-    for lo in range(0, plan.A, chunk):
-        rows = slice(lo, lo + chunk)
-        exit_t[rows] = _invert_rows(dn[rows], dn.reshape(-1), at[rows], entries[rows], plan.dt,
-                                    plan.cap[rows], dn.shape[1])[0]
+    exit_t, _ = _invert_rows(dn.reshape(-1), at, entries, plan.dt, plan.cap[:, None],
+                             dn.shape[1])
     return np.maximum(plan.ff[:, None], exit_t - times)
 
 
-def _path_times(
-    plan: _Plan, grid: TimeGrid, sim_dt: float, up, dn, n_steps, copies, t0: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Chain FIFO exit times through source and links, per departure interval.
+def _path_times(plan: _Plan, grid: TimeGrid, c: _Copies, up, dn, n_steps, starts
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Chain FIFO exit times through each path's source and links, per open cell.
 
-    The probe for interval t is the cohort's median vehicle: it departs at the
-    interval midpoint with half of its own column ahead of it, so a column
-    feels the queue it builds itself. ``up`` and ``dn`` hold the rows of a
-    batch in the layout of ``_Copies`` (C-contiguous, with columns past the
-    last step), and pattern b's curves end at its own step ``n_steps[b]``;
-    the results are copies x paths x intervals t0 on.
+    A cell is a (pattern b, path p, interval j >= ``starts[b]``). Its probe is
+    the cohort's median vehicle: it departs at the interval midpoint with
+    half of its own column ahead of it, so a column feels the queue it builds
+    itself. ``up`` and ``dn`` hold the rows of the batch ``c`` (C-contiguous,
+    with columns past the last step); pattern b's curves end at its own step
+    ``n_steps[b]``. Results are patterns x paths x intervals, NaN and False
+    before each start.
     """
-    A1, n_src, P = plan.A, len(plan.source_links), len(plan.path_rows)
-    B, k = len(up) // (A1 + n_src), len(copies)
-    cols, width = up.shape[1], int(n_steps.max()) + 1  # every row was stepped this far
-    hops = np.tile(plan.path_rows, (k, 1))  # link row of each (pattern, path) per hop
-    first_row = np.repeat(A1 * (B - 1 - copies), P)  # each pattern's first link row
-    n = np.repeat(n_steps[copies] + 1, P)[:, None]  # samples per row
-    last = n - 1
-    mids = grid.interval_mids()[t0:]
-    src = B * A1 + np.repeat(n_src * copies, P) + np.tile(plan.src_of_path, k)
-    at = src[:, None] * cols
-    idx, frac = _positions(mids, sim_dt, last)
-    counts = _interp_rows(up.reshape(-1), at + idx, frac)
-    clock, flagged = _invert_rows(dn[src, :width], dn.reshape(-1), at, counts, sim_dt,
-                                  plan.cap[hops[:, 0]], n)
-    clock = np.maximum(clock, mids)
-    for hop in hops.T:
-        on = hop >= 0
-        a = hop[on]
-        row = first_row[on] + a
-        at = row[:, None] * cols
-        idx, frac = _positions(clock[on], sim_dt, last[on])
+    B, P, T = len(n_steps), len(plan.path_rows), grid.n_intervals
+    open_cells = np.broadcast_to(np.arange(T) >= starts[:, None, None], (B, P, T))
+    b, p, j = np.nonzero(open_cells)
+    mids = grid.interval_mids()[j]
+    n = n_steps[b] + 1  # samples per row
+    clock = mids.copy()
+    flagged = np.zeros(len(j), dtype=bool)
+    on = np.arange(len(j))  # cells whose path goes on to this hop
+    for hop in plan.path_rows.T:
+        r = hop[p[on]]
+        on, r = on[r >= 0], r[r >= 0]
+        at = c.row_of[b[on], r] * up.shape[1]
+        idx, frac = _positions(clock[on], plan.dt, n[on] - 1)
         counts = _interp_rows(up.reshape(-1), at + idx, frac)
-        exit_t, beyond = _invert_rows(dn[row, :width], dn.reshape(-1), at, counts, sim_dt,
-                                      plan.cap[a], n[on])
-        clock[on] = np.maximum(clock[on] + plan.ff[a][:, None], exit_t)
+        exit_t, beyond = _invert_rows(dn.reshape(-1), at, counts, plan.dt, plan.row_cap[r], n[on])
+        clock[on] = np.maximum(clock[on] + plan.row_ff[r], exit_t)
         flagged[on] |= beyond
-    return (clock - mids).reshape(k, P, -1), flagged.reshape(k, P, -1)
+    path_time = np.full((B, P, T), np.nan)
+    path_time[open_cells] = clock - mids
+    extrapolated = np.zeros((B, P, T), dtype=bool)
+    extrapolated[open_cells] = flagged
+    return path_time, extrapolated

@@ -408,19 +408,19 @@ def _parses(row, parts: list[str]) -> bool:
 def _read_table(path, fields: int, header: str, row) -> list:
     """Parse a comma-separated table into one ``row(parts)`` record per line.
 
-    Blank lines, ``#`` comments and any line starting with the ``header``
-    text are skipped. Line 1 is the header row and is skipped whatever its
-    column names, unless it reads as a record: a table without its header
-    would otherwise lose its first record. Every other line must have
-    ``fields`` fields. Every ``ParseError`` names the file and the line.
+    Blank lines, ``#`` comments and lines whose first field is ``header`` are
+    skipped. Line 1 is the header row and is skipped whatever its column
+    names, unless it reads as a record: a table without its header would
+    otherwise lose its first record. Every other line must have ``fields``
+    fields. Every ``ParseError`` names the file and the line.
     """
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#") or line.startswith(header):
-                continue
             parts = [p.strip() for p in line.split(",")]
+            if not line or line.startswith("#") or parts[0] == header:
+                continue
             if lineno == 1:
                 if len(parts) == fields and _parses(row, parts):
                     raise ParseError(f"{path}: line 1: a record where the header row belongs")

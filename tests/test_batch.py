@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsuedhi import dnl
+from dsuedhi import network as nw
 from oracles import step_cap
 from test_golden import random_lattice
 
@@ -165,6 +166,22 @@ def test_staggered_starts_equal_cold_solo_loads_on_random_lattices(seed, size, p
         if cap is None:  # again at the default chunking, as the map loads its forecasts
             mp.undo()
             assert_started_equals_solo(net, ps, grid, base, np.stack(batch), starts)
+
+
+def test_long_horizon_staggered_batch_in_chunks_equals_solo_loads(grid_congested, monkeypatch):
+    # at T = 120 each chunk's patterns are timed together over most of the
+    # horizon, each from its own start
+    net, ps, _, _ = grid_congested
+    grid = nw.TimeGrid(120.0 * 120, 120.0)
+    T = grid.n_intervals
+    rng = np.random.default_rng(25)
+    h = rng.uniform(0, 20, size=(ps.n_paths, T))
+    base = dnl.load(net, ps, grid, h)
+    starts = np.array([0, 1, 40, 41, 97, T - 1])
+    batch = np.stack([splice(h, rng.uniform(0, 20, size=(ps.n_paths, T - t)), t) for t in starts])
+    pattern_bytes = dnl._pattern_bytes(dnl._plan(net.links, ps.link_seq, grid), grid)
+    monkeypatch.setattr(dnl, "_CHUNK_BYTES", 3 * pattern_bytes)  # two chunks of three
+    assert_started_equals_solo(net, ps, grid, base, batch, starts)
 
 
 def test_staggered_batch_keeps_a_capped_pattern_beside_drained_ones(three_link):

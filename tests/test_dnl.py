@@ -67,6 +67,40 @@ class TestSegments:
         assert not np.array_equal(np.bincount(seg.of, weights=x), seg.sums(x))
 
 
+class TestInversion:
+    """Counts and inversions on non-decreasing rows stored row after row."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 4), cols=st.integers(1, 40),
+           per_row=st.integers(1, 6))
+    def test_bisection_count_equals_the_broadcast_count(self, data, rows, cols, per_row):
+        # integer increments of 0 make plateaus; half-integer targets fall on
+        # samples, between them, below the first and above the last
+        rises = data.draw(st.lists(st.integers(0, 3), min_size=rows * cols,
+                                   max_size=rows * cols))
+        curves = np.cumsum(np.reshape(rises, (rows, cols)), axis=1).astype(float)
+        n = np.array(data.draw(st.lists(st.integers(1, cols), min_size=rows, max_size=rows)))
+        targets = np.array(data.draw(st.lists(
+            st.lists(st.integers(-2, 6 * cols + 2), min_size=per_row, max_size=per_row),
+            min_size=rows, max_size=rows))) / 2.0
+        at = np.arange(0, curves.size, cols)[:, None]
+        got = dnl._count_below(curves.reshape(-1), at, targets, n[:, None])
+        want = [[min((row[:k] < x).sum(), k) for x in row_targets]
+                for row, k, row_targets in zip(curves, n, targets)]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("compare_all", [False, True])
+    def test_one_sample_rows_reach_a_target_at_or_below_them_at_time_zero(self, compare_all):
+        # every link row holds one sample at step 0; with no sample below the
+        # target the time is 0, not minus one step
+        flat = np.zeros(2)
+        out, beyond = dnl._invert_rows(flat, np.array([[0], [1]]), np.array([[0.0, 1.0]] * 2),
+                                       60.0, np.ones((2, 1)), 1,
+                                       flat.reshape(2, 1) if compare_all else None)
+        assert beyond.tolist() == [[False, True]] * 2
+        assert out.tolist() == [[0.0, pytest.approx(1.0)]] * 2
+
+
 class TestLoadBasics:
     def test_free_flow_single_unit(self):
         # 1000 m at 1000/60 m/s is a 60 s traversal

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -275,6 +276,16 @@ class TestTableParsing:
         f.write_text(f"{header}\n\n# a comment\n   \n{row}\n  # indented comment\n"
                      f"{header}\n{row}\n")
         assert read(f) == [record, record]
+
+    def test_record_whose_first_field_starts_with_a_column_name_is_kept(
+            self, tmp_path, read, header, row, record):
+        # a link "link_id_2" or an origin "originB" was once skipped as a header
+        first, rest = header.split(",")[0], row.split(",", 1)[1]
+        f = tmp_path / "table.csv"
+        f.write_text(f"{header}\n{first}_2,{rest}\n{row}\n{first}B,{rest}\n")
+        key = dataclasses.fields(record)[0].name
+        assert read(f) == [dataclasses.replace(record, **{key: first + "_2"}), record,
+                           dataclasses.replace(record, **{key: first + "B"})]
 
     def test_headerless_table_is_rejected(self, tmp_path, read, header, row, record):
         # line 1 used to be skipped whatever it held, so the first record was lost
