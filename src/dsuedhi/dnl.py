@@ -38,17 +38,21 @@ slot there. Link rows keep link order, so slots, merges and row totals add
 the same numbers in the same order as they would with a row for every link.
 
 Work per plan, per join and per step. A plan (one network's links, path set
-and grid) is built once and kept while among the last few used, with its
-batch copies and the positions of every step's lagged reads, which depend on
-the step alone. A join builds the index arrays of the slots that move on and
-the rows their merge inflows enter. A step is a fixed set of numpy calls over
-all rows, reading curves by flat gathers: one inversion for the FIFO window
-[tau0, tau1] of every row's outflow; ``np.bincount`` for merge inflows, links
-before sources as in a loop over them; ``np.minimum.reduceat`` for each row's
-diverge factor; one scatter to the successor slots, which never collides
-because a path visits a link once; ``np.add.at`` into the existing entry
-column. A slot that moved nothing adds 0.0, which changes no sum: no curve
-holds -0.0.
+and grid) is built once and kept while among the last few used, with the
+index arrays of its batch copies. The time loop is one C function,
+``dnl_step.c``, compiled on first use with the C compiler Python was built
+with and cached on disk (``_kernel``). One call steps the copies that have
+joined, over their contiguous range of rows and slots, up to the next join,
+the last allocated column, or the step at which every pattern has drained;
+between calls Python joins copies and widens the time axis. A step reads
+each link's lagged curves; applies the sending and receiving rules; finds
+every row's FIFO window [tau0, tau1] of its outflow by bisection of its
+entry curve, which never decreases; splits that outflow over the row's
+slots; scales merge inflows to supply and a diverging row's whole outflow
+by its most restrictive factor; and writes the next column, moving each
+slot's outflow to its path's slot on the next link, which never collides
+because a path visits a link once. A slot that moved nothing adds 0.0,
+which changes no sum: no curve holds -0.0.
 
 Batch axis. ``load_batch`` steps B departure patterns of one (network, path
 set, grid) together as B disjoint copies of those rows and slots: the link
@@ -69,13 +73,19 @@ stops at the step cap. A batch whose curves would exceed a fixed byte budget
 at that first size is stepped in equal chunks.
 
 Exact sums. Results are bit-identical to a loop that sums each row's slots
-with ``ndarray.sum``. ``_Segments`` is the one place that rule lives: numpy
-adds fewer than 8 numbers in sequence, as ``np.bincount`` does, and 8 or
-more pairwise, so its per-run totals come from ``bincount`` and runs of 8 or
-more are summed again on their slice. The loader's rows and the logit's
-blocks (``choice``) are both runs of it. ``_fill_sources`` keeps its own
-source-row sums: they run across a non-contiguous axis, which numpy adds in
-sequence, so ``_Segments`` would change their bits.
+with ``ndarray.sum``. The kernel is compiled with -ffp-contract=off and
+without fast-math, so every operation rounds once, as in numpy, and each sum
+mirrors the numpy call it stands for. Merge inflows add in sequence, in slot
+order, links before sources, as ``np.bincount`` does, and each is added to
+the entry column in turn, a source's total in one addition, as ``np.add.at``
+does. Row totals and the drain sum (every link in link order, 0.0 where a
+link has no row, then the sources) are ``ndarray.sum``: 0.0 plus numpy's
+pairwise sum, which adds fewer than 8 numbers in sequence, up to 128 in 8
+accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before the tail
+is added, and more in two halves split at n/2 rounded down to a multiple of
+8. ``_Segments`` states the same rule in numpy for the logit's blocks
+(``choice``). ``_fill_sources`` keeps its own source-row sums: they run
+across a non-contiguous axis, which numpy adds in sequence.
 
 Sensitivity. The sending rule branches on an absolute backlog
 ``> _EPS_VEH`` (1e-12 vehicles). A last-bit change in a per-row total can
@@ -87,8 +97,15 @@ above, not only on the model.
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import os
+import shlex
+import sysconfig
+import tempfile
+import zlib
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -160,25 +177,6 @@ class LoadingResult:
         return np.arange(self.n_steps + 1) * self.sim_dt_s
 
 
-def link_demand_rate(n_up_lagged, n_dn_now, arrival_mass, capacity_vps, dt_s):
-    """Sending flow rate of links over one step, elementwise over arrays.
-
-    ``n_up_lagged`` is the upstream cumulative count one free-flow time ago,
-    ``arrival_mass`` the flow reaching the downstream end during the step when
-    no backlog is queued.
-    """
-    backlog = np.subtract(n_up_lagged, n_dn_now)
-    queued = np.minimum(capacity_vps, backlog / dt_s)
-    free = np.minimum(capacity_vps, np.maximum(arrival_mass, 0.0) / dt_s)
-    return np.where(backlog > _EPS_VEH, queued, free)[()]
-
-
-def link_supply_rate(n_dn_wave_lagged, n_up_now, storage_veh, capacity_vps, dt_s):
-    """Receiving flow rate of links over one step, floored at zero, elementwise."""
-    room = np.add(n_dn_wave_lagged, storage_veh) - n_up_now
-    return np.maximum(0.0, np.minimum(capacity_vps, room / dt_s))[()]
-
-
 def _positions(times, dt: float, last) -> tuple[np.ndarray, np.ndarray]:
     """Sample index and fraction of the next segment of ``times``, on samples every ``dt``.
 
@@ -190,17 +188,14 @@ def _positions(times, dt: float, last) -> tuple[np.ndarray, np.ndarray]:
     return idx, x - idx
 
 
-def _interp_rows(flat: np.ndarray, at, frac, hold: bool = False) -> np.ndarray:
+def _interp_rows(flat: np.ndarray, at, frac) -> np.ndarray:
     """Piecewise-linear values of boundary-sampled curves stored row after row in ``flat``.
 
     ``at`` is a row's start in ``flat`` plus a sample index, ``frac`` the
-    fraction of the next segment (``_positions``); with ``hold``, fraction 1
-    reads the sample itself instead of evaluating the segment there.
+    fraction of the next segment (``_positions``).
     """
     lo = flat[at]
-    hi = flat[at + 1]
-    out = lo + frac * (hi - lo)
-    return np.where(frac >= 1.0, hi, out) if hold else out
+    return lo + frac * (flat[at + 1] - lo)
 
 
 def _count_below(flat, starts, targets, n) -> np.ndarray:
@@ -218,8 +213,7 @@ def _count_below(flat, starts, targets, n) -> np.ndarray:
     return np.minimum(top - (starts - 1), n)
 
 
-def _invert_rows(flat, starts, targets, dt: float, rate_beyond, n,
-                 curves=None) -> tuple[np.ndarray, np.ndarray]:
+def _invert_rows(flat, starts, targets, dt: float, rate_beyond, n) -> tuple[np.ndarray, np.ndarray]:
     """Earliest times at which non-decreasing curves reach targets, per row.
 
     ``flat`` stores each row from ``starts`` on; its targets are searched among
@@ -227,16 +221,12 @@ def _invert_rows(flat, starts, targets, dt: float, rate_beyond, n,
     against ``targets``, which are relaxed by a vanishing epsilon so that a
     probe carrying only numerical dust (logit tail masses far below one
     vehicle) does not wait for the next real cohort. Samples below a target
-    are counted by bisection, or, given ``curves`` (the rows as one array,
-    for targets of shape rows x k), by comparing every sample, which is
-    faster on a step's short rows. Beyond its last sample a row is extended
-    at ``rate_beyond``; the second return flags targets that needed it.
+    are counted by bisection. Beyond its last sample a row is extended at
+    ``rate_beyond``; the second return flags targets that needed it. The
+    step kernel inverts its rows the same way, one target at a time.
     """
     targets = np.maximum(targets - (_EPS_VEH + _EPS_VEH * targets), 0.0)
-    if curves is None:
-        idx = _count_below(flat, starts, targets, n)
-    else:
-        idx = np.minimum((curves[:, None, :] < targets[:, :, None]).sum(axis=2), n)
+    idx = _count_below(flat, starts, targets, n)
     beyond = idx >= n
     inside = (idx > 0) & ~beyond
     hi = starts + np.where(inside, idx, 0)  # the first sample not below the target
@@ -312,10 +302,9 @@ class _Plan:
 
     def __init__(self, links: tuple, seqs: tuple, grid: TimeGrid):
         self.n_links = N = len(links)
-        link_ff = np.array([l.free_flow_s for l in links])
-        link_cap = np.array([l.capacity_vps for l in links])
-        wave_lag = np.array([l.length_m / l.backward_wave_mps for l in links])
-        storage = np.array([l.storage_veh for l in links])
+        link_ff, link_cap, wave_lag, storage = np.array(
+            [(l.free_flow_s, l.capacity_vps, l.length_m / l.backward_wave_mps, l.storage_veh)
+             for l in links], dtype=float).reshape(-1, 4).T
         # refine the internal step until every link, used or not, spans at
         # least one step
         min_ff = float(link_ff.min()) if N else grid.dt_s
@@ -364,26 +353,11 @@ class _Plan:
         self.row_ff = np.concatenate((self.ff, np.zeros(n_src)))
         self.row_cap = np.concatenate((self.cap, self.cap[self.src_links]))
         self._copies: dict[int, _Copies] = {}
-        self._lags = (np.empty(0),)
 
     def copies(self, B: int) -> _Copies:
         if B not in self._copies:
             self._copies[B] = _Copies(self, B)
         return self._copies[B]
-
-    def lags(self, cols: int) -> tuple[np.ndarray, np.ndarray]:
-        """Positions (steps x 3 x 1 x used links) of the lagged reads of steps 0 to ``cols`` - 2.
-
-        Step t reads entries at t*dt - ff and t*dt + dt - ff and exits at t*dt - wave_lag, none
-        after t*dt <= (cols - 2) * dt, so the clamp to the last sample never binds.
-        """
-        if len(self._lags[0]) < cols:
-            now = (np.arange(cols, dtype=float) * self.dt)[:, None]
-            times = np.stack((np.minimum(now - self.ff, now),
-                              np.minimum(now + self.dt - self.ff, now),
-                              now - self.wave_lag), axis=1)
-            self._lags = _positions(times[:, :, None, :], self.dt, cols - 1)
-        return self._lags
 
 
 _plan = functools.lru_cache(maxsize=8)(_Plan)
@@ -396,13 +370,14 @@ class _Copies:
     0, 1, ..., B-1; slots are numbered row-major, so the link slots of each
     copy, and its source slots, form blocks in the plan's slot order. The
     first k copies thus hold one contiguous range of rows and one of slots,
-    links before sources (``_Active``). A merge, a row total or a drain sum
-    adds the same numbers in the same order as a load of one copy alone.
+    links before sources, which the step kernel steps. A merge, a row total
+    or a drain sum adds the same numbers in the same order as a load of one
+    copy alone. ``args`` leads every kernel call: the index arrays, the
+    plan's link parameters, the sizes and the step.
     """
 
     def __init__(self, plan: _Plan, B: int):
         A, L, n_src = plan.A, plan.n_link_slots, len(plan.source_links)
-        self.B = B
         self.sizes = (A, L, n_src)
         block = np.arange(B)[:, None]  # copy j's sources are block j
         link_block = block[::-1]  # and its links block B-1-j
@@ -411,8 +386,8 @@ class _Copies:
             return np.where(index >= 0, index + shift * blocks, -1).ravel()
 
         size = np.bincount(plan.slot_row)  # slots per row: links, then sources
-        self.seg = _Segments.from_sizes(np.concatenate((np.tile(size[:A], B),
-                                                        np.tile(size[A:], B))))
+        self.row_start = np.cumsum(np.concatenate(([0], np.tile(size[:A], B),
+                                                   np.tile(size[A:], B))))
         self.slot_next = np.concatenate((tiled(plan.slot_next[:L], A, block),
                                          tiled(plan.slot_next[L:], A, link_block)))
         self.slot_dest = np.concatenate((tiled(plan.slot_dest[:L], L, block),
@@ -421,39 +396,12 @@ class _Copies:
         # row of copy j's plan row r: links from A * (B-1-j), sources from B * A + n_src * j
         self.row_of = np.concatenate((A * link_block + np.arange(A),
                                       B * A + n_src * block + np.arange(n_src)), axis=1)
-        self.cap, self.storage = np.tile(plan.cap, B), np.tile(plan.storage, B)
-        R = B * (A + n_src)
-        self.rate_beyond = np.concatenate((self.cap, np.ones(B * n_src)))
-        # samples known at step 0: a link's entries up to now, a source's one step ahead
-        self.n_known = (np.arange(R) >= B * A).astype(np.intp)[:, None] + 1
-
-
-class _Active:
-    """The rows and slots of the first k copies, indexed from their start.
-
-    Built once per join, with the index arrays a step over them uses.
-    """
-
-    def __init__(self, c: _Copies, k: int):
-        A, L, n_src = c.sizes
-        r0, r1 = (c.B - k) * A, c.B * A + k * n_src
-        self.rows = slice(r0, r1)
-        self.seg, self.slots = c.seg.part(r0, r1)  # each row's slots; no row is empty
-        self.A, self.L = k * A, k * L
-        self.R = r1 - r0
-        links = slice(r0, c.B * A)
-        self.cap, self.storage = c.cap[links], c.storage[links]
-        self.rate_beyond = c.rate_beyond[self.rows, None]
-        self.n_known = c.n_known[self.rows]
-        nxt = c.slot_next[self.slots]
-        moves = nxt >= 0  # slots whose path continues on a link
-        self.next_row = np.where(moves, nxt - r0, self.A)  # A, a pad, where it ends
-        self.moving = np.flatnonzero(moves)
-        self.moving_dest = c.slot_dest[self.slots][self.moving] - self.slots.start
-        self.link_moving = self.moving[: np.searchsorted(self.moving, self.L)]
-        # merge inflows: the link slots that move, in slot order, then the sources
-        self.inflow_index = np.concatenate((self.next_row[self.link_moving],
-                                            c.src_links[: k * n_src] - r0))
+        # the kernel reads contiguous int64 indices and float64 parameters, kept alive here
+        self._buffers = tuple(np.ascontiguousarray(x, dtype=np.int64) for x in (
+            self.row_start, self.slot_next, self.slot_dest, self.src_links, plan.used_links)
+        ) + tuple(np.ascontiguousarray(x, dtype=float) for x in (
+            plan.ff, plan.cap, plan.wave_lag, plan.storage))
+        self.args = (*(x.ctypes.data for x in self._buffers), B, A, n_src, plan.n_links, plan.dt)
 
 
 def _step_cap(t_sim: int) -> int:
@@ -468,13 +416,13 @@ def _first_cols(t_sim: int, s_max: int) -> int:
 
 # Curves of one batch chunk (entries, exits and slot entries of every pattern
 # at the first allocation) stay under 2 MiB; a batch over it is split into
-# chunks of equal size. The step's temporaries are about as large again, so a
-# batch of forecasts adds a few MB at most to the peak memory of the
-# one-at-a-time loads it replaces. Larger chunks save per-step overhead but
-# add memory one for one. The 30 forecasts of a 60-link, 23-path lattice with
-# T = 30, whose paths use 24 of the links, take 65,424 bytes each and run as
-# one chunk; with a row for every link they took 92,496 bytes and ran as two
-# chunks of 15. Path timing then holds a few arrays of one number per open
+# chunks of equal size. The step kernel's work arrays hold a few numbers per
+# row and slot, so a batch of forecasts adds about that budget at most to the
+# peak memory of the one-at-a-time loads it replaces. Larger chunks save calls
+# but add memory one for one. The 30 forecasts of a 60-link, 23-path lattice
+# with T = 30, whose paths use 24 of the links, take 65,424 bytes each and run
+# as one chunk; with a row for every link they took 92,496 bytes and ran as
+# two chunks of 15. Path timing then holds a few arrays of one number per open
 # cell of the chunk, at most patterns x paths x intervals: 10,695 cells, or
 # 86 KB per array, for those 30 forecasts.
 _CHUNK_BYTES = 2 * 2**20
@@ -602,6 +550,68 @@ def _fill_sources(plan: _Plan, h: np.ndarray, src_slots: np.ndarray, src_rows: n
         per_row[:, s] = per_copy[:, start[s] : start[s + 1]].sum(axis=1)
 
 
+_KERNEL_SOURCE = Path(__file__).with_name("dnl_step.c")
+
+
+def _cache_dir() -> str:
+    """``$XDG_CACHE_HOME/dsuedhi`` or ``~/.cache/dsuedhi``; a new private one if unwritable."""
+    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    path = os.path.join(root, "dsuedhi")
+    try:
+        os.makedirs(path, mode=0o700, exist_ok=True)
+    except OSError:
+        pass
+    return path if os.access(path, os.W_OK | os.X_OK) else tempfile.mkdtemp(prefix="dsuedhi-")
+
+
+def _library(cc: list[str]) -> str:
+    """Path of the step kernel built by the compiler command ``cc``, built on first use.
+
+    The file name carries the CRC-32 of the source and the command, so a
+    cached library is reused until either changes. It is built under a
+    temporary name and moved into place, so no reader sees a partial file.
+    """
+    source = _KERNEL_SOURCE.read_bytes()
+    command = [*cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off"]
+    directory = _cache_dir()
+    key = zlib.crc32(source + shlex.join(command).encode())
+    path = os.path.join(directory, f"dnl_step-{key:08x}.so")
+    if os.path.exists(path):
+        return path
+    import subprocess  # only to build
+
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=directory)
+    os.close(fd)
+    command += ["-o", tmp, str(_KERNEL_SOURCE)]
+    try:
+        try:
+            run = subprocess.run(command, capture_output=True, text=True)
+        except OSError as exc:
+            raise DnlError(f"building the step kernel failed: {shlex.join(command)}\n{exc}"
+                           ) from None
+        if run.returncode:
+            raise DnlError(f"building the step kernel failed (exit {run.returncode}): "
+                           f"{shlex.join(command)}\n{run.stderr}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return path
+
+
+@functools.cache
+def _kernel() -> ctypes.CDLL:
+    """The step kernel (``dnl_step.c``), built with the C compiler Python was built with."""
+    lib = ctypes.CDLL(_library(shlex.split(sysconfig.get_config_var("CC") or "cc")))
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    lib.dnl_step.argtypes = [ptr] * 9 + [i64] * 4 + [ctypes.c_double] + [i64] * 5 + [ptr] * 6
+    lib.dnl_step.restype = i64
+    lib.dnl_sum.argtypes = [ptr, i64]
+    lib.dnl_stored.argtypes = [ptr, ptr] + [i64] * 5 + [ptr]
+    lib.dnl_sum.restype = lib.dnl_stored.restype = ctypes.c_double
+    return lib
+
+
 def _step(
     plan: _Plan,
     grid: TimeGrid,
@@ -630,9 +640,9 @@ def _step(
     cols = _first_cols(t_sim, s_max)
 
     # cumulative entries and exits of every row, entries of every slot
-    up = np.zeros((len(c.rate_beyond), cols))
-    dn = np.zeros((len(c.rate_beyond), cols))
-    slots = np.zeros((len(c.seg.of), cols))
+    up = np.zeros((len(c.row_start) - 1, cols))
+    dn = np.zeros(up.shape)
+    slots = np.zeros((len(c.slot_next), cols))
 
     _fill_sources(plan, h, slots[LB:], up[AB:])
 
@@ -646,86 +656,21 @@ def _step(
             rows.reshape(B, -1, cols)[:, :, :k] = curves[:, :k]
 
     drain_tol = np.array([1e-9 * max(1.0, float(x.sum())) for x in h])
-    n_steps = np.full(B, s_max)
+    n_steps = np.full(B, s_max, dtype=np.int64)
     drained = np.zeros(B, dtype=bool)
-    joined = 0
-    for t in range(int(joins[0]), s_max):
-        stale = t + 2 > cols  # views of the curves to take again
-        if stale:
+    step = _kernel().dnl_step
+    t = int(joins[0])
+    while t < s_max and not drained.all():
+        if t + 2 > cols:
             cols = min(s_max + 1, cols + cols // 2)
             up, dn, slots = (_widen(x, cols) for x in (up, dn, slots))
-        if joined < B and joins[joined] <= t:
-            joined = int(np.searchsorted(joins, t, side="right"))
-            act = _Active(c, joined)
-            A, L, R, seg = act.A, act.L, act.R, act.seg
-            stale = True
-        if stale:
-            u, d, s = up[act.rows], dn[act.rows], slots[act.slots]
-            n_up, src_up, n_dn, src_dn = u[:A], u[A:], d[:A], d[A:]
-            # the same rows stored row after row, each row's start there
-            u_flat, d_flat, s_flat = u.reshape(-1), d.reshape(-1), s.reshape(-1)
-            row_at, slot_at = (np.arange(0, x.size, cols)[:, None] for x in (u, s))
-            link_at = row_at[:A].reshape(-1, plan.A)  # copies x the plan's link rows
-            lag_idx, lag_frac = plan.lags(cols)
-        n_up[:, t + 1] = n_up[:, t]
-        d[:, t + 1] = d[:, t]
-        s[:L, t + 1] = s[:L, t]
-
-        # lagged reads: entries a free-flow time before the step's ends, exits a wave time ago
-        at, frac = link_at + lag_idx[t], lag_frac[t]
-        nup_lag, arr_hi = _interp_rows(u_flat, at[:2], frac[:2]).reshape(2, A)
-        ndn_wave = _interp_rows(d_flat, at[2], frac[2]).reshape(A)
-
-        # sending masses: links by the demand rule, sources all that entered
-        ndn_now = n_dn[:, t]
-        mass = np.concatenate((
-            link_demand_rate(nup_lag, ndn_now, arr_hi - nup_lag, act.cap, dt) * dt,
-            src_up[:, t + 1] - src_dn[:, t]))
-        sends = mass > _EPS_VEH  # tested before the clamp to what has arrived
-        bound = np.where(nup_lag - ndn_now > _EPS_VEH, nup_lag, arr_hi) - ndn_now
-        np.minimum(mass[:A], bound, out=mass[:A])
-        mass = np.where(sends, mass, 0.0)
-
-        # FIFO: the mass leaving a row entered it during [tau0, tau1]; each
-        # slot's entries over that window, scaled to the mass, leave with it
-        window = np.empty((R, 2))
-        window[:, 0] = d[:, t]
-        np.add(d[:, t], mass, out=window[:, 1])
-        tau, _ = _invert_rows(u_flat, row_at, window, dt, act.rate_beyond, act.n_known + t,
-                              u[:, : t + 2])
-        idx, frac = _positions(tau[seg.of], dt, t + 1)
-        ends = _interp_rows(s_flat, slot_at + idx, frac, hold=True)
-        comp = np.maximum(ends[:, 1] - ends[:, 0], 0.0)
-        total = seg.sums(comp)
-        comp *= np.divide(mass, total, out=np.ones(R), where=total > 0.0)[seg.of]
-
-        # receiving masses; merges scale inflows to supply
-        recv_mass = link_supply_rate(ndn_wave, n_up[:, t], act.storage, act.cap, dt) * dt
-        inflow_demand = np.bincount(act.inflow_index,
-                                    np.concatenate((comp[act.link_moving], mass[A:])), minlength=A)
-        factor = np.ones(A + 1)  # and 1 for slots whose path ends
-        np.divide(recv_mass, inflow_demand, out=factor[:A], where=inflow_demand > recv_mass)
-
-        # diverges scale a row's whole outflow by its most restrictive factor
-        theta = np.minimum.reduceat(np.where(comp > 0.0, factor[act.next_row], 1.0), seg.start)
-        out = comp * theta[seg.of]
-        total = seg.sums(out)
-        d[:, t + 1] += total
-
-        # transfer to each path's slot on its next link (never collides); each
-        # inflow is added to the entry column in turn, as a loop does (a sum
-        # added at once rounds otherwise), a source's total in one addition
-        s[:, t + 1][act.moving_dest] += out[act.moving]
-        np.add.at(n_up[:, t + 1], act.inflow_index,
-                  np.concatenate((out[act.link_moving], total[A:])))
-
-        if t + 1 >= t_sim:  # every copy has joined
-            done = _stored(plan, u[:, t + 1] - d[:, t + 1], B) <= drain_tol
-            if done.any():
-                n_steps[done & ~drained] = t + 1
-                drained |= done
-                if drained.all():
-                    break
+        joined = int(np.searchsorted(joins, t, side="right"))
+        # to the next join, the last allocated column or the step cap, or until all drain
+        stop = min(s_max, cols - 1, *joins[joined : joined + 1].tolist())
+        t = step(*c.args, joined, t, stop, t_sim, cols, *(x.ctypes.data for x in (
+            up, dn, slots, drain_tol, n_steps, drained)))
+        if t < 0:
+            raise MemoryError("step kernel could not allocate its work arrays")
 
     path_time, extrapolated = _path_times(plan, grid, c, up, dn, n_steps, starts)
     results = []
@@ -748,25 +693,6 @@ def _step(
             _state=(plan, h[j], slots[:L1, : S + 1]) if B == 1 else None,
         ))
     return results
-
-
-def _stored(plan: _Plan, inside: np.ndarray, B: int) -> np.ndarray:
-    """Vehicles stored in each of B patterns; ``inside`` is entries minus exits per row.
-
-    A pattern's links are summed over all links in link order, with zeros on
-    the links that have no row, as with a row for every link. Summing only
-    the rows would not give the same total: numpy adds 8 or more numbers
-    pairwise, in partial sums picked by position, so where a number sits
-    changes the rounding, and a last-bit change can move the step at which a
-    pattern drains. With every link on a path the rows are that layout
-    already, and no array is built.
-    """
-    on_links = inside[: B * plan.A].reshape(B, -1)
-    if plan.A < plan.n_links:
-        every_link = np.zeros((B, plan.n_links))
-        every_link[:, plan.used_links] = on_links
-        on_links = every_link
-    return on_links.sum(axis=1)[::-1] + inside[B * plan.A :].reshape(B, -1).sum(axis=1)
 
 
 def _link_times(plan: _Plan, grid: TimeGrid, link_up, link_dn) -> np.ndarray:

@@ -4,7 +4,8 @@ This is the loader as it was before the whole-network stepper, kept
 unchanged apart from its interface: it takes a plain departure matrix, has
 no warm start, counts no calls, raises ``ValueError`` and returns a
 ``SimpleNamespace`` with the fields of ``dnl.LoadingResult``. ``dnl.load``
-must reproduce its outputs bit for bit.
+must reproduce its outputs bit for bit. Beside its scalar rate rules are
+their array forms, which the rule tests and ``oracles`` use.
 """
 
 from __future__ import annotations
@@ -47,6 +48,20 @@ def link_supply_rate(
     """Receiving flow rate of one link over one step, floored at zero."""
     room = n_dn_wave_lagged + storage_veh - n_up_now
     return max(0.0, min(capacity_vps, room / dt_s))
+
+
+def link_demand_rates(n_up_lagged, n_dn_now, arrival_mass, capacity_vps, dt_s):
+    """``link_demand_rate`` elementwise over arrays, as numpy evaluates it."""
+    backlog = np.subtract(n_up_lagged, n_dn_now)
+    queued = np.minimum(capacity_vps, backlog / dt_s)
+    free = np.minimum(capacity_vps, np.maximum(arrival_mass, 0.0) / dt_s)
+    return np.where(backlog > _EPS_VEH, queued, free)[()]
+
+
+def link_supply_rates(n_dn_wave_lagged, n_up_now, storage_veh, capacity_vps, dt_s):
+    """``link_supply_rate`` elementwise over arrays, as numpy evaluates it."""
+    room = np.add(n_dn_wave_lagged, storage_veh) - n_up_now
+    return np.maximum(0.0, np.minimum(capacity_vps, room / dt_s))[()]
 
 
 def _interp(values: np.ndarray, dt: float, t: float) -> float:

@@ -18,6 +18,7 @@ import pytest
 
 from dsuedhi import choice, dnl, equilibrium
 from dsuedhi import network as nw
+from loop_loader import link_supply_rates
 
 
 def vehicles_stored(res: dnl.LoadingResult) -> float:
@@ -224,7 +225,7 @@ def partially_full_supply_comparison():
             lagged.v = dn
             now = FineCurve(len(up) - 1, step)
             now.v = up
-            return dnl.link_supply_rate(
+            return link_supply_rates(
                 lagged.at(t - wave_lag), now.at(t), storage, cap, dt
             )
 

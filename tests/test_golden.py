@@ -85,7 +85,11 @@ def test_drain_sum_adds_every_link_in_link_order(seed):
     links[:, plan.used_links] = inside[: B * A].reshape(B, A)[::-1]  # copies B-1, ..., 0
     sources = inside[B * A :].reshape(B, n_src)
     want = [np.sum(links[j]) + np.sum(sources[j]) for j in range(B)]
-    assert np.array_equal(dnl._stored(plan, inside, B), want)
+    every_link = np.empty(net.n_links)
+    got = [dnl._kernel().dnl_stored(inside.ctypes.data, plan.used_links.ctypes.data, B, A,
+                                    n_src, net.n_links, j, every_link.ctypes.data)
+           for j in range(B)]
+    assert got == want
 
 
 def random_lattice(seed: int):
