@@ -25,7 +25,7 @@ intervals of a table, realizing one column at a time from its own remaining
 demand. ``tentative_departures`` is the one-interval case of both. Per
 block, results are bit-identical to a logit over that block alone:
 elementwise steps and maxima are exact in any layout, and the blocks are runs
-of a ``dnl._Segments``, whose sums add the same numbers in the same order as
+of a ``_Segments``, whose sums add the same numbers in the same order as
 ``ndarray.sum`` on the block.
 """
 
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dnl import _Segments
 from .network import PathSet, TimeGrid
 
 
@@ -96,6 +95,49 @@ def cell_disutility(phi_s, grid: TimeGrid, path_set: PathSet, params: ChoicePara
     return systematic_disutility(phi_s / u, grid.interval_mids() / u,
                                  (ta / u)[path_set.od_of_path][:, None],
                                  params.mu_early, params.mu_late)
+
+
+@dataclass(frozen=True)
+class _Segments:
+    """Consecutive runs of a flat array, each totalled as ``ndarray.sum`` totals it.
+
+    ``start`` holds each run's first element and ``of`` the run of every
+    element. numpy adds fewer than 8 numbers in sequence, as ``np.bincount``
+    does, and 8 or more pairwise, so ``sums`` takes every total from
+    ``bincount`` and sums the runs of 8 or more again, each on its own row of
+    element indices: ``wide`` holds (runs, element indices) per run size.
+    """
+
+    start: np.ndarray  # (runs,)
+    of: np.ndarray  # (elements,)
+    wide: tuple
+
+    @classmethod
+    def from_sizes(cls, size) -> _Segments:
+        size = np.asarray(size, dtype=np.intp)
+        start = np.cumsum(size) - size
+        wide = []
+        for n in sorted(set(size[size >= 8].tolist())):
+            runs = np.flatnonzero(size == n)
+            wide.append((runs, start[runs][:, None] + np.arange(n)))
+        return cls(start, np.repeat(np.arange(len(size)), size), tuple(wide))
+
+    def sums(self, x: np.ndarray) -> np.ndarray:
+        """Per-run totals of ``x``, each bit-identical to ``x[run].sum()``."""
+        out = np.bincount(self.of, weights=x, minlength=len(self.start))
+        for runs, index in self.wide:
+            out[runs] = x[index].sum(axis=1)
+        return out
+
+    def part(self, lo: int, hi: int) -> tuple[_Segments, slice]:
+        """Runs ``lo``..``hi - 1``, re-based to start at 0, and the slice of their elements."""
+        e0, e1 = (int(self.start[r]) if r < len(self.start) else len(self.of) for r in (lo, hi))
+        wide = []
+        for runs, index in self.wide:
+            a, b = np.searchsorted(runs, (lo, hi))
+            if b > a:
+                wide.append((runs[a:b] - lo, index[a:b] - e0))
+        return _Segments(self.start[lo:hi] - e0, self.of[e0:e1] - lo, tuple(wide)), slice(e0, e1)
 
 
 @dataclass(frozen=True)

@@ -37,40 +37,36 @@ Index arrays give each slot its row, its path's next link row, and the path's
 slot there. Link rows keep link order, so slots, merges and row totals add
 the same numbers in the same order as they would with a row for every link.
 
-Work per plan, per join and per step. A plan (one network's links, path set
-and grid) is built once and kept while among the last few used, with the
-index arrays of its batch copies. The time loop is one C function,
-``dnl_step.c``, compiled on first use with the C compiler Python was built
-with and cached on disk (``_kernel``). One call steps the copies that have
-joined, over their contiguous range of rows and slots, up to the next join,
-the last allocated column, or the step at which every pattern has drained;
-between calls Python joins copies and widens the time axis. A step reads
-each link's lagged curves; applies the sending and receiving rules; finds
-every row's FIFO window [tau0, tau1] of its outflow by bisection of its
-entry curve, which never decreases; splits that outflow over the row's
-slots; scales merge inflows to supply and a diverging row's whole outflow
-by its most restrictive factor; and writes the next column, moving each
-slot's outflow to its path's slot on the next link, which never collides
-because a path visits a link once. A slot that moved nothing adds 0.0,
-which changes no sum: no curve holds -0.0.
+Work per plan and per step. A plan (one network's links, path set and grid)
+is built once, with the index arrays the kernel reads, and kept while among
+the last few used. The time loop is one C function, ``dnl_step.c``, compiled
+on first use with the C compiler Python was built with and cached on disk
+(``_kernel``). One call steps each pattern of a batch on its own up to the
+last allocated column, or until it drains; between calls Python widens the
+time axis. A step reads each link's lagged curves; applies the sending and
+receiving rules; finds every row's FIFO window [tau0, tau1] of its outflow by
+bisection of its entry curve, which never decreases; splits that outflow
+over the row's slots; scales merge inflows to supply and a diverging row's
+whole outflow by its most restrictive factor; and writes the next column,
+moving each slot's outflow to its path's slot on the next link, which never
+collides because a path visits a link once. A slot that moved nothing adds
+0.0, which changes no sum: no curve holds -0.0.
 
-Batch axis. ``load_batch`` steps B departure patterns of one (network, path
-set, grid) together as B disjoint copies of those rows and slots: the link
-rows of copies B-1, ..., 0, then the sources of copies 0, ..., B-1, each
-copy's slots a block in the single-pattern order, so the first k copies
-occupy one contiguous range of rows and slots. Each pattern starts at an
-interval t from a base loading and has the base's departures before t (a
-strategic forecast spliced at t has the candidate's), so the batch's cells
-before t are not read: it copies the base's rows up to step t * refine and
-joins the lockstep pass there. Starts are ascending, so each step works on
-the contiguous range of copies that have joined. Path times are computed
-from t on only: one pass per stepped chunk times its open cells.
-Every pattern keeps its own drain test, tolerance and step count, and gets
-exactly the result of loading it alone from step 0; ``load`` is the batch of
-one. The time axis holds the boundaries stepped so far: it starts at the
-horizon plus half of it, grows by half while a pattern has not drained, and
-stops at the step cap. A batch whose curves would exceed a fixed byte budget
-at that first size is stepped in equal chunks.
+Batch axis. ``load_batch`` loads B departure patterns of one (network, path
+set, grid) as B single loads stacked copy-major: entries and exits are one
+(B, rows, columns) array each and slot entries one (B, slots, columns)
+array, every copy in the plan's own row and slot order. Each pattern starts
+at an interval t from a base loading and has the base's departures before t
+(a strategic forecast spliced at t has the candidate's), so the batch's
+cells before t are not read: it copies the base's rows up to step t * refine
+and steps from there on its own until it drains or reaches the step cap.
+Path times are computed from t on only: one pass per stepped chunk times its
+open cells. Every pattern keeps its own drain test, tolerance and step
+count, and gets exactly the result of loading it alone from step 0; ``load``
+is the batch of one. The time axis holds the boundaries stepped so far: it
+starts at the horizon plus half of it, grows by half while a pattern has not
+drained, and stops at the step cap. A batch whose curves would exceed a
+fixed byte budget at that first size is stepped in equal chunks.
 
 Exact sums. Results are bit-identical to a loop that sums each row's slots
 with ``ndarray.sum``. The kernel is compiled with -ffp-contract=off and
@@ -83,9 +79,8 @@ link has no row, then the sources) are ``ndarray.sum``: 0.0 plus numpy's
 pairwise sum, which adds fewer than 8 numbers in sequence, up to 128 in 8
 accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before the tail
 is added, and more in two halves split at n/2 rounded down to a multiple of
-8. ``_Segments`` states the same rule in numpy for the logit's blocks
-(``choice``). ``_fill_sources`` keeps its own source-row sums: they run
-across a non-contiguous axis, which numpy adds in sequence.
+8. ``_fill_sources`` keeps its own source-row sums: they run across a
+non-contiguous axis, which numpy adds in sequence.
 
 Sensitivity. The sending rule branches on an absolute backlog
 ``> _EPS_VEH`` (1e-12 vehicles). A last-bit change in a per-row total can
@@ -239,54 +234,11 @@ def _invert_rows(flat, starts, targets, dt: float, rate_beyond, n) -> tuple[np.n
     return out, beyond
 
 
-@dataclass(frozen=True)
-class _Segments:
-    """Consecutive runs of a flat array, each totalled as ``ndarray.sum`` totals it.
-
-    ``start`` holds each run's first element and ``of`` the run of every
-    element. numpy adds fewer than 8 numbers in sequence, as ``np.bincount``
-    does, and 8 or more pairwise, so ``sums`` takes every total from
-    ``bincount`` and sums the runs of 8 or more again, each on its own row of
-    element indices: ``wide`` holds (runs, element indices) per run size.
-    """
-
-    start: np.ndarray  # (runs,)
-    of: np.ndarray  # (elements,)
-    wide: tuple
-
-    @classmethod
-    def from_sizes(cls, size) -> _Segments:
-        size = np.asarray(size, dtype=np.intp)
-        start = np.cumsum(size) - size
-        wide = []
-        for n in sorted(set(size[size >= 8].tolist())):
-            runs = np.flatnonzero(size == n)
-            wide.append((runs, start[runs][:, None] + np.arange(n)))
-        return cls(start, np.repeat(np.arange(len(size)), size), tuple(wide))
-
-    def sums(self, x: np.ndarray) -> np.ndarray:
-        """Per-run totals of ``x``, each bit-identical to ``x[run].sum()``."""
-        out = np.bincount(self.of, weights=x, minlength=len(self.start))
-        for runs, index in self.wide:
-            out[runs] = x[index].sum(axis=1)
-        return out
-
-    def part(self, lo: int, hi: int) -> tuple[_Segments, slice]:
-        """Runs ``lo``..``hi - 1``, re-based to start at 0, and the slice of their elements."""
-        e0, e1 = (int(self.start[r]) if r < len(self.start) else len(self.of) for r in (lo, hi))
-        wide = []
-        for runs, index in self.wide:
-            a, b = np.searchsorted(runs, (lo, hi))
-            if b > a:
-                wide.append((runs[a:b] - lo, index[a:b] - e0))
-        return _Segments(self.start[lo:hi] - e0, self.of[e0:e1] - lo, tuple(wide)), slice(e0, e1)
-
-
 def _widen(curves: np.ndarray, cols: int) -> np.ndarray:
     """``curves`` with ``cols`` columns, the new ones copies of the last."""
-    out = np.empty((len(curves), cols))
-    out[:, : curves.shape[1]] = curves
-    out[:, curves.shape[1] :] = curves[:, -1:]
+    out = np.empty((*curves.shape[:-1], cols))
+    out[..., : curves.shape[-1]] = curves
+    out[..., curves.shape[-1] :] = curves[..., -1:]
     return out
 
 
@@ -297,7 +249,8 @@ class _Plan:
     connector per distinct first link. A slot is one (row, path) pair; slots
     are numbered row-major, in path order within a row. The other links
     never carry a vehicle and get no row. ``_plan`` keeps the last few plans,
-    so loads of one network share one; a plan changes only to cache more.
+    so loads of one network share one. ``args`` leads every step kernel
+    call: the index arrays, the link parameters, the sizes and the step.
     """
 
     def __init__(self, links: tuple, seqs: tuple, grid: TimeGrid):
@@ -341,7 +294,9 @@ class _Plan:
         self.slot_row = row[slot_link]
         self.slot_next = row[[succ[pair] for pair in pairs]]
         self.src_links = row[list(self.source_links)]
-        self.src_row_start = np.searchsorted(self.slot_row[L:], np.arange(A, A + n_src + 1))
+        size = np.bincount(self.slot_row, minlength=A + n_src)  # slots per row
+        row_start = np.concatenate(([0], np.cumsum(size)))
+        self.src_row_start = row_start[A:] - L
 
         # row of every path at each hop, its source first, padded with -1; path
         # times take a source as free-flow time 0 and its first link's capacity
@@ -352,56 +307,16 @@ class _Plan:
         self.path_rows = row[path_links]
         self.row_ff = np.concatenate((self.ff, np.zeros(n_src)))
         self.row_cap = np.concatenate((self.cap, self.cap[self.src_links]))
-        self._copies: dict[int, _Copies] = {}
 
-    def copies(self, B: int) -> _Copies:
-        if B not in self._copies:
-            self._copies[B] = _Copies(self, B)
-        return self._copies[B]
+        # the kernel reads contiguous int64 indices and float64 parameters, kept alive here
+        self._buffers = tuple(np.ascontiguousarray(x, dtype=np.int64) for x in (
+            row_start, self.slot_next, self.slot_dest, self.src_links, self.used_links)
+        ) + tuple(np.ascontiguousarray(x, dtype=float) for x in (
+            self.ff, self.cap, self.wave_lag, self.storage))
+        self.args = (*(x.ctypes.data for x in self._buffers), A, n_src, N, self.dt)
 
 
 _plan = functools.lru_cache(maxsize=8)(_Plan)
-
-
-class _Copies:
-    """B disjoint copies of a plan's rows and slots, stepped as one network.
-
-    Rows are the link rows of copies B-1, ..., 1, 0, then the sources of copies
-    0, 1, ..., B-1; slots are numbered row-major, so the link slots of each
-    copy, and its source slots, form blocks in the plan's slot order. The
-    first k copies thus hold one contiguous range of rows and one of slots,
-    links before sources, which the step kernel steps. A merge, a row total
-    or a drain sum adds the same numbers in the same order as a load of one
-    copy alone. ``args`` leads every kernel call: the index arrays, the
-    plan's link parameters, the sizes and the step.
-    """
-
-    def __init__(self, plan: _Plan, B: int):
-        A, L, n_src = plan.A, plan.n_link_slots, len(plan.source_links)
-        self.sizes = (A, L, n_src)
-        block = np.arange(B)[:, None]  # copy j's sources are block j
-        link_block = block[::-1]  # and its links block B-1-j
-
-        def tiled(index, shift, blocks):  # per-block index arrays; -1 stays -1
-            return np.where(index >= 0, index + shift * blocks, -1).ravel()
-
-        size = np.bincount(plan.slot_row)  # slots per row: links, then sources
-        self.row_start = np.cumsum(np.concatenate(([0], np.tile(size[:A], B),
-                                                   np.tile(size[A:], B))))
-        self.slot_next = np.concatenate((tiled(plan.slot_next[:L], A, block),
-                                         tiled(plan.slot_next[L:], A, link_block)))
-        self.slot_dest = np.concatenate((tiled(plan.slot_dest[:L], L, block),
-                                         tiled(plan.slot_dest[L:], L, link_block)))
-        self.src_links = tiled(plan.src_links, A, link_block)
-        # row of copy j's plan row r: links from A * (B-1-j), sources from B * A + n_src * j
-        self.row_of = np.concatenate((A * link_block + np.arange(A),
-                                      B * A + n_src * block + np.arange(n_src)), axis=1)
-        # the kernel reads contiguous int64 indices and float64 parameters, kept alive here
-        self._buffers = tuple(np.ascontiguousarray(x, dtype=np.int64) for x in (
-            self.row_start, self.slot_next, self.slot_dest, self.src_links, plan.used_links)
-        ) + tuple(np.ascontiguousarray(x, dtype=float) for x in (
-            plan.ff, plan.cap, plan.wave_lag, plan.storage))
-        self.args = (*(x.ctypes.data for x in self._buffers), B, A, n_src, plan.n_links, plan.dt)
 
 
 def _step_cap(t_sim: int) -> int:
@@ -489,16 +404,16 @@ def load(
 
 
 def load_batch(base: LoadingResult, departures: np.ndarray, starts) -> list[LoadingResult]:
-    """Load B patterns that follow ``base`` from their own starts, in one pass.
+    """Load B patterns that follow ``base``, each from its own start.
 
     ``base`` is a loading of one pattern (``load``, or a batch of one); the
     batch has its network, path set and grid. ``starts`` holds B ascending
     intervals in [0, T). Pattern b is the base's departures before interval
     ``starts[b]`` and ``departures[b, P, T]`` from there on: the cells of
     ``departures`` before each start are not read. Each pattern takes the
-    base's curves up to its start, and from there the patterns step forward
-    together on disjoint copies of the network; each keeps its own drain
-    test and step count. Its curves, step count and drain flag are
+    base's curves up to its start and, on its own copy of the network's
+    rows and slots, steps on its own from there until it drains, with its
+    own drain test and step count. Its curves, step count and drain flag are
     bit-identical to ``load`` of that pattern alone, and so are its path
     times from its start on; ``path_time`` is NaN (and ``extrapolated``
     False) before it, and ``instant_path_time`` is None. Large batches are
@@ -530,24 +445,22 @@ def _fill_sources(plan: _Plan, h: np.ndarray, src_slots: np.ndarray, src_rows: n
 
     They are exogenous, so known for the whole horizon up front; departures
     ramp linearly inside each departure interval. ``src_slots`` and
-    ``src_rows`` are the source slots and source rows of a batch.
+    ``src_rows`` are the batch's (patterns, source slots, columns) and
+    (patterns, sources, columns) curves.
     """
     B, _, T = h.shape
     refine = plan.refine
     t_sim = T * refine
     h_cum = np.concatenate([np.zeros((B, h.shape[1], 1)), np.cumsum(h, axis=2)], axis=2)
-    rows = h_cum[:, plan.slot_path[plan.n_link_slots :]].reshape(-1, T + 1)
-    src_slots[:, : t_sim + 1 : refine] = rows
+    rows = h_cum[:, plan.slot_path[plan.n_link_slots :]]
+    src_slots[..., : t_sim + 1 : refine] = rows
     fine = np.linspace(0.0, 1.0, refine + 1)[1:-1] if refine > 1 else np.empty(0)
     for j, frac in enumerate(fine, start=1):
-        src_slots[:, j : t_sim + 1 : refine] = rows[:, :-1] + frac * np.diff(rows, axis=1)
-    src_slots[:, t_sim + 1 :] = rows[:, -1:]
-    cols = src_slots.shape[1]
-    per_copy = src_slots.reshape(B, -1, cols)
-    per_row = src_rows.reshape(B, -1, cols)
+        src_slots[..., j : t_sim + 1 : refine] = rows[..., :-1] + frac * np.diff(rows, axis=2)
+    src_slots[..., t_sim + 1 :] = rows[..., -1:]
     start = plan.src_row_start
     for s in range(len(start) - 1):
-        per_row[:, s] = per_copy[:, start[s] : start[s + 1]].sum(axis=1)
+        src_rows[:, s] = src_slots[:, start[s] : start[s + 1]].sum(axis=1)
 
 
 _KERNEL_SOURCE = Path(__file__).with_name("dnl_step.c")
@@ -604,10 +517,11 @@ def _kernel() -> ctypes.CDLL:
     """The step kernel (``dnl_step.c``), built with the C compiler Python was built with."""
     lib = ctypes.CDLL(_library(shlex.split(sysconfig.get_config_var("CC") or "cc")))
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.dnl_step.argtypes = [ptr] * 9 + [i64] * 4 + [ctypes.c_double] + [i64] * 5 + [ptr] * 6
+    lib.dnl_step.argtypes = ([ptr] * 9 + [i64] * 3 + [ctypes.c_double] + [i64, ptr]
+                             + [i64] * 3 + [ptr] * 6)
     lib.dnl_step.restype = i64
     lib.dnl_sum.argtypes = [ptr, i64]
-    lib.dnl_stored.argtypes = [ptr, ptr] + [i64] * 5 + [ptr]
+    lib.dnl_stored.argtypes = [ptr, ptr] + [i64] * 3 + [ptr]
     lib.dnl_sum.restype = lib.dnl_stored.restype = ctypes.c_double
     return lib
 
@@ -619,80 +533,68 @@ def _step(
     starts: np.ndarray,
     base: LoadingResult | None = None,
 ) -> list[LoadingResult]:
-    """Step the patterns ``h[B, P, T]`` together; one result per pattern.
+    """Step each of the patterns ``h[B, P, T]`` on its own; one result per pattern.
 
-    ``starts`` is ascending. Pattern b takes the base's curves up to step
-    ``starts[b] * refine`` and joins the pass there; until then its copy is
-    not stepped. A drained pattern's result ends at its own step; the copy
-    of it that is stepped on with the rest is never read past there. A
-    batch of one keeps its link slot curves, so its result can serve as a
-    base.
+    The batch is B single loads stacked copy-major: the curves are (B, rows,
+    columns) and (B, slots, columns) arrays, each copy in the plan's row and
+    slot order. Pattern b takes the base's curves up to step ``starts[b] *
+    refine`` and steps from there until it drains or reaches the step cap;
+    its result ends at its own step. A batch of one keeps its link slot
+    curves, so its result can serve as a base.
     """
     B, _, T = h.shape
-
-    c = plan.copies(B)
-    A1, L1, n_src = c.sizes
-    AB, LB = B * A1, B * L1
+    A, L = plan.A, plan.n_link_slots
     refine = plan.refine
-    dt = plan.dt
     t_sim = T * refine
     s_max = _step_cap(t_sim)
     cols = _first_cols(t_sim, s_max)
 
     # cumulative entries and exits of every row, entries of every slot
-    up = np.zeros((len(c.row_start) - 1, cols))
+    up = np.zeros((B, A + len(plan.source_links), cols))
     dn = np.zeros(up.shape)
-    slots = np.zeros((len(c.slot_next), cols))
+    slots = np.zeros((B, len(plan.slot_row), cols))
 
-    _fill_sources(plan, h, slots[LB:], up[AB:])
+    _fill_sources(plan, h, slots[:, L:], up[:, A:])
 
-    joins = starts * refine
-    k = int(joins[-1]) + 1  # boundaries up to the last join, taken from the base
+    t = (starts * refine).astype(np.int64)  # each pattern's next step
+    k = int(t[-1]) + 1  # boundaries up to the last start, taken from the base
     if k > 1:
         base_slots = base._state[2]
-        for rows, curves in ((up[:AB], base.link_up), (dn[:AB], base.link_dn),
-                             (dn[AB:], base.src_dn), (slots[:LB], base_slots)):
-            # columns past a copy's own join are rewritten before it reads them
-            rows.reshape(B, -1, cols)[:, :, :k] = curves[:, :k]
+        for rows, curves in ((up[:, :A], base.link_up), (dn[:, :A], base.link_dn),
+                             (dn[:, A:], base.src_dn), (slots[:, :L], base_slots)):
+            # columns past a pattern's own start are rewritten before it reads them
+            rows[..., :k] = curves[:, :k]
 
     drain_tol = np.array([1e-9 * max(1.0, float(x.sum())) for x in h])
     n_steps = np.full(B, s_max, dtype=np.int64)
     drained = np.zeros(B, dtype=bool)
     step = _kernel().dnl_step
-    t = int(joins[0])
-    while t < s_max and not drained.all():
-        if t + 2 > cols:
-            cols = min(s_max + 1, cols + cols // 2)
-            up, dn, slots = (_widen(x, cols) for x in (up, dn, slots))
-        joined = int(np.searchsorted(joins, t, side="right"))
-        # to the next join, the last allocated column or the step cap, or until all drain
-        stop = min(s_max, cols - 1, *joins[joined : joined + 1].tolist())
-        t = step(*c.args, joined, t, stop, t_sim, cols, *(x.ctypes.data for x in (
-            up, dn, slots, drain_tol, n_steps, drained)))
-        if t < 0:
+    while True:
+        stop = min(s_max, cols - 1)  # the last allocated column or the step cap
+        if step(*plan.args, B, t.ctypes.data, stop, t_sim, cols, *(x.ctypes.data for x in (
+                up, dn, slots, drain_tol, n_steps, drained))) < 0:
             raise MemoryError("step kernel could not allocate its work arrays")
+        if stop == s_max or drained.all():
+            break
+        cols = min(s_max + 1, cols + cols // 2)
+        up, dn, slots = (_widen(x, cols) for x in (up, dn, slots))
 
-    path_time, extrapolated = _path_times(plan, grid, c, up, dn, n_steps, starts)
-    results = []
-    for j, S in enumerate(n_steps.tolist()):
-        links = slice((B - 1 - j) * A1, (B - j) * A1)
-        sources = slice(AB + j * n_src, AB + (j + 1) * n_src)
-        results.append(LoadingResult(
-            grid=grid,
-            n_steps=S,
-            sim_dt_s=dt,
-            link_up=up[links, : S + 1],
-            link_dn=dn[links, : S + 1],
-            used_links=plan.used_links,
-            n_links=plan.n_links,
-            src_up=up[sources, : S + 1],
-            src_dn=dn[sources, : S + 1],
-            path_time=path_time[j],
-            extrapolated=extrapolated[j],
-            drained=bool(drained[j]),
-            _state=(plan, h[j], slots[:L1, : S + 1]) if B == 1 else None,
-        ))
-    return results
+    path_time, extrapolated = _path_times(plan, grid, up, dn, n_steps, starts)
+    return [LoadingResult(
+        grid=grid,
+        n_steps=S,
+        sim_dt_s=plan.dt,
+        link_up=up[j, :A, : S + 1],
+        link_dn=dn[j, :A, : S + 1],
+        used_links=plan.used_links,
+        n_links=plan.n_links,
+        src_up=up[j, A:, : S + 1],
+        src_dn=dn[j, A:, : S + 1],
+        path_time=path_time[j],
+        extrapolated=extrapolated[j],
+        drained=bool(drained[j]),
+        _state=(plan, h[j], slots[j, :L, : S + 1]) if B == 1 else None,
+    ) for j, S in enumerate(n_steps.tolist())]
 
 
 def _link_times(plan: _Plan, grid: TimeGrid, link_up, link_dn) -> np.ndarray:
@@ -710,19 +612,20 @@ def _link_times(plan: _Plan, grid: TimeGrid, link_up, link_dn) -> np.ndarray:
     return np.maximum(plan.ff[:, None], exit_t - times)
 
 
-def _path_times(plan: _Plan, grid: TimeGrid, c: _Copies, up, dn, n_steps, starts
+def _path_times(plan: _Plan, grid: TimeGrid, up, dn, n_steps, starts
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Chain FIFO exit times through each path's source and links, per open cell.
 
     A cell is a (pattern b, path p, interval j >= ``starts[b]``). Its probe is
     the cohort's median vehicle: it departs at the interval midpoint with
     half of its own column ahead of it, so a column feels the queue it builds
-    itself. ``up`` and ``dn`` hold the rows of the batch ``c`` (C-contiguous,
-    with columns past the last step); pattern b's curves end at its own step
-    ``n_steps[b]``. Results are patterns x paths x intervals, NaN and False
+    itself. ``up`` and ``dn`` are the batch's C-contiguous (patterns, rows,
+    columns) curves, with columns past the last step; pattern b's curves end
+    at its own step ``n_steps[b]``. Results are patterns x paths x intervals, NaN and False
     before each start.
     """
     B, P, T = len(n_steps), len(plan.path_rows), grid.n_intervals
+    R, cols = up.shape[1:]
     open_cells = np.broadcast_to(np.arange(T) >= starts[:, None, None], (B, P, T))
     b, p, j = np.nonzero(open_cells)
     mids = grid.interval_mids()[j]
@@ -733,7 +636,7 @@ def _path_times(plan: _Plan, grid: TimeGrid, c: _Copies, up, dn, n_steps, starts
     for hop in plan.path_rows.T:
         r = hop[p[on]]
         on, r = on[r >= 0], r[r >= 0]
-        at = c.row_of[b[on], r] * up.shape[1]
+        at = (b[on] * R + r) * cols
         idx, frac = _positions(clock[on], plan.dt, n[on] - 1)
         counts = _interp_rows(up.reshape(-1), at + idx, frac)
         exit_t, beyond = _invert_rows(dn.reshape(-1), at, counts, plan.dt, plan.row_cap[r], n[on])

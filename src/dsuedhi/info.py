@@ -14,9 +14,9 @@ Generating the full information set for one candidate therefore loads one
 pattern for the instantaneous product (its ``instant_path_time``) plus one
 per provision interval. The forecast spliced at t has the candidate's
 departures before t, so its loading repeats the candidate loading up to
-there: ``forecasts`` loads the T spliced patterns together in one batched
-pass (``dnl.load_batch``) in which each starts from the candidate loading's
-state at its own interval and is timed from there on. Both its input, the
+there: ``forecasts`` loads the T spliced patterns as one batch
+(``dnl.load_batch``) in which each starts from the candidate loading's state
+at its own interval, steps on its own and is timed from there on. Both its input, the
 predicted columns, and its output, the forecast travel times, are (provision
 interval t, path, departure interval j) arrays read only in their open
 cells j >= t, the layout that ``choice.share_table`` reads; the loader takes

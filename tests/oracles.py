@@ -47,7 +47,7 @@ def logit(psi, theta: float) -> np.ndarray:
     """Logit shares over one choice set, all entries of ``psi`` jointly:
     ``choice._logit`` on a single block."""
     psi = np.asarray(psi, dtype=float)
-    share, _, _ = choice._logit(psi.reshape(-1), dnl._Segments.from_sizes([psi.size]), theta)
+    share, _, _ = choice._logit(psi.reshape(-1), choice._Segments.from_sizes([psi.size]), theta)
     return share.reshape(psi.shape)
 
 

@@ -27,6 +27,46 @@ def params_for(net, theta=1.0, unit=60.0):
     )
 
 
+def segment_values(seed: int, n: int) -> np.ndarray:
+    """``n`` numbers of both signs, spread over 25 orders of magnitude."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-12, 13, n)
+
+
+class TestSegments:
+    """Per-run totals are ``ndarray.sum`` of each run, bit for bit; numpy adds
+    runs of 8 or more pairwise in blocks of 8 and 128, so these bits move if
+    numpy's blocking does."""
+
+    @settings(max_examples=80, deadline=None)
+    @example(sizes=[130, 3, 8], seed=1, bounds=(0, 3))  # bincount alone differs here
+    @given(
+        sizes=st.lists(st.integers(1, 300), min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+        bounds=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+    )
+    def test_sums_equal_ndarray_sum_per_run(self, sizes, seed, bounds):
+        x = segment_values(seed, sum(sizes))
+        seg = choice._Segments.from_sizes(sizes)
+        edges = np.cumsum([0, *sizes])
+        want = np.array([x[a:b].sum() for a, b in zip(edges[:-1], edges[1:])])
+        assert np.array_equal(seg.sums(x), want)
+
+        lo, hi = sorted(min(b, len(sizes)) for b in bounds)
+        part, cells = seg.part(lo, hi)
+        alone = choice._Segments.from_sizes(sizes[lo:hi])
+        assert cells == slice(edges[lo], edges[hi])
+        assert np.array_equal(part.start, alone.start) and np.array_equal(part.of, alone.of)
+        assert np.array_equal(part.sums(x[cells]), alone.sums(x[cells]))
+        assert np.array_equal(part.sums(x[cells]), want[lo:hi])
+
+    def test_example_needs_more_than_bincount(self):
+        sizes = [130, 3, 8]
+        x = segment_values(1, sum(sizes))
+        seg = choice._Segments.from_sizes(sizes)
+        assert not np.array_equal(np.bincount(seg.of, weights=x), seg.sums(x))
+
+
 class TestSystematicDisutility:
     def test_on_time_arrival_no_penalty(self):
         assert choice.systematic_disutility(10.0, 0.0, 10.0, 0.8, 1.2) == 10.0

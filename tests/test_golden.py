@@ -78,18 +78,16 @@ def test_drain_sum_adds_every_link_in_link_order(seed):
     # stored vehicles are summed at their places among all links
     net, ps, grid, _, _ = CASES["sparse_lattice"]
     plan = dnl._plan(net.links, ps.link_seq, grid)
-    B, A, n_src = 3, plan.A, len(plan.source_links)
+    A, n_src = plan.A, len(plan.source_links)
     assert 8 <= A < net.n_links
-    inside = np.random.default_rng(seed).uniform(0.0, 1.0, B * (A + n_src))
-    links = np.zeros((B, net.n_links))
-    links[:, plan.used_links] = inside[: B * A].reshape(B, A)[::-1]  # copies B-1, ..., 0
-    sources = inside[B * A :].reshape(B, n_src)
-    want = [np.sum(links[j]) + np.sum(sources[j]) for j in range(B)]
     every_link = np.empty(net.n_links)
-    got = [dnl._kernel().dnl_stored(inside.ctypes.data, plan.used_links.ctypes.data, B, A,
-                                    n_src, net.n_links, j, every_link.ctypes.data)
-           for j in range(B)]
-    assert got == want
+    for inside in np.random.default_rng(seed).uniform(0.0, 1.0, (3, A + n_src)):
+        links = np.zeros(net.n_links)
+        links[plan.used_links] = inside[:A]
+        want = np.sum(links) + np.sum(inside[A:])
+        got = dnl._kernel().dnl_stored(inside.ctypes.data, plan.used_links.ctypes.data, A,
+                                       n_src, net.n_links, every_link.ctypes.data)
+        assert got == want
 
 
 def random_lattice(seed: int):
