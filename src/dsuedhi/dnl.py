@@ -39,18 +39,22 @@ the same numbers in the same order as they would with a row for every link.
 
 Work per plan and per step. A plan (one network's links, path set and grid)
 is built once, with the index arrays the kernel reads, and kept while among
-the last few used. The time loop is one C function, ``dnl_step.c``, compiled
-on first use with the C compiler Python was built with and cached on disk
-(``_kernel``). One call steps each pattern of a batch on its own up to the
-last allocated column, or until it drains; between calls Python widens the
-time axis. A step reads each link's lagged curves; applies the sending and
-receiving rules; finds every row's FIFO window [tau0, tau1] of its outflow by
-bisection of its entry curve, which never decreases; splits that outflow
-over the row's slots; scales merge inflows to supply and a diverging row's
-whole outflow by its most restrictive factor; and writes the next column,
-moving each slot's outflow to its path's slot on the next link, which never
-collides because a path visits a link once. A slot that moved nothing adds
-0.0, which changes no sum: no curve holds -0.0.
+the last few used. The time loop and the read-out of travel times are C
+functions in ``dnl_step.c``, compiled on first use with the C compiler Python
+was built with and cached on disk (``_kernel``). One call steps each pattern
+of a batch on its own up to the last allocated column, or until it drains;
+between calls Python widens the time axis. A step reads each link's lagged
+curves; applies the sending and receiving rules; finds every row's FIFO
+window [tau0, tau1] of its outflow by bisection of its entry curve, which
+never decreases; splits that outflow over the row's slots; scales merge
+inflows to supply and a diverging row's whole outflow by its most
+restrictive factor; and writes the next column, moving each slot's outflow
+to its path's slot on the next link, which never collides because a path
+visits a link once. A slot that moved nothing adds 0.0, which changes no
+sum: no curve holds -0.0. After the last step one more call times every
+open cell: its probe goes hop by hop, reading the entries ahead of it off a
+row's entry curve and inverting the row's exit curve by the same bisection.
+Link times are read out the same way, as paths of one row each.
 
 Batch axis. ``load_batch`` loads B departure patterns of one (network, path
 set, grid) as B single loads stacked copy-major: entries and exits are one
@@ -60,8 +64,9 @@ at an interval t from a base loading and has the base's departures before t
 (a strategic forecast spliced at t has the candidate's), so the batch's
 cells before t are not read: it copies the base's rows up to step t * refine
 and steps from there on its own until it drains or reaches the step cap.
-Path times are computed from t on only: one pass per stepped chunk times its
-open cells. Every pattern keeps its own drain test, tolerance and step
+Path times are computed from t on only: one kernel call per stepped chunk
+times its open cells, into one (patterns, paths, intervals) array for the
+whole batch. Every pattern keeps its own drain test, tolerance and step
 count, and gets exactly the result of loading it alone from step 0; ``load``
 is the batch of one. The time axis holds the boundaries stepped so far: it
 starts at the horizon plus half of it, grows by half while a pattern has not
@@ -82,11 +87,11 @@ is added, and more in two halves split at n/2 rounded down to a multiple of
 8. ``_fill_sources`` keeps its own source-row sums: they run across a
 non-contiguous axis, which numpy adds in sequence.
 
-Sensitivity. The sending rule branches on an absolute backlog
-``> _EPS_VEH`` (1e-12 vehicles). A last-bit change in a per-row total can
-flip that branch and hold back a whole step of discharge: on a test lattice
-with 20 slots per link, summing rows with ``bincount`` alone moved path
-times by one whole step. Outputs therefore depend on the summation order
+Sensitivity. The sending rule branches on an absolute backlog ``> EPS_VEH``
+(1e-12 vehicles, defined in ``dnl_step.c``). A last-bit change in a per-row
+total can flip that branch and hold back a whole step of discharge: on a test
+lattice with 20 slots per link, summing rows with ``bincount`` alone moved
+path times by one whole step. Outputs therefore depend on the summation order
 above, not only on the model.
 """
 
@@ -105,9 +110,6 @@ from pathlib import Path
 import numpy as np
 
 from .network import Network, PathSet, TimeGrid
-
-_EPS_VEH = 1e-12
-
 
 class DnlError(RuntimeError):
     """Raised when loading input is infeasible or internally inconsistent."""
@@ -170,68 +172,6 @@ class LoadingResult:
     @property
     def boundaries(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.sim_dt_s
-
-
-def _positions(times, dt: float, last) -> tuple[np.ndarray, np.ndarray]:
-    """Sample index and fraction of the next segment of ``times``, on samples every ``dt``.
-
-    Times before 0 sit at sample 0, and times from sample ``last`` (per row,
-    or one for all) on at fraction 1 of the segment before it.
-    """
-    x = np.minimum(np.maximum(times / dt, 0.0), last)
-    idx = np.minimum(x.astype(np.intp), last - 1)
-    return idx, x - idx
-
-
-def _interp_rows(flat: np.ndarray, at, frac) -> np.ndarray:
-    """Piecewise-linear values of boundary-sampled curves stored row after row in ``flat``.
-
-    ``at`` is a row's start in ``flat`` plus a sample index, ``frac`` the
-    fraction of the next segment (``_positions``).
-    """
-    lo = flat[at]
-    return lo + frac * (flat[at + 1] - lo)
-
-
-def _count_below(flat, starts, targets, n) -> np.ndarray:
-    """Samples below each target among the first ``n`` (at least 1) of its row, by bisection.
-
-    Rows are non-decreasing, so ``min((row[:n] < target).sum(), n)`` is a prefix length;
-    probes past sample n - 1 read that sample. Arguments are as for ``_invert_rows``.
-    """
-    last = starts + n - 1
-    top = np.zeros(np.shape(targets), dtype=np.intp) + (starts - 1)  # last sample found below
-    step = 1 << (int(np.max(n)).bit_length() - 1)
-    while step:
-        np.add(top, step, out=top, where=flat[np.minimum(top + step, last)] < targets)
-        step >>= 1
-    return np.minimum(top - (starts - 1), n)
-
-
-def _invert_rows(flat, starts, targets, dt: float, rate_beyond, n) -> tuple[np.ndarray, np.ndarray]:
-    """Earliest times at which non-decreasing curves reach targets, per row.
-
-    ``flat`` stores each row from ``starts`` on; its targets are searched among
-    its first ``n`` samples. ``starts``, ``n`` and ``rate_beyond`` broadcast
-    against ``targets``, which are relaxed by a vanishing epsilon so that a
-    probe carrying only numerical dust (logit tail masses far below one
-    vehicle) does not wait for the next real cohort. Samples below a target
-    are counted by bisection. Beyond its last sample a row is extended at
-    ``rate_beyond``; the second return flags targets that needed it. The
-    step kernel inverts its rows the same way, one target at a time.
-    """
-    targets = np.maximum(targets - (_EPS_VEH + _EPS_VEH * targets), 0.0)
-    idx = _count_below(flat, starts, targets, n)
-    beyond = idx >= n
-    inside = (idx > 0) & ~beyond
-    hi = starts + np.where(inside, idx, 0)  # the first sample not below the target
-    lo = flat[hi - inside]
-    step = np.divide(targets - lo, flat[hi] - lo, out=np.zeros(targets.shape), where=inside)
-    out = (np.maximum(idx - 1, 0) + step) * dt  # 0 where no sample is below the target
-    if beyond.any():
-        extended = (n - 1) * dt + (targets - flat[starts + n - 1]) / rate_beyond
-        out = np.where(beyond, extended, out)
-    return out, beyond
 
 
 def _widen(curves: np.ndarray, cols: int) -> np.ndarray:
@@ -313,7 +253,9 @@ class _Plan:
             row_start, self.slot_next, self.slot_dest, self.src_links, self.used_links)
         ) + tuple(np.ascontiguousarray(x, dtype=float) for x in (
             self.ff, self.cap, self.wave_lag, self.storage))
-        self.args = (*(x.ctypes.data for x in self._buffers), A, n_src, N, self.dt)
+        shapes = [(A + n_src + 1,), (len(pairs),), (len(pairs),), (n_src,)] + [(A,)] * 5
+        dtypes = [np.int64] * 5 + [np.float64] * 4
+        self.args = (*map(_arg, self._buffers, dtypes, shapes), A, n_src, N, self.dt)
 
 
 _plan = functools.lru_cache(maxsize=8)(_Plan)
@@ -337,9 +279,9 @@ def _first_cols(t_sim: int, s_max: int) -> int:
 # but add memory one for one. The 30 forecasts of a 60-link, 23-path lattice
 # with T = 30, whose paths use 24 of the links, take 65,424 bytes each and run
 # as one chunk; with a row for every link they took 92,496 bytes and ran as
-# two chunks of 15. Path timing then holds a few arrays of one number per open
-# cell of the chunk, at most patterns x paths x intervals: 10,695 cells, or
-# 86 KB per array, for those 30 forecasts.
+# two chunks of 15. Path timing holds no per-cell temporaries: the kernel
+# writes each open cell's time and flag straight into the batch's result
+# arrays.
 _CHUNK_BYTES = 2 * 2**20
 
 
@@ -391,12 +333,13 @@ def load(
     result keeps its slot curves, so it can serve as the base of a
     ``load_batch``.
     """
-    h = _departures(departures, path_set.n_paths, grid.n_intervals)
+    h = _departures(departures, path_set.n_paths, grid.n_intervals)[None]
     plan = _plan(net.links, path_set.link_seq, grid)
-    res = _step(plan, grid, h[None], np.zeros(1, dtype=np.intp))[0]
+    res = _step(plan, grid, h, np.zeros(1, dtype=np.int64), np.empty(h.shape),
+                np.empty(h.shape, dtype=bool))[0]
     if compute_link_times:
         link_time = _link_times(plan, grid, res.link_up, res.link_dn)
-        res.instant_path_time = np.zeros(h.shape)
+        res.instant_path_time = np.zeros(h.shape[1:])
         for hop in plan.path_rows[:, 1:].T:
             on = hop >= 0
             res.instant_path_time[on] += link_time[hop[on]]
@@ -423,6 +366,8 @@ def load_batch(base: LoadingResult, departures: np.ndarray, starts) -> list[Load
     result are views into arrays shared by its whole chunk, so a result kept
     alive keeps the curves of every pattern of its chunk; copy what is kept.
     ``n_up`` and ``n_dn`` are built from them on access, as for ``load``.
+    The results' ``path_time`` and ``extrapolated`` are the rows of one (B,
+    P, T) array each, their ``base``.
     """
     if base._state is None:
         raise DnlError("base loading carries no loader state")
@@ -436,8 +381,9 @@ def load_batch(base: LoadingResult, departures: np.ndarray, starts) -> list[Load
     if not len(h):
         return []
     chunks = -(-len(h) // max(1, _CHUNK_BYTES // _pattern_bytes(plan, base.grid)))
-    return [res for part in np.array_split(np.arange(len(h)), chunks)
-            for res in _step(plan, base.grid, h[part], starts[part], base)]
+    parts = (np.array_split(x, chunks) for x in (
+        h, starts.astype(np.int64), np.full(h.shape, np.nan), np.zeros(h.shape, dtype=bool)))
+    return [res for part in zip(*parts) for res in _step(plan, base.grid, *part, base)]
 
 
 def _fill_sources(plan: _Plan, h: np.ndarray, src_slots: np.ndarray, src_rows: np.ndarray) -> None:
@@ -516,14 +462,22 @@ def _library(cc: list[str]) -> str:
 def _kernel() -> ctypes.CDLL:
     """The step kernel (``dnl_step.c``), built with the C compiler Python was built with."""
     lib = ctypes.CDLL(_library(shlex.split(sysconfig.get_config_var("CC") or "cc")))
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.dnl_step.argtypes = ([ptr] * 9 + [i64] * 3 + [ctypes.c_double] + [i64, ptr]
-                             + [i64] * 3 + [ptr] * 6)
+    ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    lib.dnl_step.argtypes = [ptr] * 9 + [i64] * 3 + [f64, i64, ptr] + [i64] * 3 + [ptr] * 6
     lib.dnl_step.restype = i64
+    lib.dnl_path_times.argtypes = ([ptr, i64, i64, ptr, ptr, f64, ptr, i64, i64, ptr, ptr, i64, i64]
+                                   + [ptr] * 4)
+    lib.dnl_path_times.restype = None
     lib.dnl_sum.argtypes = [ptr, i64]
     lib.dnl_stored.argtypes = [ptr, ptr] + [i64] * 3 + [ptr]
     lib.dnl_sum.restype = lib.dnl_stored.restype = ctypes.c_double
     return lib
+
+
+def _arg(x: np.ndarray, dtype, shape: tuple) -> int:
+    """Address of ``x`` for the kernel, which reads it as C-contiguous ``dtype`` of ``shape``."""
+    assert x.dtype == dtype and x.flags.c_contiguous and x.shape == shape, (x.dtype, x.shape, shape)
+    return x.ctypes.data
 
 
 def _step(
@@ -531,6 +485,8 @@ def _step(
     grid: TimeGrid,
     h: np.ndarray,
     starts: np.ndarray,
+    path_time: np.ndarray,
+    extrapolated: np.ndarray,
     base: LoadingResult | None = None,
 ) -> list[LoadingResult]:
     """Step each of the patterns ``h[B, P, T]`` on its own; one result per pattern.
@@ -539,20 +495,23 @@ def _step(
     columns) and (B, slots, columns) arrays, each copy in the plan's row and
     slot order. Pattern b takes the base's curves up to step ``starts[b] *
     refine`` and steps from there until it drains or reaches the step cap;
-    its result ends at its own step. A batch of one keeps its link slot
-    curves, so its result can serve as a base.
+    its result ends at its own step. Its path times from its start on are
+    written into ``path_time[b]`` and ``extrapolated[b]``, whose rows its
+    result holds. A batch of one keeps its link slot curves, so its result
+    can serve as a base.
     """
     B, _, T = h.shape
     A, L = plan.A, plan.n_link_slots
+    R, S = A + len(plan.source_links), len(plan.slot_row)
     refine = plan.refine
     t_sim = T * refine
     s_max = _step_cap(t_sim)
     cols = _first_cols(t_sim, s_max)
 
     # cumulative entries and exits of every row, entries of every slot
-    up = np.zeros((B, A + len(plan.source_links), cols))
+    up = np.zeros((B, R, cols))
     dn = np.zeros(up.shape)
-    slots = np.zeros((B, len(plan.slot_row), cols))
+    slots = np.zeros((B, S, cols))
 
     _fill_sources(plan, h, slots[:, L:], up[:, A:])
 
@@ -569,17 +528,20 @@ def _step(
     n_steps = np.full(B, s_max, dtype=np.int64)
     drained = np.zeros(B, dtype=bool)
     step = _kernel().dnl_step
+    per_copy = [_arg(x, dtype, (B,)) for x, dtype in (
+        (t, np.int64), (drain_tol, np.float64), (n_steps, np.int64), (drained, np.bool_))]
     while True:
         stop = min(s_max, cols - 1)  # the last allocated column or the step cap
-        if step(*plan.args, B, t.ctypes.data, stop, t_sim, cols, *(x.ctypes.data for x in (
-                up, dn, slots, drain_tol, n_steps, drained))) < 0:
+        curves = [_arg(x, np.float64, (B, n, cols)) for x, n in ((up, R), (dn, R), (slots, S))]
+        if step(*plan.args, B, per_copy[0], stop, t_sim, cols, *curves, *per_copy[1:]) < 0:
             raise MemoryError("step kernel could not allocate its work arrays")
         if stop == s_max or drained.all():
             break
         cols = min(s_max + 1, cols + cols // 2)
         up, dn, slots = (_widen(x, cols) for x in (up, dn, slots))
 
-    path_time, extrapolated = _path_times(plan, grid, up, dn, n_steps, starts)
+    _read_out(plan.path_rows, plan.row_ff, plan.row_cap, plan.dt, grid.interval_mids(), starts,
+              n_steps, up, dn, path_time, extrapolated)
     return [LoadingResult(
         grid=grid,
         n_steps=S,
@@ -600,50 +562,33 @@ def _step(
 def _link_times(plan: _Plan, grid: TimeGrid, link_up, link_dn) -> np.ndarray:
     """Travel time for entry at each departure-interval boundary, per used link row.
 
-    Counting by bisection keeps every temporary at rows x intervals, so all rows invert at once.
+    Each row is read out as a path of that row alone, entered at the boundary
+    with no free-flow floor; flooring its time there at free-flow time gives
+    max(ff, exit - entry), since ff > 0.
     """
-    times = grid.interval_starts()
-    up, dn = np.ascontiguousarray(link_up), np.ascontiguousarray(link_dn)
-    at = np.arange(0, up.size, up.shape[1])[:, None]  # each row's start in the flat curves
-    idx, frac = _positions(times, plan.dt, up.shape[1] - 1)
-    entries = _interp_rows(up.reshape(-1), at + idx, frac)
-    exit_t, _ = _invert_rows(dn.reshape(-1), at, entries, plan.dt, plan.cap[:, None],
-                             dn.shape[1])
-    return np.maximum(plan.ff[:, None], exit_t - times)
+    (A, cols), T = link_up.shape, grid.n_intervals
+    up, dn = (np.ascontiguousarray(x)[None] for x in (link_up, link_dn))
+    out = np.empty((1, A, T))
+    _read_out(np.arange(A)[:, None], np.zeros(A), plan.cap, plan.dt, grid.interval_starts(),
+              np.zeros(1, dtype=np.int64), np.array([cols - 1]), up, dn, out,
+              np.empty(out.shape, dtype=bool))
+    return np.maximum(plan.ff[:, None], out[0])
 
 
-def _path_times(plan: _Plan, grid: TimeGrid, up, dn, n_steps, starts
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Chain FIFO exit times through each path's source and links, per open cell.
+def _read_out(path_rows, row_ff, row_cap, dt: float, times, starts, n_steps, up, dn,
+              path_time, extrapolated) -> None:
+    """Chain FIFO exit times through each path's rows, per open cell (``dnl_path_times``).
 
-    A cell is a (pattern b, path p, interval j >= ``starts[b]``). Its probe is
-    the cohort's median vehicle: it departs at the interval midpoint with
-    half of its own column ahead of it, so a column feels the queue it builds
-    itself. ``up`` and ``dn`` are the batch's C-contiguous (patterns, rows,
-    columns) curves, with columns past the last step; pattern b's curves end
-    at its own step ``n_steps[b]``. Results are patterns x paths x intervals, NaN and False
-    before each start.
+    The open cells (b, p, j >= ``starts[b]``) of the (B, P, T) ``path_time``
+    and ``extrapolated`` are written, the others left as they are; the
+    kernel's comment gives the arguments. For path times the probe is the
+    cohort's median vehicle: it departs at the interval midpoint with half of
+    its own column ahead of it, so a column feels the queue it builds itself.
     """
-    B, P, T = len(n_steps), len(plan.path_rows), grid.n_intervals
-    R, cols = up.shape[1:]
-    open_cells = np.broadcast_to(np.arange(T) >= starts[:, None, None], (B, P, T))
-    b, p, j = np.nonzero(open_cells)
-    mids = grid.interval_mids()[j]
-    n = n_steps[b] + 1  # samples per row
-    clock = mids.copy()
-    flagged = np.zeros(len(j), dtype=bool)
-    on = np.arange(len(j))  # cells whose path goes on to this hop
-    for hop in plan.path_rows.T:
-        r = hop[p[on]]
-        on, r = on[r >= 0], r[r >= 0]
-        at = (b[on] * R + r) * cols
-        idx, frac = _positions(clock[on], plan.dt, n[on] - 1)
-        counts = _interp_rows(up.reshape(-1), at + idx, frac)
-        exit_t, beyond = _invert_rows(dn.reshape(-1), at, counts, plan.dt, plan.row_cap[r], n[on])
-        clock[on] = np.maximum(clock[on] + plan.row_ff[r], exit_t)
-        flagged[on] |= beyond
-    path_time = np.full((B, P, T), np.nan)
-    path_time[open_cells] = clock - mids
-    extrapolated = np.zeros((B, P, T), dtype=bool)
-    extrapolated[open_cells] = flagged
-    return path_time, extrapolated
+    (B, R, cols), (P, hops), T = up.shape, path_rows.shape, len(times)
+    _kernel().dnl_path_times(
+        _arg(path_rows, np.int64, (P, hops)), P, hops, _arg(row_ff, np.float64, (R,)),
+        _arg(row_cap, np.float64, (R,)), dt, _arg(times, np.float64, (T,)), T,
+        B, _arg(starts, np.int64, (B,)), _arg(n_steps, np.int64, (B,)), R, cols,
+        *(_arg(x, np.float64, (B, R, cols)) for x in (up, dn)),
+        _arg(path_time, np.float64, (B, P, T)), _arg(extrapolated, np.bool_, (B, P, T)))

@@ -1,5 +1,7 @@
-/* The time loop of ``dnl._step``: one call steps each copy of a batch on its
-   own, from its own step, until it drains or reaches ``stop``.
+/* The loader's time loop and read-out. ``dnl_step`` steps each copy of a
+   batch on its own, from its own step, until it drains or reaches ``stop``;
+   ``dnl_path_times`` then reads each copy's path travel times out of its
+   curves, by the same curve interpolation and FIFO inversion.
 
    Built by ``dnl._kernel`` with -ffp-contract=off and without fast-math, so
    every operation rounds once, as its numpy form does. A batch of B patterns
@@ -73,12 +75,17 @@ double dnl_stored(const double *inside, const i64 *used_links, i64 A, i64 n_src,
     return dnl_sum(every_link, n_links) + dnl_sum(inside + A, n_src);
 }
 
-/* value of a sampled curve at a time before its last written sample
-   (``_positions`` and ``_interp_rows``; the clamp to the end never binds) */
-static double lagged(const double *row, double time, double dt)
+/* value of a sampled curve at ``time``, clamped to samples 0..last: from
+   sample ``last`` on it is fraction 1 of the segment before (fraction 0 of
+   sample 0 if last is 0, where the row must still have a second column).
+   The step reads no later than its current sample, so only the read-out
+   meets the clamp. */
+static double lagged(const double *row, double time, double dt, i64 last)
 {
-    double x = max2(time / dt, 0.0);
+    double x = min2(max2(time / dt, 0.0), (double)last);
     i64 idx = (i64)x;
+    if (idx == last && idx > 0)
+        idx--;
     double frac = x - (double)idx;
     return row[idx] + frac * (row[idx + 1] - row[idx]);
 }
@@ -96,10 +103,14 @@ static double held(const double *row, double tau, double dt, i64 last)
     return frac >= 1.0 ? hi : lo + frac * (hi - lo);
 }
 
-/* ``_invert_rows`` on one row of n samples: the earliest time it reaches the
-   relaxed target; samples below it are counted by bisection, since rows
-   never decrease */
-static double invert(const double *row, i64 n, double target, double dt, double rate_beyond)
+/* The earliest time a row of n samples reaches ``target``, relaxed by a
+   vanishing epsilon so that a probe carrying only numerical dust (logit tail
+   masses far below one vehicle) does not wait for the next real cohort.
+   Samples below it are counted by bisection, since rows never decrease.
+   Beyond its last sample the row goes on at ``rate_beyond``; ``beyond`` tells
+   whether the target needed that. */
+static double invert(const double *row, i64 n, double target, double dt, double rate_beyond,
+                     uint8_t *beyond)
 {
     target = max2(target - (EPS_VEH + EPS_VEH * target), 0.0);
     i64 lo = 0, hi = n;
@@ -110,6 +121,7 @@ static double invert(const double *row, i64 n, double target, double dt, double 
         else
             hi = mid;
     }
+    *beyond = lo >= n;
     if (lo >= n)
         return (double)(n - 1) * dt + (target - row[n - 1]) / rate_beyond;
     if (lo == 0)
@@ -163,9 +175,9 @@ i64 dnl_step(const i64 *row_start, const i64 *slot_next, const i64 *slot_dest,
                supply rule; sources send all that entered */
             for (i64 a = 0; a < A; a++) {
                 const double *u = up + a * cols, *d = dn + a * cols;
-                const double nup_lag = lagged(u, min2(now - ff[a], now), dt);
-                const double arr_hi = lagged(u, min2(now + dt - ff[a], now), dt);
-                const double ndn_wave = lagged(d, now - wave_lag[a], dt);
+                const double nup_lag = lagged(u, min2(now - ff[a], now), dt, c1);
+                const double arr_hi = lagged(u, min2(now + dt - ff[a], now), dt, c1);
+                const double ndn_wave = lagged(d, now - wave_lag[a], dt, c1);
                 const double ndn_now = d[c0];
                 const double backlog = nup_lag - ndn_now;
                 const double queued = min2(cap[a], backlog / dt);
@@ -187,8 +199,9 @@ i64 dnl_step(const i64 *row_start, const i64 *slot_next, const i64 *slot_dest,
             for (i64 r = 0; r < R; r++) {
                 const i64 n = t + (r < A ? 1 : 2);
                 const double rate = r < A ? cap[r] : 1.0, d = dn[r * cols + c0];
-                const double tau0 = invert(up + r * cols, n, d, dt, rate);
-                const double tau1 = invert(up + r * cols, n, d + mass[r], dt, rate);
+                uint8_t beyond;  /* not read */
+                const double tau0 = invert(up + r * cols, n, d, dt, rate, &beyond);
+                const double tau1 = invert(up + r * cols, n, d + mass[r], dt, rate, &beyond);
                 double *c = comp + row_start[r];
                 const i64 m = row_start[r + 1] - row_start[r];
                 for (i64 j = 0; j < m; j++) {
@@ -253,4 +266,41 @@ i64 dnl_step(const i64 *row_start, const i64 *slot_next, const i64 *slot_dest,
     }
     free(work);
     return 0;
+}
+
+/* Read each open cell (b, p, j >= ``starts[b]``) of a batch out of its
+   curves, which ``up_of`` and ``dn_of`` hold as for ``dnl_step``. The cell's
+   probe leaves at ``times[j]`` and passes the rows ``path_rows[p]`` (``hops``
+   of them, padded with -1) in turn: at each it reads the entries ahead of it
+   and leaves when the exits reach them, but no sooner than ``row_ff`` after
+   it came. Pattern b's rows are read up to sample ``n_steps[b]`` and go on
+   at ``row_cap`` after it. The (B, P, T) arrays ``path_time`` and
+   ``extrapolated`` get the time from ``times[j]`` to the last exit, and
+   whether some row was read past its last sample. */
+void dnl_path_times(const i64 *path_rows, i64 P, i64 hops, const double *row_ff,
+                    const double *row_cap, double dt, const double *times, i64 T,
+                    i64 B, const i64 *starts, const i64 *n_steps, i64 R, i64 cols,
+                    const double *up_of, const double *dn_of,
+                    double *path_time, uint8_t *extrapolated)
+{
+    for (i64 b = 0; b < B; b++) {
+        const double *up = up_of + b * R * cols, *dn = dn_of + b * R * cols;
+        const i64 n = n_steps[b] + 1;
+        for (i64 p = 0; p < P; p++) {
+            const i64 *rows = path_rows + p * hops, cell = (b * P + p) * T;
+            for (i64 j = starts[b]; j < T; j++) {
+                double clock = times[j];
+                uint8_t flag = 0, beyond;
+                for (i64 k = 0; k < hops && rows[k] >= 0; k++) {
+                    const i64 r = rows[k];
+                    const double ahead = lagged(up + r * cols, clock, dt, n - 1);
+                    const double exit = invert(dn + r * cols, n, ahead, dt, row_cap[r], &beyond);
+                    clock = max2(clock + row_ff[r], exit);
+                    flag |= beyond;
+                }
+                path_time[cell + j] = clock - times[j];
+                extrapolated[cell + j] = flag;
+            }
+        }
+    }
 }

@@ -59,4 +59,4 @@ def forecasts(
         pooled = choice.remaining_demand(h_total[:, :t], totals, path_set)
         reaction[t, :, t:] = choice.tentative_from_shares(instant_shares, t, pooled)
     loadings = dnl.load_batch(base, reaction, np.arange(T))
-    return np.stack([loading.path_time for loading in loadings])
+    return loadings[0].path_time.base  # the rows of one (T, paths, T) array

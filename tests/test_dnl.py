@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loop_loader
 from dsuedhi import dnl
 from dsuedhi import network as nw
 from loop_loader import link_demand_rates, link_supply_rates
@@ -29,35 +30,54 @@ def single_link_net(length=2400.0, speed=20.0, cap=0.25, jam=0.2, demand=600.0):
 
 
 class TestInversion:
-    """Counts and inversions on non-decreasing rows stored row after row."""
+    """The kernel's FIFO inversion, reached through ``dnl._read_out``, equals the loop loader's."""
+
+    @staticmethod
+    def invert(curves, n, targets, dt, rate):
+        """Exit times and beyond flags of ``targets[b, k]`` on ``curves[b, :n[b]]``.
+
+        Pattern b has a row per target, entered at time 0 with the target
+        ahead of the probe (a constant entry curve) and left along
+        ``curves[b]``; path k is row k alone, with free-flow time -inf, so its
+        time is the exit time, whatever its sign.
+        """
+        # the entry curve of a one-sample row is read at fraction 0 of its second column
+        (B, K), cols = targets.shape, max(curves.shape[1], 2)
+        up = np.repeat(targets[..., None], cols, axis=2)
+        dn = np.zeros(up.shape)
+        dn[..., : curves.shape[1]] = curves[:, None]
+        times, beyond = np.empty((B, K, 1)), np.empty((B, K, 1), dtype=bool)
+        dnl._read_out(np.arange(K)[:, None], np.full(K, -np.inf), np.full(K, rate), dt, np.zeros(1),
+                      np.zeros(B, dtype=np.int64), np.asarray(n, dtype=np.int64) - 1, up, dn,
+                      times, beyond)
+        return times[..., 0], beyond[..., 0]
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), rows=st.integers(1, 4), cols=st.integers(1, 40),
            per_row=st.integers(1, 6))
-    def test_bisection_count_equals_the_broadcast_count(self, data, rows, cols, per_row):
+    def test_inversion_equals_the_loop_loader(self, data, rows, cols, per_row):
         # integer increments of 0 make plateaus; half-integer targets fall on
         # samples, between them, below the first and above the last
         rises = data.draw(st.lists(st.integers(0, 3), min_size=rows * cols,
                                    max_size=rows * cols))
         curves = np.cumsum(np.reshape(rises, (rows, cols)), axis=1).astype(float)
-        n = np.array(data.draw(st.lists(st.integers(1, cols), min_size=rows, max_size=rows)))
+        n = data.draw(st.lists(st.integers(1, cols), min_size=rows, max_size=rows))
         targets = np.array(data.draw(st.lists(
             st.lists(st.integers(-2, 6 * cols + 2), min_size=per_row, max_size=per_row),
             min_size=rows, max_size=rows))) / 2.0
-        at = np.arange(0, curves.size, cols)[:, None]
-        got = dnl._count_below(curves.reshape(-1), at, targets, n[:, None])
-        want = [[min((row[:k] < x).sum(), k) for x in row_targets]
-                for row, k, row_targets in zip(curves, n, targets)]
-        assert np.array_equal(got, want)
+        times, beyond = self.invert(curves, n, targets, 60.0, 0.25)
+        for row, k, row_targets, got, got_beyond in zip(curves, n, targets, times, beyond):
+            want, want_beyond = loop_loader._invert_vec(row[:k], 60.0, row_targets, 0.25)
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(got_beyond, want_beyond)
 
     def test_one_sample_rows_reach_a_target_at_or_below_them_at_time_zero(self):
         # every link row holds one sample at step 0; with no sample below the
         # target the time is 0, not minus one step
-        flat = np.zeros(2)
-        out, beyond = dnl._invert_rows(flat, np.array([[0], [1]]), np.array([[0.0, 1.0]] * 2),
-                                       60.0, np.ones((2, 1)), 1)
+        times, beyond = self.invert(np.zeros((2, 1)), [1, 1], np.array([[0.0, 1.0]] * 2),
+                                    60.0, 1.0)
         assert beyond.tolist() == [[False, True]] * 2
-        assert out.tolist() == [[0.0, pytest.approx(1.0)]] * 2
+        assert times.tolist() == [[0.0, pytest.approx(1.0)]] * 2
 
 
 class TestLoadBasics:

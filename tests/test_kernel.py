@@ -9,6 +9,7 @@ import sysconfig
 import numpy as np
 import pytest
 
+import loop_loader
 from dsuedhi import dnl
 
 CC = shlex.split(sysconfig.get_config_var("CC") or "cc")
@@ -66,3 +67,41 @@ def test_library_appears_only_through_os_replace(cache, monkeypatch):
     assert not os.path.exists(moves[0][0])
     assert os.listdir(cache) == [os.path.basename(path)]
     assert os.stat(cache).st_mode & 0o777 == 0o700
+
+
+def test_a_source_slot_read_at_its_last_sample_is_that_sample():
+    # One step of a source that feeds one link, where both its paths end.
+    # The source sends all it holds, 1001.5 vehicles, so its FIFO window runs
+    # from time 0 to its last sample; the relaxed target falls 1e-12 of a step
+    # short of it, which rounds away at step 16400. Slot 0 then reads its last
+    # sample itself, ``hi``, where lo + 1.0 * (hi - lo) is not hi. A load
+    # reaches such a read only past step 16384, and there on slot curves for
+    # which the two agree.
+    lo, hi = 0.7503646726300526, 3.579164257742107
+    assert lo + 1.0 * (hi - lo) != hi
+    t, dt = 16399, 1.0
+    c1, cols = t + 1, t + 2
+    up = np.zeros((1, 2, cols))  # rows: the link, then the source
+    up[0, 1, 1:c1], up[0, 1, c1] = 1.0, 1001.5
+    slots = np.zeros((1, 4, cols))  # the link's two slots, then the source's
+    slots[0, 2, 1:c1], slots[0, 2, c1] = lo, hi
+    slots[0, 3] = up[0, 1] - slots[0, 2]
+    dn = np.zeros(up.shape)
+    index = [np.array(x, dtype=np.int64) for x in (
+        [0, 2, 4], [-1, -1, 0, 0], [-1, -1, 0, 1], [0], [0])]  # rows, next, dest, source link, used
+    link = [np.array([x]) for x in (1.0, 1e6, 1.0, 1e9)]  # ff, capacity, wave lag, storage
+    t_of, n_steps, drained = np.array([t]), np.array([cols]), np.zeros(1, dtype=np.uint8)
+    assert dnl._kernel().dnl_step(
+        *(x.ctypes.data for x in index + link), 1, 1, 1, dt, 1, t_of.ctypes.data, c1, cols,
+        cols, *(x.ctypes.data for x in (up, dn, slots, np.zeros(1), n_steps, drained))) == 0
+
+    # the source step of ``loop_loader.load``, whose reads past a curve's
+    # last sample return that sample
+    src, mass = up[0, 1, : c1 + 1], 1001.5
+    tau0 = loop_loader._invert(src, dt, 0.0, 1.0)
+    tau1 = loop_loader._invert(src, dt, mass, 1.0)
+    assert (tau0, tau1) == (0.0, c1 * dt)
+    comp = np.array([loop_loader._interp(slots[0, j, : c1 + 1], dt, tau1)
+                     - loop_loader._interp(slots[0, j, : c1 + 1], dt, tau0) for j in (2, 3)])
+    comp *= mass / comp.sum()
+    assert slots[0, :2, c1].tobytes() == comp.tobytes()
