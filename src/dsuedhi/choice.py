@@ -17,16 +17,17 @@ broadcast over j, strategic forecasts vary with j.
 The logit has two parts. ``share_table`` computes the shares of every OD's
 choice set at any number of provision intervals in one vectorised pass:
 disutility, per-block max shift, ``exp``, normalisation and the first largest
-share of each block. Assignment (``tentative_from_shares``, one interval at a
-time) scales the shares by the remaining demand and folds the floating-point
-residual of each total into the block's first largest share; only this part
-depends on the demand. ``rollout`` carries one class through the
-intervals of a table, realizing one column at a time from its own remaining
-demand. ``tentative_departures`` is the one-interval case of both. Per
-block, results are bit-identical to a logit over that block alone:
+share of each block. ``assign`` scales the shares of consecutive intervals by
+one remaining-demand row each and folds the floating-point residual of each
+total into the block's first largest share; only this part depends on the
+demand. The pooled reaction of a forecast assigns every interval at once,
+from ``remaining_demand``; ``rollout`` carries one class through the
+intervals of a table, one at a time, realizing one column from its own
+remaining demand. ``tentative_departures`` is the one-interval case of
+both. Per block, results are bit-identical to a logit over that block alone:
 elementwise steps and maxima are exact in any layout, and the blocks are runs
-of a ``_Segments``, whose sums add the same numbers in the same order as
-``ndarray.sum`` on the block.
+of a ``_Segments``, which the kernel totals as ``ndarray.sum`` totals each
+block (``dnl.run_sums``).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dnl
 from .network import PathSet, TimeGrid
 
 
@@ -101,43 +103,25 @@ def cell_disutility(phi_s, grid: TimeGrid, path_set: PathSet, params: ChoicePara
 class _Segments:
     """Consecutive runs of a flat array, each totalled as ``ndarray.sum`` totals it.
 
-    ``start`` holds each run's first element and ``of`` the run of every
-    element. numpy adds fewer than 8 numbers in sequence, as ``np.bincount``
-    does, and 8 or more pairwise, so ``sums`` takes every total from
-    ``bincount`` and sums the runs of 8 or more again, each on its own row of
-    element indices: ``wide`` holds (runs, element indices) per run size.
+    ``start`` and ``size`` hold each run's first element and length, ``of``
+    the run of every element. ``sums`` adds each run in the kernel, in
+    numpy's order (``dnl.run_sums``).
     """
 
     start: np.ndarray  # (runs,)
+    size: np.ndarray  # (runs,)
     of: np.ndarray  # (elements,)
-    wide: tuple
 
     @classmethod
     def from_sizes(cls, size) -> _Segments:
-        size = np.asarray(size, dtype=np.intp)
-        start = np.cumsum(size) - size
-        wide = []
-        for n in sorted(set(size[size >= 8].tolist())):
-            runs = np.flatnonzero(size == n)
-            wide.append((runs, start[runs][:, None] + np.arange(n)))
-        return cls(start, np.repeat(np.arange(len(size)), size), tuple(wide))
+        size = np.asarray(size, dtype=np.int64)
+        return cls(np.cumsum(size) - size, size, np.repeat(np.arange(len(size)), size))
 
     def sums(self, x: np.ndarray) -> np.ndarray:
         """Per-run totals of ``x``, each bit-identical to ``x[run].sum()``."""
-        out = np.bincount(self.of, weights=x, minlength=len(self.start))
-        for runs, index in self.wide:
-            out[runs] = x[index].sum(axis=1)
-        return out
-
-    def part(self, lo: int, hi: int) -> tuple[_Segments, slice]:
-        """Runs ``lo``..``hi - 1``, re-based to start at 0, and the slice of their elements."""
-        e0, e1 = (int(self.start[r]) if r < len(self.start) else len(self.of) for r in (lo, hi))
-        wide = []
-        for runs, index in self.wide:
-            a, b = np.searchsorted(runs, (lo, hi))
-            if b > a:
-                wide.append((runs[a:b] - lo, index[a:b] - e0))
-        return _Segments(self.start[lo:hi] - e0, self.of[e0:e1] - lo, tuple(wide)), slice(e0, e1)
+        if x.shape != self.of.shape:  # the runs must lie inside x
+            raise ChoiceError(f"{x.shape} elements do not fill runs of {self.of.shape}")
+        return dnl.run_sums(x, self.start, self.size)
 
 
 @dataclass(frozen=True)
@@ -153,7 +137,6 @@ class _Layout:
     open: np.ndarray  # (n, P, T) bool, departure j >= provision interval first + i
     blocks: _Segments  # the cells of every block
     block_od: np.ndarray  # (blocks,)
-    intervals: tuple[tuple[_Segments, slice], ...]  # ``blocks.part`` of each interval
 
 
 def open_cells(first: int, n: int, T: int) -> np.ndarray:
@@ -170,14 +153,9 @@ def _layout(od_sizes: tuple[int, ...], T: int, first: int, n: int) -> _Layout:
     """
     sizes = np.array(od_sizes)
     ods = np.flatnonzero(sizes)
-    m = len(ods)  # blocks per interval
     cells = sizes[ods] * (T - np.arange(first, first + n))[:, None]  # per interval and OD
-    blocks = _Segments.from_sizes(cells.ravel())
-    return _Layout(
-        open=open_cells(first, n, T).repeat(int(sizes.sum()), axis=1),
-        blocks=blocks, block_od=np.tile(ods, n),
-        intervals=tuple(blocks.part(i * m, (i + 1) * m) for i in range(n)),
-    )
+    return _Layout(open=open_cells(first, n, T).repeat(int(sizes.sum()), axis=1),
+                   blocks=_Segments.from_sizes(cells.ravel()), block_od=np.tile(ods, n))
 
 
 def _logit(psi: np.ndarray, blocks: _Segments, theta: float):
@@ -208,9 +186,8 @@ class ShareTable:
     """Logit shares of every OD's choice set at consecutive provision intervals.
 
     Built once per information product by ``share_table``. Assigning demand
-    to it (``tentative_from_shares``) only scales shares and folds
-    residuals, so it can follow a remaining demand that changes from one
-    interval to the next.
+    to it (``assign``) only scales shares and folds residuals, so it can
+    follow a remaining demand that changes from one interval to the next.
     """
 
     first: int  # first provision interval
@@ -256,31 +233,34 @@ def share_table(
     return ShareTable(first, P, lay, share, top, finite)
 
 
-def tentative_from_shares(
-    table: ShareTable, t_index: int, remaining_demand: np.ndarray
-) -> np.ndarray:
-    """Assign each OD's remaining demand over its choice set at ``t_index``.
+def assign(table: ShareTable, t_index: int, remaining_demand: np.ndarray) -> np.ndarray:
+    """Assign remaining demand over every OD's choice set at ``t_index``, ``t_index`` + 1, ...
 
-    Scales the table's shares by the demand; per-OD totals are conserved
-    exactly (the floating-point residual of each total is folded into the
-    block's first largest share).
+    ``remaining_demand`` holds one row of per-OD demand for each of those
+    intervals. Returns their cells flat, in the table's layout order, which
+    ``layout.open`` selects in. Per-OD totals are conserved exactly (the
+    floating-point residual of each total is folded into the block's first
+    largest share).
     """
     lay = table.layout
-    i = t_index - table.first
-    if not 0 <= i < len(lay.intervals):
-        raise ChoiceError(f"provision interval {t_index} not in the share table")
-    seg, cells = lay.intervals[i]
-    blocks = slice(i * len(seg.start), (i + 1) * len(seg.start))
-    ods = lay.block_od[blocks]
-    demand = np.asarray(remaining_demand, dtype=float)[ods]
+    demand = np.asarray(remaining_demand, dtype=float)
+    i, n = t_index - table.first, len(lay.open)
+    if demand.ndim != 2 or not 0 <= i < i + len(demand) <= n:
+        raise ChoiceError(f"demand rows {demand.shape} from provision interval {t_index} are "
+                          f"not in the share table's {table.first}..{table.first + n - 1}")
+    m = len(lay.block_od) // n  # blocks per interval, at least one
+    blocks = slice(i * m, (i + len(demand)) * m)
+    start, size = lay.blocks.start[blocks], lay.blocks.size[blocks]
+    cells = slice(start[0], start[-1] + size[-1])
+    demand = demand[:, lay.block_od[:m]].ravel()  # per block
     if (demand < 0).any():
-        raise ChoiceError(f"negative remaining demand for OD {ods[np.argmax(demand < 0)]}")
+        raise ChoiceError(f"negative remaining demand for OD {lay.block_od[np.argmax(demand < 0)]}")
     if ((demand != 0.0) & ~table.finite[blocks]).any():
         raise ChoiceError("disutility matrix has non-finite entries")
-    out = table.share[cells] * demand[seg.of]
-    residual = demand - seg.sums(out)
+    out = table.share[cells] * np.repeat(demand, size)
+    residual = demand - dnl.run_sums(out, start - cells.start, size)
     out[table.top[blocks] - cells.start] += residual
-    return out.reshape(table.n_paths, -1)
+    return out
 
 
 def tentative_departures(
@@ -298,43 +278,48 @@ def tentative_departures(
     departure interval, of which the columns from ``t_index`` on are read.
     Per-OD totals are conserved exactly (the floating-point residual of the
     share sum is folded into the largest-share cell). The one-interval case
-    of ``share_table`` and ``tentative_from_shares``.
+    of ``share_table`` and ``assign``.
     """
     phi = np.asarray(phi_s, dtype=float)
     table = share_table(phi[None, :, None] if phi.ndim == 1 else phi[None], t_index, grid,
                         path_set, params)
-    return tentative_from_shares(table, t_index, remaining_demand)
+    demand = np.asarray(remaining_demand, dtype=float)[None]
+    return assign(table, t_index, demand).reshape(path_set.n_paths, -1)
 
 
 def remaining_demand(
-    realized_history: np.ndarray,
+    history: np.ndarray,
     class_demand: np.ndarray,
     path_set: PathSet,
 ) -> np.ndarray:
-    """Per-OD demand not yet departed, given realized columns before now.
+    """Per-OD demand not yet departed before each interval t of ``history``, (T, ODs).
 
-    Tiny negative remainders are clamped to zero; anything larger is an
-    overdraw error (``_unspent``).
+    Row t is ``class_demand`` less the departures of ``history[:, :t]``:
+    each path's total of those columns, as ``ndarray.sum`` gives it, added
+    per OD in path order, as ``np.add.at`` adds. Tiny negative remainders
+    are clamped to zero; anything larger is an overdraw error (``_unspent``).
     """
     class_demand = np.asarray(class_demand, dtype=float)
-    departed = np.zeros_like(class_demand)
-    if realized_history.size:
-        per_path = realized_history.sum(axis=1)
-        np.add.at(departed, path_set.od_of_path, per_path)
+    h = np.ascontiguousarray(history, dtype=float)
+    P, T = h.shape
+    prefix = dnl.run_sums(h, np.tile(np.arange(P, dtype=np.int64) * T, T),
+                          np.repeat(np.arange(T, dtype=np.int64), P)).reshape(T, P)
+    departed = np.zeros((T, len(class_demand)))
+    np.add.at(departed, (slice(None), path_set.od_of_path), prefix)
     return _unspent(class_demand - departed, class_demand)
 
 
 def _unspent(remaining: np.ndarray, class_demand: np.ndarray) -> np.ndarray:
-    """``remaining`` per OD, floating-point dust below zero clamped to zero.
+    """``remaining`` per OD (last axis), floating-point dust below zero clamped to zero.
 
     Dust lies within 1e-9 of the class demand, or of one vehicle; a larger
     negative remainder is an overdraw and raises.
     """
     floor = -1e-9 * np.maximum(1.0, class_demand)
     if np.any(remaining < floor):
-        worst = int(np.argmin(remaining - floor))
-        raise ChoiceError(f"OD {worst}: departures exceed class demand "
-                          f"{class_demand[worst]!r} by {-remaining[worst]!r}")
+        worst = np.unravel_index(np.argmin(remaining - floor), remaining.shape)
+        raise ChoiceError(f"OD {worst[-1]}: departures exceed class demand "
+                          f"{class_demand[worst[-1]]!r} by {-remaining[worst]!r}")
     return np.maximum(remaining, 0.0)
 
 
@@ -348,9 +333,9 @@ def rollout(table: ShareTable, class_demand: np.ndarray, path_set: PathSet) -> n
     """
     demand = np.asarray(class_demand, dtype=float)
     rem = demand.copy()
-    y = np.zeros((table.n_paths, len(table.layout.intervals)))
+    y = np.zeros((table.n_paths, len(table.layout.open)))
     for i in range(y.shape[1]):
-        y[:, i] = tentative_from_shares(table, table.first + i, rem)[:, 0]
+        y[:, i] = assign(table, table.first + i, rem[None]).reshape(table.n_paths, -1)[:, 0]
         np.subtract.at(rem, path_set.od_of_path, y[:, i])
         rem = _unspent(rem, demand)
     return y

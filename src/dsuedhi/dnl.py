@@ -84,7 +84,10 @@ link has no row, then the sources) are ``ndarray.sum``: 0.0 plus numpy's
 pairwise sum, which adds fewer than 8 numbers in sequence, up to 128 in 8
 accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before the tail
 is added, and more in two halves split at n/2 rounded down to a multiple of
-8. ``_fill_sources`` keeps its own source-row sums: they run across a
+8. ``dnl_step.c`` states that order once; ``run_sums`` (``dnl_run_sums``)
+is the only way the rest of the package sums in it: ``choice`` totals its
+logit blocks and the prefixes of a departure history there.
+``_fill_sources`` keeps its own source-row sums: they run across a
 non-contiguous axis, which numpy adds in sequence.
 
 Sensitivity. The sending rule branches on an absolute backlog ``> EPS_VEH``
@@ -203,7 +206,6 @@ class _Plan:
         min_ff = float(link_ff.min()) if N else grid.dt_s
         self.refine = max(1, int(np.ceil(grid.dt_s / min_ff - 1e-12)))
         self.dt = grid.dt_s / self.refine
-        self.key = (links, seqs, grid)
 
         self.source_links = tuple(sorted({seq[0] for seq in seqs}))
         n_src = len(self.source_links)
@@ -467,17 +469,31 @@ def _kernel() -> ctypes.CDLL:
     lib.dnl_step.restype = i64
     lib.dnl_path_times.argtypes = ([ptr, i64, i64, ptr, ptr, f64, ptr, i64, i64, ptr, ptr, i64, i64]
                                    + [ptr] * 4)
-    lib.dnl_path_times.restype = None
-    lib.dnl_sum.argtypes = [ptr, i64]
     lib.dnl_stored.argtypes = [ptr, ptr] + [i64] * 3 + [ptr]
-    lib.dnl_sum.restype = lib.dnl_stored.restype = ctypes.c_double
+    lib.dnl_run_sums.argtypes = [ptr, ptr, ptr, i64, ptr]
+    lib.dnl_stored.restype = f64
+    lib.dnl_path_times.restype = lib.dnl_run_sums.restype = None
     return lib
 
 
 def _arg(x: np.ndarray, dtype, shape: tuple) -> int:
     """Address of ``x`` for the kernel, which reads it as C-contiguous ``dtype`` of ``shape``."""
-    assert x.dtype == dtype and x.flags.c_contiguous and x.shape == shape, (x.dtype, x.shape, shape)
+    if not (x.dtype == dtype and x.flags.c_contiguous and x.shape == shape):
+        raise ValueError(f"kernel argument of dtype {x.dtype} and shape {x.shape} is not "
+                         f"C-contiguous {np.dtype(dtype)} of shape {shape}")
     return x.ctypes.data
+
+
+def run_sums(x: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """``x.flat[s : s + n].sum()``, bit for bit, of each run (s, n) of ``start`` and ``size``.
+
+    Runs may overlap, and must lie inside ``x``: the kernel does not check.
+    """
+    out = np.empty(len(start))
+    _kernel().dnl_run_sums(_arg(x, np.float64, x.shape), _arg(start, np.int64, out.shape),
+                           _arg(size, np.int64, out.shape), len(out),
+                           _arg(out, np.float64, out.shape))
+    return out
 
 
 def _step(

@@ -1,7 +1,9 @@
-/* The loader's time loop and read-out. ``dnl_step`` steps each copy of a
-   batch on its own, from its own step, until it drains or reaches ``stop``;
-   ``dnl_path_times`` then reads each copy's path travel times out of its
-   curves, by the same curve interpolation and FIFO inversion.
+/* The loader's time loop and read-out, and the exact sums of the logit.
+   ``dnl_step`` steps each copy of a batch on its own, from its own step,
+   until it drains or reaches ``stop``; ``dnl_path_times`` then reads each
+   copy's path travel times out of its curves, by the same curve
+   interpolation and FIFO inversion. ``dnl_run_sums`` totals runs of an
+   array as ``ndarray.sum`` does, for ``choice``.
 
    Built by ``dnl._kernel`` with -ffp-contract=off and without fast-math, so
    every operation rounds once, as its numpy form does. A batch of B patterns
@@ -11,7 +13,8 @@
    reads the plan's own index arrays at its own block.
 
    Sums mirror numpy: ``np.bincount`` and ``np.add.at`` add in sequence, in
-   index order; ``ndarray.sum`` is 0.0 plus numpy's pairwise sum (``sum``). */
+   index order; ``ndarray.sum`` is 0.0 plus numpy's pairwise sum
+   (``dnl_sum``). This file is the one statement of that pairwise order. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -55,9 +58,17 @@ static double pairwise(const double *a, i64 n)
 }
 
 /* ``ndarray.sum`` of n contiguous numbers */
-double dnl_sum(const double *a, i64 n)
+static double dnl_sum(const double *a, i64 n)
 {
     return 0.0 + pairwise(a, n);
+}
+
+/* ``x[start[k] : start[k] + size[k]].sum()`` of each of n runs, which may
+   overlap */
+void dnl_run_sums(const double *x, const i64 *start, const i64 *size, i64 n, double *out)
+{
+    for (i64 k = 0; k < n; k++)
+        out[k] = dnl_sum(x + start[k], size[k]);
 }
 
 /* Vehicles stored in one copy, from ``inside``, the entries minus exits of
@@ -78,8 +89,8 @@ double dnl_stored(const double *inside, const i64 *used_links, i64 A, i64 n_src,
 /* value of a sampled curve at ``time``, clamped to samples 0..last: from
    sample ``last`` on it is fraction 1 of the segment before (fraction 0 of
    sample 0 if last is 0, where the row must still have a second column).
-   The step reads no later than its current sample, so only the read-out
-   meets the clamp. */
+   The step reads link curves before sample ``last``; its FIFO reads of
+   slot curves and the read-out can reach it. */
 static double lagged(const double *row, double time, double dt, i64 last)
 {
     double x = min2(max2(time / dt, 0.0), (double)last);
@@ -88,19 +99,6 @@ static double lagged(const double *row, double time, double dt, i64 last)
         idx--;
     double frac = x - (double)idx;
     return row[idx] + frac * (row[idx + 1] - row[idx]);
-}
-
-/* value of a slot curve at ``tau``, clamped to samples 0..last, reading the
-   sample itself at fraction 1 */
-static double held(const double *row, double tau, double dt, i64 last)
-{
-    double x = min2(max2(tau / dt, 0.0), (double)last);
-    i64 idx = (i64)x;
-    if (idx > last - 1)
-        idx = last - 1;
-    double frac = x - (double)idx;
-    double lo = row[idx], hi = row[idx + 1];
-    return frac >= 1.0 ? hi : lo + frac * (hi - lo);
 }
 
 /* The earliest time a row of n samples reaches ``target``, relaxed by a
@@ -206,7 +204,7 @@ i64 dnl_step(const i64 *row_start, const i64 *slot_next, const i64 *slot_dest,
                 const i64 m = row_start[r + 1] - row_start[r];
                 for (i64 j = 0; j < m; j++) {
                     const double *s = sl + (row_start[r] + j) * cols;
-                    c[j] = max2(held(s, tau1, dt, c1) - held(s, tau0, dt, c1), 0.0);
+                    c[j] = max2(lagged(s, tau1, dt, c1) - lagged(s, tau0, dt, c1), 0.0);
                 }
                 const double sum = dnl_sum(c, m);
                 const double ratio = sum > 0.0 ? mass[r] / sum : 1.0;

@@ -45,18 +45,16 @@ def forecasts(
     ``instant_shares`` the share table of its instantaneous times. At t the
     pooled remaining demand of both classes under the candidate is assigned
     to that table, and its columns replace the candidate's from t on; all T
-    spliced patterns are loaded in one batch, each from the base's state at
-    its own interval. Only the open cells j >= t of the batch are filled;
+    reactions are assigned in one call and loaded in one batch, each from
+    the base's state at its own interval. Only the open cells j >= t are filled;
     the loader takes the cells before t from the base. Entry ``[t, p, j]``
     of the returned (T, paths, T) array is the travel time of path p for
     departure j in the pattern spliced at t; it is NaN for j < t, before
     that pattern's loading starts.
     """
     T = grid.n_intervals
-    totals = net.class_demands().sum(axis=0)
+    pooled = choice.remaining_demand(h_total, net.class_demands().sum(axis=0), path_set)
     reaction = np.full((T, *h_total.shape), np.nan)  # open cells only: j >= t
-    for t in range(T):
-        pooled = choice.remaining_demand(h_total[:, :t], totals, path_set)
-        reaction[t, :, t:] = choice.tentative_from_shares(instant_shares, t, pooled)
+    reaction[instant_shares.layout.open] = choice.assign(instant_shares, 0, pooled)
     loadings = dnl.load_batch(base, reaction, np.arange(T))
     return loadings[0].path_time.base  # the rows of one (T, paths, T) array

@@ -39,26 +39,19 @@ class TestSegments:
     numpy's blocking does."""
 
     @settings(max_examples=80, deadline=None)
-    @example(sizes=[130, 3, 8], seed=1, bounds=(0, 3))  # bincount alone differs here
+    @example(sizes=[130, 3, 8], seed=1)  # bincount alone differs here
     @given(
         sizes=st.lists(st.integers(1, 300), min_size=1, max_size=8),
         seed=st.integers(0, 2**32 - 1),
-        bounds=st.tuples(st.integers(0, 8), st.integers(0, 8)),
     )
-    def test_sums_equal_ndarray_sum_per_run(self, sizes, seed, bounds):
+    def test_sums_equal_ndarray_sum_per_run(self, sizes, seed):
         x = segment_values(seed, sum(sizes))
         seg = choice._Segments.from_sizes(sizes)
         edges = np.cumsum([0, *sizes])
         want = np.array([x[a:b].sum() for a, b in zip(edges[:-1], edges[1:])])
         assert np.array_equal(seg.sums(x), want)
-
-        lo, hi = sorted(min(b, len(sizes)) for b in bounds)
-        part, cells = seg.part(lo, hi)
-        alone = choice._Segments.from_sizes(sizes[lo:hi])
-        assert cells == slice(edges[lo], edges[hi])
-        assert np.array_equal(part.start, alone.start) and np.array_equal(part.of, alone.of)
-        assert np.array_equal(part.sums(x[cells]), alone.sums(x[cells]))
-        assert np.array_equal(part.sums(x[cells]), want[lo:hi])
+        assert np.array_equal(seg.start, edges[:-1]) and np.array_equal(seg.size, sizes)
+        assert np.array_equal(seg.of, np.repeat(np.arange(len(sizes)), sizes))
 
     def test_example_needs_more_than_bincount(self):
         sizes = [130, 3, 8]
@@ -330,19 +323,21 @@ class TestTentativeDepartures:
 
 
 class TestRemainingDemand:
+    """Row t is the demand left before interval t of the history."""
+
     def test_full_demand_at_start(self, three_path_set):
         net, ps = three_path_set
         d = np.array([12.0, 12.0])
-        out = choice.remaining_demand(np.zeros((3, 0)), d, ps)
-        np.testing.assert_array_equal(out, d)
+        out = choice.remaining_demand(np.full((3, 2), 2.0), d, ps)
+        np.testing.assert_array_equal(out[0], d)
 
     def test_after_first_interval(self, three_path_set):
         # realized first column (2, 2, 2): the second OD keeps 12 - 2 = 10,
         # the first keeps 12 - 4 = 8
         net, ps = three_path_set
-        realized = np.array([[2.0], [2.0], [2.0]])
+        realized = np.array([[2.0, 1.0], [2.0, 1.0], [2.0, 1.0]])
         out = choice.remaining_demand(realized, np.array([12.0, 12.0]), ps)
-        np.testing.assert_array_equal(out, [8.0, 10.0])
+        np.testing.assert_array_equal(out, [[12.0, 12.0], [8.0, 10.0]])
 
     def test_feasible_assignment_exhausts_demand(self, three_path_set):
         net, ps = three_path_set
@@ -351,12 +346,14 @@ class TestRemainingDemand:
         h = choice.tentative_departures(
             np.array([60.0, 90.0, 30.0]), np.array([12.0, 12.0]), 0, grid, ps, params
         )
-        out = choice.remaining_demand(h, np.array([12.0, 12.0]), ps)
-        np.testing.assert_allclose(out, 0.0, atol=1e-12)
+        # an empty interval after the horizon: its row is what all of h left
+        out = choice.remaining_demand(np.hstack([h, np.zeros((3, 1))]), np.array([12.0, 12.0]), ps)
+        np.testing.assert_allclose(out[-1], 0.0, atol=1e-12)
 
     def test_overdraw_raises(self, three_path_set):
+        # the first two columns take 16 of the first OD's 12 before interval 2
         net, ps = three_path_set
-        realized = np.full((3, 2), 4.0)
+        realized = np.full((3, 3), 4.0)
         with pytest.raises(choice.ChoiceError, match="exceed"):
             choice.remaining_demand(realized, np.array([12.0, 12.0]), ps)
 
@@ -366,16 +363,36 @@ class TestRemainingDemand:
         table = choice.share_table(np.full((3, ps.n_paths, 1), 60.0), 0, grid, ps,
                                    params_for(net))
         # every path departs 100 vehicles at once, far more than either OD's 12
-        monkeypatch.setattr(choice, "tentative_from_shares",
+        monkeypatch.setattr(choice, "assign",
                             lambda table, t, rem: np.full((ps.n_paths, 3 - t), 100.0))
         with pytest.raises(choice.ChoiceError, match="exceed"):
             choice.rollout(table, np.array([12.0, 12.0]), ps)
 
     def test_dust_clamped(self, three_path_set):
         net, ps = three_path_set
-        realized = np.array([[6.0 + 2e-10], [6.0], [0.0]])
+        realized = np.array([[6.0 + 2e-10, 0.0], [6.0, 0.0], [0.0, 0.0]])
         out = choice.remaining_demand(realized, np.array([12.0, 12.0]), ps)
-        assert out[0] == 0.0
+        assert out[1, 0] == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(0, 12), min_size=1, max_size=4),
+        T=st.integers(9, 300),
+        spent=st.sampled_from([0.5, 1.0, 1.0 + 5e-10]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_row_is_the_per_interval_definition(self, sizes, T, spent, seed):
+        # prefixes of 8 or more columns are summed pairwise, of more than
+        # 128 in halves; ``spent`` of each OD's demand departs in all, so the
+        # last rows are near zero or dust clamped to it
+        ps = path_set_of(sizes)
+        h = np.abs(segment_values(seed, ps.n_paths * T)).reshape(ps.n_paths, T)
+        totals = np.bincount(ps.od_of_path, h.sum(axis=1), minlength=len(sizes)) / spent
+        out = choice.remaining_demand(h, totals, ps)
+        assert out.shape == (T, len(sizes))
+        for t in range(T):
+            departed = np.bincount(ps.od_of_path, h[:, :t].sum(axis=1), minlength=len(sizes))
+            assert out[t].tobytes() == np.maximum(totals - departed, 0.0).tobytes(), t
 
 
 class TestRealize:
@@ -387,7 +404,7 @@ class TestRealize:
         net, ps = three_path_set
         table = choice.share_table(np.full((len(plans), ps.n_paths, 1), 60.0), 0,
                                    nw.TimeGrid(360.0, 120.0), ps, params_for(net))
-        monkeypatch.setattr(choice, "tentative_from_shares", lambda table, t, rem: plans[t])
+        monkeypatch.setattr(choice, "assign", lambda table, t, rem: plans[t])
         return choice.rollout(table, np.array([6.0, 6.0]), ps)
 
     def test_first_column_only(self, monkeypatch, three_path_set):
@@ -543,6 +560,7 @@ class TestShareTable:
             remaining[rng.integers(0, T), rng.integers(0, n_od)] = -rng.uniform(1e-12, 1.0)
 
         table = choice.share_table(phi, 0, grid, ps, params)
+        wants = []
         for t in range(T):
             # the reference takes (P,) or (P, T - t); the one-interval logit
             # takes (P,) or the whole horizon (P, T)
@@ -553,16 +571,25 @@ class TestShareTable:
                 with pytest.raises(choice.ChoiceError):
                     choice.tentative_departures(given, remaining[t], t, grid, ps, params)
                 with pytest.raises(choice.ChoiceError):
-                    choice.tentative_from_shares(table, t, remaining[t])
+                    choice.assign(table, t, remaining[t : t + 1])
+                wants = None
                 continue
             one = choice.tentative_departures(given, remaining[t], t, grid, ps, params)
-            got = choice.tentative_from_shares(table, t, remaining[t])
+            got = choice.assign(table, t, remaining[t : t + 1]).reshape(P, -1)
             assert one.shape == got.shape == want.shape == (P, T - t)
             assert np.array_equal(one, want)
             assert np.array_equal(got, want)
+            if wants is not None:
+                wants.append(want.ravel())
             # the residual goes to the first largest share, even where it is 0
-            m = len(table.layout.intervals[t][0].start)  # blocks per interval
+            m = len(table.layout.block_od) // T  # blocks per interval
             for b in range(t * m, (t + 1) * m):
                 k = int(table.layout.block_od[b])
                 if k in tops:
                     assert table.top[b] - table.layout.blocks.start[b] == tops[k]
+        # every interval at once, one demand row each, as the forecast reaction assigns
+        if wants is None:
+            with pytest.raises(choice.ChoiceError):
+                choice.assign(table, 0, remaining)
+        else:
+            assert choice.assign(table, 0, remaining).tobytes() == np.concatenate(wants).tobytes()

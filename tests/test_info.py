@@ -100,8 +100,12 @@ class TestForecastInfo:
         assert forecasts.shape == (T, ps.n_paths, T)
         totals = np.array([od.demand_total for od in net.od_pairs])
         for t in (0, 7, T - 1):
-            pooled = choice.remaining_demand(h_total[:, :t], totals, ps)
-            spliced = splice(h_total, choice.tentative_from_shares(table, t, pooled), t)
+            # the demand not departed before t, and its one-interval logit reaction
+            departed = np.bincount(ps.od_of_path, h_total[:, :t].sum(axis=1), minlength=len(totals))
+            pooled = np.maximum(totals - departed, 0.0)
+            reaction = choice.tentative_departures(base.instant_path_time[:, t], pooled, t, grid,
+                                                   ps, params)
+            spliced = splice(h_total, reaction, t)
             want = dnl.load(net, ps, grid, spliced).path_time[:, t:]
             assert np.array_equal(forecasts[t, :, t:], want)
 

@@ -1,4 +1,4 @@
-"""The loader's tests pass on a step kernel built with AddressSanitizer and UBSan.
+"""The tests of the loader and the logit pass on a kernel built with AddressSanitizer and UBSan.
 
 The kernel reads and writes numpy arrays through raw pointers, so a wrong
 index corrupts memory or crashes where numpy would have raised. A sanitized
@@ -15,7 +15,8 @@ import pytest
 from sanitized_kernel import CC
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = ["test_golden.py", "test_batch.py", "test_dnl.py", "test_map_golden.py", "test_kernel.py"]
+FILES = ["test_golden.py", "test_batch.py", "test_dnl.py", "test_map_golden.py", "test_kernel.py",
+         "test_choice.py", "test_info.py"]
 
 
 def runtime(name: str) -> str:
