@@ -25,9 +25,9 @@ from ``remaining_demand``; ``rollout`` carries one class through the
 intervals of a table, one at a time, realizing one column from its own
 remaining demand. ``tentative_departures`` is the one-interval case of
 both. Per block, results are bit-identical to a logit over that block alone:
-elementwise steps and maxima are exact in any layout, and the blocks are runs
-of a ``_Segments``, which the kernel totals as ``ndarray.sum`` totals each
-block (``dnl.run_sums``).
+elementwise steps and maxima are exact in any layout, and the blocks are
+runs of one flat array, which the kernel totals as ``ndarray.sum`` totals
+each block (``dnl.run_sums``).
 """
 
 from __future__ import annotations
@@ -100,31 +100,6 @@ def cell_disutility(phi_s, grid: TimeGrid, path_set: PathSet, params: ChoicePara
 
 
 @dataclass(frozen=True)
-class _Segments:
-    """Consecutive runs of a flat array, each totalled as ``ndarray.sum`` totals it.
-
-    ``start`` and ``size`` hold each run's first element and length, ``of``
-    the run of every element. ``sums`` adds each run in the kernel, in
-    numpy's order (``dnl.run_sums``).
-    """
-
-    start: np.ndarray  # (runs,)
-    size: np.ndarray  # (runs,)
-    of: np.ndarray  # (elements,)
-
-    @classmethod
-    def from_sizes(cls, size) -> _Segments:
-        size = np.asarray(size, dtype=np.int64)
-        return cls(np.cumsum(size) - size, size, np.repeat(np.arange(len(size)), size))
-
-    def sums(self, x: np.ndarray) -> np.ndarray:
-        """Per-run totals of ``x``, each bit-identical to ``x[run].sum()``."""
-        if x.shape != self.of.shape:  # the runs must lie inside x
-            raise ChoiceError(f"{x.shape} elements do not fill runs of {self.of.shape}")
-        return dnl.run_sums(x, self.start, self.size)
-
-
-@dataclass(frozen=True)
 class _Layout:
     """Every OD's choice set at provision intervals ``first``.. as blocks of one array.
 
@@ -135,7 +110,9 @@ class _Layout:
     """
 
     open: np.ndarray  # (n, P, T) bool, departure j >= provision interval first + i
-    blocks: _Segments  # the cells of every block
+    start: np.ndarray  # (blocks,) int64, first cell of each block
+    size: np.ndarray  # (blocks,) int64, cells of each block
+    of: np.ndarray  # (cells,) block of each cell
     block_od: np.ndarray  # (blocks,)
 
 
@@ -151,31 +128,34 @@ def _layout(od_sizes: tuple[int, ...], T: int, first: int, n: int) -> _Layout:
     Cached: every table of one path set and grid shares it, and nothing
     writes to its arrays.
     """
-    sizes = np.array(od_sizes)
+    sizes = np.array(od_sizes, dtype=np.int64)
     ods = np.flatnonzero(sizes)
-    cells = sizes[ods] * (T - np.arange(first, first + n))[:, None]  # per interval and OD
+    size = (sizes[ods] * (T - np.arange(first, first + n))[:, None]).ravel()  # per interval, OD
     return _Layout(open=open_cells(first, n, T).repeat(int(sizes.sum()), axis=1),
-                   blocks=_Segments.from_sizes(cells.ravel()), block_od=np.tile(ods, n))
+                   start=np.cumsum(size) - size, size=size,
+                   of=np.repeat(np.arange(len(size)), size), block_od=np.tile(ods, n))
 
 
-def _logit(psi: np.ndarray, blocks: _Segments, theta: float):
-    """Max-shifted logit shares of every block of ``psi`` at once.
+def _logit(psi: np.ndarray, lay: _Layout, theta: float):
+    """Max-shifted logit shares of every block of ``psi``, the cells of ``lay``, at once.
 
     Returns the shares, each block's first cell of largest share and whether
     the block is all finite. Each block's shares and first largest share are
     those of a logit over that block alone: the elementwise steps and the
-    maxima are exact in any layout, and ``blocks.sums`` adds each block's
+    maxima are exact in any layout, and ``dnl.run_sums`` adds each block's
     weights in the order ``ndarray.sum`` would. The shares of a non-finite
     block are not meaningful, but finite.
     """
-    start, block = blocks.start, blocks.of
+    if psi.shape != lay.of.shape:  # the kernel sums runs that must lie inside psi
+        raise ChoiceError(f"{psi.shape} cells do not fill the layout's {lay.of.shape}")
+    start, block = lay.start, lay.of
     finite = np.logical_and.reduceat(np.isfinite(psi), start)
     if not finite.all():
         psi = np.where(finite[block], psi, 0.0)
     z = -theta * psi
     z -= np.maximum.reduceat(z, start)[block]
     w = np.exp(z)
-    share = w / blocks.sums(w)[block]
+    share = w / dnl.run_sums(w, start, lay.size)[block]
     top = share == np.maximum.reduceat(share, start)[block]
     first_top = np.minimum.reduceat(np.where(top, np.arange(len(share)), len(share)), start)
     return share, first_top, finite
@@ -229,7 +209,7 @@ def share_table(
         raise ChoiceError(f"provision intervals {first}..{first + n - 1} outside horizon")
     lay = _layout(tuple(sl.stop - sl.start for sl in path_set.od_slices), T, first, n)
     psi = cell_disutility(phi, grid, path_set, params)
-    share, top, finite = _logit(psi[lay.open], lay.blocks, params.theta)
+    share, top, finite = _logit(psi[lay.open], lay, params.theta)
     return ShareTable(first, P, lay, share, top, finite)
 
 
@@ -250,7 +230,7 @@ def assign(table: ShareTable, t_index: int, remaining_demand: np.ndarray) -> np.
                           f"not in the share table's {table.first}..{table.first + n - 1}")
     m = len(lay.block_od) // n  # blocks per interval, at least one
     blocks = slice(i * m, (i + len(demand)) * m)
-    start, size = lay.blocks.start[blocks], lay.blocks.size[blocks]
+    start, size = lay.start[blocks], lay.size[blocks]
     cells = slice(start[0], start[-1] + size[-1])
     demand = demand[:, lay.block_od[:m]].ravel()  # per block
     if (demand < 0).any():

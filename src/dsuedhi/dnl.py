@@ -67,11 +67,13 @@ and steps from there on its own until it drains or reaches the step cap.
 Path times are computed from t on only: one kernel call per stepped chunk
 times its open cells, into one (patterns, paths, intervals) array for the
 whole batch. Every pattern keeps its own drain test, tolerance and step
-count, and gets exactly the result of loading it alone from step 0; ``load``
-is the batch of one. The time axis holds the boundaries stepped so far: it
-starts at the horizon plus half of it, grows by half while a pattern has not
-drained, and stops at the step cap. A batch whose curves would exceed a
-fixed byte budget at that first size is stepped in equal chunks.
+count, and gets exactly the path times of loading it alone from step 0;
+``load`` is the batch of one. The time axis holds the boundaries stepped so
+far: it starts at the horizon plus half of it, grows by half while a pattern
+has not drained, and stops at the step cap. A batch whose curves would
+exceed a fixed byte budget at that first size is stepped in equal chunks,
+one after another; a batch returns only its path times, step counts and
+drain flags, so each chunk's curves are freed once they are read out.
 
 Exact sums. Results are bit-identical to a loop that sums each row's slots
 with ``ndarray.sum``. The kernel is compiled with -ffp-contract=off and
@@ -138,7 +140,7 @@ def check_feasible(values: np.ndarray, path_set: PathSet, demand_per_od: np.ndar
 
 @dataclass
 class LoadingResult:
-    """Cumulative curves and path travel times of one loading."""
+    """Cumulative curves and path travel times of one loading (``load``)."""
 
     grid: TimeGrid
     n_steps: int
@@ -151,9 +153,9 @@ class LoadingResult:
     src_dn: np.ndarray
     path_time: np.ndarray  # paths x T, travel time per departure interval
     extrapolated: np.ndarray  # paths x T bool, trip extended past simulation
+    drained: bool
+    _state: tuple = field(repr=False)  # plan, departures, link slots: a base for load_batch
     instant_path_time: np.ndarray | None = None  # paths x T, sums of entry-time link times
-    drained: bool = True
-    _state: tuple | None = field(default=None, repr=False)  # plan, departures, link slots
 
     @property
     def n_up(self) -> np.ndarray:
@@ -275,15 +277,18 @@ def _first_cols(t_sim: int, s_max: int) -> int:
 
 # Curves of one batch chunk (entries, exits and slot entries of every pattern
 # at the first allocation) stay under 2 MiB; a batch over it is split into
-# chunks of equal size. The step kernel's work arrays hold a few numbers per
-# row and slot, so a batch of forecasts adds about that budget at most to the
-# peak memory of the one-at-a-time loads it replaces. Larger chunks save calls
-# but add memory one for one. The 30 forecasts of a 60-link, 23-path lattice
-# with T = 30, whose paths use 24 of the links, take 65,424 bytes each and run
-# as one chunk; with a row for every link they took 92,496 bytes and ran as
-# two chunks of 15. Path timing holds no per-cell temporaries: the kernel
-# writes each open cell's time and flag straight into the batch's result
-# arrays.
+# chunks of equal size, stepped one after another. A chunk's curves are freed
+# once its path times are read out, so a batch of forecasts adds about that
+# budget, plus its (patterns, paths, intervals) times, to the peak memory of
+# the one-at-a-time loads it replaces: the 120 forecasts of the shipped grid
+# stretched to T = 120 run in 7 chunks with a traced peak of 4.4 MB, of which
+# the returned times and flags take 1.0 MB, where keeping every chunk's
+# curves until the batch returned peaked at 10.3 MB. The step kernel's work arrays hold a
+# few numbers per row and slot. Larger chunks save calls but add memory one
+# for one. The 30 forecasts of a 60-link, 23-path lattice with T = 30, whose
+# paths use 24 of the links, take 65,424 bytes each and run as one chunk.
+# Path timing holds no per-cell temporaries: the kernel writes each open
+# cell's time and flag straight into the batch's result arrays.
 _CHUNK_BYTES = 2 * 2**20
 
 
@@ -328,51 +333,62 @@ def load(
     A batch of one of the stepper behind ``load_batch``. Deterministic:
     identical inputs give bit-identical results. With ``compute_link_times``,
     ``instant_path_time`` sums each path's link times for entry at each
-    interval start. ``link_up`` and ``link_dn`` are views of arrays with up
-    to half as many columns again as the loading used; ``n_up`` and ``n_dn``
-    are those curves themselves when every link is on a path, and otherwise
-    new arrays, with zero rows for the other links, on each access. The
-    result keeps its slot curves, so it can serve as the base of a
-    ``load_batch``.
+    interval start, hop by hop; without, it is None. ``link_up`` and
+    ``link_dn`` are views of arrays with up to half as many columns again as
+    the loading used; ``n_up`` and ``n_dn`` are those curves themselves when
+    every link is on a path, and otherwise new arrays, with zero rows for the
+    other links, on each access. The result keeps its slot curves, so it can
+    serve as the base of a ``load_batch``.
     """
     h = _departures(departures, path_set.n_paths, grid.n_intervals)[None]
     plan = _plan(net.links, path_set.link_seq, grid)
-    res = _step(plan, grid, h, np.zeros(1, dtype=np.int64), np.empty(h.shape),
-                np.empty(h.shape, dtype=bool))[0]
+    path_time, extrapolated = np.empty(h.shape), np.empty(h.shape, dtype=bool)
+    up, dn, slots, n_steps, drained = _step(plan, grid, h, np.zeros(1, dtype=np.int64),
+                                            path_time, extrapolated)
+    A, S = plan.A, int(n_steps[0])
+    res = LoadingResult(
+        grid=grid, n_steps=S, sim_dt_s=plan.dt,
+        link_up=up[0, :A, : S + 1], link_dn=dn[0, :A, : S + 1],
+        used_links=plan.used_links, n_links=plan.n_links,
+        src_up=up[0, A:, : S + 1], src_dn=dn[0, A:, : S + 1],
+        path_time=path_time[0], extrapolated=extrapolated[0], drained=bool(drained[0]),
+        _state=(plan, h[0], slots[0, : plan.n_link_slots, : S + 1]),
+    )
     if compute_link_times:
+        # a hop past a path's end reads the zero row; cumsum adds the hops in
+        # sequence whatever the shape, where sum would add them pairwise when
+        # T = 1, and 0.0 leaves a positive link time sum unchanged
         link_time = _link_times(plan, grid, res.link_up, res.link_dn)
-        res.instant_path_time = np.zeros(h.shape[1:])
-        for hop in plan.path_rows[:, 1:].T:
-            on = hop >= 0
-            res.instant_path_time[on] += link_time[hop[on]]
+        hop_times = np.vstack((link_time, np.zeros(grid.n_intervals)))[plan.path_rows[:, 1:]]
+        res.instant_path_time = hop_times.cumsum(axis=1)[:, -1]
     return res
 
 
-def load_batch(base: LoadingResult, departures: np.ndarray, starts) -> list[LoadingResult]:
+@dataclass
+class BatchResult:
+    """Path times of the patterns of one ``load_batch``, each timed from its own start."""
+
+    path_time: np.ndarray  # patterns x paths x T, NaN before each pattern's start
+    extrapolated: np.ndarray  # patterns x paths x T bool, False before each pattern's start
+    n_steps: np.ndarray  # (patterns,) steps each pattern took
+    drained: np.ndarray  # (patterns,) bool, whether each pattern drained before the step cap
+
+
+def load_batch(base: LoadingResult, departures: np.ndarray, starts) -> BatchResult:
     """Load B patterns that follow ``base``, each from its own start.
 
-    ``base`` is a loading of one pattern (``load``, or a batch of one); the
-    batch has its network, path set and grid. ``starts`` holds B ascending
-    intervals in [0, T). Pattern b is the base's departures before interval
-    ``starts[b]`` and ``departures[b, P, T]`` from there on: the cells of
-    ``departures`` before each start are not read. Each pattern takes the
-    base's curves up to its start and, on its own copy of the network's
-    rows and slots, steps on its own from there until it drains, with its
-    own drain test and step count. Its curves, step count and drain flag are
-    bit-identical to ``load`` of that pattern alone, and so are its path
-    times from its start on; ``path_time`` is NaN (and ``extrapolated``
-    False) before it, and ``instant_path_time`` is None. Large batches are
-    stepped in chunks whose curves stay under a fixed byte budget.
-
-    The ``link_up``, ``link_dn``, ``src_up`` and ``src_dn`` curves of a
-    result are views into arrays shared by its whole chunk, so a result kept
-    alive keeps the curves of every pattern of its chunk; copy what is kept.
-    ``n_up`` and ``n_dn`` are built from them on access, as for ``load``.
-    The results' ``path_time`` and ``extrapolated`` are the rows of one (B,
-    P, T) array each, their ``base``.
+    ``base`` is a ``load`` result; the batch has its network, path set and
+    grid. ``starts`` holds B ascending intervals in [0, T). Pattern b is the
+    base's departures before interval ``starts[b]`` and ``departures[b, P,
+    T]`` from there on: the cells of ``departures`` before each start are
+    not read. Each pattern takes the base's curves up to its start and, on
+    its own copy of the network's rows and slots, steps on its own from
+    there until it drains, with its own drain test and step count. Its step
+    count, drain flag and path times from its start on are bit-identical to
+    ``load`` of that pattern alone. Large batches are stepped in chunks whose
+    curves stay under a fixed byte budget, one after another, and only their
+    path times, step counts and drain flags are kept.
     """
-    if base._state is None:
-        raise DnlError("base loading carries no loader state")
     plan, base_h, _ = base._state
     P, T = base_h.shape
     starts = np.asarray(starts)
@@ -380,12 +396,17 @@ def load_batch(base: LoadingResult, departures: np.ndarray, starts) -> list[Load
                                              or starts[-1] >= T or (np.diff(starts) < 0).any())):
         raise DnlError(f"starts must be ascending intervals in [0, {T})")
     h = _departures(departures, P, T, base_h, starts)
+    out = BatchResult(np.full(h.shape, np.nan), np.zeros(h.shape, dtype=bool),
+                      np.zeros(len(h), dtype=np.int64), np.zeros(len(h), dtype=bool))
     if not len(h):
-        return []
+        return out
     chunks = -(-len(h) // max(1, _CHUNK_BYTES // _pattern_bytes(plan, base.grid)))
-    parts = (np.array_split(x, chunks) for x in (
-        h, starts.astype(np.int64), np.full(h.shape, np.nan), np.zeros(h.shape, dtype=bool)))
-    return [res for part in zip(*parts) for res in _step(plan, base.grid, *part, base)]
+    for part in np.array_split(np.arange(len(h)), chunks):
+        b = slice(part[0], part[-1] + 1)
+        # the chunk's curves are dropped with the returned tuple
+        out.n_steps[b], out.drained[b] = _step(plan, base.grid, h[b], starts[b].astype(np.int64),
+                                               out.path_time[b], out.extrapolated[b], base)[3:]
+    return out
 
 
 def _fill_sources(plan: _Plan, h: np.ndarray, src_slots: np.ndarray, src_rows: np.ndarray) -> None:
@@ -504,17 +525,18 @@ def _step(
     path_time: np.ndarray,
     extrapolated: np.ndarray,
     base: LoadingResult | None = None,
-) -> list[LoadingResult]:
-    """Step each of the patterns ``h[B, P, T]`` on its own; one result per pattern.
+) -> tuple[np.ndarray, ...]:
+    """Step each of the patterns ``h[B, P, T]`` on its own and time it from its start.
 
     The batch is B single loads stacked copy-major: the curves are (B, rows,
     columns) and (B, slots, columns) arrays, each copy in the plan's row and
     slot order. Pattern b takes the base's curves up to step ``starts[b] *
-    refine`` and steps from there until it drains or reaches the step cap;
-    its result ends at its own step. Its path times from its start on are
-    written into ``path_time[b]`` and ``extrapolated[b]``, whose rows its
-    result holds. A batch of one keeps its link slot curves, so its result
-    can serve as a base.
+    refine`` and steps from there until it drains or reaches the step cap.
+    Its path times from its start on are written into ``path_time[b]`` and
+    ``extrapolated[b]``. Returns the kernel's arrays: the entries ``up`` and
+    exits ``dn`` of every row, the entries ``slots`` of every slot, and each
+    pattern's ``n_steps`` and ``drained``; pattern b's curves end at column
+    ``n_steps[b]``.
     """
     B, _, T = h.shape
     A, L = plan.A, plan.n_link_slots
@@ -558,21 +580,7 @@ def _step(
 
     _read_out(plan.path_rows, plan.row_ff, plan.row_cap, plan.dt, grid.interval_mids(), starts,
               n_steps, up, dn, path_time, extrapolated)
-    return [LoadingResult(
-        grid=grid,
-        n_steps=S,
-        sim_dt_s=plan.dt,
-        link_up=up[j, :A, : S + 1],
-        link_dn=dn[j, :A, : S + 1],
-        used_links=plan.used_links,
-        n_links=plan.n_links,
-        src_up=up[j, A:, : S + 1],
-        src_dn=dn[j, A:, : S + 1],
-        path_time=path_time[j],
-        extrapolated=extrapolated[j],
-        drained=bool(drained[j]),
-        _state=(plan, h[j], slots[j, :L, : S + 1]) if B == 1 else None,
-    ) for j, S in enumerate(n_steps.tolist())]
+    return up, dn, slots, n_steps, drained
 
 
 def _link_times(plan: _Plan, grid: TimeGrid, link_up, link_dn) -> np.ndarray:

@@ -16,11 +16,12 @@ per provision interval. The forecast spliced at t has the candidate's
 departures before t, so its loading repeats the candidate loading up to
 there: ``forecasts`` loads the T spliced patterns as one batch
 (``dnl.load_batch``) in which each starts from the candidate loading's state
-at its own interval, steps on its own and is timed from there on. Both its input, the
-predicted columns, and its output, the forecast travel times, are (provision
-interval t, path, departure interval j) arrays read only in their open
-cells j >= t, the layout that ``choice.share_table`` reads; the loader takes
-the cells before t from the candidate.
+at its own interval, steps on its own and is timed from there on. Both its
+input, the predicted columns, and its output, the forecast travel times, are
+(provision interval t, path, departure interval j) arrays read only in their
+open cells j >= t, the layout that ``choice.share_table`` reads; the loader
+takes the cells before t from the candidate, and the forecast times are the
+batch's own ``path_time`` array; the batch keeps none of its curves.
 """
 
 from __future__ import annotations
@@ -56,5 +57,4 @@ def forecasts(
     pooled = choice.remaining_demand(h_total, net.class_demands().sum(axis=0), path_set)
     reaction = np.full((T, *h_total.shape), np.nan)  # open cells only: j >= t
     reaction[instant_shares.layout.open] = choice.assign(instant_shares, 0, pooled)
-    loadings = dnl.load_batch(base, reaction, np.arange(T))
-    return loadings[0].path_time.base  # the rows of one (T, paths, T) array
+    return dnl.load_batch(base, reaction, np.arange(T)).path_time

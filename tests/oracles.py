@@ -3,10 +3,11 @@
 The loading oracle integrates cumulative curves at a hundredth of the
 departure interval with plain point-queue recursions; it shares no code with
 the production loader. The path oracles enumerate every simple path by
-exhaustive search and build the dense link-path incidence matrix. Two helpers
-read or set up loadings: ``vehicles_stored`` and ``step_cap``; ``solve_recording``
-keeps the input of every map a solve applies; ``logit`` runs the production
-logit kernel on one choice set.
+exhaustive search and build the dense link-path incidence matrix. Three
+helpers read or set up loadings: ``vehicles_stored``, ``step_cap`` and
+``stepped``, which keeps the curves of a batch that ``dnl.load_batch`` drops;
+``solve_recording`` keeps the input of every map a solve applies; ``logit``
+runs the production logit kernel on one choice set.
 """
 
 from __future__ import annotations
@@ -43,11 +44,31 @@ def step_cap(drain_steps: int | None):
         dnl._step_cap = own
 
 
+def stepped(base: dnl.LoadingResult, batch, starts) -> list[dnl.LoadingResult]:
+    """The patterns of ``dnl.load_batch(base, batch, starts)``, stepped in one
+    ``dnl._step`` call, each as the ``LoadingResult`` that ``dnl.load`` builds
+    from the same arrays: the curves of a batch, which ``load_batch`` drops."""
+    plan, base_h, _ = base._state
+    starts = np.asarray(starts, dtype=np.int64)
+    h = dnl._departures(batch, *base_h.shape, base_h, starts)
+    path_time, extrapolated = np.full(h.shape, np.nan), np.zeros(h.shape, dtype=bool)
+    up, dn, slots, n_steps, drained = dnl._step(plan, base.grid, h, starts, path_time,
+                                                extrapolated, base)
+    A = plan.A
+    return [dnl.LoadingResult(
+        grid=base.grid, n_steps=S, sim_dt_s=plan.dt, link_up=up[j, :A, : S + 1],
+        link_dn=dn[j, :A, : S + 1], used_links=plan.used_links, n_links=plan.n_links,
+        src_up=up[j, A:, : S + 1], src_dn=dn[j, A:, : S + 1], path_time=path_time[j],
+        extrapolated=extrapolated[j], drained=bool(drained[j]),
+        _state=(plan, h[j], slots[j, : plan.n_link_slots, : S + 1]),
+    ) for j, S in enumerate(n_steps.tolist())]
+
+
 def logit(psi, theta: float) -> np.ndarray:
     """Logit shares over one choice set, all entries of ``psi`` jointly:
     ``choice._logit`` on a single block."""
     psi = np.asarray(psi, dtype=float)
-    share, _, _ = choice._logit(psi.reshape(-1), choice._Segments.from_sizes([psi.size]), theta)
+    share, _, _ = choice._logit(psi.reshape(-1), choice._layout((psi.size,), 1, 0, 1), theta)
     return share.reshape(psi.shape)
 
 

@@ -1,5 +1,8 @@
 """A batch of patterns loads exactly as the same patterns loaded alone."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +10,11 @@ from hypothesis import strategies as st
 
 from dsuedhi import dnl
 from dsuedhi import network as nw
-from oracles import step_cap
+from oracles import step_cap, stepped
 from test_golden import random_lattice
 
-FIELDS = ("path_time", "extrapolated", "n_steps", "drained", "n_up", "n_dn", "src_up",
-          "src_dn")
+FIELDS = ("path_time", "extrapolated", "n_steps", "drained")  # the arrays of a batch
+CURVES = ("n_up", "n_dn", "src_up", "src_dn")  # per pattern, through dnl._step
 
 
 def cold_batch(base, batch):
@@ -19,16 +22,27 @@ def cold_batch(base, batch):
     return dnl.load_batch(base, batch, np.zeros(len(batch), dtype=np.intp))
 
 
+def assert_equal_fields(got, want, fields):
+    for field in fields:
+        a, b = getattr(got, field), getattr(want, field)
+        assert np.shape(a) == np.shape(b), field
+        assert np.array_equal(a, b), field
+
+
+def pattern(batch: dnl.BatchResult, j: int) -> SimpleNamespace:
+    """The arrays of pattern j of ``batch``."""
+    return SimpleNamespace(**{field: getattr(batch, field)[j] for field in FIELDS})
+
+
 def assert_batch_equals_solo(net, ps, grid, batch, cap=None):
     with step_cap(cap):
         solos = [dnl.load(net, ps, grid, pattern) for pattern in batch]
         got = cold_batch(solos[-1], batch)
-    assert len(got) == len(batch)
-    for solo, res in zip(solos, got):
-        for field in FIELDS:
-            a, b = getattr(res, field), getattr(solo, field)
-            assert np.shape(a) == np.shape(b), field
-            assert np.array_equal(a, b), field
+        curves = stepped(solos[-1], batch, np.zeros(len(batch), dtype=np.intp))
+    assert got.path_time.shape == batch.shape
+    for j, (solo, res) in enumerate(zip(solos, curves, strict=True)):
+        assert_equal_fields(pattern(got, j), solo, FIELDS)
+        assert_equal_fields(res, solo, CURVES)
     return got
 
 
@@ -51,10 +65,10 @@ def test_batch_drains_at_different_steps_and_keeps_a_capped_pattern(three_link):
     heavy = np.zeros((ps.n_paths, T))
     heavy[:, :20] = 40.0
     got = assert_batch_equals_solo(net, ps, grid, np.stack([light, heavy, light * 2]))
-    assert got[0].n_steps < got[1].n_steps and all(r.drained for r in got)
+    assert got.n_steps[0] < got.n_steps[1] and got.drained.all()
     capped = assert_batch_equals_solo(net, ps, grid, np.stack([light, heavy]), cap=3)
-    assert capped[0].drained and not capped[1].drained
-    assert capped[1].extrapolated.any() and capped[0].n_steps < capped[1].n_steps
+    assert capped.drained.tolist() == [True, False]
+    assert capped.extrapolated[1].any() and capped.n_steps[0] < capped.n_steps[1]
 
 
 def test_batch_keeps_each_patterns_own_tolerance_and_last_sample(three_link):
@@ -69,13 +83,13 @@ def test_batch_keeps_each_patterns_own_tolerance_and_last_sample(three_link):
     heavy = np.zeros((ps.n_paths, T))
     heavy[:, 20:] = 40.0
     got = assert_batch_equals_solo(net, ps, grid, np.stack([dusty, heavy]))
-    assert got[0].drained and got[0].extrapolated.any()
-    assert got[0].n_steps < got[1].n_steps
+    assert got.drained[0] and got.extrapolated[0].any()
+    assert got.n_steps[0] < got.n_steps[1]
     # a pattern of dust alone keeps its own tolerance, 1e-9 vehicles
     dust = np.zeros((ps.n_paths, T))
     dust[0, -1] = 1e-8
     got = assert_batch_equals_solo(net, ps, grid, np.stack([dust, heavy]))
-    assert got[0].n_steps > T
+    assert got.n_steps[0] > T
 
 
 def test_batch_grows_its_time_axis_and_splits_into_chunks(three_link, monkeypatch):
@@ -87,8 +101,8 @@ def test_batch_grows_its_time_axis_and_splits_into_chunks(three_link, monkeypatc
     light[:, 0] = 1.0
     batch = np.stack([light, late, light, late, light])
     got = assert_batch_equals_solo(net, ps, grid, batch)
-    t_sim = T * round(grid.dt_s / got[1].sim_dt_s)
-    assert got[1].n_steps + 1 > dnl._first_cols(t_sim, 21 * t_sim + 200)
+    t_sim = T * dnl._plan(net.links, ps.link_seq, grid).refine
+    assert got.n_steps[1] + 1 > dnl._first_cols(t_sim, 21 * t_sim + 200)
     monkeypatch.setattr(dnl, "_CHUNK_BYTES", 1)  # one pattern per chunk
     assert_batch_equals_solo(net, ps, grid, batch)
 
@@ -118,10 +132,10 @@ def test_forecast_batch_equals_single_forecasts(grid_congested):
                         for t in ts])
     base = dnl.load(net, ps, grid, h)
     batch = dnl.load_batch(base, spliced, ts)
-    assert len(batch) == len(ts)
-    for t, s, res in zip(ts, spliced, batch):
-        fc = res.path_time[:, t:]
-        one = dnl.load_batch(base, s[None], [t])[0].path_time[:, t:]
+    assert batch.path_time.shape == spliced.shape
+    for t, s, res in zip(ts, spliced, batch.path_time):
+        fc = res[:, t:]
+        one = dnl.load_batch(base, s[None], [t]).path_time[0, :, t:]
         assert fc.shape == one.shape == (ps.n_paths, grid.n_intervals - t)
         assert np.array_equal(fc, one)
 
@@ -129,15 +143,16 @@ def test_forecast_batch_equals_single_forecasts(grid_congested):
 def assert_started_equals_solo(net, ps, grid, base, batch, starts, cap=None):
     with step_cap(cap):
         got = dnl.load_batch(base, batch, starts)
+        curves = stepped(base, batch, starts)
         solos = [dnl.load(net, ps, grid, pattern) for pattern in batch]
-    for t, solo, res in zip(starts, solos, got):
-        assert np.isnan(res.path_time[:, :t]).all() and not res.extrapolated[:, :t].any()
-        assert np.array_equal(res.path_time[:, t:], solo.path_time[:, t:])
-        assert np.array_equal(res.extrapolated[:, t:], solo.extrapolated[:, t:])
-        for field in ("n_steps", "drained", "n_up", "n_dn", "src_up", "src_dn"):
-            mine, want = getattr(res, field), getattr(solo, field)
-            assert np.shape(mine) == np.shape(want), field
-            assert np.array_equal(mine, want), field
+    assert got.path_time.shape == batch.shape
+    for j, (t, solo, res) in enumerate(zip(starts, solos, curves, strict=True)):
+        mine = pattern(got, j)
+        assert np.isnan(mine.path_time[:, :t]).all() and not mine.extrapolated[:, :t].any()
+        assert np.array_equal(mine.path_time[:, t:], solo.path_time[:, t:])
+        assert np.array_equal(mine.extrapolated[:, t:], solo.extrapolated[:, t:])
+        assert_equal_fields(mine, solo, ("n_steps", "drained"))
+        assert_equal_fields(res, solo, CURVES)
     return got
 
 
@@ -195,8 +210,8 @@ def test_staggered_batch_keeps_a_capped_pattern_beside_drained_ones(three_link):
         base = dnl.load(net, ps, grid, h)
     got = assert_started_equals_solo(net, ps, grid, base, np.stack([h, heavy, h]),
                                      np.array([0, T // 2, T - 1]), cap=3)
-    assert got[0].drained and got[2].drained and not got[1].drained
-    assert got[1].extrapolated.any() and got[0].n_steps < got[1].n_steps
+    assert got.drained.tolist() == [True, False, True]
+    assert got.extrapolated[1].any() and got.n_steps[0] < got.n_steps[1]
 
 
 def test_batch_rejects_starts_out_of_range_order_or_count(three_link):
@@ -223,8 +238,42 @@ def test_cells_before_each_start_are_not_read(grid_congested, fill):
     closed = np.broadcast_to(np.arange(T) < starts[:, None, None], batch.shape)
     assert closed.sum() == ps.n_paths * starts.sum()
     filled = np.where(closed, fill, batch)
-    for want, got in zip(dnl.load_batch(base, batch, starts),
-                         dnl.load_batch(base, filled, starts)):
-        for field in FIELDS:
-            assert np.asarray(getattr(got, field)).tobytes() == \
-                np.asarray(getattr(want, field)).tobytes(), field
+    want, got = (dnl.load_batch(base, x, starts) for x in (batch, filled))
+    for field in FIELDS:
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    for want, got in zip(stepped(base, batch, starts), stepped(base, filled, starts)):
+        for field in CURVES:
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+
+def test_batch_of_no_patterns_returns_empty_arrays(three_link):
+    net, ps, grid, _ = three_link
+    P, T = ps.n_paths, grid.n_intervals
+    base = dnl.load(net, ps, grid, np.ones((P, T)))
+    got = dnl.load_batch(base, np.empty((0, P, T)), [])
+    assert got.path_time.shape == got.extrapolated.shape == (0, P, T)
+    assert got.n_steps.shape == got.drained.shape == (0,)
+
+
+def test_long_batch_frees_each_chunk_once_it_is_timed(grid_congested):
+    # T = 120 forecasts of the shipped grid take 7 chunks; the traced peak
+    # holds about one chunk's curves, one more while the time axis widens,
+    # and the returned arrays, however many chunks run before the last
+    net, ps, _, _ = grid_congested
+    grid = nw.TimeGrid(120.0 * 120, 120.0)
+    T = grid.n_intervals
+    rng = np.random.default_rng(25)
+    h = rng.uniform(0, 20, size=(ps.n_paths, T))
+    base = dnl.load(net, ps, grid, h)
+    batch = np.stack([splice(h, rng.uniform(0, 20, size=(ps.n_paths, T - t)), t)
+                      for t in range(T)])
+    pattern_bytes = dnl._pattern_bytes(dnl._plan(net.links, ps.link_seq, grid), grid)
+    assert T * pattern_bytes > 5 * dnl._CHUNK_BYTES
+    tracemalloc.start()
+    try:
+        got = dnl.load_batch(base, batch, np.arange(T))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(getattr(got, field).nbytes for field in FIELDS)
+    assert peak < 2 * dnl._CHUNK_BYTES + returned

@@ -32,8 +32,8 @@ def test_traced_corridor_benchmark_runs_and_passes():
 
 
 def test_grid_benchmark_checks_its_chunked_forecast_batches():
-    # 30 forecasts per map in one batch, each operation compared with
-    # bench/reference.json
+    # the 30 forecasts of a map take 1.87 MiB of curves and run as one chunk
+    # of one batch; each operation is compared with bench/reference.json
     run_bench("grid_6x6", trace=0)
 
 

@@ -34,9 +34,10 @@ def segment_values(seed: int, n: int) -> np.ndarray:
 
 
 class TestSegments:
-    """Per-run totals are ``ndarray.sum`` of each run, bit for bit; numpy adds
-    runs of 8 or more pairwise in blocks of 8 and 128, so these bits move if
-    numpy's blocking does."""
+    """Per-run totals of a layout's blocks (``dnl.run_sums``) are
+    ``ndarray.sum`` of each run, bit for bit; numpy adds runs of 8 or more
+    pairwise in blocks of 8 and 128, so these bits move if numpy's blocking
+    does."""
 
     @settings(max_examples=80, deadline=None)
     @example(sizes=[130, 3, 8], seed=1)  # bincount alone differs here
@@ -46,18 +47,19 @@ class TestSegments:
     )
     def test_sums_equal_ndarray_sum_per_run(self, sizes, seed):
         x = segment_values(seed, sum(sizes))
-        seg = choice._Segments.from_sizes(sizes)
+        lay = choice._layout(tuple(sizes), 1, 0, 1)  # one block per OD, of its paths
         edges = np.cumsum([0, *sizes])
         want = np.array([x[a:b].sum() for a, b in zip(edges[:-1], edges[1:])])
-        assert np.array_equal(seg.sums(x), want)
-        assert np.array_equal(seg.start, edges[:-1]) and np.array_equal(seg.size, sizes)
-        assert np.array_equal(seg.of, np.repeat(np.arange(len(sizes)), sizes))
+        assert np.array_equal(dnl.run_sums(x, lay.start, lay.size), want)
+        assert np.array_equal(lay.start, edges[:-1]) and np.array_equal(lay.size, sizes)
+        assert np.array_equal(lay.of, np.repeat(np.arange(len(sizes)), sizes))
 
     def test_example_needs_more_than_bincount(self):
-        sizes = [130, 3, 8]
+        sizes = (130, 3, 8)
         x = segment_values(1, sum(sizes))
-        seg = choice._Segments.from_sizes(sizes)
-        assert not np.array_equal(np.bincount(seg.of, weights=x), seg.sums(x))
+        lay = choice._layout(sizes, 1, 0, 1)
+        assert not np.array_equal(np.bincount(lay.of, weights=x),
+                                  dnl.run_sums(x, lay.start, lay.size))
 
 
 class TestSystematicDisutility:
@@ -247,7 +249,8 @@ class TestLogit:
         # an OD without paths gets no block, so the kernel never sees an empty choice set
         layout = choice._layout((2, 0, 1), 3, 0, 1)
         assert layout.block_od.tolist() == [0, 2]
-        assert np.bincount(layout.blocks.of).tolist() == [6, 3]
+        assert np.bincount(layout.of).tolist() == [6, 3]
+        assert layout.start.tolist() == [0, 6] and layout.size.tolist() == [6, 3]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -586,7 +589,7 @@ class TestShareTable:
             for b in range(t * m, (t + 1) * m):
                 k = int(table.layout.block_od[b])
                 if k in tops:
-                    assert table.top[b] - table.layout.blocks.start[b] == tops[k]
+                    assert table.top[b] - table.layout.start[b] == tops[k]
         # every interval at once, one demand row each, as the forecast reaction assigns
         if wants is None:
             with pytest.raises(choice.ChoiceError):

@@ -14,13 +14,15 @@ from oracles import (
     overloaded_link_comparison,
     partially_full_supply_comparison,
     step_cap,
+    stepped,
     vehicles_stored,
 )
 
 
 def started(h, base, k):
-    """``h`` loaded as a batch of one that starts at interval k from ``base``."""
-    return dnl.load_batch(base, h[None], [k])[0]
+    """``h`` loaded as a batch of one that starts at interval k from ``base``: the
+    batch, and its pattern's curves stepped by ``dnl._step``."""
+    return dnl.load_batch(base, h[None], [k]), stepped(base, h[None], [k])[0]
 
 
 def single_link_net(length=2400.0, speed=20.0, cap=0.25, jam=0.2, demand=600.0):
@@ -306,6 +308,23 @@ class TestInstantaneousTimes:
         res = dnl.load(net, ps, grid, np.zeros((1, 10)))
         np.testing.assert_allclose(res.instant_path_time, res.path_time, atol=1e-9)
 
+    def test_hops_add_in_sequence_on_a_one_interval_grid(self):
+        # with one interval, numpy sums a (paths, hops, 1) stack over hops
+        # pairwise, which gives 907.0000000000001 on this 9-link chain
+        lengths = [2273.9, 1539.6, 1081.9, 1033.1, 2626.5, 2825.5, 2213.3, 2459.0, 2087.2]
+        links = [nw.Link(f"l{i}", f"N{i}", f"N{i + 1}", x, 20.0, 5.0, 0.5, 0.15)
+                 for i, x in enumerate(lengths)]
+        net = nw.validate_network(links, [nw.OdDemand("N0", "N9", 1, 0, 0.0)])
+        ps = nw.build_path_set(net)
+        grid = nw.TimeGrid(120.0, 120.0)
+        res = dnl.load(net, ps, grid, np.ones((1, 1)))
+        link_time = dnl._link_times(res._state[0], grid, res.link_up, res.link_dn)
+        want = 0.0
+        for hop in link_time[:, 0]:
+            want += hop
+        assert res.instant_path_time.shape == (1, 1)
+        assert res.instant_path_time[0, 0] == want == 907.0
+
     def test_building_congestion_underestimates(self):
         # downstream queue grows after the probe's provision instant
         cap = 0.25
@@ -418,10 +437,10 @@ class TestWarmStart:
         modified = h.copy()
         modified[:, 20:] = rng.uniform(0, 4, size=(ps.n_paths, grid.n_intervals - 20))
         cold = dnl.load(net, ps, grid, modified)
-        warm = started(modified, base, 20)
+        batch, warm = started(modified, base, 20)
         # intervals before the start are not timed
-        assert np.isnan(warm.path_time[:, :20]).all()
-        assert np.array_equal(cold.path_time[:, 20:], warm.path_time[:, 20:])
+        assert np.isnan(batch.path_time[0, :, :20]).all()
+        assert np.array_equal(cold.path_time[:, 20:], batch.path_time[0, :, 20:])
         assert np.array_equal(cold.n_dn, warm.n_dn)
 
 
@@ -459,12 +478,13 @@ class TestWarmStartIndexing:
         rng = np.random.default_rng(seed)
         modified[:, k:] = rng.uniform(0, 4, size=(ps.n_paths, grid.n_intervals - k))
         cold = dnl.load(net, ps, grid, modified)
-        warm = started(modified, base, k)
-        assert warm.n_steps == cold.n_steps
+        batch, warm = started(modified, base, k)
+        assert batch.n_steps[0] == warm.n_steps == cold.n_steps
         for field in ("n_up", "n_dn", "src_dn"):
             assert np.array_equal(getattr(cold, field), getattr(warm, field)), field
         for field in ("path_time", "extrapolated"):  # timed from the start on
-            assert np.array_equal(getattr(cold, field)[:, k:], getattr(warm, field)[:, k:]), field
+            assert np.array_equal(getattr(cold, field)[:, k:], getattr(batch, field)[0, :, k:]), \
+                field
         # a batch computes no link times; those of its curves equal the cold ones
         plan = base._state[0]
         assert np.array_equal(dnl._link_times(plan, grid, cold.link_up, cold.link_dn),

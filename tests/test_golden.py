@@ -13,7 +13,7 @@ import map_cases
 from dsuedhi import dnl
 from dsuedhi import network as nw
 from golden_cases import FIELDS, GOLDEN, cases, load, outputs
-from oracles import step_cap
+from oracles import step_cap, stepped
 
 CASES = cases()
 
@@ -66,7 +66,7 @@ def test_unused_links_carry_nothing_and_keep_the_refine_factor():
     assert int(np.argmin(ff)) in unused and refine > np.ceil(grid.dt_s / ff[used].min())
     res = dnl.load(net, ps, grid, h)
     assert res.sim_dt_s == grid.dt_s / refine
-    for got in (res, dnl.load_batch(res, h[None], [0])[0]):
+    for got in (res, stepped(res, h[None], [0])[0]):
         assert got.n_up.shape == got.n_dn.shape == (net.n_links, res.n_steps + 1)
         assert not got.n_up[unused].any() and not got.n_dn[unused].any()
         assert got.n_up[used, -1].all()
@@ -137,9 +137,13 @@ def test_load_matches_loop_loader_on_random_lattices(seed):
     with step_cap(cap):
         got = dnl.load(net, ps, grid, h)
         cold = dnl.load(net, ps, grid, changed)
-        warm = dnl.load_batch(got, changed[None], [k])[0]
+        batch = dnl.load_batch(got, changed[None], [k])
+        warm = stepped(got, changed[None], [k])[0]
     assert_same(outputs(got, net, ps), {f: getattr(want, f) for f in FIELDS})
-    assert np.isnan(warm.path_time[:, :k]).all()
+    assert np.isnan(batch.path_time[0, :, :k]).all()
+    for f in ("path_time", "extrapolated"):
+        assert np.array_equal(getattr(batch, f)[0, :, k:], getattr(cold, f)[:, k:]), f
+    assert (batch.n_steps[0], batch.drained[0]) == (cold.n_steps, cold.drained)
     assert_same(started_outputs(warm, k, net, ps),
                 {**outputs(cold, net, ps), **timed_from(cold, k)})
 
@@ -170,9 +174,9 @@ def timed_from(res: dnl.LoadingResult, k: int) -> dict:
 
 
 def started_outputs(res: dnl.LoadingResult, k: int, net, ps) -> dict:
-    """``outputs`` of a batch pattern started at interval k, whose path times
-    begin there; its instantaneous times, which a batch does not compute, sum
-    its link times hop by hop as ``load`` sums them."""
+    """``outputs`` of a batch pattern started at interval k (``oracles.stepped``),
+    whose path times begin there; its instantaneous times, which a batch does
+    not compute, sum its link times hop by hop as ``load`` sums them."""
     got = outputs(res, net, ps)
     instant = np.zeros_like(res.path_time)
     for p, seq in enumerate(ps.link_seq):

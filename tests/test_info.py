@@ -52,8 +52,7 @@ class TestForecastInfo:
         net, ps, grid, params = grid_uncongested
         zeros = np.zeros((ps.n_paths, grid.n_intervals))
         loading = dnl.load(net, ps, grid, zeros)
-        started = dnl.load_batch(loading, zeros[None], [4])[0]
-        fc = started.path_time[:, 4:]
+        fc = dnl.load_batch(loading, zeros[None], [4]).path_time[0, :, 4:]
         assert fc.shape == (ps.n_paths, grid.n_intervals - 4)
         assert np.abs(fc - ps.free_flow_s[:, None]).max() <= 1e-9
         np.testing.assert_allclose(fc[:, 0], loading.instant_path_time[:, 4], atol=1e-9)
@@ -83,9 +82,9 @@ class TestForecastInfo:
         base = dnl.load(net, ps, grid, h)
         pred = rng.uniform(0, 4, size=(ps.n_paths, grid.n_intervals - 10))
         spliced = splice(h, pred, 10)
-        started = dnl.load_batch(base, spliced[None], [10])[0]
+        started = dnl.load_batch(base, spliced[None], [10])
         cold = dnl.load(net, ps, grid, spliced)
-        assert np.array_equal(started.path_time[:, 10:], cold.path_time[:, 10:])
+        assert np.array_equal(started.path_time[0, :, 10:], cold.path_time[:, 10:])
 
     def test_forecast_loads_the_pooled_reaction_spliced_onto_the_history(self, grid_congested):
         # the pooled remaining demand of both classes reacts to the
@@ -130,9 +129,9 @@ class TestCostAccounting:
             return result
 
         def counted_load_batch(*args, **kwargs):
-            results = load_batch(*args, **kwargs)
-            loaded.extend(results)
-            return results
+            batch = load_batch(*args, **kwargs)
+            loaded.extend(batch.path_time)  # one row per pattern
+            return batch
 
         monkeypatch.setattr(dnl, "load", counted_load)
         monkeypatch.setattr(dnl, "load_batch", counted_load_batch)
