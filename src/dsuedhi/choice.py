@@ -23,11 +23,14 @@ total into the block's first largest share; only this part depends on the
 demand. The pooled reaction of a forecast assigns every interval at once,
 from ``remaining_demand``; ``rollout`` carries one class through the
 intervals of a table, one at a time, realizing one column from its own
-remaining demand. ``tentative_departures`` is the one-interval case of
-both. Per block, results are bit-identical to a logit over that block alone:
-elementwise steps and maxima are exact in any layout, and the blocks are
-runs of one flat array, which the kernel totals as ``ndarray.sum`` totals
-each block (``dnl.run_sums``).
+remaining demand. Its loop is one kernel call (``dnl_rollout`` in
+``dnl_step.c``), which makes ``assign``'s operations, the subtraction and
+``_unspent``'s test in their Python order, so its results and errors are
+those of a loop of one-row ``assign`` calls. ``tentative_departures`` is the
+one-interval case of both. Per block, results are bit-identical to a logit
+over that block alone: elementwise steps and maxima are exact in any
+layout, and the blocks are runs of one flat array, which the kernel totals
+as ``ndarray.sum`` totals each block (``dnl.run_sums``).
 """
 
 from __future__ import annotations
@@ -114,6 +117,8 @@ class _Layout:
     size: np.ndarray  # (blocks,) int64, cells of each block
     of: np.ndarray  # (cells,) block of each cell
     block_od: np.ndarray  # (blocks,)
+    od_sizes: tuple[int, ...]  # paths of each OD
+    path_od: np.ndarray  # (paths,) OD of each path
 
 
 def open_cells(first: int, n: int, T: int) -> np.ndarray:
@@ -133,7 +138,8 @@ def _layout(od_sizes: tuple[int, ...], T: int, first: int, n: int) -> _Layout:
     size = (sizes[ods] * (T - np.arange(first, first + n))[:, None]).ravel()  # per interval, OD
     return _Layout(open=open_cells(first, n, T).repeat(int(sizes.sum()), axis=1),
                    start=np.cumsum(size) - size, size=size,
-                   of=np.repeat(np.arange(len(size)), size), block_od=np.tile(ods, n))
+                   of=np.repeat(np.arange(len(size)), size), block_od=np.tile(ods, n),
+                   od_sizes=od_sizes, path_od=np.repeat(np.arange(len(sizes)), sizes))
 
 
 def _logit(psi: np.ndarray, lay: _Layout, theta: float):
@@ -307,15 +313,37 @@ def rollout(table: ShareTable, class_demand: np.ndarray, path_set: PathSet) -> n
     """One class's realized departures, paths x the table's provision intervals.
 
     At each interval the class's remaining demand is assigned to the table,
-    and only the current column is realized and subtracted from it. An
-    overdraw beyond floating-point dust raises; dust is clamped to zero
-    (``_unspent``).
+    as ``assign`` assigns one row, and only the current column is realized
+    and subtracted from it, per OD in path order. An overdraw beyond
+    floating-point dust raises; dust is clamped to zero (``_unspent``). The
+    whole loop is one kernel call (``dnl_rollout``), which repeats those
+    operations in that order; a failed check raises the error that
+    ``assign`` or ``_unspent`` raises on the remaining demand it left.
     """
-    demand = np.asarray(class_demand, dtype=float)
+    lay = table.layout
+    od_sizes = tuple(sl.stop - sl.start for sl in path_set.od_slices)
+    if table.n_paths != path_set.n_paths or lay.od_sizes != od_sizes:
+        raise ChoiceError(f"share table of ODs with {lay.od_sizes} paths ({table.n_paths} in "
+                          f"all) does not fit the path set's {od_sizes} ({path_set.n_paths})")
+    demand = np.ascontiguousarray(class_demand, dtype=float)
+    if demand.shape != (len(od_sizes),):
+        raise ChoiceError(f"class demand of shape {demand.shape} is not one per OD "
+                          f"of {len(od_sizes)}")
+    P, (n, _, T) = table.n_paths, lay.open.shape
+    blocks, width = lay.start.shape, T - table.first
     rem = demand.copy()
-    y = np.zeros((table.n_paths, len(table.layout.open)))
-    for i in range(y.shape[1]):
-        y[:, i] = assign(table, table.first + i, rem[None]).reshape(table.n_paths, -1)[:, 0]
-        np.subtract.at(rem, path_set.od_of_path, y[:, i])
-        rem = _unspent(rem, demand)
+    y = np.empty((P, n))
+    work = np.empty(P * width)  # one interval's cells
+    failed = dnl._kernel().dnl_rollout(
+        dnl._arg(table.share, np.float64, lay.of.shape), dnl._arg(lay.start, np.int64, blocks),
+        dnl._arg(lay.size, np.int64, blocks), dnl._arg(table.top, np.int64, blocks),
+        dnl._arg(table.finite, np.bool_, blocks), dnl._arg(lay.block_od, np.int64, blocks),
+        blocks[0] // n, n, width, dnl._arg(lay.path_od, np.int64, (P,)), P, len(od_sizes),
+        *(dnl._arg(x, np.float64, x.shape) for x in (demand, rem, y, work)))
+    if failed:
+        i, overdrawn = divmod(failed - 1, 2)
+        if overdrawn:
+            _unspent(rem, demand)
+        assign(table, table.first + i, rem[None])
+        raise ChoiceError(f"rollout stopped at provision interval {table.first + i}")
     return y

@@ -86,9 +86,10 @@ link has no row, then the sources) are ``ndarray.sum``: 0.0 plus numpy's
 pairwise sum, which adds fewer than 8 numbers in sequence, up to 128 in 8
 accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before the tail
 is added, and more in two halves split at n/2 rounded down to a multiple of
-8. ``dnl_step.c`` states that order once; ``run_sums`` (``dnl_run_sums``)
-is the only way the rest of the package sums in it: ``choice`` totals its
-logit blocks and the prefixes of a departure history there.
+8. ``dnl_step.c`` states that order once; the rest of the package sums in
+it only through the kernel: ``choice`` totals its logit blocks and the
+prefixes of a departure history with ``run_sums`` (``dnl_run_sums``), and
+its rollout's blocks in ``dnl_rollout``.
 ``_fill_sources`` keeps its own source-row sums: they run across a
 non-contiguous axis, which numpy adds in sequence.
 
@@ -492,6 +493,8 @@ def _kernel() -> ctypes.CDLL:
                                    + [ptr] * 4)
     lib.dnl_stored.argtypes = [ptr, ptr] + [i64] * 3 + [ptr]
     lib.dnl_run_sums.argtypes = [ptr, ptr, ptr, i64, ptr]
+    lib.dnl_rollout.argtypes = [ptr] * 6 + [i64] * 3 + [ptr, i64, i64] + [ptr] * 4
+    lib.dnl_rollout.restype = i64
     lib.dnl_stored.restype = f64
     lib.dnl_path_times.restype = lib.dnl_run_sums.restype = None
     return lib

@@ -1,9 +1,11 @@
-/* The loader's time loop and read-out, and the exact sums of the logit.
-   ``dnl_step`` steps each copy of a batch on its own, from its own step,
-   until it drains or reaches ``stop``; ``dnl_path_times`` then reads each
-   copy's path travel times out of its curves, by the same curve
-   interpolation and FIFO inversion. ``dnl_run_sums`` totals runs of an
-   array as ``ndarray.sum`` does, for ``choice``.
+/* The loader's time loop and read-out, the exact sums of the logit and the
+   rollout of one class. ``dnl_step`` steps each copy of a batch on its own,
+   from its own step, until it drains or reaches ``stop``; ``dnl_path_times``
+   then reads each copy's path travel times out of its curves, by the same
+   curve interpolation and FIFO inversion. For ``choice``, ``dnl_run_sums``
+   totals runs of an array as ``ndarray.sum`` does, and ``dnl_rollout``
+   carries one class's remaining demand through the provision intervals of
+   a share table.
 
    Built by ``dnl._kernel`` with -ffp-contract=off and without fast-math, so
    every operation rounds once, as its numpy form does. A batch of B patterns
@@ -69,6 +71,56 @@ void dnl_run_sums(const double *x, const i64 *start, const i64 *size, i64 n, dou
 {
     for (i64 k = 0; k < n; k++)
         out[k] = dnl_sum(x + start[k], size[k]);
+}
+
+/* One class's rollout over the n provision intervals of a share table, as
+   ``choice.rollout`` states it: at interval i, each block of the table's
+   layout (m per interval, block k of each holding OD ``block_od[k]``'s paths
+   x ``width`` - i departure intervals row-major, so the interval's cells are
+   one paths x departures matrix) assigns ``rem`` of its OD, shares times
+   demand, with the residual of the block's total folded into its cell
+   ``top``; each path's first cell is realized into ``y[p, i]`` and
+   subtracted from ``rem`` of OD ``path_od[p]`` in path order, as
+   ``np.subtract.at`` does. A remainder below -1e-9 of its OD's demand (or of
+   one vehicle) is an overdraw; smaller ones are clamped to zero as
+   ``np.maximum`` does, keeping NaN (so does ``max2(1.0, demand)``, whose
+   NaN fails the test as numpy's does). ``work`` holds P x ``width`` cells.
+   Returns 0, or stops at the first failed check of interval i and returns
+   2 i + 1 for a negative demand or a nonzero one on a non-finite block,
+   with ``rem`` as the check found it, and 2 i + 2 for an overdraw, with
+   ``rem`` before the clamp. */
+i64 dnl_rollout(const double *share, const i64 *start, const i64 *size, const i64 *top,
+                const uint8_t *finite, const i64 *block_od, i64 m, i64 n, i64 width,
+                const i64 *path_od, i64 P, i64 n_od, const double *demand, double *rem,
+                double *y, double *work)
+{
+    for (i64 i = 0; i < n; i++, width--) {
+        const i64 *blocks = start + i * m;
+        for (i64 k = 0; k < m; k++)
+            if (rem[block_od[k]] < 0.0)
+                return 2 * i + 1;
+        for (i64 k = 0; k < m; k++)
+            if (rem[block_od[k]] != 0.0 && !finite[i * m + k])
+                return 2 * i + 1;
+        for (i64 k = 0; k < m; k++) {
+            const i64 j = i * m + k;
+            const double d = rem[block_od[k]];
+            double *out = work + (start[j] - blocks[0]);
+            for (i64 c = 0; c < size[j]; c++)
+                out[c] = share[start[j] + c] * d;
+            work[top[j] - blocks[0]] += d - dnl_sum(out, size[j]);
+        }
+        for (i64 p = 0; p < P; p++) {
+            y[p * n + i] = work[p * width];
+            rem[path_od[p]] -= y[p * n + i];
+        }
+        for (i64 o = 0; o < n_od; o++)
+            if (rem[o] < -1e-9 * max2(1.0, demand[o]))
+                return 2 * i + 2;
+        for (i64 o = 0; o < n_od; o++)
+            rem[o] = rem[o] < 0.0 ? 0.0 : rem[o];
+    }
+    return 0;
 }
 
 /* Vehicles stored in one copy, from ``inside``, the entries minus exits of

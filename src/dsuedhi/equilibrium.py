@@ -122,11 +122,12 @@ def fixed_point_map(
     information product are computed once for all intervals: one table from
     the instantaneous times, which the pooled prediction and the
     instantaneous class share, and one from the forecast times. Each class
-    then rolls out on its own table (``choice.rollout``), realizing one
-    column per interval from its own remaining demand. The pooled remaining
-    demand behind each forecast comes from the candidate total pattern; the
-    per-class remaining demands evolve from the rollout's own realized
-    columns. The two coincide at any fixed point.
+    then rolls out on its own table (``choice.rollout``, one kernel call per
+    class), realizing one column per interval from its own remaining demand
+    and leaving the rest of that interval's assignment unrealized. The
+    pooled remaining demand behind each forecast comes from the candidate
+    total pattern; the per-class remaining demands evolve from the
+    rollout's own realized columns. The two coincide at any fixed point.
     """
     h_total = np.asarray(h_instant, dtype=float) + np.asarray(h_forecast, dtype=float)
     base = dnl.load(net, path_set, grid, h_total)

@@ -7,7 +7,8 @@ exhaustive search and build the dense link-path incidence matrix. Three
 helpers read or set up loadings: ``vehicles_stored``, ``step_cap`` and
 ``stepped``, which keeps the curves of a batch that ``dnl.load_batch`` drops;
 ``solve_recording`` keeps the input of every map a solve applies; ``logit``
-runs the production logit kernel on one choice set.
+runs the production logit kernel on one choice set; ``rollout`` is the
+per-interval loop that ``choice.rollout`` runs in one kernel call.
 """
 
 from __future__ import annotations
@@ -70,6 +71,24 @@ def logit(psi, theta: float) -> np.ndarray:
     psi = np.asarray(psi, dtype=float)
     share, _, _ = choice._logit(psi.reshape(-1), choice._layout((psi.size,), 1, 0, 1), theta)
     return share.reshape(psi.shape)
+
+
+def rollout(table, class_demand, path_set) -> np.ndarray:
+    """One class's realized departures, one ``choice.assign`` per provision interval.
+
+    At each interval the class's remaining demand is assigned to the table,
+    and only the current column is realized and subtracted from it, per OD
+    in path order (``np.subtract.at``); ``choice._unspent`` raises on an
+    overdraw and clamps dust to zero.
+    """
+    demand = np.asarray(class_demand, dtype=float)
+    rem = demand.copy()
+    y = np.zeros((table.n_paths, len(table.layout.open)))
+    for i in range(y.shape[1]):
+        y[:, i] = choice.assign(table, table.first + i, rem[None]).reshape(table.n_paths, -1)[:, 0]
+        np.subtract.at(rem, path_set.od_of_path, y[:, i])
+        rem = choice._unspent(rem, demand)
+    return y
 
 
 def solve_recording(net, ps, grid, params, config):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from dsuedhi import choice, dnl, info
 from dsuedhi import network as nw
 from dsuedhi.equilibrium import random_feasible_parts
+import oracles
 from oracles import logit
 
 
@@ -360,16 +363,22 @@ class TestRemainingDemand:
         with pytest.raises(choice.ChoiceError, match="exceed"):
             choice.remaining_demand(realized, np.array([12.0, 12.0]), ps)
 
-    def test_overdraw_in_rollout_raises(self, three_path_set, monkeypatch):
+    def test_overdraw_in_rollout_raises(self, three_path_set):
         net, ps = three_path_set
         grid = nw.TimeGrid(360.0, 120.0)
         table = choice.share_table(np.full((3, ps.n_paths, 1), 60.0), 0, grid, ps,
                                    params_for(net))
-        # every path departs 100 vehicles at once, far more than either OD's 12
-        monkeypatch.setattr(choice, "assign",
-                            lambda table, t, rem: np.full((ps.n_paths, 3 - t), 100.0))
-        with pytest.raises(choice.ChoiceError, match="exceed"):
+        # every cell takes the whole demand and the residual goes to each
+        # block's last cell, so the first OD's two paths depart 24 of its 12
+        lay = table.layout
+        table = dataclasses.replace(table, share=np.ones_like(table.share),
+                                    top=lay.start + lay.size - 1)
+        with pytest.raises(choice.ChoiceError, match="exceed") as err:
             choice.rollout(table, np.array([12.0, 12.0]), ps)
+        with pytest.raises(choice.ChoiceError) as loop:
+            oracles.rollout(table, np.array([12.0, 12.0]), ps)
+        assert str(err.value) == str(loop.value)
+        assert str(err.value).startswith("OD 0: departures exceed class demand")
 
     def test_dust_clamped(self, three_path_set):
         net, ps = three_path_set
@@ -399,7 +408,9 @@ class TestRemainingDemand:
 
 
 class TestRealize:
-    """``rollout`` realizes only the current column of each tentative plan."""
+    """The per-interval rollout, which ``choice.rollout`` equals
+    (``TestRollout``), realizes only the current column of each tentative
+    plan."""
 
     @staticmethod
     def rollout(monkeypatch, three_path_set, plans):
@@ -408,7 +419,7 @@ class TestRealize:
         table = choice.share_table(np.full((len(plans), ps.n_paths, 1), 60.0), 0,
                                    nw.TimeGrid(360.0, 120.0), ps, params_for(net))
         monkeypatch.setattr(choice, "assign", lambda table, t, rem: plans[t])
-        return choice.rollout(table, np.array([6.0, 6.0]), ps)
+        return oracles.rollout(table, np.array([6.0, 6.0]), ps)
 
     def test_first_column_only(self, monkeypatch, three_path_set):
         tentative = np.array([[1.0, 1, 1], [1, 1, 1], [2, 3, 1]])
@@ -596,3 +607,119 @@ class TestShareTable:
                 choice.assign(table, 0, remaining)
         else:
             assert choice.assign(table, 0, remaining).tobytes() == np.concatenate(wants).tobytes()
+
+
+class TestRollout:
+    """``choice.rollout`` is the per-interval loop of ``oracles.rollout`` in one
+    kernel call: the same bytes, or the same error."""
+
+    @staticmethod
+    def table_of(three_path_set, phi=None):
+        net, ps = three_path_set
+        phi = np.full((3, ps.n_paths, 1), 60.0) if phi is None else phi
+        return choice.share_table(phi, 0, nw.TimeGrid(360.0, 120.0), ps, params_for(net))
+
+    # a NaN or infinite travel time makes NaN disutilities, as it always has
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    # 7 paths x 40 intervals: numpy sums a block of 280 cells in two halves
+    @example(sizes=[7, 2], empty_od=False, T=40, first=0, n=40, forecast=False, ties=False,
+             theta=0.3, scale=1.0, bad_cell=None, bad_demand=0.0, negative=False, seed=7)
+    @given(
+        sizes=st.lists(st.integers(0, 6), min_size=1, max_size=4).map(
+            lambda sizes: [sizes[0] or 1, *sizes[1:]]),
+        empty_od=st.booleans(),
+        T=st.integers(1, 60),
+        first=st.integers(0, 59),
+        n=st.integers(1, 60),
+        forecast=st.booleans(),
+        ties=st.booleans(),
+        theta=st.sampled_from([1e-9, 0.3, 1.0, 4.0]),
+        scale=st.sampled_from([1.0, 1.0, 1.0, 0.25, 3.0]),
+        bad_cell=st.sampled_from([None, None, np.nan, np.inf, -np.inf]),
+        bad_demand=st.sampled_from([0.0, 0.0, 1.0]),
+        negative=st.sampled_from([False, False, False, True]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_interval_loop(self, sizes, empty_od, T, first, n, forecast, ties,
+                                      theta, scale, bad_cell, bad_demand, negative, seed):
+        rng = np.random.default_rng(seed)
+        if empty_od:  # an OD without paths has no choice set
+            sizes = [*sizes[:1], 0, *sizes[1:]]
+        first = first % T
+        n = 1 + (n - 1) % (T - first)
+        ps = path_set_of(sizes)
+        P, n_od = ps.n_paths, len(sizes)
+        grid = nw.TimeGrid(T * 120.0, 120.0)
+        params = choice.ChoiceParams(
+            theta=theta, time_unit_s=600.0,
+            target_arrival_s=tuple(float(60 * rng.integers(0, 2 * T + 1)) for _ in sizes),
+        )
+        shape = (n, P, T if forecast else 1)
+        if ties:  # whole minutes with few values make exact disutility ties common
+            phi = 60.0 * rng.integers(0, 3, size=shape)
+        else:
+            phi = rng.uniform(30.0, 900.0, size=shape)
+        # zero, dust or ordinary demand per OD
+        demand = np.choose(rng.integers(0, 3, size=n_od),
+                           [np.zeros(n_od), rng.choice([5e-324, 1e-300, 1e-12], size=n_od),
+                            rng.uniform(0.5, 500.0, size=n_od)])
+        if bad_cell is not None:  # one non-finite block, whose OD has no demand or some
+            p = int(rng.integers(0, P))
+            phi[rng.integers(0, n), p] = bad_cell
+            demand[ps.od_of_path[p]] = bad_demand
+        if negative:
+            demand[rng.integers(0, n_od)] = -rng.uniform(1e-12, 1.0)
+        table = choice.share_table(phi, first, grid, ps, params)
+        if scale != 1.0:  # no longer a logit: columns may overdraw their OD
+            table = dataclasses.replace(table, share=table.share * scale)
+        try:
+            want = oracles.rollout(table, demand, ps)
+        except choice.ChoiceError as err:
+            with pytest.raises(choice.ChoiceError) as got:
+                choice.rollout(table, demand, ps)
+            assert str(got.value) == str(err)
+            return
+        got = choice.rollout(table, demand, ps)
+        assert got.shape == want.shape == (P, n)
+        assert got.tobytes() == want.tobytes()
+
+    def test_negative_demand_raises(self, three_path_set):
+        _, ps = three_path_set
+        with pytest.raises(choice.ChoiceError, match="negative remaining demand for OD 1"):
+            choice.rollout(self.table_of(three_path_set), np.array([12.0, -1.0]), ps)
+
+    def test_non_finite_disutility_with_demand_raises(self, three_path_set):
+        _, ps = three_path_set
+        phi = np.full((3, ps.n_paths, 1), 60.0)
+        phi[1, 2] = np.inf  # the second OD's only path, from interval 1 on
+        table = self.table_of(three_path_set, phi)
+        assert choice.rollout(table, np.array([12.0, 0.0]), ps)[2].tolist() == [0.0] * 3
+        with pytest.raises(choice.ChoiceError, match="non-finite"):
+            choice.rollout(table, np.array([12.0, 12.0]), ps)
+
+    @staticmethod
+    def rejected_before_the_kernel(monkeypatch, table, demand, ps, match):
+        def kernel():
+            raise AssertionError("the kernel was called")
+
+        monkeypatch.setattr(dnl, "_kernel", kernel)
+        with pytest.raises(choice.ChoiceError, match=match):
+            choice.rollout(table, demand, ps)
+
+    def test_table_of_other_path_count_rejected(self, three_path_set, monkeypatch):
+        _, ps = three_path_set
+        table = dataclasses.replace(self.table_of(three_path_set), n_paths=4)
+        self.rejected_before_the_kernel(monkeypatch, table, np.array([12.0, 12.0]), ps,
+                                        "does not fit")
+
+    def test_table_of_other_od_sizes_rejected(self, three_path_set, monkeypatch):
+        # three paths either way, but the table's first OD has two of them
+        self.rejected_before_the_kernel(monkeypatch, self.table_of(three_path_set),
+                                        np.array([12.0, 12.0]), path_set_of([1, 2]),
+                                        "does not fit")
+
+    def test_demand_of_other_od_count_rejected(self, three_path_set, monkeypatch):
+        _, ps = three_path_set
+        self.rejected_before_the_kernel(monkeypatch, self.table_of(three_path_set),
+                                        np.array([12.0, 12.0, 1.0]), ps, "one per OD")

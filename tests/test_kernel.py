@@ -1,6 +1,8 @@
-"""The compiled step kernel: its sums, and how its library is built and cached."""
+"""The compiled step kernel: its sums, its bindings, and how its library is built and cached."""
 
+import ctypes
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -31,6 +33,27 @@ def test_sum_equals_ndarray_sum():
         x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6.0, 6.0, n)
         got = dnl.run_sums(x, np.array([0]), np.array([n]))
         assert got.tobytes() == np.array([x.sum()]).tobytes(), n
+
+
+C_TYPES = {"void": None, "i64": ctypes.c_int64, "double": ctypes.c_double}
+
+
+def test_every_entry_point_is_bound_with_its_c_signature():
+    # ctypes passes an argument without ``argtypes`` as a C int, which would
+    # truncate pointers and 64-bit integers without a word
+    source = (SRC / "dsuedhi" / "dnl_step.c").read_text()
+    defined = re.findall(r"^(void|i64|double)\s+(dnl_\w+)\(([^)]*)\)\s*\{", source, re.M)
+    assert {name for _, name, _ in defined} >= {"dnl_step", "dnl_path_times", "dnl_run_sums",
+                                                 "dnl_stored", "dnl_rollout"}
+    declared = re.findall(r"^(?!static)\w[\w \t*]*?\b(dnl_\w+)\(", source, re.M)
+    assert sorted(declared) == sorted(name for _, name, _ in defined)
+    lib = dnl._kernel()
+    for returns, name, params in defined:
+        want = [ctypes.c_void_p if "*" in param else C_TYPES[param.split()[-2]]
+                for param in params.split(",")]
+        fn = getattr(lib, name)
+        assert list(fn.argtypes or ()) == want, name
+        assert fn.restype is C_TYPES[returns], name
 
 
 def test_kernel_arguments_are_checked_under_python_O():
