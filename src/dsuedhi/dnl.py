@@ -45,16 +45,23 @@ was built with and cached on disk (``_kernel``). One call steps each pattern
 of a batch on its own up to the last allocated column, or until it drains;
 between calls Python widens the time axis. A step reads each link's lagged
 curves; applies the sending and receiving rules; finds every row's FIFO
-window [tau0, tau1] of its outflow by bisection of its entry curve, which
-never decreases; splits that outflow over the row's slots; scales merge
-inflows to supply and a diverging row's whole outflow by its most
-restrictive factor; and writes the next column, moving each slot's outflow
-to its path's slot on the next link, which never collides because a path
-visits a link once. A slot that moved nothing adds 0.0, which changes no
-sum: no curve holds -0.0. After the last step one more call times every
-open cell: its probe goes hop by hop, reading the entries ahead of it off a
-row's entry curve and inverting the row's exit curve by the same bisection.
-Link times are read out the same way, as paths of one row each.
+window [tau0, tau1] of its outflow by a search of its entry curve, which
+never decreases, placed on the curve once for all the row's slots; splits
+that outflow over the slots; scales merge inflows to supply and a diverging
+row's whole outflow by its most restrictive factor; and writes the next
+column, moving each slot's outflow to its path's slot on the next link,
+which never collides because a path visits a link once. A row without
+outflow has an empty window, so its slots move 0.0 unsearched. A slot that
+moved nothing adds 0.0, which changes no sum: no curve holds -0.0. After the
+last step one more call times every open cell: its probe reads the entries
+ahead of it off a row's entry curve and inverts the row's exit curve by the
+same search, row after row along its path. The paths go through the plan's
+prefix trie of their row sequences (``_trie``), so rows that paths share
+from their source on are passed once per cell, and a path that is a prefix
+of another ends inside the trie. Link times are read out the same way, as
+paths of one row each. Each search starts from the last answer of its row
+(across steps) or of its trie node (across departure intervals); rows never
+decrease, so the answer is the same from any start.
 
 Batch axis. ``load_batch`` loads B departure patterns of one (network, path
 set, grid) as B single loads stacked copy-major: entries and exits are one
@@ -197,6 +204,7 @@ class _Plan:
     never carry a vehicle and get no row. ``_plan`` keeps the last few plans,
     so loads of one network share one. ``args`` leads every step kernel
     call: the index arrays, the link parameters, the sizes and the step.
+    ``path_trie`` and ``link_trie`` (``_trie``) lead every read-out call.
     """
 
     def __init__(self, links: tuple, seqs: tuple, grid: TimeGrid):
@@ -252,6 +260,12 @@ class _Plan:
         self.path_rows = row[path_links]
         self.row_ff = np.concatenate((self.ff, np.zeros(n_src)))
         self.row_cap = np.concatenate((self.cap, self.cap[self.src_links]))
+        # the read-out's prefix tries, of the paths and of each link row
+        # alone, checked once here: the kernel indexes by them unchecked
+        link_rows = np.arange(A)[:, None]
+        self.path_trie, self.link_trie = _trie(self.path_rows), _trie(link_rows)
+        _check_trie(self.path_trie, self.path_rows, A + n_src)
+        _check_trie(self.link_trie, link_rows, A)
 
         # the kernel reads contiguous int64 indices and float64 parameters, kept alive here
         self._buffers = tuple(np.ascontiguousarray(x, dtype=np.int64) for x in (
@@ -264,6 +278,51 @@ class _Plan:
 
 
 _plan = functools.lru_cache(maxsize=8)(_Plan)
+
+
+def _trie(path_rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The prefix trie of the row sequences ``path_rows[P, hops]``, padded with -1.
+
+    Returns ``node_row`` and ``node_parent`` of each node, -1 for a node
+    entered at departure, every parent before its children, and each path's
+    end node ``path_end``; a path that is a prefix of another ends at an
+    inner node.
+    """
+    nodes: dict[tuple[int, int], int] = {}  # (parent, row) -> node
+    path_end = []
+    for rows in path_rows.tolist():
+        node = -1
+        for r in rows:
+            if r >= 0:
+                node = nodes.setdefault((node, r), len(nodes))
+        path_end.append(node)
+    node_parent, node_row = np.array(list(nodes), dtype=np.int64).reshape(-1, 2).T.copy()
+    return node_row, node_parent, np.array(path_end, dtype=np.int64)
+
+
+def _check_trie(trie: tuple[np.ndarray, ...], path_rows: np.ndarray, R: int) -> None:
+    """Raise ``DnlError`` unless ``trie`` (``_trie``) is one the read-out kernel may index.
+
+    Each parent precedes its node, each row is in [0, R), and each path's end
+    node chains back through exactly that path's rows.
+    """
+    node_row, node_parent, path_end = trie
+    K = len(node_row)
+    if len(node_parent) != K or not ((-1 <= node_parent) & (node_parent < np.arange(K))).all():
+        raise DnlError("a prefix trie node does not come after its parent")
+    if not ((0 <= node_row) & (node_row < R)).all():
+        raise DnlError(f"a prefix trie node's row is outside [0, {R})")
+    if len(path_end) != len(path_rows):
+        raise DnlError(f"the prefix trie ends {len(path_end)} paths, not {len(path_rows)}")
+    for p, (end, rows) in enumerate(zip(path_end.tolist(), path_rows.tolist())):
+        chain = []
+        if not 0 <= end < K:
+            raise DnlError(f"path {p} ends at node {end}, outside [0, {K})")
+        while end >= 0:
+            chain.append(int(node_row[end]))
+            end = int(node_parent[end])
+        if chain[::-1] != [r for r in rows if r >= 0]:
+            raise DnlError(f"path {p}'s prefix trie rows {chain[::-1]} are not its rows")
 
 
 def _step_cap(t_sim: int) -> int:
@@ -489,14 +548,15 @@ def _kernel() -> ctypes.CDLL:
     ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.dnl_step.argtypes = [ptr] * 9 + [i64] * 3 + [f64, i64, ptr] + [i64] * 3 + [ptr] * 6
     lib.dnl_step.restype = i64
-    lib.dnl_path_times.argtypes = ([ptr, i64, i64, ptr, ptr, f64, ptr, i64, i64, ptr, ptr, i64, i64]
-                                   + [ptr] * 4)
+    lib.dnl_path_times.argtypes = ([ptr, ptr, i64, ptr, i64, ptr, ptr, f64, ptr, i64, i64, ptr, ptr,
+                                    i64, i64] + [ptr] * 4)
+    lib.dnl_path_times.restype = i64
     lib.dnl_stored.argtypes = [ptr, ptr] + [i64] * 3 + [ptr]
     lib.dnl_run_sums.argtypes = [ptr, ptr, ptr, i64, ptr]
     lib.dnl_rollout.argtypes = [ptr] * 6 + [i64] * 3 + [ptr, i64, i64] + [ptr] * 4
     lib.dnl_rollout.restype = i64
     lib.dnl_stored.restype = f64
-    lib.dnl_path_times.restype = lib.dnl_run_sums.restype = None
+    lib.dnl_run_sums.restype = None
     return lib
 
 
@@ -581,7 +641,7 @@ def _step(
         cols = min(s_max + 1, cols + cols // 2)
         up, dn, slots = (_widen(x, cols) for x in (up, dn, slots))
 
-    _read_out(plan.path_rows, plan.row_ff, plan.row_cap, plan.dt, grid.interval_mids(), starts,
+    _read_out(plan.path_trie, plan.row_ff, plan.row_cap, plan.dt, grid.interval_mids(), starts,
               n_steps, up, dn, path_time, extrapolated)
     return up, dn, slots, n_steps, drained
 
@@ -596,26 +656,30 @@ def _link_times(plan: _Plan, grid: TimeGrid, link_up, link_dn) -> np.ndarray:
     (A, cols), T = link_up.shape, grid.n_intervals
     up, dn = (np.ascontiguousarray(x)[None] for x in (link_up, link_dn))
     out = np.empty((1, A, T))
-    _read_out(np.arange(A)[:, None], np.zeros(A), plan.cap, plan.dt, grid.interval_starts(),
+    _read_out(plan.link_trie, np.zeros(A), plan.cap, plan.dt, grid.interval_starts(),
               np.zeros(1, dtype=np.int64), np.array([cols - 1]), up, dn, out,
               np.empty(out.shape, dtype=bool))
     return np.maximum(plan.ff[:, None], out[0])
 
 
-def _read_out(path_rows, row_ff, row_cap, dt: float, times, starts, n_steps, up, dn,
+def _read_out(trie, row_ff, row_cap, dt: float, times, starts, n_steps, up, dn,
               path_time, extrapolated) -> None:
     """Chain FIFO exit times through each path's rows, per open cell (``dnl_path_times``).
 
-    The open cells (b, p, j >= ``starts[b]``) of the (B, P, T) ``path_time``
-    and ``extrapolated`` are written, the others left as they are; the
-    kernel's comment gives the arguments. For path times the probe is the
-    cohort's median vehicle: it departs at the interval midpoint with half of
-    its own column ahead of it, so a column feels the queue it builds itself.
+    ``trie`` is the paths' prefix trie (``_trie``). The open cells (b, p, j
+    >= ``starts[b]``) of the (B, P, T) ``path_time`` and ``extrapolated``
+    are written, the others left as they are; the kernel's comment gives the
+    arguments. For path times the probe is the cohort's median vehicle: it
+    departs at the interval midpoint with half of its own column ahead of
+    it, so a column feels the queue it builds itself.
     """
-    (B, R, cols), (P, hops), T = up.shape, path_rows.shape, len(times)
-    _kernel().dnl_path_times(
-        _arg(path_rows, np.int64, (P, hops)), P, hops, _arg(row_ff, np.float64, (R,)),
-        _arg(row_cap, np.float64, (R,)), dt, _arg(times, np.float64, (T,)), T,
-        B, _arg(starts, np.int64, (B,)), _arg(n_steps, np.int64, (B,)), R, cols,
-        *(_arg(x, np.float64, (B, R, cols)) for x in (up, dn)),
-        _arg(path_time, np.float64, (B, P, T)), _arg(extrapolated, np.bool_, (B, P, T)))
+    node_row, node_parent, path_end = trie
+    (B, R, cols), K, P, T = up.shape, len(node_row), len(path_end), len(times)
+    if _kernel().dnl_path_times(
+            _arg(node_row, np.int64, (K,)), _arg(node_parent, np.int64, (K,)), K,
+            _arg(path_end, np.int64, (P,)), P, _arg(row_ff, np.float64, (R,)),
+            _arg(row_cap, np.float64, (R,)), dt, _arg(times, np.float64, (T,)), T,
+            B, _arg(starts, np.int64, (B,)), _arg(n_steps, np.int64, (B,)), R, cols,
+            *(_arg(x, np.float64, (B, R, cols)) for x in (up, dn)),
+            _arg(path_time, np.float64, (B, P, T)), _arg(extrapolated, np.bool_, (B, P, T))) < 0:
+        raise MemoryError("read-out kernel could not allocate its work arrays")

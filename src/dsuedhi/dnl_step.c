@@ -14,6 +14,16 @@
    of its slots, in row order, and every row has ``cols`` samples. A copy
    reads the plan's own index arrays at its own block.
 
+   Work is saved only where it cannot change a bit. A row's FIFO window
+   [tau0, tau1] is placed on the curve once (``locate``), and every slot of
+   the row is read at those two positions. A row without outflow has tau0 =
+   tau1, so its slots move +0.0 and neither end is searched for. Every
+   search (``invert``) starts from the last answer of its row, kept across
+   steps, or of its read-out node, kept across departure intervals: rows
+   never decrease, so the answer does not depend on where the search
+   starts. The read-out follows the paths' prefix trie, so a row sequence
+   that paths share is chained once per cell.
+
    Sums mirror numpy: ``np.bincount`` and ``np.add.at`` add in sequence, in
    index order; ``ndarray.sum`` is 0.0 plus numpy's pairwise sum
    (``dnl_sum``). This file is the one statement of that pairwise order. */
@@ -138,32 +148,72 @@ double dnl_stored(const double *inside, const i64 *used_links, i64 A, i64 n_src,
     return dnl_sum(every_link, n_links) + dnl_sum(inside + A, n_src);
 }
 
-/* value of a sampled curve at ``time``, clamped to samples 0..last: from
-   sample ``last`` on it is fraction 1 of the segment before (fraction 0 of
-   sample 0 if last is 0, where the row must still have a second column).
-   The step reads link curves before sample ``last``; its FIFO reads of
-   slot curves and the read-out can reach it. */
-static double lagged(const double *row, double time, double dt, i64 last)
+/* where ``time`` falls on a sampled curve, clamped to samples 0..last: a
+   sample and the fraction of the segment after it; from sample ``last`` on
+   it is fraction 1 of the segment before (fraction 0 of sample 0 if last is
+   0, where the row must still have a second column). The step reads link
+   curves before sample ``last``; its FIFO reads of slot curves and the
+   read-out can reach it. */
+typedef struct {
+    i64 idx;
+    double frac;
+} position;
+
+static position locate(double time, double dt, i64 last)
 {
     double x = min2(max2(time / dt, 0.0), (double)last);
     i64 idx = (i64)x;
     if (idx == last && idx > 0)
         idx--;
-    double frac = x - (double)idx;
-    return row[idx] + frac * (row[idx + 1] - row[idx]);
+    return (position){idx, x - (double)idx};
+}
+
+static double value_at(const double *row, position at)
+{
+    return row[at.idx] + at.frac * (row[at.idx + 1] - row[at.idx]);
+}
+
+/* value of a sampled curve at ``time``, as ``locate`` places it */
+static double lagged(const double *row, double time, double dt, i64 last)
+{
+    return value_at(row, locate(time, dt, last));
 }
 
 /* The earliest time a row of n samples reaches ``target``, relaxed by a
    vanishing epsilon so that a probe carrying only numerical dust (logit tail
    masses far below one vehicle) does not wait for the next real cohort.
-   Samples below it are counted by bisection, since rows never decrease.
-   Beyond its last sample the row goes on at ``rate_beyond``; ``beyond`` tells
+   Rows never decrease, so the first sample at or above the target is one
+   index wherever the search starts: it gallops from sample ``*hint`` (any
+   index from 0; the answer for a nearby target saves steps) to a bracket
+   of it, bisects the bracket, and leaves the answer in ``*hint``. Beyond
+   its last sample the row goes on at ``rate_beyond``; ``beyond`` tells
    whether the target needed that. */
 static double invert(const double *row, i64 n, double target, double dt, double rate_beyond,
-                     uint8_t *beyond)
+                     uint8_t *beyond, i64 *hint)
 {
     target = max2(target - (EPS_VEH + EPS_VEH * target), 0.0);
-    i64 lo = 0, hi = n;
+    /* the answer is in [lo, hi], n if no sample reaches the target */
+    const i64 h = *hint < n ? *hint : n;
+    i64 lo = 0, hi = h;
+    if (h < n && row[h] < target) {
+        lo = h + 1;
+        hi = n;
+        for (i64 step = 1; h + step < n; step *= 2) {
+            if (row[h + step] >= target) {
+                hi = h + step;
+                break;
+            }
+            lo = h + step + 1;
+        }
+    } else {
+        for (i64 step = 1; h - step >= 0; step *= 2) {
+            if (row[h - step] < target) {
+                lo = h - step + 1;
+                break;
+            }
+            hi = h - step;
+        }
+    }
     while (lo < hi) {
         i64 mid = lo + (hi - lo) / 2;
         if (row[mid] < target)
@@ -171,6 +221,7 @@ static double invert(const double *row, i64 n, double target, double dt, double 
         else
             hi = mid;
     }
+    *hint = lo;
     *beyond = lo >= n;
     if (lo >= n)
         return (double)(n - 1) * dt + (target - row[n - 1]) / rate_beyond;
@@ -185,8 +236,9 @@ static double invert(const double *row, i64 n, double target, double dt, double 
    stopped before. From step ``t_sim`` - 1 on, the copy's stored vehicles
    (links summed over all ``n_links`` in link order, with zeros off its rows,
    plus its sources) are tested against ``drain_tol[b]``; the first pass sets
-   ``drained[b]`` and ``n_steps[b]`` and ends the copy's steps. Returns -1 if
-   out of memory, else 0. */
+   ``drained[b]`` and ``n_steps[b]`` and ends the copy's steps. Each row
+   seeds its FIFO searches with its last answer, kept across the copy's
+   steps. Returns -1 if out of memory, else 0. */
 i64 dnl_step(const i64 *row_start, const i64 *slot_next, const i64 *slot_dest,
              const i64 *src_link, const i64 *used_links, const double *ff,
              const double *cap, const double *wave_lag, const double *storage,
@@ -199,8 +251,12 @@ i64 dnl_step(const i64 *row_start, const i64 *slot_next, const i64 *slot_dest,
 
     /* per row, per link row, per slot; stored vehicles */
     double *work = malloc(sizeof(double) * (size_t)(3 * R + 2 * A + S + n_links + 1));
-    if (!work)
+    i64 *hint = malloc(sizeof(i64) * (size_t)(R + 1));  /* per row: last FIFO search answer */
+    if (!work || !hint) {
+        free(work);
+        free(hint);
         return -1;
+    }
     double *mass = work, *total = mass + R;
     double *recv = total + R, *factor = recv + A, *comp = factor + A, *inside = comp + S;
     double *every_link = inside + R;
@@ -208,6 +264,7 @@ i64 dnl_step(const i64 *row_start, const i64 *slot_next, const i64 *slot_dest,
     for (i64 b = 0; b < B; b++) {
         double *up = up_of + b * R * cols, *dn = dn_of + b * R * cols, *sl = sl_of + b * S * cols;
         i64 t = t_of[b];
+        memset(hint, 0, sizeof(i64) * (size_t)R);
         for (; t < stop && !drained[b]; t++) {
             const i64 c0 = t, c1 = t + 1;
             const double now = (double)t * dt;
@@ -245,18 +302,25 @@ i64 dnl_step(const i64 *row_start, const i64 *slot_next, const i64 *slot_dest,
 
             /* FIFO: the mass leaving a row entered it during [tau0, tau1];
                each slot's entries over that window, scaled to the mass,
-               leave with it */
+               leave with it. Without mass tau0 is tau1, so every slot moves
+               +0.0, and neither is searched for. */
             for (i64 r = 0; r < R; r++) {
-                const i64 n = t + (r < A ? 1 : 2);
-                const double rate = r < A ? cap[r] : 1.0, d = dn[r * cols + c0];
-                uint8_t beyond;  /* not read */
-                const double tau0 = invert(up + r * cols, n, d, dt, rate, &beyond);
-                const double tau1 = invert(up + r * cols, n, d + mass[r], dt, rate, &beyond);
                 double *c = comp + row_start[r];
                 const i64 m = row_start[r + 1] - row_start[r];
+                if (mass[r] == 0.0) {
+                    memset(c, 0, sizeof(double) * (size_t)m);
+                    continue;
+                }
+                const i64 n = t + (r < A ? 1 : 2);
+                const double rate = r < A ? cap[r] : 1.0, d = dn[r * cols + c0];
+                const double *u = up + r * cols;
+                uint8_t beyond;  /* not read */
+                const position at0 = locate(invert(u, n, d, dt, rate, &beyond, hint + r), dt, c1);
+                const position at1 = locate(invert(u, n, d + mass[r], dt, rate, &beyond, hint + r),
+                                            dt, c1);
                 for (i64 j = 0; j < m; j++) {
                     const double *s = sl + (row_start[r] + j) * cols;
-                    c[j] = max2(lagged(s, tau1, dt, c1) - lagged(s, tau0, dt, c1), 0.0);
+                    c[j] = max2(value_at(s, at1) - value_at(s, at0), 0.0);
                 }
                 const double sum = dnl_sum(c, m);
                 const double ratio = sum > 0.0 ? mass[r] / sum : 1.0;
@@ -315,42 +379,60 @@ i64 dnl_step(const i64 *row_start, const i64 *slot_next, const i64 *slot_dest,
         t_of[b] = t;
     }
     free(work);
+    free(hint);
     return 0;
 }
 
 /* Read each open cell (b, p, j >= ``starts[b]``) of a batch out of its
    curves, which ``up_of`` and ``dn_of`` hold as for ``dnl_step``. The cell's
-   probe leaves at ``times[j]`` and passes the rows ``path_rows[p]`` (``hops``
-   of them, padded with -1) in turn: at each it reads the entries ahead of it
-   and leaves when the exits reach them, but no sooner than ``row_ff`` after
-   it came. Pattern b's rows are read up to sample ``n_steps[b]`` and go on
-   at ``row_cap`` after it. The (B, P, T) arrays ``path_time`` and
-   ``extrapolated`` get the time from ``times[j]`` to the last exit, and
-   whether some row was read past its last sample. */
-void dnl_path_times(const i64 *path_rows, i64 P, i64 hops, const double *row_ff,
-                    const double *row_cap, double dt, const double *times, i64 T,
-                    i64 B, const i64 *starts, const i64 *n_steps, i64 R, i64 cols,
-                    const double *up_of, const double *dn_of,
-                    double *path_time, uint8_t *extrapolated)
+   probe leaves at ``times[j]`` and passes its path's rows in turn: at each
+   it reads the entries ahead of it and leaves when the exits reach them,
+   but no sooner than ``row_ff`` after it came. The K nodes of the paths'
+   prefix trie carry the probe: node k is row ``node_row[k]``, entered from
+   node ``node_parent[k]`` (-1: at departure), which precedes it, and path p
+   ends at node ``path_end[p]``; paths that share a prefix share its nodes,
+   so each node is passed once per (pattern, interval). Pattern b's rows are
+   read up to sample ``n_steps[b]`` and go on at ``row_cap`` after it; each
+   node seeds its search with its answer for the interval before. The (B,
+   P, T) arrays ``path_time`` and ``extrapolated`` get the time from
+   ``times[j]`` to the last exit, and whether some row was read past its
+   last sample. Returns -1 if out of memory, else 0. */
+i64 dnl_path_times(const i64 *node_row, const i64 *node_parent, i64 K, const i64 *path_end,
+                   i64 P, const double *row_ff, const double *row_cap, double dt,
+                   const double *times, i64 T, i64 B, const i64 *starts, const i64 *n_steps,
+                   i64 R, i64 cols, const double *up_of, const double *dn_of,
+                   double *path_time, uint8_t *extrapolated)
 {
+    struct node {
+        double clock;  /* when the probe left the node's row */
+        i64 hint;      /* the node's last search answer */
+        uint8_t flag;  /* some row up to here read past its last sample */
+    } *node = malloc(sizeof(struct node) * (size_t)(K + 1));
+    if (!node)
+        return -1;
     for (i64 b = 0; b < B; b++) {
         const double *up = up_of + b * R * cols, *dn = dn_of + b * R * cols;
         const i64 n = n_steps[b] + 1;
-        for (i64 p = 0; p < P; p++) {
-            const i64 *rows = path_rows + p * hops, cell = (b * P + p) * T;
-            for (i64 j = starts[b]; j < T; j++) {
-                double clock = times[j];
-                uint8_t flag = 0, beyond;
-                for (i64 k = 0; k < hops && rows[k] >= 0; k++) {
-                    const i64 r = rows[k];
-                    const double ahead = lagged(up + r * cols, clock, dt, n - 1);
-                    const double exit = invert(dn + r * cols, n, ahead, dt, row_cap[r], &beyond);
-                    clock = max2(clock + row_ff[r], exit);
-                    flag |= beyond;
-                }
-                path_time[cell + j] = clock - times[j];
-                extrapolated[cell + j] = flag;
+        for (i64 k = 0; k < K; k++)
+            node[k].hint = 0;
+        for (i64 j = starts[b]; j < T; j++) {
+            for (i64 k = 0; k < K; k++) {
+                const i64 r = node_row[k], parent = node_parent[k];
+                const double clock = parent < 0 ? times[j] : node[parent].clock;
+                uint8_t beyond;
+                const double ahead = lagged(up + r * cols, clock, dt, n - 1);
+                const double exit = invert(dn + r * cols, n, ahead, dt, row_cap[r], &beyond,
+                                           &node[k].hint);
+                node[k].clock = max2(clock + row_ff[r], exit);
+                node[k].flag = (parent < 0 ? 0 : node[parent].flag) | beyond;
+            }
+            for (i64 p = 0; p < P; p++) {
+                const struct node *end = node + path_end[p];
+                path_time[(b * P + p) * T + j] = end->clock - times[j];
+                extrapolated[(b * P + p) * T + j] = end->flag;
             }
         }
     }
+    free(node);
+    return 0;
 }

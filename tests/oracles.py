@@ -8,7 +8,9 @@ helpers read or set up loadings: ``vehicles_stored``, ``step_cap`` and
 ``stepped``, which keeps the curves of a batch that ``dnl.load_batch`` drops;
 ``solve_recording`` keeps the input of every map a solve applies; ``logit``
 runs the production logit kernel on one choice set; ``rollout`` is the
-per-interval loop that ``choice.rollout`` runs in one kernel call.
+per-interval loop that ``choice.rollout`` runs in one kernel call;
+``hop_chain`` reads path times out of a loading path by path, hop by hop,
+where ``dnl_path_times`` passes each node of the paths' prefix trie once.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import pytest
 
 from dsuedhi import choice, dnl, equilibrium
 from dsuedhi import network as nw
-from loop_loader import link_supply_rates
+from loop_loader import _invert_vec, link_supply_rates
 
 
 def vehicles_stored(res: dnl.LoadingResult) -> float:
@@ -89,6 +91,44 @@ def rollout(table, class_demand, path_set) -> np.ndarray:
         np.subtract.at(rem, path_set.od_of_path, y[:, i])
         rem = choice._unspent(rem, demand)
     return y
+
+
+def hop_chain(res: dnl.LoadingResult, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Path times and extrapolated flags of ``res`` from interval ``start`` on, hop by hop.
+
+    Each path's probe leaves at the interval midpoint and passes its rows
+    (``_Plan.path_rows``) in turn, on its own: it reads the entries ahead of
+    it off the row's entry curve, interpolated as ``dnl_step.c``'s
+    ``lagged`` does, and leaves when the exit curve reaches them
+    (``loop_loader._invert_vec``), but no sooner than the row's free-flow
+    time after it came. Cells before ``start`` are NaN and False.
+    """
+    plan = res._state[0]
+    up, dn = np.vstack((res.link_up, res.src_up)), np.vstack((res.link_dn, res.src_dn))
+    last, dt, mids = res.n_steps, res.sim_dt_s, res.grid.interval_mids()
+    P, T = len(plan.path_rows), len(mids)
+    path_time, extrapolated = np.full((P, T), np.nan), np.zeros((P, T), dtype=bool)
+
+    def lagged(row, time):
+        x = min(max(time / dt, 0.0), float(last))
+        idx = int(x)
+        if idx == last and idx > 0:
+            idx -= 1
+        frac = x - idx
+        return float(row[idx]) + frac * (float(row[idx + 1]) - float(row[idx]))
+
+    for p, rows in enumerate(plan.path_rows.tolist()):
+        for j in range(start, T):
+            clock, flag = float(mids[j]), False
+            for r in [row for row in rows if row >= 0]:
+                ahead = lagged(up[r], clock)
+                exit_, beyond = _invert_vec(dn[r, : last + 1], dt, np.array([ahead]),
+                                            float(plan.row_cap[r]))
+                clock = max(clock + float(plan.row_ff[r]), float(exit_[0]))
+                flag |= bool(beyond[0])
+            path_time[p, j] = clock - float(mids[j])
+            extrapolated[p, j] = flag
+    return path_time, extrapolated
 
 
 def solve_recording(net, ps, grid, params, config):

@@ -49,9 +49,9 @@ class TestInversion:
         dn = np.zeros(up.shape)
         dn[..., : curves.shape[1]] = curves[:, None]
         times, beyond = np.empty((B, K, 1)), np.empty((B, K, 1), dtype=bool)
-        dnl._read_out(np.arange(K)[:, None], np.full(K, -np.inf), np.full(K, rate), dt, np.zeros(1),
-                      np.zeros(B, dtype=np.int64), np.asarray(n, dtype=np.int64) - 1, up, dn,
-                      times, beyond)
+        dnl._read_out(dnl._trie(np.arange(K)[:, None]), np.full(K, -np.inf), np.full(K, rate),
+                      dt, np.zeros(1), np.zeros(B, dtype=np.int64),
+                      np.asarray(n, dtype=np.int64) - 1, up, dn, times, beyond)
         return times[..., 0], beyond[..., 0]
 
     @settings(max_examples=100, deadline=None)

@@ -16,7 +16,7 @@ from sanitized_kernel import CC
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = ["test_golden.py", "test_batch.py", "test_dnl.py", "test_map_golden.py", "test_kernel.py",
-         "test_choice.py", "test_info.py"]
+         "test_choice.py", "test_info.py", "test_readout.py"]
 
 
 def runtime(name: str) -> str:
