@@ -183,6 +183,13 @@ class ShareTable:
     top: np.ndarray  # (blocks,) cell of each block's first largest share
     finite: np.ndarray  # (blocks,) whether each block's disutilities are finite
 
+    def __post_init__(self) -> None:
+        # ``assign`` and ``dnl_rollout`` add each block's residual at ``top`` unchecked
+        start, size = self.layout.start, self.layout.size
+        top = np.asarray(self.top)
+        if top.shape != start.shape or not ((start <= top) & (top < start + size)).all():
+            raise ChoiceError("a share table's top cell lies outside its block")
+
 
 def share_table(
     phi_s: np.ndarray,

@@ -88,15 +88,15 @@ without fast-math, so every operation rounds once, as in numpy, and each sum
 mirrors the numpy call it stands for. Merge inflows add in sequence, in slot
 order, links before sources, as ``np.bincount`` does, and each is added to
 the entry column in turn, a source's total in one addition, as ``np.add.at``
-does. Row totals and the drain sum (every link in link order, 0.0 where a
-link has no row, then the sources) are ``ndarray.sum``: 0.0 plus numpy's
-pairwise sum, which adds fewer than 8 numbers in sequence, up to 128 in 8
-accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before the tail
-is added, and more in two halves split at n/2 rounded down to a multiple of
-8. ``dnl_step.c`` states that order once; the rest of the package sums in
-it only through the kernel: ``choice`` totals its logit blocks and the
-prefixes of a departure history with ``run_sums`` (``dnl_run_sums``), and
-its rollout's blocks in ``dnl_rollout``.
+does. Row totals and the drain sum (a copy's rows: used links in link order,
+then the sources) are ``ndarray.sum``: 0.0 plus numpy's pairwise sum, which
+adds fewer than 8 numbers in sequence, up to 128 in 8 accumulators combined
+as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before the tail is added, and more in
+two halves split at n/2 rounded down to a multiple of 8. ``dnl_step.c``
+states that order once; the rest of the package sums in it only through the
+kernel: ``choice`` totals its logit blocks and the prefixes of a departure
+history with ``run_sums`` (``dnl_run_sums``), and its rollout's blocks in
+``dnl_rollout``.
 ``_fill_sources`` keeps its own source-row sums: they run across a
 non-contiguous axis, which numpy adds in sequence.
 
@@ -269,12 +269,12 @@ class _Plan:
 
         # the kernel reads contiguous int64 indices and float64 parameters, kept alive here
         self._buffers = tuple(np.ascontiguousarray(x, dtype=np.int64) for x in (
-            row_start, self.slot_next, self.slot_dest, self.src_links, self.used_links)
+            row_start, self.slot_next, self.slot_dest, self.src_links)
         ) + tuple(np.ascontiguousarray(x, dtype=float) for x in (
             self.ff, self.cap, self.wave_lag, self.storage))
-        shapes = [(A + n_src + 1,), (len(pairs),), (len(pairs),), (n_src,)] + [(A,)] * 5
-        dtypes = [np.int64] * 5 + [np.float64] * 4
-        self.args = (*map(_arg, self._buffers, dtypes, shapes), A, n_src, N, self.dt)
+        shapes = [(A + n_src + 1,), (len(pairs),), (len(pairs),), (n_src,)] + [(A,)] * 4
+        dtypes = [np.int64] * 4 + [np.float64] * 4
+        self.args = (*map(_arg, self._buffers, dtypes, shapes), A, n_src, self.dt)
 
 
 _plan = functools.lru_cache(maxsize=8)(_Plan)
@@ -546,17 +546,15 @@ def _kernel() -> ctypes.CDLL:
     """The step kernel (``dnl_step.c``), built with the C compiler Python was built with."""
     lib = ctypes.CDLL(_library(shlex.split(sysconfig.get_config_var("CC") or "cc")))
     ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    lib.dnl_step.argtypes = [ptr] * 9 + [i64] * 3 + [f64, i64, ptr] + [i64] * 3 + [ptr] * 6
+    lib.dnl_step.argtypes = [ptr] * 8 + [i64] * 2 + [f64, i64, ptr] + [i64] * 3 + [ptr] * 6
     lib.dnl_step.restype = i64
     lib.dnl_path_times.argtypes = ([ptr, ptr, i64, ptr, i64, ptr, ptr, f64, ptr, i64, i64, ptr, ptr,
                                     i64, i64] + [ptr] * 4)
     lib.dnl_path_times.restype = i64
-    lib.dnl_stored.argtypes = [ptr, ptr] + [i64] * 3 + [ptr]
-    lib.dnl_run_sums.argtypes = [ptr, ptr, ptr, i64, ptr]
+    lib.dnl_run_sums.argtypes = [ptr, i64, ptr, ptr, i64, ptr]
+    lib.dnl_run_sums.restype = i64
     lib.dnl_rollout.argtypes = [ptr] * 6 + [i64] * 3 + [ptr, i64, i64] + [ptr] * 4
     lib.dnl_rollout.restype = i64
-    lib.dnl_stored.restype = f64
-    lib.dnl_run_sums.restype = None
     return lib
 
 
@@ -571,12 +569,13 @@ def _arg(x: np.ndarray, dtype, shape: tuple) -> int:
 def run_sums(x: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.ndarray:
     """``x.flat[s : s + n].sum()``, bit for bit, of each run (s, n) of ``start`` and ``size``.
 
-    Runs may overlap, and must lie inside ``x``: the kernel does not check.
+    Runs may overlap; a run that does not lie inside ``x`` raises ``ValueError``.
     """
     out = np.empty(len(start))
-    _kernel().dnl_run_sums(_arg(x, np.float64, x.shape), _arg(start, np.int64, out.shape),
-                           _arg(size, np.int64, out.shape), len(out),
-                           _arg(out, np.float64, out.shape))
+    if _kernel().dnl_run_sums(_arg(x, np.float64, x.shape), x.size,
+                              _arg(start, np.int64, out.shape), _arg(size, np.int64, out.shape),
+                              len(out), _arg(out, np.float64, out.shape)) < 0:
+        raise ValueError(f"a run does not lie inside the {x.size} numbers to sum")
     return out
 
 

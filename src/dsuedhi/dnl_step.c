@@ -12,7 +12,9 @@
    is B single loads stacked copy-major: ``up`` and ``dn`` hold B blocks of
    the plan's rows (used links in link order, then sources), ``sl`` B blocks
    of its slots, in row order, and every row has ``cols`` samples. A copy
-   reads the plan's own index arrays at its own block.
+   reads the plan's own index arrays at its own block. A link that no path
+   uses has no row, and nothing here reads it: a copy's drain test sums its
+   own rows.
 
    Work is saved only where it cannot change a bit. A row's FIFO window
    [tau0, tau1] is placed on the curve once (``locate``), and every slot of
@@ -76,11 +78,17 @@ static double dnl_sum(const double *a, i64 n)
 }
 
 /* ``x[start[k] : start[k] + size[k]].sum()`` of each of n runs, which may
-   overlap */
-void dnl_run_sums(const double *x, const i64 *start, const i64 *size, i64 n, double *out)
+   overlap, of the ``len`` numbers of ``x``. Returns -1 at the first run that
+   does not lie inside them, else 0. */
+i64 dnl_run_sums(const double *x, i64 len, const i64 *start, const i64 *size, i64 n,
+                 double *out)
 {
-    for (i64 k = 0; k < n; k++)
+    for (i64 k = 0; k < n; k++) {
+        if (start[k] < 0 || size[k] < 0 || size[k] > len - start[k])
+            return -1;
         out[k] = dnl_sum(x + start[k], size[k]);
+    }
+    return 0;
 }
 
 /* One class's rollout over the n provision intervals of a share table, as
@@ -131,21 +139,6 @@ i64 dnl_rollout(const double *share, const i64 *start, const i64 *size, const i6
             rem[o] = rem[o] < 0.0 ? 0.0 : rem[o];
     }
     return 0;
-}
-
-/* Vehicles stored in one copy, from ``inside``, the entries minus exits of
-   its rows: its links summed over all ``n_links`` in link order, with 0.0
-   where a link has no row (``every_link`` holds them), plus the sum of its
-   sources. ``ndarray.sum`` adds 8 or more numbers pairwise, in partial sums
-   picked by position, so summing only the rows would round otherwise, and a
-   last-bit change can move the step at which a pattern drains. */
-double dnl_stored(const double *inside, const i64 *used_links, i64 A, i64 n_src, i64 n_links,
-                  double *every_link)
-{
-    memset(every_link, 0, sizeof(double) * (size_t)n_links);
-    for (i64 a = 0; a < A; a++)
-        every_link[used_links[a]] = inside[a];
-    return dnl_sum(every_link, n_links) + dnl_sum(inside + A, n_src);
 }
 
 /* where ``time`` falls on a sampled curve, clamped to samples 0..last: a
@@ -233,24 +226,24 @@ static double invert(const double *row, i64 n, double target, double dt, double 
 
 /* Step each copy b of B that has not drained, on its own, from step
    ``t_of[b]`` up to step ``stop`` - 1, and leave in ``t_of[b]`` the step it
-   stopped before. From step ``t_sim`` - 1 on, the copy's stored vehicles
-   (links summed over all ``n_links`` in link order, with zeros off its rows,
-   plus its sources) are tested against ``drain_tol[b]``; the first pass sets
-   ``drained[b]`` and ``n_steps[b]`` and ends the copy's steps. Each row
+   stopped before. From step ``t_sim`` - 1 on, the copy's stored vehicles,
+   the ``ndarray.sum`` of its rows' entries minus exits (used links in link
+   order, then sources), are tested against ``drain_tol[b]``; the first pass
+   sets ``drained[b]`` and ``n_steps[b]`` and ends the copy's steps. Each row
    seeds its FIFO searches with its last answer, kept across the copy's
    steps. Returns -1 if out of memory, else 0. */
 i64 dnl_step(const i64 *row_start, const i64 *slot_next, const i64 *slot_dest,
-             const i64 *src_link, const i64 *used_links, const double *ff,
-             const double *cap, const double *wave_lag, const double *storage,
-             i64 A, i64 n_src, i64 n_links, double dt,
+             const i64 *src_link, const double *ff, const double *cap,
+             const double *wave_lag, const double *storage, i64 A, i64 n_src, double dt,
              i64 B, i64 *t_of, i64 stop, i64 t_sim, i64 cols,
              double *up_of, double *dn_of, double *sl_of,
              const double *drain_tol, i64 *n_steps, uint8_t *drained)
 {
     const i64 R = A + n_src, L = row_start[A], S = row_start[R];  /* rows, link slots, slots */
 
-    /* per row, per link row, per slot; stored vehicles */
-    double *work = malloc(sizeof(double) * (size_t)(3 * R + 2 * A + S + n_links + 1));
+    /* per row, per link row, per slot, and one byte: never malloc(0), and a
+       read past the last row is still out of bounds */
+    double *work = malloc(sizeof(double) * (size_t)(3 * R + 2 * A + S) + 1);
     i64 *hint = malloc(sizeof(i64) * (size_t)(R + 1));  /* per row: last FIFO search answer */
     if (!work || !hint) {
         free(work);
@@ -259,7 +252,6 @@ i64 dnl_step(const i64 *row_start, const i64 *slot_next, const i64 *slot_dest,
     }
     double *mass = work, *total = mass + R;
     double *recv = total + R, *factor = recv + A, *comp = factor + A, *inside = comp + S;
-    double *every_link = inside + R;
 
     for (i64 b = 0; b < B; b++) {
         double *up = up_of + b * R * cols, *dn = dn_of + b * R * cols, *sl = sl_of + b * S * cols;
@@ -369,8 +361,7 @@ i64 dnl_step(const i64 *row_start, const i64 *slot_next, const i64 *slot_dest,
             if (c1 >= t_sim) {
                 for (i64 r = 0; r < R; r++)
                     inside[r] = up[r * cols + c1] - dn[r * cols + c1];
-                if (dnl_stored(inside, used_links, A, n_src, n_links, every_link)
-                    <= drain_tol[b]) {
+                if (dnl_sum(inside, R) <= drain_tol[b]) {
                     drained[b] = 1;
                     n_steps[b] = c1;
                 }

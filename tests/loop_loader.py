@@ -1,11 +1,14 @@
 """Reference loader for exactness tests: ``dnl.load`` as a loop over links.
 
 This is the loader as it was before the whole-network stepper, kept
-unchanged apart from its interface: it takes a plain departure matrix, has
-no warm start, counts no calls, raises ``ValueError`` and returns a
-``SimpleNamespace`` with the fields of ``dnl.LoadingResult``. ``dnl.load``
-must reproduce its outputs bit for bit. Beside its scalar rate rules are
-their array forms, which the rule tests and ``oracles`` use.
+unchanged apart from its interface and its drain sum: it takes a plain
+departure matrix, has no warm start, counts no calls, raises ``ValueError``
+and returns a ``SimpleNamespace`` with the fields of ``dnl.LoadingResult``.
+Its drain test sums the stored vehicles of the links that some path uses,
+in link order, then of the sources, in one ``ndarray.sum``, as ``dnl`` sums
+its rows. ``dnl.load`` must reproduce its outputs bit for bit. Beside its
+scalar rate rules are their array forms, which the rule tests and
+``oracles`` use.
 """
 
 from __future__ import annotations
@@ -152,6 +155,7 @@ class _Plan:
         self.link_targets: list[np.ndarray] = [
             np.array(nxt, dtype=np.intp) for nxt in self.link_next
         ]
+        self.used_links = [a for a, paths in enumerate(self.link_paths) if paths]
 
 
 def load(
@@ -332,8 +336,9 @@ def load(
                     pup[b][slot, t + 1] += out[j]
 
         if t + 1 >= t_sim:
-            stored = float(np.sum(n_up[:, t + 1] - n_dn[:, t + 1]))
-            stored += float(np.sum(src_up[:, t + 1] - src_dn[:, t + 1]))
+            used = plan.used_links
+            stored = np.concatenate((n_up[used, t + 1] - n_dn[used, t + 1],
+                                     src_up[:, t + 1] - src_dn[:, t + 1])).sum()
             if stored <= drain_tol:
                 n_steps = t + 1
                 drained = True

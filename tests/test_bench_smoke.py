@@ -1,11 +1,17 @@
 """The benchmark runs against the current API and its checks pass."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+with open(BENCH / "reference.json", encoding="utf-8") as fh:
+    REFERENCES = json.load(fh)
 
 
 def run_bench(workload: str, trace: int) -> dict:
@@ -41,3 +47,26 @@ def test_dsue_sweep_benchmark_checks_the_single_class_logit():
     # solve_dsue assigns one logit per map through tentative_departures;
     # each operation is compared with bench/reference.json
     run_bench("dsue_sweep", trace=0)
+
+
+@pytest.fixture(scope="module")
+def harness():
+    """``bench/harness.py``, imported as ``bench/run.py`` imports it."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import harness
+    finally:
+        sys.path.remove(str(BENCH))
+    return harness
+
+
+@pytest.mark.parametrize("name, seed", [(name, seed) for name in sorted(REFERENCES)
+                                        for seed in sorted(REFERENCES[name], key=int)])
+def test_every_recorded_seed_reproduces_its_reference(harness, tmp_path, monkeypatch, name, seed):
+    # one operation per recorded seed, in this process, checked as a run
+    # checks it; the generated scenarios are read as written
+    for key in [k for k in os.environ if k.startswith("DSUEDHI_")]:
+        monkeypatch.delenv(key)
+    wl = harness.Workload(name, int(seed), tmp_path)
+    assert wl.guards() == []
+    harness._compare(wl.check(wl.op()), REFERENCES[name][seed])

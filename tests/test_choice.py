@@ -723,3 +723,20 @@ class TestRollout:
         _, ps = three_path_set
         self.rejected_before_the_kernel(monkeypatch, self.table_of(three_path_set),
                                         np.array([12.0, 12.0, 1.0]), ps, "one per OD")
+
+    @pytest.mark.parametrize("bad_top", [
+        lambda lay, top: np.where(np.arange(len(top)) == 0, lay.start + lay.size, top),
+        lambda lay, top: np.where(np.arange(len(top)) == 1, -1, top),
+        lambda lay, top: top[:-1],
+    ], ids=["one past its block", "negative", "one short"])
+    def test_top_outside_its_block_rejected(self, three_path_set, monkeypatch, bad_top):
+        # ``assign`` and ``dnl_rollout`` add each block's residual at its top
+        # unchecked, so a table is checked when it is made or replaced
+        table = self.table_of(three_path_set)
+
+        def kernel():
+            raise AssertionError("the kernel was called")
+
+        monkeypatch.setattr(dnl, "_kernel", kernel)
+        with pytest.raises(choice.ChoiceError, match="outside its block"):
+            dataclasses.replace(table, top=bad_top(table.layout, table.top))

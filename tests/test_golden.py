@@ -72,24 +72,6 @@ def test_unused_links_carry_nothing_and_keep_the_refine_factor():
         assert got.n_up[used, -1].all()
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_drain_sum_adds_every_link_in_link_order(seed):
-    # numpy sums 8 or more numbers pairwise by position, so the used links'
-    # stored vehicles are summed at their places among all links
-    net, ps, grid, _, _ = CASES["sparse_lattice"]
-    plan = dnl._plan(net.links, ps.link_seq, grid)
-    A, n_src = plan.A, len(plan.source_links)
-    assert 8 <= A < net.n_links
-    every_link = np.empty(net.n_links)
-    for inside in np.random.default_rng(seed).uniform(0.0, 1.0, (3, A + n_src)):
-        links = np.zeros(net.n_links)
-        links[plan.used_links] = inside[:A]
-        want = np.sum(links) + np.sum(inside[A:])
-        got = dnl._kernel().dnl_stored(inside.ctypes.data, plan.used_links.ctypes.data, A,
-                                       n_src, net.n_links, every_link.ctypes.data)
-        assert got == want
-
-
 def random_lattice(seed: int):
     """A lattice with random size, link parameters, ODs, paths and departures.
 
@@ -146,6 +128,44 @@ def test_load_matches_loop_loader_on_random_lattices(seed):
     assert (batch.n_steps[0], batch.drained[0]) == (cold.n_steps, cold.drained)
     assert_same(started_outputs(warm, k, net, ps),
                 {**outputs(cold, net, ps), **timed_from(cold, k)})
+
+
+def with_unused_links(net, ps, seed: int):
+    """``net`` and ``ps`` with 1-6 disconnected links whose ids fall between the
+    existing ones, none faster than the fastest link a path uses."""
+    rng = np.random.default_rng([seed, 1])
+    fastest = min(net.links[a].free_flow_s for seq in ps.link_seq for a in seq)
+    after = rng.choice(net.n_links, size=min(net.n_links, int(rng.integers(1, 7))), replace=False)
+    extra = [nw.Link(f"{net.links[a].link_id}x", f"u{i}", f"v{i}",
+                     20.0 * fastest * float(rng.uniform(1.01, 2.0)), 20.0, 5.0,
+                     float(rng.uniform(0.1, 0.6)), float(rng.uniform(0.1, 0.2)))
+             for i, a in enumerate(after)]
+    wide = nw.validate_network([*net.links, *extra], net.od_pairs)
+    seqs = tuple(tuple(wide.link_index[lid] for lid in p.link_ids) for p in ps.paths)
+    return wide, dataclasses.replace(ps, link_seq=seqs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_links_that_no_path_uses_change_nothing(seed):
+    # a loading reads only the rows of used links and sources, so the same
+    # paths on a network with more links give the same bytes
+    net, ps, grid, h, cap = random_lattice(seed)
+    wide, wide_ps = with_unused_links(net, ps, seed)
+    rng = np.random.default_rng([seed, 2])
+    starts = np.sort(rng.integers(0, grid.n_intervals, 3))
+    patterns = h * rng.uniform(0.5, 1.5, (3, *h.shape))
+    got = []
+    with step_cap(cap):
+        for n, p in ((net, ps), (wide, wide_ps)):
+            res = dnl.load(n, p, grid, h)
+            batch = dnl.load_batch(res, patterns, starts)
+            arrays = [getattr(res, f) for f in ("path_time", "extrapolated", "instant_path_time",
+                                                "link_up", "link_dn", "src_up", "src_dn")]
+            arrays += [getattr(batch, f) for f in ("path_time", "extrapolated", "n_steps",
+                                                   "drained")]
+            got.append((res.sim_dt_s, res.n_steps, res.drained, [x.tobytes() for x in arrays]))
+    assert got[1] == got[0]
 
 
 def test_loads_of_networks_that_differ_in_one_link_or_the_grid_use_their_own_plans():

@@ -35,6 +35,17 @@ def test_sum_equals_ndarray_sum():
         assert got.tobytes() == np.array([x.sum()]).tobytes(), n
 
 
+@pytest.mark.parametrize("start, size", [(-1, 2), (0, -1), (5, 2), (6, 1), (7, 0),
+                                         (2**62, 2**62), (1, 2**63 - 1)])
+def test_a_run_outside_the_array_raises(start, size):
+    # each run is checked in the kernel's loop, also after good runs
+    x = np.arange(6.0)
+    with pytest.raises(ValueError, match="does not lie inside"):
+        dnl.run_sums(x, np.array([0, start]), np.array([6, size]))
+    got = dnl.run_sums(x, np.array([0, 6, 2]), np.array([6, 0, 4]))
+    assert got.tolist() == [15.0, 0.0, 14.0]
+
+
 C_TYPES = {"void": None, "i64": ctypes.c_int64, "double": ctypes.c_double}
 
 
@@ -44,7 +55,7 @@ def test_every_entry_point_is_bound_with_its_c_signature():
     source = (SRC / "dsuedhi" / "dnl_step.c").read_text()
     defined = re.findall(r"^(void|i64|double)\s+(dnl_\w+)\(([^)]*)\)\s*\{", source, re.M)
     assert {name for _, name, _ in defined} >= {"dnl_step", "dnl_path_times", "dnl_run_sums",
-                                                 "dnl_stored", "dnl_rollout"}
+                                                 "dnl_rollout"}
     declared = re.findall(r"^(?!static)\w[\w \t*]*?\b(dnl_\w+)\(", source, re.M)
     assert sorted(declared) == sorted(name for _, name, _ in defined)
     lib = dnl._kernel()
