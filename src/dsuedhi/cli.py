@@ -2,8 +2,9 @@
 
 Subcommands: validate, solve, sweep, compare-dsue, multistart, print-config.
 Exit codes: 0 success, 1 usage or parse error, 2 non-convergence, 3 model
-error. Artifacts are deterministic: identical scenario and seed give
-byte-identical files.
+error, 4 a final loading that did not drain or extrapolated path times (before
+2; its artifacts are still written). Artifacts are deterministic: identical
+scenario and seed give byte-identical files.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_MODEL = 3
+EXIT_UNDRAINED = 4
 
 EQUILIBRIUM_HEADER = ["od", "path_id", "t_index", "h_instant", "h_forecast"]
 TRACE_HEADER = ["k", "residual", "beta", "alpha"]
@@ -134,6 +136,26 @@ def _summary(sc: Scenario, result: EquilibriumResult, built) -> _Summary:
     )
 
 
+def _drained(result: EquilibriumResult, what: str = "") -> bool:
+    """Whether ``result``'s final loading drained and simulated every path time.
+
+    If not, says so on stderr, after ``what``: the steps the loading took,
+    its refine factor and its extrapolated path-time cells.
+    """
+    ld = result.loading
+    cells = int(ld.extrapolated.sum())
+    if ld.drained and not cells:
+        return True
+    print(f"error: {what}the final loading {'drained' if ld.drained else 'did not drain'} after "
+          f"{ld.n_steps} steps at refine factor {round(ld.grid.dt_s / ld.sim_dt_s)}; {cells} of "
+          f"{ld.extrapolated.size} path-time cells are extrapolated", file=sys.stderr)
+    return False
+
+
+def _exit_code(converged: bool, drained: bool) -> int:
+    return EXIT_UNDRAINED if not drained else EXIT_OK if converged else EXIT_NOT_CONVERGED
+
+
 def run_solve(sc: Scenario, out_dir: Path) -> int:
     built = sc.build()
     net, path_set, _, _ = built
@@ -167,11 +189,12 @@ def run_solve(sc: Scenario, out_dir: Path) -> int:
         cells = np.nonzero(np.broadcast_to(open_cells(0, T, T), result.forecasts.shape))
         _write_table(out_dir / "forecasts.csv", FORECASTS_HEADER, *cells,
                      result.forecasts[cells])
-    return EXIT_OK if s.converged else EXIT_NOT_CONVERGED
+    return _exit_code(s.converged, _drained(result))
 
 
 def run_sweep(sc: Scenario, parameter: str, values: list[float], out_dir: Path) -> int:
     cells = []  # per value: every column after the value
+    drained = True
     for v in values:
         if parameter == "theta":
             point = replace(sc, theta=v, instant_share=0.5)
@@ -184,6 +207,7 @@ def run_sweep(sc: Scenario, parameter: str, values: list[float], out_dir: Path) 
             cells.append(["error", str(exc), "", "", "", "", ""])
             continue
         s = _summary(point, result, built)
+        drained &= _drained(result, f"{parameter} {v:g}: ")
         average = s.disutility.overall_average
         cells.append(["ok" if s.converged else "not-converged", *_column([
             average.get("instant", np.nan), average.get("forecast", np.nan),
@@ -191,7 +215,7 @@ def run_sweep(sc: Scenario, parameter: str, values: list[float], out_dir: Path) 
         ]), str(s.iterations)])
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_table(out_dir / "sweep.csv", SWEEP_HEADER, np.array(values), *zip(*cells))
-    return EXIT_OK if all(c[0] == "ok" for c in cells) else EXIT_NOT_CONVERGED
+    return _exit_code(all(c[0] == "ok" for c in cells), drained)
 
 
 def run_compare_dsue(sc: Scenario, out_dir: Path) -> int:
@@ -200,9 +224,11 @@ def run_compare_dsue(sc: Scenario, out_dir: Path) -> int:
     window = metrics.trim_window(grid, sc.trim_fraction)[None, :]
     payload: dict = {"scenario_id": sc.scenario_id}
     disutility, travel_time = [], []  # per model: (n_ods,)
+    drained = True
     for name, solve in (("dhi", equilibrium.solve_sram), ("dsue", equilibrium.solve_dsue)):
         result = solve(*built, sc.solver)
         s = _summary(sc, result, built)
+        drained &= _drained(result, f"{name}: ")
         timed = result.h_total * result.loading.path_time * window
         disutility.append(s.disutility.per_od_total["all"])
         travel_time.append(np.array([np.sum(timed[sl]) for sl in path_set.od_slices]))
@@ -218,8 +244,7 @@ def run_compare_dsue(sc: Scenario, out_dir: Path) -> int:
                  [f"{od.origin}-{od.destination}" for od in net.od_pairs],
                  *disutility, rel_diff(*disutility), *travel_time, rel_diff(*travel_time))
     _write_json(out_dir / "compare.json", payload)
-    converged = payload["converged_dhi"] and payload["converged_dsue"]
-    return EXIT_OK if converged else EXIT_NOT_CONVERGED
+    return _exit_code(payload["converged_dhi"] and payload["converged_dsue"], drained)
 
 
 def run_multistart(sc: Scenario, n: int, seed: int, out_dir: Path) -> int:

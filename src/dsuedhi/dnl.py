@@ -21,10 +21,10 @@ horizon's steps plus 200 to drain; tests lower it by patching that function,
 as they patch ``_CHUNK_BYTES``.
 
 When some link's free-flow time is shorter than the departure interval, the
-loader refines its internal step until every link spans at least one step, so
-sub-interval traversal stays exact whenever free-flow times divide the
-interval; departures, probes, and reported travel times remain on the
-departure grid.
+loader refines its internal step until every link some path uses spans at
+least one step, so sub-interval traversal stays exact whenever free-flow times
+divide the interval; departures, probes, and reported travel times remain on
+the departure grid. Links that no path uses do not set the step.
 
 Layout. Every cumulative curve pair (entries, exits) is a *row*: the links
 that some path uses, in link order, then one source connector per distinct
@@ -155,8 +155,6 @@ class LoadingResult:
     sim_dt_s: float
     link_up: np.ndarray  # used links x (n_steps+1), cumulative entries at sim boundaries
     link_dn: np.ndarray  # used links x (n_steps+1), cumulative exits at boundaries
-    used_links: np.ndarray  # link of each row of link_up and link_dn, ascending
-    n_links: int
     src_up: np.ndarray  # sources x (n_steps+1)
     src_dn: np.ndarray
     path_time: np.ndarray  # paths x T, travel time per departure interval
@@ -176,10 +174,11 @@ class LoadingResult:
         return self._all_links(self.link_dn)
 
     def _all_links(self, rows: np.ndarray) -> np.ndarray:
-        if len(rows) == self.n_links:
+        plan = self._state[0]
+        if len(rows) == plan.n_links:
             return rows
-        out = np.zeros((self.n_links, rows.shape[1]))
-        out[self.used_links] = rows
+        out = np.zeros((plan.n_links, rows.shape[1]))
+        out[plan.used_links] = rows
         return out
 
     @property
@@ -201,63 +200,52 @@ class _Plan:
     Rows are the links that some path uses, in link order, then one source
     connector per distinct first link. A slot is one (row, path) pair; slots
     are numbered row-major, in path order within a row. The other links
-    never carry a vehicle and get no row. ``_plan`` keeps the last few plans,
-    so loads of one network share one. ``args`` leads every step kernel
-    call: the index arrays, the link parameters, the sizes and the step.
-    ``path_trie`` and ``link_trie`` (``_trie``) lead every read-out call.
+    never carry a vehicle: they get no row, and the plan reads none of their
+    parameters, so the refine factor is set by the used links alone.
+    ``_plan`` keeps the last few plans, so loads of one network share one.
+    ``args`` leads every step kernel call: the index arrays, the link
+    parameters, the sizes and the step. ``path_trie`` and ``link_trie``
+    (``_trie``) lead every read-out call.
     """
 
     def __init__(self, links: tuple, seqs: tuple, grid: TimeGrid):
-        self.n_links = N = len(links)
-        link_ff, link_cap, wave_lag, storage = np.array(
+        self.n_links = len(links)
+        self.used_links = np.array(sorted({a for seq in seqs for a in seq}), dtype=np.intp)
+        self.source_links = tuple(sorted({seq[0] for seq in seqs}))
+        self.A = A = len(self.used_links)
+        n_src = len(self.source_links)
+        used = [links[a] for a in self.used_links.tolist()]
+        self.ff, self.cap, self.wave_lag, self.storage = np.array(
             [(l.free_flow_s, l.capacity_vps, l.length_m / l.backward_wave_mps, l.storage_veh)
-             for l in links], dtype=float).reshape(-1, 4).T
-        # refine the internal step until every link, used or not, spans at
+             for l in used], dtype=float).reshape(-1, 4).T.copy()
+        # refine the internal step until every link some path uses spans at
         # least one step
-        min_ff = float(link_ff.min()) if N else grid.dt_s
+        min_ff = float(self.ff.min()) if A else grid.dt_s
         self.refine = max(1, int(np.ceil(grid.dt_s / min_ff - 1e-12)))
         self.dt = grid.dt_s / self.refine
 
-        self.source_links = tuple(sorted({seq[0] for seq in seqs}))
-        n_src = len(self.source_links)
-        src_index = {a: s for s, a in enumerate(self.source_links)}
-        # (link or N + source, path) -> the path's next link, or -1 at the exit
-        succ = {(N + src_index[seq[0]], p): seq[0] for p, seq in enumerate(seqs)}
-        for p, seq in enumerate(seqs):
-            for i, a in enumerate(seq):
-                succ[a, p] = seq[i + 1] if i + 1 < len(seq) else -1
+        # each path's rows, its source first; (row, path) -> the path's next
+        # row, or -1 at its exit; slots are these pairs in order
+        rows_of = [[A + self.source_links.index(seq[0]),
+                    *np.searchsorted(self.used_links, seq).tolist()] for seq in seqs]
+        succ = {(r, p): n for p, rows in enumerate(rows_of) for r, n in zip(rows, rows[1:] + [-1])}
         pairs = sorted(succ)
         slot_of = {pair: j for j, pair in enumerate(pairs)}
-        self.n_link_slots = L = sum(len(seq) for seq in seqs)
-        slot_link = np.array([r for r, _ in pairs], dtype=np.intp)
-        self.slot_path = np.array([p for _, p in pairs], dtype=np.intp)
+        self.slot_row, self.slot_path = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy()
+        self.slot_next = np.array([succ[pair] for pair in pairs], dtype=np.intp)
         self.slot_dest = np.array([slot_of.get((succ[r, p], p), -1) for r, p in pairs],
                                   dtype=np.intp)
-
-        # Rows are numbered in link order, then the sources, so slots keep
-        # the order of a row for every link. row[x] is the row of link x or
-        # of source x - N; its last entry, -1, maps -1 to itself.
-        self.used_links = np.flatnonzero(np.bincount(slot_link[:L], minlength=N))
-        self.A = A = len(self.used_links)
-        self.ff, self.cap, self.wave_lag, self.storage = (
-            x[self.used_links] for x in (link_ff, link_cap, wave_lag, storage))
-        row = np.full(N + n_src + 1, -1, dtype=np.intp)
-        row[self.used_links] = np.arange(A)
-        row[N:-1] = np.arange(A, A + n_src)
-        self.slot_row = row[slot_link]
-        self.slot_next = row[[succ[pair] for pair in pairs]]
-        self.src_links = row[list(self.source_links)]
+        self.src_links = np.searchsorted(self.used_links, self.source_links)
         size = np.bincount(self.slot_row, minlength=A + n_src)  # slots per row
         row_start = np.concatenate(([0], np.cumsum(size)))
+        self.n_link_slots = L = int(row_start[A])
         self.src_row_start = row_start[A:] - L
 
-        # row of every path at each hop, its source first, padded with -1; path
-        # times take a source as free-flow time 0 and its first link's capacity
-        hops = max((len(seq) for seq in seqs), default=0)
-        path_links = np.full((len(seqs), hops + 1), -1, dtype=np.intp)
-        for p, seq in enumerate(seqs):
-            path_links[p, : len(seq) + 1] = (N + src_index[seq[0]], *seq)
-        self.path_rows = row[path_links]
+        # the rows padded with -1; path times take a source as free-flow time
+        # 0 and its first link's capacity
+        self.path_rows = np.full((len(seqs), max(map(len, rows_of), default=1)), -1, dtype=np.intp)
+        for p, rows in enumerate(rows_of):
+            self.path_rows[p, : len(rows)] = rows
         self.row_ff = np.concatenate((self.ff, np.zeros(n_src)))
         self.row_cap = np.concatenate((self.cap, self.cap[self.src_links]))
         # the read-out's prefix tries, of the paths and of each link row
@@ -409,7 +397,6 @@ def load(
     res = LoadingResult(
         grid=grid, n_steps=S, sim_dt_s=plan.dt,
         link_up=up[0, :A, : S + 1], link_dn=dn[0, :A, : S + 1],
-        used_links=plan.used_links, n_links=plan.n_links,
         src_up=up[0, A:, : S + 1], src_dn=dn[0, A:, : S + 1],
         path_time=path_time[0], extrapolated=extrapolated[0], drained=bool(drained[0]),
         _state=(plan, h[0], slots[0, : plan.n_link_slots, : S + 1]),
@@ -670,10 +657,14 @@ def _read_out(trie, row_ff, row_cap, dt: float, times, starts, n_steps, up, dn,
     are written, the others left as they are; the kernel's comment gives the
     arguments. For path times the probe is the cohort's median vehicle: it
     departs at the interval midpoint with half of its own column ahead of
-    it, so a column feels the queue it builds itself.
+    it, so a column feels the queue it builds itself. The kernel indexes by
+    ``starts`` and ``n_steps`` unchecked: each start must lie in [0, T) and
+    each step count in [0, cols).
     """
     node_row, node_parent, path_end = trie
     (B, R, cols), K, P, T = up.shape, len(node_row), len(path_end), len(times)
+    if not (((0 <= starts) & (starts < T)).all() and ((0 <= n_steps) & (n_steps < cols)).all()):
+        raise DnlError(f"read-out starts must lie in [0, {T}) and step counts in [0, {cols})")
     if _kernel().dnl_path_times(
             _arg(node_row, np.int64, (K,)), _arg(node_parent, np.int64, (K,)), K,
             _arg(path_end, np.int64, (P,)), P, _arg(row_ff, np.float64, (R,)),

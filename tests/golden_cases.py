@@ -11,7 +11,7 @@ network, its path set, a time grid and seeded departures:
 - a generated 4x4 lattice whose links need two loader steps per departure
   interval and where up to 20 paths share one link;
 - a generated 4x4 lattice whose few paths leave links unused, one of them
-  the network's shortest, which sets the loader's refine factor.
+  the network's shortest, which does not set the loader's refine factor.
 
 Regenerate the file only for an intended change of loader outputs:
 
@@ -66,9 +66,10 @@ def wide_lattice():
 def sparse_lattice():
     """4x4 lattice with two paths from each of two ODs: 11 of 25 links unused.
 
-    Links are 1.6-2.2 km at 20 m/s, so the used links alone would need two
-    loader steps per 120 s interval; an exit ramp from the destination that
-    no path uses is 1 km long and makes it three.
+    Links are 1.6-2.2 km at 20 m/s, so the loader refines each 120 s interval
+    into two steps: it refines until every link some path uses spans one
+    step, and an exit ramp from the destination that no path uses, 1 km
+    long, would need three.
     """
     rng = np.random.default_rng(2031)
     n = 4
@@ -121,7 +122,7 @@ def link_times(res: dnl.LoadingResult, net, ps) -> np.ndarray:
     ``dnl._link_times`` on the links some path uses, free-flow time on the others."""
     plan = dnl._plan(net.links, ps.link_seq, res.grid)
     out = np.repeat([[link.free_flow_s] for link in net.links], res.grid.n_intervals, axis=1)
-    out[res.used_links] = dnl._link_times(plan, res.grid, res.link_up, res.link_dn)
+    out[plan.used_links] = dnl._link_times(plan, res.grid, res.link_up, res.link_dn)
     return out
 
 

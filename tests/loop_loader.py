@@ -1,12 +1,13 @@
 """Reference loader for exactness tests: ``dnl.load`` as a loop over links.
 
 This is the loader as it was before the whole-network stepper, kept
-unchanged apart from its interface and its drain sum: it takes a plain
-departure matrix, has no warm start, counts no calls, raises ``ValueError``
-and returns a ``SimpleNamespace`` with the fields of ``dnl.LoadingResult``.
-Its drain test sums the stored vehicles of the links that some path uses,
-in link order, then of the sources, in one ``ndarray.sum``, as ``dnl`` sums
-its rows. ``dnl.load`` must reproduce its outputs bit for bit. Beside its
+unchanged apart from its interface, its drain sum and its refine factor: it
+takes a plain departure matrix, has no warm start, counts no calls, raises
+``ValueError`` and returns a ``SimpleNamespace`` with the fields of
+``dnl.LoadingResult``. Its drain test sums the stored vehicles of the links
+that some path uses, in link order, then of the sources, in one
+``ndarray.sum``, as ``dnl`` sums its rows, and those links alone set its
+refine factor. ``dnl.load`` must reproduce its outputs bit for bit. Beside its
 scalar rate rules are their array forms, which the rule tests and
 ``oracles`` use.
 """
@@ -180,8 +181,8 @@ def load(
     plan = _Plan(net, path_set)
     A = plan.n_links
     n_src = len(plan.source_links)
-    # refine the internal step until every link spans at least one step
-    min_ff = float(plan.ff.min()) if A else grid.dt_s
+    # refine the internal step until every link some path uses spans at least one step
+    min_ff = float(plan.ff[plan.used_links].min()) if plan.used_links else grid.dt_s
     refine = max(1, int(np.ceil(grid.dt_s / min_ff - 1e-12)))
     dt = grid.dt_s / refine
     t_sim = T * refine

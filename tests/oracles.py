@@ -60,9 +60,8 @@ def stepped(base: dnl.LoadingResult, batch, starts) -> list[dnl.LoadingResult]:
     A = plan.A
     return [dnl.LoadingResult(
         grid=base.grid, n_steps=S, sim_dt_s=plan.dt, link_up=up[j, :A, : S + 1],
-        link_dn=dn[j, :A, : S + 1], used_links=plan.used_links, n_links=plan.n_links,
-        src_up=up[j, A:, : S + 1], src_dn=dn[j, A:, : S + 1], path_time=path_time[j],
-        extrapolated=extrapolated[j], drained=bool(drained[j]),
+        link_dn=dn[j, :A, : S + 1], src_up=up[j, A:, : S + 1], src_dn=dn[j, A:, : S + 1],
+        path_time=path_time[j], extrapolated=extrapolated[j], drained=bool(drained[j]),
         _state=(plan, h[j], slots[j, : plan.n_link_slots, : S + 1]),
     ) for j, S in enumerate(n_steps.tolist())]
 

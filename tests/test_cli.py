@@ -7,6 +7,7 @@ import pytest
 
 from dsuedhi import cli
 from dsuedhi.scenario import ScenarioError, default_config_text, load_scenario
+from oracles import step_cap
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -246,6 +247,53 @@ class TestFailureExitCodes:
         else:  # every start failed, so no distance is written
             assert json.loads((out / "multistart.json").read_text())["n_failed"] == 2
             assert cli._read_rows(out / "multistart.csv") == (["run", "relative_distance"], [])
+
+
+    @staticmethod
+    def narrow(scenario_dir: Path) -> None:
+        """Divide every capacity of the scenario's network by 40."""
+        network = scenario_dir / "network.csv"
+        header, *rows = network.read_text().splitlines()
+        cells = [row.split(",") for row in rows]
+        for c in cells:
+            c[6] = repr(float(c[6]) / 40)
+        network.write_text("\n".join([header, *map(",".join, cells)]) + "\n")
+
+    @pytest.mark.parametrize("args, files, whats", [
+        (["solve"], ["accuracy.csv", "equilibrium.csv", "metrics.json", "trace.csv"], [""]),
+        (["compare-dsue"], ["compare.csv", "compare.json"], ["dhi: ", "dsue: "]),
+        (["sweep", "--param", "lambda", "--values", "0.25,0.75"], ["sweep.csv"],
+         ["lambda 0.25: ", "lambda 0.75: "]),
+    ], ids=["solve", "compare-dsue", "sweep"])
+    def test_undrained_final_loading_exits_4_and_writes_its_files(self, three_link_dir, tmp_path,
+                                                                  capsys, args, files, whats):
+        # with a fortieth of the capacity and no step past the horizon, the
+        # solves converge but their final loadings end with trips on the road
+        self.narrow(three_link_dir)
+        out = tmp_path / "o"
+        with step_cap(0):
+            code = run([*args, "--scenario", three_link_dir / "scenario.ini", "--out", out])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert sorted(p.name for p in out.iterdir()) == files
+        for what in whats:
+            assert re.search(f"^error: {what}the final loading did not drain after 40 steps at "
+                             r"refine factor 1; [1-9]\d* of 120 path-time cells are extrapolated$",
+                             err, re.M), err
+        assert len(err.splitlines()) == len(whats) and "Traceback" not in err
+        if args == ["solve"]:
+            assert "; 80 of 120 path-time cells" in err
+            assert json.loads((out / "metrics.json").read_text())["converged"] is True
+
+    def test_undrained_takes_precedence_over_not_converged(self, three_link_dir, tmp_path,
+                                                           monkeypatch, capsys):
+        self.narrow(three_link_dir)
+        monkeypatch.setenv("DSUEDHI_SOLVER_MAX_ITERATIONS", "1")
+        out = tmp_path / "o"
+        with step_cap(0):
+            assert run(["solve", "--scenario", three_link_dir / "scenario.ini", "--out", out]) == 4
+        assert "did not drain" in capsys.readouterr().err
+        assert json.loads((out / "metrics.json").read_text())["converged"] is False
 
 
 class TestArtifactReaders:

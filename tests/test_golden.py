@@ -58,12 +58,14 @@ def test_cases_cover_wide_links_and_refinement():
 
 
 def test_unused_links_carry_nothing_and_keep_the_refine_factor():
+    # the shortest link, an exit ramp that no path uses, would need a finer
+    # step than the used links; the loader's step is the used links' own
     net, ps, grid, h, _ = CASES["sparse_lattice"]
     used = sorted({a for seq in ps.link_seq for a in seq})
     unused = np.setdiff1d(np.arange(net.n_links), used)
     ff = np.array([link.free_flow_s for link in net.links])
-    refine = np.ceil(grid.dt_s / ff.min())
-    assert int(np.argmin(ff)) in unused and refine > np.ceil(grid.dt_s / ff[used].min())
+    refine = np.ceil(grid.dt_s / ff[used].min())
+    assert int(np.argmin(ff)) in unused and np.ceil(grid.dt_s / ff.min()) > refine
     res = dnl.load(net, ps, grid, h)
     assert res.sim_dt_s == grid.dt_s / refine
     for got in (res, stepped(res, h[None], [0])[0]):
@@ -132,12 +134,15 @@ def test_load_matches_loop_loader_on_random_lattices(seed):
 
 def with_unused_links(net, ps, seed: int):
     """``net`` and ``ps`` with 1-6 disconnected links whose ids fall between the
-    existing ones, none faster than the fastest link a path uses."""
+    existing ones, with free-flow times of 0.2 to 2 times that of the fastest
+    link a path uses; the first is faster than every used link."""
     rng = np.random.default_rng([seed, 1])
     fastest = min(net.links[a].free_flow_s for seq in ps.link_seq for a in seq)
     after = rng.choice(net.n_links, size=min(net.n_links, int(rng.integers(1, 7))), replace=False)
+    scale = rng.uniform(0.2, 2.0, len(after))
+    scale[0] = rng.uniform(0.2, 1.0)
     extra = [nw.Link(f"{net.links[a].link_id}x", f"u{i}", f"v{i}",
-                     20.0 * fastest * float(rng.uniform(1.01, 2.0)), 20.0, 5.0,
+                     20.0 * fastest * float(scale[i]), 20.0, 5.0,
                      float(rng.uniform(0.1, 0.6)), float(rng.uniform(0.1, 0.2)))
              for i, a in enumerate(after)]
     wide = nw.validate_network([*net.links, *extra], net.od_pairs)
@@ -166,6 +171,50 @@ def test_links_that_no_path_uses_change_nothing(seed):
                                                    "drained")]
             got.append((res.sim_dt_s, res.n_steps, res.drained, [x.tobytes() for x in arrays]))
     assert got[1] == got[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_plan_arrays_follow_their_definitions(seed):
+    net, ps, grid, _, _ = random_lattice(seed)
+    net, ps = with_unused_links(net, ps, seed)
+    plan = dnl._Plan(net.links, ps.link_seq, grid)
+    # rows: the used links in link order, then one source per distinct first link
+    used = sorted({a for seq in ps.link_seq for a in seq})
+    sources = sorted({seq[0] for seq in ps.link_seq})
+    row = {("link", a): r for r, a in enumerate(used)}
+    row |= {("source", a): len(used) + s for s, a in enumerate(sources)}
+    assert (plan.used_links.tolist(), list(plan.source_links)) == (used, sources)
+    assert plan.src_links.tolist() == [row["link", a] for a in sources]
+    links = [net.links[a] for a in used]
+    assert plan.ff.tolist() == [link.free_flow_s for link in links]
+    assert plan.cap.tolist() == [link.capacity_vps for link in links]
+    assert plan.wave_lag.tolist() == [link.length_m / link.backward_wave_mps for link in links]
+    assert plan.storage.tolist() == [link.storage_veh for link in links]
+    # each path's rows: its source, then its links, padded with -1
+    hops = max(map(len, ps.link_seq))
+    for p, seq in enumerate(ps.link_seq):
+        rows = [row["source", seq[0]], *(row["link", a] for a in seq)]
+        assert plan.path_rows[p].tolist() == rows + [-1] * (hops + 1 - len(rows))
+    # slots: row-major, in path order within a row; a row's slots start at row_start
+    pairs = list(zip(plan.slot_row.tolist(), plan.slot_path.tolist()))
+    assert pairs == sorted((r, p) for p, rows in enumerate(plan.path_rows.tolist())
+                           for r in rows if r >= 0)
+    R = len(used) + len(sources)
+    assert plan._buffers[0].tolist() == np.searchsorted(plan.slot_row, np.arange(R + 1)).tolist()
+    assert plan.n_link_slots == sum(map(len, ps.link_seq))
+    # slot_next and slot_dest walk each path's rows from its source slot and end at -1
+    for p, rows in enumerate(plan.path_rows.tolist()):
+        j, walked = pairs.index((rows[0], p)), [rows[0]]
+        while plan.slot_next[j] >= 0:
+            j, nxt = plan.slot_dest[j], plan.slot_next[j]
+            assert pairs[j] == (nxt, p)
+            walked.append(nxt)
+        assert plan.slot_dest[j] == -1 and walked == [r for r in rows if r >= 0]
+    # the refine factor comes from the used links alone
+    fastest = min(link.free_flow_s for link in links)
+    assert plan.refine == max(1, int(np.ceil(grid.dt_s / fastest - 1e-12)))
+    assert plan.dt == grid.dt_s / plan.refine
 
 
 def test_loads_of_networks_that_differ_in_one_link_or_the_grid_use_their_own_plans():

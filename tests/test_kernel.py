@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from dsuedhi import dnl
+from dsuedhi import network as nw
 
 CC = shlex.split(sysconfig.get_config_var("CC") or "cc")
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -44,6 +45,31 @@ def test_a_run_outside_the_array_raises(start, size):
         dnl.run_sums(x, np.array([0, start]), np.array([6, size]))
     got = dnl.run_sums(x, np.array([0, 6, 2]), np.array([6, 0, 4]))
     assert got.tolist() == [15.0, 0.0, 14.0]
+
+
+def test_sending_mass_is_tested_against_eps_veh_before_its_clamp():
+    # one link, free-flow time one step, at step 2: its exits sit 1e-12 veh
+    # past its lagged entries, so it has no backlog; 1.5e-12 veh arrive
+    # during the step, over EPS_VEH (1e-12), but only 0.5e-12 veh more than
+    # have left. The rule tests the unqueued mass and then clamps it to that
+    # bound, so the link sends 0.5e-12 veh; tested after the clamp, it would
+    # send none.
+    link = nw.Link("a", "x", "y", 200.0, 20.0, 5.0, 1.0, 0.15)
+    plan = dnl._Plan((link,), ((0,),), nw.TimeGrid(100.0, 10.0))
+    assert (plan.refine, plan.A, len(plan.slot_row)) == (1, 1, 2)  # the link row, then the source
+    cols = 4
+    up, dn, slots = np.zeros((1, 2, cols)), np.zeros((1, 2, cols)), np.zeros((1, 2, cols))
+    up[0, 0] = slots[0, 0] = [0.0, 1.0, 1.0 + 1.5e-12, 0.0]
+    dn[0, 0] = [0.0, 0.5, 1.0 + 1e-12, 0.0]
+    bound = up[0, 0, 2] - dn[0, 0, 2]
+    assert up[0, 0, 2] - up[0, 0, 1] > 1e-12 >= bound > 0.0
+    t_of, n_steps = np.array([2]), np.zeros(1, dtype=np.int64)
+    drain_tol, drained = np.zeros(1), np.zeros(1, dtype=np.bool_)
+    step = dnl._kernel().dnl_step(*plan.args, 1, t_of.ctypes.data, 3, cols + 1, cols,
+                                  up.ctypes.data, dn.ctypes.data, slots.ctypes.data,
+                                  drain_tol.ctypes.data, n_steps.ctypes.data, drained.ctypes.data)
+    assert step == 0 and t_of[0] == 3
+    assert dn[0, 0, 3] == up[0, 0, 2]  # all that has arrived has left
 
 
 C_TYPES = {"void": None, "i64": ctypes.c_int64, "double": ctypes.c_double}

@@ -220,3 +220,22 @@ def test_read_out_raises_memory_error_when_the_kernel_cannot_allocate(monkeypatc
     monkeypatch.setattr(dnl, "_kernel", NoMemory)
     with pytest.raises(MemoryError):
         dnl.load_batch(base, h[None], [0])
+
+
+@pytest.mark.parametrize("starts, n_steps, reached", [
+    (-1, 4, False), (3, 4, False), (0, 5, False), (0, -1, False), (2, 4, True),
+], ids=["negative start", "start past the horizon", "step count past the curves",
+        "negative step count", "last start and step count"])
+def test_read_out_rejects_a_start_or_step_count_outside_the_curves(monkeypatch, starts, n_steps,
+                                                                    reached):
+    # ``dnl_path_times`` indexes the curves by both unchecked
+    def kernel():
+        raise AssertionError("the kernel was called")
+
+    monkeypatch.setattr(dnl, "_kernel", kernel)
+    T, cols = 3, 5
+    curves = np.zeros((1, 1, cols))
+    with pytest.raises(AssertionError if reached else dnl.DnlError):
+        dnl._read_out(dnl._trie(np.zeros((1, 1), dtype=np.int64)), np.zeros(1), np.ones(1),
+                      60.0, np.arange(T) * 60.0, np.array([starts]), np.array([n_steps]),
+                      curves, curves, np.empty((1, 1, T)), np.empty((1, 1, T), dtype=bool))
