@@ -2,9 +2,10 @@
 
 Subcommands: validate, solve, sweep, compare-dsue, multistart, print-config.
 Exit codes: 0 success, 1 usage or parse error, 2 non-convergence, 3 model
-error, 4 a final loading that did not drain or extrapolated path times (before
-2; its artifacts are still written). Artifacts are deterministic: identical
-scenario and seed give byte-identical files.
+error, 4 a final loading or a forecast pattern of the last map that did not
+drain or extrapolated path times (before 2; its artifacts are still written).
+Artifacts are deterministic: identical scenario and seed give byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -137,19 +138,28 @@ def _summary(sc: Scenario, result: EquilibriumResult, built) -> _Summary:
 
 
 def _drained(result: EquilibriumResult, what: str = "") -> bool:
-    """Whether ``result``'s final loading drained and simulated every path time.
+    """Whether ``result``'s final loading and last forecast patterns drained and
+    simulated every path time.
 
     If not, says so on stderr, after ``what``: the steps the loading took,
-    its refine factor and its extrapolated path-time cells.
+    its refine factor and its extrapolated path-time cells, then the forecast
+    patterns that did not drain and their extrapolated (open) cells.
     """
-    ld = result.loading
+    ld, fc = result.loading, result.forecast_batch
     cells = int(ld.extrapolated.sum())
-    if ld.drained and not cells:
-        return True
-    print(f"error: {what}the final loading {'drained' if ld.drained else 'did not drain'} after "
-          f"{ld.n_steps} steps at refine factor {round(ld.grid.dt_s / ld.sim_dt_s)}; {cells} of "
-          f"{ld.extrapolated.size} path-time cells are extrapolated", file=sys.stderr)
-    return False
+    message = (f"error: {what}the final loading {'drained' if ld.drained else 'did not drain'} "
+               f"after {ld.n_steps} steps at refine factor {round(ld.grid.dt_s / ld.sim_dt_s)}; "
+               f"{cells} of {ld.extrapolated.size} path-time cells are extrapolated")
+    healthy = ld.drained and not cells
+    if fc is not None:
+        undrained, fc_cells = int((~fc.drained).sum()), int(fc.extrapolated.sum())
+        message += (f"; {undrained} of {fc.drained.size} forecast patterns did not drain, and "
+                    f"{fc_cells} of {int(np.isfinite(fc.path_time).sum())} forecast path-time "
+                    f"cells are extrapolated")
+        healthy &= not undrained and not fc_cells
+    if not healthy:
+        print(message, file=sys.stderr)
+    return healthy
 
 
 def _exit_code(converged: bool, drained: bool) -> int:
@@ -260,7 +270,9 @@ def run_multistart(sc: Scenario, n: int, seed: int, out_dir: Path) -> int:
         "n_failed": result.n_failed,
         "max_distance": float(result.distances.max()) if result.distances.size else 0.0,
     })
-    return EXIT_NOT_CONVERGED if result.n_failed else EXIT_OK
+    drained = [_drained(r, "default start: " if i == 0 else f"start {i - 1}: ")
+               for i, r in enumerate(result.solves)]
+    return _exit_code(not result.n_failed, all(drained))
 
 
 def run_validate(sc: Scenario) -> int:

@@ -17,8 +17,7 @@ toward path travel time; destinations are sinks with infinite supply.
 Loading continues past the departure horizon until the network drains (or a
 step cap is hit, in which case remaining trips are extrapolated at terminal
 discharge rate and flagged). The cap, ``_step_cap``, allows 20 times the
-horizon's steps plus 200 to drain; tests lower it by patching that function,
-as they patch ``_CHUNK_BYTES``.
+horizon's steps plus 200 to drain; tests lower it by patching that function.
 
 When some link's free-flow time is shorter than the departure interval, the
 loader refines its internal step until every link some path uses spans at
@@ -41,10 +40,12 @@ Work per plan and per step. A plan (one network's links, path set and grid)
 is built once, with the index arrays the kernel reads, and kept while among
 the last few used. The time loop and the read-out of travel times are C
 functions in ``dnl_step.c``, compiled on first use with the C compiler Python
-was built with and cached on disk (``_kernel``). One call steps each pattern
-of a batch on its own up to the last allocated column, or until it drains;
-between calls Python widens the time axis. A step reads each link's lagged
-curves; applies the sending and receiving rules; finds every row's FIFO
+was built with and cached on disk (``_kernel``). One call of ``dnl_step``
+loads the patterns of a batch one after another: it writes a pattern's
+source curves, steps it until it drains, and times it, unless the pattern
+outgrows the allocated columns; it then returns, Python widens the time
+axis, and the next call goes on with that pattern. A step reads each link's
+lagged curves; applies the sending and receiving rules; finds every row's FIFO
 window [tau0, tau1] of its outflow by a search of its entry curve, which
 never decreases, placed on the curve once for all the row's slots; splits
 that outflow over the slots; scales merge inflows to supply and a diverging
@@ -52,10 +53,13 @@ row's whole outflow by its most restrictive factor; and writes the next
 column, moving each slot's outflow to its path's slot on the next link,
 which never collides because a path visits a link once. A row without
 outflow has an empty window, so its slots move 0.0 unsearched. A slot that
-moved nothing adds 0.0, which changes no sum: no curve holds -0.0. After the
-last step one more call times every open cell: its probe reads the entries
-ahead of it off a row's entry curve and inverts the row's exit curve by the
-same search, row after row along its path. The paths go through the plan's
+moved nothing adds 0.0, which changes no sum: no curve holds -0.0. After a
+pattern's last step the same call times each of its open cells: the probe,
+the cohort's median vehicle, departs at the interval midpoint with half of
+its own column ahead of it, so a column feels the queue it builds itself;
+it reads the entries ahead of it off a row's entry curve and inverts the
+row's exit curve by the same search, row after row along its path. The
+paths go through the plan's
 prefix trie of their row sequences (``_trie``), so rows that paths share
 from their source on are passed once per cell, and a path that is a prefix
 of another ends inside the trie. Link times are read out the same way, as
@@ -64,23 +68,26 @@ paths of one row each. Each search starts from the last answer of its row
 decrease, so the answer is the same from any start.
 
 Batch axis. ``load_batch`` loads B departure patterns of one (network, path
-set, grid) as B single loads stacked copy-major: entries and exits are one
-(B, rows, columns) array each and slot entries one (B, slots, columns)
-array, every copy in the plan's own row and slot order. Each pattern starts
-at an interval t from a base loading and has the base's departures before t
-(a strategic forecast spliced at t has the candidate's), so the batch's
-cells before t are not read: it copies the base's rows up to step t * refine
-and steps from there on its own until it drains or reaches the step cap.
-Path times are computed from t on only: one kernel call per stepped chunk
-times its open cells, into one (patterns, paths, intervals) array for the
-whole batch. Every pattern keeps its own drain test, tolerance and step
+set, grid) one after another through one block of curves: entries and exits
+are one (rows, columns) array each and slot entries one (slots, columns)
+array, in the plan's row and slot order, allocated once per batch and
+reused by every pattern. Each pattern starts at an interval t from a base
+loading and has the base's departures before t (a strategic forecast
+spliced at t has the candidate's), so its cells before t are not read: it
+copies the base's rows up to step t * refine into the block, and steps
+from there on its own until it drains or reaches the step cap. Its path
+times are read out from t on only, straight into one (patterns, paths,
+intervals) array for the whole batch, before the next pattern overwrites
+the block. Every pattern keeps its own drain test, tolerance and step
 count, and gets exactly the path times of loading it alone from step 0;
-``load`` is the batch of one. The time axis holds the boundaries stepped so
-far: it starts at the horizon plus half of it, grows by half while a pattern
-has not drained, and stops at the step cap. A batch whose curves would
-exceed a fixed byte budget at that first size is stepped in equal chunks,
-one after another; a batch returns only its path times, step counts and
-drain flags, so each chunk's curves are freed once they are read out.
+``load`` is the batch of one, and its block is its curves. The time axis
+holds the boundaries stepped so far: it starts at the horizon plus half of
+it, grows by half while a pattern has not drained, and stops at the step
+cap; a widened block stays wide for the patterns after. A batch returns
+only its path times, step counts and drain flags, so its memory is one
+pattern's curves whatever B is; a block of a few tens of kilobytes is
+reused by the allocator from one batch to the next rather than taken fresh,
+page by page, from the operating system.
 
 Exact sums. Results are bit-identical to a loop that sums each row's slots
 with ``ndarray.sum``. The kernel is compiled with -ffp-contract=off and
@@ -96,9 +103,8 @@ two halves split at n/2 rounded down to a multiple of 8. ``dnl_step.c``
 states that order once; the rest of the package sums in it only through the
 kernel: ``choice`` totals its logit blocks and the prefixes of a departure
 history with ``run_sums`` (``dnl_run_sums``), and its rollout's blocks in
-``dnl_rollout``.
-``_fill_sources`` keeps its own source-row sums: they run across a
-non-contiguous axis, which numpy adds in sequence.
+``dnl_rollout``. A source's entry curve is 0.0 plus its slots' curves in
+sequence, as numpy sums a (slots, columns) block over its slots.
 
 Sensitivity. The sending rule branches on an absolute backlog ``> EPS_VEH``
 (1e-12 vehicles, defined in ``dnl_step.c``). A last-bit change in a per-row
@@ -160,7 +166,7 @@ class LoadingResult:
     path_time: np.ndarray  # paths x T, travel time per departure interval
     extrapolated: np.ndarray  # paths x T bool, trip extended past simulation
     drained: bool
-    _state: tuple = field(repr=False)  # plan, departures, link slots: a base for load_batch
+    _state: tuple = field(repr=False)  # plan, departures, block (up, dn, slots): a load_batch base
     instant_path_time: np.ndarray | None = None  # paths x T, sums of entry-time link times
 
     @property
@@ -203,9 +209,12 @@ class _Plan:
     never carry a vehicle: they get no row, and the plan reads none of their
     parameters, so the refine factor is set by the used links alone.
     ``_plan`` keeps the last few plans, so loads of one network share one.
-    ``args`` leads every step kernel call: the index arrays, the link
-    parameters, the sizes and the step. ``path_trie`` and ``link_trie``
-    (``_trie``) lead every read-out call.
+    ``args`` leads every step kernel call: the index arrays (with each
+    source slot's path and the paths' prefix trie, ``_trie``), the link
+    parameters (with the fractions of an interval at the internal steps,
+    each row's free-flow time and capacity for the read-out, and the
+    interval midpoints), the sizes and the step. ``link_trie`` leads the
+    read-out call of link times.
     """
 
     def __init__(self, links: tuple, seqs: tuple, grid: TimeGrid):
@@ -256,13 +265,17 @@ class _Plan:
         _check_trie(self.link_trie, link_rows, A)
 
         # the kernel reads contiguous int64 indices and float64 parameters, kept alive here
-        self._buffers = tuple(np.ascontiguousarray(x, dtype=np.int64) for x in (
-            row_start, self.slot_next, self.slot_dest, self.src_links)
-        ) + tuple(np.ascontiguousarray(x, dtype=float) for x in (
-            self.ff, self.cap, self.wave_lag, self.storage))
-        shapes = [(A + n_src + 1,), (len(pairs),), (len(pairs),), (n_src,)] + [(A,)] * 4
-        dtypes = [np.int64] * 4 + [np.float64] * 4
-        self.args = (*map(_arg, self._buffers, dtypes, shapes), A, n_src, self.dt)
+        R, S, K, P, T = A + n_src, len(pairs), len(self.path_trie[0]), len(seqs), grid.n_intervals
+        index = [(row_start, R + 1), (self.slot_next, S), (self.slot_dest, S),
+                 (self.src_links, n_src), (self.slot_path[L:], S - L),
+                 *zip(self.path_trie, (K, K, P))]
+        params = [(self.ff, A), (self.cap, A), (self.wave_lag, A), (self.storage, A),
+                  (np.linspace(0.0, 1.0, self.refine + 1), self.refine + 1), (self.row_ff, R),
+                  (self.row_cap, R), (grid.interval_mids(), T)]
+        self._buffers = ([np.ascontiguousarray(x, dtype=np.int64) for x, _ in index]
+                         + [np.ascontiguousarray(x, dtype=float) for x, _ in params])
+        self.args = (*(_arg(x, x.dtype, (n,)) for x, (_, n) in zip(self._buffers, index + params)),
+                     A, n_src, self.refine, K, P, T, self.dt)
 
 
 _plan = functools.lru_cache(maxsize=8)(_Plan)
@@ -323,30 +336,6 @@ def _first_cols(t_sim: int, s_max: int) -> int:
     return min(s_max, t_sim + t_sim // 2 + 1) + 1
 
 
-# Curves of one batch chunk (entries, exits and slot entries of every pattern
-# at the first allocation) stay under 2 MiB; a batch over it is split into
-# chunks of equal size, stepped one after another. A chunk's curves are freed
-# once its path times are read out, so a batch of forecasts adds about that
-# budget, plus its (patterns, paths, intervals) times, to the peak memory of
-# the one-at-a-time loads it replaces: the 120 forecasts of the shipped grid
-# stretched to T = 120 run in 7 chunks with a traced peak of 4.4 MB, of which
-# the returned times and flags take 1.0 MB, where keeping every chunk's
-# curves until the batch returned peaked at 10.3 MB. The step kernel's work arrays hold a
-# few numbers per row and slot. Larger chunks save calls but add memory one
-# for one. The 30 forecasts of a 60-link, 23-path lattice with T = 30, whose
-# paths use 24 of the links, take 65,424 bytes each and run as one chunk.
-# Path timing holds no per-cell temporaries: the kernel writes each open
-# cell's time and flag straight into the batch's result arrays.
-_CHUNK_BYTES = 2 * 2**20
-
-
-def _pattern_bytes(plan: _Plan, grid: TimeGrid) -> int:
-    """Bytes of one pattern's curves at the first allocation of the time axis."""
-    t_sim = grid.n_intervals * plan.refine
-    rows = 2 * (plan.A + len(plan.source_links)) + len(plan.slot_row)  # entries, exits, slots
-    return 8 * rows * _first_cols(t_sim, _step_cap(t_sim))
-
-
 def _departures(values, P: int, T: int, base_h=None, starts=None) -> np.ndarray:
     """Departures of shape (P, T), or (patterns, P, T) with ``starts``, floored at 0.
 
@@ -391,15 +380,14 @@ def load(
     h = _departures(departures, path_set.n_paths, grid.n_intervals)[None]
     plan = _plan(net.links, path_set.link_seq, grid)
     path_time, extrapolated = np.empty(h.shape), np.empty(h.shape, dtype=bool)
-    up, dn, slots, n_steps, drained = _step(plan, grid, h, np.zeros(1, dtype=np.int64),
-                                            path_time, extrapolated)
+    up, dn, slots, n_steps, drained = _step(plan, h, np.zeros(1, dtype=np.int64), path_time,
+                                            extrapolated)
     A, S = plan.A, int(n_steps[0])
     res = LoadingResult(
         grid=grid, n_steps=S, sim_dt_s=plan.dt,
-        link_up=up[0, :A, : S + 1], link_dn=dn[0, :A, : S + 1],
-        src_up=up[0, A:, : S + 1], src_dn=dn[0, A:, : S + 1],
-        path_time=path_time[0], extrapolated=extrapolated[0], drained=bool(drained[0]),
-        _state=(plan, h[0], slots[0, : plan.n_link_slots, : S + 1]),
+        link_up=up[:A, : S + 1], link_dn=dn[:A, : S + 1], src_up=up[A:, : S + 1],
+        src_dn=dn[A:, : S + 1], path_time=path_time[0], extrapolated=extrapolated[0],
+        drained=bool(drained[0]), _state=(plan, h[0], up, dn, slots),
     )
     if compute_link_times:
         # a hop past a path's end reads the zero row; cumsum adds the hops in
@@ -429,54 +417,22 @@ def load_batch(base: LoadingResult, departures: np.ndarray, starts) -> BatchResu
     base's departures before interval ``starts[b]`` and ``departures[b, P,
     T]`` from there on: the cells of ``departures`` before each start are
     not read. Each pattern takes the base's curves up to its start and, on
-    its own copy of the network's rows and slots, steps on its own from
-    there until it drains, with its own drain test and step count. Its step
-    count, drain flag and path times from its start on are bit-identical to
-    ``load`` of that pattern alone. Large batches are stepped in chunks whose
-    curves stay under a fixed byte budget, one after another, and only their
-    path times, step counts and drain flags are kept.
+    one block of the network's rows and slots, steps on its own from there
+    until it drains, with its own drain test and step count, and is timed
+    before the next pattern takes the block. Its step count, drain flag and
+    path times from its start on are bit-identical to ``load`` of that
+    pattern alone. Only the path times, step counts and drain flags are kept.
     """
-    plan, base_h, _ = base._state
+    plan, base_h = base._state[:2]
     P, T = base_h.shape
     starts = np.asarray(starts)
     if starts.ndim != 1 or (len(starts) and (starts.dtype.kind not in "iu" or starts[0] < 0
                                              or starts[-1] >= T or (np.diff(starts) < 0).any())):
         raise DnlError(f"starts must be ascending intervals in [0, {T})")
     h = _departures(departures, P, T, base_h, starts)
-    out = BatchResult(np.full(h.shape, np.nan), np.zeros(h.shape, dtype=bool),
-                      np.zeros(len(h), dtype=np.int64), np.zeros(len(h), dtype=bool))
-    if not len(h):
-        return out
-    chunks = -(-len(h) // max(1, _CHUNK_BYTES // _pattern_bytes(plan, base.grid)))
-    for part in np.array_split(np.arange(len(h)), chunks):
-        b = slice(part[0], part[-1] + 1)
-        # the chunk's curves are dropped with the returned tuple
-        out.n_steps[b], out.drained[b] = _step(plan, base.grid, h[b], starts[b].astype(np.int64),
-                                               out.path_time[b], out.extrapolated[b], base)[3:]
-    return out
-
-
-def _fill_sources(plan: _Plan, h: np.ndarray, src_slots: np.ndarray, src_rows: np.ndarray) -> None:
-    """Write the source entry curves of the patterns ``h[B, P, T]``.
-
-    They are exogenous, so known for the whole horizon up front; departures
-    ramp linearly inside each departure interval. ``src_slots`` and
-    ``src_rows`` are the batch's (patterns, source slots, columns) and
-    (patterns, sources, columns) curves.
-    """
-    B, _, T = h.shape
-    refine = plan.refine
-    t_sim = T * refine
-    h_cum = np.concatenate([np.zeros((B, h.shape[1], 1)), np.cumsum(h, axis=2)], axis=2)
-    rows = h_cum[:, plan.slot_path[plan.n_link_slots :]]
-    src_slots[..., : t_sim + 1 : refine] = rows
-    fine = np.linspace(0.0, 1.0, refine + 1)[1:-1] if refine > 1 else np.empty(0)
-    for j, frac in enumerate(fine, start=1):
-        src_slots[..., j : t_sim + 1 : refine] = rows[..., :-1] + frac * np.diff(rows, axis=2)
-    src_slots[..., t_sim + 1 :] = rows[..., -1:]
-    start = plan.src_row_start
-    for s in range(len(start) - 1):
-        src_rows[:, s] = src_slots[:, start[s] : start[s + 1]].sum(axis=1)
+    path_time, extrapolated = np.full(h.shape, np.nan), np.zeros(h.shape, dtype=bool)
+    n_steps, drained = _step(plan, h, starts.astype(np.int64), path_time, extrapolated, base)[3:]
+    return BatchResult(path_time, extrapolated, n_steps, drained)
 
 
 _KERNEL_SOURCE = Path(__file__).with_name("dnl_step.c")
@@ -533,7 +489,7 @@ def _kernel() -> ctypes.CDLL:
     """The step kernel (``dnl_step.c``), built with the C compiler Python was built with."""
     lib = ctypes.CDLL(_library(shlex.split(sysconfig.get_config_var("CC") or "cc")))
     ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    lib.dnl_step.argtypes = [ptr] * 8 + [i64] * 2 + [f64, i64, ptr] + [i64] * 3 + [ptr] * 6
+    lib.dnl_step.argtypes = [ptr] * 16 + [i64] * 6 + [f64, i64] + [ptr] * 5 + [i64] * 3 + [ptr] * 8
     lib.dnl_step.restype = i64
     lib.dnl_path_times.argtypes = ([ptr, ptr, i64, ptr, i64, ptr, ptr, f64, ptr, i64, i64, ptr, ptr,
                                     i64, i64] + [ptr] * 4)
@@ -568,7 +524,6 @@ def run_sums(x: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.ndarray:
 
 def _step(
     plan: _Plan,
-    grid: TimeGrid,
     h: np.ndarray,
     starts: np.ndarray,
     path_time: np.ndarray,
@@ -577,59 +532,50 @@ def _step(
 ) -> tuple[np.ndarray, ...]:
     """Step each of the patterns ``h[B, P, T]`` on its own and time it from its start.
 
-    The batch is B single loads stacked copy-major: the curves are (B, rows,
-    columns) and (B, slots, columns) arrays, each copy in the plan's row and
-    slot order. Pattern b takes the base's curves up to step ``starts[b] *
-    refine`` and steps from there until it drains or reaches the step cap.
-    Its path times from its start on are written into ``path_time[b]`` and
-    ``extrapolated[b]``. Returns the kernel's arrays: the entries ``up`` and
-    exits ``dn`` of every row, the entries ``slots`` of every slot, and each
-    pattern's ``n_steps`` and ``drained``; pattern b's curves end at column
-    ``n_steps[b]``.
+    The patterns are loaded one after another in one block of curves (the
+    entries ``up`` and exits ``dn`` of the plan's rows, the entries
+    ``slots`` of its slots), allocated here and reused by each pattern in
+    turn. Pattern b takes the base's curves up to step ``starts[b] *
+    refine`` and steps from there until it drains or reaches the step cap;
+    its path times from its start on are written into ``path_time[b]`` and
+    ``extrapolated[b]``. The kernel (``dnl_step``) returns at a pattern that
+    has not drained at the last allocated column; the block is widened by
+    half and the pattern goes on. Returns the block, ``up``, ``dn`` and
+    ``slots``, which holds the last pattern's curves up to column
+    ``n_steps[-1]``, and each pattern's ``n_steps`` and ``drained``.
     """
-    B, _, T = h.shape
-    A, L = plan.A, plan.n_link_slots
-    R, S = A + len(plan.source_links), len(plan.slot_row)
-    refine = plan.refine
-    t_sim = T * refine
+    B, P, T = h.shape
+    R, S = plan.A + len(plan.source_links), len(plan.slot_row)
+    t_sim = T * plan.refine
     s_max = _step_cap(t_sim)
     cols = _first_cols(t_sim, s_max)
-
-    # cumulative entries and exits of every row, entries of every slot
-    up = np.zeros((B, R, cols))
-    dn = np.zeros(up.shape)
-    slots = np.zeros((B, S, cols))
-
-    _fill_sources(plan, h, slots[:, L:], up[:, A:])
-
-    t = (starts * refine).astype(np.int64)  # each pattern's next step
-    k = int(t[-1]) + 1  # boundaries up to the last start, taken from the base
-    if k > 1:
-        base_slots = base._state[2]
-        for rows, curves in ((up[:, :A], base.link_up), (dn[:, :A], base.link_dn),
-                             (dn[:, A:], base.src_dn), (slots[:, :L], base_slots)):
-            # columns past a pattern's own start are rewritten before it reads them
-            rows[..., :k] = curves[:, :k]
-
-    drain_tol = np.array([1e-9 * max(1.0, float(x.sum())) for x in h])
-    n_steps = np.full(B, s_max, dtype=np.int64)
-    drained = np.zeros(B, dtype=bool)
-    step = _kernel().dnl_step
-    per_copy = [_arg(x, dtype, (B,)) for x, dtype in (
-        (t, np.int64), (drain_tol, np.float64), (n_steps, np.int64), (drained, np.bool_))]
+    up, dn, slots = np.empty((R, cols)), np.empty((R, cols)), np.empty((S, cols))
+    n_steps, drained = np.empty(B, dtype=np.int64), np.empty(B, dtype=bool)
+    if base is None:
+        base_args = (None, None, None, 0)
+    else:
+        base_up, base_dn, base_slots = base._state[2:]
+        base_cols = base_up.shape[1]
+        base_args = (*(_arg(x, np.float64, (n, base_cols))
+                       for x, n in ((base_up, R), (base_dn, R), (base_slots, S))), base_cols)
+    at = np.array([0, -1], dtype=np.int64)  # the pattern to go on with, and its step
+    batch = [_arg(h, np.float64, (B, P, T)), _arg(starts, np.int64, (B,)), *base_args, s_max]
+    out = [_arg(x, dtype, shape) for x, dtype, shape in (
+        (at, np.int64, (2,)), (n_steps, np.int64, (B,)), (drained, np.bool_, (B,)),
+        (path_time, np.float64, (B, P, T)), (extrapolated, np.bool_, (B, P, T)))]
     while True:
-        stop = min(s_max, cols - 1)  # the last allocated column or the step cap
-        curves = [_arg(x, np.float64, (B, n, cols)) for x, n in ((up, R), (dn, R), (slots, S))]
-        if step(*plan.args, B, per_copy[0], stop, t_sim, cols, *curves, *per_copy[1:]) < 0:
+        block = [_arg(x, np.float64, (n, cols)) for x, n in ((up, R), (dn, R), (slots, S))]
+        code = _kernel().dnl_step(*plan.args, B, *batch, cols, *block, *out)
+        if code == 0:
+            return up, dn, slots, n_steps, drained
+        if code == -1:
             raise MemoryError("step kernel could not allocate its work arrays")
-        if stop == s_max or drained.all():
-            break
+        if code != 1:
+            raise DnlError(f"the step kernel refused its input: starts must lie in [0, {T}) "
+                           f"and within the base's columns, and the {cols} columns must pass "
+                           f"the horizon and every step count")
         cols = min(s_max + 1, cols + cols // 2)
         up, dn, slots = (_widen(x, cols) for x in (up, dn, slots))
-
-    _read_out(plan.path_trie, plan.row_ff, plan.row_cap, plan.dt, grid.interval_mids(), starts,
-              n_steps, up, dn, path_time, extrapolated)
-    return up, dn, slots, n_steps, drained
 
 
 def _link_times(plan: _Plan, grid: TimeGrid, link_up, link_dn) -> np.ndarray:
@@ -655,11 +601,10 @@ def _read_out(trie, row_ff, row_cap, dt: float, times, starts, n_steps, up, dn,
     ``trie`` is the paths' prefix trie (``_trie``). The open cells (b, p, j
     >= ``starts[b]``) of the (B, P, T) ``path_time`` and ``extrapolated``
     are written, the others left as they are; the kernel's comment gives the
-    arguments. For path times the probe is the cohort's median vehicle: it
-    departs at the interval midpoint with half of its own column ahead of
-    it, so a column feels the queue it builds itself. The kernel indexes by
-    ``starts`` and ``n_steps`` unchecked: each start must lie in [0, T) and
-    each step count in [0, cols).
+    arguments. It reads link times (``_link_times``); ``dnl_step`` reads a
+    batch's path times by the same code. The kernel indexes by ``starts``
+    and ``n_steps`` unchecked: each start must lie in [0, T) and each step
+    count in [0, cols).
     """
     node_row, node_parent, path_end = trie
     (B, R, cols), K, P, T = up.shape, len(node_row), len(path_end), len(times)

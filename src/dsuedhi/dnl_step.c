@@ -1,20 +1,23 @@
 /* The loader's time loop and read-out, the exact sums of the logit and the
-   rollout of one class. ``dnl_step`` steps each copy of a batch on its own,
-   from its own step, until it drains or reaches ``stop``; ``dnl_path_times``
-   then reads each copy's path travel times out of its curves, by the same
-   curve interpolation and FIFO inversion. For ``choice``, ``dnl_run_sums``
-   totals runs of an array as ``ndarray.sum`` does, and ``dnl_rollout``
-   carries one class's remaining demand through the provision intervals of
-   a share table.
+   rollout of one class. ``dnl_step`` loads the patterns of a batch one
+   after another in one block of curves: each takes the base's curves up to
+   its own start, gets its source curves, steps on its own until it drains
+   or reaches the step cap, and has its path travel times read out of the
+   block (``read_out``, by the same curve interpolation and FIFO inversion)
+   before the next pattern takes the block. ``dnl_path_times`` reads link
+   times out of curves the same way. For ``choice``, ``dnl_run_sums`` totals
+   runs of an array as ``ndarray.sum`` does, and ``dnl_rollout`` carries one
+   class's remaining demand through the provision intervals of a share
+   table.
 
    Built by ``dnl._kernel`` with -ffp-contract=off and without fast-math, so
-   every operation rounds once, as its numpy form does. A batch of B patterns
-   is B single loads stacked copy-major: ``up`` and ``dn`` hold B blocks of
-   the plan's rows (used links in link order, then sources), ``sl`` B blocks
-   of its slots, in row order, and every row has ``cols`` samples. A copy
-   reads the plan's own index arrays at its own block. A link that no path
-   uses has no row, and nothing here reads it: a copy's drain test sums its
-   own rows.
+   every operation rounds once, as its numpy form does. The block is one
+   pattern's curves: ``up`` and ``dn`` hold the plan's rows (used links in
+   link order, then sources), ``sl`` its slots, in row order, and every row
+   has ``cols`` samples. A pattern writes every sample of the block before
+   it reads it, so nothing of the pattern before it is seen. A link that no
+   path uses has no row, and nothing here reads it: a pattern's drain test
+   sums its own rows.
 
    Work is saved only where it cannot change a bit. A row's FIFO window
    [tau0, tau1] is placed on the curve once (``locate``), and every slot of
@@ -224,206 +227,340 @@ static double invert(const double *row, i64 n, double target, double dt, double 
     return ((double)(lo - 1) + (target - below) / (row[lo] - below)) * dt;
 }
 
-/* Step each copy b of B that has not drained, on its own, from step
-   ``t_of[b]`` up to step ``stop`` - 1, and leave in ``t_of[b]`` the step it
-   stopped before. From step ``t_sim`` - 1 on, the copy's stored vehicles,
-   the ``ndarray.sum`` of its rows' entries minus exits (used links in link
-   order, then sources), are tested against ``drain_tol[b]``; the first pass
-   sets ``drained[b]`` and ``n_steps[b]`` and ends the copy's steps. Each row
-   seeds its FIFO searches with its last answer, kept across the copy's
-   steps. Returns -1 if out of memory, else 0. */
-i64 dnl_step(const i64 *row_start, const i64 *slot_next, const i64 *slot_dest,
-             const i64 *src_link, const double *ff, const double *cap,
-             const double *wave_lag, const double *storage, i64 A, i64 n_src, double dt,
-             i64 B, i64 *t_of, i64 stop, i64 t_sim, i64 cols,
-             double *up_of, double *dn_of, double *sl_of,
-             const double *drain_tol, i64 *n_steps, uint8_t *drained)
-{
-    const i64 R = A + n_src, L = row_start[A], S = row_start[R];  /* rows, link slots, slots */
+/* The plan's index arrays and link parameters, as ``dnl_step`` receives
+   them: A link rows then the sources, R rows in all, L link slots then the
+   source slots, S slots in all, each row's slots from ``row_start[r]``. */
+typedef struct {
+    const i64 *row_start, *slot_next, *slot_dest, *src_link;
+    const double *ff, *cap, *wave_lag, *storage;
+    i64 A, R, L, S;
+    double dt;
+} plan_t;
 
-    /* per row, per link row, per slot, and one byte: never malloc(0), and a
-       read past the last row is still out of bounds */
-    double *work = malloc(sizeof(double) * (size_t)(3 * R + 2 * A + S) + 1);
-    i64 *hint = malloc(sizeof(i64) * (size_t)(R + 1));  /* per row: last FIFO search answer */
-    if (!work || !hint) {
-        free(work);
-        free(hint);
-        return -1;
+/* One node of the read-out's prefix trie, for the cell being read. */
+typedef struct {
+    double clock;  /* when the probe left the node's row */
+    i64 hint;      /* the node's last search answer */
+    uint8_t flag;  /* some row up to here read past its last sample */
+} node_t;
+
+/* The first k columns of n rows of ``cols`` samples: 0.0, then the base's
+   columns 1 to k - 1 (rows of ``base_cols`` samples). */
+static void take_base(double *x, const double *base, i64 n, i64 cols, i64 base_cols, i64 k)
+{
+    for (i64 r = 0; r < n; r++) {
+        x[r * cols] = 0.0;
+        for (i64 c = 1; c < k; c++)
+            x[r * cols + c] = base[r * base_cols + c];
     }
+}
+
+/* Begin a pattern in its block: its first k columns of link entries, of
+   exits and of link slot entries are the base's (``take_base``). Its source
+   slot entries are the cumulative departures of their paths, ``h`` (P x T),
+   as numpy forms them: ``np.cumsum`` (the first departure itself, then a
+   sequential sum) after a 0.0, sampled at every ``refine``-th column, the
+   columns between at ``a + frac[f] * (b - a)`` of their interval's ends,
+   and the total from step T ``refine`` on. A source's entries are 0.0 plus
+   its slots in sequence, as ``ndarray.sum`` adds across rows. */
+static void begin(const plan_t *pl, const i64 *src_path, const double *frac, i64 refine,
+                  const double *h, i64 T, i64 k, const double *base_up, const double *base_dn,
+                  const double *base_sl, i64 base_cols, double *up, double *dn, double *sl,
+                  i64 cols)
+{
+    const i64 A = pl->A, R = pl->R, L = pl->L, S = pl->S, t_sim = T * refine;
+    take_base(up, base_up, A, cols, base_cols, k);
+    take_base(dn, base_dn, R, cols, base_cols, k);
+    take_base(sl, base_sl, L, cols, base_cols, k);
+    for (i64 j = L; j < S; j++) {
+        const double *x = h + src_path[j - L] * T;
+        double *s = sl + j * cols, cum = 0.0;
+        s[0] = 0.0;
+        for (i64 i = 0; i < T; i++) {
+            const double next = i == 0 ? x[0] : cum + x[i];
+            for (i64 f = 1; f < refine; f++)
+                s[i * refine + f] = cum + frac[f] * (next - cum);
+            s[(i + 1) * refine] = cum = next;
+        }
+        for (i64 c = t_sim + 1; c < cols; c++)
+            s[c] = cum;
+    }
+    for (i64 r = A; r < R; r++) {
+        double *u = up + r * cols;
+        for (i64 c = 0; c < cols; c++)
+            u[c] = 0.0;
+        for (i64 j = pl->row_start[r]; j < pl->row_start[r + 1]; j++)
+            for (i64 c = 0; c < cols; c++)
+                u[c] += sl[j * cols + c];
+    }
+}
+
+/* Step a pattern's block on its own from step t up to step ``stop`` - 1,
+   and return the step it stopped before. From step ``t_sim`` - 1 on, its
+   stored vehicles, the ``ndarray.sum`` of its rows' entries minus exits
+   (used links in link order, then sources), are tested against
+   ``drain_tol``; the first pass sets ``*drained`` and ``*n_steps`` and ends
+   the steps. Each row seeds its FIFO searches with its last answer,
+   ``hint[r]``, kept across steps. ``work`` holds 3 R + 2 A + S numbers. */
+static i64 advance(const plan_t *pl, i64 t, i64 stop, i64 t_sim, i64 cols, double *up,
+                   double *dn, double *sl, double drain_tol, uint8_t *drained, i64 *n_steps,
+                   double *work, i64 *hint)
+{
+    const i64 *row_start = pl->row_start, *slot_next = pl->slot_next;
+    const double *ff = pl->ff, *cap = pl->cap, dt = pl->dt;
+    const i64 A = pl->A, R = pl->R, L = pl->L, S = pl->S;
     double *mass = work, *total = mass + R;
     double *recv = total + R, *factor = recv + A, *comp = factor + A, *inside = comp + S;
 
-    for (i64 b = 0; b < B; b++) {
-        double *up = up_of + b * R * cols, *dn = dn_of + b * R * cols, *sl = sl_of + b * S * cols;
-        i64 t = t_of[b];
-        memset(hint, 0, sizeof(i64) * (size_t)R);
-        for (; t < stop && !drained[b]; t++) {
-            const i64 c0 = t, c1 = t + 1;
-            const double now = (double)t * dt;
+    for (; t < stop && !*drained; t++) {
+        const i64 c0 = t, c1 = t + 1;
+        const double now = (double)t * dt;
 
-            /* the new column starts from the last: link entries, exits, link slots */
-            for (i64 r = 0; r < A; r++)
-                up[r * cols + c1] = up[r * cols + c0];
+        /* the new column starts from the last: link entries, exits, link slots */
+        for (i64 r = 0; r < A; r++)
+            up[r * cols + c1] = up[r * cols + c0];
+        for (i64 r = 0; r < R; r++)
+            dn[r * cols + c1] = dn[r * cols + c0];
+        for (i64 j = 0; j < L; j++)
+            sl[j * cols + c1] = sl[j * cols + c0];
+
+        /* sending masses: links by the demand rule, clamped to what has
+           arrived (tested before the clamp); receiving masses by the
+           supply rule; sources send all that entered */
+        for (i64 a = 0; a < A; a++) {
+            const double *u = up + a * cols, *d = dn + a * cols;
+            const double nup_lag = lagged(u, min2(now - ff[a], now), dt, c1);
+            const double arr_hi = lagged(u, min2(now + dt - ff[a], now), dt, c1);
+            const double ndn_wave = lagged(d, now - pl->wave_lag[a], dt, c1);
+            const double ndn_now = d[c0];
+            const double backlog = nup_lag - ndn_now;
+            const double queued = min2(cap[a], backlog / dt);
+            const double unqueued = min2(cap[a], max2(arr_hi - nup_lag, 0.0) / dt);
+            const double m = (backlog > EPS_VEH ? queued : unqueued) * dt;
+            const double bound = (backlog > EPS_VEH ? nup_lag : arr_hi) - ndn_now;
+            mass[a] = m > EPS_VEH ? min2(m, bound) : 0.0;
+            const double room = (ndn_wave + pl->storage[a]) - u[c0];
+            recv[a] = max2(0.0, min2(cap[a], room / dt)) * dt;
+        }
+        for (i64 r = A; r < R; r++) {
+            const double m = up[r * cols + c1] - dn[r * cols + c0];
+            mass[r] = m > EPS_VEH ? m : 0.0;
+        }
+
+        /* FIFO: the mass leaving a row entered it during [tau0, tau1];
+           each slot's entries over that window, scaled to the mass,
+           leave with it. Without mass tau0 is tau1, so every slot moves
+           +0.0, and neither is searched for. */
+        for (i64 r = 0; r < R; r++) {
+            double *c = comp + row_start[r];
+            const i64 m = row_start[r + 1] - row_start[r];
+            if (mass[r] == 0.0) {
+                memset(c, 0, sizeof(double) * (size_t)m);
+                continue;
+            }
+            const i64 n = t + (r < A ? 1 : 2);
+            const double rate = r < A ? cap[r] : 1.0, d = dn[r * cols + c0];
+            const double *u = up + r * cols;
+            uint8_t beyond;  /* not read */
+            const position at0 = locate(invert(u, n, d, dt, rate, &beyond, hint + r), dt, c1);
+            const position at1 = locate(invert(u, n, d + mass[r], dt, rate, &beyond, hint + r),
+                                        dt, c1);
+            for (i64 j = 0; j < m; j++) {
+                const double *s = sl + (row_start[r] + j) * cols;
+                c[j] = max2(value_at(s, at1) - value_at(s, at0), 0.0);
+            }
+            const double sum = dnl_sum(c, m);
+            const double ratio = sum > 0.0 ? mass[r] / sum : 1.0;
+            for (i64 j = 0; j < m; j++)
+                c[j] *= ratio;
+        }
+
+        /* merges scale each link's inflows to its supply: inflows are
+           summed as ``np.bincount`` does, moving link slots in slot
+           order, then the sources; ``factor`` is 1 where the inflow fits */
+        memset(factor, 0, sizeof(double) * (size_t)A);
+        for (i64 j = 0; j < L; j++)
+            if (slot_next[j] >= 0)
+                factor[slot_next[j]] += comp[j];
+        for (i64 r = A; r < R; r++)
+            factor[pl->src_link[r - A]] += mass[r];
+        for (i64 a = 0; a < A; a++)
+            factor[a] = factor[a] > recv[a] ? recv[a] / factor[a] : 1.0;
+
+        /* diverges scale a row's whole outflow by its most restrictive factor */
+        for (i64 r = 0; r < R; r++) {
+            double *c = comp + row_start[r];
+            const i64 m = row_start[r + 1] - row_start[r], *next = slot_next + row_start[r];
+            double theta = 1.0;  /* and 1 for slots whose path ends */
+            for (i64 j = 0; j < m; j++)
+                if (c[j] > 0.0 && next[j] >= 0)
+                    theta = min2(theta, factor[next[j]]);
+            for (i64 j = 0; j < m; j++)
+                c[j] *= theta;
+            total[r] = dnl_sum(c, m);
+            dn[r * cols + c1] += total[r];
+        }
+
+        /* transfer to each path's slot on its next link (never collides),
+           and add each inflow to the entry column in turn, as
+           ``np.add.at`` does: moving link slots, then each source's total */
+        for (i64 j = 0; j < S; j++)
+            if (slot_next[j] >= 0)
+                sl[pl->slot_dest[j] * cols + c1] += comp[j];
+        for (i64 j = 0; j < L; j++)
+            if (slot_next[j] >= 0)
+                up[slot_next[j] * cols + c1] += comp[j];
+        for (i64 r = A; r < R; r++)
+            up[pl->src_link[r - A] * cols + c1] += total[r];
+
+        if (c1 >= t_sim) {
             for (i64 r = 0; r < R; r++)
-                dn[r * cols + c1] = dn[r * cols + c0];
-            for (i64 j = 0; j < L; j++)
-                sl[j * cols + c1] = sl[j * cols + c0];
-
-            /* sending masses: links by the demand rule, clamped to what has
-               arrived (tested before the clamp); receiving masses by the
-               supply rule; sources send all that entered */
-            for (i64 a = 0; a < A; a++) {
-                const double *u = up + a * cols, *d = dn + a * cols;
-                const double nup_lag = lagged(u, min2(now - ff[a], now), dt, c1);
-                const double arr_hi = lagged(u, min2(now + dt - ff[a], now), dt, c1);
-                const double ndn_wave = lagged(d, now - wave_lag[a], dt, c1);
-                const double ndn_now = d[c0];
-                const double backlog = nup_lag - ndn_now;
-                const double queued = min2(cap[a], backlog / dt);
-                const double unqueued = min2(cap[a], max2(arr_hi - nup_lag, 0.0) / dt);
-                const double m = (backlog > EPS_VEH ? queued : unqueued) * dt;
-                const double bound = (backlog > EPS_VEH ? nup_lag : arr_hi) - ndn_now;
-                mass[a] = m > EPS_VEH ? min2(m, bound) : 0.0;
-                const double room = (ndn_wave + storage[a]) - u[c0];
-                recv[a] = max2(0.0, min2(cap[a], room / dt)) * dt;
-            }
-            for (i64 r = A; r < R; r++) {
-                const double m = up[r * cols + c1] - dn[r * cols + c0];
-                mass[r] = m > EPS_VEH ? m : 0.0;
-            }
-
-            /* FIFO: the mass leaving a row entered it during [tau0, tau1];
-               each slot's entries over that window, scaled to the mass,
-               leave with it. Without mass tau0 is tau1, so every slot moves
-               +0.0, and neither is searched for. */
-            for (i64 r = 0; r < R; r++) {
-                double *c = comp + row_start[r];
-                const i64 m = row_start[r + 1] - row_start[r];
-                if (mass[r] == 0.0) {
-                    memset(c, 0, sizeof(double) * (size_t)m);
-                    continue;
-                }
-                const i64 n = t + (r < A ? 1 : 2);
-                const double rate = r < A ? cap[r] : 1.0, d = dn[r * cols + c0];
-                const double *u = up + r * cols;
-                uint8_t beyond;  /* not read */
-                const position at0 = locate(invert(u, n, d, dt, rate, &beyond, hint + r), dt, c1);
-                const position at1 = locate(invert(u, n, d + mass[r], dt, rate, &beyond, hint + r),
-                                            dt, c1);
-                for (i64 j = 0; j < m; j++) {
-                    const double *s = sl + (row_start[r] + j) * cols;
-                    c[j] = max2(value_at(s, at1) - value_at(s, at0), 0.0);
-                }
-                const double sum = dnl_sum(c, m);
-                const double ratio = sum > 0.0 ? mass[r] / sum : 1.0;
-                for (i64 j = 0; j < m; j++)
-                    c[j] *= ratio;
-            }
-
-            /* merges scale each link's inflows to its supply: inflows are
-               summed as ``np.bincount`` does, moving link slots in slot
-               order, then the sources; ``factor`` is 1 where the inflow fits */
-            memset(factor, 0, sizeof(double) * (size_t)A);
-            for (i64 j = 0; j < L; j++)
-                if (slot_next[j] >= 0)
-                    factor[slot_next[j]] += comp[j];
-            for (i64 r = A; r < R; r++)
-                factor[src_link[r - A]] += mass[r];
-            for (i64 a = 0; a < A; a++)
-                factor[a] = factor[a] > recv[a] ? recv[a] / factor[a] : 1.0;
-
-            /* diverges scale a row's whole outflow by its most restrictive factor */
-            for (i64 r = 0; r < R; r++) {
-                double *c = comp + row_start[r];
-                const i64 m = row_start[r + 1] - row_start[r], *next = slot_next + row_start[r];
-                double theta = 1.0;  /* and 1 for slots whose path ends */
-                for (i64 j = 0; j < m; j++)
-                    if (c[j] > 0.0 && next[j] >= 0)
-                        theta = min2(theta, factor[next[j]]);
-                for (i64 j = 0; j < m; j++)
-                    c[j] *= theta;
-                total[r] = dnl_sum(c, m);
-                dn[r * cols + c1] += total[r];
-            }
-
-            /* transfer to each path's slot on its next link (never collides),
-               and add each inflow to the entry column in turn, as
-               ``np.add.at`` does: moving link slots, then each source's total */
-            for (i64 j = 0; j < S; j++)
-                if (slot_next[j] >= 0)
-                    sl[slot_dest[j] * cols + c1] += comp[j];
-            for (i64 j = 0; j < L; j++)
-                if (slot_next[j] >= 0)
-                    up[slot_next[j] * cols + c1] += comp[j];
-            for (i64 r = A; r < R; r++)
-                up[src_link[r - A] * cols + c1] += total[r];
-
-            if (c1 >= t_sim) {
-                for (i64 r = 0; r < R; r++)
-                    inside[r] = up[r * cols + c1] - dn[r * cols + c1];
-                if (dnl_sum(inside, R) <= drain_tol[b]) {
-                    drained[b] = 1;
-                    n_steps[b] = c1;
-                }
+                inside[r] = up[r * cols + c1] - dn[r * cols + c1];
+            if (dnl_sum(inside, R) <= drain_tol) {
+                *drained = 1;
+                *n_steps = c1;
             }
         }
-        t_of[b] = t;
+    }
+    return t;
+}
+
+/* Read the open cells (p, j >= ``start``) of one pattern out of its curves
+   ``up`` and ``dn``, R rows of ``cols`` samples each. The cell's probe
+   leaves at ``times[j]`` and passes its path's rows in turn: at each it
+   reads the entries ahead of it and leaves when the exits reach them, but
+   no sooner than ``row_ff`` after it came. The K nodes of the paths' prefix
+   trie carry the probe: node k is row ``node_row[k]``, entered from node
+   ``node_parent[k]`` (-1: at departure), which precedes it, and path p ends
+   at node ``path_end[p]``; paths that share a prefix share its nodes, so
+   each node is passed once per interval. Rows are read up to sample
+   ``last`` and go on at ``row_cap`` after it; each node seeds its search
+   with its answer for the interval before. The P x T ``path_time`` and
+   ``extrapolated`` get the time from ``times[j]`` to the last exit, and
+   whether some row was read past its last sample. */
+static void read_out(const i64 *node_row, const i64 *node_parent, i64 K, const i64 *path_end,
+                     i64 P, const double *row_ff, const double *row_cap, double dt,
+                     const double *times, i64 T, i64 start, i64 last, i64 cols,
+                     const double *up, const double *dn, node_t *node, double *path_time,
+                     uint8_t *extrapolated)
+{
+    for (i64 k = 0; k < K; k++)
+        node[k].hint = 0;
+    for (i64 j = start; j < T; j++) {
+        for (i64 k = 0; k < K; k++) {
+            const i64 r = node_row[k], parent = node_parent[k];
+            const double clock = parent < 0 ? times[j] : node[parent].clock;
+            uint8_t beyond;
+            const double ahead = lagged(up + r * cols, clock, dt, last);
+            const double exit = invert(dn + r * cols, last + 1, ahead, dt, row_cap[r], &beyond,
+                                       &node[k].hint);
+            node[k].clock = max2(clock + row_ff[r], exit);
+            node[k].flag = (parent < 0 ? 0 : node[parent].flag) | beyond;
+        }
+        for (i64 p = 0; p < P; p++) {
+            const node_t *end = node + path_end[p];
+            path_time[p * T + j] = end->clock - times[j];
+            extrapolated[p * T + j] = end->flag;
+        }
+    }
+}
+
+/* Load the B patterns ``h`` (B x P x T, each pattern's departures) one after
+   another in one block: ``up`` and ``dn`` hold the entries and exits of the
+   plan's R rows (used links in link order, then sources), ``sl`` the entries
+   of its S slots, in row order, each row ``cols`` samples. Pattern b starts
+   at step ``starts[b]`` x ``refine``: it takes the first ``starts[b]`` x
+   ``refine`` + 1 columns of the base's block (``base_*``; none with no base,
+   then every start is 0), writes its sources (``begin``), steps until it
+   drains or reaches step ``s_max`` (``advance``), its drain tolerance 1e-9
+   of its total departures or of one vehicle, and reads its path times from
+   its start on into ``path_time[b]`` and ``extrapolated[b]``
+   (``read_out``, at the interval midpoints ``times``). ``at`` holds the
+   pattern to go on with and the step it stopped before, -1 to begin it.
+   Returns 0 when every pattern is done; 1, with ``at`` set, when pattern
+   ``at[0]`` has not drained at the last column but is below ``s_max``:
+   the caller widens the block and calls again; -1 if out of memory; -2 if
+   the block ends before step t_sim, or at a start outside [0, T) or past
+   the base's columns, or a step count past the block's. */
+i64 dnl_step(const i64 *row_start, const i64 *slot_next, const i64 *slot_dest,
+             const i64 *src_link, const i64 *src_path, const i64 *node_row,
+             const i64 *node_parent, const i64 *path_end, const double *ff, const double *cap,
+             const double *wave_lag, const double *storage, const double *frac,
+             const double *row_ff, const double *row_cap, const double *times, i64 A, i64 n_src,
+             i64 refine, i64 K, i64 P, i64 T, double dt,
+             i64 B, const double *h, const i64 *starts, const double *base_up,
+             const double *base_dn, const double *base_sl, i64 base_cols, i64 s_max, i64 cols,
+             double *up, double *dn, double *sl, i64 *at, i64 *n_steps, uint8_t *drained,
+             double *path_time, uint8_t *extrapolated)
+{
+    const i64 R = A + n_src, t_sim = T * refine, stop = s_max < cols - 1 ? s_max : cols - 1;
+    const plan_t pl = {row_start, slot_next, slot_dest, src_link, ff, cap, wave_lag, storage,
+                       A, R, row_start[A], row_start[R], dt};
+
+    /* per row, per link row, per slot, per trie node, and one byte each:
+       never malloc(0), and a read past the last is still out of bounds */
+    double *work = malloc(sizeof(double) * (size_t)(3 * R + 2 * A + pl.S) + 1);
+    i64 *hint = malloc(sizeof(i64) * (size_t)R + 1);  /* per row: last FIFO search answer */
+    node_t *node = malloc(sizeof(node_t) * (size_t)K + 1);
+    i64 code = cols > t_sim ? 0 : -2;  /* ``begin`` writes the sources to step t_sim */
+    if (!work || !hint || !node)
+        code = -1;
+    for (i64 b = at[0]; b < B && !code; b++, at[1] = -1) {
+        const double *hb = h + b * P * T;
+        i64 t = at[1];
+        if (t < 0) {
+            const i64 k = starts[b] * refine + 1;
+            if (starts[b] < 0 || starts[b] >= T || (k > 1 && k > base_cols)) {
+                code = -2;
+                break;
+            }
+            begin(&pl, src_path, frac, refine, hb, T, k, base_up, base_dn, base_sl, base_cols,
+                  up, dn, sl, cols);
+            drained[b] = 0;
+            t = k - 1;
+        }
+        memset(hint, 0, sizeof(i64) * (size_t)R);
+        t = advance(&pl, t, stop, t_sim, cols, up, dn, sl,
+                    1e-9 * max2(1.0, dnl_sum(hb, P * T)), drained + b, n_steps + b, work, hint);
+        if (!drained[b] && t < s_max) {
+            at[0] = b;
+            at[1] = t;
+            code = 1;
+            break;
+        }
+        if (!drained[b])
+            n_steps[b] = s_max;
+        if (n_steps[b] >= cols) {  /* the read-out indexes the block by it */
+            code = -2;
+            break;
+        }
+        read_out(node_row, node_parent, K, path_end, P, row_ff, row_cap, dt, times, T,
+                 starts[b], n_steps[b], cols, up, dn, node, path_time + b * P * T,
+                 extrapolated + b * P * T);
     }
     free(work);
     free(hint);
-    return 0;
+    free(node);
+    return code;
 }
 
-/* Read each open cell (b, p, j >= ``starts[b]``) of a batch out of its
-   curves, which ``up_of`` and ``dn_of`` hold as for ``dnl_step``. The cell's
-   probe leaves at ``times[j]`` and passes its path's rows in turn: at each
-   it reads the entries ahead of it and leaves when the exits reach them,
-   but no sooner than ``row_ff`` after it came. The K nodes of the paths'
-   prefix trie carry the probe: node k is row ``node_row[k]``, entered from
-   node ``node_parent[k]`` (-1: at departure), which precedes it, and path p
-   ends at node ``path_end[p]``; paths that share a prefix share its nodes,
-   so each node is passed once per (pattern, interval). Pattern b's rows are
-   read up to sample ``n_steps[b]`` and go on at ``row_cap`` after it; each
-   node seeds its search with its answer for the interval before. The (B,
-   P, T) arrays ``path_time`` and ``extrapolated`` get the time from
-   ``times[j]`` to the last exit, and whether some row was read past its
-   last sample. Returns -1 if out of memory, else 0. */
+/* Read each open cell (b, p, j >= ``starts[b]``) of a batch of B patterns out
+   of their curves, ``up_of`` and ``dn_of`` (B x R x ``cols``), by ``read_out``:
+   pattern b up to sample ``n_steps[b]``, into the (B, P, T) ``path_time``
+   and ``extrapolated``. Returns -1 if out of memory, else 0. */
 i64 dnl_path_times(const i64 *node_row, const i64 *node_parent, i64 K, const i64 *path_end,
                    i64 P, const double *row_ff, const double *row_cap, double dt,
                    const double *times, i64 T, i64 B, const i64 *starts, const i64 *n_steps,
                    i64 R, i64 cols, const double *up_of, const double *dn_of,
                    double *path_time, uint8_t *extrapolated)
 {
-    struct node {
-        double clock;  /* when the probe left the node's row */
-        i64 hint;      /* the node's last search answer */
-        uint8_t flag;  /* some row up to here read past its last sample */
-    } *node = malloc(sizeof(struct node) * (size_t)(K + 1));
+    node_t *node = malloc(sizeof(node_t) * (size_t)(K + 1));
     if (!node)
         return -1;
-    for (i64 b = 0; b < B; b++) {
-        const double *up = up_of + b * R * cols, *dn = dn_of + b * R * cols;
-        const i64 n = n_steps[b] + 1;
-        for (i64 k = 0; k < K; k++)
-            node[k].hint = 0;
-        for (i64 j = starts[b]; j < T; j++) {
-            for (i64 k = 0; k < K; k++) {
-                const i64 r = node_row[k], parent = node_parent[k];
-                const double clock = parent < 0 ? times[j] : node[parent].clock;
-                uint8_t beyond;
-                const double ahead = lagged(up + r * cols, clock, dt, n - 1);
-                const double exit = invert(dn + r * cols, n, ahead, dt, row_cap[r], &beyond,
-                                           &node[k].hint);
-                node[k].clock = max2(clock + row_ff[r], exit);
-                node[k].flag = (parent < 0 ? 0 : node[parent].flag) | beyond;
-            }
-            for (i64 p = 0; p < P; p++) {
-                const struct node *end = node + path_end[p];
-                path_time[(b * P + p) * T + j] = end->clock - times[j];
-                extrapolated[(b * P + p) * T + j] = end->flag;
-            }
-        }
-    }
+    for (i64 b = 0; b < B; b++)
+        read_out(node_row, node_parent, K, path_end, P, row_ff, row_cap, dt, times, T,
+                 starts[b], n_steps[b], cols, up_of + b * R * cols, dn_of + b * R * cols, node,
+                 path_time + b * P * T, extrapolated + b * P * T);
     free(node);
     return 0;
 }

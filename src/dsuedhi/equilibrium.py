@@ -13,7 +13,8 @@ when it shrinks. Class matrices are updated with the shared step, so exact
 per-class demand conservation is preserved by convexity. The result holds the
 pattern the last map was applied to, with that map's information: its
 loading, whose ``instant_path_time`` is the instantaneous product, and its
-forecasts as one (provision interval, path, departure interval) array.
+forecast batch, whose path times are one (provision interval, path,
+departure interval) array.
 Non-convergence is a reported outcome carrying the full trace, never an
 exception.
 
@@ -74,7 +75,12 @@ class MapResult:
 
     y_parts: np.ndarray
     loading: dnl.LoadingResult  # of the candidate; its instant_path_time is the instant product
-    forecasts: np.ndarray | None = None  # T x paths x T, ``info.forecasts``; None for "dsue"
+    forecast_batch: dnl.BatchResult | None = None  # ``info.forecasts``; None for "dsue"
+
+    @property
+    def forecasts(self) -> np.ndarray | None:
+        """T x paths x T, the forecast batch's path times; None for "dsue"."""
+        return None if self.forecast_batch is None else self.forecast_batch.path_time
 
 
 @dataclass
@@ -95,7 +101,9 @@ class EquilibriumResult:
     n_iterations: int
     converged: bool
     loading: dnl.LoadingResult
-    forecasts: np.ndarray | None  # of the last map; None for "dsue"
+    forecast_batch: dnl.BatchResult | None  # of the last map; None for "dsue"
+
+    forecasts = MapResult.forecasts
 
     @property
     def final_residual(self) -> float:
@@ -133,11 +141,11 @@ def fixed_point_map(
     base = dnl.load(net, path_set, grid, h_total)
     instant = base.instant_path_time.T[:, :, None]  # the time at t, for every departure
     instant_shares = choice.share_table(instant, 0, grid, path_set, params)
-    forecasts = info.forecasts(net, path_set, grid, h_total, instant_shares, base)
-    forecast_shares = choice.share_table(forecasts, 0, grid, path_set, params)
+    forecast_batch = info.forecasts(net, path_set, grid, h_total, instant_shares, base)
+    forecast_shares = choice.share_table(forecast_batch.path_time, 0, grid, path_set, params)
     y = np.stack([choice.rollout(table, d, path_set)
                   for table, d in zip((instant_shares, forecast_shares), net.class_demands())])
-    return MapResult(y, base, forecasts)
+    return MapResult(y, base, forecast_batch)
 
 
 def residual(h: np.ndarray, y: np.ndarray) -> float:
@@ -207,7 +215,7 @@ def _run_sram(model: str, apply_map, h: np.ndarray, config: SolverConfig) -> Equ
         n_iterations=len(residuals),
         converged=converged,
         loading=last.loading,
-        forecasts=last.forecasts,
+        forecast_batch=last.forecast_batch,
     )
 
 
@@ -273,6 +281,7 @@ class MultistartResult:
     distances: np.ndarray  # converged runs only
     n_converged: int
     n_failed: int
+    solves: list[EquilibriumResult]  # the default start's, then each seeded start's
 
 
 def random_feasible_parts(
@@ -300,10 +309,14 @@ def multistart(
     n_starts: int,
     seed: int,
 ) -> MultistartResult:
-    """Solve from seeded random initial patterns and measure solution spread."""
+    """Solve from seeded random initial patterns and measure solution spread.
+
+    Keeps every solve, so that the caller can check each one's final loading.
+    """
     if n_starts < 2:
         raise SolverError("multistart needs at least two starts")
-    ref = solve_sram(net, path_set, grid, params, config).h_total
+    solves = [solve_sram(net, path_set, grid, params, config)]
+    ref = solves[0].h_total
     ref_norm2 = float(np.sum(ref * ref))
     demands = net.class_demands()
 
@@ -313,6 +326,7 @@ def multistart(
         rng = np.random.Generator(np.random.PCG64(child))
         h0 = random_feasible_parts(rng, path_set, grid, demands)
         result = solve_sram(net, path_set, grid, params, config, h0=h0)
+        solves.append(result)
         if not result.converged:
             n_failed += 1
             continue
@@ -322,4 +336,5 @@ def multistart(
         distances=np.array(distances),
         n_converged=len(distances),
         n_failed=n_failed,
+        solves=solves,
     )

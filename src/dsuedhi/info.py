@@ -21,7 +21,9 @@ input, the predicted columns, and its output, the forecast travel times, are
 (provision interval t, path, departure interval j) arrays read only in their
 open cells j >= t, the layout that ``choice.share_table`` reads; the loader
 takes the cells before t from the candidate, and the forecast times are the
-batch's own ``path_time`` array; the batch keeps none of its curves.
+batch's own ``path_time`` array; the batch keeps none of its curves, and
+returns its path times with each pattern's step count, drain flag and
+extrapolated cells.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ def forecasts(
     h_total: np.ndarray,
     instant_shares: choice.ShareTable,
     base: dnl.LoadingResult,
-) -> np.ndarray:
+) -> dnl.BatchResult:
     """Forecast made at every provision interval t from one candidate pattern.
 
     ``base`` is the loading of the candidate total ``h_total`` and
@@ -48,13 +50,15 @@ def forecasts(
     to that table, and its columns replace the candidate's from t on; all T
     reactions are assigned in one call and loaded in one batch, each from
     the base's state at its own interval. Only the open cells j >= t are filled;
-    the loader takes the cells before t from the base. Entry ``[t, p, j]``
-    of the returned (T, paths, T) array is the travel time of path p for
-    departure j in the pattern spliced at t; it is NaN for j < t, before
-    that pattern's loading starts.
+    the loader takes the cells before t from the base. Returns the batch:
+    entry ``[t, p, j]`` of its (T, paths, T) ``path_time`` is the travel
+    time of path p for departure j in the pattern spliced at t, NaN for j <
+    t, before that pattern's loading starts; its ``drained`` and
+    ``extrapolated`` tell whether each pattern drained and which times were
+    extrapolated past its last step.
     """
     T = grid.n_intervals
     pooled = choice.remaining_demand(h_total, net.class_demands().sum(axis=0), path_set)
     reaction = np.full((T, *h_total.shape), np.nan)  # open cells only: j >= t
     reaction[instant_shares.layout.open] = choice.assign(instant_shares, 0, pooled)
-    return dnl.load_batch(base, reaction, np.arange(T)).path_time
+    return dnl.load_batch(base, reaction, np.arange(T))

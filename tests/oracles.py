@@ -3,9 +3,11 @@
 The loading oracle integrates cumulative curves at a hundredth of the
 departure interval with plain point-queue recursions; it shares no code with
 the production loader. The path oracles enumerate every simple path by
-exhaustive search and build the dense link-path incidence matrix. Three
-helpers read or set up loadings: ``vehicles_stored``, ``step_cap`` and
-``stepped``, which keeps the curves of a batch that ``dnl.load_batch`` drops;
+exhaustive search and build the dense link-path incidence matrix. Four
+helpers read or set up loadings: ``vehicles_stored``, ``step_cap``,
+``stepped``, which keeps the curves of a batch that ``dnl.load_batch`` drops,
+and ``source_curves``, the numpy formula of the curves the kernel writes for
+its sources;
 ``solve_recording`` keeps the input of every map a solve applies; ``logit``
 runs the production logit kernel on one choice set; ``rollout`` is the
 per-interval loop that ``choice.rollout`` runs in one kernel call;
@@ -48,22 +50,53 @@ def step_cap(drain_steps: int | None):
 
 
 def stepped(base: dnl.LoadingResult, batch, starts) -> list[dnl.LoadingResult]:
-    """The patterns of ``dnl.load_batch(base, batch, starts)``, stepped in one
-    ``dnl._step`` call, each as the ``LoadingResult`` that ``dnl.load`` builds
+    """The patterns of ``dnl.load_batch(base, batch, starts)``, each stepped by its
+    own ``dnl._step`` call, as the ``LoadingResult`` that ``dnl.load`` builds
     from the same arrays: the curves of a batch, which ``load_batch`` drops."""
-    plan, base_h, _ = base._state
+    plan, base_h = base._state[:2]
     starts = np.asarray(starts, dtype=np.int64)
     h = dnl._departures(batch, *base_h.shape, base_h, starts)
-    path_time, extrapolated = np.full(h.shape, np.nan), np.zeros(h.shape, dtype=bool)
-    up, dn, slots, n_steps, drained = dnl._step(plan, base.grid, h, starts, path_time,
-                                                extrapolated, base)
-    A = plan.A
-    return [dnl.LoadingResult(
-        grid=base.grid, n_steps=S, sim_dt_s=plan.dt, link_up=up[j, :A, : S + 1],
-        link_dn=dn[j, :A, : S + 1], src_up=up[j, A:, : S + 1], src_dn=dn[j, A:, : S + 1],
-        path_time=path_time[j], extrapolated=extrapolated[j], drained=bool(drained[j]),
-        _state=(plan, h[j], slots[j, : plan.n_link_slots, : S + 1]),
-    ) for j, S in enumerate(n_steps.tolist())]
+    A, out = plan.A, []
+    for j in range(len(h)):
+        path_time, extrapolated = np.full(h[j].shape, np.nan), np.zeros(h[j].shape, dtype=bool)
+        up, dn, slots, n_steps, drained = dnl._step(plan, h[j : j + 1], starts[j : j + 1],
+                                                    path_time[None], extrapolated[None], base)
+        S = int(n_steps[0])
+        out.append(dnl.LoadingResult(
+            grid=base.grid, n_steps=S, sim_dt_s=plan.dt, link_up=up[:A, : S + 1],
+            link_dn=dn[:A, : S + 1], src_up=up[A:, : S + 1], src_dn=dn[A:, : S + 1],
+            path_time=path_time, extrapolated=extrapolated, drained=bool(drained[0]),
+            _state=(plan, h[j], up, dn, slots),
+        ))
+    return out
+
+
+def source_curves(plan, h: np.ndarray, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The source slot and source row entry curves of the patterns ``h[B, P, T]``, in numpy.
+
+    Sources are exogenous, so known for the whole horizon up front:
+    cumulative departures (``np.cumsum`` after a 0.0) at every ``refine``-th
+    of ``cols`` columns, ramping linearly inside each departure interval at
+    the plan's ``np.linspace`` fractions, and the total from the horizon on.
+    A source row adds its slots across a non-contiguous axis, which numpy
+    does in sequence. Returns (B, source slots, cols) and (B, sources,
+    cols) arrays.
+    """
+    B, _, T = h.shape
+    refine = plan.refine
+    t_sim = T * refine
+    h_cum = np.concatenate([np.zeros((B, h.shape[1], 1)), np.cumsum(h, axis=2)], axis=2)
+    rows = h_cum[:, plan.slot_path[plan.n_link_slots :]]
+    src_slots = np.empty((*rows.shape[:2], cols))
+    src_slots[..., : t_sim + 1 : refine] = rows
+    fine = np.linspace(0.0, 1.0, refine + 1)[1:-1] if refine > 1 else np.empty(0)
+    for j, frac in enumerate(fine, start=1):
+        src_slots[..., j : t_sim + 1 : refine] = rows[..., :-1] + frac * np.diff(rows, axis=2)
+    src_slots[..., t_sim + 1 :] = rows[..., -1:]
+    start = plan.src_row_start
+    src_rows = np.stack([src_slots[:, start[s] : start[s + 1]].sum(axis=1)
+                         for s in range(len(start) - 1)], axis=1)
+    return src_slots, src_rows
 
 
 def logit(psi, theta: float) -> np.ndarray:

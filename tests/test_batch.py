@@ -92,19 +92,26 @@ def test_batch_keeps_each_patterns_own_tolerance_and_last_sample(three_link):
     assert got.n_steps[0] > T
 
 
-def test_batch_grows_its_time_axis_and_splits_into_chunks(three_link, monkeypatch):
+@pytest.mark.parametrize("order", ["LlHl", "lHLlH", "HlHlL", "lLlL"],
+                         ids=["widening-first", "widening-middle", "widening-last", "twice"])
+def test_batch_grows_its_time_axis_wherever_the_widening_pattern_is(three_link, order):
+    # the patterns share one block of curves; a late burst (L) drains long
+    # after the horizon plus half of it and widens the block, while heavy (H)
+    # and light (l) patterns alternate, so any column a pattern read without
+    # writing it would hold its predecessor's curves and change its times
     net, ps, grid, _ = three_link
     T = grid.n_intervals
-    late = np.zeros((ps.n_paths, T))
-    late[:, -1] = 1000.0  # drains long after the horizon plus half of it
-    light = np.zeros((ps.n_paths, T))
-    light[:, 0] = 1.0
-    batch = np.stack([light, late, light, late, light])
+    kinds = {"l": np.zeros((ps.n_paths, T)), "H": np.zeros((ps.n_paths, T)),
+             "L": np.zeros((ps.n_paths, T))}
+    kinds["l"][:, 0] = 1.0
+    kinds["H"][:, :20] = 40.0
+    kinds["L"][:, -1] = 1000.0
+    batch = np.stack([kinds[k] for k in order])
     got = assert_batch_equals_solo(net, ps, grid, batch)
     t_sim = T * dnl._plan(net.links, ps.link_seq, grid).refine
-    assert got.n_steps[1] + 1 > dnl._first_cols(t_sim, 21 * t_sim + 200)
-    monkeypatch.setattr(dnl, "_CHUNK_BYTES", 1)  # one pattern per chunk
-    assert_batch_equals_solo(net, ps, grid, batch)
+    widens = got.n_steps + 1 > dnl._first_cols(t_sim, 21 * t_sim + 200)
+    assert widens.tolist() == [k == "L" for k in order]
+    assert len(set(got.n_steps.tolist())) == len(set(order))  # each kind drains at its own step
 
 
 def test_batch_rejects_bad_shapes_and_negative_departures(three_link):
@@ -157,16 +164,14 @@ def assert_started_equals_solo(net, ps, grid, base, batch, starts, cap=None):
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), size=st.integers(4, 8), per_chunk=st.integers(1, 3))
-def test_staggered_starts_equal_cold_solo_loads_on_random_lattices(seed, size, per_chunk):
-    # refine 1-3 and capped drains come from the lattice; 4 or more patterns
-    # at 1-3 patterns per chunk make at least two chunks
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(4, 8))
+def test_staggered_starts_equal_cold_solo_loads_on_random_lattices(seed, size):
+    # refine 1-3 and capped drains come from the lattice
     net, ps, grid, h, cap = random_lattice(seed)
     rng = np.random.default_rng(seed)
     T = grid.n_intervals
     with step_cap(cap):
         base = dnl.load(net, ps, grid, h)
-        budget = per_chunk * dnl._pattern_bytes(dnl._plan(net.links, ps.link_seq, grid), grid)
     starts = np.sort(np.concatenate(([0, T - 1], rng.integers(0, T, size=size - 2))))
     batch = []
     for t in starts:
@@ -175,17 +180,12 @@ def test_staggered_starts_equal_cold_solo_loads_on_random_lattices(seed, size, p
         if rng.random() < 0.3:
             tail[:, -1] += rng.uniform(0.0, 80.0, size=ps.n_paths)
         batch.append(splice(h, tail, t))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dnl, "_CHUNK_BYTES", budget)
-        assert_started_equals_solo(net, ps, grid, base, np.stack(batch), starts, cap)
-        if cap is None:  # again at the default chunking, as the map loads its forecasts
-            mp.undo()
-            assert_started_equals_solo(net, ps, grid, base, np.stack(batch), starts)
+    assert_started_equals_solo(net, ps, grid, base, np.stack(batch), starts, cap)
 
 
-def test_long_horizon_staggered_batch_in_chunks_equals_solo_loads(grid_congested, monkeypatch):
-    # at T = 120 each chunk's patterns are timed together over most of the
-    # horizon, each from its own start
+def test_long_horizon_staggered_batch_equals_solo_loads(grid_congested):
+    # at T = 120 each pattern is timed over most of the horizon from its own
+    # start, in the block the pattern before it left
     net, ps, _, _ = grid_congested
     grid = nw.TimeGrid(120.0 * 120, 120.0)
     T = grid.n_intervals
@@ -194,8 +194,6 @@ def test_long_horizon_staggered_batch_in_chunks_equals_solo_loads(grid_congested
     base = dnl.load(net, ps, grid, h)
     starts = np.array([0, 1, 40, 41, 97, T - 1])
     batch = np.stack([splice(h, rng.uniform(0, 20, size=(ps.n_paths, T - t)), t) for t in starts])
-    pattern_bytes = dnl._pattern_bytes(dnl._plan(net.links, ps.link_seq, grid), grid)
-    monkeypatch.setattr(dnl, "_CHUNK_BYTES", 3 * pattern_bytes)  # two chunks of three
     assert_started_equals_solo(net, ps, grid, base, batch, starts)
 
 
@@ -255,10 +253,11 @@ def test_batch_of_no_patterns_returns_empty_arrays(three_link):
     assert got.n_steps.shape == got.drained.shape == (0,)
 
 
-def test_long_batch_frees_each_chunk_once_it_is_timed(grid_congested):
-    # T = 120 forecasts of the shipped grid take 7 chunks; the traced peak
-    # holds about one chunk's curves, one more while the time axis widens,
-    # and the returned arrays, however many chunks run before the last
+def test_long_batch_holds_one_patterns_curves_at_a_time(grid_congested):
+    # the 120 forecasts of the shipped grid stretched to T = 120 share one
+    # block of curves: the traced peak holds the returned arrays, the spliced
+    # departures twice while they are floored, and the block, also while it
+    # is copied, however many patterns the batch has
     net, ps, _, _ = grid_congested
     grid = nw.TimeGrid(120.0 * 120, 120.0)
     T = grid.n_intervals
@@ -267,13 +266,17 @@ def test_long_batch_frees_each_chunk_once_it_is_timed(grid_congested):
     base = dnl.load(net, ps, grid, h)
     batch = np.stack([splice(h, rng.uniform(0, 20, size=(ps.n_paths, T - t)), t)
                       for t in range(T)])
-    pattern_bytes = dnl._pattern_bytes(dnl._plan(net.links, ps.link_seq, grid), grid)
-    assert T * pattern_bytes > 5 * dnl._CHUNK_BYTES
+    plan = dnl._plan(net.links, ps.link_seq, grid)
+    t_sim = T * plan.refine
+    cols = dnl._first_cols(t_sim, dnl._step_cap(t_sim))
+    block = 8 * (2 * (plan.A + len(plan.source_links)) + len(plan.slot_row)) * cols
+    assert T * block > 4 * (2 * batch.nbytes + 3 * block)  # all the curves at once would not fit
     tracemalloc.start()
     try:
         got = dnl.load_batch(base, batch, np.arange(T))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert got.n_steps.max() < cols  # no pattern widened the block
     returned = sum(getattr(got, field).nbytes for field in FIELDS)
-    assert peak < 2 * dnl._CHUNK_BYTES + returned
+    assert peak < returned + 2 * batch.nbytes + 3 * block

@@ -218,7 +218,7 @@ class TestInformationLayout:
                                          net.class_demands())
         base = dnl.load(net, ps, grid, h_i + h_f)
         table = choice.share_table(base.instant_path_time.T[:, :, None], 0, grid, ps, params)
-        forecasts = info.forecasts(net, ps, grid, h_i + h_f, table, base)
+        forecasts = info.forecasts(net, ps, grid, h_i + h_f, table, base).path_time
         assert forecasts.shape == (T, ps.n_paths, T)
         closed = ~np.broadcast_to(choice.open_cells(0, T, T), forecasts.shape)
         assert np.array_equal(np.isnan(forecasts), closed)

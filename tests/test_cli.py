@@ -1,6 +1,7 @@
 import json
 import re
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -264,11 +265,14 @@ class TestFailureExitCodes:
         (["compare-dsue"], ["compare.csv", "compare.json"], ["dhi: ", "dsue: "]),
         (["sweep", "--param", "lambda", "--values", "0.25,0.75"], ["sweep.csv"],
          ["lambda 0.25: ", "lambda 0.75: "]),
-    ], ids=["solve", "compare-dsue", "sweep"])
+        (["multistart", "--n", "2", "--seed", "1"], ["multistart.csv", "multistart.json"],
+         ["default start: ", "start 0: ", "start 1: "]),
+    ], ids=["solve", "compare-dsue", "sweep", "multistart"])
     def test_undrained_final_loading_exits_4_and_writes_its_files(self, three_link_dir, tmp_path,
                                                                   capsys, args, files, whats):
         # with a fortieth of the capacity and no step past the horizon, the
-        # solves converge but their final loadings end with trips on the road
+        # solves converge but their final loadings, and every forecast
+        # pattern of their last maps, end with trips on the road
         self.narrow(three_link_dir)
         out = tmp_path / "o"
         with step_cap(0):
@@ -277,13 +281,30 @@ class TestFailureExitCodes:
         assert code == 4
         assert sorted(p.name for p in out.iterdir()) == files
         for what in whats:
+            # the single-class dsue makes no forecasts; 3 paths x 40 x 41 / 2 open cells
+            forecasts = "" if what == "dsue: " else (
+                r"; 40 of 40 forecast patterns did not drain, and [1-9]\d* of 2460 forecast "
+                r"path-time cells are extrapolated")
             assert re.search(f"^error: {what}the final loading did not drain after 40 steps at "
-                             r"refine factor 1; [1-9]\d* of 120 path-time cells are extrapolated$",
-                             err, re.M), err
+                             r"refine factor 1; [1-9]\d* of 120 path-time cells are extrapolated"
+                             f"{forecasts}$", err, re.M), err
         assert len(err.splitlines()) == len(whats) and "Traceback" not in err
         if args == ["solve"]:
             assert "; 80 of 120 path-time cells" in err
             assert json.loads((out / "metrics.json").read_text())["converged"] is True
+
+    def test_an_undrained_forecast_pattern_alone_fails_the_check(self, three_link_solution,
+                                                                 capsys):
+        # the final loading drained; one forecast pattern of the last map did not
+        assert cli._drained(three_link_solution) and not capsys.readouterr().err
+        batch = three_link_solution.forecast_batch
+        undrained = replace(batch, drained=batch.drained.copy())
+        undrained.drained[3] = False
+        assert not cli._drained(replace(three_link_solution, forecast_batch=undrained), "x: ")
+        assert re.fullmatch(r"error: x: the final loading drained after \d+ steps at refine factor "
+                            r"1; 0 of 120 path-time cells are extrapolated; 1 of 40 forecast "
+                            r"patterns did not drain, and 0 of 2460 forecast path-time cells are "
+                            r"extrapolated\n", capsys.readouterr().err)
 
     def test_undrained_takes_precedence_over_not_converged(self, three_link_dir, tmp_path,
                                                            monkeypatch, capsys):

@@ -95,7 +95,7 @@ class TestForecastInfo:
         h_total = h_i + h_f
         base = dnl.load(net, ps, grid, h_total)
         table = choice.share_table(base.instant_path_time.T[:, :, None], 0, grid, ps, params)
-        forecasts = info.forecasts(net, ps, grid, h_total, table, base)
+        forecasts = info.forecasts(net, ps, grid, h_total, table, base).path_time
         assert forecasts.shape == (T, ps.n_paths, T)
         totals = np.array([od.demand_total for od in net.od_pairs])
         for t in (0, 7, T - 1):

@@ -14,6 +14,7 @@ import pytest
 
 from dsuedhi import dnl
 from dsuedhi import network as nw
+from oracles import source_curves
 
 CC = shlex.split(sysconfig.get_config_var("CC") or "cc")
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -47,6 +48,22 @@ def test_a_run_outside_the_array_raises(start, size):
     assert got.tolist() == [15.0, 0.0, 14.0]
 
 
+def run_step(plan, h, starts, base, s_max, cols):
+    """``dnl_step`` on the patterns ``h[B, P, T]`` from ``starts`` in a new block of ``cols``
+    columns, ``base`` the (up, dn, slots) block of the base: its return code, the
+    block, and the patterns' step counts, drain flags and path times."""
+    B = len(h)
+    R, S = plan.A + len(plan.source_links), len(plan.slot_row)
+    block = np.empty((R, cols)), np.empty((R, cols)), np.empty((S, cols))
+    at, n_steps, drained = np.array([0, -1]), np.zeros(B, dtype=np.int64), np.zeros(B, np.bool_)
+    path_time, extrapolated = np.full(h.shape, np.nan), np.zeros(h.shape, dtype=np.bool_)
+    code = dnl._kernel().dnl_step(
+        *plan.args, B, h.ctypes.data, starts.ctypes.data, *(x.ctypes.data for x in base),
+        base[0].shape[1], s_max, cols, *(x.ctypes.data for x in block),
+        *(x.ctypes.data for x in (at, n_steps, drained, path_time, extrapolated)))
+    return code, block, n_steps, drained, path_time
+
+
 def test_sending_mass_is_tested_against_eps_veh_before_its_clamp():
     # one link, free-flow time one step, at step 2: its exits sit 1e-12 veh
     # past its lagged entries, so it has no backlog; 1.5e-12 veh arrive
@@ -55,21 +72,61 @@ def test_sending_mass_is_tested_against_eps_veh_before_its_clamp():
     # bound, so the link sends 0.5e-12 veh; tested after the clamp, it would
     # send none.
     link = nw.Link("a", "x", "y", 200.0, 20.0, 5.0, 1.0, 0.15)
-    plan = dnl._Plan((link,), ((0,),), nw.TimeGrid(100.0, 10.0))
+    plan = dnl._Plan((link,), ((0,),), nw.TimeGrid(30.0, 10.0))
     assert (plan.refine, plan.A, len(plan.slot_row)) == (1, 1, 2)  # the link row, then the source
-    cols = 4
-    up, dn, slots = np.zeros((1, 2, cols)), np.zeros((1, 2, cols)), np.zeros((1, 2, cols))
-    up[0, 0] = slots[0, 0] = [0.0, 1.0, 1.0 + 1.5e-12, 0.0]
-    dn[0, 0] = [0.0, 0.5, 1.0 + 1e-12, 0.0]
-    bound = up[0, 0, 2] - dn[0, 0, 2]
-    assert up[0, 0, 2] - up[0, 0, 1] > 1e-12 >= bound > 0.0
-    t_of, n_steps = np.array([2]), np.zeros(1, dtype=np.int64)
-    drain_tol, drained = np.zeros(1), np.zeros(1, dtype=np.bool_)
-    step = dnl._kernel().dnl_step(*plan.args, 1, t_of.ctypes.data, 3, cols + 1, cols,
-                                  up.ctypes.data, dn.ctypes.data, slots.ctypes.data,
-                                  drain_tol.ctypes.data, n_steps.ctypes.data, drained.ctypes.data)
-    assert step == 0 and t_of[0] == 3
-    assert dn[0, 0, 3] == up[0, 0, 2]  # all that has arrived has left
+    # the base holds exactly the three columns the pattern starting at step 2
+    # takes, so a read past them leaves its arrays
+    base = np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3))
+    base[0][0] = base[2][0] = [0.0, 1.0, 1.0 + 1.5e-12]
+    base[1][0] = [0.0, 0.5, 1.0 + 1e-12]
+    (up, dn, _), bound = base, base[0][0, 2] - base[1][0, 2]
+    assert up[0, 2] - up[0, 1] > 1e-12 >= bound > 0.0
+    # no departures: the source sends nothing; one step, the last of the horizon
+    code, (up, dn, slots), n_steps, drained, _ = run_step(
+        plan, np.zeros((1, 1, 3)), np.array([2]), base, s_max=3, cols=4)
+    assert code == 0 and n_steps.tolist() == [3] and drained[0]
+    assert np.array_equal(up[0, :3], base[0][0]) and np.array_equal(dn[0, :3], base[1][0])
+    assert dn[0, 3] == up[0, 2]  # all that has arrived has left
+
+
+def test_a_pattern_that_outgrows_its_block_returns_to_be_widened():
+    link = nw.Link("a", "x", "y", 200.0, 20.0, 5.0, 1.0, 0.15)
+    plan = dnl._Plan((link,), ((0,),), nw.TimeGrid(100.0, 10.0))
+    base = np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 1))
+    h = np.zeros((2, 1, 10))
+    h[0, 0, -1] = 500.0  # at capacity 1 veh/s, 500 veh take 50 steps to leave
+    code, _, n_steps, drained, _ = run_step(plan, h, np.array([0, 0]), base, s_max=100,
+                                            cols=12)
+    assert code == 1 and not drained[0]
+    # a start past the base's columns or outside [0, T), or a block that ends
+    # inside the horizon, is refused before any step
+    for starts, cols in (([1], 12), ([-1], 12), ([10], 12), ([0], 10)):
+        assert run_step(plan, h[1:], np.array(starts), base, 100, cols)[0] == -2
+
+
+@pytest.mark.parametrize("refine", [1, 2, 3])
+def test_source_curves_equal_the_numpy_formula(grid_congested, refine):
+    # the kernel writes each pattern's source slot and source row curves as
+    # oracles.source_curves does in numpy, bit for bit, -0.0 included: a
+    # cumulative sum starts from the first departure itself
+    net, ps, _, _ = grid_congested
+    min_ff = min(link.free_flow_s for link in net.links)
+    T = 12
+    grid = nw.TimeGrid(T * refine * min_ff, refine * min_ff)
+    plan = dnl._plan(net.links, ps.link_seq, grid)
+    assert plan.refine == refine
+    rng = np.random.default_rng(refine)
+    h = rng.uniform(0.0, 4.0, size=(2, ps.n_paths, T)) * (rng.random((2, ps.n_paths, T)) < 0.7)
+    h[:, 0, :3] = -0.0
+    h[1, 1, 0] = -0.0
+    path_time, extrapolated = np.empty(h.shape), np.empty(h.shape, dtype=bool)
+    for b in range(len(h)):
+        up, _, slots, _, _ = dnl._step(plan, h[b : b + 1], np.zeros(1, dtype=np.int64),
+                                       path_time[b : b + 1], extrapolated[b : b + 1])
+        want_slots, want_rows = source_curves(plan, h[b : b + 1], up.shape[1])
+        assert np.signbit(want_slots).any()
+        assert slots[plan.n_link_slots :].tobytes() == want_slots[0].tobytes()
+        assert up[plan.A :].tobytes() == want_rows[0].tobytes()
 
 
 C_TYPES = {"void": None, "i64": ctypes.c_int64, "double": ctypes.c_double}

@@ -204,22 +204,22 @@ def test_trie_check_rejects_bad_parents_rows_and_ends(monkeypatch):
 
 
 def test_read_out_raises_memory_error_when_the_kernel_cannot_allocate(monkeypatch):
+    # a batch is stepped and read out by ``dnl_step``, a load's link times by
+    # ``dnl_path_times``
     net, ps, grid = prefix_net()
     h = np.ones((ps.n_paths, grid.n_intervals))
     base = dnl.load(net, ps, grid, h)
     kernel = dnl._kernel()
+    for entry, call in (("dnl_step", lambda: dnl.load_batch(base, h[None], [0])),
+                        ("dnl_path_times", lambda: dnl.load(net, ps, grid, h))):
 
-    class NoMemory:
-        def __getattr__(self, name):
-            return getattr(kernel, name)
+        class NoMemory:
+            def __getattr__(self, name):
+                return (lambda *args: -1) if name == entry else getattr(kernel, name)
 
-        @staticmethod
-        def dnl_path_times(*args):
-            return -1
-
-    monkeypatch.setattr(dnl, "_kernel", NoMemory)
-    with pytest.raises(MemoryError):
-        dnl.load_batch(base, h[None], [0])
+        monkeypatch.setattr(dnl, "_kernel", NoMemory)
+        with pytest.raises(MemoryError):
+            call()
 
 
 @pytest.mark.parametrize("starts, n_steps, reached", [
