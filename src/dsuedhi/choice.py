@@ -118,7 +118,6 @@ class _Layout:
     of: np.ndarray  # (cells,) block of each cell
     block_od: np.ndarray  # (blocks,)
     od_sizes: tuple[int, ...]  # paths of each OD
-    path_od: np.ndarray  # (paths,) OD of each path
 
 
 def open_cells(first: int, n: int, T: int) -> np.ndarray:
@@ -139,7 +138,7 @@ def _layout(od_sizes: tuple[int, ...], T: int, first: int, n: int) -> _Layout:
     return _Layout(open=open_cells(first, n, T).repeat(int(sizes.sum()), axis=1),
                    start=np.cumsum(size) - size, size=size,
                    of=np.repeat(np.arange(len(size)), size), block_od=np.tile(ods, n),
-                   od_sizes=od_sizes, path_od=np.repeat(np.arange(len(sizes)), sizes))
+                   od_sizes=od_sizes)
 
 
 def _logit(psi: np.ndarray, lay: _Layout, theta: float):
@@ -345,7 +344,7 @@ def rollout(table: ShareTable, class_demand: np.ndarray, path_set: PathSet) -> n
         dnl._arg(table.share, np.float64, lay.of.shape), dnl._arg(lay.start, np.int64, blocks),
         dnl._arg(lay.size, np.int64, blocks), dnl._arg(table.top, np.int64, blocks),
         dnl._arg(table.finite, np.bool_, blocks), dnl._arg(lay.block_od, np.int64, blocks),
-        blocks[0] // n, n, width, dnl._arg(lay.path_od, np.int64, (P,)), P, len(od_sizes),
+        blocks[0] // n, n, width, dnl._arg(path_set.od_of_path, np.int64, (P,)), P, len(od_sizes),
         *(dnl._arg(x, np.float64, x.shape) for x in (demand, rem, y, work)))
     if failed:
         i, overdrawn = divmod(failed - 1, 2)

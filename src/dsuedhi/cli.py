@@ -195,10 +195,10 @@ def run_solve(sc: Scenario, out_dir: Path) -> int:
                      [str(link.link_id) for link in net.links for _ in ld.boundaries],
                      np.tile(ld.boundaries, len(net.links)), ld.n_up, ld.n_dn)
     if sc.dump_forecasts:  # every open cell (departure at or after provision), row-major
-        T = len(result.forecasts)
-        cells = np.nonzero(np.broadcast_to(open_cells(0, T, T), result.forecasts.shape))
-        _write_table(out_dir / "forecasts.csv", FORECASTS_HEADER, *cells,
-                     result.forecasts[cells])
+        forecasts = result.forecast_batch.path_time
+        T = len(forecasts)
+        cells = np.nonzero(np.broadcast_to(open_cells(0, T, T), forecasts.shape))
+        _write_table(out_dir / "forecasts.csv", FORECASTS_HEADER, *cells, forecasts[cells])
     return _exit_code(s.converged, _drained(result))
 
 

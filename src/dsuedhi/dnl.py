@@ -59,13 +59,13 @@ the cohort's median vehicle, departs at the interval midpoint with half of
 its own column ahead of it, so a column feels the queue it builds itself;
 it reads the entries ahead of it off a row's entry curve and inverts the
 row's exit curve by the same search, row after row along its path. The
-paths go through the plan's
-prefix trie of their row sequences (``_trie``), so rows that paths share
-from their source on are passed once per cell, and a path that is a prefix
-of another ends inside the trie. Link times are read out the same way, as
-paths of one row each. Each search starts from the last answer of its row
-(across steps) or of its trie node (across departure intervals); rows never
-decrease, so the answer is the same from any start.
+paths go through the plan's prefix trie of their row sequences (``_trie``),
+so rows that paths share from their source on are passed once per cell, and
+a path that is a prefix of another ends inside the trie. A load's link times
+are read out the same way, as paths of one row each, from the link rows of
+its block in place (``dnl_path_times``). Each search starts from the last
+answer of its row (across steps) or of its trie node (across departure
+intervals); rows never decrease, so the answer is the same from any start.
 
 Batch axis. ``load_batch`` loads B departure patterns of one (network, path
 set, grid) one after another through one block of curves: entries and exits
@@ -75,19 +75,19 @@ reused by every pattern. Each pattern starts at an interval t from a base
 loading and has the base's departures before t (a strategic forecast
 spliced at t has the candidate's), so its cells before t are not read: it
 copies the base's rows up to step t * refine into the block, and steps
-from there on its own until it drains or reaches the step cap. Its path
-times are read out from t on only, straight into one (patterns, paths,
-intervals) array for the whole batch, before the next pattern overwrites
-the block. Every pattern keeps its own drain test, tolerance and step
-count, and gets exactly the path times of loading it alone from step 0;
-``load`` is the batch of one, and its block is its curves. The time axis
-holds the boundaries stepped so far: it starts at the horizon plus half of
-it, grows by half while a pattern has not drained, and stops at the step
-cap; a widened block stays wide for the patterns after. A batch returns
-only its path times, step counts and drain flags, so its memory is one
-pattern's curves whatever B is; a block of a few tens of kilobytes is
-reused by the allocator from one batch to the next rather than taken fresh,
-page by page, from the operating system.
+from there on its own until it drains or reaches the step cap, so starts
+may come in any order. Its path times are read out from t on only, straight
+into one (patterns, paths, intervals) array for the whole batch, before the
+next pattern overwrites the block. Every pattern keeps its own drain test,
+tolerance and step count, and gets exactly the path times of loading it
+alone from step 0; ``load`` is the batch of one, and its block is its
+curves. The time axis holds the boundaries stepped so far: it starts at the
+horizon plus half of it, grows by half while a pattern has not drained, and
+stops at the step cap; a widened block stays wide for the patterns after. A
+batch returns only its path times, step counts and drain flags, so its
+memory is one pattern's curves whatever B is; a block of a few tens of
+kilobytes is reused by the allocator from one batch to the next rather than
+taken fresh, page by page, from the operating system.
 
 Exact sums. Results are bit-identical to a loop that sums each row's slots
 with ``ndarray.sum``. The kernel is compiled with -ffp-contract=off and
@@ -248,7 +248,6 @@ class _Plan:
         size = np.bincount(self.slot_row, minlength=A + n_src)  # slots per row
         row_start = np.concatenate(([0], np.cumsum(size)))
         self.n_link_slots = L = int(row_start[A])
-        self.src_row_start = row_start[A:] - L
 
         # the rows padded with -1; path times take a source as free-flow time
         # 0 and its first link's capacity
@@ -393,7 +392,7 @@ def load(
         # a hop past a path's end reads the zero row; cumsum adds the hops in
         # sequence whatever the shape, where sum would add them pairwise when
         # T = 1, and 0.0 leaves a positive link time sum unchanged
-        link_time = _link_times(plan, grid, res.link_up, res.link_dn)
+        link_time = _link_times(res)
         hop_times = np.vstack((link_time, np.zeros(grid.n_intervals)))[plan.path_rows[:, 1:]]
         res.instant_path_time = hop_times.cumsum(axis=1)[:, -1]
     return res
@@ -413,22 +412,22 @@ def load_batch(base: LoadingResult, departures: np.ndarray, starts) -> BatchResu
     """Load B patterns that follow ``base``, each from its own start.
 
     ``base`` is a ``load`` result; the batch has its network, path set and
-    grid. ``starts`` holds B ascending intervals in [0, T). Pattern b is the
-    base's departures before interval ``starts[b]`` and ``departures[b, P,
-    T]`` from there on: the cells of ``departures`` before each start are
-    not read. Each pattern takes the base's curves up to its start and, on
-    one block of the network's rows and slots, steps on its own from there
-    until it drains, with its own drain test and step count, and is timed
-    before the next pattern takes the block. Its step count, drain flag and
-    path times from its start on are bit-identical to ``load`` of that
-    pattern alone. Only the path times, step counts and drain flags are kept.
+    grid. ``starts`` holds B intervals in [0, T), in any order (one outside
+    raises ``DnlError``). Pattern b is the base's departures before interval
+    ``starts[b]`` and ``departures[b, P, T]`` from there on: the cells of
+    ``departures`` before each start are not read. Each pattern takes the
+    base's curves up to its start and, on one block of the network's rows
+    and slots, steps on its own from there until it drains, with its own
+    drain test and step count, and is timed before the next pattern takes
+    the block. Its step count, drain flag and path times from its start on
+    are bit-identical to ``load`` of that pattern alone. Only the path
+    times, step counts and drain flags are kept.
     """
     plan, base_h = base._state[:2]
     P, T = base_h.shape
     starts = np.asarray(starts)
-    if starts.ndim != 1 or (len(starts) and (starts.dtype.kind not in "iu" or starts[0] < 0
-                                             or starts[-1] >= T or (np.diff(starts) < 0).any())):
-        raise DnlError(f"starts must be ascending intervals in [0, {T})")
+    if starts.ndim != 1 or (len(starts) and starts.dtype.kind not in "iu"):
+        raise DnlError("starts must be a 1-D array of integer intervals")
     h = _departures(departures, P, T, base_h, starts)
     path_time, extrapolated = np.full(h.shape, np.nan), np.zeros(h.shape, dtype=bool)
     n_steps, drained = _step(plan, h, starts.astype(np.int64), path_time, extrapolated, base)[3:]
@@ -491,8 +490,8 @@ def _kernel() -> ctypes.CDLL:
     ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     lib.dnl_step.argtypes = [ptr] * 16 + [i64] * 6 + [f64, i64] + [ptr] * 5 + [i64] * 3 + [ptr] * 8
     lib.dnl_step.restype = i64
-    lib.dnl_path_times.argtypes = ([ptr, ptr, i64, ptr, i64, ptr, ptr, f64, ptr, i64, i64, ptr, ptr,
-                                    i64, i64] + [ptr] * 4)
+    lib.dnl_path_times.argtypes = [ptr, ptr, i64, ptr, i64, ptr, ptr, f64, ptr, i64, i64, i64,
+                                   ptr, ptr, ptr, ptr]
     lib.dnl_path_times.restype = i64
     lib.dnl_run_sums.argtypes = [ptr, i64, ptr, ptr, i64, ptr]
     lib.dnl_run_sums.restype = i64
@@ -578,43 +577,39 @@ def _step(
         up, dn, slots = (_widen(x, cols) for x in (up, dn, slots))
 
 
-def _link_times(plan: _Plan, grid: TimeGrid, link_up, link_dn) -> np.ndarray:
+def _link_times(res: LoadingResult) -> np.ndarray:
     """Travel time for entry at each departure-interval boundary, per used link row.
 
-    Each row is read out as a path of that row alone, entered at the boundary
-    with no free-flow floor; flooring its time there at free-flow time gives
-    max(ff, exit - entry), since ff > 0.
+    Each link row of the loading's block, read in place up to its last step,
+    is a path of that row alone, entered at the boundary with no free-flow
+    floor; flooring its time there at free-flow time gives max(ff, exit -
+    entry), since ff > 0.
     """
-    (A, cols), T = link_up.shape, grid.n_intervals
-    up, dn = (np.ascontiguousarray(x)[None] for x in (link_up, link_dn))
-    out = np.empty((1, A, T))
-    _read_out(plan.link_trie, np.zeros(A), plan.cap, plan.dt, grid.interval_starts(),
-              np.zeros(1, dtype=np.int64), np.array([cols - 1]), up, dn, out,
-              np.empty(out.shape, dtype=bool))
-    return np.maximum(plan.ff[:, None], out[0])
+    plan, (up, dn) = res._state[0], res._state[2:4]
+    A, T = plan.A, res.grid.n_intervals
+    out = np.empty((A, T))
+    _read_out(plan.link_trie, np.zeros(A), plan.cap, plan.dt, res.grid.interval_starts(),
+              res.n_steps, up[:A], dn[:A], out, np.empty(out.shape, dtype=bool))
+    return np.maximum(plan.ff[:, None], out)
 
 
-def _read_out(trie, row_ff, row_cap, dt: float, times, starts, n_steps, up, dn,
-              path_time, extrapolated) -> None:
-    """Chain FIFO exit times through each path's rows, per open cell (``dnl_path_times``).
+def _read_out(trie, row_ff, row_cap, dt: float, times, last: int, up, dn, path_time,
+              extrapolated) -> None:
+    """Chain FIFO exit times through each path's rows into every (P, T) cell (``dnl_path_times``).
 
-    ``trie`` is the paths' prefix trie (``_trie``). The open cells (b, p, j
-    >= ``starts[b]``) of the (B, P, T) ``path_time`` and ``extrapolated``
-    are written, the others left as they are; the kernel's comment gives the
-    arguments. It reads link times (``_link_times``); ``dnl_step`` reads a
-    batch's path times by the same code. The kernel indexes by ``starts``
-    and ``n_steps`` unchecked: each start must lie in [0, T) and each step
-    count in [0, cols).
+    ``trie`` is the prefix trie (``_trie``) of paths over the rows of the
+    (rows, cols) curves ``up`` and ``dn``, read up to sample ``last``, which
+    the kernel indexes by unchecked. It reads a loading's link times;
+    ``dnl_step`` reads a batch's path times by the same code.
     """
     node_row, node_parent, path_end = trie
-    (B, R, cols), K, P, T = up.shape, len(node_row), len(path_end), len(times)
-    if not (((0 <= starts) & (starts < T)).all() and ((0 <= n_steps) & (n_steps < cols)).all()):
-        raise DnlError(f"read-out starts must lie in [0, {T}) and step counts in [0, {cols})")
+    (R, cols), K, P, T = up.shape, len(node_row), len(path_end), len(times)
+    if not 0 <= last < cols:
+        raise DnlError(f"read-out sample {last} is outside the curves' [0, {cols})")
     if _kernel().dnl_path_times(
             _arg(node_row, np.int64, (K,)), _arg(node_parent, np.int64, (K,)), K,
             _arg(path_end, np.int64, (P,)), P, _arg(row_ff, np.float64, (R,)),
-            _arg(row_cap, np.float64, (R,)), dt, _arg(times, np.float64, (T,)), T,
-            B, _arg(starts, np.int64, (B,)), _arg(n_steps, np.int64, (B,)), R, cols,
-            *(_arg(x, np.float64, (B, R, cols)) for x in (up, dn)),
-            _arg(path_time, np.float64, (B, P, T)), _arg(extrapolated, np.bool_, (B, P, T))) < 0:
+            _arg(row_cap, np.float64, (R,)), dt, _arg(times, np.float64, (T,)), T, last, cols,
+            *(_arg(x, np.float64, (R, cols)) for x in (up, dn)),
+            _arg(path_time, np.float64, (P, T)), _arg(extrapolated, np.bool_, (P, T))) < 0:
         raise MemoryError("read-out kernel could not allocate its work arrays")

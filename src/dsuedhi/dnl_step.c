@@ -4,11 +4,11 @@
    its own start, gets its source curves, steps on its own until it drains
    or reaches the step cap, and has its path travel times read out of the
    block (``read_out``, by the same curve interpolation and FIFO inversion)
-   before the next pattern takes the block. ``dnl_path_times`` reads link
-   times out of curves the same way. For ``choice``, ``dnl_run_sums`` totals
-   runs of an array as ``ndarray.sum`` does, and ``dnl_rollout`` carries one
-   class's remaining demand through the provision intervals of a share
-   table.
+   before the next pattern takes the block. ``dnl_path_times`` reads the
+   link times of one loading the same way, from the link rows of its block.
+   For ``choice``, ``dnl_run_sums`` totals runs of an array as
+   ``ndarray.sum`` does, and ``dnl_rollout`` carries one class's remaining
+   demand through the provision intervals of a share table.
 
    Built by ``dnl._kernel`` with -ffp-contract=off and without fast-math, so
    every operation rounds once, as its numpy form does. The block is one
@@ -544,23 +544,19 @@ i64 dnl_step(const i64 *row_start, const i64 *slot_next, const i64 *slot_dest,
     return code;
 }
 
-/* Read each open cell (b, p, j >= ``starts[b]``) of a batch of B patterns out
-   of their curves, ``up_of`` and ``dn_of`` (B x R x ``cols``), by ``read_out``:
-   pattern b up to sample ``n_steps[b]``, into the (B, P, T) ``path_time``
-   and ``extrapolated``. Returns -1 if out of memory, else 0. */
+/* Read one loading's link times by ``read_out``, every cell from interval 0
+   on, out of its link rows ``up`` and ``dn`` (``cols`` samples each, read up
+   to sample ``last``). Returns -1 if out of memory, else 0. */
 i64 dnl_path_times(const i64 *node_row, const i64 *node_parent, i64 K, const i64 *path_end,
                    i64 P, const double *row_ff, const double *row_cap, double dt,
-                   const double *times, i64 T, i64 B, const i64 *starts, const i64 *n_steps,
-                   i64 R, i64 cols, const double *up_of, const double *dn_of,
-                   double *path_time, uint8_t *extrapolated)
+                   const double *times, i64 T, i64 last, i64 cols, const double *up,
+                   const double *dn, double *path_time, uint8_t *extrapolated)
 {
-    node_t *node = malloc(sizeof(node_t) * (size_t)(K + 1));
+    node_t *node = malloc(sizeof(node_t) * (size_t)K + 1);
     if (!node)
         return -1;
-    for (i64 b = 0; b < B; b++)
-        read_out(node_row, node_parent, K, path_end, P, row_ff, row_cap, dt, times, T,
-                 starts[b], n_steps[b], cols, up_of + b * R * cols, dn_of + b * R * cols, node,
-                 path_time + b * P * T, extrapolated + b * P * T);
+    read_out(node_row, node_parent, K, path_end, P, row_ff, row_cap, dt, times, T, 0, last, cols,
+             up, dn, node, path_time, extrapolated);
     free(node);
     return 0;
 }

@@ -77,11 +77,6 @@ class MapResult:
     loading: dnl.LoadingResult  # of the candidate; its instant_path_time is the instant product
     forecast_batch: dnl.BatchResult | None = None  # ``info.forecasts``; None for "dsue"
 
-    @property
-    def forecasts(self) -> np.ndarray | None:
-        """T x paths x T, the forecast batch's path times; None for "dsue"."""
-        return None if self.forecast_batch is None else self.forecast_batch.path_time
-
 
 @dataclass
 class EquilibriumResult:
@@ -102,8 +97,6 @@ class EquilibriumResult:
     converged: bool
     loading: dnl.LoadingResult
     forecast_batch: dnl.BatchResult | None  # of the last map; None for "dsue"
-
-    forecasts = MapResult.forecasts
 
     @property
     def final_residual(self) -> float:

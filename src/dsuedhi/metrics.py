@@ -60,8 +60,9 @@ def information_accuracy(
     """Compare the information provided at each interval with realized times."""
     if result.model != "dsue-dhi":
         raise MetricsError("information accuracy requires stored per-interval information")
+    forecasts = result.forecast_batch.path_time
     itt = np.stack([result.loading.instant_path_time,
-                    np.diagonal(result.forecasts, axis1=0, axis2=2)])  # made at t for departure t
+                    np.diagonal(forecasts, axis1=0, axis2=2)])  # made at t for departure t
     rtt = result.loading.path_time
     window = trim_window(grid, trim_fraction)
     with np.errstate(invalid="ignore", divide="ignore"):

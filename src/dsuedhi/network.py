@@ -42,6 +42,8 @@ class TimeGrid:
         if self.dt_s <= 0:
             raise NetworkError("interval length must be positive")
         n = self.horizon_s / self.dt_s
+        if not np.isfinite(n):
+            raise NetworkError("horizon over interval length must be finite")
         if n < 1 or abs(n - round(n)) > 1e-9:
             raise NetworkError(
                 f"horizon {self.horizon_s} s is not a positive multiple of dt {self.dt_s} s"

@@ -122,7 +122,7 @@ def link_times(res: dnl.LoadingResult, net, ps) -> np.ndarray:
     ``dnl._link_times`` on the links some path uses, free-flow time on the others."""
     plan = dnl._plan(net.links, ps.link_seq, res.grid)
     out = np.repeat([[link.free_flow_s] for link in net.links], res.grid.n_intervals, axis=1)
-    out[plan.used_links] = dnl._link_times(plan, res.grid, res.link_up, res.link_dn)
+    out[plan.used_links] = dnl._link_times(res)
     return out
 
 

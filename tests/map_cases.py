@@ -109,13 +109,14 @@ def outputs(result: equilibrium.MapResult) -> dict[str, np.ndarray]:
     """The map's outputs: the instantaneous times of every provision interval,
     the forecast made at t for departure t, and the open cells (j >= t) of
     every forecast, paths x (t, j) in row-major order."""
-    T = len(result.forecasts)
+    forecasts = result.forecast_batch.path_time
+    T = len(forecasts)
     return {
         "y_instant": result.y_parts[0],
         "y_forecast": result.y_parts[1],
         "instant_trace": result.loading.instant_path_time,
-        "forecast_diag": np.diagonal(result.forecasts, axis1=0, axis2=2),
-        "forecast_full": result.forecasts.transpose(1, 0, 2)[:, choice.open_cells(0, T, T)[:, 0]],
+        "forecast_diag": np.diagonal(forecasts, axis1=0, axis2=2),
+        "forecast_full": forecasts.transpose(1, 0, 2)[:, choice.open_cells(0, T, T)[:, 0]],
     }
 
 

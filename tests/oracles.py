@@ -93,7 +93,8 @@ def source_curves(plan, h: np.ndarray, cols: int) -> tuple[np.ndarray, np.ndarra
     for j, frac in enumerate(fine, start=1):
         src_slots[..., j : t_sim + 1 : refine] = rows[..., :-1] + frac * np.diff(rows, axis=2)
     src_slots[..., t_sim + 1 :] = rows[..., -1:]
-    start = plan.src_row_start
+    L = plan.n_link_slots
+    start = np.searchsorted(plan.slot_row[L:], plan.A + np.arange(len(plan.source_links) + 1))
     src_rows = np.stack([src_slots[:, start[s] : start[s + 1]].sum(axis=1)
                          for s in range(len(start) - 1)], axis=1)
     return src_slots, src_rows

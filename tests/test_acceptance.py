@@ -136,8 +136,9 @@ def test_uncongested_reduction(uncongested_solutions, grid_uncongested):
         assert np.abs(base.loading.instant_path_time - ff).max() <= 1e-6
         mr = fixed_point_map(*base.h, net, ps, grid, params)
         T = grid.n_intervals
-        open_ = np.broadcast_to(choice.open_cells(0, T, T), mr.forecasts.shape)
-        worst = float(np.abs(mr.forecasts - ff)[open_].max())  # NaN in an open cell fails
+        forecasts = mr.forecast_batch.path_time
+        open_ = np.broadcast_to(choice.open_cells(0, T, T), forecasts.shape)
+        worst = float(np.abs(forecasts - ff)[open_].max())  # NaN in an open cell fails
         assert worst <= 1e-6
         ref = base.h_total
         for key in (0.0, 1.0, "dsue"):
@@ -155,7 +156,8 @@ def test_forecast_diagonal_accuracy_when_everyone_sees_current_times(
         _, _, grid, _ = grid_congested
         res = grid_all_instant_tight
         assert res.converged
-        diag = np.diagonal(res.forecasts, axis1=0, axis2=2)  # made at t for departure t
+        forecasts = res.forecast_batch.path_time
+        diag = np.diagonal(forecasts, axis1=0, axis2=2)  # made at t for departure t
         norm_f = float(np.linalg.norm(diag - res.loading.path_time))
         norm_rtt = float(np.linalg.norm(res.loading.path_time))
         assert norm_f / norm_rtt <= 1e-6, norm_f / norm_rtt

@@ -37,9 +37,9 @@ def test_traced_corridor_benchmark_runs_and_passes():
     assert result["metrics"]["equilibrium.maps"]["value"] == 5
 
 
-def test_grid_benchmark_checks_its_chunked_forecast_batches():
-    # the 30 forecasts of a map take 1.87 MiB of curves and run as one chunk
-    # of one batch; each operation is compared with bench/reference.json
+def test_grid_benchmark_checks_its_forecast_batches():
+    # the 30 forecasts of a map share one block of curves, one pattern's;
+    # each operation is compared with bench/reference.json
     run_bench("grid_6x6", trace=0)
 
 

@@ -117,6 +117,15 @@ class TestValidate:
         assert "error:" in err and "horizon and interval length must be finite" in err
         assert "Traceback" not in err
 
+    def test_overflowing_interval_count_rejected(self, three_link_dir, monkeypatch, capsys):
+        # both are finite, but their ratio is not, and round() cannot take it
+        monkeypatch.setenv("DSUEDHI_TIME_HORIZON_S", "1e300")
+        monkeypatch.setenv("DSUEDHI_TIME_DT_S", "1e-300")
+        assert run(["validate", "--scenario", three_link_dir / "scenario.ini"]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "horizon over interval length must be finite" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("args", [
         ["validate"], ["solve"], ["sweep", "--param", "lambda", "--values", "0.25,0.75"],
     ], ids=["validate", "solve", "sweep"])

@@ -38,10 +38,10 @@ class TestInversion:
     def invert(curves, n, targets, dt, rate):
         """Exit times and beyond flags of ``targets[b, k]`` on ``curves[b, :n[b]]``.
 
-        Pattern b has a row per target, entered at time 0 with the target
-        ahead of the probe (a constant entry curve) and left along
-        ``curves[b]``; path k is row k alone, with free-flow time -inf, so its
-        time is the exit time, whatever its sign.
+        Pattern b, read out on its own, has a row per target, entered at time
+        0 with the target ahead of the probe (a constant entry curve) and left
+        along ``curves[b]``; path k is row k alone, with free-flow time -inf,
+        so its time is the exit time, whatever its sign.
         """
         # the entry curve of a one-sample row is read at fraction 0 of its second column
         (B, K), cols = targets.shape, max(curves.shape[1], 2)
@@ -49,9 +49,10 @@ class TestInversion:
         dn = np.zeros(up.shape)
         dn[..., : curves.shape[1]] = curves[:, None]
         times, beyond = np.empty((B, K, 1)), np.empty((B, K, 1), dtype=bool)
-        dnl._read_out(dnl._trie(np.arange(K)[:, None]), np.full(K, -np.inf), np.full(K, rate),
-                      dt, np.zeros(1), np.zeros(B, dtype=np.int64),
-                      np.asarray(n, dtype=np.int64) - 1, up, dn, times, beyond)
+        for b in range(B):
+            dnl._read_out(dnl._trie(np.arange(K)[:, None]), np.full(K, -np.inf),
+                          np.full(K, rate), dt, np.zeros(1), n[b] - 1, up[b], dn[b], times[b],
+                          beyond[b])
         return times[..., 0], beyond[..., 0]
 
     @settings(max_examples=100, deadline=None)
@@ -298,7 +299,7 @@ class TestInstantaneousTimes:
         grid = nw.TimeGrid(1200.0, 60.0)
         res = dnl.load(net, ps, grid, np.zeros((1, 20)))
         phi = res.instant_path_time[:, 0]
-        link_time = dnl._link_times(res._state[0], grid, res.link_up, res.link_dn)
+        link_time = dnl._link_times(res)
         assert phi[0] == pytest.approx(link_time[0, 0] + link_time[1, 0])
         assert phi[0] == pytest.approx(420.0, abs=1e-9)
 
@@ -318,7 +319,7 @@ class TestInstantaneousTimes:
         ps = nw.build_path_set(net)
         grid = nw.TimeGrid(120.0, 120.0)
         res = dnl.load(net, ps, grid, np.ones((1, 1)))
-        link_time = dnl._link_times(res._state[0], grid, res.link_up, res.link_dn)
+        link_time = dnl._link_times(res)
         want = 0.0
         for hop in link_time[:, 0]:
             want += hop
@@ -486,9 +487,7 @@ class TestWarmStartIndexing:
             assert np.array_equal(getattr(cold, field)[:, k:], getattr(batch, field)[0, :, k:]), \
                 field
         # a batch computes no link times; those of its curves equal the cold ones
-        plan = base._state[0]
-        assert np.array_equal(dnl._link_times(plan, grid, cold.link_up, cold.link_dn),
-                              dnl._link_times(plan, grid, warm.link_up, warm.link_dn))
+        assert np.array_equal(dnl._link_times(cold), dnl._link_times(warm))
 
     @pytest.mark.parametrize("k", [0, 7, 19])
     def test_refined_wide_lattice(self, k):

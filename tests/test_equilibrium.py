@@ -188,9 +188,10 @@ class TestSolveSram:
         for res in (three_link_solution, capped):
             mr = fixed_point_map(*res.h, net, ps, grid, params)
             T = grid.n_intervals
-            assert res.forecasts.shape == mr.forecasts.shape == (T, ps.n_paths, T)
-            open_ = np.broadcast_to(choice.open_cells(0, T, T), mr.forecasts.shape)
-            assert np.array_equal(res.forecasts[open_], mr.forecasts[open_])
+            got, want = res.forecast_batch.path_time, mr.forecast_batch.path_time
+            assert got.shape == want.shape == (T, ps.n_paths, T)
+            open_ = np.broadcast_to(choice.open_cells(0, T, T), want.shape)
+            assert np.array_equal(got[open_], want[open_])
             assert np.array_equal(res.loading.instant_path_time, mr.loading.instant_path_time)
             assert np.array_equal(res.loading.path_time, mr.loading.path_time)
 
@@ -273,7 +274,7 @@ class TestSolveDsue:
     def test_congested_differs_from_two_class_solution(self, grid_congested, grid_solution):
         net, ps, grid, params = grid_congested
         single = solve_dsue(net, ps, grid, params, SolverConfig())
-        assert single.converged and single.forecasts is None
+        assert single.converged and single.forecast_batch is None
         diff = np.linalg.norm(single.h_total - grid_solution.h_total)
         assert diff / np.linalg.norm(grid_solution.h_total) > 1e-3
 

@@ -39,10 +39,11 @@ def test_map_information_is_the_loaders_arrays():
     base = dnl.load(net, ps, grid, h_i + h_f)
     T = grid.n_intervals
     assert np.array_equal(res.loading.instant_path_time, base.instant_path_time)
-    assert res.forecasts.shape == (T, ps.n_paths, T)
-    open_ = np.broadcast_to(choice.open_cells(0, T, T), res.forecasts.shape)
-    assert np.isfinite(res.forecasts[open_]).all()
-    assert np.isnan(res.forecasts[~open_]).all()
+    forecasts = res.forecast_batch.path_time
+    assert forecasts.shape == (T, ps.n_paths, T)
+    open_ = np.broadcast_to(choice.open_cells(0, T, T), forecasts.shape)
+    assert np.isfinite(forecasts[open_]).all()
+    assert np.isnan(forecasts[~open_]).all()
 
 
 def test_lattice_choice_sets_are_unequal_and_beyond_the_pairwise_block():

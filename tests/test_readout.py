@@ -132,13 +132,12 @@ def test_seeded_inversion_of_targets_in_any_order_equals_the_loop_loader(data, l
     entries = np.zeros(cols)
     entries[:n_targets] = targets
     times = np.arange(n_targets) * dt
-    got, beyond = np.empty((1, 1, n_targets)), np.empty((1, 1, n_targets), dtype=bool)
+    got, beyond = np.empty((1, n_targets)), np.empty((1, n_targets), dtype=bool)
     dnl._read_out(dnl._trie(np.zeros((1, 1), dtype=np.int64)), np.full(1, -np.inf),
-                  np.full(1, rate), dt, times, np.zeros(1, dtype=np.int64),
-                  np.array([cols - 1]), entries[None, None], exits[None, None], got, beyond)
+                  np.full(1, rate), dt, times, cols - 1, entries[None], exits[None], got, beyond)
     want, want_beyond = loop_loader._invert_vec(exits, dt, targets, rate)
-    assert got[0, 0].tobytes() == (want - times).tobytes()
-    assert np.array_equal(beyond[0, 0], want_beyond)
+    assert got[0].tobytes() == (want - times).tobytes()
+    assert np.array_equal(beyond[0], want_beyond)
 
 
 def test_prefix_trie_shares_prefixes_and_ends_a_prefix_path_inside():
@@ -222,20 +221,17 @@ def test_read_out_raises_memory_error_when_the_kernel_cannot_allocate(monkeypatc
             call()
 
 
-@pytest.mark.parametrize("starts, n_steps, reached", [
-    (-1, 4, False), (3, 4, False), (0, 5, False), (0, -1, False), (2, 4, True),
-], ids=["negative start", "start past the horizon", "step count past the curves",
-        "negative step count", "last start and step count"])
-def test_read_out_rejects_a_start_or_step_count_outside_the_curves(monkeypatch, starts, n_steps,
-                                                                    reached):
-    # ``dnl_path_times`` indexes the curves by both unchecked
+@pytest.mark.parametrize("last, reached", [(5, False), (-1, False), (4, True)],
+                         ids=["past the curves", "negative", "last sample"])
+def test_read_out_rejects_a_last_sample_outside_the_curves(monkeypatch, last, reached):
+    # ``dnl_path_times`` indexes the curves by it unchecked
     def kernel():
         raise AssertionError("the kernel was called")
 
     monkeypatch.setattr(dnl, "_kernel", kernel)
     T, cols = 3, 5
-    curves = np.zeros((1, 1, cols))
+    curves = np.zeros((1, cols))
     with pytest.raises(AssertionError if reached else dnl.DnlError):
         dnl._read_out(dnl._trie(np.zeros((1, 1), dtype=np.int64)), np.zeros(1), np.ones(1),
-                      60.0, np.arange(T) * 60.0, np.array([starts]), np.array([n_steps]),
-                      curves, curves, np.empty((1, 1, T)), np.empty((1, 1, T), dtype=bool))
+                      60.0, np.arange(T) * 60.0, last, curves, curves, np.empty((1, T)),
+                      np.empty((1, T), dtype=bool))
