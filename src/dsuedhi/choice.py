@@ -15,22 +15,25 @@ read only in its open cells j >= t: instantaneous times are one column
 broadcast over j, strategic forecasts vary with j.
 
 The logit has two parts. ``share_table`` computes the shares of every OD's
-choice set at any number of provision intervals in one vectorised pass:
-disutility, per-block max shift, ``exp``, normalisation and the first largest
-share of each block. ``assign`` scales the shares of consecutive intervals by
-one remaining-demand row each and folds the floating-point residual of each
-total into the block's first largest share; only this part depends on the
-demand. The pooled reaction of a forecast assigns every interval at once,
-from ``remaining_demand``; ``rollout`` carries one class through the
-intervals of a table, one at a time, realizing one column from its own
-remaining demand. Its loop is one kernel call (``dnl_rollout`` in
-``dnl_step.c``), which makes ``assign``'s operations, the subtraction and
-``_unspent``'s test in their Python order, so its results and errors are
-those of a loop of one-row ``assign`` calls. ``tentative_departures`` is the
-one-interval case of both. Per block, results are bit-identical to a logit
-over that block alone: elementwise steps and maxima are exact in any
-layout, and the blocks are runs of one flat array, which the kernel totals
-as ``ndarray.sum`` totals each block (``dnl.run_sums``).
+choice set at any number of provision intervals, reading only the open cells.
+A first kernel pass (``dnl_logit_exponents`` in ``dnl_step.c``, which states
+the disutility) writes each block's exponents, shifted by the block's
+largest; numpy's ``exp`` takes them in place, since libm's ``exp`` may differ
+from it in the last bit; and a second kernel pass (``dnl_logit_shares``)
+divides each block by its total and finds its first largest share. ``assign``
+scales the shares of consecutive intervals by one remaining-demand row each
+and folds the floating-point residual of each total into the block's first
+largest share; only this part depends on the demand. The pooled reaction of a
+forecast assigns every interval at once, from ``remaining_demand``;
+``rollout`` carries one class through the intervals of a table, one at a
+time, realizing one column from its own remaining demand. Its loop is one
+kernel call (``dnl_rollout`` in ``dnl_step.c``), which makes ``assign``'s
+operations, the subtraction and ``_unspent``'s test in their Python order, so
+its results and errors are those of a loop of one-row ``assign`` calls.
+``tentative_departures`` is the one-interval case of both. Per block, results
+are bit-identical to a numpy logit over that block alone: each step rounds
+once, as its numpy form does, maxima are exact in any order, and the kernel
+totals each block as ``ndarray.sum`` does.
 """
 
 from __future__ import annotations
@@ -74,32 +77,25 @@ class ChoiceParams:
             raise ChoiceError("time unit must be positive")
 
 
-def systematic_disutility(phi, t, target_arrival, mu_early: float, mu_late: float):
-    """Travel time plus quadratic schedule-delay penalty.
-
-    All time arguments must share one unit; the result is expressed in that
-    same unit (plus its square for the penalty term). Arrival exactly at the
-    target incurs no penalty; early arrivals are weighted by ``mu_early``,
-    late ones by ``mu_late``.
-    """
-    gap = np.asarray(t, dtype=float) + phi - target_arrival
-    penalty = np.where(gap < 0.0, mu_early, mu_late)
-    value = phi + penalty * gap * gap
-    return float(value) if np.ndim(value) == 0 else value
+def _od_sizes(path_set: PathSet) -> tuple[int, ...]:
+    return tuple(sl.stop - sl.start for sl in path_set.od_slices)
 
 
 def cell_disutility(phi_s, grid: TimeGrid, path_set: PathSet, params: ChoiceParams) -> np.ndarray:
-    """Systematic disutility of travel times ``phi_s`` (seconds), broadcast to (..., paths, T).
+    """Systematic disutility of the (paths, T) travel times ``phi_s`` (seconds).
 
     Cell (p, j) departs at the middle of interval j and aims at the target
-    arrival of path p's OD; every time is converted to ``params.time_unit_s``
-    before ``systematic_disutility``.
+    arrival of path p's OD: travel time plus a quadratic penalty on the gap
+    between arrival and target, weighted by ``mu_early`` or ``mu_late``, with
+    every time in ``params.time_unit_s``. It is the first pass of a share
+    table of one provision interval, 0, stopped before the logit.
     """
-    u = params.time_unit_s
-    ta = np.asarray(params.target_arrival_s, dtype=float)
-    return systematic_disutility(phi_s / u, grid.interval_mids() / u,
-                                 (ta / u)[path_set.od_of_path][:, None],
-                                 params.mu_early, params.mu_late)
+    T, P = grid.n_intervals, path_set.n_paths
+    phi = np.ascontiguousarray(phi_s, dtype=float)
+    if phi.shape != (P, T):
+        raise ChoiceError(f"travel times of shape {phi.shape} are not ({P} paths, {T} intervals)")
+    lay = _layout(_od_sizes(path_set), T, 0, 1)
+    return _exponents(phi[None], 0, grid, path_set, params, 0.0, lay)[0].reshape(P, T)
 
 
 @dataclass(frozen=True)
@@ -115,7 +111,7 @@ class _Layout:
     open: np.ndarray  # (n, P, T) bool, departure j >= provision interval first + i
     start: np.ndarray  # (blocks,) int64, first cell of each block
     size: np.ndarray  # (blocks,) int64, cells of each block
-    of: np.ndarray  # (cells,) block of each cell
+    cells: int  # cells of all blocks
     block_od: np.ndarray  # (blocks,)
     od_sizes: tuple[int, ...]  # paths of each OD
 
@@ -136,34 +132,34 @@ def _layout(od_sizes: tuple[int, ...], T: int, first: int, n: int) -> _Layout:
     ods = np.flatnonzero(sizes)
     size = (sizes[ods] * (T - np.arange(first, first + n))[:, None]).ravel()  # per interval, OD
     return _Layout(open=open_cells(first, n, T).repeat(int(sizes.sum()), axis=1),
-                   start=np.cumsum(size) - size, size=size,
-                   of=np.repeat(np.arange(len(size)), size), block_od=np.tile(ods, n),
-                   od_sizes=od_sizes)
+                   start=np.cumsum(size) - size, size=size, cells=int(size.sum()),
+                   block_od=np.tile(ods, n), od_sizes=od_sizes)
 
 
-def _logit(psi: np.ndarray, lay: _Layout, theta: float):
-    """Max-shifted logit shares of every block of ``psi``, the cells of ``lay``, at once.
+def _exponents(phi: np.ndarray, first: int, grid: TimeGrid, path_set: PathSet,
+               params: ChoiceParams, theta: float, lay: _Layout) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of ``lay`` by the first pass of the logit (``dnl_logit_exponents``).
 
-    Returns the shares, each block's first cell of largest share and whether
-    the block is all finite. Each block's shares and first largest share are
-    those of a logit over that block alone: the elementwise steps and the
-    maxima are exact in any layout, and ``dnl.run_sums`` adds each block's
-    weights in the order ``ndarray.sum`` would. The shares of a non-finite
-    block are not meaningful, but finite.
+    ``phi`` is C-contiguous (intervals, 1 or paths, 1 or T). Returns each
+    cell's exponent, -``theta`` times its disutility (times 0.0 in a block
+    that is not finite) less its block's largest, and whether each block's
+    disutilities are finite; with ``theta`` 0, the disutilities themselves.
     """
-    if psi.shape != lay.of.shape:  # the kernel sums runs that must lie inside psi
-        raise ChoiceError(f"{psi.shape} cells do not fill the layout's {lay.of.shape}")
-    start, block = lay.start, lay.of
-    finite = np.logical_and.reduceat(np.isfinite(psi), start)
-    if not finite.all():
-        psi = np.where(finite[block], psi, 0.0)
-    z = -theta * psi
-    z -= np.maximum.reduceat(z, start)[block]
-    w = np.exp(z)
-    share = w / dnl.run_sums(w, start, lay.size)[block]
-    top = share == np.maximum.reduceat(share, start)[block]
-    first_top = np.minimum.reduceat(np.where(top, np.arange(len(share)), len(share)), start)
-    return share, first_top, finite
+    (n, phi_paths, phi_cols), T, P = phi.shape, grid.n_intervals, path_set.n_paths
+    target, mids = np.array(params.target_arrival_s, dtype=float), grid.interval_mids()
+    z, finite = np.empty(lay.cells), np.empty(lay.start.shape, dtype=bool)
+    code = dnl._kernel().dnl_logit_exponents(
+        dnl._arg(phi, np.float64, phi.shape), n, phi_paths, phi_cols, first, T,
+        dnl._arg(mids, np.float64, (T,)), dnl._arg(path_set.od_of_path, np.int64, (P,)), P,
+        dnl._arg(target, np.float64, target.shape), len(target), params.time_unit_s,
+        params.mu_early, params.mu_late, theta, dnl._arg(z, np.float64, z.shape), lay.cells,
+        dnl._arg(finite, np.bool_, finite.shape), len(finite))
+    if code == -2:
+        raise MemoryError("logit kernel could not allocate its work array")
+    if code:
+        raise ChoiceError(f"the blocks of {P} paths at provision intervals {first}.."
+                          f"{first + n - 1} do not fill the layout's {lay.cells} cells")
+    return z, finite
 
 
 @dataclass(frozen=True)
@@ -203,10 +199,10 @@ def share_table(
     provided at interval ``first + i``; ``phi_s`` may be any 3-D array that
     broadcasts to (intervals, paths, T), so instantaneous times, reused for
     every departure, come as (intervals, paths, 1). Cells with j before the
-    provision interval are not read. The disutilities and shares of all
-    intervals are computed in one vectorised pass; each OD's block at each
-    interval gets exactly the shares, and the same first largest share, as a
-    logit over that block alone.
+    provision interval are not read. The shares of all intervals take two
+    kernel passes over the open cells around one ``exp``; each OD's block at
+    each interval gets exactly the shares, and the same first largest share,
+    as a numpy logit over that block alone.
     """
     T = grid.n_intervals
     P = path_set.n_paths
@@ -219,9 +215,16 @@ def share_table(
     n = len(phi)
     if not (n and 0 <= first and first + n <= T):
         raise ChoiceError(f"provision intervals {first}..{first + n - 1} outside horizon")
-    lay = _layout(tuple(sl.stop - sl.start for sl in path_set.od_slices), T, first, n)
-    psi = cell_disutility(phi, grid, path_set, params)
-    share, top, finite = _logit(psi[lay.open], lay, params.theta)
+    lay = _layout(_od_sizes(path_set), T, first, n)
+    share, finite = _exponents(np.ascontiguousarray(phi), first, grid, path_set, params,
+                               params.theta, lay)
+    np.exp(share, out=share)
+    top = np.empty(lay.start.shape, dtype=np.int64)
+    if dnl._kernel().dnl_logit_shares(
+            dnl._arg(share, np.float64, share.shape), lay.cells,
+            dnl._arg(lay.start, np.int64, top.shape), dnl._arg(lay.size, np.int64, top.shape),
+            len(top), dnl._arg(top, np.int64, top.shape)):
+        raise ChoiceError(f"a block does not lie inside the layout's {lay.cells} cells")
     return ShareTable(first, P, lay, share, top, finite)
 
 
@@ -327,7 +330,7 @@ def rollout(table: ShareTable, class_demand: np.ndarray, path_set: PathSet) -> n
     ``assign`` or ``_unspent`` raises on the remaining demand it left.
     """
     lay = table.layout
-    od_sizes = tuple(sl.stop - sl.start for sl in path_set.od_slices)
+    od_sizes = _od_sizes(path_set)
     if table.n_paths != path_set.n_paths or lay.od_sizes != od_sizes:
         raise ChoiceError(f"share table of ODs with {lay.od_sizes} paths ({table.n_paths} in "
                           f"all) does not fit the path set's {od_sizes} ({path_set.n_paths})")
@@ -341,7 +344,7 @@ def rollout(table: ShareTable, class_demand: np.ndarray, path_set: PathSet) -> n
     y = np.empty((P, n))
     work = np.empty(P * width)  # one interval's cells
     failed = dnl._kernel().dnl_rollout(
-        dnl._arg(table.share, np.float64, lay.of.shape), dnl._arg(lay.start, np.int64, blocks),
+        dnl._arg(table.share, np.float64, (lay.cells,)), dnl._arg(lay.start, np.int64, blocks),
         dnl._arg(lay.size, np.int64, blocks), dnl._arg(table.top, np.int64, blocks),
         dnl._arg(table.finite, np.bool_, blocks), dnl._arg(lay.block_od, np.int64, blocks),
         blocks[0] // n, n, width, dnl._arg(path_set.od_of_path, np.int64, (P,)), P, len(od_sizes),

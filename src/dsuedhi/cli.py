@@ -11,6 +11,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -86,8 +87,8 @@ def _cell_keys(net, path_set, n_intervals: int) -> list[str]:
     return keys
 
 
-def write_equilibrium_csv(path: Path, result: EquilibriumResult, net, path_set) -> None:
-    keys = _cell_keys(net, path_set, result.h_total.shape[1])
+def write_equilibrium_csv(path: Path, result: EquilibriumResult, keys: list[str]) -> None:
+    """Both classes' departures of every cell, keyed by ``_cell_keys``."""
     _write_table(path, EQUILIBRIUM_HEADER, keys, *result.h)
 
 
@@ -103,9 +104,8 @@ def write_trace_csv(path: Path, result: EquilibriumResult) -> None:
                  result.betas, result.alphas)
 
 
-def write_accuracy_csv(path: Path, report: metrics.AccuracyReport, net, path_set) -> None:
-    """The instantaneous class's cells, then the forecast class's."""
-    keys = _cell_keys(net, path_set, report.rtt.shape[1])
+def write_accuracy_csv(path: Path, report: metrics.AccuracyReport, keys: list[str]) -> None:
+    """The instantaneous class's cells, then the forecast class's, keyed by ``_cell_keys``."""
     _write_table(path, ACCURACY_HEADER, [c for c in CLASS_NAMES["dsue-dhi"] for _ in keys],
                  keys * 2, report.itt, _column(report.rtt) * 2, report.rel_diff,
                  report.departures)
@@ -168,13 +168,14 @@ def _exit_code(converged: bool, drained: bool) -> int:
 
 def run_solve(sc: Scenario, out_dir: Path) -> int:
     built = sc.build()
-    net, path_set, _, _ = built
+    net, path_set, grid, _ = built
     result = equilibrium.solve_sram(*built, sc.solver)
     s = _summary(sc, result, built)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_equilibrium_csv(out_dir / "equilibrium.csv", result, net, path_set)
+    keys = _cell_keys(net, path_set, grid.n_intervals)
+    write_equilibrium_csv(out_dir / "equilibrium.csv", result, keys)
     write_trace_csv(out_dir / "trace.csv", result)
-    write_accuracy_csv(out_dir / "accuracy.csv", s.accuracy, net, path_set)
+    write_accuracy_csv(out_dir / "accuracy.csv", s.accuracy, keys)
     _write_json(out_dir / "metrics.json", {
         "scenario_id": sc.scenario_id,
         "model": result.model,
@@ -304,7 +305,9 @@ def _numbers(text: str) -> list[float]:
     return values
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing changes nothing in it."""
     parser = argparse.ArgumentParser(prog="dsuedhi", add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -101,10 +101,11 @@ adds fewer than 8 numbers in sequence, up to 128 in 8 accumulators combined
 as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before the tail is added, and more in
 two halves split at n/2 rounded down to a multiple of 8. ``dnl_step.c``
 states that order once; the rest of the package sums in it only through the
-kernel: ``choice`` totals its logit blocks and the prefixes of a departure
-history with ``run_sums`` (``dnl_run_sums``), and its rollout's blocks in
-``dnl_rollout``. A source's entry curve is 0.0 plus its slots' curves in
-sequence, as numpy sums a (slots, columns) block over its slots.
+kernel: ``choice`` totals its logit blocks in ``dnl_logit_shares``, assigned
+blocks and the prefixes of a departure history with ``run_sums``
+(``dnl_run_sums``), and its rollout's blocks in ``dnl_rollout``. A source's
+entry curve is 0.0 plus its slots' curves in sequence, as numpy sums a
+(slots, columns) block over its slots.
 
 Sensitivity. The sending rule branches on an absolute backlog ``> EPS_VEH``
 (1e-12 vehicles, defined in ``dnl_step.c``). A last-bit change in a per-row
@@ -497,6 +498,11 @@ def _kernel() -> ctypes.CDLL:
     lib.dnl_run_sums.restype = i64
     lib.dnl_rollout.argtypes = [ptr] * 6 + [i64] * 3 + [ptr, i64, i64] + [ptr] * 4
     lib.dnl_rollout.restype = i64
+    lib.dnl_logit_exponents.argtypes = ([ptr] + [i64] * 5 + [ptr, ptr, i64, ptr, i64] + [f64] * 4
+                                        + [ptr, i64, ptr, i64])
+    lib.dnl_logit_exponents.restype = i64
+    lib.dnl_logit_shares.argtypes = [ptr, i64, ptr, ptr, i64, ptr]
+    lib.dnl_logit_shares.restype = i64
     return lib
 
 

@@ -7,8 +7,10 @@
    before the next pattern takes the block. ``dnl_path_times`` reads the
    link times of one loading the same way, from the link rows of its block.
    For ``choice``, ``dnl_run_sums`` totals runs of an array as
-   ``ndarray.sum`` does, and ``dnl_rollout`` carries one class's remaining
-   demand through the provision intervals of a share table.
+   ``ndarray.sum`` does; ``dnl_logit_exponents`` and ``dnl_logit_shares``
+   build a share table in two passes over its open cells, around numpy's
+   ``exp``, and state the disutility; and ``dnl_rollout`` carries one class's
+   remaining demand through the provision intervals of a share table.
 
    Built by ``dnl._kernel`` with -ffp-contract=off and without fast-math, so
    every operation rounds once, as its numpy form does. The block is one
@@ -33,6 +35,7 @@
    index order; ``ndarray.sum`` is 0.0 plus numpy's pairwise sum
    (``dnl_sum``). This file is the one statement of that pairwise order. */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -90,6 +93,119 @@ i64 dnl_run_sums(const double *x, i64 len, const i64 *start, const i64 *size, i6
         if (start[k] < 0 || size[k] < 0 || size[k] > len - start[k])
             return -1;
         out[k] = dnl_sum(x + start[k], size[k]);
+    }
+    return 0;
+}
+
+/* Systematic disutility of a trip of ``phi`` departing at ``t`` that aims to
+   arrive at ``target``, all in one time unit: the travel time plus the
+   quadratic schedule penalty, ``mu_early`` on an early gap and ``mu_late``
+   on a late one (or a NaN), with numpy's operations in numpy's order. */
+static double disutility(double phi, double t, double target, double mu_early, double mu_late)
+{
+    const double gap = (t + phi) - target;
+    return phi + (gap < 0.0 ? mu_early : mu_late) * gap * gap;
+}
+
+/* Pass 1 of ``choice.share_table``'s logit. The open cells of the n
+   provision intervals from ``first`` are laid out as ``choice._layout``
+   lays them: interval i's P paths x departures ``first`` + i .. T - 1,
+   row-major, after the cells of the intervals before it, so the paths of
+   one OD (a run of equal ``path_od``) at one interval are one block. A cell
+   (i, p, j) takes its travel time from ``phi[i, p, j]`` (n x ``phi_paths``
+   x ``phi_cols``, where 1 repeats one path or one column), its departure
+   time ``mids[j]`` and its OD's ``target``, each divided by ``unit``, and
+   gets their ``disutility``. With ``theta`` 0, ``z`` gets the disutilities
+   themselves. With a positive ``theta``, ``finite[k]`` tells whether block k's disutilities
+   all are, and its cells get the logit's exponents: -``theta`` times the
+   disutility (times 0.0 in a block that is not finite) less the block's
+   largest. Returns 0 when the blocks fill the ``cells`` numbers of ``z`` and
+   the ``blocks`` flags of ``finite``; -1, before writing past either, if a
+   block would leave them, some path's OD lies outside [0, ``n_od``), or
+   ``phi``, the intervals or ``theta`` do not fit; -2 if out of memory. */
+i64 dnl_logit_exponents(const double *phi, i64 n, i64 phi_paths, i64 phi_cols, i64 first,
+                        i64 T, const double *mids, const i64 *path_od, i64 P,
+                        const double *target, i64 n_od, double unit, double mu_early,
+                        double mu_late, double theta, double *z, i64 cells, uint8_t *finite,
+                        i64 blocks)
+{
+    if (n < 0 || first < 0 || first + n > T || (phi_paths != 1 && phi_paths != P)
+        || (phi_cols != 1 && phi_cols != T) || !(theta >= 0.0))
+        return -1;
+    double *t = malloc(sizeof(double) * (size_t)T + 1);  /* departure times in the unit */
+    if (!t)
+        return -2;
+    for (i64 j = 0; j < T; j++)
+        t[j] = mids[j] / unit;
+    i64 pos = 0, k = 0, code = 0;
+    for (i64 i = 0; i < n && !code; i++) {
+        const i64 j0 = first + i, width = T - j0;
+        for (i64 p = 0, q; p < P; p = q, k++) {
+            const i64 od = path_od[p];
+            for (q = p + 1; q < P && path_od[q] == od; q++)
+                ;
+            const i64 size = (q - p) * width;
+            if (od < 0 || od >= n_od || k >= blocks || size > cells - pos) {
+                code = -1;
+                break;
+            }
+            double *out = z + pos;
+            const double aim = target[od] / unit;
+            double least = INFINITY;  /* the block's least disutility, if all are finite */
+            uint8_t all = 1;
+            for (i64 r = p, c = 0; r < q; r++) {
+                const double *x = phi + (i * phi_paths + (phi_paths == 1 ? 0 : r)) * phi_cols;
+                const double once = x[0] / unit;  /* the row's one time, if it has one */
+                for (i64 j = j0; j < T; j++, c++) {
+                    const double v = disutility(phi_cols == 1 ? once : x[j] / unit, t[j], aim,
+                                                mu_early, mu_late);
+                    out[c] = v;
+                    least = v < least ? v : least;
+                    all &= isfinite(v) != 0;
+                }
+            }
+            finite[k] = all;
+            pos += size;
+            if (theta == 0.0)
+                continue;
+            /* -theta x is monotone, so -theta least is the largest exponent */
+            const double top = -theta * (all ? least : 0.0);
+            for (i64 c = 0; c < size; c++)
+                out[c] = -theta * (all ? out[c] : 0.0) - top;
+        }
+    }
+    free(t);
+    if (!code && (pos != cells || k != blocks))
+        code = -1;
+    return code;
+}
+
+/* Pass 2 of the logit, after numpy's ``exp`` of the exponents: block k, the
+   ``size[k]`` numbers of ``w`` from ``start[k]``, is divided by its
+   ``ndarray.sum``, and ``top[k]`` is the block's first cell of largest
+   share, as numpy finds it: none, so ``cells``, if a share is NaN. Returns
+   -1 at the first block that is empty or does not lie inside the ``cells``
+   numbers of ``w``, else 0. */
+i64 dnl_logit_shares(double *w, i64 cells, const i64 *start, const i64 *size, i64 blocks,
+                     i64 *top)
+{
+    for (i64 k = 0; k < blocks; k++) {
+        if (start[k] < 0 || size[k] < 1 || size[k] > cells - start[k])
+            return -1;
+        double *share = w + start[k];
+        const double sum = dnl_sum(share, size[k]);
+        double most = share[0];
+        for (i64 c = 0; c < size[k]; c++) {
+            most = share[c] > most ? share[c] : most;
+            share[c] /= sum;
+        }
+        /* division by sum is monotone, so most / sum is the largest share
+           (NaN, as sum is, if a share is) */
+        most /= sum;
+        top[k] = cells;
+        for (i64 c = 0; c < size[k] && top[k] == cells; c++)
+            if (share[c] == most)
+                top[k] = start[k] + c;
     }
     return 0;
 }

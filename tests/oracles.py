@@ -7,12 +7,12 @@ exhaustive search and build the dense link-path incidence matrix. Four
 helpers read or set up loadings: ``vehicles_stored``, ``step_cap``,
 ``stepped``, which keeps the curves of a batch that ``dnl.load_batch`` drops,
 and ``source_curves``, the numpy formula of the curves the kernel writes for
-its sources;
-``solve_recording`` keeps the input of every map a solve applies; ``logit``
-runs the production logit kernel on one choice set; ``rollout`` is the
-per-interval loop that ``choice.rollout`` runs in one kernel call;
-``hop_chain`` reads path times out of a loading path by path, hop by hop,
-where ``dnl_path_times`` passes each node of the paths' prefix trie once.
+its sources; ``solve_recording`` keeps the input of every map a solve
+applies; ``systematic_disutility`` and ``logit`` state the disutility and the
+logit of one choice set in numpy; ``rollout`` is the per-interval loop that
+``choice.rollout`` runs in one kernel call; ``hop_chain`` reads path times
+out of a loading path by path, hop by hop, where ``dnl_path_times`` passes
+each node of the paths' prefix trie once.
 """
 
 from __future__ import annotations
@@ -100,12 +100,26 @@ def source_curves(plan, h: np.ndarray, cols: int) -> tuple[np.ndarray, np.ndarra
     return src_slots, src_rows
 
 
+def systematic_disutility(phi, t, target_arrival, mu_early: float, mu_late: float):
+    """Travel time plus quadratic schedule-delay penalty, in numpy.
+
+    All time arguments must share one unit; the result is expressed in that
+    same unit (plus its square for the penalty term). Arrival exactly at the
+    target incurs no penalty; early arrivals are weighted by ``mu_early``,
+    late ones by ``mu_late``.
+    """
+    gap = np.asarray(t, dtype=float) + phi - target_arrival
+    penalty = np.where(gap < 0.0, mu_early, mu_late)
+    value = phi + penalty * gap * gap
+    return float(value) if np.ndim(value) == 0 else value
+
+
 def logit(psi, theta: float) -> np.ndarray:
-    """Logit shares over one choice set, all entries of ``psi`` jointly:
-    ``choice._logit`` on a single block."""
-    psi = np.asarray(psi, dtype=float)
-    share, _, _ = choice._logit(psi.reshape(-1), choice._layout((psi.size,), 1, 0, 1), theta)
-    return share.reshape(psi.shape)
+    """Logit shares over one choice set, all entries of ``psi`` jointly: a numpy
+    softmax of -``theta`` ``psi``, shifted by its largest value."""
+    z = -theta * np.asarray(psi, dtype=float)
+    w = np.exp(z - z.max())
+    return w / w.sum()
 
 
 def rollout(table, class_demand, path_set) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,44 +56,65 @@ class TestSegments:
         want = np.array([x[a:b].sum() for a, b in zip(edges[:-1], edges[1:])])
         assert np.array_equal(dnl.run_sums(x, lay.start, lay.size), want)
         assert np.array_equal(lay.start, edges[:-1]) and np.array_equal(lay.size, sizes)
-        assert np.array_equal(lay.of, np.repeat(np.arange(len(sizes)), sizes))
+        assert lay.cells == sum(sizes)
 
     def test_example_needs_more_than_bincount(self):
         sizes = (130, 3, 8)
         x = segment_values(1, sum(sizes))
         lay = choice._layout(sizes, 1, 0, 1)
-        assert not np.array_equal(np.bincount(lay.of, weights=x),
+        assert not np.array_equal(np.bincount(np.repeat(np.arange(3), sizes), weights=x),
                                   dnl.run_sums(x, lay.start, lay.size))
 
 
 class TestSystematicDisutility:
+    """``choice.cell_disutility``, the kernel's formula, against hand values
+    and ``oracles.systematic_disutility``, the numpy reference."""
+
+    @staticmethod
+    def cells(phi, ta, dt):
+        """The disutility of one path of travel time ``phi`` aiming at ``ta``, at
+        departures dt / 2, 3 dt / 2 and 5 dt / 2, all in seconds."""
+        params = choice.ChoiceParams(theta=1.0, target_arrival_s=(ta,), time_unit_s=1.0)
+        return choice.cell_disutility(np.full((1, 3), phi), nw.TimeGrid(3 * dt, dt),
+                                      path_set_of([1]), params)[0]
+
     def test_on_time_arrival_no_penalty(self):
-        assert choice.systematic_disutility(10.0, 0.0, 10.0, 0.8, 1.2) == 10.0
+        assert self.cells(10.0, 20.0, 20.0)[0] == 10.0
 
     def test_early_arrival(self):
-        assert choice.systematic_disutility(10.0, 0.0, 15.0, 0.8, 1.2) == pytest.approx(30.0)
+        assert self.cells(10.0, 25.0, 20.0)[0] == pytest.approx(30.0)
 
     def test_late_arrival(self):
-        assert choice.systematic_disutility(10.0, 10.0, 15.0, 0.8, 1.2) == pytest.approx(40.0)
+        assert self.cells(10.0, 15.0, 20.0)[0] == pytest.approx(40.0)
 
     @settings(max_examples=50, deadline=None)
     @given(
         phi=st.floats(0, 100),
-        t=st.floats(0, 100),
         ta=st.floats(0, 200),
+        dt=st.floats(1, 50),
     )
-    def test_branches_and_lower_bound(self, phi, t, ta):
-        v = choice.systematic_disutility(phi, t, ta, 0.8, 1.2)
-        gap = t + phi - ta
-        mu = 0.8 if gap < 0 else 1.2
-        assert v == pytest.approx(phi + mu * gap * gap)
-        assert v >= phi
+    def test_branches_and_lower_bound(self, phi, ta, dt):
+        for t, v in zip((np.arange(3) + 0.5) * dt, self.cells(phi, ta, dt)):
+            gap = t + phi - ta
+            mu = 0.8 if gap < 0 else 1.2
+            assert v == pytest.approx(phi + mu * gap * gap)
+            assert v >= phi
 
-    def test_vectorized(self):
-        v = choice.systematic_disutility(
-            np.array([10.0, 10.0]), np.array([0.0, 10.0]), 15.0, 0.8, 1.2
-        )
-        np.testing.assert_allclose(v, [30.0, 40.0])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("unit", [1.0, 60.0, 7.0])
+    def test_equals_the_numpy_reference(self, unit):
+        rng = np.random.default_rng(int(unit))
+        ps, T = path_set_of([3, 1, 2]), 9
+        grid = nw.TimeGrid(T * 120.0, 120.0)
+        params = choice.ChoiceParams(theta=1.0, target_arrival_s=(600.0, 0.0, 1e5),
+                                     time_unit_s=unit)
+        phi = rng.uniform(-1e3, 1e4, size=(ps.n_paths, T))
+        phi.flat[rng.choice(phi.size, 4, replace=False)] = [np.nan, np.inf, -np.inf, -0.0]
+        ta = np.array(params.target_arrival_s)[ps.od_of_path][:, None]
+        want = oracles.systematic_disutility(phi / unit, grid.interval_mids() / unit, ta / unit,
+                                             params.mu_early, params.mu_late)
+        got = choice.cell_disutility(phi, grid, ps, params)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestChoiceParams:
@@ -131,8 +153,8 @@ class TestDisutilityMatrices:
         u = params.time_unit_s
         dep = (np.arange(t, grid.n_intervals) + 0.5) * grid.dt_s
         ta = np.array([params.target_arrival_s[od] for od in ps.od_of_path])
-        psi = choice.systematic_disutility(phi / u, dep[None, :] / u, ta[:, None] / u,
-                                           params.mu_early, params.mu_late)
+        psi = oracles.systematic_disutility(phi / u, dep[None, :] / u, ta[:, None] / u,
+                                            params.mu_early, params.mu_late)
         return np.concatenate([logit(psi[sl], params.theta)
                                for sl in ps.od_slices])
 
@@ -211,6 +233,21 @@ class TestInformationLayout:
         assert self.same_table(choice.share_table(phi, first, grid, ps, params),
                                choice.share_table(repeated, first, grid, ps, params))
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"cells": 19}, "do not fill the layout's 19 cells"),
+        ({"start": np.array([0, 6, 9, 13, 15, 18])}, "does not lie inside"),
+    ], ids=["cells", "start"])
+    def test_a_layout_the_kernel_refuses_raises(self, three_path_set, monkeypatch, edit,
+                                                 message):
+        # both passes check their blocks against the arrays they write
+        net, ps = three_path_set
+        lay = choice._layout((2, 1), 3, 0, 3)
+        assert lay.cells == 18 and lay.start.tolist() == [0, 6, 9, 13, 15, 17]
+        monkeypatch.setattr(choice, "_layout", lambda *args: dataclasses.replace(lay, **edit))
+        with pytest.raises(ValueError, match=message):
+            choice.share_table(np.full((3, 3, 1), 60.0), 0, nw.TimeGrid(360.0, 120.0), ps,
+                               params_for(net))
+
     def test_forecasts_are_nan_exactly_before_their_provision(self, grid_congested):
         net, ps, grid, params = grid_congested
         T = grid.n_intervals
@@ -225,6 +262,31 @@ class TestInformationLayout:
 
 
 class TestLogit:
+    """The reference logit, ``oracles.logit``, that the share tables are
+    compared with, and that comparison on every block of a table."""
+
+    @pytest.mark.parametrize("theta", [1e-9, 1.0, 10.0])
+    def test_share_table_blocks_equal_the_reference_logit(self, theta):
+        # bit for bit, also where a path's disutility (about 1.2e12) is so far
+        # above the others that exp of its unshifted exponent would underflow
+        ps, T, u = path_set_of([2, 3]), 4, 60.0
+        grid = nw.TimeGrid(T * 120.0, 120.0)
+        params = choice.ChoiceParams(theta=theta, target_arrival_s=(240.0, 0.0), time_unit_s=u)
+        phi = np.random.default_rng(5).uniform(30.0, 900.0, size=(T, ps.n_paths, T))
+        phi[1, 3] = 6e7
+        table = choice.share_table(phi, 0, grid, ps, params)
+        lay, mids = table.layout, grid.interval_mids()
+        for b, (start, size, od) in enumerate(zip(lay.start, lay.size, lay.block_od)):
+            t, sl = b // 2, ps.od_slices[od]
+            psi = oracles.systematic_disutility(phi[t, sl, t:] / u, mids[t:] / u,
+                                                params.target_arrival_s[od] / u,
+                                                params.mu_early, params.mu_late)
+            want = logit(psi, theta).ravel()
+            assert table.share[start : start + size].tobytes() == want.tobytes(), b
+            assert table.top[b] == start + np.argmax(want)
+        # block 3: interval 1, OD 1's paths 2..4 x departures 1..3; path 3 takes none
+        assert table.share[lay.start[3] + 3 : lay.start[3] + 6].tolist() == [0.0] * 3
+
     def test_two_equal_choices(self):
         p = logit(np.array([5.0, 5.0]), theta=1.0)
         np.testing.assert_array_equal(p, [0.5, 0.5])
@@ -252,7 +314,7 @@ class TestLogit:
         # an OD without paths gets no block, so the kernel never sees an empty choice set
         layout = choice._layout((2, 0, 1), 3, 0, 1)
         assert layout.block_od.tolist() == [0, 2]
-        assert np.bincount(layout.of).tolist() == [6, 3]
+        assert layout.cells == 9
         assert layout.start.tolist() == [0, 6] and layout.size.tolist() == [6, 3]
 
     @settings(max_examples=40, deadline=None)
@@ -479,8 +541,8 @@ def loop_tentative(phi_s, remaining, t, grid, ps, params):
     ta = np.array([params.target_arrival_s[od] for od in ps.od_of_path])
     phi = np.asarray(phi_s, dtype=float)
     phi = phi[:, None] if phi.ndim == 1 else phi
-    psi = choice.systematic_disutility(phi / u, dep[None, :] / u, ta[:, None] / u,
-                                       params.mu_early, params.mu_late)
+    psi = oracles.systematic_disutility(phi / u, dep[None, :] / u, ta[:, None] / u,
+                                        params.mu_early, params.mu_late)
     out = np.zeros_like(psi)
     tops = {}
     for k, sl in enumerate(ps.od_slices):
@@ -607,6 +669,26 @@ class TestShareTable:
                 choice.assign(table, 0, remaining)
         else:
             assert choice.assign(table, 0, remaining).tobytes() == np.concatenate(wants).tobytes()
+
+
+    def test_peak_memory_is_the_returned_arrays_and_one_work_array(self):
+        # the bound of a (30, 23, 30) forecast table, stated in CHANGES.md before
+        # this test first ran; the (T, P, T) disutility and its temporaries are gone
+        ps, T = path_set_of([7, 6, 5, 5]), 30
+        grid = nw.TimeGrid(T * 120.0, 120.0)
+        params = choice.ChoiceParams(theta=0.3, target_arrival_s=(1800.0,) * 4)
+        phi = np.random.default_rng(0).uniform(30.0, 900.0, size=(T, ps.n_paths, T))
+        choice.share_table(phi, 0, grid, ps, params)  # caches the layout
+        tracemalloc.start()
+        try:
+            table = choice.share_table(phi, 0, grid, ps, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (table.layout.cells, len(table.top)) == (10_695, 120)
+        returned = table.share.nbytes + table.top.nbytes + table.finite.nbytes
+        assert returned == 86_640
+        assert peak <= returned + 85_560 + 4096 == 176_296
 
 
 class TestRollout:

@@ -215,6 +215,30 @@ class TestUsageErrors:
         assert "error: multistart needs at least two starts" in err
 
 
+def test_one_parser_serves_every_call_with_only_its_own_arguments(three_link_dir, tmp_path,
+                                                                 monkeypatch, capsys):
+    # the parser is built once per process; a call's options, given or
+    # defaulted, must not leak into the next call
+    calls = []
+    monkeypatch.setattr(cli, "run_sweep", lambda sc, *args: calls.append(("sweep", *args)))
+    monkeypatch.setattr(cli, "run_multistart",
+                        lambda sc, *args: calls.append(("multistart", *args)))
+    monkeypatch.chdir(tmp_path)
+    scenario = three_link_dir / "scenario.ini"
+    run(["sweep", "--scenario", scenario, "--out", tmp_path / "s", "--param", "lambda",
+         "--values", "0.25,0.75"])
+    run(["multistart", "--scenario", scenario])
+    assert run(["multistart", "--scenario", scenario, "--n", "1"]) == 1
+    assert "argument --n" in capsys.readouterr().err
+    assert run(["solve", "--scenario", scenario, "--out", tmp_path / "o"]) == 0
+    assert calls == [("sweep", "lambda", [0.25, 0.75], tmp_path / "s"),
+                     ("multistart", 20, 0, Path("out"))]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["o", "three_link"]
+    assert (tmp_path / "o" / "equilibrium.csv").read_bytes() == (
+        ROOT / "out" / "three_link" / "equilibrium.csv").read_bytes()
+    assert cli._build_parser() is cli._build_parser()
+
+
 class TestFailureExitCodes:
     def test_model_error_exits_3_and_writes_nothing(self, three_link_dir, tmp_path, capsys):
         demand = three_link_dir / "demand.csv"

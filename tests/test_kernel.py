@@ -129,6 +129,64 @@ def test_source_curves_equal_the_numpy_formula(grid_congested, refine):
         assert up[plan.A :].tobytes() == want_rows[0].tobytes()
 
 
+def logit_exponents(phi, first, T, path_od, target, cells, blocks, theta=1.0):
+    """``dnl_logit_exponents`` on the (n, paths, cols) travel times ``phi`` into exactly
+    ``cells`` exponents and ``blocks`` flags: its return code, the exponents and the flags."""
+    mids = (np.arange(T) + 0.5) * 120.0
+    z, finite = np.full(cells, np.nan), np.zeros(blocks, dtype=np.bool_)
+    code = dnl._kernel().dnl_logit_exponents(
+        phi.ctypes.data, *phi.shape, first, T, mids.ctypes.data, path_od.ctypes.data,
+        len(path_od), target.ctypes.data, len(target), 60.0, 0.8, 1.2, theta, z.ctypes.data,
+        cells, finite.ctypes.data, blocks)
+    return code, z, finite
+
+
+@pytest.mark.parametrize("case", ["fits", "cells short", "cells left over", "blocks short",
+                                  "blocks left over", "od past the targets", "negative od",
+                                  "paths", "columns", "past the horizon", "negative first",
+                                  "negative theta"])
+def test_logit_exponents_refuse_blocks_outside_their_arrays(case):
+    # 3 paths, ODs 0, 0 and 1, at provision intervals 1 and 2 of 4: 9 then 6
+    # cells, in blocks of 6, 3, 4 and 2. A refused block writes nothing past
+    # the arrays, which the sanitized run checks.
+    phi = np.random.default_rng(0).uniform(60.0, 900.0, size=(2, 3, 4))
+    args = dict(phi=phi, first=1, T=4, path_od=np.array([0, 0, 1]), target=np.array([0.0, 1.0]),
+                cells=15, blocks=4)
+    args.update({
+        "fits": {}, "cells short": {"cells": 14}, "cells left over": {"cells": 16},
+        "blocks short": {"blocks": 3}, "blocks left over": {"blocks": 5},
+        "od past the targets": {"path_od": np.array([0, 0, 2])},
+        "negative od": {"path_od": np.array([-1, 0, 1])},
+        "paths": {"phi": phi[:, :2].copy()}, "columns": {"phi": phi[..., :3].copy()},
+        "past the horizon": {"first": 3}, "negative first": {"first": -1},
+        "negative theta": {"theta": -1.0},
+    }[case])
+    code, z, finite = logit_exponents(**args)
+    assert code == (0 if case == "fits" else -1)
+    if case == "fits":
+        assert finite.all() and np.isfinite(z).all() and (z <= 0.0).all()
+        assert [np.max(z[a:b]) for a, b in ((0, 6), (6, 9), (9, 13), (13, 15))] == [0.0] * 4
+
+
+@pytest.mark.parametrize("start, size", [(-1, 2), (0, 0), (5, 2), (6, 1), (7, 1),
+                                         (2**62, 2**62), (1, 2**63 - 1)])
+def test_logit_shares_refuse_a_block_outside_the_array(start, size):
+    # each block is checked in the kernel's loop, also after good blocks
+    w = np.array([1.0, 0.5, 0.5, 1.0, 0.25, 1.0])
+    top = np.full(2, -7, dtype=np.int64)
+    kernel = dnl._kernel()
+
+    def shares(starts, sizes):
+        starts, sizes = np.array(starts), np.array(sizes)
+        return kernel.dnl_logit_shares(w.ctypes.data, len(w), starts.ctypes.data,
+                                       sizes.ctypes.data, len(starts), top.ctypes.data)
+
+    assert shares([0, start], [3, size]) == -1
+    assert top[0] == 0 and w[:3].tolist() == [0.5, 0.25, 0.25]
+    assert shares([3, 5], [2, 1]) == 0
+    assert top.tolist() == [3, 5] and w[3:].tolist() == [0.8, 0.2, 1.0]
+
+
 C_TYPES = {"void": None, "i64": ctypes.c_int64, "double": ctypes.c_double}
 
 
@@ -138,7 +196,8 @@ def test_every_entry_point_is_bound_with_its_c_signature():
     source = (SRC / "dsuedhi" / "dnl_step.c").read_text()
     defined = re.findall(r"^(void|i64|double)\s+(dnl_\w+)\(([^)]*)\)\s*\{", source, re.M)
     assert {name for _, name, _ in defined} >= {"dnl_step", "dnl_path_times", "dnl_run_sums",
-                                                 "dnl_rollout"}
+                                                 "dnl_rollout", "dnl_logit_exponents",
+                                                 "dnl_logit_shares"}
     declared = re.findall(r"^(?!static)\w[\w \t*]*?\b(dnl_\w+)\(", source, re.M)
     assert sorted(declared) == sorted(name for _, name, _ in defined)
     lib = dnl._kernel()

@@ -98,7 +98,7 @@ class TestExperiencedDisutility:
         res = solve_sram(net, ps, grid, params, SolverConfig())
         rep = metrics.experienced_disutility(res, net, ps, grid, params, trim_fraction=0.0)
         # uncongested: disutility equals the free-flow value per cell
-        from dsuedhi.choice import systematic_disutility
+        from oracles import systematic_disutility
 
         u = params.time_unit_s
         dep = grid.interval_mids()
