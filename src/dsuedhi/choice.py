@@ -15,31 +15,27 @@ read only in its open cells j >= t: instantaneous times are one column
 broadcast over j, strategic forecasts vary with j.
 
 The logit has two parts. ``share_table`` computes the shares of every OD's
-choice set at any number of provision intervals, reading only the open cells.
-A first kernel pass (``dnl_logit_exponents`` in ``dnl_step.c``, which states
-the disutility) writes each block's exponents, shifted by the block's
-largest; numpy's ``exp`` takes them in place, since libm's ``exp`` may differ
-from it in the last bit; and a second kernel pass (``dnl_logit_shares``)
-divides each block by its total and finds its first largest share. ``assign``
-scales the shares of consecutive intervals by one remaining-demand row each
-and folds the floating-point residual of each total into the block's first
-largest share; only this part depends on the demand. The pooled reaction of a
-forecast assigns every interval at once, from ``remaining_demand``;
-``rollout`` carries one class through the intervals of a table, one at a
-time, realizing one column from its own remaining demand. Its loop is one
-kernel call (``dnl_rollout`` in ``dnl_step.c``), which makes ``assign``'s
-operations, the subtraction and ``_unspent``'s test in their Python order, so
-its results and errors are those of a loop of one-row ``assign`` calls.
-``tentative_departures`` is the one-interval case of both. Per block, results
-are bit-identical to a numpy logit over that block alone: each step rounds
-once, as its numpy form does, maxima are exact in any order, and the kernel
-totals each block as ``ndarray.sum`` does.
+choice set at any number of provision intervals, over the open cells of a
+cached ``_Layout``, whose argument block passes its arrays to the kernel
+(``dnl_step.c``, which states the disutility). A first kernel pass writes
+each block's exponents, shifted by the block's largest; numpy's ``exp``
+takes them in place, since libm's ``exp`` may differ from it in the last
+bit; a second pass divides each block by its total and finds its first
+largest share. ``assign`` scales the shares of consecutive intervals by one
+remaining-demand row each and folds the residual of each total into the
+block's first largest share: the pooled reaction of a forecast assigns
+every interval at once, from ``remaining_demand``. ``rollout`` carries one
+class through the intervals of a table, realizing one column at a time from
+its own remaining demand, in one kernel call that makes the operations of a
+loop of one-row ``assign`` calls in their order, with their errors.
+``tentative_departures`` is the one-interval case of both. Per block,
+results are bit-identical to a numpy logit over that block alone.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,17 +81,22 @@ def cell_disutility(phi_s, grid: TimeGrid, path_set: PathSet, params: ChoicePara
     """Systematic disutility of the (paths, T) travel times ``phi_s`` (seconds).
 
     Cell (p, j) departs at the middle of interval j and aims at the target
-    arrival of path p's OD: travel time plus a quadratic penalty on the gap
-    between arrival and target, weighted by ``mu_early`` or ``mu_late``, with
-    every time in ``params.time_unit_s``. It is the first pass of a share
-    table of one provision interval, 0, stopped before the logit.
+    arrival of path p's OD: travel time plus a quadratic penalty on the gap,
+    weighted by ``mu_early`` or ``mu_late``, every time in
+    ``params.time_unit_s``; the first pass of a share table, before the logit.
     """
     T, P = grid.n_intervals, path_set.n_paths
     phi = np.ascontiguousarray(phi_s, dtype=float)
     if phi.shape != (P, T):
         raise ChoiceError(f"travel times of shape {phi.shape} are not ({P} paths, {T} intervals)")
-    lay = _layout(_od_sizes(path_set), T, 0, 1)
-    return _exponents(phi[None], 0, grid, path_set, params, 0.0, lay)[0].reshape(P, T)
+    lay = _layout(_od_sizes(path_set), grid, 0, 1)
+    return _exponents(phi[None], params, 0.0, lay)[0].reshape(P, T)
+
+
+class _LayoutBlock(dnl._Block):
+    """``layout_t``: a ``_Layout``'s arrays and sizes, for the logit and rollout kernels."""
+
+    _fields_ = dnl._fields("start size block_od path_od mids", "n first T P n_od m cells blocks")
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,7 @@ class _Layout:
     row-major, after the intervals before it, so the choice set of one OD at
     t -- the rows of its paths -- is one contiguous block. Blocks are numbered
     in that order; ODs without paths have none: the order ``open`` selects in.
+    ``block`` (``layout_t``) holds the arrays, read-only, for the kernel.
     """
 
     open: np.ndarray  # (n, P, T) bool, departure j >= provision interval first + i
@@ -114,6 +116,17 @@ class _Layout:
     cells: int  # cells of all blocks
     block_od: np.ndarray  # (blocks,)
     od_sizes: tuple[int, ...]  # paths of each OD
+    first: int
+    mids: np.ndarray  # (T,) interval midpoints
+    block: _LayoutBlock = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        (n, P, T), blocks, i64 = self.open.shape, len(self.start), np.int64
+        path_od = np.repeat(np.arange(len(self.od_sizes), dtype=i64), self.od_sizes)
+        object.__setattr__(self, "block", _LayoutBlock(
+            [(self.start, i64, blocks), (self.size, i64, blocks), (self.block_od, i64, blocks),
+             (path_od, i64, P), (self.mids, np.float64, T)],
+            n, self.first, T, P, len(self.od_sizes), blocks // n, self.cells, blocks))
 
 
 def open_cells(first: int, n: int, T: int) -> np.ndarray:
@@ -122,22 +135,22 @@ def open_cells(first: int, n: int, T: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(od_sizes: tuple[int, ...], T: int, first: int, n: int) -> _Layout:
-    """Layout of intervals ``first``..``first + n - 1`` for ODs of ``od_sizes`` paths.
+def _layout(od_sizes: tuple[int, ...], grid: TimeGrid, first: int, n: int) -> _Layout:
+    """Layout of intervals ``first``..``first + n - 1`` of ``grid`` for ODs of ``od_sizes`` paths.
 
-    Cached: every table of one path set and grid shares it, and nothing
-    writes to its arrays.
+    Cached: every table of one path set and grid shares it.
     """
-    sizes = np.array(od_sizes, dtype=np.int64)
+    sizes, T = np.array(od_sizes, dtype=np.int64), grid.n_intervals
     ods = np.flatnonzero(sizes)
     size = (sizes[ods] * (T - np.arange(first, first + n))[:, None]).ravel()  # per interval, OD
     return _Layout(open=open_cells(first, n, T).repeat(int(sizes.sum()), axis=1),
                    start=np.cumsum(size) - size, size=size, cells=int(size.sum()),
-                   block_od=np.tile(ods, n), od_sizes=od_sizes)
+                   block_od=np.tile(ods, n), od_sizes=od_sizes, first=first,
+                   mids=grid.interval_mids())
 
 
-def _exponents(phi: np.ndarray, first: int, grid: TimeGrid, path_set: PathSet,
-               params: ChoiceParams, theta: float, lay: _Layout) -> tuple[np.ndarray, np.ndarray]:
+def _exponents(phi: np.ndarray, params: ChoiceParams, theta: float,
+               lay: _Layout) -> tuple[np.ndarray, np.ndarray]:
     """The cells of ``lay`` by the first pass of the logit (``dnl_logit_exponents``).
 
     ``phi`` is C-contiguous (intervals, 1 or paths, 1 or T). Returns each
@@ -145,20 +158,18 @@ def _exponents(phi: np.ndarray, first: int, grid: TimeGrid, path_set: PathSet,
     that is not finite) less its block's largest, and whether each block's
     disutilities are finite; with ``theta`` 0, the disutilities themselves.
     """
-    (n, phi_paths, phi_cols), T, P = phi.shape, grid.n_intervals, path_set.n_paths
-    target, mids = np.array(params.target_arrival_s, dtype=float), grid.interval_mids()
+    b, target = lay.block, np.array(params.target_arrival_s, dtype=float)
     z, finite = np.empty(lay.cells), np.empty(lay.start.shape, dtype=bool)
     code = dnl._kernel().dnl_logit_exponents(
-        dnl._arg(phi, np.float64, phi.shape), n, phi_paths, phi_cols, first, T,
-        dnl._arg(mids, np.float64, (T,)), dnl._arg(path_set.od_of_path, np.int64, (P,)), P,
+        b.ptr, dnl._arg(phi, np.float64, (b.n, *phi.shape[1:])), *phi.shape[1:],
         dnl._arg(target, np.float64, target.shape), len(target), params.time_unit_s,
-        params.mu_early, params.mu_late, theta, dnl._arg(z, np.float64, z.shape), lay.cells,
-        dnl._arg(finite, np.bool_, finite.shape), len(finite))
+        params.mu_early, params.mu_late, theta, dnl._arg(z, np.float64, (b.cells,)),
+        dnl._arg(finite, np.bool_, (b.blocks,)))
     if code == -2:
         raise MemoryError("logit kernel could not allocate its work array")
     if code:
-        raise ChoiceError(f"the blocks of {P} paths at provision intervals {first}.."
-                          f"{first + n - 1} do not fill the layout's {lay.cells} cells")
+        raise ChoiceError(f"the blocks of {b.P} paths at provision intervals {b.first}.."
+                          f"{b.first + b.n - 1} do not fill the layout's {b.cells} cells")
     return z, finite
 
 
@@ -168,7 +179,7 @@ class ShareTable:
 
     Built once per information product by ``share_table``. Assigning demand
     to it (``assign``) only scales shares and folds residuals, so it can
-    follow a remaining demand that changes from one interval to the next.
+    follow a remaining demand that changes between intervals.
     """
 
     first: int  # first provision interval
@@ -199,31 +210,24 @@ def share_table(
     provided at interval ``first + i``; ``phi_s`` may be any 3-D array that
     broadcasts to (intervals, paths, T), so instantaneous times, reused for
     every departure, come as (intervals, paths, 1). Cells with j before the
-    provision interval are not read. The shares of all intervals take two
-    kernel passes over the open cells around one ``exp``; each OD's block at
-    each interval gets exactly the shares, and the same first largest share,
-    as a numpy logit over that block alone.
+    provision interval are not read. Each OD's block at each interval gets
+    exactly the shares, and the same first largest share, as a numpy logit
+    over that block alone.
     """
-    T = grid.n_intervals
-    P = path_set.n_paths
+    T, P = grid.n_intervals, path_set.n_paths
     phi = np.asarray(phi_s, dtype=float)
     if phi.ndim != 3 or phi.shape[1] not in (1, P) or phi.shape[2] not in (1, T):
-        raise ChoiceError(
-            f"travel times of shape {phi.shape} do not broadcast to "
-            f"(intervals, {P} paths, {T} departure intervals)"
-        )
+        raise ChoiceError(f"travel times of shape {phi.shape} do not broadcast to "
+                          f"(intervals, {P} paths, {T} departure intervals)")
     n = len(phi)
     if not (n and 0 <= first and first + n <= T):
         raise ChoiceError(f"provision intervals {first}..{first + n - 1} outside horizon")
-    lay = _layout(_od_sizes(path_set), T, first, n)
-    share, finite = _exponents(np.ascontiguousarray(phi), first, grid, path_set, params,
-                               params.theta, lay)
+    lay = _layout(_od_sizes(path_set), grid, first, n)
+    share, finite = _exponents(np.ascontiguousarray(phi), params, params.theta, lay)
     np.exp(share, out=share)
     top = np.empty(lay.start.shape, dtype=np.int64)
-    if dnl._kernel().dnl_logit_shares(
-            dnl._arg(share, np.float64, share.shape), lay.cells,
-            dnl._arg(lay.start, np.int64, top.shape), dnl._arg(lay.size, np.int64, top.shape),
-            len(top), dnl._arg(top, np.int64, top.shape)):
+    if dnl._kernel().dnl_logit_shares(lay.block.ptr, dnl._arg(share, np.float64, share.shape),
+                                      dnl._arg(top, np.int64, top.shape)):
         raise ChoiceError(f"a block does not lie inside the layout's {lay.cells} cells")
     return ShareTable(first, P, lay, share, top, finite)
 
@@ -232,10 +236,9 @@ def assign(table: ShareTable, t_index: int, remaining_demand: np.ndarray) -> np.
     """Assign remaining demand over every OD's choice set at ``t_index``, ``t_index`` + 1, ...
 
     ``remaining_demand`` holds one row of per-OD demand for each of those
-    intervals. Returns their cells flat, in the table's layout order, which
-    ``layout.open`` selects in. Per-OD totals are conserved exactly (the
-    floating-point residual of each total is folded into the block's first
-    largest share).
+    intervals. Returns their cells flat, in the layout order that
+    ``layout.open`` selects in. Per-OD totals are conserved exactly: each
+    total's residual is folded into its block's first largest share.
     """
     lay = table.layout
     demand = np.asarray(remaining_demand, dtype=float)
@@ -290,18 +293,24 @@ def remaining_demand(
     """Per-OD demand not yet departed before each interval t of ``history``, (T, ODs).
 
     Row t is ``class_demand`` less the departures of ``history[:, :t]``:
-    each path's total of those columns, as ``ndarray.sum`` gives it, added
-    per OD in path order, as ``np.add.at`` adds. Tiny negative remainders
-    are clamped to zero; anything larger is an overdraw error (``_unspent``).
+    each path's ``ndarray.sum`` of those columns, added per OD in path order,
+    as ``np.add.at`` adds; ``_unspent`` clamps dust below zero, raises on more.
     """
     class_demand = np.asarray(class_demand, dtype=float)
     h = np.ascontiguousarray(history, dtype=float)
-    P, T = h.shape
-    prefix = dnl.run_sums(h, np.tile(np.arange(P, dtype=np.int64) * T, T),
-                          np.repeat(np.arange(T, dtype=np.int64), P)).reshape(T, P)
-    departed = np.zeros((T, len(class_demand)))
+    prefix = dnl.run_sums(h, *_prefix_runs(*h.shape)).reshape(h.shape[::-1])
+    departed = np.zeros((len(prefix), len(class_demand)))
     np.add.at(departed, (slice(None), path_set.od_of_path), prefix)
     return _unspent(class_demand - departed, class_demand)
+
+
+@functools.lru_cache(maxsize=16)
+def _prefix_runs(P: int, T: int) -> tuple[np.ndarray, ...]:
+    """Read-only runs of ``run_sums`` over the first t columns of each row of (P, T), t-major."""
+    runs = np.tile(np.arange(P, dtype=np.int64) * T, T), np.repeat(np.arange(T, dtype=np.int64), P)
+    for x in runs:
+        x.flags.writeable = False
+    return runs
 
 
 def _unspent(remaining: np.ndarray, class_demand: np.ndarray) -> np.ndarray:
@@ -323,11 +332,10 @@ def rollout(table: ShareTable, class_demand: np.ndarray, path_set: PathSet) -> n
 
     At each interval the class's remaining demand is assigned to the table,
     as ``assign`` assigns one row, and only the current column is realized
-    and subtracted from it, per OD in path order. An overdraw beyond
-    floating-point dust raises; dust is clamped to zero (``_unspent``). The
-    whole loop is one kernel call (``dnl_rollout``), which repeats those
-    operations in that order; a failed check raises the error that
-    ``assign`` or ``_unspent`` raises on the remaining demand it left.
+    and subtracted from it, per OD in path order; dust below zero is clamped
+    (``_unspent``). The loop is one kernel call (``dnl_rollout``); a failed
+    check raises the error that ``assign`` or ``_unspent`` raises on the
+    remaining demand it left.
     """
     lay = table.layout
     od_sizes = _od_sizes(path_set)
@@ -338,16 +346,11 @@ def rollout(table: ShareTable, class_demand: np.ndarray, path_set: PathSet) -> n
     if demand.shape != (len(od_sizes),):
         raise ChoiceError(f"class demand of shape {demand.shape} is not one per OD "
                           f"of {len(od_sizes)}")
-    P, (n, _, T) = table.n_paths, lay.open.shape
-    blocks, width = lay.start.shape, T - table.first
-    rem = demand.copy()
-    y = np.empty((P, n))
-    work = np.empty(P * width)  # one interval's cells
+    b, rem = lay.block, demand.copy()
+    y, work = np.empty((b.P, b.n)), np.empty(b.P * (b.T - b.first))  # work: one interval's cells
     failed = dnl._kernel().dnl_rollout(
-        dnl._arg(table.share, np.float64, (lay.cells,)), dnl._arg(lay.start, np.int64, blocks),
-        dnl._arg(lay.size, np.int64, blocks), dnl._arg(table.top, np.int64, blocks),
-        dnl._arg(table.finite, np.bool_, blocks), dnl._arg(lay.block_od, np.int64, blocks),
-        blocks[0] // n, n, width, dnl._arg(path_set.od_of_path, np.int64, (P,)), P, len(od_sizes),
+        b.ptr, dnl._arg(table.share, np.float64, (b.cells,)),
+        dnl._arg(table.top, np.int64, (b.blocks,)), dnl._arg(table.finite, np.bool_, (b.blocks,)),
         *(dnl._arg(x, np.float64, x.shape) for x in (demand, rem, y, work)))
     if failed:
         i, overdrawn = divmod(failed - 1, 2)

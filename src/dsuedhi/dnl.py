@@ -37,57 +37,37 @@ slot there. Link rows keep link order, so slots, merges and row totals add
 the same numbers in the same order as they would with a row for every link.
 
 Work per plan and per step. A plan (one network's links, path set and grid)
-is built once, with the index arrays the kernel reads, and kept while among
-the last few used. The time loop and the read-out of travel times are C
-functions in ``dnl_step.c``, compiled on first use with the C compiler Python
-was built with and cached on disk (``_kernel``). One call of ``dnl_step``
-loads the patterns of a batch one after another: it writes a pattern's
-source curves, steps it until it drains, and times it, unless the pattern
-outgrows the allocated columns; it then returns, Python widens the time
-axis, and the next call goes on with that pattern. A step reads each link's
-lagged curves; applies the sending and receiving rules; finds every row's FIFO
-window [tau0, tau1] of its outflow by a search of its entry curve, which
-never decreases, placed on the curve once for all the row's slots; splits
-that outflow over the slots; scales merge inflows to supply and a diverging
-row's whole outflow by its most restrictive factor; and writes the next
-column, moving each slot's outflow to its path's slot on the next link,
-which never collides because a path visits a link once. A row without
-outflow has an empty window, so its slots move 0.0 unsearched. A slot that
-moved nothing adds 0.0, which changes no sum: no curve holds -0.0. After a
-pattern's last step the same call times each of its open cells: the probe,
-the cohort's median vehicle, departs at the interval midpoint with half of
-its own column ahead of it, so a column feels the queue it builds itself;
-it reads the entries ahead of it off a row's entry curve and inverts the
-row's exit curve by the same search, row after row along its path. The
-paths go through the plan's prefix trie of their row sequences (``_trie``),
-so rows that paths share from their source on are passed once per cell, and
-a path that is a prefix of another ends inside the trie. A load's link times
-are read out the same way, as paths of one row each, from the link rows of
-its block in place (``dnl_path_times``). Each search starts from the last
-answer of its row (across steps) or of its trie node (across departure
-intervals); rows never decrease, so the answer is the same from any start.
+is built once and kept while among the last few used. The time loop and the
+read-out of travel times are C functions in ``dnl_step.c``, which states how
+they go, compiled on first use with the C compiler Python was built with and
+cached on disk (``_kernel``). A cell's probe, the cohort's median vehicle,
+departs at the interval midpoint with half of its own column ahead of it, so
+a column feels the queue it builds itself, and passes its path's rows
+through the prefix trie of their row sequences (``_trie``); a load's link
+times are read out as paths of one row each (``dnl_path_times``).
+
+Arguments. What stays the same from call to call reaches the kernel in
+argument blocks (``_Block``), C structs of pointers and sizes, each filled
+and checked once, when its owner is built: a plan's ``plan_t``, which holds
+the read-out of its paths, the ``readout_t`` of its link rows, and a share
+table's ``layout_t`` (``choice._Layout``). A call passes a block's address
+and only its own arrays, which ``_arg`` checks every time.
 
 Batch axis. ``load_batch`` loads B departure patterns of one (network, path
-set, grid) one after another through one block of curves: entries and exits
-are one (rows, columns) array each and slot entries one (slots, columns)
-array, in the plan's row and slot order, allocated once per batch and
-reused by every pattern. Each pattern starts at an interval t from a base
-loading and has the base's departures before t (a strategic forecast
-spliced at t has the candidate's), so its cells before t are not read: it
-copies the base's rows up to step t * refine into the block, and steps
-from there on its own until it drains or reaches the step cap, so starts
-may come in any order. Its path times are read out from t on only, straight
-into one (patterns, paths, intervals) array for the whole batch, before the
-next pattern overwrites the block. Every pattern keeps its own drain test,
-tolerance and step count, and gets exactly the path times of loading it
-alone from step 0; ``load`` is the batch of one, and its block is its
-curves. The time axis holds the boundaries stepped so far: it starts at the
-horizon plus half of it, grows by half while a pattern has not drained, and
-stops at the step cap; a widened block stays wide for the patterns after. A
-batch returns only its path times, step counts and drain flags, so its
-memory is one pattern's curves whatever B is; a block of a few tens of
-kilobytes is reused by the allocator from one batch to the next rather than
-taken fresh, page by page, from the operating system.
+set, grid) one after another through one block of curves, the plan's rows
+and slots, allocated once per batch. Each pattern starts at an interval t
+from a base loading and has the base's departures before t (a forecast
+spliced at t has the candidate's), so it copies the base's curves up to
+step t * refine and steps from there on its own, with its own drain test
+and step count, until it drains or reaches the step cap; starts may come in
+any order. Its path times from t on are read out into one (patterns, paths,
+intervals) array before the next pattern takes the block, and are exactly
+those of loading it alone from step 0; ``load`` is the batch of one, and its
+block is its curves. One call of ``dnl_step`` loads the patterns until one
+outgrows the block's columns, the horizon plus half of it at first; Python
+then widens the block by half, for the patterns after too, and calls again.
+A batch keeps only its path times, step counts and drain flags, so its
+memory is one pattern's curves whatever B is.
 
 Exact sums. Results are bit-identical to a loop that sums each row's slots
 with ``ndarray.sum``. The kernel is compiled with -ffp-contract=off and
@@ -96,16 +76,12 @@ mirrors the numpy call it stands for. Merge inflows add in sequence, in slot
 order, links before sources, as ``np.bincount`` does, and each is added to
 the entry column in turn, a source's total in one addition, as ``np.add.at``
 does. Row totals and the drain sum (a copy's rows: used links in link order,
-then the sources) are ``ndarray.sum``: 0.0 plus numpy's pairwise sum, which
-adds fewer than 8 numbers in sequence, up to 128 in 8 accumulators combined
-as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) before the tail is added, and more in
-two halves split at n/2 rounded down to a multiple of 8. ``dnl_step.c``
-states that order once; the rest of the package sums in it only through the
-kernel: ``choice`` totals its logit blocks in ``dnl_logit_shares``, assigned
-blocks and the prefixes of a departure history with ``run_sums``
-(``dnl_run_sums``), and its rollout's blocks in ``dnl_rollout``. A source's
-entry curve is 0.0 plus its slots' curves in sequence, as numpy sums a
-(slots, columns) block over its slots.
+then the sources) are ``ndarray.sum``, 0.0 plus numpy's pairwise sum, whose
+order ``dnl_step.c`` states once. The rest of the package sums in that order
+only through the kernel: ``choice`` totals its logit blocks, assigned
+blocks, the prefixes of a departure history (``run_sums``) and its
+rollout's blocks there. A source's entry curve is 0.0 plus its slots'
+curves in sequence, as numpy sums a (slots, columns) block over its slots.
 
 Sensitivity. The sending rule branches on an absolute backlog ``> EPS_VEH``
 (1e-12 vehicles, defined in ``dnl_step.c``). A last-bit change in a per-row
@@ -148,9 +124,7 @@ def check_feasible(values: np.ndarray, path_set: PathSet, demand_per_od: np.ndar
     for od_index, d in enumerate(demand_per_od):
         got = values[path_set.od_slices[od_index]].sum()
         if abs(got - d) > 1e-9 * max(1.0, d):
-            raise ValueError(
-                f"OD {od_index}: departures sum to {got!r}, demand is {d!r}"
-            )
+            raise ValueError(f"OD {od_index}: departures sum to {got!r}, demand is {d!r}")
 
 
 @dataclass
@@ -201,21 +175,69 @@ def _widen(curves: np.ndarray, cols: int) -> np.ndarray:
     return out
 
 
+_PTR, _I64, _F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+
+
+def _fields(pointers: str, sizes: str, *more) -> list:
+    """``_fields_`` of a ``_Block``: the named pointers, int64 sizes, then ``more``."""
+    return [(name, _PTR) for name in pointers.split()] + [
+        (name, _I64) for name in sizes.split()] + list(more)
+
+
+class _Block(ctypes.Structure):
+    """An argument block of the kernel: arrays that stay the same from call to call, then sizes.
+
+    Built from the (array, dtype, length) of each pointer field, in the C
+    struct's order, then the other fields. Each array is checked by ``_arg``
+    once, here, made read-only and kept alive in ``arrays``, with those of a
+    block it holds. ``ptr`` is the block's address.
+    """
+
+    def __init__(self, arrays, *fields):
+        super().__init__(*(_arg(x, dtype, (n,)) for x, dtype, n in arrays), *fields)
+        self.arrays = [x for x, _, _ in arrays] + [
+            x for f in fields if isinstance(f, _Block) for x in f.arrays]
+        for x in self.arrays:
+            x.flags.writeable = False
+        self.ptr = ctypes.addressof(self)
+
+
+class _ReadOut(_Block):
+    """``readout_t``: the prefix ``trie`` (``_trie``) of the row sequences ``path_rows``.
+
+    With the R rows' free-flow times and capacities, the cells' departure
+    ``times`` and the sample step; the kernel indexes by the trie unchecked.
+    """
+
+    _fields_ = _fields("node_row node_parent path_end row_ff row_cap times", "K P T",
+                       ("dt", _F64))
+
+    def __init__(self, path_rows, row_ff, row_cap, times, dt: float):
+        self.trie, self.R = _trie(path_rows), len(row_ff)
+        _check_trie(self.trie, path_rows, self.R)
+        (K, _, P), T = map(len, self.trie), len(times)
+        super().__init__([*zip(self.trie, [np.int64] * 3, (K, K, P)), (row_ff, np.float64, self.R),
+                          (row_cap, np.float64, self.R), (times, np.float64, T)], K, P, T, dt)
+
+
+class _PlanBlock(_Block):
+    """``plan_t``: a ``_Plan``'s index arrays and link parameters, for ``dnl_step``."""
+
+    _fields_ = _fields("row_start slot_next slot_dest src_link src_path ff cap wave_lag storage "
+                       "frac", "A R L S refine", ("dt", _F64), ("paths", _ReadOut))
+
+
 class _Plan:
     """Index arrays of one (network links, path link sequences, grid).
 
     Rows are the links that some path uses, in link order, then one source
     connector per distinct first link. A slot is one (row, path) pair; slots
-    are numbered row-major, in path order within a row. The other links
-    never carry a vehicle: they get no row, and the plan reads none of their
-    parameters, so the refine factor is set by the used links alone.
-    ``_plan`` keeps the last few plans, so loads of one network share one.
-    ``args`` leads every step kernel call: the index arrays (with each
-    source slot's path and the paths' prefix trie, ``_trie``), the link
-    parameters (with the fractions of an interval at the internal steps,
-    each row's free-flow time and capacity for the read-out, and the
-    interval midpoints), the sizes and the step. ``link_trie`` leads the
-    read-out call of link times.
+    are numbered row-major, in path order within a row. The other links get
+    no row, and the plan reads none of their parameters, so the refine
+    factor is set by the used links alone. ``_plan`` keeps the last few
+    plans. The kernel reads a plan through ``block`` (``plan_t``), which
+    holds ``paths``, the read-out of the paths' times at the interval
+    midpoints; ``links`` reads each link row alone at the interval starts.
     """
 
     def __init__(self, links: tuple, seqs: tuple, grid: TimeGrid):
@@ -257,25 +279,19 @@ class _Plan:
             self.path_rows[p, : len(rows)] = rows
         self.row_ff = np.concatenate((self.ff, np.zeros(n_src)))
         self.row_cap = np.concatenate((self.cap, self.cap[self.src_links]))
-        # the read-out's prefix tries, of the paths and of each link row
-        # alone, checked once here: the kernel indexes by them unchecked
-        link_rows = np.arange(A)[:, None]
-        self.path_trie, self.link_trie = _trie(self.path_rows), _trie(link_rows)
-        _check_trie(self.path_trie, self.path_rows, A + n_src)
-        _check_trie(self.link_trie, link_rows, A)
 
-        # the kernel reads contiguous int64 indices and float64 parameters, kept alive here
-        R, S, K, P, T = A + n_src, len(pairs), len(self.path_trie[0]), len(seqs), grid.n_intervals
-        index = [(row_start, R + 1), (self.slot_next, S), (self.slot_dest, S),
-                 (self.src_links, n_src), (self.slot_path[L:], S - L),
-                 *zip(self.path_trie, (K, K, P))]
-        params = [(self.ff, A), (self.cap, A), (self.wave_lag, A), (self.storage, A),
-                  (np.linspace(0.0, 1.0, self.refine + 1), self.refine + 1), (self.row_ff, R),
-                  (self.row_cap, R), (grid.interval_mids(), T)]
-        self._buffers = ([np.ascontiguousarray(x, dtype=np.int64) for x, _ in index]
-                         + [np.ascontiguousarray(x, dtype=float) for x, _ in params])
-        self.args = (*(_arg(x, x.dtype, (n,)) for x, (_, n) in zip(self._buffers, index + params)),
-                     A, n_src, self.refine, K, P, T, self.dt)
+        # the kernel reads these arrays, read-only from here on, through its blocks
+        R, S, i64, f64 = A + n_src, len(pairs), np.int64, np.float64
+        self.links = _ReadOut(np.arange(A)[:, None], np.zeros(A), self.cap,
+                              grid.interval_starts(), self.dt)
+        self.paths = _ReadOut(self.path_rows, self.row_ff, self.row_cap, grid.interval_mids(),
+                              self.dt)
+        self.block = _PlanBlock(
+            [(row_start, i64, R + 1), (self.slot_next, i64, S), (self.slot_dest, i64, S),
+             (self.src_links, i64, n_src), (self.slot_path[L:], i64, S - L),
+             *((x, f64, A) for x in (self.ff, self.cap, self.wave_lag, self.storage)),
+             (np.linspace(0.0, 1.0, self.refine + 1), f64, self.refine + 1)],
+            A, R, L, S, self.refine, self.dt, self.paths)
 
 
 _plan = functools.lru_cache(maxsize=8)(_Plan)
@@ -284,10 +300,9 @@ _plan = functools.lru_cache(maxsize=8)(_Plan)
 def _trie(path_rows: np.ndarray) -> tuple[np.ndarray, ...]:
     """The prefix trie of the row sequences ``path_rows[P, hops]``, padded with -1.
 
-    Returns ``node_row`` and ``node_parent`` of each node, -1 for a node
-    entered at departure, every parent before its children, and each path's
-    end node ``path_end``; a path that is a prefix of another ends at an
-    inner node.
+    Returns ``node_row`` and ``node_parent`` of each node (-1: entered at
+    departure; parents before children) and each path's end node
+    ``path_end``, inner for a path that is a prefix of another.
     """
     nodes: dict[tuple[int, int], int] = {}  # (parent, row) -> node
     path_end = []
@@ -367,15 +382,14 @@ def load(
 ) -> LoadingResult:
     """Map total path departures to path travel times.
 
-    A batch of one of the stepper behind ``load_batch``. Deterministic:
-    identical inputs give bit-identical results. With ``compute_link_times``,
+    A batch of one of the stepper behind ``load_batch``; identical inputs
+    give bit-identical results. With ``compute_link_times``,
     ``instant_path_time`` sums each path's link times for entry at each
     interval start, hop by hop; without, it is None. ``link_up`` and
     ``link_dn`` are views of arrays with up to half as many columns again as
     the loading used; ``n_up`` and ``n_dn`` are those curves themselves when
-    every link is on a path, and otherwise new arrays, with zero rows for the
-    other links, on each access. The result keeps its slot curves, so it can
-    serve as the base of a ``load_batch``.
+    every link is on a path, and otherwise new arrays with zero rows for the
+    other links. The result keeps its slot curves, to be a ``load_batch`` base.
     """
     h = _departures(departures, path_set.n_paths, grid.n_intervals)[None]
     plan = _plan(net.links, path_set.link_seq, grid)
@@ -416,13 +430,9 @@ def load_batch(base: LoadingResult, departures: np.ndarray, starts) -> BatchResu
     grid. ``starts`` holds B intervals in [0, T), in any order (one outside
     raises ``DnlError``). Pattern b is the base's departures before interval
     ``starts[b]`` and ``departures[b, P, T]`` from there on: the cells of
-    ``departures`` before each start are not read. Each pattern takes the
-    base's curves up to its start and, on one block of the network's rows
-    and slots, steps on its own from there until it drains, with its own
-    drain test and step count, and is timed before the next pattern takes
-    the block. Its step count, drain flag and path times from its start on
-    are bit-identical to ``load`` of that pattern alone. Only the path
-    times, step counts and drain flags are kept.
+    ``departures`` before each start are not read. Each pattern's step
+    count, drain flag and path times from its start on are bit-identical to
+    ``load`` of that pattern alone; only these are kept.
     """
     plan, base_h = base._state[:2]
     P, T = base_h.shape
@@ -488,29 +498,30 @@ def _library(cc: list[str]) -> str:
 def _kernel() -> ctypes.CDLL:
     """The step kernel (``dnl_step.c``), built with the C compiler Python was built with."""
     lib = ctypes.CDLL(_library(shlex.split(sysconfig.get_config_var("CC") or "cc")))
-    ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    lib.dnl_step.argtypes = [ptr] * 16 + [i64] * 6 + [f64, i64] + [ptr] * 5 + [i64] * 3 + [ptr] * 8
-    lib.dnl_step.restype = i64
-    lib.dnl_path_times.argtypes = [ptr, ptr, i64, ptr, i64, ptr, ptr, f64, ptr, i64, i64, i64,
-                                   ptr, ptr, ptr, ptr]
-    lib.dnl_path_times.restype = i64
-    lib.dnl_run_sums.argtypes = [ptr, i64, ptr, ptr, i64, ptr]
-    lib.dnl_run_sums.restype = i64
-    lib.dnl_rollout.argtypes = [ptr] * 6 + [i64] * 3 + [ptr, i64, i64] + [ptr] * 4
-    lib.dnl_rollout.restype = i64
-    lib.dnl_logit_exponents.argtypes = ([ptr] + [i64] * 5 + [ptr, ptr, i64, ptr, i64] + [f64] * 4
-                                        + [ptr, i64, ptr, i64])
-    lib.dnl_logit_exponents.restype = i64
-    lib.dnl_logit_shares.argtypes = [ptr, i64, ptr, ptr, i64, ptr]
-    lib.dnl_logit_shares.restype = i64
+    ptr, i64, f64 = _PTR, _I64, _F64  # an argument block is a pointer
+    for name, argtypes in (
+            ("dnl_step", [ptr, i64] + [ptr] * 5 + [i64] * 3 + [ptr] * 8),
+            ("dnl_path_times", [ptr, i64, i64] + [ptr] * 4),
+            ("dnl_run_sums", [ptr, i64, ptr, ptr, i64, ptr]),
+            ("dnl_rollout", [ptr] * 8),
+            ("dnl_logit_exponents", [ptr, ptr, i64, i64, ptr, i64] + [f64] * 4 + [ptr, ptr]),
+            ("dnl_logit_shares", [ptr] * 3),
+            ("dnl_blocks", [ptr, i64])):
+        getattr(lib, name).argtypes, getattr(lib, name).restype = argtypes, i64
     return lib
 
 
 def _arg(x: np.ndarray, dtype, shape: tuple) -> int:
-    """Address of ``x`` for the kernel, which reads it as C-contiguous ``dtype`` of ``shape``."""
+    """Address of ``x`` for the kernel, which reads it as C-contiguous ``dtype`` of ``shape``.
+
+    Read through ctypes, at a third of the cost of ``ndarray.ctypes``,
+    unless ``x`` is read-only or empty, which ctypes refuses.
+    """
     if not (x.dtype == dtype and x.flags.c_contiguous and x.shape == shape):
         raise ValueError(f"kernel argument of dtype {x.dtype} and shape {x.shape} is not "
                          f"C-contiguous {np.dtype(dtype)} of shape {shape}")
+    if x.flags.writeable and x.size:
+        return ctypes.addressof(ctypes.c_char.from_buffer(x))
     return x.ctypes.data
 
 
@@ -539,30 +550,25 @@ def _step(
 
     The patterns are loaded one after another in one block of curves (the
     entries ``up`` and exits ``dn`` of the plan's rows, the entries
-    ``slots`` of its slots), allocated here and reused by each pattern in
-    turn. Pattern b takes the base's curves up to step ``starts[b] *
-    refine`` and steps from there until it drains or reaches the step cap;
-    its path times from its start on are written into ``path_time[b]`` and
-    ``extrapolated[b]``. The kernel (``dnl_step``) returns at a pattern that
-    has not drained at the last allocated column; the block is widened by
-    half and the pattern goes on. Returns the block, ``up``, ``dn`` and
-    ``slots``, which holds the last pattern's curves up to column
-    ``n_steps[-1]``, and each pattern's ``n_steps`` and ``drained``.
+    ``slots`` of its slots), from the base's curves at step ``starts[b] *
+    refine``; their path times from their starts on go into ``path_time``
+    and ``extrapolated``. The kernel (``dnl_step``) returns at a pattern that
+    has not drained at the last column; the block is widened by half and the
+    pattern goes on. Returns the block, with the last pattern's curves up to
+    column ``n_steps[-1]``, and each pattern's ``n_steps`` and ``drained``.
     """
-    B, P, T = h.shape
-    R, S = plan.A + len(plan.source_links), len(plan.slot_row)
+    pl = plan.block
+    B, P, T, R, S = len(h), plan.paths.P, plan.paths.T, pl.R, pl.S
     t_sim = T * plan.refine
     s_max = _step_cap(t_sim)
     cols = _first_cols(t_sim, s_max)
     up, dn, slots = np.empty((R, cols)), np.empty((R, cols)), np.empty((S, cols))
     n_steps, drained = np.empty(B, dtype=np.int64), np.empty(B, dtype=bool)
-    if base is None:
-        base_args = (None, None, None, 0)
-    else:
-        base_up, base_dn, base_slots = base._state[2:]
-        base_cols = base_up.shape[1]
+    base_args = (None, None, None, 0)
+    if base is not None:  # its block: up, dn and slots
+        base_cols = base._state[2].shape[1]
         base_args = (*(_arg(x, np.float64, (n, base_cols))
-                       for x, n in ((base_up, R), (base_dn, R), (base_slots, S))), base_cols)
+                       for x, n in zip(base._state[2:], (R, R, S))), base_cols)
     at = np.array([0, -1], dtype=np.int64)  # the pattern to go on with, and its step
     batch = [_arg(h, np.float64, (B, P, T)), _arg(starts, np.int64, (B,)), *base_args, s_max]
     out = [_arg(x, dtype, shape) for x, dtype, shape in (
@@ -570,7 +576,7 @@ def _step(
         (path_time, np.float64, (B, P, T)), (extrapolated, np.bool_, (B, P, T)))]
     while True:
         block = [_arg(x, np.float64, (n, cols)) for x, n in ((up, R), (dn, R), (slots, S))]
-        code = _kernel().dnl_step(*plan.args, B, *batch, cols, *block, *out)
+        code = _kernel().dnl_step(pl.ptr, B, *batch, cols, *block, *out)
         if code == 0:
             return up, dn, slots, n_steps, drained
         if code == -1:
@@ -587,35 +593,26 @@ def _link_times(res: LoadingResult) -> np.ndarray:
     """Travel time for entry at each departure-interval boundary, per used link row.
 
     Each link row of the loading's block, read in place up to its last step,
-    is a path of that row alone, entered at the boundary with no free-flow
-    floor; flooring its time there at free-flow time gives max(ff, exit -
-    entry), since ff > 0.
+    is a path of that row alone, with no free-flow floor: flooring its time
+    at free-flow time gives max(ff, exit - entry), since ff > 0.
     """
     plan, (up, dn) = res._state[0], res._state[2:4]
-    A, T = plan.A, res.grid.n_intervals
-    out = np.empty((A, T))
-    _read_out(plan.link_trie, np.zeros(A), plan.cap, plan.dt, res.grid.interval_starts(),
-              res.n_steps, up[:A], dn[:A], out, np.empty(out.shape, dtype=bool))
+    out = np.empty((plan.A, res.grid.n_intervals))
+    _read_out(plan.links, res.n_steps, up[: plan.A], dn[: plan.A], out,
+              np.empty(out.shape, dtype=bool))
     return np.maximum(plan.ff[:, None], out)
 
 
-def _read_out(trie, row_ff, row_cap, dt: float, times, last: int, up, dn, path_time,
-              extrapolated) -> None:
+def _read_out(ro: _ReadOut, last: int, up, dn, path_time, extrapolated) -> None:
     """Chain FIFO exit times through each path's rows into every (P, T) cell (``dnl_path_times``).
 
-    ``trie`` is the prefix trie (``_trie``) of paths over the rows of the
-    (rows, cols) curves ``up`` and ``dn``, read up to sample ``last``, which
-    the kernel indexes by unchecked. It reads a loading's link times;
-    ``dnl_step`` reads a batch's path times by the same code.
+    ``ro`` reads paths over the rows of the (rows, cols) curves ``up`` and
+    ``dn`` up to sample ``last``, which the kernel indexes by unchecked.
     """
-    node_row, node_parent, path_end = trie
-    (R, cols), K, P, T = up.shape, len(node_row), len(path_end), len(times)
+    cols, shape = up.shape[-1], (ro.P, ro.T)
     if not 0 <= last < cols:
         raise DnlError(f"read-out sample {last} is outside the curves' [0, {cols})")
     if _kernel().dnl_path_times(
-            _arg(node_row, np.int64, (K,)), _arg(node_parent, np.int64, (K,)), K,
-            _arg(path_end, np.int64, (P,)), P, _arg(row_ff, np.float64, (R,)),
-            _arg(row_cap, np.float64, (R,)), dt, _arg(times, np.float64, (T,)), T, last, cols,
-            *(_arg(x, np.float64, (R, cols)) for x in (up, dn)),
-            _arg(path_time, np.float64, (P, T)), _arg(extrapolated, np.bool_, (P, T))) < 0:
+            ro.ptr, last, cols, *(_arg(x, np.float64, (ro.R, cols)) for x in (up, dn)),
+            _arg(path_time, np.float64, shape), _arg(extrapolated, np.bool_, shape)) < 0:
         raise MemoryError("read-out kernel could not allocate its work arrays")

@@ -12,6 +12,15 @@
    ``exp``, and state the disutility; and ``dnl_rollout`` carries one class's
    remaining demand through the provision intervals of a share table.
 
+   Arguments. What stays the same from call to call comes in one argument
+   block: a plan (``plan_t``), a read-out (``readout_t``) or a table layout
+   (``layout_t``), a struct of pointers and sizes that ``dnl._Plan``,
+   ``dnl._ReadOut`` and ``choice._Layout`` fill once, checked, and keep
+   alive with their arrays read-only. An entry point takes its block by
+   pointer and, besides it, only the arrays and numbers of the call.
+   ``dnl_blocks`` reports each block's size and field offsets, for the
+   ctypes mirrors to be tested against.
+
    Built by ``dnl._kernel`` with -ffp-contract=off and without fast-math, so
    every operation rounds once, as its numpy form does. The block is one
    pattern's curves: ``up`` and ``dn`` hold the plan's rows (used links in
@@ -36,6 +45,7 @@
    (``dnl_sum``). This file is the one statement of that pairwise order. */
 
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -97,6 +107,20 @@ i64 dnl_run_sums(const double *x, i64 len, const i64 *start, const i64 *size, i6
     return 0;
 }
 
+/* The layout of a share table (``choice._Layout``): the open cells of the n
+   provision intervals from ``first`` of T, interval i's P paths x
+   departures ``first`` + i .. T - 1 row-major, after the cells of the
+   intervals before it. Path p belongs to OD ``path_od[p]`` of ``n_od``; the
+   paths of one OD are a run of equal ``path_od``, so they make one block
+   at each interval. Block k, m per interval, ``blocks`` in all, is the
+   ``size[k]`` cells from ``start[k]`` of ``cells`` and holds OD
+   ``block_od[k]``. ``mids`` holds the T interval midpoints. */
+typedef struct {
+    const i64 *start, *size, *block_od, *path_od;
+    const double *mids;
+    i64 n, first, T, P, n_od, m, cells, blocks;
+} layout_t;
+
 /* Systematic disutility of a trip of ``phi`` departing at ``t`` that aims to
    arrive at ``target``, all in one time unit: the travel time plus the
    quadratic schedule penalty, ``mu_early`` on an early gap and ``mu_late``
@@ -107,28 +131,27 @@ static double disutility(double phi, double t, double target, double mu_early, d
     return phi + (gap < 0.0 ? mu_early : mu_late) * gap * gap;
 }
 
-/* Pass 1 of ``choice.share_table``'s logit. The open cells of the n
-   provision intervals from ``first`` are laid out as ``choice._layout``
-   lays them: interval i's P paths x departures ``first`` + i .. T - 1,
-   row-major, after the cells of the intervals before it, so the paths of
-   one OD (a run of equal ``path_od``) at one interval are one block. A cell
-   (i, p, j) takes its travel time from ``phi[i, p, j]`` (n x ``phi_paths``
-   x ``phi_cols``, where 1 repeats one path or one column), its departure
-   time ``mids[j]`` and its OD's ``target``, each divided by ``unit``, and
-   gets their ``disutility``. With ``theta`` 0, ``z`` gets the disutilities
-   themselves. With a positive ``theta``, ``finite[k]`` tells whether block k's disutilities
-   all are, and its cells get the logit's exponents: -``theta`` times the
-   disutility (times 0.0 in a block that is not finite) less the block's
-   largest. Returns 0 when the blocks fill the ``cells`` numbers of ``z`` and
-   the ``blocks`` flags of ``finite``; -1, before writing past either, if a
-   block would leave them, some path's OD lies outside [0, ``n_od``), or
-   ``phi``, the intervals or ``theta`` do not fit; -2 if out of memory. */
-i64 dnl_logit_exponents(const double *phi, i64 n, i64 phi_paths, i64 phi_cols, i64 first,
-                        i64 T, const double *mids, const i64 *path_od, i64 P,
-                        const double *target, i64 n_od, double unit, double mu_early,
-                        double mu_late, double theta, double *z, i64 cells, uint8_t *finite,
-                        i64 blocks)
+/* Pass 1 of ``choice.share_table``'s logit over the open cells of ``lay``,
+   whose blocks it finds from the runs of ``path_od``. A cell (i, p, j)
+   takes its travel time from ``phi[i, p, j]`` (n x ``phi_paths`` x
+   ``phi_cols``, where 1 repeats one path or one column), its departure
+   time ``mids[j]`` and its OD's ``target`` (one for each of ``n_target``
+   ODs), each divided by ``unit``, and gets their ``disutility``. With
+   ``theta`` 0, ``z`` gets the disutilities themselves. With a positive
+   ``theta``, ``finite[k]`` tells whether block k's disutilities all are,
+   and its cells get the logit's exponents: -``theta`` times the disutility
+   (times 0.0 in a block that is not finite) less the block's largest.
+   Returns 0 when the blocks fill the ``cells`` numbers of ``z`` and the
+   ``blocks`` flags of ``finite``; -1, before writing past either, if a
+   block would leave them, some path's OD lies outside [0, ``n_target``),
+   or ``phi``, the intervals or ``theta`` do not fit; -2 if out of memory. */
+i64 dnl_logit_exponents(const layout_t *lay, const double *phi, i64 phi_paths, i64 phi_cols,
+                        const double *target, i64 n_target, double unit, double mu_early,
+                        double mu_late, double theta, double *z, uint8_t *finite)
 {
+    const i64 n = lay->n, first = lay->first, T = lay->T, P = lay->P, cells = lay->cells;
+    const i64 blocks = lay->blocks, *path_od = lay->path_od;
+    const double *mids = lay->mids;
     if (n < 0 || first < 0 || first + n > T || (phi_paths != 1 && phi_paths != P)
         || (phi_cols != 1 && phi_cols != T) || !(theta >= 0.0))
         return -1;
@@ -145,7 +168,7 @@ i64 dnl_logit_exponents(const double *phi, i64 n, i64 phi_paths, i64 phi_cols, i
             for (q = p + 1; q < P && path_od[q] == od; q++)
                 ;
             const i64 size = (q - p) * width;
-            if (od < 0 || od >= n_od || k >= blocks || size > cells - pos) {
+            if (od < 0 || od >= n_target || k >= blocks || size > cells - pos) {
                 code = -1;
                 break;
             }
@@ -180,16 +203,16 @@ i64 dnl_logit_exponents(const double *phi, i64 n, i64 phi_paths, i64 phi_cols, i
     return code;
 }
 
-/* Pass 2 of the logit, after numpy's ``exp`` of the exponents: block k, the
-   ``size[k]`` numbers of ``w`` from ``start[k]``, is divided by its
-   ``ndarray.sum``, and ``top[k]`` is the block's first cell of largest
+/* Pass 2 of the logit, after numpy's ``exp`` of the exponents: block k of
+   ``lay``, the ``size[k]`` numbers of ``w`` from ``start[k]``, is divided by
+   its ``ndarray.sum``, and ``top[k]`` is the block's first cell of largest
    share, as numpy finds it: none, so ``cells``, if a share is NaN. Returns
    -1 at the first block that is empty or does not lie inside the ``cells``
    numbers of ``w``, else 0. */
-i64 dnl_logit_shares(double *w, i64 cells, const i64 *start, const i64 *size, i64 blocks,
-                     i64 *top)
+i64 dnl_logit_shares(const layout_t *lay, double *w, i64 *top)
 {
-    for (i64 k = 0; k < blocks; k++) {
+    const i64 *start = lay->start, *size = lay->size, cells = lay->cells;
+    for (i64 k = 0; k < lay->blocks; k++) {
         if (start[k] < 0 || size[k] < 1 || size[k] > cells - start[k])
             return -1;
         double *share = w + start[k];
@@ -210,28 +233,30 @@ i64 dnl_logit_shares(double *w, i64 cells, const i64 *start, const i64 *size, i6
     return 0;
 }
 
-/* One class's rollout over the n provision intervals of a share table, as
-   ``choice.rollout`` states it: at interval i, each block of the table's
-   layout (m per interval, block k of each holding OD ``block_od[k]``'s paths
-   x ``width`` - i departure intervals row-major, so the interval's cells are
-   one paths x departures matrix) assigns ``rem`` of its OD, shares times
-   demand, with the residual of the block's total folded into its cell
-   ``top``; each path's first cell is realized into ``y[p, i]`` and
-   subtracted from ``rem`` of OD ``path_od[p]`` in path order, as
-   ``np.subtract.at`` does. A remainder below -1e-9 of its OD's demand (or of
+/* One class's rollout over the n provision intervals of a share table of
+   layout ``lay``, as ``choice.rollout`` states it: at interval i, each block
+   of the layout (m per interval, block k of each holding OD
+   ``block_od[k]``'s paths x T - ``first`` - i departure intervals
+   row-major, so the interval's cells are one paths x departures matrix)
+   assigns ``rem`` of its OD, shares times demand, with the residual of the
+   block's total folded into its cell ``top``; each path's first cell is
+   realized into ``y[p, i]`` and subtracted from ``rem`` of OD
+   ``path_od[p]`` in path order, as ``np.subtract.at`` does. A remainder below -1e-9 of its OD's demand (or of
    one vehicle) is an overdraw; smaller ones are clamped to zero as
    ``np.maximum`` does, keeping NaN (so does ``max2(1.0, demand)``, whose
-   NaN fails the test as numpy's does). ``work`` holds P x ``width`` cells.
+   NaN fails the test as numpy's does). ``work`` holds P x (T - ``first``)
+   cells.
    Returns 0, or stops at the first failed check of interval i and returns
    2 i + 1 for a negative demand or a nonzero one on a non-finite block,
    with ``rem`` as the check found it, and 2 i + 2 for an overdraw, with
    ``rem`` before the clamp. */
-i64 dnl_rollout(const double *share, const i64 *start, const i64 *size, const i64 *top,
-                const uint8_t *finite, const i64 *block_od, i64 m, i64 n, i64 width,
-                const i64 *path_od, i64 P, i64 n_od, const double *demand, double *rem,
-                double *y, double *work)
+i64 dnl_rollout(const layout_t *lay, const double *share, const i64 *top,
+                const uint8_t *finite, const double *demand, double *rem, double *y,
+                double *work)
 {
-    for (i64 i = 0; i < n; i++, width--) {
+    const i64 *start = lay->start, *size = lay->size, *block_od = lay->block_od;
+    const i64 *path_od = lay->path_od, m = lay->m, n = lay->n, P = lay->P, n_od = lay->n_od;
+    for (i64 i = 0, width = lay->T - lay->first; i < n; i++, width--) {
         const i64 *blocks = start + i * m;
         for (i64 k = 0; k < m; k++)
             if (rem[block_od[k]] < 0.0)
@@ -343,14 +368,36 @@ static double invert(const double *row, i64 n, double target, double dt, double 
     return ((double)(lo - 1) + (target - below) / (row[lo] - below)) * dt;
 }
 
-/* The plan's index arrays and link parameters, as ``dnl_step`` receives
-   them: A link rows then the sources, R rows in all, L link slots then the
-   source slots, S slots in all, each row's slots from ``row_start[r]``. */
+/* A read-out (``dnl._ReadOut``): the prefix trie of P paths over rows of
+   curves sampled every ``dt``, and what ``read_out`` reads of each row.
+   Node k of K is row ``node_row[k]``, entered from node ``node_parent[k]``
+   (-1: at departure), which precedes it, and path p ends at node
+   ``path_end[p]``; paths that share a prefix share its nodes. A probe
+   stays at least ``row_ff[r]`` on row r, whose exits go on at ``row_cap[r]``
+   past its last sample. The probe of departure interval j of T leaves at
+   ``times[j]``. */
 typedef struct {
-    const i64 *row_start, *slot_next, *slot_dest, *src_link;
-    const double *ff, *cap, *wave_lag, *storage;
-    i64 A, R, L, S;
+    const i64 *node_row, *node_parent, *path_end;
+    const double *row_ff, *row_cap, *times;
+    i64 K, P, T;
     double dt;
+} readout_t;
+
+/* A plan (``dnl._Plan``): A link rows then the sources, R rows in all, L
+   link slots then the source slots, S slots in all, each row's slots from
+   ``row_start[r]``. Slot j moves to row ``slot_next[j]`` (-1: its path
+   ends), into its path's slot ``slot_dest[j]`` there; source r feeds link
+   row ``src_link[r - A]``, and source slot j carries path ``src_path[j -
+   L]``. The link rows' free-flow times, capacities, backward-wave lags and
+   storages follow; ``frac`` holds the fractions of an interval at its
+   ``refine`` + 1 internal steps of ``dt``, and ``paths`` reads the paths'
+   times at the interval midpoints. */
+typedef struct {
+    const i64 *row_start, *slot_next, *slot_dest, *src_link, *src_path;
+    const double *ff, *cap, *wave_lag, *storage, *frac;
+    i64 A, R, L, S, refine;
+    double dt;
+    readout_t paths;
 } plan_t;
 
 /* One node of the read-out's prefix trie, for the cell being read. */
@@ -379,12 +426,13 @@ static void take_base(double *x, const double *base, i64 n, i64 cols, i64 base_c
    columns between at ``a + frac[f] * (b - a)`` of their interval's ends,
    and the total from step T ``refine`` on. A source's entries are 0.0 plus
    its slots in sequence, as ``ndarray.sum`` adds across rows. */
-static void begin(const plan_t *pl, const i64 *src_path, const double *frac, i64 refine,
-                  const double *h, i64 T, i64 k, const double *base_up, const double *base_dn,
-                  const double *base_sl, i64 base_cols, double *up, double *dn, double *sl,
-                  i64 cols)
+static void begin(const plan_t *pl, const double *h, i64 k, const double *base_up,
+                  const double *base_dn, const double *base_sl, i64 base_cols, double *up,
+                  double *dn, double *sl, i64 cols)
 {
-    const i64 A = pl->A, R = pl->R, L = pl->L, S = pl->S, t_sim = T * refine;
+    const i64 A = pl->A, R = pl->R, L = pl->L, S = pl->S, T = pl->paths.T;
+    const i64 refine = pl->refine, t_sim = T * refine, *src_path = pl->src_path;
+    const double *frac = pl->frac;
     take_base(up, base_up, A, cols, base_cols, k);
     take_base(dn, base_dn, R, cols, base_cols, k);
     take_base(sl, base_sl, L, cols, base_cols, k);
@@ -542,24 +590,22 @@ static i64 advance(const plan_t *pl, i64 t, i64 stop, i64 t_sim, i64 cols, doubl
 }
 
 /* Read the open cells (p, j >= ``start``) of one pattern out of its curves
-   ``up`` and ``dn``, R rows of ``cols`` samples each. The cell's probe
-   leaves at ``times[j]`` and passes its path's rows in turn: at each it
-   reads the entries ahead of it and leaves when the exits reach them, but
-   no sooner than ``row_ff`` after it came. The K nodes of the paths' prefix
-   trie carry the probe: node k is row ``node_row[k]``, entered from node
-   ``node_parent[k]`` (-1: at departure), which precedes it, and path p ends
-   at node ``path_end[p]``; paths that share a prefix share its nodes, so
-   each node is passed once per interval. Rows are read up to sample
-   ``last`` and go on at ``row_cap`` after it; each node seeds its search
-   with its answer for the interval before. The P x T ``path_time`` and
-   ``extrapolated`` get the time from ``times[j]`` to the last exit, and
-   whether some row was read past its last sample. */
-static void read_out(const i64 *node_row, const i64 *node_parent, i64 K, const i64 *path_end,
-                     i64 P, const double *row_ff, const double *row_cap, double dt,
-                     const double *times, i64 T, i64 start, i64 last, i64 cols,
-                     const double *up, const double *dn, node_t *node, double *path_time,
-                     uint8_t *extrapolated)
+   ``up`` and ``dn``, rows of ``cols`` samples each, by the read-out ``ro``.
+   The cell's probe leaves at ``times[j]`` and passes its path's rows in
+   turn: at each it reads the entries ahead of it and leaves when the exits
+   reach them, but no sooner than ``row_ff`` after it came. The nodes of the
+   paths' prefix trie carry the probe, so each node is passed once per
+   interval. Rows are read up to sample ``last`` and go on at ``row_cap``
+   after it; each node seeds its search with its answer for the interval
+   before. The P x T ``path_time`` and ``extrapolated`` get the time from
+   ``times[j]`` to the last exit, and whether some row was read past its
+   last sample. */
+static void read_out(const readout_t *ro, i64 start, i64 last, i64 cols, const double *up,
+                     const double *dn, node_t *node, double *path_time, uint8_t *extrapolated)
 {
+    const i64 *node_row = ro->node_row, *node_parent = ro->node_parent, *path_end = ro->path_end;
+    const i64 K = ro->K, P = ro->P, T = ro->T;
+    const double *row_ff = ro->row_ff, *row_cap = ro->row_cap, *times = ro->times, dt = ro->dt;
     for (i64 k = 0; k < K; k++)
         node[k].hint = 0;
     for (i64 j = start; j < T; j++) {
@@ -591,33 +637,26 @@ static void read_out(const i64 *node_row, const i64 *node_parent, i64 K, const i
    drains or reaches step ``s_max`` (``advance``), its drain tolerance 1e-9
    of its total departures or of one vehicle, and reads its path times from
    its start on into ``path_time[b]`` and ``extrapolated[b]``
-   (``read_out``, at the interval midpoints ``times``). ``at`` holds the
+   (``read_out`` by the plan's ``paths``). ``at`` holds the
    pattern to go on with and the step it stopped before, -1 to begin it.
    Returns 0 when every pattern is done; 1, with ``at`` set, when pattern
    ``at[0]`` has not drained at the last column but is below ``s_max``:
    the caller widens the block and calls again; -1 if out of memory; -2 if
    the block ends before step t_sim, or at a start outside [0, T) or past
    the base's columns, or a step count past the block's. */
-i64 dnl_step(const i64 *row_start, const i64 *slot_next, const i64 *slot_dest,
-             const i64 *src_link, const i64 *src_path, const i64 *node_row,
-             const i64 *node_parent, const i64 *path_end, const double *ff, const double *cap,
-             const double *wave_lag, const double *storage, const double *frac,
-             const double *row_ff, const double *row_cap, const double *times, i64 A, i64 n_src,
-             i64 refine, i64 K, i64 P, i64 T, double dt,
-             i64 B, const double *h, const i64 *starts, const double *base_up,
+i64 dnl_step(const plan_t *pl, i64 B, const double *h, const i64 *starts, const double *base_up,
              const double *base_dn, const double *base_sl, i64 base_cols, i64 s_max, i64 cols,
              double *up, double *dn, double *sl, i64 *at, i64 *n_steps, uint8_t *drained,
              double *path_time, uint8_t *extrapolated)
 {
-    const i64 R = A + n_src, t_sim = T * refine, stop = s_max < cols - 1 ? s_max : cols - 1;
-    const plan_t pl = {row_start, slot_next, slot_dest, src_link, ff, cap, wave_lag, storage,
-                       A, R, row_start[A], row_start[R], dt};
+    const i64 A = pl->A, R = pl->R, P = pl->paths.P, T = pl->paths.T, refine = pl->refine;
+    const i64 t_sim = T * refine, stop = s_max < cols - 1 ? s_max : cols - 1;
 
     /* per row, per link row, per slot, per trie node, and one byte each:
        never malloc(0), and a read past the last is still out of bounds */
-    double *work = malloc(sizeof(double) * (size_t)(3 * R + 2 * A + pl.S) + 1);
+    double *work = malloc(sizeof(double) * (size_t)(3 * R + 2 * A + pl->S) + 1);
     i64 *hint = malloc(sizeof(i64) * (size_t)R + 1);  /* per row: last FIFO search answer */
-    node_t *node = malloc(sizeof(node_t) * (size_t)K + 1);
+    node_t *node = malloc(sizeof(node_t) * (size_t)pl->paths.K + 1);
     i64 code = cols > t_sim ? 0 : -2;  /* ``begin`` writes the sources to step t_sim */
     if (!work || !hint || !node)
         code = -1;
@@ -630,13 +669,12 @@ i64 dnl_step(const i64 *row_start, const i64 *slot_next, const i64 *slot_dest,
                 code = -2;
                 break;
             }
-            begin(&pl, src_path, frac, refine, hb, T, k, base_up, base_dn, base_sl, base_cols,
-                  up, dn, sl, cols);
+            begin(pl, hb, k, base_up, base_dn, base_sl, base_cols, up, dn, sl, cols);
             drained[b] = 0;
             t = k - 1;
         }
         memset(hint, 0, sizeof(i64) * (size_t)R);
-        t = advance(&pl, t, stop, t_sim, cols, up, dn, sl,
+        t = advance(pl, t, stop, t_sim, cols, up, dn, sl,
                     1e-9 * max2(1.0, dnl_sum(hb, P * T)), drained + b, n_steps + b, work, hint);
         if (!drained[b] && t < s_max) {
             at[0] = b;
@@ -650,8 +688,7 @@ i64 dnl_step(const i64 *row_start, const i64 *slot_next, const i64 *slot_dest,
             code = -2;
             break;
         }
-        read_out(node_row, node_parent, K, path_end, P, row_ff, row_cap, dt, times, T,
-                 starts[b], n_steps[b], cols, up, dn, node, path_time + b * P * T,
+        read_out(&pl->paths, starts[b], n_steps[b], cols, up, dn, node, path_time + b * P * T,
                  extrapolated + b * P * T);
     }
     free(work);
@@ -660,19 +697,49 @@ i64 dnl_step(const i64 *row_start, const i64 *slot_next, const i64 *slot_dest,
     return code;
 }
 
-/* Read one loading's link times by ``read_out``, every cell from interval 0
-   on, out of its link rows ``up`` and ``dn`` (``cols`` samples each, read up
-   to sample ``last``). Returns -1 if out of memory, else 0. */
-i64 dnl_path_times(const i64 *node_row, const i64 *node_parent, i64 K, const i64 *path_end,
-                   i64 P, const double *row_ff, const double *row_cap, double dt,
-                   const double *times, i64 T, i64 last, i64 cols, const double *up,
-                   const double *dn, double *path_time, uint8_t *extrapolated)
+/* Read one loading's link times by ``read_out`` of ``ro``, every cell from
+   interval 0 on, out of its link rows ``up`` and ``dn`` (``cols`` samples
+   each, read up to sample ``last``). Returns -1 if out of memory, else 0. */
+i64 dnl_path_times(const readout_t *ro, i64 last, i64 cols, const double *up, const double *dn,
+                   double *path_time, uint8_t *extrapolated)
 {
-    node_t *node = malloc(sizeof(node_t) * (size_t)K + 1);
+    node_t *node = malloc(sizeof(node_t) * (size_t)ro->K + 1);
     if (!node)
         return -1;
-    read_out(node_row, node_parent, K, path_end, P, row_ff, row_cap, dt, times, T, 0, last, cols,
-             up, dn, node, path_time, extrapolated);
+    read_out(ro, 0, last, cols, up, dn, node, path_time, extrapolated);
     free(node);
     return 0;
+}
+
+/* Each field of an argument block: its offset, and its kind (0 a pointer,
+   1 an i64, 2 a double, 3 a read-out) */
+#define FIELD(s, f) (i64)offsetof(s, f), \
+    _Generic(((s *)0)->f, i64: 1, double: 2, readout_t: 3, default: 0)
+
+/* The layouts of the argument blocks, for ``dnl``'s ctypes mirrors to be
+   tested against: of ``plan_t``, ``readout_t`` and ``layout_t`` in turn,
+   the size and then each field in order (``FIELD``). Writes at most n
+   numbers into ``out`` and returns how many there are. */
+i64 dnl_blocks(i64 *out, i64 n)
+{
+    const i64 all[] = {
+        sizeof(plan_t), FIELD(plan_t, row_start), FIELD(plan_t, slot_next),
+        FIELD(plan_t, slot_dest), FIELD(plan_t, src_link), FIELD(plan_t, src_path),
+        FIELD(plan_t, ff), FIELD(plan_t, cap), FIELD(plan_t, wave_lag), FIELD(plan_t, storage),
+        FIELD(plan_t, frac), FIELD(plan_t, A), FIELD(plan_t, R), FIELD(plan_t, L),
+        FIELD(plan_t, S), FIELD(plan_t, refine), FIELD(plan_t, dt), FIELD(plan_t, paths),
+        sizeof(readout_t), FIELD(readout_t, node_row), FIELD(readout_t, node_parent),
+        FIELD(readout_t, path_end), FIELD(readout_t, row_ff), FIELD(readout_t, row_cap),
+        FIELD(readout_t, times), FIELD(readout_t, K), FIELD(readout_t, P), FIELD(readout_t, T),
+        FIELD(readout_t, dt),
+        sizeof(layout_t), FIELD(layout_t, start), FIELD(layout_t, size),
+        FIELD(layout_t, block_od), FIELD(layout_t, path_od), FIELD(layout_t, mids),
+        FIELD(layout_t, n), FIELD(layout_t, first), FIELD(layout_t, T), FIELD(layout_t, P),
+        FIELD(layout_t, n_od), FIELD(layout_t, m), FIELD(layout_t, cells),
+        FIELD(layout_t, blocks),
+    };
+    const i64 count = sizeof all / sizeof all[0];
+    for (i64 k = 0; k < count && k < n; k++)
+        out[k] = all[k];
+    return count;
 }

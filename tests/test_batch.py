@@ -1,5 +1,6 @@
 """A batch of patterns loads exactly as the same patterns loaded alone."""
 
+import dataclasses
 import tracemalloc
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsuedhi import dnl
+from dsuedhi import dnl, equilibrium
 from dsuedhi import network as nw
 from oracles import step_cap, stepped
 from test_golden import random_lattice
@@ -268,6 +269,39 @@ def test_batch_of_no_patterns_returns_empty_arrays(three_link):
     got = dnl.load_batch(base, np.empty((0, P, T)), [])
     assert got.path_time.shape == got.extrapolated.shape == (0, P, T)
     assert got.n_steps.shape == got.drained.shape == (0,)
+
+
+def arrays(result) -> list[np.ndarray]:
+    """Every array of a result, of the results it holds and of its tuples (``_state``)."""
+    if isinstance(result, np.ndarray):
+        return [result]
+    if isinstance(result, tuple):
+        return [x for item in result for x in arrays(item)]
+    if dataclasses.is_dataclass(result):
+        return [x for f in dataclasses.fields(result) for x in arrays(getattr(result, f.name))]
+    return []
+
+
+def assert_fresh(first, second):
+    """No array of ``first`` shares memory with one of ``second``."""
+    ours, theirs = arrays(first), arrays(second)
+    assert ours and len(ours) == len(theirs)
+    for x in ours:
+        assert not any(np.shares_memory(x, y) for y in theirs)
+
+
+def test_each_map_and_batch_returns_fresh_arrays(three_link):
+    # ``multistart`` keeps every solve's loading and forecast batch: a result
+    # that reused the arrays of one before would change it under its holder
+    net, ps, grid, params = three_link
+    h_i, h_f = equilibrium.random_feasible_parts(np.random.default_rng(8), ps, grid,
+                                                 net.class_demands())
+    maps = [equilibrium.fixed_point_map(h_i, h_f, net, ps, grid, params) for _ in range(2)]
+    assert_fresh(*maps)
+    base, T = maps[0].loading, grid.n_intervals
+    batches = [dnl.load_batch(base, np.stack([h_i + h_f] * T), np.arange(T)) for _ in range(2)]
+    assert_fresh(*batches)
+    assert batches[0].path_time.tobytes() == batches[1].path_time.tobytes()
 
 
 def test_long_batch_holds_one_patterns_curves_at_a_time(grid_congested):

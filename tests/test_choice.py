@@ -51,7 +51,7 @@ class TestSegments:
     )
     def test_sums_equal_ndarray_sum_per_run(self, sizes, seed):
         x = segment_values(seed, sum(sizes))
-        lay = choice._layout(tuple(sizes), 1, 0, 1)  # one block per OD, of its paths
+        lay = choice._layout(tuple(sizes), nw.TimeGrid(60.0, 60.0), 0, 1)  # one block per OD
         edges = np.cumsum([0, *sizes])
         want = np.array([x[a:b].sum() for a, b in zip(edges[:-1], edges[1:])])
         assert np.array_equal(dnl.run_sums(x, lay.start, lay.size), want)
@@ -61,7 +61,7 @@ class TestSegments:
     def test_example_needs_more_than_bincount(self):
         sizes = (130, 3, 8)
         x = segment_values(1, sum(sizes))
-        lay = choice._layout(sizes, 1, 0, 1)
+        lay = choice._layout(sizes, nw.TimeGrid(60.0, 60.0), 0, 1)
         assert not np.array_equal(np.bincount(np.repeat(np.arange(3), sizes), weights=x),
                                   dnl.run_sums(x, lay.start, lay.size))
 
@@ -241,7 +241,7 @@ class TestInformationLayout:
                                                  message):
         # both passes check their blocks against the arrays they write
         net, ps = three_path_set
-        lay = choice._layout((2, 1), 3, 0, 3)
+        lay = choice._layout((2, 1), nw.TimeGrid(360.0, 120.0), 0, 3)
         assert lay.cells == 18 and lay.start.tolist() == [0, 6, 9, 13, 15, 17]
         monkeypatch.setattr(choice, "_layout", lambda *args: dataclasses.replace(lay, **edit))
         with pytest.raises(ValueError, match=message):
@@ -312,7 +312,7 @@ class TestLogit:
 
     def test_empty_choice_set(self):
         # an OD without paths gets no block, so the kernel never sees an empty choice set
-        layout = choice._layout((2, 0, 1), 3, 0, 1)
+        layout = choice._layout((2, 0, 1), nw.TimeGrid(360.0, 120.0), 0, 1)
         assert layout.block_od.tolist() == [0, 2]
         assert layout.cells == 9
         assert layout.start.tolist() == [0, 6] and layout.size.tolist() == [6, 3]

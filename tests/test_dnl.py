@@ -50,9 +50,9 @@ class TestInversion:
         dn[..., : curves.shape[1]] = curves[:, None]
         times, beyond = np.empty((B, K, 1)), np.empty((B, K, 1), dtype=bool)
         for b in range(B):
-            dnl._read_out(dnl._trie(np.arange(K)[:, None]), np.full(K, -np.inf),
-                          np.full(K, rate), dt, np.zeros(1), n[b] - 1, up[b], dn[b], times[b],
-                          beyond[b])
+            ro = dnl._ReadOut(np.arange(K)[:, None], np.full(K, -np.inf), np.full(K, rate),
+                              np.zeros(1), dt)
+            dnl._read_out(ro, n[b] - 1, up[b], dn[b], times[b], beyond[b])
         return times[..., 0], beyond[..., 0]
 
     @settings(max_examples=100, deadline=None)

@@ -201,7 +201,7 @@ def test_plan_arrays_follow_their_definitions(seed):
     assert pairs == sorted((r, p) for p, rows in enumerate(plan.path_rows.tolist())
                            for r in rows if r >= 0)
     R = len(used) + len(sources)
-    assert plan._buffers[0].tolist() == np.searchsorted(plan.slot_row, np.arange(R + 1)).tolist()
+    assert plan.block.arrays[0].tolist() == np.searchsorted(plan.slot_row, np.arange(R + 1)).tolist()
     assert plan.n_link_slots == sum(map(len, ps.link_seq))
     # slot_next and slot_dest walk each path's rows from its source slot and end at -1
     for p, rows in enumerate(plan.path_rows.tolist()):

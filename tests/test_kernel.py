@@ -1,6 +1,7 @@
 """The compiled step kernel: its sums, its bindings, and how its library is built and cached."""
 
 import ctypes
+import gc
 import os
 import re
 import shlex
@@ -12,8 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dsuedhi import dnl
+from dsuedhi import choice, dnl, equilibrium
 from dsuedhi import network as nw
+from dsuedhi.equilibrium import random_feasible_parts
+from map_cases import cases, corridor
 from oracles import source_curves
 
 CC = shlex.split(sysconfig.get_config_var("CC") or "cc")
@@ -58,7 +61,7 @@ def run_step(plan, h, starts, base, s_max, cols):
     at, n_steps, drained = np.array([0, -1]), np.zeros(B, dtype=np.int64), np.zeros(B, np.bool_)
     path_time, extrapolated = np.full(h.shape, np.nan), np.zeros(h.shape, dtype=np.bool_)
     code = dnl._kernel().dnl_step(
-        *plan.args, B, h.ctypes.data, starts.ctypes.data, *(x.ctypes.data for x in base),
+        plan.block.ptr, B, h.ctypes.data, starts.ctypes.data, *(x.ctypes.data for x in base),
         base[0].shape[1], s_max, cols, *(x.ctypes.data for x in block),
         *(x.ctypes.data for x in (at, n_steps, drained, path_time, extrapolated)))
     return code, block, n_steps, drained, path_time
@@ -129,15 +132,26 @@ def test_source_curves_equal_the_numpy_formula(grid_congested, refine):
         assert up[plan.A :].tobytes() == want_rows[0].tobytes()
 
 
+def layout(path_od, first, n, T, cells, start, size):
+    """A ``layout_t`` of ``n`` provision intervals from ``first`` of ``T`` for paths of the ODs
+    ``path_od``, whose blocks are ``start`` and ``size`` in ``cells`` cells; interval
+    midpoints 120 s apart, and every block of OD 0."""
+    i64, blocks, P = np.int64, len(start), len(path_od)
+    return choice._LayoutBlock(
+        [(np.array(start, i64), i64, blocks), (np.array(size, i64), i64, blocks),
+         (np.zeros(blocks, i64), i64, blocks), (np.array(path_od, i64), i64, P),
+         ((np.arange(T) + 0.5) * 120.0, np.float64, T)],
+        n, first, T, P, int(max(path_od)) + 1, 1, cells, blocks)
+
+
 def logit_exponents(phi, first, T, path_od, target, cells, blocks, theta=1.0):
     """``dnl_logit_exponents`` on the (n, paths, cols) travel times ``phi`` into exactly
     ``cells`` exponents and ``blocks`` flags: its return code, the exponents and the flags."""
-    mids = (np.arange(T) + 0.5) * 120.0
+    lay = layout(path_od, first, len(phi), T, cells, np.zeros(blocks), np.zeros(blocks))
     z, finite = np.full(cells, np.nan), np.zeros(blocks, dtype=np.bool_)
     code = dnl._kernel().dnl_logit_exponents(
-        phi.ctypes.data, *phi.shape, first, T, mids.ctypes.data, path_od.ctypes.data,
-        len(path_od), target.ctypes.data, len(target), 60.0, 0.8, 1.2, theta, z.ctypes.data,
-        cells, finite.ctypes.data, blocks)
+        lay.ptr, phi.ctypes.data, *phi.shape[1:], target.ctypes.data, len(target), 60.0, 0.8,
+        1.2, theta, z.ctypes.data, finite.ctypes.data)
     return code, z, finite
 
 
@@ -177,9 +191,8 @@ def test_logit_shares_refuse_a_block_outside_the_array(start, size):
     kernel = dnl._kernel()
 
     def shares(starts, sizes):
-        starts, sizes = np.array(starts), np.array(sizes)
-        return kernel.dnl_logit_shares(w.ctypes.data, len(w), starts.ctypes.data,
-                                       sizes.ctypes.data, len(starts), top.ctypes.data)
+        lay = layout([0], 0, 1, 1, len(w), starts, sizes)
+        return kernel.dnl_logit_shares(lay.ptr, w.ctypes.data, top.ctypes.data)
 
     assert shares([0, start], [3, size]) == -1
     assert top[0] == 0 and w[:3].tolist() == [0.5, 0.25, 0.25]
@@ -209,18 +222,92 @@ def test_every_entry_point_is_bound_with_its_c_signature():
         assert fn.restype is C_TYPES[returns], name
 
 
+KINDS = {ctypes.c_void_p: 0, ctypes.c_int64: 1, ctypes.c_double: 2, dnl._ReadOut: 3}
+
+
+def test_argument_blocks_mirror_their_c_structs():
+    # ctypes fills a block by its mirror's fields, the kernel reads it by the C
+    # struct's: each block's size, then each field's offset and kind, in order
+    want = []
+    for block in (dnl._PlanBlock, dnl._ReadOut, choice._LayoutBlock):
+        want.append(ctypes.sizeof(block))
+        for name, ctype in block._fields_:
+            want += [getattr(block, name).offset, KINDS[ctype]]
+    got = np.full(len(want) + 1, -1, dtype=np.int64)
+    assert dnl._kernel().dnl_blocks(got.ctypes.data, len(got)) == len(want)
+    assert got[:-1].tolist() == want and got[-1] == -1
+
+
+def pointers(block):
+    """The address in each pointer field of ``block`` and of the blocks it holds."""
+    for name, ctype in block._fields_:
+        if ctype is ctypes.c_void_p:
+            yield getattr(block, name)
+        elif issubclass(ctype, ctypes.Structure):
+            yield from pointers(getattr(block, name))
+
+
+def test_block_arrays_are_read_only_and_outlive_what_they_were_built_from():
+    net, ps, grid, params = corridor()
+    h = sum(random_feasible_parts(np.random.default_rng(3), ps, grid, net.class_demands()))
+    demand = net.class_demands()[0]
+    # new blocks, through which one load and one table are made; the blocks
+    # alone keep some of their arrays, such as each plan's interval midpoints
+    dnl._plan.cache_clear()
+    choice._layout.cache_clear()
+    res = dnl.load(net, ps, grid, h)
+    phi = res.instant_path_time.T[:, :, None]
+    table = choice.share_table(phi, 0, grid, ps, params)
+    plan, layout = res._state[0], table.layout
+    want = res.path_time.tobytes(), table.share.tobytes(), choice.rollout(table, demand, ps)
+    for block in (plan.block, plan.links, layout.block):
+        addresses = list(pointers(block))
+        assert len(addresses) == len(block.arrays)
+        assert set(addresses) == {x.ctypes.data for x in block.arrays}
+        for x in block.arrays:
+            assert not x.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                x[...] = 0
+    del res, table
+    gc.collect()
+    junk = [np.full(n, np.nan) for n in range(1, 400)]  # takes what was freed
+    # the same load through the cached plan, and the same table through the cached layout
+    got, flags = np.empty((1, *h.shape)), np.empty((1, *h.shape), dtype=bool)
+    dnl._step(plan, h[None], np.zeros(1, dtype=np.int64), got, flags)
+    again = choice.share_table(phi, 0, grid, ps, params)
+    assert again.layout is layout
+    assert (got[0].tobytes(), again.share.tobytes()) == want[:2]
+    assert choice.rollout(again, demand, ps).tobytes() == want[2].tobytes()
+    del junk
+
+
 def test_kernel_arguments_are_checked_under_python_O():
-    # ``assert`` is gone under -O, where a float32 array would be read as float64
+    # ``assert`` is gone under -O, where a float32 array would be read as float64.
+    # ``_arg`` reads a writable array's address through ctypes, and a read-only or
+    # empty one's through ``ndarray.ctypes``: each is checked, and each address is
+    # that of its data
     code = """if True:
         import numpy as np
         from dsuedhi import dnl
-        for x in (np.zeros(4, np.float32), np.zeros(8)[::2], np.zeros(5), np.zeros((1, 4))):
-            try:
-                dnl._arg(x, np.float64, (4,))
-            except ValueError:
-                continue
-            raise SystemExit(f"passed: {x.dtype} of shape {x.shape}")
-        dnl._arg(np.zeros(4), np.float64, (4,))
+
+        def both(x):
+            frozen = x.view()
+            frozen.flags.writeable = False
+            return x, frozen
+
+        for n in (4, 0):
+            bad = [np.zeros(n, np.float32), np.zeros(n + 1), np.zeros((1, n))]
+            if n:  # an empty array is contiguous whatever its strides
+                bad.append(np.zeros(2 * n)[::2])
+            for x in (y for b in bad for y in both(b)):
+                try:
+                    dnl._arg(x, np.float64, (n,))
+                except ValueError:
+                    continue
+                raise SystemExit(f"passed: {x.dtype} of shape {x.shape}, {x.flags}")
+            for x in both(np.zeros(n)):
+                if dnl._arg(x, np.float64, (n,)) != x.ctypes.data:
+                    raise SystemExit(f"wrong address of {x.flags}")
     """
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     run = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
@@ -263,3 +350,15 @@ def test_library_appears_only_through_os_replace(cache, monkeypatch):
     assert not os.path.exists(moves[0][0])
     assert os.listdir(cache) == [os.path.basename(path)]
     assert os.stat(cache).st_mode & 0o777 == 0o700
+
+
+def test_one_map_passes_61_arrays_to_the_kernel(monkeypatch):
+    # the arrays that stay the same from map to map go in argument blocks,
+    # built once; a warm map checks and passes only its per-call arrays (83
+    # before the blocks)
+    net, ps, grid, params, h_i, h_f = cases()["corridor"]
+    equilibrium.fixed_point_map(h_i, h_f, net, ps, grid, params)
+    own, calls = dnl._arg, []
+    monkeypatch.setattr(dnl, "_arg", lambda *args: calls.append(args) or own(*args))
+    equilibrium.fixed_point_map(h_i, h_f, net, ps, grid, params)
+    assert len(calls) == 61

@@ -133,8 +133,9 @@ def test_seeded_inversion_of_targets_in_any_order_equals_the_loop_loader(data, l
     entries[:n_targets] = targets
     times = np.arange(n_targets) * dt
     got, beyond = np.empty((1, n_targets)), np.empty((1, n_targets), dtype=bool)
-    dnl._read_out(dnl._trie(np.zeros((1, 1), dtype=np.int64)), np.full(1, -np.inf),
-                  np.full(1, rate), dt, times, cols - 1, entries[None], exits[None], got, beyond)
+    ro = dnl._ReadOut(np.zeros((1, 1), dtype=np.int64), np.full(1, -np.inf), np.full(1, rate),
+                      times, dt)
+    dnl._read_out(ro, cols - 1, entries[None], exits[None], got, beyond)
     want, want_beyond = loop_loader._invert_vec(exits, dt, targets, rate)
     assert got[0].tobytes() == (want - times).tobytes()
     assert np.array_equal(beyond[0], want_beyond)
@@ -143,7 +144,7 @@ def test_seeded_inversion_of_targets_in_any_order_equals_the_loop_loader(data, l
 def test_prefix_trie_shares_prefixes_and_ends_a_prefix_path_inside():
     net, ps, grid = prefix_net()
     plan = dnl._plan(net.links, ps.link_seq, grid)
-    node_row, node_parent, path_end = plan.path_trie
+    node_row, node_parent, path_end = plan.paths.trie
     hops = int((plan.path_rows >= 0).sum())
     assert (ps.n_paths, hops, len(node_row)) == (9, 30, 14)
     # the A-B path ends at a node that other paths pass through
@@ -186,7 +187,7 @@ def test_trie_check_rejects_bad_parents_rows_and_ends(monkeypatch):
     net, ps, grid = prefix_net()
     plan = dnl._plan(net.links, ps.link_seq, grid)
     R = plan.A + len(plan.source_links)
-    trie, rows = plan.path_trie, plan.path_rows
+    trie, rows = plan.paths.trie, plan.path_rows
     dnl._check_trie(trie, rows, R)
     last = len(trie[0]) - 1
     for bad in (broken(trie, 1, 0, 0), broken(trie, 1, 1, last), broken(trie, 1, 1, -2),
@@ -232,6 +233,6 @@ def test_read_out_rejects_a_last_sample_outside_the_curves(monkeypatch, last, re
     T, cols = 3, 5
     curves = np.zeros((1, cols))
     with pytest.raises(AssertionError if reached else dnl.DnlError):
-        dnl._read_out(dnl._trie(np.zeros((1, 1), dtype=np.int64)), np.zeros(1), np.ones(1),
-                      60.0, np.arange(T) * 60.0, last, curves, curves, np.empty((1, T)),
-                      np.empty((1, T), dtype=bool))
+        dnl._read_out(dnl._ReadOut(np.zeros((1, 1), dtype=np.int64), np.zeros(1), np.ones(1),
+                                   np.arange(T) * 60.0, 60.0),
+                      last, curves, curves, np.empty((1, T)), np.empty((1, T), dtype=bool))
