@@ -182,9 +182,7 @@ class ShareTable:
     follow a remaining demand that changes between intervals.
     """
 
-    first: int  # first provision interval
-    n_paths: int
-    layout: _Layout
+    layout: _Layout  # with the first provision interval and the paths
     share: np.ndarray  # (cells,)
     top: np.ndarray  # (blocks,) cell of each block's first largest share
     finite: np.ndarray  # (blocks,) whether each block's disutilities are finite
@@ -229,23 +227,24 @@ def share_table(
     if dnl._kernel().dnl_logit_shares(lay.block.ptr, dnl._arg(share, np.float64, share.shape),
                                       dnl._arg(top, np.int64, top.shape)):
         raise ChoiceError(f"a block does not lie inside the layout's {lay.cells} cells")
-    return ShareTable(first, P, lay, share, top, finite)
+    return ShareTable(lay, share, top, finite)
 
 
 def assign(table: ShareTable, t_index: int, remaining_demand: np.ndarray) -> np.ndarray:
     """Assign remaining demand over every OD's choice set at ``t_index``, ``t_index`` + 1, ...
 
-    ``remaining_demand`` holds one row of per-OD demand for each of those
-    intervals. Returns their cells flat, in the layout order that
-    ``layout.open`` selects in. Per-OD totals are conserved exactly: each
+    ``remaining_demand`` holds one row of demand for each of those
+    intervals, one entry per OD. Returns their cells flat, in the layout
+    order that ``layout.open`` selects in. Per-OD totals are conserved exactly: each
     total's residual is folded into its block's first largest share.
     """
     lay = table.layout
     demand = np.asarray(remaining_demand, dtype=float)
-    i, n = t_index - table.first, len(lay.open)
-    if demand.ndim != 2 or not 0 <= i < i + len(demand) <= n:
+    i, n, n_od = t_index - lay.first, len(lay.open), len(lay.od_sizes)
+    if demand.ndim != 2 or demand.shape[1] != n_od or not 0 <= i < i + len(demand) <= n:
         raise ChoiceError(f"demand rows {demand.shape} from provision interval {t_index} are "
-                          f"not in the share table's {table.first}..{table.first + n - 1}")
+                          f"not rows of {n_od} ODs in the share table's {lay.first}.."
+                          f"{lay.first + n - 1}")
     m = len(lay.block_od) // n  # blocks per interval, at least one
     blocks = slice(i * m, (i + len(demand)) * m)
     start, size = lay.start[blocks], lay.size[blocks]
@@ -296,7 +295,7 @@ def remaining_demand(
     each path's ``ndarray.sum`` of those columns, added per OD in path order,
     as ``np.add.at`` adds; ``_unspent`` clamps dust below zero, raises on more.
     """
-    class_demand = np.asarray(class_demand, dtype=float)
+    class_demand = _per_od(class_demand, len(path_set.od_slices))
     h = np.ascontiguousarray(history, dtype=float)
     prefix = dnl.run_sums(h, *_prefix_runs(*h.shape)).reshape(h.shape[::-1])
     departed = np.zeros((len(prefix), len(class_demand)))
@@ -311,6 +310,14 @@ def _prefix_runs(P: int, T: int) -> tuple[np.ndarray, ...]:
     for x in runs:
         x.flags.writeable = False
     return runs
+
+
+def _per_od(class_demand, n_od: int) -> np.ndarray:
+    """``class_demand`` as a C-contiguous float array; ``ChoiceError`` unless one per OD."""
+    demand = np.ascontiguousarray(class_demand, dtype=float)
+    if demand.shape != (n_od,):
+        raise ChoiceError(f"class demand of shape {demand.shape} is not one per OD of {n_od}")
+    return demand
 
 
 def _unspent(remaining: np.ndarray, class_demand: np.ndarray) -> np.ndarray:
@@ -339,13 +346,10 @@ def rollout(table: ShareTable, class_demand: np.ndarray, path_set: PathSet) -> n
     """
     lay = table.layout
     od_sizes = _od_sizes(path_set)
-    if table.n_paths != path_set.n_paths or lay.od_sizes != od_sizes:
-        raise ChoiceError(f"share table of ODs with {lay.od_sizes} paths ({table.n_paths} in "
-                          f"all) does not fit the path set's {od_sizes} ({path_set.n_paths})")
-    demand = np.ascontiguousarray(class_demand, dtype=float)
-    if demand.shape != (len(od_sizes),):
-        raise ChoiceError(f"class demand of shape {demand.shape} is not one per OD "
-                          f"of {len(od_sizes)}")
+    if lay.od_sizes != od_sizes:
+        raise ChoiceError(f"share table of ODs with {lay.od_sizes} paths does not fit the "
+                          f"path set's {od_sizes}")
+    demand = _per_od(class_demand, len(od_sizes))
     b, rem = lay.block, demand.copy()
     y, work = np.empty((b.P, b.n)), np.empty(b.P * (b.T - b.first))  # work: one interval's cells
     failed = dnl._kernel().dnl_rollout(
@@ -356,6 +360,6 @@ def rollout(table: ShareTable, class_demand: np.ndarray, path_set: PathSet) -> n
         i, overdrawn = divmod(failed - 1, 2)
         if overdrawn:
             _unspent(rem, demand)
-        assign(table, table.first + i, rem[None])
-        raise ChoiceError(f"rollout stopped at provision interval {table.first + i}")
+        assign(table, lay.first + i, rem[None])
+        raise ChoiceError(f"rollout stopped at provision interval {lay.first + i}")
     return y

@@ -55,19 +55,19 @@ and only its own arrays, which ``_arg`` checks every time.
 
 Batch axis. ``load_batch`` loads B departure patterns of one (network, path
 set, grid) one after another through one block of curves, the plan's rows
-and slots, allocated once per batch. Each pattern starts at an interval t
-from a base loading and has the base's departures before t (a forecast
-spliced at t has the candidate's), so it copies the base's curves up to
-step t * refine and steps from there on its own, with its own drain test
-and step count, until it drains or reaches the step cap; starts may come in
-any order. Its path times from t on are read out into one (patterns, paths,
-intervals) array before the next pattern takes the block, and are exactly
-those of loading it alone from step 0; ``load`` is the batch of one, and its
-block is its curves. One call of ``dnl_step`` loads the patterns until one
-outgrows the block's columns, the horizon plus half of it at first; Python
-then widens the block by half, for the patterns after too, and calls again.
-A batch keeps only its path times, step counts and drain flags, so its
-memory is one pattern's curves whatever B is.
+and slots. Each pattern starts at an interval t from a base loading and has
+the base's departures before t (a forecast spliced at t has the
+candidate's), so it copies the base's curves up to step t * refine and steps
+from there on its own, with its own drain test and step count, until it
+drains or reaches the step cap; starts may come in any order. Its path times
+from t on are read out into one (patterns, paths, intervals) array before
+the next pattern takes the block, and are exactly those of loading it alone
+from step 0; ``load`` is the batch of one, and its block is its curves. The
+block has the horizon plus half of it in columns. A pattern that outgrows
+them stops the kernel; Python allocates a block half as wide again, for the
+patterns after too, and that pattern begins again in it from its start. A
+batch keeps only its path times, step counts and drain flags, so its memory
+is one pattern's curves whatever B is.
 
 Exact sums. Results are bit-identical to a loop that sums each row's slots
 with ``ndarray.sum``. The kernel is compiled with -ffp-contract=off and
@@ -165,14 +165,6 @@ class LoadingResult:
     @property
     def boundaries(self) -> np.ndarray:
         return np.arange(self.n_steps + 1) * self.sim_dt_s
-
-
-def _widen(curves: np.ndarray, cols: int) -> np.ndarray:
-    """``curves`` with ``cols`` columns, the new ones copies of the last."""
-    out = np.empty((*curves.shape[:-1], cols))
-    out[..., : curves.shape[-1]] = curves
-    out[..., curves.shape[-1] :] = curves[..., -1:]
-    return out
 
 
 _PTR, _I64, _F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
@@ -386,10 +378,11 @@ def load(
     give bit-identical results. With ``compute_link_times``,
     ``instant_path_time`` sums each path's link times for entry at each
     interval start, hop by hop; without, it is None. ``link_up`` and
-    ``link_dn`` are views of arrays with up to half as many columns again as
-    the loading used; ``n_up`` and ``n_dn`` are those curves themselves when
-    every link is on a path, and otherwise new arrays with zero rows for the
-    other links. The result keeps its slot curves, to be a ``load_batch`` base.
+    ``link_dn`` are views of the block the loading ran its course in, which
+    has up to half as many columns again as it used; ``n_up`` and ``n_dn``
+    are those curves themselves when every link is on a path, and otherwise
+    new arrays with zero rows for the other links. The result keeps its slot
+    curves, to be a ``load_batch`` base.
     """
     h = _departures(departures, path_set.n_paths, grid.n_intervals)[None]
     plan = _plan(net.links, path_set.link_seq, grid)
@@ -500,7 +493,7 @@ def _kernel() -> ctypes.CDLL:
     lib = ctypes.CDLL(_library(shlex.split(sysconfig.get_config_var("CC") or "cc")))
     ptr, i64, f64 = _PTR, _I64, _F64  # an argument block is a pointer
     for name, argtypes in (
-            ("dnl_step", [ptr, i64] + [ptr] * 5 + [i64] * 3 + [ptr] * 8),
+            ("dnl_step", [ptr, i64] + [ptr] * 5 + [i64] * 3 + [ptr] * 3 + [i64] + [ptr] * 4),
             ("dnl_path_times", [ptr, i64, i64] + [ptr] * 4),
             ("dnl_run_sums", [ptr, i64, ptr, ptr, i64, ptr]),
             ("dnl_rollout", [ptr] * 8),
@@ -553,40 +546,40 @@ def _step(
     ``slots`` of its slots), from the base's curves at step ``starts[b] *
     refine``; their path times from their starts on go into ``path_time``
     and ``extrapolated``. The kernel (``dnl_step``) returns at a pattern that
-    has not drained at the last column; the block is widened by half and the
-    pattern goes on. Returns the block, with the last pattern's curves up to
-    column ``n_steps[-1]``, and each pattern's ``n_steps`` and ``drained``.
+    has not drained at the last column; a new block half as wide again takes
+    over, and that pattern begins again in it. Returns the block, with the
+    last pattern's curves up to column ``n_steps[-1]``, and each pattern's
+    ``n_steps`` and ``drained``.
     """
     pl = plan.block
     B, P, T, R, S = len(h), plan.paths.P, plan.paths.T, pl.R, pl.S
     t_sim = T * plan.refine
     s_max = _step_cap(t_sim)
     cols = _first_cols(t_sim, s_max)
-    up, dn, slots = np.empty((R, cols)), np.empty((R, cols)), np.empty((S, cols))
     n_steps, drained = np.empty(B, dtype=np.int64), np.empty(B, dtype=bool)
     base_args = (None, None, None, 0)
     if base is not None:  # its block: up, dn and slots
         base_cols = base._state[2].shape[1]
         base_args = (*(_arg(x, np.float64, (n, base_cols))
                        for x, n in zip(base._state[2:], (R, R, S))), base_cols)
-    at = np.array([0, -1], dtype=np.int64)  # the pattern to go on with, and its step
     batch = [_arg(h, np.float64, (B, P, T)), _arg(starts, np.int64, (B,)), *base_args, s_max]
     out = [_arg(x, dtype, shape) for x, dtype, shape in (
-        (at, np.int64, (2,)), (n_steps, np.int64, (B,)), (drained, np.bool_, (B,)),
+        (n_steps, np.int64, (B,)), (drained, np.bool_, (B,)),
         (path_time, np.float64, (B, P, T)), (extrapolated, np.bool_, (B, P, T)))]
+    first = 0
     while True:
+        up, dn, slots = np.empty((R, cols)), np.empty((R, cols)), np.empty((S, cols))
         block = [_arg(x, np.float64, (n, cols)) for x, n in ((up, R), (dn, R), (slots, S))]
-        code = _kernel().dnl_step(pl.ptr, B, *batch, cols, *block, *out)
+        code = _kernel().dnl_step(pl.ptr, B, *batch, cols, *block, first, *out)
         if code == 0:
             return up, dn, slots, n_steps, drained
         if code == -1:
             raise MemoryError("step kernel could not allocate its work arrays")
-        if code != 1:
+        if code < 0:
             raise DnlError(f"the step kernel refused its input: starts must lie in [0, {T}) "
                            f"and within the base's columns, and the {cols} columns must pass "
                            f"the horizon and every step count")
-        cols = min(s_max + 1, cols + cols // 2)
-        up, dn, slots = (_widen(x, cols) for x in (up, dn, slots))
+        first, cols = code - 1, min(s_max + 1, cols + cols // 2)
 
 
 def _link_times(res: LoadingResult) -> np.ndarray:

@@ -627,26 +627,27 @@ static void read_out(const readout_t *ro, i64 start, i64 last, i64 cols, const d
     }
 }
 
-/* Load the B patterns ``h`` (B x P x T, each pattern's departures) one after
-   another in one block: ``up`` and ``dn`` hold the entries and exits of the
-   plan's R rows (used links in link order, then sources), ``sl`` the entries
-   of its S slots, in row order, each row ``cols`` samples. Pattern b starts
-   at step ``starts[b]`` x ``refine``: it takes the first ``starts[b]`` x
-   ``refine`` + 1 columns of the base's block (``base_*``; none with no base,
-   then every start is 0), writes its sources (``begin``), steps until it
-   drains or reaches step ``s_max`` (``advance``), its drain tolerance 1e-9
-   of its total departures or of one vehicle, and reads its path times from
-   its start on into ``path_time[b]`` and ``extrapolated[b]``
-   (``read_out`` by the plan's ``paths``). ``at`` holds the
-   pattern to go on with and the step it stopped before, -1 to begin it.
-   Returns 0 when every pattern is done; 1, with ``at`` set, when pattern
-   ``at[0]`` has not drained at the last column but is below ``s_max``:
-   the caller widens the block and calls again; -1 if out of memory; -2 if
-   the block ends before step t_sim, or at a start outside [0, T) or past
-   the base's columns, or a step count past the block's. */
+/* Load the B patterns ``h`` (B x P x T, each pattern's departures) from
+   pattern ``first`` on, one after another in one block: ``up`` and ``dn``
+   hold the entries and exits of the plan's R rows (used links in link
+   order, then sources), ``sl`` the entries of its S slots, in row order,
+   each row ``cols`` samples. Pattern b starts at step ``starts[b]`` x
+   ``refine``: it takes the first ``starts[b]`` x ``refine`` + 1 columns of
+   the base's block (``base_*``; none with no base, then every start is 0),
+   writes its sources (``begin``), steps until it drains or reaches step
+   ``s_max`` (``advance``), its drain tolerance 1e-9 of its total departures
+   or of one vehicle, and reads its path times from its start on into
+   ``path_time[b]`` and ``extrapolated[b]`` (``read_out`` by the plan's
+   ``paths``). A pattern writes each column before it reads it, so it steps
+   the same in any block. Returns 0 when every pattern is done; b + 1 when
+   pattern b has not drained at the last column but is below ``s_max``: the
+   caller calls again from b in a wider block, where b begins anew; -1 if
+   out of memory; -2 if ``first`` is negative, or the block ends before step
+   t_sim, or at a start outside [0, T) or past the base's columns, or a step
+   count past the block's. */
 i64 dnl_step(const plan_t *pl, i64 B, const double *h, const i64 *starts, const double *base_up,
              const double *base_dn, const double *base_sl, i64 base_cols, i64 s_max, i64 cols,
-             double *up, double *dn, double *sl, i64 *at, i64 *n_steps, uint8_t *drained,
+             double *up, double *dn, double *sl, i64 first, i64 *n_steps, uint8_t *drained,
              double *path_time, uint8_t *extrapolated)
 {
     const i64 A = pl->A, R = pl->R, P = pl->paths.P, T = pl->paths.T, refine = pl->refine;
@@ -657,29 +658,24 @@ i64 dnl_step(const plan_t *pl, i64 B, const double *h, const i64 *starts, const 
     double *work = malloc(sizeof(double) * (size_t)(3 * R + 2 * A + pl->S) + 1);
     i64 *hint = malloc(sizeof(i64) * (size_t)R + 1);  /* per row: last FIFO search answer */
     node_t *node = malloc(sizeof(node_t) * (size_t)pl->paths.K + 1);
-    i64 code = cols > t_sim ? 0 : -2;  /* ``begin`` writes the sources to step t_sim */
+    i64 code = cols > t_sim && first >= 0 ? 0 : -2;  /* ``begin`` writes sources to t_sim */
     if (!work || !hint || !node)
         code = -1;
-    for (i64 b = at[0]; b < B && !code; b++, at[1] = -1) {
+    for (i64 b = first; b < B && !code; b++) {
         const double *hb = h + b * P * T;
-        i64 t = at[1];
-        if (t < 0) {
-            const i64 k = starts[b] * refine + 1;
-            if (starts[b] < 0 || starts[b] >= T || (k > 1 && k > base_cols)) {
-                code = -2;
-                break;
-            }
-            begin(pl, hb, k, base_up, base_dn, base_sl, base_cols, up, dn, sl, cols);
-            drained[b] = 0;
-            t = k - 1;
+        const i64 k = starts[b] * refine + 1;
+        if (starts[b] < 0 || starts[b] >= T || (k > 1 && k > base_cols)) {
+            code = -2;
+            break;
         }
+        begin(pl, hb, k, base_up, base_dn, base_sl, base_cols, up, dn, sl, cols);
+        drained[b] = 0;
         memset(hint, 0, sizeof(i64) * (size_t)R);
-        t = advance(pl, t, stop, t_sim, cols, up, dn, sl,
-                    1e-9 * max2(1.0, dnl_sum(hb, P * T)), drained + b, n_steps + b, work, hint);
+        const i64 t = advance(pl, k - 1, stop, t_sim, cols, up, dn, sl,
+                              1e-9 * max2(1.0, dnl_sum(hb, P * T)), drained + b, n_steps + b,
+                              work, hint);
         if (!drained[b] && t < s_max) {
-            at[0] = b;
-            at[1] = t;
-            code = 1;
+            code = b + 1;
             break;
         }
         if (!drained[b])

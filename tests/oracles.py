@@ -132,9 +132,11 @@ def rollout(table, class_demand, path_set) -> np.ndarray:
     """
     demand = np.asarray(class_demand, dtype=float)
     rem = demand.copy()
-    y = np.zeros((table.n_paths, len(table.layout.open)))
-    for i in range(y.shape[1]):
-        y[:, i] = choice.assign(table, table.first + i, rem[None]).reshape(table.n_paths, -1)[:, 0]
+    lay = table.layout
+    n, P = lay.open.shape[:2]
+    y = np.zeros((P, n))
+    for i in range(n):
+        y[:, i] = choice.assign(table, lay.first + i, rem[None]).reshape(P, -1)[:, 0]
         np.subtract.at(rem, path_set.od_of_path, y[:, i])
         rem = choice._unspent(rem, demand)
     return y

@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import loop_loader
 from dsuedhi import dnl, equilibrium
 from dsuedhi import network as nw
+from golden_cases import FIELDS as GOLDEN_FIELDS
+from golden_cases import outputs
 from oracles import step_cap, stepped
-from test_golden import random_lattice
+from test_golden import assert_same, random_lattice
 
 FIELDS = ("path_time", "extrapolated", "n_steps", "drained")  # the arrays of a batch
 CURVES = ("n_up", "n_dn", "src_up", "src_dn")  # per pattern, through dnl._step
@@ -113,6 +116,20 @@ def test_batch_grows_its_time_axis_wherever_the_widening_pattern_is(three_link, 
     widens = got.n_steps + 1 > dnl._first_cols(t_sim, 21 * t_sim + 200)
     assert widens.tolist() == [k == "L" for k in order]
     assert len(set(got.n_steps.tolist())) == len(set(order))  # each kind drains at its own step
+
+
+def test_a_load_that_outgrows_its_block_twice_equals_the_loop_loader(three_link):
+    # a late burst twice that of the widening tests outgrows the first block
+    # and the one half as wide again, so the kernel begins it anew twice
+    net, ps, grid, _ = three_link
+    h = np.zeros((ps.n_paths, grid.n_intervals))
+    h[:, -1] = 2000.0
+    got = dnl.load(net, ps, grid, h)
+    t_sim = grid.n_intervals * dnl._plan(net.links, ps.link_seq, grid).refine
+    cols = dnl._first_cols(t_sim, dnl._step_cap(t_sim))
+    assert got.drained and got.n_steps + 1 > cols + cols // 2
+    want = loop_loader.load(net, ps, grid, h)
+    assert_same(outputs(got, net, ps), {f: getattr(want, f) for f in GOLDEN_FIELDS})
 
 
 def test_batch_rejects_bad_shapes_and_negative_departures(three_link):

@@ -145,7 +145,7 @@ class TestDisutilityMatrices:
     @staticmethod
     def shares_at_first(table, ps, T):
         """The table's shares at its first interval, paths x remaining intervals."""
-        return table.share[: ps.n_paths * (T - table.first)].reshape(ps.n_paths, -1)
+        return table.share[: ps.n_paths * (T - table.layout.first)].reshape(ps.n_paths, -1)
 
     @staticmethod
     def logit_of(phi, grid, ps, params, t):
@@ -389,6 +389,15 @@ class TestTentativeDepartures:
         assert h[2].sum() == 5.5
         assert (h >= 0).all()
 
+    @pytest.mark.parametrize("demand", [[5.0, 5.0, 5.0], [5.0]], ids=["three", "one"])
+    def test_demand_of_other_od_count_raises(self, three_path_set, demand):
+        # two ODs: a third entry would be dropped, and a missing one read
+        # past the end
+        net, ps = three_path_set
+        with pytest.raises(choice.ChoiceError, match="not rows of 2 ODs"):
+            choice.tentative_departures(np.full(3, 60.0), np.array(demand), 0,
+                                        nw.TimeGrid(360.0, 120.0), ps, params_for(net))
+
 
 class TestRemainingDemand:
     """Row t is the demand left before interval t of the history."""
@@ -424,6 +433,14 @@ class TestRemainingDemand:
         realized = np.full((3, 3), 4.0)
         with pytest.raises(choice.ChoiceError, match="exceed"):
             choice.remaining_demand(realized, np.array([12.0, 12.0]), ps)
+
+    @pytest.mark.parametrize("demand", [[12.0, 12.0, 12.0], [12.0]], ids=["three", "one"])
+    def test_demand_of_other_od_count_raises(self, three_path_set, demand):
+        # two ODs: a third entry would never decrease, and a missing one be
+        # indexed past the end
+        _, ps = three_path_set
+        with pytest.raises(choice.ChoiceError, match="not one per OD of 2"):
+            choice.remaining_demand(np.full((3, 2), 2.0), np.array(demand), ps)
 
     def test_overdraw_in_rollout_raises(self, three_path_set):
         net, ps = three_path_set
@@ -790,10 +807,28 @@ class TestRollout:
             choice.rollout(table, demand, ps)
 
     def test_table_of_other_path_count_rejected(self, three_path_set, monkeypatch):
-        _, ps = three_path_set
-        table = dataclasses.replace(self.table_of(three_path_set), n_paths=4)
+        # a table built for two ODs of two paths each
+        net, ps = three_path_set
+        table = choice.share_table(np.full((3, 4, 1), 60.0), 0, nw.TimeGrid(360.0, 120.0),
+                                   path_set_of([2, 2]), params_for(net))
         self.rejected_before_the_kernel(monkeypatch, table, np.array([12.0, 12.0]), ps,
                                         "does not fit")
+
+    def test_a_table_takes_its_first_interval_and_paths_from_its_layout(self, three_path_set):
+        # no copy of either sits beside the layout to disagree with it: a
+        # table built from interval 1 assigns from interval 1 on, and rolls
+        # out from there as the loop of ``assign`` calls does
+        net, ps = three_path_set
+        table = choice.share_table(np.full((2, ps.n_paths, 1), 60.0), 1,
+                                   nw.TimeGrid(360.0, 120.0), ps, params_for(net))
+        for name in ("first", "n_paths"):
+            with pytest.raises(TypeError):
+                dataclasses.replace(table, **{name: 0})
+        with pytest.raises(choice.ChoiceError, match=r"share table's 1\.\.2"):
+            choice.assign(table, 0, np.array([[12.0, 12.0]]))
+        demand = np.array([12.0, 12.0])
+        assert choice.rollout(table, demand, ps).tobytes() == \
+            oracles.rollout(table, demand, ps).tobytes()
 
     def test_table_of_other_od_sizes_rejected(self, three_path_set, monkeypatch):
         # three paths either way, but the table's first OD has two of them

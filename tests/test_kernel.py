@@ -51,19 +51,19 @@ def test_a_run_outside_the_array_raises(start, size):
     assert got.tolist() == [15.0, 0.0, 14.0]
 
 
-def run_step(plan, h, starts, base, s_max, cols):
+def run_step(plan, h, starts, base, s_max, cols, first=0):
     """``dnl_step`` on the patterns ``h[B, P, T]`` from ``starts`` in a new block of ``cols``
-    columns, ``base`` the (up, dn, slots) block of the base: its return code, the
-    block, and the patterns' step counts, drain flags and path times."""
+    columns, from pattern ``first`` on, ``base`` the (up, dn, slots) block of the base: its
+    return code, the block, and the patterns' step counts, drain flags and path times."""
     B = len(h)
     R, S = plan.A + len(plan.source_links), len(plan.slot_row)
     block = np.empty((R, cols)), np.empty((R, cols)), np.empty((S, cols))
-    at, n_steps, drained = np.array([0, -1]), np.zeros(B, dtype=np.int64), np.zeros(B, np.bool_)
+    n_steps, drained = np.zeros(B, dtype=np.int64), np.zeros(B, np.bool_)
     path_time, extrapolated = np.full(h.shape, np.nan), np.zeros(h.shape, dtype=np.bool_)
     code = dnl._kernel().dnl_step(
         plan.block.ptr, B, h.ctypes.data, starts.ctypes.data, *(x.ctypes.data for x in base),
-        base[0].shape[1], s_max, cols, *(x.ctypes.data for x in block),
-        *(x.ctypes.data for x in (at, n_steps, drained, path_time, extrapolated)))
+        base[0].shape[1], s_max, cols, *(x.ctypes.data for x in block), first,
+        *(x.ctypes.data for x in (n_steps, drained, path_time, extrapolated)))
     return code, block, n_steps, drained, path_time
 
 
@@ -94,17 +94,38 @@ def test_sending_mass_is_tested_against_eps_veh_before_its_clamp():
 
 def test_a_pattern_that_outgrows_its_block_returns_to_be_widened():
     link = nw.Link("a", "x", "y", 200.0, 20.0, 5.0, 1.0, 0.15)
-    plan = dnl._Plan((link,), ((0,),), nw.TimeGrid(100.0, 10.0))
+    net = nw.validate_network([link], [nw.OdDemand("x", "y", 1.0, 0.0, 100.0)])
+    ps, grid = nw.build_path_set(net, k_max=1), nw.TimeGrid(100.0, 10.0)
+    plan = dnl._plan(net.links, ps.link_seq, grid)
     base = np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 1))
     h = np.zeros((2, 1, 10))
-    h[0, 0, -1] = 500.0  # at capacity 1 veh/s, 500 veh take 50 steps to leave
-    code, _, n_steps, drained, _ = run_step(plan, h, np.array([0, 0]), base, s_max=100,
-                                            cols=12)
-    assert code == 1 and not drained[0]
-    # a start past the base's columns or outside [0, T), or a block that ends
-    # inside the horizon, is refused before any step
-    for starts, cols in (([1], 12), ([-1], 12), ([10], 12), ([0], 10)):
-        assert run_step(plan, h[1:], np.array(starts), base, 100, cols)[0] == -2
+    h[0, 0, 0] = 1.0  # drains soon after the horizon
+    h[1, 0, -1] = 500.0  # at capacity 1 veh/s, 500 veh take 50 steps to leave
+    solo = [dnl.load(net, ps, grid, x) for x in h]
+    s_max = dnl._step_cap(10)
+    code, _, n_steps, drained, path_time = run_step(plan, h, np.array([0, 0]), base, s_max,
+                                                    cols=12)
+    # pattern 0 is done and kept; pattern 1 stopped at the last column
+    assert code == 2 and drained.tolist() == [True, False]
+    assert n_steps[0] == solo[0].n_steps < 11
+    assert path_time[0].tobytes() == solo[0].path_time.tobytes()
+    # called again from pattern 1 in a wider block, pattern 1 begins anew,
+    # pattern 0 is not touched, and every column pattern 1 used is its own
+    code, block, n_steps, drained, path_time = run_step(plan, h, np.array([0, 0]), base, s_max,
+                                                        cols=18 + solo[1].n_steps, first=1)
+    assert code == 0 and drained.tolist() == [False, True]
+    assert n_steps.tolist() == [0, solo[1].n_steps]
+    assert np.isnan(path_time[0]).all()
+    assert path_time[1].tobytes() == solo[1].path_time.tobytes()
+    last = solo[1].n_steps + 1
+    for got, want in zip(block, solo[1]._state[2:]):
+        assert got[:, :last].tobytes() == want[:, :last].tobytes()
+    # a start past the base's columns or outside [0, T), a block that ends
+    # inside the horizon, or a negative first pattern is refused before any
+    # step
+    for starts, cols, first in (([1], 12, 0), ([-1], 12, 0), ([10], 12, 0), ([0], 10, 0),
+                                ([0], 12, -1)):
+        assert run_step(plan, h[1:], np.array(starts), base, 100, cols, first)[0] == -2
 
 
 @pytest.mark.parametrize("refine", [1, 2, 3])
@@ -352,7 +373,7 @@ def test_library_appears_only_through_os_replace(cache, monkeypatch):
     assert os.stat(cache).st_mode & 0o777 == 0o700
 
 
-def test_one_map_passes_61_arrays_to_the_kernel(monkeypatch):
+def test_one_map_passes_59_arrays_to_the_kernel(monkeypatch):
     # the arrays that stay the same from map to map go in argument blocks,
     # built once; a warm map checks and passes only its per-call arrays (83
     # before the blocks)
@@ -361,4 +382,4 @@ def test_one_map_passes_61_arrays_to_the_kernel(monkeypatch):
     own, calls = dnl._arg, []
     monkeypatch.setattr(dnl, "_arg", lambda *args: calls.append(args) or own(*args))
     equilibrium.fixed_point_map(h_i, h_f, net, ps, grid, params)
-    assert len(calls) == 61
+    assert len(calls) == 59
