@@ -24,12 +24,13 @@ bit; a second pass divides each block by its total and finds its first
 largest share. ``assign`` scales the shares of consecutive intervals by one
 remaining-demand row each and folds the residual of each total into the
 block's first largest share: the pooled reaction of a forecast assigns
-every interval at once, from ``remaining_demand``. ``rollout`` carries one
-class through the intervals of a table, realizing one column at a time from
-its own remaining demand, in one kernel call that makes the operations of a
-loop of one-row ``assign`` calls in their order, with their errors.
-``tentative_departures`` is the one-interval case of both. Per block,
-results are bit-identical to a numpy logit over that block alone.
+every interval at once, from ``remaining_demand``, and
+``tentative_departures`` is the one-interval case. Per block, results are
+bit-identical to a numpy logit over that block alone. ``rollout`` carries
+one class through the intervals of a table, realizing one column at a time
+from its own remaining demand, in closed form: an OD keeps what its current
+column does not take, so its remaining demand is its demand times the
+product of what it kept before.
 """
 
 from __future__ import annotations
@@ -94,9 +95,9 @@ def cell_disutility(phi_s, grid: TimeGrid, path_set: PathSet, params: ChoicePara
 
 
 class _LayoutBlock(dnl._Block):
-    """``layout_t``: a ``_Layout``'s arrays and sizes, for the logit and rollout kernels."""
+    """``layout_t``: a ``_Layout``'s arrays and sizes, for the logit kernels."""
 
-    _fields_ = dnl._fields("start size block_od path_od mids", "n first T P n_od m cells blocks")
+    _fields_ = dnl._fields("start size path_od mids", "n first T P cells blocks")
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,9 @@ class _Layout:
     size: np.ndarray  # (blocks,) int64, cells of each block
     cells: int  # cells of all blocks
     block_od: np.ndarray  # (blocks,)
+    own: np.ndarray  # (P, n) int64, the cell of each path's own departure interval
+    heads: np.ndarray  # int64, first path of each OD that has paths
+    rows: np.ndarray  # (P,) int64, each path's OD among those that have paths
     od_sizes: tuple[int, ...]  # paths of each OD
     first: int
     mids: np.ndarray  # (T,) interval midpoints
@@ -123,10 +127,11 @@ class _Layout:
     def __post_init__(self) -> None:
         (n, P, T), blocks, i64 = self.open.shape, len(self.start), np.int64
         path_od = np.repeat(np.arange(len(self.od_sizes), dtype=i64), self.od_sizes)
+        for x in (self.block_od, self.own, self.heads, self.rows):
+            x.flags.writeable = False
         object.__setattr__(self, "block", _LayoutBlock(
-            [(self.start, i64, blocks), (self.size, i64, blocks), (self.block_od, i64, blocks),
-             (path_od, i64, P), (self.mids, np.float64, T)],
-            n, self.first, T, P, len(self.od_sizes), blocks // n, self.cells, blocks))
+            [(self.start, i64, blocks), (self.size, i64, blocks), (path_od, i64, P),
+             (self.mids, np.float64, T)], n, self.first, T, P, self.cells, blocks))
 
 
 def open_cells(first: int, n: int, T: int) -> np.ndarray:
@@ -141,12 +146,14 @@ def _layout(od_sizes: tuple[int, ...], grid: TimeGrid, first: int, n: int) -> _L
     Cached: every table of one path set and grid shares it.
     """
     sizes, T = np.array(od_sizes, dtype=np.int64), grid.n_intervals
-    ods = np.flatnonzero(sizes)
-    size = (sizes[ods] * (T - np.arange(first, first + n))[:, None]).ravel()  # per interval, OD
-    return _Layout(open=open_cells(first, n, T).repeat(int(sizes.sum()), axis=1),
-                   start=np.cumsum(size) - size, size=size, cells=int(size.sum()),
-                   block_od=np.tile(ods, n), od_sizes=od_sizes, first=first,
-                   mids=grid.interval_mids())
+    ods, P, width = np.flatnonzero(sizes), int(sizes.sum()), T - np.arange(first, first + n)
+    size, cells = (sizes[ods] * width[:, None]).ravel(), P * width  # per interval, OD
+    return _Layout(open=open_cells(first, n, T).repeat(P, axis=1), start=np.cumsum(size) - size,
+                   size=size, cells=int(size.sum()), block_od=np.tile(ods, n),
+                   own=np.cumsum(cells) - cells + np.arange(P)[:, None] * width,
+                   heads=(np.cumsum(sizes) - sizes)[ods],
+                   rows=np.repeat(np.arange(len(ods)), sizes[ods]), od_sizes=od_sizes,
+                   first=first, mids=grid.interval_mids())
 
 
 def _exponents(phi: np.ndarray, params: ChoiceParams, theta: float,
@@ -188,7 +195,7 @@ class ShareTable:
     finite: np.ndarray  # (blocks,) whether each block's disutilities are finite
 
     def __post_init__(self) -> None:
-        # ``assign`` and ``dnl_rollout`` add each block's residual at ``top`` unchecked
+        # ``assign`` adds each block's residual at ``top`` unchecked
         start, size = self.layout.start, self.layout.size
         top = np.asarray(self.top)
         if top.shape != start.shape or not ((start <= top) & (top < start + size)).all():
@@ -291,12 +298,16 @@ def remaining_demand(
 ) -> np.ndarray:
     """Per-OD demand not yet departed before each interval t of ``history``, (T, ODs).
 
-    Row t is ``class_demand`` less the departures of ``history[:, :t]``:
-    each path's ``ndarray.sum`` of those columns, added per OD in path order,
-    as ``np.add.at`` adds; ``_unspent`` clamps dust below zero, raises on more.
+    ``history`` has one row per path. Row t is ``class_demand`` less the
+    departures of ``history[:, :t]``: each path's ``ndarray.sum`` of those
+    columns, added per OD in path order, as ``np.add.at`` adds; ``_unspent``
+    clamps dust below zero, raises on more.
     """
     class_demand = _per_od(class_demand, len(path_set.od_slices))
     h = np.ascontiguousarray(history, dtype=float)
+    if h.ndim != 2 or len(h) != path_set.n_paths:
+        raise ChoiceError(f"departure history of shape {h.shape} is not one row per path "
+                          f"of {path_set.n_paths}")
     prefix = dnl.run_sums(h, *_prefix_runs(*h.shape)).reshape(h.shape[::-1])
     departed = np.zeros((len(prefix), len(class_demand)))
     np.add.at(departed, (slice(None), path_set.od_of_path), prefix)
@@ -337,12 +348,13 @@ def _unspent(remaining: np.ndarray, class_demand: np.ndarray) -> np.ndarray:
 def rollout(table: ShareTable, class_demand: np.ndarray, path_set: PathSet) -> np.ndarray:
     """One class's realized departures, paths x the table's provision intervals.
 
-    At each interval the class's remaining demand is assigned to the table,
-    as ``assign`` assigns one row, and only the current column is realized
-    and subtracted from it, per OD in path order; dust below zero is clamped
-    (``_unspent``). The loop is one kernel call (``dnl_rollout``); a failed
-    check raises the error that ``assign`` or ``_unspent`` raises on the
-    remaining demand it left.
+    At each interval the class realizes only the current column of the
+    table's assignment of its remaining demand: each path's share of its
+    own departure interval times its OD's remaining demand. An OD keeps 1 - c
+    of it, c its column's shares, so what remains before interval i is its
+    demand times the product of what it kept before. A remainder below zero
+    is an overdraw (``_unspent``) or dust, clamped to zero; a negative
+    demand, or one left on a non-finite block, raises as ``assign`` does.
     """
     lay = table.layout
     od_sizes = _od_sizes(path_set)
@@ -350,16 +362,20 @@ def rollout(table: ShareTable, class_demand: np.ndarray, path_set: PathSet) -> n
         raise ChoiceError(f"share table of ODs with {lay.od_sizes} paths does not fit the "
                           f"path set's {od_sizes}")
     demand = _per_od(class_demand, len(od_sizes))
-    b, rem = lay.block, demand.copy()
-    y, work = np.empty((b.P, b.n)), np.empty(b.P * (b.T - b.first))  # work: one interval's cells
-    failed = dnl._kernel().dnl_rollout(
-        b.ptr, dnl._arg(table.share, np.float64, (b.cells,)),
-        dnl._arg(table.top, np.int64, (b.blocks,)), dnl._arg(table.finite, np.bool_, (b.blocks,)),
-        *(dnl._arg(x, np.float64, x.shape) for x in (demand, rem, y, work)))
-    if failed:
-        i, overdrawn = divmod(failed - 1, 2)
-        if overdrawn:
-            _unspent(rem, demand)
-        assign(table, lay.first + i, rem[None])
-        raise ChoiceError(f"rollout stopped at provision interval {lay.first + i}")
-    return y
+    ods = lay.block_od[: len(lay.heads)]  # the ODs with paths, in block order
+    s = table.share[lay.own]
+    keep = 1.0 - np.add.reduceat(s, lay.heads)  # (ODs with paths, n)
+    rem = np.empty_like(keep)
+    rem[:, 0] = demand[ods]
+    np.maximum(keep[:, :-1], 0.0, out=rem[:, 1:])
+    np.multiply.accumulate(rem, axis=1, out=rem)
+    if keep.min() < 0.0 or demand.min() < 0.0:  # an overdraw, dust or a negative demand
+        negative = demand[ods] < 0.0
+        if negative.any():
+            raise ChoiceError(f"negative remaining demand for OD {ods[np.argmax(negative)]}")
+        after = np.tile(demand, (rem.shape[1], 1))  # an OD without paths keeps its demand
+        after[:, ods] = (rem * keep).T
+        _unspent(after, demand)
+    if not table.finite.all() and (rem.T.ravel() != 0.0)[~table.finite].any():
+        raise ChoiceError("disutility matrix has non-finite entries")
+    return s * rem[lay.rows]

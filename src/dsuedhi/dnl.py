@@ -79,9 +79,9 @@ does. Row totals and the drain sum (a copy's rows: used links in link order,
 then the sources) are ``ndarray.sum``, 0.0 plus numpy's pairwise sum, whose
 order ``dnl_step.c`` states once. The rest of the package sums in that order
 only through the kernel: ``choice`` totals its logit blocks, assigned
-blocks, the prefixes of a departure history (``run_sums``) and its
-rollout's blocks there. A source's entry curve is 0.0 plus its slots'
-curves in sequence, as numpy sums a (slots, columns) block over its slots.
+blocks and the prefixes of a departure history (``run_sums``) there. A
+source's entry curve is 0.0 plus its slots' curves in sequence, as numpy
+sums a (slots, columns) block over its slots.
 
 Sensitivity. The sending rule branches on an absolute backlog ``> EPS_VEH``
 (1e-12 vehicles, defined in ``dnl_step.c``). A last-bit change in a per-row
@@ -496,7 +496,6 @@ def _kernel() -> ctypes.CDLL:
             ("dnl_step", [ptr, i64] + [ptr] * 5 + [i64] * 3 + [ptr] * 3 + [i64] + [ptr] * 4),
             ("dnl_path_times", [ptr, i64, i64] + [ptr] * 4),
             ("dnl_run_sums", [ptr, i64, ptr, ptr, i64, ptr]),
-            ("dnl_rollout", [ptr] * 8),
             ("dnl_logit_exponents", [ptr, ptr, i64, i64, ptr, i64] + [f64] * 4 + [ptr, ptr]),
             ("dnl_logit_shares", [ptr] * 3),
             ("dnl_blocks", [ptr, i64])):

@@ -1,16 +1,15 @@
-/* The loader's time loop and read-out, the exact sums of the logit and the
-   rollout of one class. ``dnl_step`` loads the patterns of a batch one
-   after another in one block of curves: each takes the base's curves up to
-   its own start, gets its source curves, steps on its own until it drains
-   or reaches the step cap, and has its path travel times read out of the
-   block (``read_out``, by the same curve interpolation and FIFO inversion)
-   before the next pattern takes the block. ``dnl_path_times`` reads the
-   link times of one loading the same way, from the link rows of its block.
-   For ``choice``, ``dnl_run_sums`` totals runs of an array as
-   ``ndarray.sum`` does; ``dnl_logit_exponents`` and ``dnl_logit_shares``
-   build a share table in two passes over its open cells, around numpy's
-   ``exp``, and state the disutility; and ``dnl_rollout`` carries one class's
-   remaining demand through the provision intervals of a share table.
+/* The loader's time loop and read-out, and the exact sums of the logit.
+   ``dnl_step`` loads the patterns of a batch one after another in one block
+   of curves: each takes the base's curves up to its own start, gets its
+   source curves, steps on its own until it drains or reaches the step cap,
+   and has its path travel times read out of the block (``read_out``, by the
+   same curve interpolation and FIFO inversion) before the next pattern
+   takes the block. ``dnl_path_times`` reads the link times of one loading
+   the same way, from the link rows of its block. For ``choice``,
+   ``dnl_run_sums`` totals runs of an array as ``ndarray.sum`` does, and
+   ``dnl_logit_exponents`` and ``dnl_logit_shares`` build a share table in
+   two passes over its open cells, around numpy's ``exp``, and state the
+   disutility.
 
    Arguments. What stays the same from call to call comes in one argument
    block: a plan (``plan_t``), a read-out (``readout_t``) or a table layout
@@ -110,15 +109,14 @@ i64 dnl_run_sums(const double *x, i64 len, const i64 *start, const i64 *size, i6
 /* The layout of a share table (``choice._Layout``): the open cells of the n
    provision intervals from ``first`` of T, interval i's P paths x
    departures ``first`` + i .. T - 1 row-major, after the cells of the
-   intervals before it. Path p belongs to OD ``path_od[p]`` of ``n_od``; the
-   paths of one OD are a run of equal ``path_od``, so they make one block
-   at each interval. Block k, m per interval, ``blocks`` in all, is the
-   ``size[k]`` cells from ``start[k]`` of ``cells`` and holds OD
-   ``block_od[k]``. ``mids`` holds the T interval midpoints. */
+   intervals before it. Path p belongs to OD ``path_od[p]``; the paths of
+   one OD are a run of equal ``path_od``, so they make one block at each
+   interval. Block k, ``blocks`` in all, is the ``size[k]`` cells from
+   ``start[k]`` of ``cells``. ``mids`` holds the T interval midpoints. */
 typedef struct {
-    const i64 *start, *size, *block_od, *path_od;
+    const i64 *start, *size, *path_od;
     const double *mids;
-    i64 n, first, T, P, n_od, m, cells, blocks;
+    i64 n, first, T, P, cells, blocks;
 } layout_t;
 
 /* Systematic disutility of a trip of ``phi`` departing at ``t`` that aims to
@@ -229,58 +227,6 @@ i64 dnl_logit_shares(const layout_t *lay, double *w, i64 *top)
         for (i64 c = 0; c < size[k] && top[k] == cells; c++)
             if (share[c] == most)
                 top[k] = start[k] + c;
-    }
-    return 0;
-}
-
-/* One class's rollout over the n provision intervals of a share table of
-   layout ``lay``, as ``choice.rollout`` states it: at interval i, each block
-   of the layout (m per interval, block k of each holding OD
-   ``block_od[k]``'s paths x T - ``first`` - i departure intervals
-   row-major, so the interval's cells are one paths x departures matrix)
-   assigns ``rem`` of its OD, shares times demand, with the residual of the
-   block's total folded into its cell ``top``; each path's first cell is
-   realized into ``y[p, i]`` and subtracted from ``rem`` of OD
-   ``path_od[p]`` in path order, as ``np.subtract.at`` does. A remainder below -1e-9 of its OD's demand (or of
-   one vehicle) is an overdraw; smaller ones are clamped to zero as
-   ``np.maximum`` does, keeping NaN (so does ``max2(1.0, demand)``, whose
-   NaN fails the test as numpy's does). ``work`` holds P x (T - ``first``)
-   cells.
-   Returns 0, or stops at the first failed check of interval i and returns
-   2 i + 1 for a negative demand or a nonzero one on a non-finite block,
-   with ``rem`` as the check found it, and 2 i + 2 for an overdraw, with
-   ``rem`` before the clamp. */
-i64 dnl_rollout(const layout_t *lay, const double *share, const i64 *top,
-                const uint8_t *finite, const double *demand, double *rem, double *y,
-                double *work)
-{
-    const i64 *start = lay->start, *size = lay->size, *block_od = lay->block_od;
-    const i64 *path_od = lay->path_od, m = lay->m, n = lay->n, P = lay->P, n_od = lay->n_od;
-    for (i64 i = 0, width = lay->T - lay->first; i < n; i++, width--) {
-        const i64 *blocks = start + i * m;
-        for (i64 k = 0; k < m; k++)
-            if (rem[block_od[k]] < 0.0)
-                return 2 * i + 1;
-        for (i64 k = 0; k < m; k++)
-            if (rem[block_od[k]] != 0.0 && !finite[i * m + k])
-                return 2 * i + 1;
-        for (i64 k = 0; k < m; k++) {
-            const i64 j = i * m + k;
-            const double d = rem[block_od[k]];
-            double *out = work + (start[j] - blocks[0]);
-            for (i64 c = 0; c < size[j]; c++)
-                out[c] = share[start[j] + c] * d;
-            work[top[j] - blocks[0]] += d - dnl_sum(out, size[j]);
-        }
-        for (i64 p = 0; p < P; p++) {
-            y[p * n + i] = work[p * width];
-            rem[path_od[p]] -= y[p * n + i];
-        }
-        for (i64 o = 0; o < n_od; o++)
-            if (rem[o] < -1e-9 * max2(1.0, demand[o]))
-                return 2 * i + 2;
-        for (i64 o = 0; o < n_od; o++)
-            rem[o] = rem[o] < 0.0 ? 0.0 : rem[o];
     }
     return 0;
 }
@@ -729,9 +675,8 @@ i64 dnl_blocks(i64 *out, i64 n)
         FIELD(readout_t, times), FIELD(readout_t, K), FIELD(readout_t, P), FIELD(readout_t, T),
         FIELD(readout_t, dt),
         sizeof(layout_t), FIELD(layout_t, start), FIELD(layout_t, size),
-        FIELD(layout_t, block_od), FIELD(layout_t, path_od), FIELD(layout_t, mids),
-        FIELD(layout_t, n), FIELD(layout_t, first), FIELD(layout_t, T), FIELD(layout_t, P),
-        FIELD(layout_t, n_od), FIELD(layout_t, m), FIELD(layout_t, cells),
+        FIELD(layout_t, path_od), FIELD(layout_t, mids), FIELD(layout_t, n),
+        FIELD(layout_t, first), FIELD(layout_t, T), FIELD(layout_t, P), FIELD(layout_t, cells),
         FIELD(layout_t, blocks),
     };
     const i64 count = sizeof all / sizeof all[0];

@@ -9,10 +9,10 @@ helpers read or set up loadings: ``vehicles_stored``, ``step_cap``,
 and ``source_curves``, the numpy formula of the curves the kernel writes for
 its sources; ``solve_recording`` keeps the input of every map a solve
 applies; ``systematic_disutility`` and ``logit`` state the disutility and the
-logit of one choice set in numpy; ``rollout`` is the per-interval loop that
-``choice.rollout`` runs in one kernel call; ``hop_chain`` reads path times
-out of a loading path by path, hop by hop, where ``dnl_path_times`` passes
-each node of the paths' prefix trie once.
+logit of one choice set in numpy; ``rollout`` is the per-interval loop of
+``choice.assign`` calls that ``choice.rollout`` takes in closed form;
+``hop_chain`` reads path times out of a loading path by path, hop by hop,
+where ``dnl_path_times`` passes each node of the paths' prefix trie once.
 """
 
 from __future__ import annotations

@@ -1,4 +1,7 @@
-"""Fresh CLI runs reproduce the committed artifacts under ``out/`` byte for byte."""
+"""Fresh CLI runs reproduce the committed artifacts under ``out/`` byte for byte.
+
+Re-record them with ``PYTHONPATH=src python tests/test_artifacts.py``.
+"""
 
 import os
 import shutil
@@ -32,13 +35,28 @@ def set_env(monkeypatch, env: dict) -> None:
         monkeypatch.setenv(key, value)
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
-def test_cli_run_reproduces_committed_artifacts(name, tmp_path, monkeypatch):
+def run(name: str, out: Path, monkeypatch) -> int:
+    """The exit code of the CLI run ``RUNS[name]`` into ``out``, in its environment."""
     command, scenario, extra, env = RUNS[name]
     set_env(monkeypatch, env)
-    out = tmp_path / name
     ini = ROOT / "scenarios" / scenario / "scenario.ini"
-    assert cli.main([command, "--scenario", str(ini), "--out", str(out), *extra]) == 0
+    return cli.main([command, "--scenario", str(ini), "--out", str(out), *extra])
+
+
+def record() -> None:
+    """Rewrite every directory of ``RUNS`` under ``out/`` by the run the test checks."""
+    for name in sorted(RUNS):
+        out = ROOT / "out" / name
+        shutil.rmtree(out, ignore_errors=True)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if run(name, out, monkeypatch):
+                raise SystemExit(f"{name}: the run failed")
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_cli_run_reproduces_committed_artifacts(name, tmp_path, monkeypatch):
+    out = tmp_path / name
+    assert run(name, out, monkeypatch) == 0
     committed = ROOT / "out" / name
     assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in committed.iterdir())
     for path in sorted(committed.iterdir()):
@@ -66,3 +84,7 @@ def test_link_on_no_path_adds_only_zero_curves(tmp_path, monkeypatch):
         (committed / "curves.csv").read_text()
     assert len(unused) == 41
     assert all(line.endswith(",0,0\n") for line in unused)
+
+
+if __name__ == "__main__":
+    record()

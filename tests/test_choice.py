@@ -442,6 +442,14 @@ class TestRemainingDemand:
         with pytest.raises(choice.ChoiceError, match="not one per OD of 2"):
             choice.remaining_demand(np.full((3, 2), 2.0), np.array(demand), ps)
 
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 3), (3,)])
+    def test_history_of_other_path_count_raises(self, three_path_set, shape):
+        # three paths: one row would be broadcast to all of them, and two
+        # would fail inside numpy
+        _, ps = three_path_set
+        with pytest.raises(choice.ChoiceError, match="not one row per path of 3"):
+            choice.remaining_demand(np.full(shape, 2.0), np.array([12.0, 12.0]), ps)
+
     def test_overdraw_in_rollout_raises(self, three_path_set):
         net, ps = three_path_set
         grid = nw.TimeGrid(360.0, 120.0)
@@ -709,8 +717,9 @@ class TestShareTable:
 
 
 class TestRollout:
-    """``choice.rollout`` is the per-interval loop of ``oracles.rollout`` in one
-    kernel call: the same bytes, or the same error."""
+    """``choice.rollout`` is the per-interval loop of ``oracles.rollout`` in closed
+    form: the same departures within 1e-12 of each OD's demand (or of one
+    vehicle) per cell, or an error where the loop raises one."""
 
     @staticmethod
     def table_of(three_path_set, phi=None):
@@ -718,12 +727,40 @@ class TestRollout:
         phi = np.full((3, ps.n_paths, 1), 60.0) if phi is None else phi
         return choice.share_table(phi, 0, nw.TimeGrid(360.0, 120.0), ps, params_for(net))
 
+    @staticmethod
+    def assert_close(got, want, demand, ps):
+        assert got.shape == want.shape
+        assert (np.abs(got - want) <= 1e-12 * np.maximum(1.0, demand)[ps.od_of_path, None]).all()
+
+    @staticmethod
+    def drawn(sizes, empty_od, T, n, forecast, ties, theta, seed):
+        """A random path set, grid, parameters, (n, P, 1 or T) travel times and a
+        demand per OD: zero, dust or ordinary."""
+        rng = np.random.default_rng(seed)
+        if empty_od:  # an OD without paths has no choice set
+            sizes = [*sizes[:1], 0, *sizes[1:]]
+        ps = path_set_of(sizes)
+        params = choice.ChoiceParams(
+            theta=theta, time_unit_s=600.0,
+            target_arrival_s=tuple(float(60 * rng.integers(0, 2 * T + 1)) for _ in sizes),
+        )
+        shape = (n, ps.n_paths, T if forecast else 1)
+        if ties:  # whole minutes with few values make exact disutility ties common
+            phi = 60.0 * rng.integers(0, 3, size=shape)
+        else:
+            phi = rng.uniform(30.0, 900.0, size=shape)
+        n_od = len(sizes)
+        demand = np.choose(rng.integers(0, 3, size=n_od),
+                           [np.zeros(n_od), rng.choice([5e-324, 1e-300, 1e-12], size=n_od),
+                            rng.uniform(0.5, 500.0, size=n_od)])
+        return rng, ps, nw.TimeGrid(T * 120.0, 120.0), params, phi, demand
+
     # a NaN or infinite travel time makes NaN disutilities, as it always has
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @settings(max_examples=60, deadline=None)
     # 7 paths x 40 intervals: numpy sums a block of 280 cells in two halves
     @example(sizes=[7, 2], empty_od=False, T=40, first=0, n=40, forecast=False, ties=False,
-             theta=0.3, scale=1.0, bad_cell=None, bad_demand=0.0, negative=False, seed=7)
+             theta=0.3, bad_cell=None, bad_demand=0.0, negative=False, seed=7)
     @given(
         sizes=st.lists(st.integers(0, 6), min_size=1, max_size=4).map(
             lambda sizes: [sizes[0] or 1, *sizes[1:]]),
@@ -734,54 +771,61 @@ class TestRollout:
         forecast=st.booleans(),
         ties=st.booleans(),
         theta=st.sampled_from([1e-9, 0.3, 1.0, 4.0]),
-        scale=st.sampled_from([1.0, 1.0, 1.0, 0.25, 3.0]),
         bad_cell=st.sampled_from([None, None, np.nan, np.inf, -np.inf]),
         bad_demand=st.sampled_from([0.0, 0.0, 1.0]),
         negative=st.sampled_from([False, False, False, True]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_equals_per_interval_loop(self, sizes, empty_od, T, first, n, forecast, ties,
-                                      theta, scale, bad_cell, bad_demand, negative, seed):
-        rng = np.random.default_rng(seed)
-        if empty_od:  # an OD without paths has no choice set
-            sizes = [*sizes[:1], 0, *sizes[1:]]
+                                      theta, bad_cell, bad_demand, negative, seed):
         first = first % T
         n = 1 + (n - 1) % (T - first)
-        ps = path_set_of(sizes)
-        P, n_od = ps.n_paths, len(sizes)
-        grid = nw.TimeGrid(T * 120.0, 120.0)
-        params = choice.ChoiceParams(
-            theta=theta, time_unit_s=600.0,
-            target_arrival_s=tuple(float(60 * rng.integers(0, 2 * T + 1)) for _ in sizes),
-        )
-        shape = (n, P, T if forecast else 1)
-        if ties:  # whole minutes with few values make exact disutility ties common
-            phi = 60.0 * rng.integers(0, 3, size=shape)
-        else:
-            phi = rng.uniform(30.0, 900.0, size=shape)
-        # zero, dust or ordinary demand per OD
-        demand = np.choose(rng.integers(0, 3, size=n_od),
-                           [np.zeros(n_od), rng.choice([5e-324, 1e-300, 1e-12], size=n_od),
-                            rng.uniform(0.5, 500.0, size=n_od)])
+        rng, ps, grid, params, phi, demand = self.drawn(sizes, empty_od, T, n, forecast, ties,
+                                                        theta, seed)
         if bad_cell is not None:  # one non-finite block, whose OD has no demand or some
-            p = int(rng.integers(0, P))
+            p = int(rng.integers(0, ps.n_paths))
             phi[rng.integers(0, n), p] = bad_cell
             demand[ps.od_of_path[p]] = bad_demand
         if negative:
-            demand[rng.integers(0, n_od)] = -rng.uniform(1e-12, 1.0)
+            demand[rng.integers(0, len(demand))] = -rng.uniform(1e-12, 1.0)
         table = choice.share_table(phi, first, grid, ps, params)
-        if scale != 1.0:  # no longer a logit: columns may overdraw their OD
-            table = dataclasses.replace(table, share=table.share * scale)
         try:
             want = oracles.rollout(table, demand, ps)
-        except choice.ChoiceError as err:
-            with pytest.raises(choice.ChoiceError) as got:
+        except choice.ChoiceError:
+            with pytest.raises(choice.ChoiceError):
                 choice.rollout(table, demand, ps)
-            assert str(got.value) == str(err)
             return
         got = choice.rollout(table, demand, ps)
-        assert got.shape == want.shape == (P, n)
-        assert got.tobytes() == want.tobytes()
+        assert want.shape == (ps.n_paths, n)
+        self.assert_close(got, want, demand, ps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(0, 6), min_size=1, max_size=4).map(
+            lambda sizes: [sizes[0] or 1, *sizes[1:]]),
+        empty_od=st.booleans(),
+        T=st.integers(1, 60),
+        first=st.integers(0, 59),
+        forecast=st.booleans(),
+        ties=st.booleans(),
+        theta=st.sampled_from([1e-9, 0.3, 1.0, 4.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_table_to_the_horizon_realizes_each_od_demand(self, sizes, empty_od, T, first,
+                                                            forecast, ties, theta, seed):
+        # the last interval's column is the whole choice set, so it takes
+        # what is left; an OD without paths realizes nothing. Below the
+        # smallest normal float, dust has no relative precision
+        first = first % T
+        _, ps, grid, params, phi, demand = self.drawn(sizes, empty_od, T, T - first, forecast,
+                                                      ties, theta, seed)
+        table = choice.share_table(phi, first, grid, ps, params)
+        total = np.bincount(ps.od_of_path, choice.rollout(table, demand, ps).sum(axis=1),
+                            minlength=len(demand))
+        live = np.bincount(ps.od_of_path, minlength=len(demand)) > 0
+        np.testing.assert_allclose(total[live], demand[live], rtol=1e-9,
+                                   atol=np.finfo(float).tiny)
+        assert (total[~live] == 0.0).all()
 
     def test_negative_demand_raises(self, three_path_set):
         _, ps = three_path_set
@@ -797,22 +841,13 @@ class TestRollout:
         with pytest.raises(choice.ChoiceError, match="non-finite"):
             choice.rollout(table, np.array([12.0, 12.0]), ps)
 
-    @staticmethod
-    def rejected_before_the_kernel(monkeypatch, table, demand, ps, match):
-        def kernel():
-            raise AssertionError("the kernel was called")
-
-        monkeypatch.setattr(dnl, "_kernel", kernel)
-        with pytest.raises(choice.ChoiceError, match=match):
-            choice.rollout(table, demand, ps)
-
-    def test_table_of_other_path_count_rejected(self, three_path_set, monkeypatch):
+    def test_table_of_other_path_count_rejected(self, three_path_set):
         # a table built for two ODs of two paths each
         net, ps = three_path_set
         table = choice.share_table(np.full((3, 4, 1), 60.0), 0, nw.TimeGrid(360.0, 120.0),
                                    path_set_of([2, 2]), params_for(net))
-        self.rejected_before_the_kernel(monkeypatch, table, np.array([12.0, 12.0]), ps,
-                                        "does not fit")
+        with pytest.raises(choice.ChoiceError, match="does not fit"):
+            choice.rollout(table, np.array([12.0, 12.0]), ps)
 
     def test_a_table_takes_its_first_interval_and_paths_from_its_layout(self, three_path_set):
         # no copy of either sits beside the layout to disagree with it: a
@@ -827,19 +862,19 @@ class TestRollout:
         with pytest.raises(choice.ChoiceError, match=r"share table's 1\.\.2"):
             choice.assign(table, 0, np.array([[12.0, 12.0]]))
         demand = np.array([12.0, 12.0])
-        assert choice.rollout(table, demand, ps).tobytes() == \
-            oracles.rollout(table, demand, ps).tobytes()
+        self.assert_close(choice.rollout(table, demand, ps), oracles.rollout(table, demand, ps),
+                          demand, ps)
 
-    def test_table_of_other_od_sizes_rejected(self, three_path_set, monkeypatch):
+    def test_table_of_other_od_sizes_rejected(self, three_path_set):
         # three paths either way, but the table's first OD has two of them
-        self.rejected_before_the_kernel(monkeypatch, self.table_of(three_path_set),
-                                        np.array([12.0, 12.0]), path_set_of([1, 2]),
-                                        "does not fit")
+        with pytest.raises(choice.ChoiceError, match="does not fit"):
+            choice.rollout(self.table_of(three_path_set), np.array([12.0, 12.0]),
+                           path_set_of([1, 2]))
 
-    def test_demand_of_other_od_count_rejected(self, three_path_set, monkeypatch):
+    def test_demand_of_other_od_count_rejected(self, three_path_set):
         _, ps = three_path_set
-        self.rejected_before_the_kernel(monkeypatch, self.table_of(three_path_set),
-                                        np.array([12.0, 12.0, 1.0]), ps, "one per OD")
+        with pytest.raises(choice.ChoiceError, match="one per OD"):
+            choice.rollout(self.table_of(three_path_set), np.array([12.0, 12.0, 1.0]), ps)
 
     @pytest.mark.parametrize("bad_top", [
         lambda lay, top: np.where(np.arange(len(top)) == 0, lay.start + lay.size, top),
@@ -847,8 +882,8 @@ class TestRollout:
         lambda lay, top: top[:-1],
     ], ids=["one past its block", "negative", "one short"])
     def test_top_outside_its_block_rejected(self, three_path_set, monkeypatch, bad_top):
-        # ``assign`` and ``dnl_rollout`` add each block's residual at its top
-        # unchecked, so a table is checked when it is made or replaced
+        # ``assign`` adds each block's residual at its top unchecked, so a
+        # table is checked when it is made or replaced
         table = self.table_of(three_path_set)
 
         def kernel():

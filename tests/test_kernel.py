@@ -155,14 +155,13 @@ def test_source_curves_equal_the_numpy_formula(grid_congested, refine):
 
 def layout(path_od, first, n, T, cells, start, size):
     """A ``layout_t`` of ``n`` provision intervals from ``first`` of ``T`` for paths of the ODs
-    ``path_od``, whose blocks are ``start`` and ``size`` in ``cells`` cells; interval
-    midpoints 120 s apart, and every block of OD 0."""
+    ``path_od``, whose blocks are ``start`` and ``size`` in ``cells`` cells, and interval
+    midpoints 120 s apart."""
     i64, blocks, P = np.int64, len(start), len(path_od)
     return choice._LayoutBlock(
         [(np.array(start, i64), i64, blocks), (np.array(size, i64), i64, blocks),
-         (np.zeros(blocks, i64), i64, blocks), (np.array(path_od, i64), i64, P),
-         ((np.arange(T) + 0.5) * 120.0, np.float64, T)],
-        n, first, T, P, int(max(path_od)) + 1, 1, cells, blocks)
+         (np.array(path_od, i64), i64, P), ((np.arange(T) + 0.5) * 120.0, np.float64, T)],
+        n, first, T, P, cells, blocks)
 
 
 def logit_exponents(phi, first, T, path_od, target, cells, blocks, theta=1.0):
@@ -230,8 +229,7 @@ def test_every_entry_point_is_bound_with_its_c_signature():
     source = (SRC / "dsuedhi" / "dnl_step.c").read_text()
     defined = re.findall(r"^(void|i64|double)\s+(dnl_\w+)\(([^)]*)\)\s*\{", source, re.M)
     assert {name for _, name, _ in defined} >= {"dnl_step", "dnl_path_times", "dnl_run_sums",
-                                                 "dnl_rollout", "dnl_logit_exponents",
-                                                 "dnl_logit_shares"}
+                                                 "dnl_logit_exponents", "dnl_logit_shares"}
     declared = re.findall(r"^(?!static)\w[\w \t*]*?\b(dnl_\w+)\(", source, re.M)
     assert sorted(declared) == sorted(name for _, name, _ in defined)
     lib = dnl._kernel()
@@ -373,7 +371,7 @@ def test_library_appears_only_through_os_replace(cache, monkeypatch):
     assert os.stat(cache).st_mode & 0o777 == 0o700
 
 
-def test_one_map_passes_59_arrays_to_the_kernel(monkeypatch):
+def test_one_map_passes_45_arrays_to_the_kernel(monkeypatch):
     # the arrays that stay the same from map to map go in argument blocks,
     # built once; a warm map checks and passes only its per-call arrays (83
     # before the blocks)
@@ -382,4 +380,4 @@ def test_one_map_passes_59_arrays_to_the_kernel(monkeypatch):
     own, calls = dnl._arg, []
     monkeypatch.setattr(dnl, "_arg", lambda *args: calls.append(args) or own(*args))
     equilibrium.fixed_point_map(h_i, h_f, net, ps, grid, params)
-    assert len(calls) == 59
+    assert len(calls) == 45
