@@ -80,16 +80,17 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _cell_keys(net, path_set, n_intervals: int) -> list[str]:
     """``od,path_id,t_index`` of every (path, interval) cell, path-major."""
-    keys = []
+    keys, t_index = [], [str(t) for t in range(n_intervals)]
     for pth in path_set.paths:
         od = net.od_pairs[pth.od_index]
-        keys += [f"{od.origin}-{od.destination},{pth.path_id},{t}" for t in range(n_intervals)]
+        prefix = f"{od.origin}-{od.destination},{pth.path_id},"
+        keys += [prefix + t for t in t_index]
     return keys
 
 
-def write_equilibrium_csv(path: Path, result: EquilibriumResult, keys: list[str]) -> None:
-    """Both classes' departures of every cell, keyed by ``_cell_keys``."""
-    _write_table(path, EQUILIBRIUM_HEADER, keys, *result.h)
+def write_equilibrium_csv(path: Path, departures: list[list[str]], keys: list[str]) -> None:
+    """Both classes' departures of every cell, each by ``_column``, keyed by ``_cell_keys``."""
+    _write_table(path, EQUILIBRIUM_HEADER, keys, *departures)
 
 
 def read_equilibrium_csv(path: Path) -> dict[tuple[str, int, int], tuple[float, float]]:
@@ -104,11 +105,15 @@ def write_trace_csv(path: Path, result: EquilibriumResult) -> None:
                  result.betas, result.alphas)
 
 
-def write_accuracy_csv(path: Path, report: metrics.AccuracyReport, keys: list[str]) -> None:
-    """The instantaneous class's cells, then the forecast class's, keyed by ``_cell_keys``."""
+def write_accuracy_csv(path: Path, report: metrics.AccuracyReport, keys: list[str],
+                       departures: list[list[str]]) -> None:
+    """The instantaneous class's cells, then the forecast class's, keyed by ``_cell_keys``.
+
+    ``departures`` are both classes' departures as ``write_equilibrium_csv`` writes them.
+    """
     _write_table(path, ACCURACY_HEADER, [c for c in CLASS_NAMES["dsue-dhi"] for _ in keys],
                  keys * 2, report.itt, _column(report.rtt) * 2, report.rel_diff,
-                 report.departures)
+                 departures[0] + departures[1])
 
 
 @dataclass
@@ -173,9 +178,10 @@ def run_solve(sc: Scenario, out_dir: Path) -> int:
     s = _summary(sc, result, built)
     out_dir.mkdir(parents=True, exist_ok=True)
     keys = _cell_keys(net, path_set, grid.n_intervals)
-    write_equilibrium_csv(out_dir / "equilibrium.csv", result, keys)
+    departures = [_column(h) for h in result.h]  # formatted once for both tables
+    write_equilibrium_csv(out_dir / "equilibrium.csv", departures, keys)
     write_trace_csv(out_dir / "trace.csv", result)
-    write_accuracy_csv(out_dir / "accuracy.csv", s.accuracy, keys)
+    write_accuracy_csv(out_dir / "accuracy.csv", s.accuracy, keys, departures)
     _write_json(out_dir / "metrics.json", {
         "scenario_id": sc.scenario_id,
         "model": result.model,

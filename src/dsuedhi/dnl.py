@@ -105,7 +105,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import Network, PathSet, TimeGrid
+from .network import HashedLinks, Network, PathSet, TimeGrid
 
 class DnlError(RuntimeError):
     """Raised when loading input is infeasible or internally inconsistent."""
@@ -227,9 +227,11 @@ class _Plan:
     are numbered row-major, in path order within a row. The other links get
     no row, and the plan reads none of their parameters, so the refine
     factor is set by the used links alone. ``_plan`` keeps the last few
-    plans. The kernel reads a plan through ``block`` (``plan_t``), which
-    holds ``paths``, the read-out of the paths' times at the interval
-    midpoints; ``links`` reads each link row alone at the interval starts.
+    plans, looked up by the network's ``plan_key``, whose hash is computed
+    once: a load hashes no link. The kernel reads a plan through ``block``
+    (``plan_t``), which holds ``paths``, the read-out of the paths' times at
+    the interval midpoints; ``links`` reads each link row alone at the
+    interval starts.
     """
 
     def __init__(self, links: tuple, seqs: tuple, grid: TimeGrid):
@@ -286,7 +288,10 @@ class _Plan:
             A, R, L, S, self.refine, self.dt, self.paths)
 
 
-_plan = functools.lru_cache(maxsize=8)(_Plan)
+@functools.lru_cache(maxsize=8)
+def _plan(key: HashedLinks, seqs: tuple, grid: TimeGrid) -> _Plan:
+    """The ``_Plan`` of ``key.links``; the key's hash is computed once per network."""
+    return _Plan(key.links, seqs, grid)
 
 
 def _trie(path_rows: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -385,7 +390,7 @@ def load(
     curves, to be a ``load_batch`` base.
     """
     h = _departures(departures, path_set.n_paths, grid.n_intervals)[None]
-    plan = _plan(net.links, path_set.link_seq, grid)
+    plan = _plan(net.plan_key, path_set.link_seq, grid)
     path_time, extrapolated = np.empty(h.shape), np.empty(h.shape, dtype=bool)
     up, dn, slots, n_steps, drained = _step(plan, h, np.zeros(1, dtype=np.int64), path_time,
                                             extrapolated)

@@ -46,7 +46,6 @@ class AccuracyReport:
     itt: np.ndarray
     rtt: np.ndarray  # paths x T
     rel_diff: np.ndarray  # NaN where at most 1e-6 vehicles of the class depart
-    departures: np.ndarray
     norm_instant: float  # ||ITT_I - RTT|| over the window
     norm_forecast: float
     norm_rtt: float
@@ -69,7 +68,7 @@ def information_accuracy(
         rel_diff = np.where((result.h > 1e-6) & (rtt > 0), (itt - rtt) / rtt, np.nan)
     norm_i, norm_f = (float(np.linalg.norm(gap)) for gap in np.where(window, itt - rtt, 0.0))
     norm_rtt = float(np.linalg.norm(np.where(window, rtt, 0.0)))
-    return AccuracyReport(itt, rtt, rel_diff, result.h, norm_i, norm_f, norm_rtt)
+    return AccuracyReport(itt, rtt, rel_diff, norm_i, norm_f, norm_rtt)
 
 
 @dataclass

@@ -4,12 +4,21 @@ Everything downstream (loading, choice, equilibrium) works on dense integer
 indices assigned here: links sorted by id, OD pairs sorted by (origin,
 destination), paths ordered per OD by free-flow time. Units are SI throughout
 (seconds, meters, vehicles).
+
+A ``Network`` builds, once, the integer graph that path enumeration searches:
+node ids, each node's out- and in-links, and each link's head, free-flow time
+and length. Paths come from a deviation search (Yen's, with Lawler's skip of
+repeated spur searches) whose spur searches are pruned by each OD's time
+bound, against a reverse shortest-path tree from its destination.
 """
 
 from __future__ import annotations
 
-import heapq
+import functools
+import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from operator import itemgetter
 
 import numpy as np
 
@@ -111,20 +120,59 @@ class Path:
     free_flow_s: float
 
 
+class HashedLinks:
+    """A tuple of links whose hash is computed once.
+
+    Equal to another ``HashedLinks`` exactly when the links are equal, so a
+    cache keyed by it never mixes up two networks; a lookup by the same
+    object compares by identity alone.
+    """
+
+    __slots__ = ("links", "_hash")
+
+    def __init__(self, links: tuple[Link, ...]):
+        self.links = links
+        self._hash = hash(links)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (isinstance(other, HashedLinks) and self._hash == other._hash
+                                 and self.links == other.links)
+
+
 class Network:
-    """Validated immutable network: canonical link/OD ordering, adjacency."""
+    """Validated immutable network: canonical link/OD ordering, integer graph."""
 
     def __init__(self, links: tuple[Link, ...], od_pairs: tuple[OdDemand, ...]):
         self.links = links
         self.od_pairs = od_pairs
         self.link_index = {l.link_id: i for i, l in enumerate(links)}
         self.nodes = tuple(sorted({l.tail for l in links} | {l.head for l in links}))
-        out: dict[str, list[tuple[str, str, float, float]]] = {}
-        for l in links:
-            out.setdefault(l.tail, []).append((l.head, l.link_id, l.free_flow_s, l.length_m))
-        for v in out.values():
-            v.sort(key=lambda e: (e[2], e[1]))
-        self.adjacency = out
+        self.node_index = node_index = {v: i for i, v in enumerate(self.nodes)}
+        # the integer graph path enumeration searches: per link its head node,
+        # free-flow time and length; per node its out-links (head, link,
+        # free-flow time, length) by free-flow time, then link id, and its
+        # in-links (tail, free-flow time)
+        self.link_head = [node_index[l.head] for l in links]
+        self.link_ff = [l.free_flow_s for l in links]
+        self.link_length = [l.length_m for l in links]
+        out: list[list[tuple[int, int, float, float]]] = [[] for _ in self.nodes]
+        into: list[list[tuple[int, float]]] = [[] for _ in self.nodes]
+        for a, (l, head, ff) in enumerate(zip(links, self.link_head, self.link_ff)):
+            tail = node_index[l.tail]
+            out[tail].append((head, a, ff, l.length_m))
+            into[head].append((tail, ff))
+        for v in out:
+            v.sort(key=itemgetter(2))  # stable: ties stay in link order
+        self.out_links = out
+        self.in_links = into
+
+    @functools.cached_property
+    def plan_key(self) -> HashedLinks:
+        """``links``, hashed once: the loader looks its plan up by them on every load."""
+        return HashedLinks(self.links)
 
     @property
     def n_links(self) -> int:
@@ -210,33 +258,68 @@ def validate_network(
 
 def _shortest_path(
     net: Network,
-    origin: str,
-    destination: str,
-    weight: str,
-    banned_links: frozenset[str] = frozenset(),
-    banned_nodes: frozenset[str] = frozenset(),
-) -> tuple[float, tuple[str, ...]] | None:
-    """Dijkstra over the link multigraph; ties broken by link-id sequence."""
-    wpos = 2 if weight == "time" else 3
-    best: dict[str, float] = {origin: 0.0}
-    heap: list[tuple[float, tuple[str, ...], str]] = [(0.0, (), origin)]
-    done: set[str] = set()
+    source: int,
+    target: int,
+    weight: int,
+    done: set[int],
+    first_links: list[tuple[int, int, float, float]],
+    h: list[float] | None = None,
+    limit: float = math.inf,
+) -> tuple[float, tuple[int, ...]] | None:
+    """Dijkstra on ``net``'s integer graph; ties broken by link sequence.
+
+    ``weight`` is the position of the cost in an out-link entry: 2 for
+    free-flow time, 3 for length. ``done`` holds the nodes the search may not
+    enter, and the search adds to it; ``source`` leaves by ``first_links``
+    alone. Returns the cost and the link indices of the path, or None. With
+    ``h``, a label at node v whose cost plus ``h[v]`` exceeds ``limit`` still
+    becomes v's best cost but is not pushed.
+    """
+    out = net.out_links
+    best = {source: 0.0}
+    heap: list[tuple[float, tuple[int, ...], int]] = [(0.0, (), source)]
     while heap:
-        cost, seq, node = heapq.heappop(heap)
+        cost, seq, node = heappop(heap)
         if node in done:
             continue
         done.add(node)
-        if node == destination:
+        if node == target:
             return cost, seq
-        for entry in net.adjacency.get(node, ()):
-            head, link_id = entry[0], entry[1]
-            if link_id in banned_links or head in banned_nodes or head in done:
+        for entry in out[node] if node != source else first_links:
+            head = entry[0]
+            if head in done:
                 continue
-            nxt = cost + entry[wpos]
-            if nxt < best.get(head, np.inf) - 1e-15:
+            nxt = cost + entry[weight]
+            if nxt < best.get(head, math.inf) - 1e-15:
                 best[head] = nxt
-                heapq.heappush(heap, (nxt, seq + (link_id,), head))
+                if h is not None and nxt + h[head] > limit:
+                    continue
+                heappush(heap, (nxt, seq + (entry[1],), head))
     return None
+
+
+def _time_to(net: Network, target: int, bound: float) -> list[float]:
+    """Free-flow time from each node to ``target``, by reverse Dijkstra stopped past ``bound``.
+
+    Exact for the nodes at most ``bound`` away; every other node gets a value
+    above ``bound`` (infinity if the search never reached it).
+    """
+    h = [math.inf] * len(net.nodes)
+    h[target] = 0.0
+    heap = [(0.0, target)]
+    into = net.in_links
+    while heap:
+        cost, node = heappop(heap)
+        if cost > bound:
+            break
+        if cost > h[node]:
+            continue
+        for tail, ff in into[node]:
+            nxt = cost + ff
+            if nxt < h[tail]:
+                h[tail] = nxt
+                heappush(heap, (nxt, tail))
+    return h
 
 
 def check_share(instant_share: float) -> None:
@@ -266,64 +349,95 @@ def enumerate_paths(
     free-flow time, then filtered so that free-flow time stays within
     ``time_ratio`` of the fastest path and length within ``length_ratio`` of
     the shortest path. Output is sorted by (free-flow time, link-id sequence).
+
+    Each newest shortest path spurs from every prefix (its root), with the
+    root's nodes closed and the next link of every path found so far that
+    shares the root banned. Two shortcuts leave the accepted paths as a
+    search without them finds them:
+
+    - A spur search is a function of its root and its banned links, so a
+      (root, banned links) pair searched before is skipped: the candidate
+      it gives is already in ``seen``. A root's banned links only grow, so
+      the pair repeats exactly when their count is the one last searched.
+      A spur node whose out-links are all banned is not searched.
+    - One reverse Dijkstra from the destination gives each node's free-flow
+      time to it, a lower bound that banning links only raises. A label
+      whose cost plus that bound exceeds the time bound minus the root's
+      cost, plus a slack of 1e-9 of the time bound, can only lead to a path
+      above the time bound, and is not pushed. It still records its best
+      cost, so the labels that are kept relax as before; the slack lies far
+      above float error and the relaxation's 1e-15, so no label of a path
+      within the bound is pruned. A candidate above the time bound is never
+      accepted: popping one only ends the loop, as an empty heap does. So
+      pruning can only turn such a candidate into another one above the
+      bound, or into none.
     """
+    ids = [l.link_id for l in net.links]
+    return [tuple(map(ids.__getitem__, seq))
+            for seq in _link_paths(net, od, k_max, time_ratio, length_ratio)]
+
+
+def _link_paths(
+    net: Network,
+    od: OdDemand,
+    k_max: int,
+    time_ratio: float,
+    length_ratio: float,
+) -> list[tuple[int, ...]]:
+    """``enumerate_paths`` as link-index sequences."""
     check_path_limits(k_max, time_ratio, length_ratio)
-    first = _shortest_path(net, od.origin, od.destination, "time")
+    origin, target = net.node_index[od.origin], net.node_index[od.destination]
+    out, head, ff, length = net.out_links, net.link_head, net.link_ff, net.link_length
+    first = _shortest_path(net, origin, target, 2, set(), out[origin])
     if first is None:
         raise NetworkError(f"OD pair with no path: {od.origin}->{od.destination}")
-    by_length = _shortest_path(net, od.origin, od.destination, "length")
+    by_length = _shortest_path(net, origin, target, 3, set(), out[origin])
     assert by_length is not None
     time_bound = time_ratio * first[0] + 1e-12
     length_bound = length_ratio * by_length[0] + 1e-12
+    slack = 1e-9 * time_bound
+    h = _time_to(net, target, time_bound + slack)
 
-    def path_cost(seq: tuple[str, ...]) -> tuple[float, float]:
-        t = sum(net.link(lid).free_flow_s for lid in seq)
-        m = sum(net.link(lid).length_m for lid in seq)
-        return t, m
-
-    accepted: list[tuple[float, tuple[str, ...]]] = []
-    shortest: list[tuple[float, tuple[str, ...]]] = [first]
-    candidates: list[tuple[float, tuple[str, ...]]] = []
+    accepted: list[tuple[float, tuple[int, ...]]] = []
+    candidates: list[tuple[float, tuple[int, ...]]] = []
     seen = {first[1]}
+    # root -> the next link of each shortest path found so far with that
+    # root, and the number of them when last spurred from
+    banned_at: dict[tuple[int, ...], set[int]] = {}
+    searched: dict[tuple[int, ...], int] = {}
 
-    while len(accepted) < k_max:
-        cost, seq = shortest[-1]
-        if cost > time_bound:
-            break
-        if path_cost(seq)[1] <= length_bound:
+    cost, seq = first
+    while not cost > time_bound:  # a NaN bound bounds nothing
+        if sum(map(length.__getitem__, seq)) <= length_bound:
             accepted.append((cost, seq))
-        if len(accepted) >= k_max:
-            break
+            if len(accepted) >= k_max:
+                break
         # branch: spur from every prefix of the newest shortest path
-        nodes_of = _node_sequence(net, seq, od.origin)
-        for i in range(len(seq)):
+        nodes = [origin, *map(head.__getitem__, seq)]
+        root_cost = 0.0
+        for i, a in enumerate(seq):
             root = seq[:i]
-            spur_node = nodes_of[i]
-            banned_links = {
-                known[i]
-                for _, known in shortest
-                if len(known) > i and known[:i] == root
-            }
-            banned_nodes = frozenset(nodes_of[:i])
-            spur = _shortest_path(
-                net,
-                spur_node,
-                od.destination,
-                "time",
-                banned_links=frozenset(banned_links),
-                banned_nodes=banned_nodes,
-            )
-            if spur is None:
-                continue
-            total = root + spur[1]
-            if total not in seen:
-                seen.add(total)
-                heapq.heappush(candidates, (path_cost(total)[0], total))
+            banned = banned_at.setdefault(root, set())
+            banned.add(a)
+            if searched.get(root) != len(banned):
+                searched[root] = len(banned)
+                # every banned link leaves the spur node
+                first_links = [e for e in out[nodes[i]] if e[1] not in banned]
+                spur = _shortest_path(
+                    net, nodes[i], target, 2, set(nodes[:i]), first_links,
+                    h, time_bound - root_cost + slack,
+                ) if first_links else None
+                if spur is not None:
+                    total = root + spur[1]
+                    if total not in seen:
+                        seen.add(total)
+                        heappush(candidates, (sum(map(ff.__getitem__, total)), total))
+            root_cost += ff[a]
         if not candidates:
             break
-        shortest.append(heapq.heappop(candidates))
+        cost, seq = heappop(candidates)
 
-    accepted.sort(key=lambda e: (e[0], e[1]))
+    accepted.sort()
     return [seq for _, seq in accepted[:k_max]]
 
 
@@ -378,10 +492,11 @@ def build_path_set(
     paths: list[Path] = []
     slices: list[slice] = []
     link_seqs: list[tuple[int, ...]] = []
+    ids, link_ff = [l.link_id for l in net.links], net.link_ff
     for od_index, od in enumerate(net.od_pairs):
         start = len(paths)
         if od.demand_total > 0:
-            sequences = enumerate_paths(net, od, k_max, time_ratio, length_ratio)
+            sequences = _link_paths(net, od, k_max, time_ratio, length_ratio)
             if not sequences:
                 raise NetworkError(
                     f"no feasible path for OD pair {od.origin}->{od.destination}"
@@ -389,10 +504,10 @@ def build_path_set(
         else:
             sequences = []
         for seq in sequences:
-            check_path(net, od, seq)
-            ff = sum(net.link(lid).free_flow_s for lid in seq)
-            paths.append(Path(len(paths), od_index, seq, ff))
-            link_seqs.append(tuple(net.link_index[lid] for lid in seq))
+            link_ids = tuple(map(ids.__getitem__, seq))
+            check_path(net, od, link_ids)
+            paths.append(Path(len(paths), od_index, link_ids, sum(map(link_ff.__getitem__, seq))))
+            link_seqs.append(seq)
         slices.append(slice(start, len(paths)))
     od_of_path = np.array([p.od_index for p in paths], dtype=np.intp)
     ff = np.array([p.free_flow_s for p in paths])

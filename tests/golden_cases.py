@@ -120,7 +120,7 @@ def load(case) -> dnl.LoadingResult:
 def link_times(res: dnl.LoadingResult, net, ps) -> np.ndarray:
     """Links x intervals travel times for entry at each interval start:
     ``dnl._link_times`` on the links some path uses, free-flow time on the others."""
-    plan = dnl._plan(net.links, ps.link_seq, res.grid)
+    plan = dnl._plan(net.plan_key, ps.link_seq, res.grid)
     out = np.repeat([[link.free_flow_s] for link in net.links], res.grid.n_intervals, axis=1)
     out[plan.used_links] = dnl._link_times(res)
     return out

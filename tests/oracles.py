@@ -3,7 +3,9 @@
 The loading oracle integrates cumulative curves at a hundredth of the
 departure interval with plain point-queue recursions; it shares no code with
 the production loader. The path oracles enumerate every simple path by
-exhaustive search and build the dense link-path incidence matrix. Four
+exhaustive search and build the dense link-path incidence matrix;
+``reference_paths`` and ``reference_path_set`` are the deviation search as
+it was before the integer graph, spur memo and time-bound pruning. Four
 helpers read or set up loadings: ``vehicles_stored``, ``step_cap``,
 ``stepped``, which keeps the curves of a batch that ``dnl.load_batch`` drops,
 and ``source_curves``, the numpy formula of the curves the kernel writes for
@@ -18,12 +20,15 @@ where ``dnl_path_times`` passes each node of the paths' prefix trie once.
 from __future__ import annotations
 
 import contextlib
+import heapq
 
 import numpy as np
 import pytest
 
 from dsuedhi import choice, dnl, equilibrium
 from dsuedhi import network as nw
+from dsuedhi.network import (Network, NetworkError, OdDemand, Path, PathSet, _node_sequence,
+                              check_path, check_path_limits)
 from loop_loader import _invert_vec, link_supply_rates
 
 
@@ -205,14 +210,185 @@ def all_simple_paths(net, origin, destination):
         if node == destination:
             results.append(seq)
             return
-        for head, link_id, _, _ in net.adjacency.get(node, ()):
-            if head in visited:
+        for link in net.links:
+            if link.tail != node or link.head in visited:
                 continue
-            walk(head, seq + (link_id,), visited | {head})
+            walk(link.head, seq + (link.link_id,), visited | {link.head})
 
     walk(origin, (), frozenset({origin}))
     results.sort()
     return results
+
+
+# Path enumeration as network.py had it before it searched an integer graph
+# with a spur memo and time-bound pruning, the reference the equivalence
+# tests compare with. ``_shortest_path``, ``enumerate_paths`` and
+# ``build_path_set`` are copied unchanged; they read the ``adjacency`` dict
+# that ``Network`` held then, which ``_ReferenceNet`` rebuilds as it did.
+
+
+class _ReferenceNet:
+    """The parts of a ``Network`` the reference path enumeration reads."""
+
+    def __init__(self, net: nw.Network):
+        self.od_pairs, self.link_index, self.link = net.od_pairs, net.link_index, net.link
+        out: dict[str, list[tuple[str, str, float, float]]] = {}
+        for l in net.links:
+            out.setdefault(l.tail, []).append((l.head, l.link_id, l.free_flow_s, l.length_m))
+        for v in out.values():
+            v.sort(key=lambda e: (e[2], e[1]))
+        self.adjacency = out
+
+
+def reference_paths(net, od, k_max, time_ratio, length_ratio):
+    """The reference ``enumerate_paths``."""
+    return enumerate_paths(_ReferenceNet(net), od, k_max, time_ratio, length_ratio)
+
+
+def reference_path_set(net, k_max=5, time_ratio=1.5, length_ratio=1.5):
+    """The reference ``build_path_set``."""
+    return build_path_set(_ReferenceNet(net), k_max, time_ratio, length_ratio)
+
+
+def _shortest_path(
+    net: Network,
+    origin: str,
+    destination: str,
+    weight: str,
+    banned_links: frozenset[str] = frozenset(),
+    banned_nodes: frozenset[str] = frozenset(),
+) -> tuple[float, tuple[str, ...]] | None:
+    """Dijkstra over the link multigraph; ties broken by link-id sequence."""
+    wpos = 2 if weight == "time" else 3
+    best: dict[str, float] = {origin: 0.0}
+    heap: list[tuple[float, tuple[str, ...], str]] = [(0.0, (), origin)]
+    done: set[str] = set()
+    while heap:
+        cost, seq, node = heapq.heappop(heap)
+        if node in done:
+            continue
+        done.add(node)
+        if node == destination:
+            return cost, seq
+        for entry in net.adjacency.get(node, ()):
+            head, link_id = entry[0], entry[1]
+            if link_id in banned_links or head in banned_nodes or head in done:
+                continue
+            nxt = cost + entry[wpos]
+            if nxt < best.get(head, np.inf) - 1e-15:
+                best[head] = nxt
+                heapq.heappush(heap, (nxt, seq + (link_id,), head))
+    return None
+
+
+def enumerate_paths(
+    net: Network,
+    od: OdDemand,
+    k_max: int,
+    time_ratio: float,
+    length_ratio: float,
+) -> list[tuple[str, ...]]:
+    """Constrained k-shortest loopless paths for one OD pair.
+
+    Deviation-path search (repeated shortest path with link exclusion) on
+    free-flow time, then filtered so that free-flow time stays within
+    ``time_ratio`` of the fastest path and length within ``length_ratio`` of
+    the shortest path. Output is sorted by (free-flow time, link-id sequence).
+    """
+    check_path_limits(k_max, time_ratio, length_ratio)
+    first = _shortest_path(net, od.origin, od.destination, "time")
+    if first is None:
+        raise NetworkError(f"OD pair with no path: {od.origin}->{od.destination}")
+    by_length = _shortest_path(net, od.origin, od.destination, "length")
+    assert by_length is not None
+    time_bound = time_ratio * first[0] + 1e-12
+    length_bound = length_ratio * by_length[0] + 1e-12
+
+    def path_cost(seq: tuple[str, ...]) -> tuple[float, float]:
+        t = sum(net.link(lid).free_flow_s for lid in seq)
+        m = sum(net.link(lid).length_m for lid in seq)
+        return t, m
+
+    accepted: list[tuple[float, tuple[str, ...]]] = []
+    shortest: list[tuple[float, tuple[str, ...]]] = [first]
+    candidates: list[tuple[float, tuple[str, ...]]] = []
+    seen = {first[1]}
+
+    while len(accepted) < k_max:
+        cost, seq = shortest[-1]
+        if cost > time_bound:
+            break
+        if path_cost(seq)[1] <= length_bound:
+            accepted.append((cost, seq))
+        if len(accepted) >= k_max:
+            break
+        # branch: spur from every prefix of the newest shortest path
+        nodes_of = _node_sequence(net, seq, od.origin)
+        for i in range(len(seq)):
+            root = seq[:i]
+            spur_node = nodes_of[i]
+            banned_links = {
+                known[i]
+                for _, known in shortest
+                if len(known) > i and known[:i] == root
+            }
+            banned_nodes = frozenset(nodes_of[:i])
+            spur = _shortest_path(
+                net,
+                spur_node,
+                od.destination,
+                "time",
+                banned_links=frozenset(banned_links),
+                banned_nodes=banned_nodes,
+            )
+            if spur is None:
+                continue
+            total = root + spur[1]
+            if total not in seen:
+                seen.add(total)
+                heapq.heappush(candidates, (path_cost(total)[0], total))
+        if not candidates:
+            break
+        shortest.append(heapq.heappop(candidates))
+
+    accepted.sort(key=lambda e: (e[0], e[1]))
+    return [seq for _, seq in accepted[:k_max]]
+
+
+def build_path_set(
+    net: Network,
+    k_max: int = 5,
+    time_ratio: float = 1.5,
+    length_ratio: float = 1.5,
+) -> PathSet:
+    """Enumerate constrained paths for all OD pairs with positive demand.
+
+    Raises NetworkError when no OD pair has demand: there is nothing to load.
+    """
+    if not any(od.demand_total > 0 for od in net.od_pairs):
+        raise NetworkError("no OD pair has demand")
+    paths: list[Path] = []
+    slices: list[slice] = []
+    link_seqs: list[tuple[int, ...]] = []
+    for od_index, od in enumerate(net.od_pairs):
+        start = len(paths)
+        if od.demand_total > 0:
+            sequences = enumerate_paths(net, od, k_max, time_ratio, length_ratio)
+            if not sequences:
+                raise NetworkError(
+                    f"no feasible path for OD pair {od.origin}->{od.destination}"
+                )
+        else:
+            sequences = []
+        for seq in sequences:
+            check_path(net, od, seq)
+            ff = sum(net.link(lid).free_flow_s for lid in seq)
+            paths.append(Path(len(paths), od_index, seq, ff))
+            link_seqs.append(tuple(net.link_index[lid] for lid in seq))
+        slices.append(slice(start, len(paths)))
+    od_of_path = np.array([p.od_index for p in paths], dtype=np.intp)
+    ff = np.array([p.free_flow_s for p in paths])
+    return PathSet(tuple(paths), tuple(slices), od_of_path, ff, tuple(link_seqs))
 
 
 def incidence_matrix(path_set, net):

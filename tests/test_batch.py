@@ -112,7 +112,7 @@ def test_batch_grows_its_time_axis_wherever_the_widening_pattern_is(three_link, 
     kinds["L"][:, -1] = 1000.0
     batch = np.stack([kinds[k] for k in order])
     got = assert_batch_equals_solo(net, ps, grid, batch)
-    t_sim = T * dnl._plan(net.links, ps.link_seq, grid).refine
+    t_sim = T * dnl._plan(net.plan_key, ps.link_seq, grid).refine
     widens = got.n_steps + 1 > dnl._first_cols(t_sim, 21 * t_sim + 200)
     assert widens.tolist() == [k == "L" for k in order]
     assert len(set(got.n_steps.tolist())) == len(set(order))  # each kind drains at its own step
@@ -125,7 +125,7 @@ def test_a_load_that_outgrows_its_block_twice_equals_the_loop_loader(three_link)
     h = np.zeros((ps.n_paths, grid.n_intervals))
     h[:, -1] = 2000.0
     got = dnl.load(net, ps, grid, h)
-    t_sim = grid.n_intervals * dnl._plan(net.links, ps.link_seq, grid).refine
+    t_sim = grid.n_intervals * dnl._plan(net.plan_key, ps.link_seq, grid).refine
     cols = dnl._first_cols(t_sim, dnl._step_cap(t_sim))
     assert got.drained and got.n_steps + 1 > cols + cols // 2
     want = loop_loader.load(net, ps, grid, h)
@@ -334,7 +334,7 @@ def test_long_batch_holds_one_patterns_curves_at_a_time(grid_congested):
     base = dnl.load(net, ps, grid, h)
     batch = np.stack([splice(h, rng.uniform(0, 20, size=(ps.n_paths, T - t)), t)
                       for t in range(T)])
-    plan = dnl._plan(net.links, ps.link_seq, grid)
+    plan = dnl._plan(net.plan_key, ps.link_seq, grid)
     t_sim = T * plan.refine
     cols = dnl._first_cols(t_sim, dnl._step_cap(t_sim))
     block = 8 * (2 * (plan.A + len(plan.source_links)) + len(plan.slot_row)) * cols

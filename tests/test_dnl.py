@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,6 +140,53 @@ class TestLoadBasics:
             dnl.load(net, ps, grid, h)
         with pytest.raises(dnl.DnlError, match="departures must be finite"):
             dnl.load_batch(dnl.load(net, ps, grid, ones), np.stack([ones, h]), [0, 0])
+
+
+PLAN_ARRAYS = ("ff", "cap", "wave_lag", "storage")
+
+
+class TestPlanCache:
+    """``load`` finds its plan by the network's ``plan_key``: equal links share one
+    plan, other links or another grid never get it, and a cached lookup hashes no link."""
+
+    def test_equal_networks_share_a_plan(self, three_link):
+        net, ps, grid, _ = three_link
+        twin = nw.validate_network([dataclasses.replace(l) for l in net.links], net.od_pairs)
+        assert twin.links == net.links and twin.links[0] is not net.links[0]
+        h = np.zeros((ps.n_paths, grid.n_intervals))
+        assert dnl.load(twin, ps, grid, h)._state[0] is dnl.load(net, ps, grid, h)._state[0]
+
+    @pytest.mark.parametrize("field", ["length_m", "free_speed_mps", "backward_wave_mps",
+                                       "capacity_vps", "jam_density_vpm"])
+    def test_a_changed_link_parameter_gets_its_own_plan(self, three_link, field):
+        net, ps, grid, _ = three_link
+        shared = dnl._plan(net.plan_key, ps.link_seq, grid)
+        links = list(net.links)
+        links[1] = dataclasses.replace(links[1], **{field: getattr(links[1], field) * 1.25})
+        other = nw.validate_network(links, net.od_pairs)
+        plan = dnl._plan(other.plan_key, ps.link_seq, grid)
+        fresh = dnl._Plan(other.links, ps.link_seq, grid)
+        assert plan is not shared
+        assert any(not np.array_equal(getattr(plan, a), getattr(shared, a)) for a in PLAN_ARRAYS)
+        for a in PLAN_ARRAYS:
+            np.testing.assert_array_equal(getattr(plan, a), getattr(fresh, a))
+
+    def test_another_grid_gets_its_own_plan(self, three_link):
+        net, ps, grid, _ = three_link
+        shared = dnl._plan(net.plan_key, ps.link_seq, grid)
+        finer = nw.TimeGrid(grid.horizon_s, grid.dt_s / 2)
+        plan = dnl._plan(net.plan_key, ps.link_seq, finer)
+        assert plan is not shared and plan.dt == dnl._Plan(net.links, ps.link_seq, finer).dt
+
+    def test_a_cached_lookup_hashes_no_link(self, three_link, monkeypatch):
+        net, ps, grid, _ = three_link
+        h = np.zeros((ps.n_paths, grid.n_intervals))
+        dnl.load(net, ps, grid, h)
+        hashes = []
+        own = nw.Link.__hash__
+        monkeypatch.setattr(nw.Link, "__hash__", lambda link: hashes.append(link) or own(link))
+        dnl.load(net, ps, grid, h)
+        assert hashes == []
 
 
 class TestDemandSupplyRules:

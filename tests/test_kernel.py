@@ -96,7 +96,7 @@ def test_a_pattern_that_outgrows_its_block_returns_to_be_widened():
     link = nw.Link("a", "x", "y", 200.0, 20.0, 5.0, 1.0, 0.15)
     net = nw.validate_network([link], [nw.OdDemand("x", "y", 1.0, 0.0, 100.0)])
     ps, grid = nw.build_path_set(net, k_max=1), nw.TimeGrid(100.0, 10.0)
-    plan = dnl._plan(net.links, ps.link_seq, grid)
+    plan = dnl._plan(net.plan_key, ps.link_seq, grid)
     base = np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 1))
     h = np.zeros((2, 1, 10))
     h[0, 0, 0] = 1.0  # drains soon after the horizon
@@ -137,7 +137,7 @@ def test_source_curves_equal_the_numpy_formula(grid_congested, refine):
     min_ff = min(link.free_flow_s for link in net.links)
     T = 12
     grid = nw.TimeGrid(T * refine * min_ff, refine * min_ff)
-    plan = dnl._plan(net.links, ps.link_seq, grid)
+    plan = dnl._plan(net.plan_key, ps.link_seq, grid)
     assert plan.refine == refine
     rng = np.random.default_rng(refine)
     h = rng.uniform(0.0, 4.0, size=(2, ps.n_paths, T)) * (rng.random((2, ps.n_paths, T)) < 0.7)

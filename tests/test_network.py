@@ -1,5 +1,9 @@
 import dataclasses
+import importlib
+import json
+import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsuedhi import network as nw
-from oracles import all_simple_paths, incidence_matrix
+from dsuedhi import scenario
+from oracles import all_simple_paths, incidence_matrix, reference_path_set, reference_paths
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_three_link_records():
@@ -176,6 +183,162 @@ class TestEnumerate:
         got = nw.enumerate_paths(net, net.od_pairs[0], k_max=4, time_ratio=2.0, length_ratio=2.0)
         ref = nw.enumerate_paths(base, base.od_pairs[0], k_max=4, time_ratio=2.0, length_ratio=2.0)
         assert got == ref
+
+
+def exact(value):
+    """``value`` in a form that compares equal only when it is equal byte for byte."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return type(value).__name__, tuple(map(exact, value))
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, tuple(exact(getattr(value, f.name))
+                                           for f in dataclasses.fields(value))
+    return type(value).__name__, value
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` returns, byte for byte, or the type and text of its ``NetworkError``."""
+    try:
+        return exact(f(*args))
+    except nw.NetworkError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_same_paths(net, k_max, time_ratio, length_ratio):
+    """``build_path_set`` and every OD's ``enumerate_paths`` equal the reference's."""
+    args = (k_max, time_ratio, length_ratio)
+    assert outcome(nw.build_path_set, net, *args) == outcome(reference_path_set, net, *args)
+    for od in net.od_pairs:
+        assert (outcome(nw.enumerate_paths, net, od, *args)
+                == outcome(reference_paths, net, od, *args))
+
+
+@st.composite
+def path_problems(draw):
+    """A small multigraph with ODs and path limits.
+
+    Lengths on a 500 m lattice over speeds of 10, 20 and 25 m/s tie exactly;
+    lengths of up to 2e6 m at 1 m/s give times whose float sums differ in the
+    last bits, above the 1e-12 s of the bounds. A link may have one in the
+    other direction beside it (a cycle) or a parallel one. An OD may have no
+    demand, and a ratio may be exactly 1 or infinite.
+    """
+    n = draw(st.integers(2, 7))
+    length = st.one_of(st.integers(1, 6).map(lambda k: 500.0 * k),
+                       st.floats(10.0, 2e6).map(lambda x: round(x, 1)))
+    specs = draw(st.lists(st.tuples(
+        st.integers(0, n - 1), st.integers(1, n - 1), st.integers(0, 99), length,
+        st.sampled_from([1.0, 10.0, 20.0, 25.0]), st.sampled_from(["", "back", "twin"]), length),
+        min_size=1, max_size=16))
+    links = []
+    for j, (tail, step, prefix, m, v, beside, m2) in enumerate(specs):
+        # ids drawn apart from the order of the records, so ties fall to the ids
+        ends = f"v{tail}", f"v{(tail + step) % n}"
+        links.append(nw.Link(f"{prefix:02d}-{j}", *ends, m, v, 5, 1, 0.1))
+        if beside:
+            links.append(nw.Link(f"{prefix:02d}-{j}{beside}",
+                                 *(ends[::-1] if beside == "back" else ends), m2, v, 5, 1, 0.1))
+    nodes = sorted({l.tail for l in links} | {l.head for l in links})
+    demand = st.sampled_from([0.0, 1.0, 2.5])
+    ods = {}
+    for o, step, *d in draw(st.lists(st.tuples(st.integers(0, len(nodes) - 1),
+                                               st.integers(1, len(nodes) - 1), demand, demand),
+                                     min_size=1, max_size=4)):
+        ods.setdefault((nodes[o], nodes[(o + step) % len(nodes)]), d)
+    ratio = st.sampled_from([1.0, 1.0, 1.1, 1.5, 2.0, 4.0, math.inf])
+    return (nw.validate_network(links, [nw.OdDemand(*od, *d, 0.0) for od, d in ods.items()]),
+            draw(st.integers(1, 9)), draw(ratio), draw(ratio))
+
+
+def compass_lattice(rows, cols, back, length):
+    """rows x cols nodes ``n{r}_{c}`` with an east and a south link per lattice
+    edge, and with ``back`` a west and a north one beside them; ``length()``
+    gives each link's length, at 7 m/s."""
+    steps = (("e", 0, 1), ("s", 1, 0)) + ((("w", 0, -1), ("n", -1, 0)) if back else ())
+    return [nw.Link(f"{d}{r}_{c}", f"n{r}_{c}", f"n{r + dr}_{c + dc}", length(), 7.0, 5, 1, 0.1)
+            for r in range(rows) for c in range(cols)
+            for d, dr, dc in steps if 0 <= r + dr < rows and 0 <= c + dc < cols]
+
+
+@st.composite
+def tie_lattices(draw):
+    """A small ``compass_lattice`` whose links take one to three lengths, and
+    ODs from its corner.
+
+    Whole lengths of 30 to 3,000 km at 7 m/s give free-flow times of about
+    4e3 to 4e5 s that are inexact floats. Many paths then add up the same
+    times in other orders, so their sums differ in the last bits, which lie
+    above the 1e-12 s of a bound at ratio 1.
+    """
+    rows, cols = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    lengths = draw(st.lists(st.integers(30_000, 3_000_000), min_size=1, max_size=3))
+    links = compass_lattice(rows, cols, draw(st.booleans()),
+                            lambda: float(draw(st.sampled_from(lengths))))
+    ends = draw(st.lists(st.sampled_from([f"n{r}_{c}" for r in range(rows) for c in range(cols)
+                                          if r or c]), min_size=1, max_size=3, unique=True))
+    net = nw.validate_network(links, [nw.OdDemand("n0_0", d, 1.0, 0.0, 0.0) for d in ends])
+    ratio = st.sampled_from([1.0, 1.0, 1.25, 2.0])
+    return net, draw(st.integers(1, 20)), draw(ratio), draw(st.sampled_from([1.0, 10.0]))
+
+
+def lattice(n):
+    """The n x n ``compass_lattice`` with links of 2,970 to 3,030 m, and n/2 ODs
+    from (i, i) to (i + 3, i + 3): a rung of the size ladder of path enumeration."""
+    rng = np.random.default_rng(n)
+    links = compass_lattice(n, n, False, lambda: float(round(rng.uniform(2970, 3030), 3)))
+    return nw.validate_network(links, [nw.OdDemand(f"n{i}_{i}", f"n{i + 3}_{i + 3}", 100.0,
+                                                   100.0, 2000.0) for i in range(n // 2)])
+
+
+class TestReferenceEquivalence:
+    """Path enumeration gives what the deviation search without its integer graph,
+    spur memo and time-bound pruning gave (``oracles.reference_path_set``), byte
+    for byte, and raises where it raised."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem=path_problems())
+    def test_generated_multigraphs(self, problem):
+        assert_same_paths(*problem)
+
+    @settings(max_examples=60, deadline=None)
+    @given(problem=tie_lattices())
+    def test_lattices_of_tied_times(self, problem):
+        assert_same_paths(*problem)
+
+    @pytest.mark.parametrize("length", [100_000.0, 30_001.0])
+    @pytest.mark.parametrize("back", [False, True])
+    def test_lattices_of_equal_links(self, length, back):
+        # all paths of as many links tie, up to the last bits of their sums
+        net = nw.validate_network(compass_lattice(4, 4, back, lambda: length), [
+            nw.OdDemand("n0_0", f"n{r}_{c}", 1.0, 0.0, 0.0) for r in range(4) for c in range(4)
+            if r or c])
+        for time_ratio in (1.0, 1.25, 2.0):
+            assert_same_paths(net, 20, time_ratio, 10.0)
+
+    @pytest.mark.parametrize("name", ["three_link", "grid", "grid_uncongested"])
+    def test_shipped_scenarios(self, name):
+        sc = scenario.load_scenario(ROOT / "scenarios" / name / "scenario.ini")
+        net = sc.build()[0]
+        assert_same_paths(net, sc.k_max, sc.time_ratio, sc.length_ratio)
+
+    def test_recorded_bench_seeds(self, tmp_path, monkeypatch):
+        # the scenarios of every seed in bench/reference.json, as bench/run.py writes them
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        workloads = importlib.import_module("workloads")
+        with open(ROOT / "bench" / "reference.json", encoding="utf-8") as fh:
+            recorded = json.load(fh)
+        assert sum(map(len, recorded.values())) == 63
+        for name, seeds in sorted(recorded.items()):
+            for seed in seeds:
+                design = workloads.GENERATORS[name](int(seed), tmp_path / name / seed)
+                sc = scenario.load_scenario(design.scenario)
+                assert_same_paths(sc.build()[0], sc.k_max, sc.time_ratio, sc.length_ratio)
+
+    def test_lattice_of_28(self):
+        assert_same_paths(lattice(28), 6, 1.5, 1.5)
 
 
 class TestIncidence:

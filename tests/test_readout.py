@@ -143,7 +143,7 @@ def test_seeded_inversion_of_targets_in_any_order_equals_the_loop_loader(data, l
 
 def test_prefix_trie_shares_prefixes_and_ends_a_prefix_path_inside():
     net, ps, grid = prefix_net()
-    plan = dnl._plan(net.links, ps.link_seq, grid)
+    plan = dnl._plan(net.plan_key, ps.link_seq, grid)
     node_row, node_parent, path_end = plan.paths.trie
     hops = int((plan.path_rows >= 0).sum())
     assert (ps.n_paths, hops, len(node_row)) == (9, 30, 14)
@@ -185,7 +185,7 @@ def broken(trie, index, position, value):
 
 def test_trie_check_rejects_bad_parents_rows_and_ends(monkeypatch):
     net, ps, grid = prefix_net()
-    plan = dnl._plan(net.links, ps.link_seq, grid)
+    plan = dnl._plan(net.plan_key, ps.link_seq, grid)
     R = plan.A + len(plan.source_links)
     trie, rows = plan.paths.trie, plan.path_rows
     dnl._check_trie(trie, rows, R)
