@@ -23,10 +23,13 @@ takes them in place, since libm's ``exp`` may differ from it in the last
 bit; a second pass divides each block by its total and finds its first
 largest share. ``assign`` scales the shares of consecutive intervals by one
 remaining-demand row each and folds the residual of each total into the
-block's first largest share: the pooled reaction of a forecast assigns
-every interval at once, from ``remaining_demand``, and
-``tentative_departures`` is the one-interval case. Per block, results are
-bit-identical to a numpy logit over that block alone. ``rollout`` carries
+block's first largest share, in one kernel pass (``dnl_assign``): the
+pooled reaction of a forecast assigns every interval at once, from
+``remaining_demand`` (one kernel pass, ``dnl_remaining``), straight into
+the (provision interval, path, departure interval) array that the forecast
+batch reads, and ``tentative_departures`` is the one-interval case, its
+cells flat. Per block, results are bit-identical to a numpy logit over
+that block alone. ``rollout`` carries
 one class through the intervals of a table, realizing one column at a time
 from its own remaining demand, in closed form: an OD keeps what its current
 column does not take, so its remaining demand is its demand times the
@@ -107,11 +110,11 @@ class _Layout:
     Interval t contributes its paths x (intervals t..T-1) cell matrix
     row-major, after the intervals before it, so the choice set of one OD at
     t -- the rows of its paths -- is one contiguous block. Blocks are numbered
-    in that order; ODs without paths have none: the order ``open`` selects in.
-    ``block`` (``layout_t``) holds the arrays, read-only, for the kernel.
+    in that order; ODs without paths have none: the order ``open_cells``
+    selects in. ``block`` (``layout_t``) holds the arrays, read-only, for the
+    kernel, and the sizes: intervals ``n``, ``T``, paths ``P``.
     """
 
-    open: np.ndarray  # (n, P, T) bool, departure j >= provision interval first + i
     start: np.ndarray  # (blocks,) int64, first cell of each block
     size: np.ndarray  # (blocks,) int64, cells of each block
     cells: int  # cells of all blocks
@@ -125,7 +128,7 @@ class _Layout:
     block: _LayoutBlock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        (n, P, T), blocks, i64 = self.open.shape, len(self.start), np.int64
+        (P, n), T, blocks, i64 = self.own.shape, len(self.mids), len(self.start), np.int64
         path_od = np.repeat(np.arange(len(self.od_sizes), dtype=i64), self.od_sizes)
         for x in (self.block_od, self.own, self.heads, self.rows):
             x.flags.writeable = False
@@ -148,7 +151,7 @@ def _layout(od_sizes: tuple[int, ...], grid: TimeGrid, first: int, n: int) -> _L
     sizes, T = np.array(od_sizes, dtype=np.int64), grid.n_intervals
     ods, P, width = np.flatnonzero(sizes), int(sizes.sum()), T - np.arange(first, first + n)
     size, cells = (sizes[ods] * width[:, None]).ravel(), P * width  # per interval, OD
-    return _Layout(open=open_cells(first, n, T).repeat(P, axis=1), start=np.cumsum(size) - size,
+    return _Layout(start=np.cumsum(size) - size,
                    size=size, cells=int(size.sum()), block_od=np.tile(ods, n),
                    own=np.cumsum(cells) - cells + np.arange(P)[:, None] * width,
                    heads=(np.cumsum(sizes) - sizes)[ods],
@@ -195,7 +198,7 @@ class ShareTable:
     finite: np.ndarray  # (blocks,) whether each block's disutilities are finite
 
     def __post_init__(self) -> None:
-        # ``assign`` adds each block's residual at ``top`` unchecked
+        # ``assign`` adds each block's residual at ``top``
         start, size = self.layout.start, self.layout.size
         top = np.asarray(self.top)
         if top.shape != start.shape or not ((start <= top) & (top < start + size)).all():
@@ -242,28 +245,44 @@ def assign(table: ShareTable, t_index: int, remaining_demand: np.ndarray) -> np.
 
     ``remaining_demand`` holds one row of demand for each of those
     intervals, one entry per OD. Returns their cells flat, in the layout
-    order that ``layout.open`` selects in. Per-OD totals are conserved exactly: each
-    total's residual is folded into its block's first largest share.
+    order that ``open_cells`` selects in. Per-OD totals are conserved
+    exactly: each total's residual is folded into its block's first largest
+    share.
     """
-    lay = table.layout
-    demand = np.asarray(remaining_demand, dtype=float)
-    i, n, n_od = t_index - lay.first, len(lay.open), len(lay.od_sizes)
-    if demand.ndim != 2 or demand.shape[1] != n_od or not 0 <= i < i + len(demand) <= n:
+    return _assign(table, t_index, remaining_demand, False)
+
+
+def _assign(table: ShareTable, t_index: int, remaining_demand, wide: bool) -> np.ndarray:
+    """``assign`` by the kernel (``dnl_assign``): flat, or with ``wide`` as (rows, P, T).
+
+    A wide array has row i's cells (p, j) at [i, p, j], for j from interval
+    ``t_index`` + i on; its cells before are not written, as a forecast
+    batch (``dnl.load_batch``) does not read them.
+    """
+    lay, b = table.layout, table.layout.block
+    demand = np.ascontiguousarray(remaining_demand, dtype=float)
+    i, n_od = t_index - b.first, len(lay.od_sizes)
+    rows = len(demand) if demand.ndim else 0
+    if demand.ndim != 2 or demand.shape[1] != n_od or not 0 <= i < i + rows <= b.n:
         raise ChoiceError(f"demand rows {demand.shape} from provision interval {t_index} are "
-                          f"not rows of {n_od} ODs in the share table's {lay.first}.."
-                          f"{lay.first + n - 1}")
-    m = len(lay.block_od) // n  # blocks per interval, at least one
-    blocks = slice(i * m, (i + len(demand)) * m)
-    start, size = lay.start[blocks], lay.size[blocks]
-    cells = slice(start[0], start[-1] + size[-1])
-    demand = demand[:, lay.block_od[:m]].ravel()  # per block
-    if (demand < 0).any():
-        raise ChoiceError(f"negative remaining demand for OD {lay.block_od[np.argmax(demand < 0)]}")
-    if ((demand != 0.0) & ~table.finite[blocks]).any():
+                          f"not rows of {n_od} ODs in the share table's {b.first}.."
+                          f"{b.first + b.n - 1}")
+    width = b.T - b.first - i  # of interval t_index; one less at each interval after
+    out = np.empty((rows, b.P, b.T) if wide else b.P * (rows * width - rows * (rows - 1) // 2))
+    code = dnl._kernel().dnl_assign(
+        b.ptr, dnl._arg(table.share, np.float64, (b.cells,)),
+        dnl._arg(table.top, np.int64, (b.blocks,)), dnl._arg(table.finite, np.bool_, (b.blocks,)),
+        i, rows, dnl._arg(demand, np.float64, demand.shape), n_od, wide,
+        dnl._arg(out, np.float64, out.shape))
+    if code > 0:
+        raise ChoiceError(f"negative remaining demand for OD {code - 1}")
+    if code == -3:
         raise ChoiceError("disutility matrix has non-finite entries")
-    out = table.share[cells] * np.repeat(demand, size)
-    residual = demand - dnl.run_sums(out, start - cells.start, size)
-    out[table.top[blocks] - cells.start] += residual
+    if code == -2:
+        raise MemoryError("assignment kernel could not allocate its work arrays")
+    if code:
+        raise ChoiceError(f"the blocks of {b.P} paths at provision intervals {t_index}.."
+                          f"{t_index + rows - 1} do not fit the share table's layout")
     return out
 
 
@@ -300,27 +319,23 @@ def remaining_demand(
 
     ``history`` has one row per path. Row t is ``class_demand`` less the
     departures of ``history[:, :t]``: each path's ``ndarray.sum`` of those
-    columns, added per OD in path order, as ``np.add.at`` adds; ``_unspent``
-    clamps dust below zero, raises on more.
+    columns, added per OD in path order, as ``np.add.at`` adds, by the
+    kernel (``dnl_remaining``); dust below zero is clamped, more raises as
+    ``_unspent`` does.
     """
     class_demand = _per_od(class_demand, len(path_set.od_slices))
     h = np.ascontiguousarray(history, dtype=float)
     if h.ndim != 2 or len(h) != path_set.n_paths:
         raise ChoiceError(f"departure history of shape {h.shape} is not one row per path "
                           f"of {path_set.n_paths}")
-    prefix = dnl.run_sums(h, *_prefix_runs(*h.shape)).reshape(h.shape[::-1])
-    departed = np.zeros((len(prefix), len(class_demand)))
-    np.add.at(departed, (slice(None), path_set.od_of_path), prefix)
-    return _unspent(class_demand - departed, class_demand)
-
-
-@functools.lru_cache(maxsize=16)
-def _prefix_runs(P: int, T: int) -> tuple[np.ndarray, ...]:
-    """Read-only runs of ``run_sums`` over the first t columns of each row of (P, T), t-major."""
-    runs = np.tile(np.arange(P, dtype=np.int64) * T, T), np.repeat(np.arange(T, dtype=np.int64), P)
-    for x in runs:
-        x.flags.writeable = False
-    return runs
+    (P, T), n_od = h.shape, len(class_demand)
+    out = np.empty((T, n_od))
+    code = dnl._kernel().dnl_remaining(
+        dnl._arg(h, np.float64, h.shape), P, T, dnl._arg(path_set.od_of_path, np.int64, (P,)),
+        dnl._arg(class_demand, np.float64, (n_od,)), n_od, dnl._arg(out, np.float64, out.shape))
+    if code < 0:
+        raise ChoiceError(f"a path's OD lies outside the {n_od} ODs")
+    return _unspent(out, class_demand) if code else out  # an overdraw: ``_unspent`` names it
 
 
 def _per_od(class_demand, n_od: int) -> np.ndarray:

@@ -57,9 +57,11 @@ Batch axis. ``load_batch`` loads B departure patterns of one (network, path
 set, grid) one after another through one block of curves, the plan's rows
 and slots. Each pattern starts at an interval t from a base loading and has
 the base's departures before t (a forecast spliced at t has the
-candidate's), so it copies the base's curves up to step t * refine and steps
-from there on its own, with its own drain test and step count, until it
-drains or reaches the step cap; starts may come in any order. Its path times
+candidate's): the kernel splices them with the pattern's own from t on,
+checks them and floors them at zero, so no cell of the pattern before t is
+read. It copies the base's curves up to step t * refine and steps from there
+on its own, with its own drain test and step count, until it drains or
+reaches the step cap; starts may come in any order. Its path times
 from t on are read out into one (patterns, paths, intervals) array before
 the next pattern takes the block, and are exactly those of loading it alone
 from step 0; ``load`` is the batch of one, and its block is its curves. The
@@ -79,9 +81,9 @@ does. Row totals and the drain sum (a copy's rows: used links in link order,
 then the sources) are ``ndarray.sum``, 0.0 plus numpy's pairwise sum, whose
 order ``dnl_step.c`` states once. The rest of the package sums in that order
 only through the kernel: ``choice`` totals its logit blocks, assigned
-blocks and the prefixes of a departure history (``run_sums``) there. A
-source's entry curve is 0.0 plus its slots' curves in sequence, as numpy
-sums a (slots, columns) block over its slots.
+blocks (``dnl_assign``) and the prefixes of a departure history
+(``dnl_remaining``) there. A source's entry curve is 0.0 plus its slots'
+curves in sequence, as numpy sums a (slots, columns) block over its slots.
 
 Sensitivity. The sending rule branches on an absolute backlog ``> EPS_VEH``
 (1e-12 vehicles, defined in ``dnl_step.c``). A last-bit change in a per-row
@@ -141,7 +143,7 @@ class LoadingResult:
     path_time: np.ndarray  # paths x T, travel time per departure interval
     extrapolated: np.ndarray  # paths x T bool, trip extended past simulation
     drained: bool
-    _state: tuple = field(repr=False)  # plan, departures, block (up, dn, slots): a load_batch base
+    _state: tuple = field(repr=False)  # plan, departures as given, block (up, dn, slots): a base
     instant_path_time: np.ndarray | None = None  # paths x T, sums of entry-time link times
 
     @property
@@ -348,25 +350,15 @@ def _first_cols(t_sim: int, s_max: int) -> int:
     return min(s_max, t_sim + t_sim // 2 + 1) + 1
 
 
-def _departures(values, P: int, T: int, base_h=None, starts=None) -> np.ndarray:
-    """Departures of shape (P, T), or (patterns, P, T) with ``starts``, floored at 0.
+def _departures(values, shape: tuple, axes: str) -> np.ndarray:
+    """``values`` as a C-contiguous float array; ``DnlError`` unless of ``shape``.
 
-    With ``starts``, pattern b is ``base_h`` before interval ``starts[b]`` and
-    ``values[b]`` from there on, so the cells of ``values`` before its start
-    are not read; the checks apply to the patterns so spliced.
+    The kernel checks them and floors them at zero (``dnl_step``).
     """
-    h = np.asarray(values, dtype=float)
-    want = (P, T) if starts is None else (len(starts), P, T)
-    if h.shape != want:
-        axes = "(paths, intervals)" if starts is None else "(patterns, paths, intervals)"
-        raise DnlError(f"departure matrix shape {h.shape} is not {axes} {want}")
-    if starts is not None:
-        h = np.where(np.arange(T) < starts[:, None, None], base_h, h)
-    if not np.isfinite(h).all():
-        raise DnlError("departures must be finite")
-    if h.min(initial=0.0) < -1e-9:
-        raise DnlError("negative departures")
-    return np.maximum(h, 0.0)
+    h = np.asarray(values, dtype=float, order="C")
+    if h.shape != shape:
+        raise DnlError(f"departure matrix shape {h.shape} is not {axes} {shape}")
+    return h
 
 
 def load(
@@ -380,7 +372,9 @@ def load(
     """Map total path departures to path travel times.
 
     A batch of one of the stepper behind ``load_batch``; identical inputs
-    give bit-identical results. With ``compute_link_times``,
+    give bit-identical results. Departures that are not finite raise
+    ``DnlError``, then any below -1e-9; the rest are floored at zero. With
+    ``compute_link_times``,
     ``instant_path_time`` sums each path's link times for entry at each
     interval start, hop by hop; without, it is None. ``link_up`` and
     ``link_dn`` are views of the block the loading ran its course in, which
@@ -389,7 +383,9 @@ def load(
     new arrays with zero rows for the other links. The result keeps its slot
     curves, to be a ``load_batch`` base.
     """
-    h = _departures(departures, path_set.n_paths, grid.n_intervals)[None]
+    # a copy: the result keeps it, as a batch base's departures
+    h = _departures(departures, (path_set.n_paths, grid.n_intervals), "(paths, intervals)")
+    h = h.copy()[None]
     plan = _plan(net.plan_key, path_set.link_seq, grid)
     path_time, extrapolated = np.empty(h.shape), np.empty(h.shape, dtype=bool)
     up, dn, slots, n_steps, drained = _step(plan, h, np.zeros(1, dtype=np.int64), path_time,
@@ -430,14 +426,15 @@ def load_batch(base: LoadingResult, departures: np.ndarray, starts) -> BatchResu
     ``starts[b]`` and ``departures[b, P, T]`` from there on: the cells of
     ``departures`` before each start are not read. Each pattern's step
     count, drain flag and path times from its start on are bit-identical to
-    ``load`` of that pattern alone; only these are kept.
+    ``load`` of that pattern alone; only these are kept. A departure of some
+    pattern that is not finite raises ``DnlError`` before one below -1e-9
+    does, as in ``load``.
     """
     plan, base_h = base._state[:2]
-    P, T = base_h.shape
     starts = np.asarray(starts)
     if starts.ndim != 1 or (len(starts) and starts.dtype.kind not in "iu"):
         raise DnlError("starts must be a 1-D array of integer intervals")
-    h = _departures(departures, P, T, base_h, starts)
+    h = _departures(departures, (len(starts), *base_h.shape), "(patterns, paths, intervals)")
     path_time, extrapolated = np.full(h.shape, np.nan), np.zeros(h.shape, dtype=bool)
     n_steps, drained = _step(plan, h, starts.astype(np.int64), path_time, extrapolated, base)[3:]
     return BatchResult(path_time, extrapolated, n_steps, drained)
@@ -498,11 +495,12 @@ def _kernel() -> ctypes.CDLL:
     lib = ctypes.CDLL(_library(shlex.split(sysconfig.get_config_var("CC") or "cc")))
     ptr, i64, f64 = _PTR, _I64, _F64  # an argument block is a pointer
     for name, argtypes in (
-            ("dnl_step", [ptr, i64] + [ptr] * 5 + [i64] * 3 + [ptr] * 3 + [i64] + [ptr] * 4),
+            ("dnl_step", [ptr, i64] + [ptr] * 6 + [i64] * 3 + [ptr] * 3 + [i64] + [ptr] * 4),
             ("dnl_path_times", [ptr, i64, i64] + [ptr] * 4),
-            ("dnl_run_sums", [ptr, i64, ptr, ptr, i64, ptr]),
             ("dnl_logit_exponents", [ptr, ptr, i64, i64, ptr, i64] + [f64] * 4 + [ptr, ptr]),
             ("dnl_logit_shares", [ptr] * 3),
+            ("dnl_remaining", [ptr, i64, i64, ptr, ptr, i64, ptr]),
+            ("dnl_assign", [ptr] * 4 + [i64, i64, ptr, i64, i64, ptr]),
             ("dnl_blocks", [ptr, i64])):
         getattr(lib, name).argtypes, getattr(lib, name).restype = argtypes, i64
     return lib
@@ -522,19 +520,6 @@ def _arg(x: np.ndarray, dtype, shape: tuple) -> int:
     return x.ctypes.data
 
 
-def run_sums(x: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """``x.flat[s : s + n].sum()``, bit for bit, of each run (s, n) of ``start`` and ``size``.
-
-    Runs may overlap; a run that does not lie inside ``x`` raises ``ValueError``.
-    """
-    out = np.empty(len(start))
-    if _kernel().dnl_run_sums(_arg(x, np.float64, x.shape), x.size,
-                              _arg(start, np.int64, out.shape), _arg(size, np.int64, out.shape),
-                              len(out), _arg(out, np.float64, out.shape)) < 0:
-        raise ValueError(f"a run does not lie inside the {x.size} numbers to sum")
-    return out
-
-
 def _step(
     plan: _Plan,
     h: np.ndarray,
@@ -545,11 +530,13 @@ def _step(
 ) -> tuple[np.ndarray, ...]:
     """Step each of the patterns ``h[B, P, T]`` on its own and time it from its start.
 
-    The patterns are loaded one after another in one block of curves (the
-    entries ``up`` and exits ``dn`` of the plan's rows, the entries
-    ``slots`` of its slots), from the base's curves at step ``starts[b] *
-    refine``; their path times from their starts on go into ``path_time``
-    and ``extrapolated``. The kernel (``dnl_step``) returns at a pattern that
+    Pattern b is the base's departures before interval ``starts[b]`` and
+    ``h[b]`` from there on, checked and floored at zero by the kernel
+    (``dnl_step``). The patterns are loaded one after another in one block
+    of curves (the entries ``up`` and exits ``dn`` of the plan's rows, the
+    entries ``slots`` of its slots), from the base's curves at step
+    ``starts[b] * refine``; their path times from their starts on go into
+    ``path_time`` and ``extrapolated``. The kernel returns at a pattern that
     has not drained at the last column; a new block half as wide again takes
     over, and that pattern begins again in it. Returns the block, with the
     last pattern's curves up to column ``n_steps[-1]``, and each pattern's
@@ -561,11 +548,12 @@ def _step(
     s_max = _step_cap(t_sim)
     cols = _first_cols(t_sim, s_max)
     n_steps, drained = np.empty(B, dtype=np.int64), np.empty(B, dtype=bool)
-    base_args = (None, None, None, 0)
-    if base is not None:  # its block: up, dn and slots
+    base_args = (None, None, None, None, 0)
+    if base is not None:  # its departures, then its block: up, dn and slots
         base_cols = base._state[2].shape[1]
-        base_args = (*(_arg(x, np.float64, (n, base_cols))
-                       for x, n in zip(base._state[2:], (R, R, S))), base_cols)
+        base_args = (*(_arg(x, np.float64, shape) for x, shape in zip(
+            base._state[1:], ((P, T), (R, base_cols), (R, base_cols), (S, base_cols)))),
+            base_cols)
     batch = [_arg(h, np.float64, (B, P, T)), _arg(starts, np.int64, (B,)), *base_args, s_max]
     out = [_arg(x, dtype, shape) for x, dtype, shape in (
         (n_steps, np.int64, (B,)), (drained, np.bool_, (B,)),
@@ -579,6 +567,10 @@ def _step(
             return up, dn, slots, n_steps, drained
         if code == -1:
             raise MemoryError("step kernel could not allocate its work arrays")
+        if code == -3:
+            raise DnlError("departures must be finite")
+        if code == -4:
+            raise DnlError("negative departures")
         if code < 0:
             raise DnlError(f"the step kernel refused its input: starts must lie in [0, {T}) "
                            f"and within the base's columns, and the {cols} columns must pass "

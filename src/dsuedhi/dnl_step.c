@@ -1,15 +1,18 @@
 /* The loader's time loop and read-out, and the exact sums of the logit.
    ``dnl_step`` loads the patterns of a batch one after another in one block
-   of curves: each takes the base's curves up to its own start, gets its
-   source curves, steps on its own until it drains or reaches the step cap,
-   and has its path travel times read out of the block (``read_out``, by the
-   same curve interpolation and FIFO inversion) before the next pattern
-   takes the block. ``dnl_path_times`` reads the link times of one loading
-   the same way, from the link rows of its block. For ``choice``,
-   ``dnl_run_sums`` totals runs of an array as ``ndarray.sum`` does, and
-   ``dnl_logit_exponents`` and ``dnl_logit_shares`` build a share table in
-   two passes over its open cells, around numpy's ``exp``, and state the
-   disutility.
+   of curves: each is spliced from the base's departures before its start
+   and its own from there, checked and floored at zero, takes the base's
+   curves up to its start, gets its source curves, steps on its own until
+   it drains or reaches the step cap, and has its path travel times read
+   out of the block (``read_out``, by the same curve interpolation and FIFO
+   inversion) before the next pattern takes the block. ``dnl_path_times``
+   reads the link times of one loading the same way, from the link rows of
+   its block. For ``choice``, ``dnl_logit_exponents`` and
+   ``dnl_logit_shares`` build a share table in two passes over its open
+   cells, around numpy's ``exp``, and state the disutility;
+   ``dnl_remaining`` takes the remaining demand of a departure history, and
+   ``dnl_assign`` assigns rows of remaining demand to a share table, into
+   its cells or straight into a batch of forecast patterns.
 
    Arguments. What stays the same from call to call comes in one argument
    block: a plan (``plan_t``), a read-out (``readout_t``) or a table layout
@@ -41,7 +44,9 @@
 
    Sums mirror numpy: ``np.bincount`` and ``np.add.at`` add in sequence, in
    index order; ``ndarray.sum`` is 0.0 plus numpy's pairwise sum
-   (``dnl_sum``). This file is the one statement of that pairwise order. */
+   (``dnl_sum``). This file is the one statement of that pairwise order.
+   ``np.maximum(x, 0.0)`` keeps x only if it is larger or NaN, so it takes
+   -0.0 to 0.0 (``floor0``). */
 
 #include <math.h>
 #include <stddef.h>
@@ -92,18 +97,43 @@ static double dnl_sum(const double *a, i64 n)
     return 0.0 + pairwise(a, n);
 }
 
-/* ``x[start[k] : start[k] + size[k]].sum()`` of each of n runs, which may
-   overlap, of the ``len`` numbers of ``x``. Returns -1 at the first run that
-   does not lie inside them, else 0. */
-i64 dnl_run_sums(const double *x, i64 len, const i64 *start, const i64 *size, i64 n,
-                 double *out)
+/* ``np.maximum(x, 0.0)``: x if it is larger or NaN, else 0.0 (so -0.0 gives 0.0) */
+static double floor0(double x)
 {
-    for (i64 k = 0; k < n; k++) {
-        if (start[k] < 0 || size[k] < 0 || size[k] > len - start[k])
+    return x > 0.0 || x != x ? x : 0.0;
+}
+
+/* ``choice.remaining_demand``: row t of ``out`` (T x ``n_od``) is ``demand``
+   less the departures of the first t columns of ``h`` (P x T): each path's
+   ``ndarray.sum`` of them (``dnl_sum``), added per OD ``path_od[p]`` in path
+   order from 0.0, as ``np.add.at`` adds. A remainder below -1e-9 times the
+   larger of its OD's demand and one vehicle is an overdraw; with none, dust
+   below zero is clamped (``floor0``). Returns 0; 1, with every remainder
+   left unclamped for the caller to name the worst, if some is an overdraw;
+   -1, before writing, if some path's OD lies outside [0, ``n_od``). */
+i64 dnl_remaining(const double *h, i64 P, i64 T, const i64 *path_od, const double *demand,
+                  i64 n_od, double *out)
+{
+    for (i64 p = 0; p < P; p++)
+        if (path_od[p] < 0 || path_od[p] >= n_od)
             return -1;
-        out[k] = dnl_sum(x + start[k], size[k]);
+    i64 code = 0;
+    for (i64 t = 0; t < T; t++) {
+        double *row = out + t * n_od;
+        for (i64 o = 0; o < n_od; o++)
+            row[o] = 0.0;
+        for (i64 p = 0; p < P; p++)
+            row[path_od[p]] += dnl_sum(h + p * T, t);
+        for (i64 o = 0; o < n_od; o++) {
+            row[o] = demand[o] - row[o];
+            /* np.maximum(1.0, demand), NaN included */
+            if (row[o] < -1e-9 * (1.0 > demand[o] ? 1.0 : demand[o]))
+                code = 1;
+        }
     }
-    return 0;
+    for (i64 c = 0; c < T * n_od && !code; c++)
+        out[c] = floor0(out[c]);
+    return code;
 }
 
 /* The layout of a share table (``choice._Layout``): the open cells of the n
@@ -229,6 +259,83 @@ i64 dnl_logit_shares(const layout_t *lay, double *w, i64 *top)
                 top[k] = start[k] + c;
     }
     return 0;
+}
+
+/* ``choice.assign``: the ``n_rows`` rows of ``demand`` (``n_od`` numbers
+   each) assigned to the blocks of provision intervals ``i0`` .. ``i0`` +
+   ``n_rows`` - 1 of ``lay``, one row per interval. Every cell of block k
+   gets its ``share`` times its OD's demand d, and the cell ``top[k]`` then
+   gets d less the block's ``ndarray.sum`` added, as numpy folds the
+   residual. Cell (i, p, j) goes to ``out`` in layout order from the first
+   cell of interval ``i0`` (``wide`` 0), or to ((i - ``i0``) P + p) T + j of
+   an ``n_rows`` x P x T array, whose cells j before each interval are not
+   written (``wide`` 1). Before writing, returns -1 if the rows do not lie
+   in ``lay``, or a block's OD, cells or top do not fit it and ``n_od``;
+   then 1 + the OD of the first block, in block order, whose demand is
+   negative; then -3 if a block that is not ``finite`` has a demand other
+   than 0 (a NaN included); -2 if out of memory; else 0. */
+i64 dnl_assign(const layout_t *lay, const double *share, const i64 *top, const uint8_t *finite,
+               i64 i0, i64 n_rows, const double *demand, i64 n_od, i64 wide, double *out)
+{
+    const i64 n = lay->n, first = lay->first, T = lay->T, P = lay->P, cells = lay->cells;
+    const i64 *start = lay->start, *size = lay->size, *path_od = lay->path_od;
+    if (n < 1 || first < 0 || first + n > T || i0 < 0 || n_rows < 1 || n_rows > n - i0
+        || lay->blocks % n)
+        return -1;
+    const i64 m = lay->blocks / n;  /* blocks per interval */
+    /* the first path of each block of an interval, P after the last */
+    i64 *head = malloc(sizeof(i64) * (size_t)(m + 1) + 1);
+    double *work = malloc(sizeof(double) * (size_t)(P * T) + 1);  /* one block's cells */
+    if (!head || !work) {
+        free(head);
+        free(work);
+        return -2;
+    }
+    i64 b = 0, p = 0, code = 0, negative = -1, unfit = 0;
+    while (p < P && b < m) {
+        const i64 od = path_od[p];
+        head[b++] = p;
+        while (++p < P && path_od[p] == od)
+            ;
+    }
+    head[b] = P;
+    if (b != m || p != P)
+        code = -1;
+    for (i64 k = i0 * m; k < (i0 + n_rows) * m && !code; k++) {
+        const i64 i = k / m, rows = head[k % m + 1] - head[k % m], od = path_od[head[k % m]];
+        if (od < 0 || od >= n_od || start[k] < 0 || size[k] != rows * (T - first - i)
+            || size[k] > cells - start[k] || top[k] < start[k] || top[k] - start[k] >= size[k]) {
+            code = -1;
+            break;
+        }
+        const double d = demand[(i - i0) * n_od + od];
+        if (d < 0.0 && negative < 0)
+            negative = od;
+        unfit |= d != 0.0 && !finite[k];
+    }
+    if (!code && negative >= 0)
+        code = 1 + negative;
+    else if (!code && unfit)
+        code = -3;
+    for (i64 i = i0, pos = 0; i < i0 + n_rows && !code; i++) {
+        const i64 width = T - first - i;
+        /* where each path's row of the interval goes, one after another */
+        double *o = wide ? out + (i - i0) * P * T + first + i : out + pos;
+        const i64 stride = wide ? T : width;
+        for (i64 k = i * m; k < (i + 1) * m; k++) {
+            const i64 p = head[k % m], rows = head[k % m + 1] - p;
+            const double d = demand[(i - i0) * n_od + path_od[p]], *s = share + start[k];
+            for (i64 c = 0; c < size[k]; c++)
+                work[c] = s[c] * d;
+            work[top[k] - start[k]] += d - dnl_sum(work, size[k]);
+            for (i64 r = 0; r < rows; r++)
+                memcpy(o + (p + r) * stride, work + r * width, sizeof(double) * (size_t)width);
+        }
+        pos += P * width;
+    }
+    free(head);
+    free(work);
+    return code;
 }
 
 /* where ``time`` falls on a sampled curve, clamped to samples 0..last: a
@@ -364,30 +471,54 @@ static void take_base(double *x, const double *base, i64 n, i64 cols, i64 base_c
     }
 }
 
-/* Begin a pattern in its block: its first k columns of link entries, of
-   exits and of link slot entries are the base's (``take_base``). Its source
-   slot entries are the cumulative departures of their paths, ``h`` (P x T),
-   as numpy forms them: ``np.cumsum`` (the first departure itself, then a
-   sequential sum) after a 0.0, sampled at every ``refine``-th column, the
-   columns between at ``a + frac[f] * (b - a)`` of their interval's ends,
-   and the total from step T ``refine`` on. A source's entries are 0.0 plus
-   its slots in sequence, as ``ndarray.sum`` adds across rows. */
-static void begin(const plan_t *pl, const double *h, i64 k, const double *base_up,
-                  const double *base_dn, const double *base_sl, i64 base_cols, double *up,
-                  double *dn, double *sl, i64 cols)
+/* The departures of a pattern that starts at interval ``start``, P x T, into
+   ``x``: the base's ``base_h`` before ``start`` and its own ``h`` from there
+   on, floored at zero (``floor0``). Returns -3 if one is not finite, else
+   -4 if one is below -1e-9, else 0. */
+static i64 splice(const double *h, const double *base_h, i64 start, i64 P, i64 T, double *x)
 {
-    const i64 A = pl->A, R = pl->R, L = pl->L, S = pl->S, T = pl->paths.T;
+    uint8_t finite = 1, negative = 0;
+    for (i64 p = 0; p < P; p++) {
+        if (start)
+            memcpy(x + p * T, base_h + p * T, sizeof(double) * (size_t)start);
+        memcpy(x + p * T + start, h + p * T + start, sizeof(double) * (size_t)(T - start));
+    }
+    for (i64 c = 0; c < P * T; c++) {
+        finite &= isfinite(x[c]) != 0;
+        negative |= x[c] < -1e-9;
+        x[c] = floor0(x[c]);
+    }
+    return !finite ? -3 : negative ? -4 : 0;
+}
+
+/* Begin a pattern that starts at interval ``start`` in its block, its
+   departures ``x`` (``splice``). Its first k = ``start`` ``refine`` + 1
+   columns of link entries, of exits and of link slot entries are the
+   base's (``take_base``). Its source slot entries are the cumulative
+   departures of their paths, as numpy forms them:
+   ``np.cumsum`` (the first departure itself, then a sequential sum) after a
+   0.0, sampled at every ``refine``-th column, the columns between at ``a +
+   frac[f] * (b - a)`` of their interval's ends, and the total from step T
+   ``refine`` on. A source's entries are 0.0 plus its slots in sequence, as
+   ``ndarray.sum`` adds across rows. Returns the pattern's drain tolerance,
+   1e-9 of the ``ndarray.sum`` of ``x`` or of one vehicle. */
+static double begin(const plan_t *pl, const double *x, i64 start, const double *base_up,
+                    const double *base_dn, const double *base_sl, i64 base_cols, double *up,
+                    double *dn, double *sl, i64 cols)
+{
+    const i64 A = pl->A, R = pl->R, L = pl->L, S = pl->S, P = pl->paths.P, T = pl->paths.T;
     const i64 refine = pl->refine, t_sim = T * refine, *src_path = pl->src_path;
+    const i64 k = start * refine + 1;
     const double *frac = pl->frac;
     take_base(up, base_up, A, cols, base_cols, k);
     take_base(dn, base_dn, R, cols, base_cols, k);
     take_base(sl, base_sl, L, cols, base_cols, k);
     for (i64 j = L; j < S; j++) {
-        const double *x = h + src_path[j - L] * T;
+        const double *row = x + src_path[j - L] * T;
         double *s = sl + j * cols, cum = 0.0;
         s[0] = 0.0;
         for (i64 i = 0; i < T; i++) {
-            const double next = i == 0 ? x[0] : cum + x[i];
+            const double next = i == 0 ? row[0] : cum + row[i];
             for (i64 f = 1; f < refine; f++)
                 s[i * refine + f] = cum + frac[f] * (next - cum);
             s[(i + 1) * refine] = cum = next;
@@ -403,6 +534,7 @@ static void begin(const plan_t *pl, const double *h, i64 k, const double *base_u
             for (i64 c = 0; c < cols; c++)
                 u[c] += sl[j * cols + c];
     }
+    return 1e-9 * max2(1.0, dnl_sum(x, P * T));
 }
 
 /* Step a pattern's block on its own from step t up to step ``stop`` - 1,
@@ -573,53 +705,62 @@ static void read_out(const readout_t *ro, i64 start, i64 last, i64 cols, const d
     }
 }
 
-/* Load the B patterns ``h`` (B x P x T, each pattern's departures) from
-   pattern ``first`` on, one after another in one block: ``up`` and ``dn``
-   hold the entries and exits of the plan's R rows (used links in link
-   order, then sources), ``sl`` the entries of its S slots, in row order,
-   each row ``cols`` samples. Pattern b starts at step ``starts[b]`` x
-   ``refine``: it takes the first ``starts[b]`` x ``refine`` + 1 columns of
+/* Load the B patterns ``h`` (B x P x T) from pattern ``first`` on, one
+   after another in one block: ``up`` and ``dn`` hold the entries and exits
+   of the plan's R rows (used links in link order, then sources), ``sl`` the
+   entries of its S slots, in row order, each row ``cols`` samples. Pattern
+   b starts at interval ``starts[b]``: its departures are the base's,
+   ``base_h`` (P x T), before it and ``h[b]`` from there on, so the cells of
+   ``h[b]`` before it are not read. It splices and checks them
+   (``splice``), takes the first ``starts[b]`` x ``refine`` + 1 columns of
    the base's block (``base_*``; none with no base, then every start is 0),
    writes its sources (``begin``), steps until it drains or reaches step
-   ``s_max`` (``advance``), its drain tolerance 1e-9 of its total departures
-   or of one vehicle, and reads its path times from its start on into
+   ``s_max`` (``advance``), and reads its path times from its start on into
    ``path_time[b]`` and ``extrapolated[b]`` (``read_out`` by the plan's
    ``paths``). A pattern writes each column before it reads it, so it steps
    the same in any block. Returns 0 when every pattern is done; b + 1 when
    pattern b has not drained at the last column but is below ``s_max``: the
    caller calls again from b in a wider block, where b begins anew; -1 if
-   out of memory; -2 if ``first`` is negative, or the block ends before step
-   t_sim, or at a start outside [0, T) or past the base's columns, or a step
-   count past the block's. */
-i64 dnl_step(const plan_t *pl, i64 B, const double *h, const i64 *starts, const double *base_up,
-             const double *base_dn, const double *base_sl, i64 base_cols, i64 s_max, i64 cols,
-             double *up, double *dn, double *sl, i64 first, i64 *n_steps, uint8_t *drained,
-             double *path_time, uint8_t *extrapolated)
+   out of memory; -2, before any pattern is stepped, if ``first`` is
+   negative, or the block ends before step t_sim, or at a start outside [0,
+   T) or past the base's columns, and at a step count past the block's; -3
+   at a pattern with a departure that is not finite, and -4 at one with a
+   departure below -1e-9 unless a later pattern has one that is not finite,
+   so that -3 wins as ``dnl.DnlError`` tells them apart. */
+i64 dnl_step(const plan_t *pl, i64 B, const double *h, const i64 *starts, const double *base_h,
+             const double *base_up, const double *base_dn, const double *base_sl, i64 base_cols,
+             i64 s_max, i64 cols, double *up, double *dn, double *sl, i64 first, i64 *n_steps,
+             uint8_t *drained, double *path_time, uint8_t *extrapolated)
 {
     const i64 A = pl->A, R = pl->R, P = pl->paths.P, T = pl->paths.T, refine = pl->refine;
     const i64 t_sim = T * refine, stop = s_max < cols - 1 ? s_max : cols - 1;
 
-    /* per row, per link row, per slot, per trie node, and one byte each:
-       never malloc(0), and a read past the last is still out of bounds */
+    /* per row, per link row, per slot, per trie node, per departure, and
+       one byte each: never malloc(0), and a read past the last is still out
+       of bounds */
     double *work = malloc(sizeof(double) * (size_t)(3 * R + 2 * A + pl->S) + 1);
     i64 *hint = malloc(sizeof(i64) * (size_t)R + 1);  /* per row: last FIFO search answer */
     node_t *node = malloc(sizeof(node_t) * (size_t)pl->paths.K + 1);
+    double *x = malloc(sizeof(double) * (size_t)(P * T) + 1);  /* a pattern's departures */
     i64 code = cols > t_sim && first >= 0 ? 0 : -2;  /* ``begin`` writes sources to t_sim */
-    if (!work || !hint || !node)
+    if (!work || !hint || !node || !x)
         code = -1;
-    for (i64 b = first; b < B && !code; b++) {
-        const double *hb = h + b * P * T;
-        const i64 k = starts[b] * refine + 1;
-        if (starts[b] < 0 || starts[b] >= T || (k > 1 && k > base_cols)) {
+    for (i64 b = first; b < B && !code; b++)
+        if (starts[b] < 0 || starts[b] >= T || (starts[b] && starts[b] * refine + 1 > base_cols))
             code = -2;
+    for (i64 b = first; b < B && !code; b++) {
+        code = splice(h + b * P * T, base_h, starts[b], P, T, x);
+        for (i64 c = b + 1; c < B && code == -4; c++)
+            if (splice(h + c * P * T, base_h, starts[c], P, T, x) == -3)
+                code = -3;
+        if (code)
             break;
-        }
-        begin(pl, hb, k, base_up, base_dn, base_sl, base_cols, up, dn, sl, cols);
+        const double tol = begin(pl, x, starts[b], base_up, base_dn, base_sl, base_cols, up, dn,
+                                 sl, cols);
         drained[b] = 0;
         memset(hint, 0, sizeof(i64) * (size_t)R);
-        const i64 t = advance(pl, k - 1, stop, t_sim, cols, up, dn, sl,
-                              1e-9 * max2(1.0, dnl_sum(hb, P * T)), drained + b, n_steps + b,
-                              work, hint);
+        const i64 t = advance(pl, starts[b] * refine, stop, t_sim, cols, up, dn, sl, tol,
+                              drained + b, n_steps + b, work, hint);
         if (!drained[b] && t < s_max) {
             code = b + 1;
             break;
@@ -636,6 +777,7 @@ i64 dnl_step(const plan_t *pl, i64 B, const double *h, const i64 *starts, const 
     free(work);
     free(hint);
     free(node);
+    free(x);
     return code;
 }
 

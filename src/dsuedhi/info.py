@@ -19,11 +19,14 @@ there: ``forecasts`` loads the T spliced patterns as one batch
 at its own interval, steps on its own and is timed from there on. Both its
 input, the predicted columns, and its output, the forecast travel times, are
 (provision interval t, path, departure interval j) arrays read only in their
-open cells j >= t, the layout that ``choice.share_table`` reads; the loader
-takes the cells before t from the candidate, and the forecast times are the
-batch's own ``path_time`` array; the batch keeps none of its curves, and
-returns its path times with each pattern's step count, drain flag and
-extrapolated cells.
+open cells j >= t, the layout that ``choice.share_table`` reads. The
+kernel writes the predicted columns straight into the open cells of the
+input (``choice.assign``'s pass) and splices each pattern with the
+candidate's departures before t as it loads it, so no (T, paths, T) array
+is formed in numpy on the way; the forecast times are the batch's own
+``path_time`` array; the batch keeps none of its curves, and returns its
+path times with each pattern's step count, drain flag and extrapolated
+cells.
 """
 
 from __future__ import annotations
@@ -49,16 +52,15 @@ def forecasts(
     pooled remaining demand of both classes under the candidate is assigned
     to that table, and its columns replace the candidate's from t on; all T
     reactions are assigned in one call and loaded in one batch, each from
-    the base's state at its own interval. Only the open cells j >= t are filled;
-    the loader takes the cells before t from the base. Returns the batch:
+    the base's state at its own interval. Only the open cells j >= t are
+    written; the loader takes the cells before t from the base, and reads
+    none of them from the reaction. Returns the batch:
     entry ``[t, p, j]`` of its (T, paths, T) ``path_time`` is the travel
     time of path p for departure j in the pattern spliced at t, NaN for j <
     t, before that pattern's loading starts; its ``drained`` and
     ``extrapolated`` tell whether each pattern drained and which times were
     extrapolated past its last step.
     """
-    T = grid.n_intervals
     pooled = choice.remaining_demand(h_total, net.class_demands().sum(axis=0), path_set)
-    reaction = np.full((T, *h_total.shape), np.nan)  # open cells only: j >= t
-    reaction[instant_shares.layout.open] = choice.assign(instant_shares, 0, pooled)
-    return dnl.load_batch(base, reaction, np.arange(T))
+    reaction = choice._assign(instant_shares, 0, pooled, True)  # open cells only: j >= t
+    return dnl.load_batch(base, reaction, np.arange(grid.n_intervals))

@@ -186,9 +186,18 @@ class Network:
         return self.links[self.link_index[link_id]]
 
     def class_demands(self) -> np.ndarray:
-        """Per-OD demand of each class, (2, ODs): row 0 instantaneous, row 1 forecast."""
-        return np.array([[od.demand_instant for od in self.od_pairs],
-                         [od.demand_forecast for od in self.od_pairs]])
+        """Per-OD demand of each class, (2, ODs): row 0 instantaneous, row 1 forecast.
+
+        One read-only array, built on the first call.
+        """
+        return self._class_demands
+
+    @functools.cached_property
+    def _class_demands(self) -> np.ndarray:
+        demands = np.array([[od.demand_instant for od in self.od_pairs],
+                            [od.demand_forecast for od in self.od_pairs]])
+        demands.flags.writeable = False
+        return demands
 
     def target_arrivals(self) -> tuple[float, ...]:
         return tuple(od.target_arrival_s for od in self.od_pairs)

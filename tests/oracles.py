@@ -9,10 +9,15 @@ it was before the integer graph, spur memo and time-bound pruning. Four
 helpers read or set up loadings: ``vehicles_stored``, ``step_cap``,
 ``stepped``, which keeps the curves of a batch that ``dnl.load_batch`` drops,
 and ``source_curves``, the numpy formula of the curves the kernel writes for
-its sources; ``solve_recording`` keeps the input of every map a solve
-applies; ``systematic_disutility`` and ``logit`` state the disutility and the
-logit of one choice set in numpy; ``rollout`` is the per-interval loop of
-``choice.assign`` calls that ``choice.rollout`` takes in closed form;
+its sources; ``prefix_sums`` reads the kernel's prefix sums of rows, and
+``departures`` splices, checks and floors the patterns of a
+batch in numpy, as the kernel's ``begin`` does; ``solve_recording`` keeps
+the input of every map a solve applies; ``systematic_disutility`` and
+``logit`` state the disutility and the logit of one choice set in numpy;
+``remaining_demand`` and ``assign`` are the numpy forms of the kernel passes
+behind ``choice.remaining_demand`` and ``choice.assign``; ``rollout`` is the
+per-interval loop of ``choice.assign`` calls that ``choice.rollout`` takes
+in closed form;
 ``hop_chain`` reads path times out of a loading path by path, hop by hop,
 where ``dnl_path_times`` passes each node of the paths' prefix trie once.
 """
@@ -60,11 +65,12 @@ def stepped(base: dnl.LoadingResult, batch, starts) -> list[dnl.LoadingResult]:
     from the same arrays: the curves of a batch, which ``load_batch`` drops."""
     plan, base_h = base._state[:2]
     starts = np.asarray(starts, dtype=np.int64)
-    h = dnl._departures(batch, *base_h.shape, base_h, starts)
+    batch = np.ascontiguousarray(batch, dtype=float)
+    h = departures(batch, base_h, starts)
     A, out = plan.A, []
     for j in range(len(h)):
         path_time, extrapolated = np.full(h[j].shape, np.nan), np.zeros(h[j].shape, dtype=bool)
-        up, dn, slots, n_steps, drained = dnl._step(plan, h[j : j + 1], starts[j : j + 1],
+        up, dn, slots, n_steps, drained = dnl._step(plan, batch[j : j + 1], starts[j : j + 1],
                                                     path_time[None], extrapolated[None], base)
         S = int(n_steps[0])
         out.append(dnl.LoadingResult(
@@ -74,6 +80,42 @@ def stepped(base: dnl.LoadingResult, batch, starts) -> list[dnl.LoadingResult]:
             _state=(plan, h[j], up, dn, slots),
         ))
     return out
+
+
+def departures(values, base_h: np.ndarray, starts) -> np.ndarray:
+    """The patterns ``dnl.load_batch(base, values, starts)`` loads, in numpy.
+
+    Pattern b is ``base_h`` before interval ``starts[b]`` and ``values[b]``
+    from there on, so the cells of ``values`` before its start are not read.
+    ``DnlError`` if a cell of some pattern is not finite, else if one is
+    below -1e-9; the patterns floored at zero by ``np.maximum``, which takes
+    -0.0 to 0.0.
+    """
+    T = base_h.shape[-1]
+    h = np.where(np.arange(T) < np.asarray(starts)[:, None, None], base_h, values)
+    if not np.isfinite(h).all():
+        raise dnl.DnlError("departures must be finite")
+    if h.min(initial=0.0) < -1e-9:
+        raise dnl.DnlError("negative departures")
+    return np.maximum(h, 0.0)
+
+
+def prefix_sums(h) -> np.ndarray:
+    """``h[:, :t].sum(axis=1)`` of every t, (T, rows), as the kernel takes them.
+
+    ``dnl_remaining`` with one OD of zero demand per row, and one more
+    without paths whose demand of -1 overdraws from the start, so that the
+    kernel leaves every remainder unclamped: 0.0 less each sum, from which
+    0.0 less it again gives the sum back exactly.
+    """
+    h = np.ascontiguousarray(h, dtype=float)
+    P, T = h.shape
+    out, demand = np.empty((T, P + 1)), np.append(np.zeros(P), -1.0)
+    code = dnl._kernel().dnl_remaining(h.ctypes.data, P, T,
+                                        np.arange(P, dtype=np.int64).ctypes.data,
+                                        demand.ctypes.data, P + 1, out.ctypes.data)
+    assert code == (1 if T else 0), code
+    return 0.0 - out[:, :P]
 
 
 def source_curves(plan, h: np.ndarray, cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -127,6 +169,52 @@ def logit(psi, theta: float) -> np.ndarray:
     return w / w.sum()
 
 
+def remaining_demand(history, class_demand, path_set) -> np.ndarray:
+    """Per-OD demand not yet departed before each interval t of ``history``, in numpy.
+
+    Row t is ``class_demand`` less each path's ``ndarray.sum`` of its first
+    t columns, added per OD in path order (``np.add.at``); ``choice._unspent``
+    clamps dust below zero and raises on more.
+    """
+    h = np.asarray(history, dtype=float)
+    demand = np.asarray(class_demand, dtype=float)
+    prefix = np.zeros(h.shape[::-1])
+    for t in range(len(prefix)):
+        prefix[t] = h[:, :t].sum(axis=1)
+    departed = np.zeros((len(prefix), len(demand)))
+    np.add.at(departed, (slice(None), path_set.od_of_path), prefix)
+    return choice._unspent(demand - departed, demand)
+
+
+def assign(table, t_index: int, remaining_demand) -> np.ndarray:
+    """``choice.assign`` in numpy: the cells of the table's blocks at ``t_index``, ... flat.
+
+    Each block's shares times its OD's demand in that interval's row, the
+    demand less the block's ``ndarray.sum`` then added at its ``top``; a
+    negative demand of an OD with paths raises first, then any demand other
+    than 0 on a block that is not finite.
+    """
+    lay = table.layout
+    demand = np.asarray(remaining_demand, dtype=float)
+    n = lay.block.n
+    m = len(lay.block_od) // n  # blocks per interval
+    i = t_index - lay.first
+    blocks = slice(i * m, (i + len(demand)) * m)
+    start, size = lay.start[blocks], lay.size[blocks]
+    cells = slice(start[0], start[-1] + size[-1])
+    demand = demand[:, lay.block_od[:m]].ravel()  # per block
+    if (demand < 0).any():
+        raise choice.ChoiceError(
+            f"negative remaining demand for OD {lay.block_od[np.argmax(demand < 0)]}")
+    if ((demand != 0.0) & ~table.finite[blocks]).any():
+        raise choice.ChoiceError("disutility matrix has non-finite entries")
+    out = table.share[cells] * np.repeat(demand, size)
+    at = start - cells.start
+    residual = demand - np.array([out[a : a + k].sum() for a, k in zip(at, size)])
+    out[table.top[blocks] - cells.start] += residual
+    return out
+
+
 def rollout(table, class_demand, path_set) -> np.ndarray:
     """One class's realized departures, one ``choice.assign`` per provision interval.
 
@@ -138,7 +226,7 @@ def rollout(table, class_demand, path_set) -> np.ndarray:
     demand = np.asarray(class_demand, dtype=float)
     rem = demand.copy()
     lay = table.layout
-    n, P = lay.open.shape[:2]
+    n, P = lay.block.n, lay.block.P
     y = np.zeros((P, n))
     for i in range(n):
         y[:, i] = choice.assign(table, lay.first + i, rem[None]).reshape(P, -1)[:, 0]

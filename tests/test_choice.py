@@ -10,7 +10,8 @@ from dsuedhi import choice, dnl, info
 from dsuedhi import network as nw
 from dsuedhi.equilibrium import random_feasible_parts
 import oracles
-from oracles import logit
+from map_cases import corridor
+from oracles import logit, prefix_sums
 
 
 @pytest.fixture()
@@ -38,10 +39,21 @@ def segment_values(seed: int, n: int) -> np.ndarray:
 
 
 class TestSegments:
-    """Per-run totals of a layout's blocks (``dnl.run_sums``) are
-    ``ndarray.sum`` of each run, bit for bit; numpy adds runs of 8 or more
-    pairwise in blocks of 8 and 128, so these bits move if numpy's blocking
-    does."""
+    """Per-run totals that the kernel takes (``oracles.prefix_sums``, the
+    prefixes of a history's rows behind ``remaining_demand``) are
+    ``ndarray.sum`` of each run, bit for bit, as its block totals are; numpy
+    adds runs of 8 or more pairwise in blocks of 8 and 128, so these bits
+    move if numpy's blocking does."""
+
+    @staticmethod
+    def totals(x, sizes):
+        """The kernel's total of each run of ``sizes`` numbers of ``x``, in turn: the
+        prefix of its own row, the run then zeros, as long as the run."""
+        rows = np.zeros((len(sizes), max(sizes) + 1))
+        edges = np.cumsum([0, *sizes])
+        for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            rows[k, : b - a] = x[a:b]
+        return prefix_sums(rows)[sizes, np.arange(len(sizes))]
 
     @settings(max_examples=80, deadline=None)
     @example(sizes=[130, 3, 8], seed=1)  # bincount alone differs here
@@ -54,16 +66,15 @@ class TestSegments:
         lay = choice._layout(tuple(sizes), nw.TimeGrid(60.0, 60.0), 0, 1)  # one block per OD
         edges = np.cumsum([0, *sizes])
         want = np.array([x[a:b].sum() for a, b in zip(edges[:-1], edges[1:])])
-        assert np.array_equal(dnl.run_sums(x, lay.start, lay.size), want)
+        assert self.totals(x, sizes).tobytes() == want.tobytes()
         assert np.array_equal(lay.start, edges[:-1]) and np.array_equal(lay.size, sizes)
         assert lay.cells == sum(sizes)
 
     def test_example_needs_more_than_bincount(self):
-        sizes = (130, 3, 8)
+        sizes = [130, 3, 8]
         x = segment_values(1, sum(sizes))
-        lay = choice._layout(sizes, nw.TimeGrid(60.0, 60.0), 0, 1)
         assert not np.array_equal(np.bincount(np.repeat(np.arange(3), sizes), weights=x),
-                                  dnl.run_sums(x, lay.start, lay.size))
+                                  self.totals(x, sizes))
 
 
 class TestSystematicDisutility:
@@ -494,6 +505,40 @@ class TestRemainingDemand:
             assert out[t].tobytes() == np.maximum(totals - departed, 0.0).tobytes(), t
 
 
+class TestErrorTexts:
+    """``remaining_demand`` and ``assign`` name what they refuse as they did in numpy:
+    the overdrawn OD and its amount, the OD of a negative demand, a demand on a
+    block that is not finite."""
+
+    def test_an_overdraw_names_the_worst_od_and_its_amount(self, three_path_set):
+        # before interval 2 the first OD's two paths took 16 of its 12, the
+        # second OD's path 8.5 of 8
+        _, ps = three_path_set
+        realized = np.array([[4.0, 4.0, 0.0], [4.0, 4.0, 0.0], [4.25, 4.25, 0.0]])
+        with pytest.raises(choice.ChoiceError) as err:
+            choice.remaining_demand(realized, np.array([12.0, 8.0]), ps)
+        assert str(err.value) == (f"OD 0: departures exceed class demand {np.float64(12.0)!r} "
+                                  f"by {np.float64(4.0)!r}")
+
+    def test_a_negative_demand_names_its_od_before_a_block_that_is_not_finite(
+            self, three_path_set):
+        net, ps = three_path_set
+        phi = np.full((2, ps.n_paths, 2), 60.0)
+        phi[1, 2, 1] = np.nan  # the second OD's block at interval 1
+        table = choice.share_table(phi, 0, nw.TimeGrid(240.0, 120.0), ps, params_for(net))
+        assert table.finite.tolist() == [True, True, True, False]
+        for demand, message in (([[1.0, 1.0], [1.0, -1.0]], "negative remaining demand for OD 1"),
+                                ([[1.0, -0.5], [-1.0, 1.0]], "negative remaining demand for OD 1"),
+                                ([[-1.0, 1.0], [1.0, 1.0]], "negative remaining demand for OD 0"),
+                                ([[1.0, 1.0], [-1.0, 1.0]], "negative remaining demand for OD 0"),
+                                ([[1.0, 1.0], [1.0, 1e-300]],
+                                 "disutility matrix has non-finite entries")):
+            with pytest.raises(choice.ChoiceError) as err:
+                choice.assign(table, 0, np.array(demand))
+            assert str(err.value) == message
+        assert choice.assign(table, 0, np.array([[1.0, 1.0], [1.0, 0.0]]))[-1] == 0.0
+
+
 class TestRealize:
     """The per-interval rollout, which ``choice.rollout`` equals
     (``TestRollout``), realizes only the current column of each tentative
@@ -596,6 +641,144 @@ def path_set_of(sizes):
         tuple(slice(int(a), int(b)) for a, b in zip(starts[:-1], starts[1:])),
         od_of_path, np.full(len(od_of_path), 60.0), tuple(() for _ in od_of_path),
     )
+
+
+def same(kernel, numpy):
+    """``kernel()`` and ``numpy()``, the reference: byte for byte the same array, or the same
+    error with the same message. Returns the array, or None after an error."""
+    try:
+        want = numpy()
+    except (choice.ChoiceError, dnl.DnlError) as exc:
+        with pytest.raises(type(exc)) as err:
+            kernel()
+        assert str(err.value) == str(exc)
+        return None
+    got = kernel()
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    return got
+
+
+class TestKernelPassesEqualNumpy:
+    """The kernel passes behind ``remaining_demand``, ``assign`` and a forecast
+    batch's splice equal their numpy forms (``oracles.remaining_demand``,
+    ``oracles.assign``, ``oracles.departures``) byte for byte, and refuse
+    what they refuse with the same message."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(0, 4), min_size=1, max_size=5),
+        T=st.integers(0, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_remaining_demand(self, sizes, T, seed):
+        # per OD: zero demand and no departures, dust below zero that is
+        # clamped, spare demand, or an overdraw, which is rarer; ODs without
+        # paths keep any demand, -0.0 included; -0.0 departures too
+        rng = np.random.default_rng(seed)
+        ps = path_set_of(sizes)
+        h = rng.uniform(0.0, 5.0, (ps.n_paths, T)) * (rng.random((ps.n_paths, T)) < 0.7)
+        h[rng.random(h.shape) < 0.1] = -0.0
+        kind = rng.choice(4, size=len(sizes), p=[0.25, 0.3, 0.35, 0.1])
+        h[kind[ps.od_of_path] == 0] = 0.0
+        totals = np.bincount(ps.od_of_path, h.sum(axis=1), minlength=len(sizes))
+        demand = totals * np.choose(kind, [0.0, 1.0 - 5e-10, rng.uniform(1.0, 2.0), 0.5])
+        demand[kind == 0] = rng.choice([0.0, -0.0], size=(kind == 0).sum())
+        empty = np.array(sizes) == 0
+        demand[empty] = rng.choice([0.0, -0.0, 3.5], size=empty.sum())
+        same(lambda: choice.remaining_demand(h, demand, ps),
+             lambda: oracles.remaining_demand(h, demand, ps))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(0, 5), min_size=1, max_size=4).filter(any),
+        T=st.integers(1, 12),
+        bad_cell=st.sampled_from([None, np.nan, np.inf]),
+        negative=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_assign(self, sizes, T, bad_cell, negative, seed):
+        # a table from a random first interval, assigned from a random
+        # interval on: demand rows of zeros, -0.0, dust and ordinary demand,
+        # a block that is not finite with zero demand or not, and a negative
+        # demand; flat, and wide in the cells from each row's interval on
+        rng = np.random.default_rng(seed)
+        ps = path_set_of(sizes)
+        P, n_od = ps.n_paths, len(sizes)
+        first = int(rng.integers(0, T))
+        grid = nw.TimeGrid(T * 120.0, 120.0)
+        params = choice.ChoiceParams(theta=0.3, target_arrival_s=tuple(rng.uniform(0, T * 120.0,
+                                                                                   n_od)))
+        phi = rng.uniform(30.0, 900.0, size=(T - first, P, T))
+        if bad_cell is not None:
+            phi[rng.integers(0, T - first), rng.integers(0, P), T - 1] = bad_cell
+        table = choice.share_table(phi, first, grid, ps, params)
+        t = first + int(rng.integers(0, T - first))
+        rows = int(rng.integers(1, T - t + 1))
+        demand = np.choose(rng.integers(0, 4, size=(rows, n_od)),
+                           [np.zeros((rows, n_od)), np.full((rows, n_od), -0.0),
+                            rng.choice([5e-324, 1e-300, 1e-12], size=(rows, n_od)),
+                            rng.uniform(0.5, 500.0, size=(rows, n_od))])
+        if bad_cell is not None and rng.random() < 0.5:  # no demand on the blocks not finite
+            lay, m = table.layout, len(table.top) // (T - first)
+            for k in np.flatnonzero(~table.finite):
+                if t <= first + k // m < t + rows:
+                    demand[first + k // m - t, lay.block_od[k]] = 0.0
+        if negative:
+            demand[rng.integers(0, rows), rng.integers(0, n_od)] = -rng.uniform(1e-300, 1.0)
+        flat = same(lambda: choice.assign(table, t, demand),
+                    lambda: oracles.assign(table, t, demand))
+        if flat is None:
+            return
+        wide = choice._assign(table, t, demand, True)
+        assert wide.shape == (rows, P, T)
+        cells = np.concatenate([wide[i, :, t + i :].ravel() for i in range(rows)])
+        assert cells.tobytes() == flat.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        bad=st.sampled_from([None, None, np.nan, -np.inf, -1e-8]),
+    )
+    def test_spliced_patterns(self, seed, bad):
+        # the cells before each pattern's start are NaN, and not read; its
+        # own cells hold -0.0 and dust down to -1e-9, which are floored
+        net, ps, grid, _ = corridor()
+        rng = np.random.default_rng(seed)
+        P, T = ps.n_paths, grid.n_intervals
+
+        def dust(x):
+            at = rng.random(x.shape) < 0.2
+            x[at] = rng.choice([-0.0, -1e-9, -1e-12, 0.0], size=at.sum())
+            return x
+
+        base = dnl.load(net, ps, grid, dust(rng.uniform(0.0, 3.0, size=(P, T))))
+        starts = rng.integers(0, T, size=4)
+        batch = dust(rng.uniform(0.0, 4.0, size=(4, P, T)))
+        batch[np.broadcast_to(np.arange(T) < starts[:, None, None], batch.shape)] = np.nan
+        if bad is not None:
+            b = int(rng.integers(0, 4))
+            batch[b, rng.integers(0, P), rng.integers(starts[b], T)] = bad
+
+        def solo():  # each spliced pattern loaded alone, timed from its start
+            out = np.full(batch.shape, np.nan)
+            for j, (t, pattern) in enumerate(zip(starts, spliced_in_numpy())):
+                out[j, :, t:] = dnl.load(net, ps, grid, pattern).path_time[:, t:]
+            return out
+
+        def spliced_in_numpy():
+            return oracles.departures(batch, base._state[1], starts)
+
+        if same(lambda: dnl.load_batch(base, batch, starts).path_time, solo) is None:
+            return
+        spliced, plan = spliced_in_numpy(), base._state[0]
+        for j, res in enumerate(oracles.stepped(base, batch, starts)):
+            up, slots = res._state[2], res._state[4]
+            want_slots, want_rows = oracles.source_curves(plan, spliced[j : j + 1],
+                                                          slots.shape[1])
+            assert slots[plan.n_link_slots :].tobytes() == want_slots[0].tobytes()
+            assert up[plan.A :].tobytes() == want_rows[0].tobytes()
+            assert res.n_steps == dnl.load(net, ps, grid, spliced[j]).n_steps
 
 
 class TestShareTable:

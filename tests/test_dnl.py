@@ -141,6 +141,30 @@ class TestLoadBasics:
         with pytest.raises(dnl.DnlError, match="departures must be finite"):
             dnl.load_batch(dnl.load(net, ps, grid, ones), np.stack([ones, h]), [0, 0])
 
+    def test_a_departure_that_is_not_finite_wins_over_a_negative_one(self, three_link):
+        # in one pattern, or in a later pattern of a batch than the negative
+        # one; a negative departure alone, or one that a pattern does not
+        # read, is named as such or not at all
+        net, ps, grid, _ = three_link
+        ones = np.ones((ps.n_paths, grid.n_intervals))
+        negative, both, late_nan = ones.copy(), ones.copy(), ones.copy()
+        negative[0, 1] = both[0, 1] = -1.0
+        both[2, 5] = late_nan[2, 5] = np.nan
+        with pytest.raises(dnl.DnlError, match="departures must be finite"):
+            dnl.load(net, ps, grid, both)
+        with pytest.raises(dnl.DnlError, match="^negative departures$"):
+            dnl.load(net, ps, grid, negative)
+        base = dnl.load(net, ps, grid, ones)
+        for patterns, message in (([both], "departures must be finite"),
+                                  ([negative, late_nan], "departures must be finite"),
+                                  ([late_nan, negative], "departures must be finite"),
+                                  ([ones, negative], "^negative departures$")):
+            with pytest.raises(dnl.DnlError, match=message):
+                dnl.load_batch(base, np.stack(patterns), [0] * len(patterns))
+        # the batch does not read a pattern's cells before its start
+        got = dnl.load_batch(base, np.stack([negative, late_nan]), [2, 6])
+        assert not np.isnan(got.path_time[0, :, 2:]).any()
+
 
 PLAN_ARRAYS = ("ff", "cap", "wave_lag", "storage")
 

@@ -243,6 +243,23 @@ class TestClassLayout:
         assert np.array_equal(net.class_demands().sum(axis=0),
                               [od.demand_total for od in net.od_pairs])
 
+    def test_class_demands_are_one_read_only_array_per_network(self, three_link):
+        # a map reads them twice and a solve once: built on the first call,
+        # and no caller can change what the next one reads
+        net = three_link[0]
+        demands = net.class_demands()
+        assert net.class_demands() is demands
+        with pytest.raises(ValueError, match="read-only"):
+            demands[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            demands[1] += 1.0
+        assert demands.tolist() == [[od.demand_instant for od in net.od_pairs],
+                                    [od.demand_forecast for od in net.od_pairs]]
+        split = net.with_class_split(0.25)
+        assert split.class_demands() is not demands
+        assert split.class_demands()[0].tolist() == (0.25 * demands.sum(axis=0)).tolist()
+        assert net.class_demands() is demands
+
     def test_dsue_has_one_pooled_row(self, three_link):
         net, ps, grid, params = three_link
         res = solve_dsue(net, ps, grid, params, SolverConfig())

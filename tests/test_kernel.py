@@ -17,7 +17,7 @@ from dsuedhi import choice, dnl, equilibrium
 from dsuedhi import network as nw
 from dsuedhi.equilibrium import random_feasible_parts
 from map_cases import cases, corridor
-from oracles import source_curves
+from oracles import prefix_sums, source_curves
 
 CC = shlex.split(sysconfig.get_config_var("CC") or "cc")
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -32,37 +32,61 @@ def cache(tmp_path, monkeypatch):
 
 def test_sum_equals_ndarray_sum():
     # no golden case has a row of more than 128 numbers, which numpy splits
-    # recursively, at n/2 rounded down to a multiple of 8
+    # recursively, at n/2 rounded down to a multiple of 8; the prefixes of
+    # each row are every length up to it, from 0
     rng = np.random.default_rng(0)
-    for n in [*range(301), 500, 1000, 1025, 4097]:
+    for n in (301, 1025, 4097):
         x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6.0, 6.0, n)
-        got = dnl.run_sums(x, np.array([0]), np.array([n]))
-        assert got.tobytes() == np.array([x.sum()]).tobytes(), n
+        got = prefix_sums(np.append(x, 0.0)[None])[:, 0]
+        want = np.array([x[:t].sum() for t in range(n + 1)])
+        assert got.tobytes() == want.tobytes(), n
 
 
-@pytest.mark.parametrize("start, size", [(-1, 2), (0, -1), (5, 2), (6, 1), (7, 0),
-                                         (2**62, 2**62), (1, 2**63 - 1)])
-def test_a_run_outside_the_array_raises(start, size):
-    # each run is checked in the kernel's loop, also after good runs
-    x = np.arange(6.0)
-    with pytest.raises(ValueError, match="does not lie inside"):
-        dnl.run_sums(x, np.array([0, start]), np.array([6, size]))
-    got = dnl.run_sums(x, np.array([0, 6, 2]), np.array([6, 0, 4]))
-    assert got.tolist() == [15.0, 0.0, 14.0]
+def remaining(h, path_od, demand):
+    """``dnl_remaining`` on the (P, T) history ``h``: its return code and (T, ODs) rows, each
+    NaN until written."""
+    out = np.full((h.shape[1], len(demand)), np.nan)
+    code = dnl._kernel().dnl_remaining(h.ctypes.data, *h.shape, path_od.ctypes.data,
+                                        demand.ctypes.data, len(demand), out.ctypes.data)
+    return code, out
 
 
-def run_step(plan, h, starts, base, s_max, cols, first=0):
+@pytest.mark.parametrize("od", [-1, 2, 2**62, -2**63])
+def test_remaining_demand_refuses_a_path_outside_its_ods(od):
+    # each path's OD is checked in the kernel's loop, also after good paths,
+    # before a row is written, which the sanitized run checks
+    h, demand = np.ones((3, 4)), np.array([10.0, 10.0])
+    code, out = remaining(h, np.array([0, 1, od], dtype=np.int64), demand)
+    assert code == -1 and np.isnan(out).all()
+    code, out = remaining(h, np.array([0, 1, 1], dtype=np.int64), demand)
+    assert code == 0 and out.tolist() == [[10.0, 10.0], [9.0, 8.0], [8.0, 6.0], [7.0, 4.0]]
+
+
+def test_remaining_demand_leaves_an_overdraw_unclamped_for_its_message():
+    # dust is clamped only when no row overdraws: one that does leaves every
+    # row as it is, for ``choice._unspent`` to name the worst
+    h = np.array([[1.0 + 5e-10, 0.0], [5.0, 0.0]])
+    code, out = remaining(h, np.array([0, 1], dtype=np.int64), np.array([1.0, 4.0]))
+    assert code == 1 and out[1].tolist() == [1.0 - (1.0 + 5e-10), -1.0]
+    code, out = remaining(h, np.array([0, 1], dtype=np.int64), np.array([1.0, 5.0]))
+    assert code == 0 and out[1].tolist() == [0.0, 0.0]
+
+
+def run_step(plan, h, starts, base, s_max, cols, first=0, base_h=None):
     """``dnl_step`` on the patterns ``h[B, P, T]`` from ``starts`` in a new block of ``cols``
-    columns, from pattern ``first`` on, ``base`` the (up, dn, slots) block of the base: its
-    return code, the block, and the patterns' step counts, drain flags and path times."""
+    columns, from pattern ``first`` on, ``base`` the (up, dn, slots) block of the base and
+    ``base_h`` its departures, zero by default: its return code, the block, and the
+    patterns' step counts, drain flags and path times."""
     B = len(h)
     R, S = plan.A + len(plan.source_links), len(plan.slot_row)
     block = np.empty((R, cols)), np.empty((R, cols)), np.empty((S, cols))
     n_steps, drained = np.zeros(B, dtype=np.int64), np.zeros(B, np.bool_)
     path_time, extrapolated = np.full(h.shape, np.nan), np.zeros(h.shape, dtype=np.bool_)
+    base_h = np.zeros(h.shape[1:]) if base_h is None else base_h
     code = dnl._kernel().dnl_step(
-        plan.block.ptr, B, h.ctypes.data, starts.ctypes.data, *(x.ctypes.data for x in base),
-        base[0].shape[1], s_max, cols, *(x.ctypes.data for x in block), first,
+        plan.block.ptr, B, h.ctypes.data, starts.ctypes.data, base_h.ctypes.data,
+        *(x.ctypes.data for x in base), base[0].shape[1], s_max, cols,
+        *(x.ctypes.data for x in block), first,
         *(x.ctypes.data for x in (n_steps, drained, path_time, extrapolated)))
     return code, block, n_steps, drained, path_time
 
@@ -128,11 +152,35 @@ def test_a_pattern_that_outgrows_its_block_returns_to_be_widened():
         assert run_step(plan, h[1:], np.array(starts), base, 100, cols, first)[0] == -2
 
 
+@pytest.mark.parametrize("cells, code", [
+    ({(0, 2): -1.0}, -4), ({(1, 9): np.nan}, -3), ({(0, 2): -1.0, (1, 9): np.inf}, -3),
+    ({(0, 2): -np.inf, (1, 9): -1.0}, -3), ({(0, 2): -1e-9, (1, 0): -0.0}, 0),
+    ({(1, 2): np.nan, (1, 3): -1.0}, 0), ({"base": np.nan}, -3), ({"base": -1.0}, -4),
+], ids=["negative", "nan", "negative then inf", "-inf then negative", "dust", "before start",
+        "base nan", "base negative"])
+def test_the_splice_refuses_a_departure_that_is_not_finite_before_a_negative_one(cells, code):
+    # pattern 0 starts at interval 0 and pattern 1 at 4 (the base's first 5
+    # columns); a pattern reads the base's departures before its start and
+    # its own from there: not finite wins over negative in any pattern, as
+    # ``dnl.DnlError`` tells them apart, and dust down to -1e-9 is floored
+    link = nw.Link("a", "x", "y", 200.0, 20.0, 5.0, 1.0, 0.15)
+    plan = dnl._Plan((link,), ((0,),), nw.TimeGrid(100.0, 10.0))
+    base = np.zeros((2, 5)), np.zeros((2, 5)), np.zeros((2, 5))
+    h, base_h = np.ones((2, 1, 10)), np.ones((1, 10))
+    for at, value in cells.items():
+        if at == "base":
+            base_h[0, 3] = value
+        else:
+            h[at[0], 0, at[1]] = value
+    assert run_step(plan, h, np.array([0, 4]), base, 100, 40, base_h=base_h)[0] == code
+
+
 @pytest.mark.parametrize("refine", [1, 2, 3])
 def test_source_curves_equal_the_numpy_formula(grid_congested, refine):
     # the kernel writes each pattern's source slot and source row curves as
-    # oracles.source_curves does in numpy, bit for bit, -0.0 included: a
-    # cumulative sum starts from the first departure itself
+    # oracles.source_curves does in numpy, bit for bit: a cumulative sum
+    # starts from the first departure itself, which the kernel has floored
+    # as ``np.maximum(h, 0.0)`` does, so a -0.0 departure starts it at 0.0
     net, ps, _, _ = grid_congested
     min_ff = min(link.free_flow_s for link in net.links)
     T = 12
@@ -147,8 +195,9 @@ def test_source_curves_equal_the_numpy_formula(grid_congested, refine):
     for b in range(len(h)):
         up, _, slots, _, _ = dnl._step(plan, h[b : b + 1], np.zeros(1, dtype=np.int64),
                                        path_time[b : b + 1], extrapolated[b : b + 1])
-        want_slots, want_rows = source_curves(plan, h[b : b + 1], up.shape[1])
-        assert np.signbit(want_slots).any()
+        assert np.signbit(source_curves(plan, h[b : b + 1], up.shape[1])[0]).any()
+        want_slots, want_rows = source_curves(plan, np.maximum(h[b : b + 1], 0.0), up.shape[1])
+        assert not np.signbit(want_slots).any()
         assert slots[plan.n_link_slots :].tobytes() == want_slots[0].tobytes()
         assert up[plan.A :].tobytes() == want_rows[0].tobytes()
 
@@ -220,6 +269,73 @@ def test_logit_shares_refuse_a_block_outside_the_array(start, size):
     assert top.tolist() == [3, 5] and w[3:].tolist() == [0.8, 0.2, 1.0]
 
 
+def assign(case):
+    """``dnl_assign`` on a table of 3 paths, ODs 0, 0 and 1, at provision intervals 1 and 2
+    of 4, changed by ``case``: its return code and its output, NaN where it wrote nothing.
+    The blocks have 6, 3, 4 and 2 cells in 15; each block's shares are 1 over its size."""
+    args = dict(path_od=[0, 0, 1], first=1, n=2, T=4, cells=15, start=[0, 6, 9, 13],
+                size=[6, 3, 4, 2], top=[0, 6, 9, 13], finite=[1, 1, 1, 1], i0=0, n_rows=2,
+                n_od=2, wide=0, demand=[[6.0, 3.0], [4.0, 2.0]])
+    args.update(case)
+    lay = layout(args["path_od"], args["first"], args["n"], args["T"], args["cells"],
+                 args["start"], args["size"])
+    share = np.repeat(1.0 / np.array([6.0, 3.0, 4.0, 2.0]), [6, 3, 4, 2])
+    top, finite = np.array(args["top"], np.int64), np.array(args["finite"], np.bool_)
+    demand = np.array(args["demand"])
+    out = np.full((2, 3, 4) if args["wide"] else 15, np.nan)
+    code = dnl._kernel().dnl_assign(lay.ptr, share.ctypes.data, top.ctypes.data,
+                                    finite.ctypes.data, args["i0"], args["n_rows"],
+                                    demand.ctypes.data, args["n_od"], args["wide"],
+                                    out.ctypes.data)
+    return code, out
+
+
+@pytest.mark.parametrize("case", [
+    {"i0": 1}, {"n_rows": 0}, {"n_rows": 3}, {"i0": -1}, {"size": [6, 3, 4, 1]},
+    {"start": [0, 6, 9, 14]}, {"start": [0, -1, 9, 13]}, {"start": [0, 6, 9, 2**62]},
+    {"top": [0, 6, 8, 13]}, {"top": [0, 6, 9, 15]}, {"top": [0, 6, 9, -2**63]}, {"n_od": 1},
+    {"path_od": [0, 0, -1]}, {"start": [0, 6, 9], "size": [6, 3, 4], "top": [0, 6, 9]},
+    {"first": 3}, {"first": -1}, {"cells": 14}, {"wide": 1, "top": [0, 6, 9, 15]},
+], ids=["rows past the table", "no rows", "more rows than the table", "negative row",
+        "block short", "block past the cells", "negative start", "huge start",
+        "top before its block", "top past its block", "huge negative top", "od past the demand",
+        "negative od", "blocks per interval", "past the horizon", "negative first",
+        "cells short", "wide"])
+def test_assign_refuses_rows_or_blocks_outside_its_arrays(case):
+    # each block is checked before any cell is written, which the sanitized
+    # run checks: nothing is written past the arrays, nor at all
+    code, out = assign(case)
+    assert code == -1 and np.isnan(out).all()
+
+
+def test_assign_fills_the_open_cells_flat_or_wide():
+    code, flat = assign({})
+    assert code == 0 and flat.tolist() == [1.0] * 15
+    code, wide = assign({"wide": 1})
+    assert code == 0 and np.isnan(wide[0, :, :1]).all() and np.isnan(wide[1, :, :2]).all()
+    assert wide[0, :, 1:].ravel().tolist() == [1.0] * 9
+    assert wide[1, :, 2:].ravel().tolist() == [1.0] * 6
+    code, one = assign({"i0": 1, "n_rows": 1, "demand": [[4.0, 2.0]]})
+    assert code == 0 and one[:6].tolist() == [1.0] * 6 and np.isnan(one[6:]).all()
+
+
+@pytest.mark.parametrize("case, code", [
+    ({"demand": [[6.0, 3.0], [4.0, -2.0]]}, 2), ({"demand": [[6.0, -0.0], [-1e-300, -2.0]]}, 1),
+    ({"finite": [1, 1, 0, 1]}, -3),
+    ({"finite": [1, 1, 0, 1], "demand": [[6.0, 3.0], [0.0, 2.0]]}, 0),
+    ({"finite": [1, 1, 1, 0], "demand": [[6.0, 3.0], [4.0, np.nan]]}, -3),
+    ({"finite": [0, 1, 1, 1], "demand": [[6.0, 3.0], [4.0, -2.0]]}, 2),
+], ids=["negative", "first negative in block order", "not finite", "not finite without demand",
+        "nan demand", "negative before not finite"])
+def test_assign_returns_a_negative_demand_before_a_block_that_is_not_finite(case, code):
+    # 1 + the OD of the first negative demand in block order, then -3 for a
+    # demand other than 0 on a block that is not finite, before any cell is
+    # written
+    got, out = assign(case)
+    assert got == code
+    assert np.isnan(out).all() == (code != 0)
+
+
 C_TYPES = {"void": None, "i64": ctypes.c_int64, "double": ctypes.c_double}
 
 
@@ -228,8 +344,9 @@ def test_every_entry_point_is_bound_with_its_c_signature():
     # truncate pointers and 64-bit integers without a word
     source = (SRC / "dsuedhi" / "dnl_step.c").read_text()
     defined = re.findall(r"^(void|i64|double)\s+(dnl_\w+)\(([^)]*)\)\s*\{", source, re.M)
-    assert {name for _, name, _ in defined} >= {"dnl_step", "dnl_path_times", "dnl_run_sums",
-                                                 "dnl_logit_exponents", "dnl_logit_shares"}
+    assert {name for _, name, _ in defined} >= {"dnl_step", "dnl_path_times",
+                                                 "dnl_logit_exponents", "dnl_logit_shares",
+                                                 "dnl_remaining", "dnl_assign"}
     declared = re.findall(r"^(?!static)\w[\w \t*]*?\b(dnl_\w+)\(", source, re.M)
     assert sorted(declared) == sorted(name for _, name, _ in defined)
     lib = dnl._kernel()
@@ -371,13 +488,15 @@ def test_library_appears_only_through_os_replace(cache, monkeypatch):
     assert os.stat(cache).st_mode & 0o777 == 0o700
 
 
-def test_one_map_passes_45_arrays_to_the_kernel(monkeypatch):
+def test_one_map_passes_47_arrays_to_the_kernel(monkeypatch):
     # the arrays that stay the same from map to map go in argument blocks,
     # built once; a warm map checks and passes only its per-call arrays (83
-    # before the blocks)
+    # before the blocks, 45 before the forecast's remaining demand and
+    # assignment moved into the kernel and the batch took its base's
+    # departures)
     net, ps, grid, params, h_i, h_f = cases()["corridor"]
     equilibrium.fixed_point_map(h_i, h_f, net, ps, grid, params)
     own, calls = dnl._arg, []
     monkeypatch.setattr(dnl, "_arg", lambda *args: calls.append(args) or own(*args))
     equilibrium.fixed_point_map(h_i, h_f, net, ps, grid, params)
-    assert len(calls) == 45
+    assert len(calls) == 47
