@@ -23,17 +23,17 @@ takes them in place, since libm's ``exp`` may differ from it in the last
 bit; a second pass divides each block by its total and finds its first
 largest share. ``assign`` scales the shares of consecutive intervals by one
 remaining-demand row each and folds the residual of each total into the
-block's first largest share, in one kernel pass (``dnl_assign``): the
+block's first largest share, in one kernel pass (``dnl_assign``), into the
+information's (provision interval, path, departure interval) layout: the
 pooled reaction of a forecast assigns every interval at once, from
-``remaining_demand`` (one kernel pass, ``dnl_remaining``), straight into
-the (provision interval, path, departure interval) array that the forecast
-batch reads, and ``tentative_departures`` is the one-interval case, its
-cells flat. Per block, results are bit-identical to a numpy logit over
-that block alone. ``rollout`` carries
-one class through the intervals of a table, realizing one column at a time
-from its own remaining demand, in closed form: an OD keeps what its current
-column does not take, so its remaining demand is its demand times the
-product of what it kept before.
+``remaining_demand`` (one kernel pass, ``dnl_remaining``), as the array
+that the forecast batch reads, and ``tentative_departures`` is the
+one-interval case. Per block, results are bit-identical to a numpy logit
+over that block alone. ``rollout`` carries one class through the
+intervals of a table, realizing one column at a time from its own
+remaining demand, in closed form: an OD keeps what its current column does
+not take, so its remaining demand is its demand times the product of what
+it kept before.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ def _exponents(phi: np.ndarray, params: ChoiceParams, theta: float,
                lay: _Layout) -> tuple[np.ndarray, np.ndarray]:
     """The cells of ``lay`` by the first pass of the logit (``dnl_logit_exponents``).
 
-    ``phi`` is C-contiguous (intervals, 1 or paths, 1 or T). Returns each
+    ``phi`` is C-contiguous (intervals, paths, 1 or T). Returns each
     cell's exponent, -``theta`` times its disutility (times 0.0 in a block
     that is not finite) less its block's largest, and whether each block's
     disutilities are finite; with ``theta`` 0, the disutilities themselves.
@@ -171,7 +171,7 @@ def _exponents(phi: np.ndarray, params: ChoiceParams, theta: float,
     b, target = lay.block, np.array(params.target_arrival_s, dtype=float)
     z, finite = np.empty(lay.cells), np.empty(lay.start.shape, dtype=bool)
     code = dnl._kernel().dnl_logit_exponents(
-        b.ptr, dnl._arg(phi, np.float64, (b.n, *phi.shape[1:])), *phi.shape[1:],
+        b.ptr, dnl._arg(phi, np.float64, (b.n, b.P, phi.shape[2])), phi.shape[2],
         dnl._arg(target, np.float64, target.shape), len(target), params.time_unit_s,
         params.mu_early, params.mu_late, theta, dnl._arg(z, np.float64, (b.cells,)),
         dnl._arg(finite, np.bool_, (b.blocks,)))
@@ -197,13 +197,6 @@ class ShareTable:
     top: np.ndarray  # (blocks,) cell of each block's first largest share
     finite: np.ndarray  # (blocks,) whether each block's disutilities are finite
 
-    def __post_init__(self) -> None:
-        # ``assign`` adds each block's residual at ``top``
-        start, size = self.layout.start, self.layout.size
-        top = np.asarray(self.top)
-        if top.shape != start.shape or not ((start <= top) & (top < start + size)).all():
-            raise ChoiceError("a share table's top cell lies outside its block")
-
 
 def share_table(
     phi_s: np.ndarray,
@@ -216,15 +209,16 @@ def share_table(
 
     ``phi_s[i, p, j]`` is the travel time of path p for departure interval j
     provided at interval ``first + i``; ``phi_s`` may be any 3-D array that
-    broadcasts to (intervals, paths, T), so instantaneous times, reused for
-    every departure, come as (intervals, paths, 1). Cells with j before the
-    provision interval are not read. Each OD's block at each interval gets
-    exactly the shares, and the same first largest share, as a numpy logit
-    over that block alone.
+    is (intervals, paths, T) or, for instantaneous times reused for every
+    departure, (intervals, paths, 1). Cells with j before the provision
+    interval are not read. Each OD's block at each interval gets exactly the
+    shares, and the same first largest share, as a numpy logit over that
+    block alone; a block whose shares are not finite, as where theta times a
+    disutility overflows, raises.
     """
     T, P = grid.n_intervals, path_set.n_paths
     phi = np.asarray(phi_s, dtype=float)
-    if phi.ndim != 3 or phi.shape[1] not in (1, P) or phi.shape[2] not in (1, T):
+    if phi.ndim != 3 or phi.shape[1] != P or phi.shape[2] not in (1, T):
         raise ChoiceError(f"travel times of shape {phi.shape} do not broadcast to "
                           f"(intervals, {P} paths, {T} departure intervals)")
     n = len(phi)
@@ -234,8 +228,12 @@ def share_table(
     share, finite = _exponents(np.ascontiguousarray(phi), params, params.theta, lay)
     np.exp(share, out=share)
     top = np.empty(lay.start.shape, dtype=np.int64)
-    if dnl._kernel().dnl_logit_shares(lay.block.ptr, dnl._arg(share, np.float64, share.shape),
-                                      dnl._arg(top, np.int64, top.shape)):
+    code = dnl._kernel().dnl_logit_shares(
+        lay.block.ptr, dnl._arg(share, np.float64, share.shape), dnl._arg(top, np.int64, top.shape))
+    if code == 1:
+        raise ChoiceError(f"logit shares are not finite: theta {params.theta!r} times a "
+                          "disutility overflows")
+    if code:
         raise ChoiceError(f"a block does not lie inside the layout's {lay.cells} cells")
     return ShareTable(lay, share, top, finite)
 
@@ -244,20 +242,11 @@ def assign(table: ShareTable, t_index: int, remaining_demand: np.ndarray) -> np.
     """Assign remaining demand over every OD's choice set at ``t_index``, ``t_index`` + 1, ...
 
     ``remaining_demand`` holds one row of demand for each of those
-    intervals, one entry per OD. Returns their cells flat, in the layout
-    order that ``open_cells`` selects in. Per-OD totals are conserved
-    exactly: each total's residual is folded into its block's first largest
-    share.
-    """
-    return _assign(table, t_index, remaining_demand, False)
-
-
-def _assign(table: ShareTable, t_index: int, remaining_demand, wide: bool) -> np.ndarray:
-    """``assign`` by the kernel (``dnl_assign``): flat, or with ``wide`` as (rows, P, T).
-
-    A wide array has row i's cells (p, j) at [i, p, j], for j from interval
-    ``t_index`` + i on; its cells before are not written, as a forecast
-    batch (``dnl.load_batch``) does not read them.
+    intervals, one entry per OD. Returns a (rows, paths, T) array: row i
+    holds interval ``t_index`` + i's cells (p, j) at [i, p, j] for j from
+    that interval on, its open cells, and 0.0 before them. Per-OD totals are
+    conserved exactly: each total's residual is folded into its block's
+    first largest share. By the kernel (``dnl_assign``).
     """
     lay, b = table.layout, table.layout.block
     demand = np.ascontiguousarray(remaining_demand, dtype=float)
@@ -267,12 +256,11 @@ def _assign(table: ShareTable, t_index: int, remaining_demand, wide: bool) -> np
         raise ChoiceError(f"demand rows {demand.shape} from provision interval {t_index} are "
                           f"not rows of {n_od} ODs in the share table's {b.first}.."
                           f"{b.first + b.n - 1}")
-    width = b.T - b.first - i  # of interval t_index; one less at each interval after
-    out = np.empty((rows, b.P, b.T) if wide else b.P * (rows * width - rows * (rows - 1) // 2))
+    out = np.empty((rows, b.P, b.T))
     code = dnl._kernel().dnl_assign(
         b.ptr, dnl._arg(table.share, np.float64, (b.cells,)),
         dnl._arg(table.top, np.int64, (b.blocks,)), dnl._arg(table.finite, np.bool_, (b.blocks,)),
-        i, rows, dnl._arg(demand, np.float64, demand.shape), n_od, wide,
+        i, rows, dnl._arg(demand, np.float64, demand.shape), n_od,
         dnl._arg(out, np.float64, out.shape))
     if code > 0:
         raise ChoiceError(f"negative remaining demand for OD {code - 1}")
@@ -300,14 +288,15 @@ def tentative_departures(
     reused for every departure, or a paths x T matrix of travel times by
     departure interval, of which the columns from ``t_index`` on are read.
     Per-OD totals are conserved exactly (the floating-point residual of the
-    share sum is folded into the largest-share cell). The one-interval case
-    of ``share_table`` and ``assign``.
+    share sum is folded into the largest-share cell). Returns the (paths,
+    T - ``t_index``) open cells of the one-interval case of ``share_table``
+    and ``assign``.
     """
     phi = np.asarray(phi_s, dtype=float)
     table = share_table(phi[None, :, None] if phi.ndim == 1 else phi[None], t_index, grid,
                         path_set, params)
     demand = np.asarray(remaining_demand, dtype=float)[None]
-    return assign(table, t_index, demand).reshape(path_set.n_paths, -1)
+    return assign(table, t_index, demand)[0, :, t_index:]
 
 
 def remaining_demand(

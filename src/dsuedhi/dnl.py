@@ -57,7 +57,8 @@ Batch axis. ``load_batch`` loads B departure patterns of one (network, path
 set, grid) one after another through one block of curves, the plan's rows
 and slots. Each pattern starts at an interval t from a base loading and has
 the base's departures before t (a forecast spliced at t has the
-candidate's): the kernel splices them with the pattern's own from t on,
+candidate's; ``choice.assign`` leaves 0.0 there in its reaction): the
+kernel splices them with the pattern's own from t on,
 checks them and floors them at zero, so no cell of the pattern before t is
 read. It copies the base's curves up to step t * refine and steps from there
 on its own, with its own drain test and step count, until it drains or
@@ -497,10 +498,10 @@ def _kernel() -> ctypes.CDLL:
     for name, argtypes in (
             ("dnl_step", [ptr, i64] + [ptr] * 6 + [i64] * 3 + [ptr] * 3 + [i64] + [ptr] * 4),
             ("dnl_path_times", [ptr, i64, i64] + [ptr] * 4),
-            ("dnl_logit_exponents", [ptr, ptr, i64, i64, ptr, i64] + [f64] * 4 + [ptr, ptr]),
+            ("dnl_logit_exponents", [ptr, ptr, i64, ptr, i64] + [f64] * 4 + [ptr, ptr]),
             ("dnl_logit_shares", [ptr] * 3),
             ("dnl_remaining", [ptr, i64, i64, ptr, ptr, i64, ptr]),
-            ("dnl_assign", [ptr] * 4 + [i64, i64, ptr, i64, i64, ptr]),
+            ("dnl_assign", [ptr] * 4 + [i64, i64, ptr, i64, ptr]),
             ("dnl_blocks", [ptr, i64])):
         getattr(lib, name).argtypes, getattr(lib, name).restype = argtypes, i64
     return lib

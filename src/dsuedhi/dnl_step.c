@@ -11,8 +11,9 @@
    ``dnl_logit_shares`` build a share table in two passes over its open
    cells, around numpy's ``exp``, and state the disutility;
    ``dnl_remaining`` takes the remaining demand of a departure history, and
-   ``dnl_assign`` assigns rows of remaining demand to a share table, into
-   its cells or straight into a batch of forecast patterns.
+   ``dnl_assign`` assigns rows of remaining demand to a share table, each
+   row into the (path, departure interval) cells of its provision interval,
+   the layout a batch of forecast patterns reads.
 
    Arguments. What stays the same from call to call comes in one argument
    block: a plan (``plan_t``), a read-out (``readout_t``) or a table layout
@@ -161,10 +162,10 @@ static double disutility(double phi, double t, double target, double mu_early, d
 
 /* Pass 1 of ``choice.share_table``'s logit over the open cells of ``lay``,
    whose blocks it finds from the runs of ``path_od``. A cell (i, p, j)
-   takes its travel time from ``phi[i, p, j]`` (n x ``phi_paths`` x
-   ``phi_cols``, where 1 repeats one path or one column), its departure
-   time ``mids[j]`` and its OD's ``target`` (one for each of ``n_target``
-   ODs), each divided by ``unit``, and gets their ``disutility``. With
+   takes its travel time from ``phi[i, p, j]`` (n x P x ``phi_cols``, where
+   1 repeats one column), its departure time ``mids[j]`` and its OD's
+   ``target`` (one for each of ``n_target`` ODs), each divided by ``unit``,
+   and gets their ``disutility``. With
    ``theta`` 0, ``z`` gets the disutilities themselves. With a positive
    ``theta``, ``finite[k]`` tells whether block k's disutilities all are,
    and its cells get the logit's exponents: -``theta`` times the disutility
@@ -173,15 +174,15 @@ static double disutility(double phi, double t, double target, double mu_early, d
    ``blocks`` flags of ``finite``; -1, before writing past either, if a
    block would leave them, some path's OD lies outside [0, ``n_target``),
    or ``phi``, the intervals or ``theta`` do not fit; -2 if out of memory. */
-i64 dnl_logit_exponents(const layout_t *lay, const double *phi, i64 phi_paths, i64 phi_cols,
+i64 dnl_logit_exponents(const layout_t *lay, const double *phi, i64 phi_cols,
                         const double *target, i64 n_target, double unit, double mu_early,
                         double mu_late, double theta, double *z, uint8_t *finite)
 {
     const i64 n = lay->n, first = lay->first, T = lay->T, P = lay->P, cells = lay->cells;
     const i64 blocks = lay->blocks, *path_od = lay->path_od;
     const double *mids = lay->mids;
-    if (n < 0 || first < 0 || first + n > T || (phi_paths != 1 && phi_paths != P)
-        || (phi_cols != 1 && phi_cols != T) || !(theta >= 0.0))
+    if (n < 0 || first < 0 || first + n > T || (phi_cols != 1 && phi_cols != T)
+        || !(theta >= 0.0))
         return -1;
     double *t = malloc(sizeof(double) * (size_t)T + 1);  /* departure times in the unit */
     if (!t)
@@ -205,7 +206,7 @@ i64 dnl_logit_exponents(const layout_t *lay, const double *phi, i64 phi_paths, i
             double least = INFINITY;  /* the block's least disutility, if all are finite */
             uint8_t all = 1;
             for (i64 r = p, c = 0; r < q; r++) {
-                const double *x = phi + (i * phi_paths + (phi_paths == 1 ? 0 : r)) * phi_cols;
+                const double *x = phi + (i * P + r) * phi_cols;
                 const double once = x[0] / unit;  /* the row's one time, if it has one */
                 for (i64 j = j0; j < T; j++, c++) {
                     const double v = disutility(phi_cols == 1 ? once : x[j] / unit, t[j], aim,
@@ -234,9 +235,10 @@ i64 dnl_logit_exponents(const layout_t *lay, const double *phi, i64 phi_paths, i
 /* Pass 2 of the logit, after numpy's ``exp`` of the exponents: block k of
    ``lay``, the ``size[k]`` numbers of ``w`` from ``start[k]``, is divided by
    its ``ndarray.sum``, and ``top[k]`` is the block's first cell of largest
-   share, as numpy finds it: none, so ``cells``, if a share is NaN. Returns
-   -1 at the first block that is empty or does not lie inside the ``cells``
-   numbers of ``w``, else 0. */
+   share, as numpy finds it. Returns -1 at the first block that is empty or
+   does not lie inside the ``cells`` numbers of ``w``; 1 at the first whose
+   sum is not finite, as it is if a share is not (theta times a disutility
+   overflowed); else 0. */
 i64 dnl_logit_shares(const layout_t *lay, double *w, i64 *top)
 {
     const i64 *start = lay->start, *size = lay->size, cells = lay->cells;
@@ -245,13 +247,14 @@ i64 dnl_logit_shares(const layout_t *lay, double *w, i64 *top)
             return -1;
         double *share = w + start[k];
         const double sum = dnl_sum(share, size[k]);
+        if (!isfinite(sum))
+            return 1;
         double most = share[0];
         for (i64 c = 0; c < size[k]; c++) {
             most = share[c] > most ? share[c] : most;
             share[c] /= sum;
         }
-        /* division by sum is monotone, so most / sum is the largest share
-           (NaN, as sum is, if a share is) */
+        /* division by sum is monotone, so most / sum is the largest share */
         most /= sum;
         top[k] = cells;
         for (i64 c = 0; c < size[k] && top[k] == cells; c++)
@@ -266,16 +269,15 @@ i64 dnl_logit_shares(const layout_t *lay, double *w, i64 *top)
    ``n_rows`` - 1 of ``lay``, one row per interval. Every cell of block k
    gets its ``share`` times its OD's demand d, and the cell ``top[k]`` then
    gets d less the block's ``ndarray.sum`` added, as numpy folds the
-   residual. Cell (i, p, j) goes to ``out`` in layout order from the first
-   cell of interval ``i0`` (``wide`` 0), or to ((i - ``i0``) P + p) T + j of
-   an ``n_rows`` x P x T array, whose cells j before each interval are not
-   written (``wide`` 1). Before writing, returns -1 if the rows do not lie
+   residual. Cell (i, p, j) goes to ((i - ``i0``) P + p) T + j of the
+   ``n_rows`` x P x T array ``out``, whose cells before interval i get 0.0:
+   every cell is written. Before writing, returns -1 if the rows do not lie
    in ``lay``, or a block's OD, cells or top do not fit it and ``n_od``;
    then 1 + the OD of the first block, in block order, whose demand is
    negative; then -3 if a block that is not ``finite`` has a demand other
    than 0 (a NaN included); -2 if out of memory; else 0. */
 i64 dnl_assign(const layout_t *lay, const double *share, const i64 *top, const uint8_t *finite,
-               i64 i0, i64 n_rows, const double *demand, i64 n_od, i64 wide, double *out)
+               i64 i0, i64 n_rows, const double *demand, i64 n_od, double *out)
 {
     const i64 n = lay->n, first = lay->first, T = lay->T, P = lay->P, cells = lay->cells;
     const i64 *start = lay->start, *size = lay->size, *path_od = lay->path_od;
@@ -317,21 +319,21 @@ i64 dnl_assign(const layout_t *lay, const double *share, const i64 *top, const u
         code = 1 + negative;
     else if (!code && unfit)
         code = -3;
-    for (i64 i = i0, pos = 0; i < i0 + n_rows && !code; i++) {
-        const i64 width = T - first - i;
-        /* where each path's row of the interval goes, one after another */
-        double *o = wide ? out + (i - i0) * P * T + first + i : out + pos;
-        const i64 stride = wide ? T : width;
+    for (i64 i = i0; i < i0 + n_rows && !code; i++) {
+        const i64 j0 = first + i, width = T - j0;
+        double *o = out + (i - i0) * P * T;  /* path p's row is o + p T */
         for (i64 k = i * m; k < (i + 1) * m; k++) {
             const i64 p = head[k % m], rows = head[k % m + 1] - p;
             const double d = demand[(i - i0) * n_od + path_od[p]], *s = share + start[k];
             for (i64 c = 0; c < size[k]; c++)
                 work[c] = s[c] * d;
             work[top[k] - start[k]] += d - dnl_sum(work, size[k]);
-            for (i64 r = 0; r < rows; r++)
-                memcpy(o + (p + r) * stride, work + r * width, sizeof(double) * (size_t)width);
+            for (i64 r = 0; r < rows; r++) {
+                double *row = o + (p + r) * T;
+                memset(row, 0, sizeof(double) * (size_t)j0);  /* 0.0 */
+                memcpy(row + j0, work + r * width, sizeof(double) * (size_t)width);
+            }
         }
-        pos += P * width;
     }
     free(head);
     free(work);

@@ -144,9 +144,12 @@ def fixed_point_map(
 def residual(h: np.ndarray, y: np.ndarray) -> float:
     """Squared relative gap between a pattern and its map image."""
     h = np.asarray(h, dtype=float)
-    y = np.asarray(y, dtype=float)
-    hn = float(np.linalg.norm(h))
-    gap = float(np.linalg.norm(h - y))
+    return _relative_gap(float(np.linalg.norm(h - np.asarray(y, dtype=float))),
+                         float(np.linalg.norm(h)))
+
+
+def _relative_gap(gap: float, hn: float) -> float:
+    """``residual`` of a gap norm ``gap`` and a pattern norm ``hn``."""
     if hn == 0.0:
         return 0.0 if gap == 0.0 else np.inf
     return (gap / hn) ** 2
@@ -155,10 +158,12 @@ def residual(h: np.ndarray, y: np.ndarray) -> float:
 def _free_flow_start(
     path_set: PathSet, grid: TimeGrid, params: ChoiceParams, demands: np.ndarray
 ) -> np.ndarray:
-    """Each class's logit response to free-flow path times, (C, P, T) for (C, ODs) demands."""
-    phi = path_set.free_flow_s
-    return np.stack([choice.tentative_departures(phi, d, 0, grid, path_set, params)
-                     for d in demands])
+    """Each class's logit response to free-flow path times, (C, P, T) for (C, ODs) demands.
+
+    One share table of the free-flow times serves every class.
+    """
+    table = choice.share_table(path_set.free_flow_s[None, :, None], 0, grid, path_set, params)
+    return np.stack([choice.assign(table, 0, d[None])[0] for d in demands])
 
 
 def _run_sram(model: str, apply_map, h: np.ndarray, config: SolverConfig) -> EquilibriumResult:
@@ -181,7 +186,7 @@ def _run_sram(model: str, apply_map, h: np.ndarray, config: SolverConfig) -> Equ
         h_total = h.sum(axis=0)
         y_total = last.y_parts.sum(axis=0)
         gap = float(np.linalg.norm(h_total - y_total))
-        res = residual(h_total, y_total)
+        res = _relative_gap(gap, float(np.linalg.norm(h_total)))
 
         if k > 1:
             beta += config.gain_up if gap >= prev_gap else config.gain_down

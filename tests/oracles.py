@@ -187,19 +187,20 @@ def remaining_demand(history, class_demand, path_set) -> np.ndarray:
 
 
 def assign(table, t_index: int, remaining_demand) -> np.ndarray:
-    """``choice.assign`` in numpy: the cells of the table's blocks at ``t_index``, ... flat.
+    """``choice.assign`` in numpy: the table's blocks at ``t_index``, ... as (rows, P, T).
 
     Each block's shares times its OD's demand in that interval's row, the
     demand less the block's ``ndarray.sum`` then added at its ``top``; a
     negative demand of an OD with paths raises first, then any demand other
-    than 0 on a block that is not finite.
+    than 0 on a block that is not finite. Row i holds interval ``t_index`` +
+    i's cells from that interval on, and 0.0 before them.
     """
     lay = table.layout
     demand = np.asarray(remaining_demand, dtype=float)
     n = lay.block.n
     m = len(lay.block_od) // n  # blocks per interval
-    i = t_index - lay.first
-    blocks = slice(i * m, (i + len(demand)) * m)
+    i, rows = t_index - lay.first, len(demand)
+    blocks = slice(i * m, (i + rows) * m)
     start, size = lay.start[blocks], lay.size[blocks]
     cells = slice(start[0], start[-1] + size[-1])
     demand = demand[:, lay.block_od[:m]].ravel()  # per block
@@ -208,10 +209,16 @@ def assign(table, t_index: int, remaining_demand) -> np.ndarray:
             f"negative remaining demand for OD {lay.block_od[np.argmax(demand < 0)]}")
     if ((demand != 0.0) & ~table.finite[blocks]).any():
         raise choice.ChoiceError("disutility matrix has non-finite entries")
-    out = table.share[cells] * np.repeat(demand, size)
+    flat = table.share[cells] * np.repeat(demand, size)
     at = start - cells.start
-    residual = demand - np.array([out[a : a + k].sum() for a, k in zip(at, size)])
-    out[table.top[blocks] - cells.start] += residual
+    residual = demand - np.array([flat[a : a + k].sum() for a, k in zip(at, size)])
+    flat[table.top[blocks] - cells.start] += residual
+    P, T = lay.block.P, lay.block.T
+    out = np.zeros((rows, P, T))
+    for r in range(rows):  # interval t_index + r: P x (T - t_index - r) cells
+        j0 = t_index + r
+        out[r, :, j0:] = flat[: P * (T - j0)].reshape(P, T - j0)
+        flat = flat[P * (T - j0) :]
     return out
 
 
@@ -229,7 +236,8 @@ def rollout(table, class_demand, path_set) -> np.ndarray:
     n, P = lay.block.n, lay.block.P
     y = np.zeros((P, n))
     for i in range(n):
-        y[:, i] = choice.assign(table, lay.first + i, rem[None]).reshape(P, -1)[:, 0]
+        t = lay.first + i
+        y[:, i] = choice.assign(table, t, rem[None])[0, :, t]
         np.subtract.at(rem, path_set.od_of_path, y[:, i])
         rem = choice._unspent(rem, demand)
     return y

@@ -202,11 +202,12 @@ class TestDisutilityMatrices:
         np.testing.assert_allclose(got, self.logit_of(phi, grid, ps, params, 0), rtol=1e-12)
 
     def test_forecast_shape_mismatch(self, three_path_set):
-        # 3 paths, 3 intervals: no shape here broadcasts to (n, 3, 3)
+        # 3 paths, 3 intervals: no shape here broadcasts to (n, 3, 3); one
+        # path's times are not repeated for every path
         net, ps = three_path_set
         grid = nw.TimeGrid(360.0, 120.0)
         params = params_for(net)
-        for shape in [(1, 3, 2), (1, 2, 3), (3, 3), (1, 3, 3, 1), (3,)]:
+        for shape in [(1, 3, 2), (1, 2, 3), (1, 1, 3), (1, 1, 1), (3, 3), (1, 3, 3, 1), (3,)]:
             with pytest.raises(choice.ChoiceError, match="do not broadcast"):
                 choice.share_table(np.zeros(shape), 0, grid, ps, params)
 
@@ -536,7 +537,20 @@ class TestErrorTexts:
             with pytest.raises(choice.ChoiceError) as err:
                 choice.assign(table, 0, np.array(demand))
             assert str(err.value) == message
-        assert choice.assign(table, 0, np.array([[1.0, 1.0], [1.0, 0.0]]))[-1] == 0.0
+        assert choice.assign(table, 0, np.array([[1.0, 1.0], [1.0, 0.0]]))[-1, -1, -1] == 0.0
+
+    def test_shares_that_are_not_finite_name_their_cause(self, three_path_set):
+        # every disutility is at least 5 minutes, so theta times the least
+        # overflows, and each exponent is -inf less -inf: NaN
+        net, ps = three_path_set
+        grid, params = nw.TimeGrid(360.0, 120.0), params_for(net, theta=1e308)
+        for make in (lambda: choice.share_table(np.full((3, 3, 1), 300.0), 0, grid, ps, params),
+                     lambda: choice.tentative_departures(np.full(3, 300.0), np.array([6.0, 6.0]),
+                                                         0, grid, ps, params)):
+            with pytest.raises(choice.ChoiceError) as err:
+                make()
+            assert str(err.value) == ("logit shares are not finite: theta 1e+308 times a "
+                                      "disutility overflows")
 
 
 class TestRealize:
@@ -546,11 +560,12 @@ class TestRealize:
 
     @staticmethod
     def rollout(monkeypatch, three_path_set, plans):
-        """Realized departures when the plan at interval i is ``plans[i]``."""
+        """Realized departures when the plan at interval i is ``plans[i]``, its open cells."""
         net, ps = three_path_set
         table = choice.share_table(np.full((len(plans), ps.n_paths, 1), 60.0), 0,
                                    nw.TimeGrid(360.0, 120.0), ps, params_for(net))
-        monkeypatch.setattr(choice, "assign", lambda table, t, rem: plans[t])
+        monkeypatch.setattr(choice, "assign",
+                            lambda table, t, rem: np.pad(plans[t], ((0, 0), (t, 0)))[None])
         return oracles.rollout(table, np.array([6.0, 6.0]), ps)
 
     def test_first_column_only(self, monkeypatch, three_path_set):
@@ -701,7 +716,7 @@ class TestKernelPassesEqualNumpy:
         # a table from a random first interval, assigned from a random
         # interval on: demand rows of zeros, -0.0, dust and ordinary demand,
         # a block that is not finite with zero demand or not, and a negative
-        # demand; flat, and wide in the cells from each row's interval on
+        # demand; 0.0 in the cells before each row's interval
         rng = np.random.default_rng(seed)
         ps = path_set_of(sizes)
         P, n_od = ps.n_paths, len(sizes)
@@ -726,14 +741,9 @@ class TestKernelPassesEqualNumpy:
                     demand[first + k // m - t, lay.block_od[k]] = 0.0
         if negative:
             demand[rng.integers(0, rows), rng.integers(0, n_od)] = -rng.uniform(1e-300, 1.0)
-        flat = same(lambda: choice.assign(table, t, demand),
-                    lambda: oracles.assign(table, t, demand))
-        if flat is None:
-            return
-        wide = choice._assign(table, t, demand, True)
-        assert wide.shape == (rows, P, T)
-        cells = np.concatenate([wide[i, :, t + i :].ravel() for i in range(rows)])
-        assert cells.tobytes() == flat.tobytes()
+        got = same(lambda: choice.assign(table, t, demand),
+                   lambda: oracles.assign(table, t, demand))
+        assert got is None or got.shape == (rows, P, T)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -859,12 +869,15 @@ class TestShareTable:
                 wants = None
                 continue
             one = choice.tentative_departures(given, remaining[t], t, grid, ps, params)
-            got = choice.assign(table, t, remaining[t : t + 1]).reshape(P, -1)
+            wide = choice.assign(table, t, remaining[t : t + 1])
+            assert wide.shape == (1, P, T)
+            assert wide[0, :, :t].tobytes() == np.zeros((P, t)).tobytes()
+            got = wide[0, :, t:]
             assert one.shape == got.shape == want.shape == (P, T - t)
             assert np.array_equal(one, want)
             assert np.array_equal(got, want)
             if wants is not None:
-                wants.append(want.ravel())
+                wants.append(wide)
             # the residual goes to the first largest share, even where it is 0
             m = len(table.layout.block_od) // T  # blocks per interval
             for b in range(t * m, (t + 1) * m):
@@ -1059,19 +1072,17 @@ class TestRollout:
         with pytest.raises(choice.ChoiceError, match="one per OD"):
             choice.rollout(self.table_of(three_path_set), np.array([12.0, 12.0, 1.0]), ps)
 
-    @pytest.mark.parametrize("bad_top", [
-        lambda lay, top: np.where(np.arange(len(top)) == 0, lay.start + lay.size, top),
-        lambda lay, top: np.where(np.arange(len(top)) == 1, -1, top),
-        lambda lay, top: top[:-1],
+    @pytest.mark.parametrize("bad_top, error", [
+        (lambda lay, top: np.where(np.arange(len(top)) == 0, lay.start + lay.size, top),
+         (choice.ChoiceError, "do not fit the share table's layout")),
+        (lambda lay, top: np.where(np.arange(len(top)) == 1, -1, top),
+         (choice.ChoiceError, "do not fit the share table's layout")),
+        (lambda lay, top: top[:-1], (ValueError, r"not C-contiguous int64 of shape \(6,\)")),
     ], ids=["one past its block", "negative", "one short"])
-    def test_top_outside_its_block_rejected(self, three_path_set, monkeypatch, bad_top):
-        # ``assign`` adds each block's residual at its top unchecked, so a
-        # table is checked when it is made or replaced
+    def test_top_outside_its_block_rejected(self, three_path_set, bad_top, error):
+        # a table's arrays are writable, so ``assign`` checks each block's
+        # top, where it adds the block's residual, on every call
         table = self.table_of(three_path_set)
-
-        def kernel():
-            raise AssertionError("the kernel was called")
-
-        monkeypatch.setattr(dnl, "_kernel", kernel)
-        with pytest.raises(choice.ChoiceError, match="outside its block"):
-            dataclasses.replace(table, top=bad_top(table.layout, table.top))
+        table = dataclasses.replace(table, top=bad_top(table.layout, table.top))
+        with pytest.raises(error[0], match=error[1]):
+            choice.assign(table, 0, np.full((3, 2), 12.0))

@@ -249,6 +249,16 @@ class TestFailureExitCodes:
         assert "error: OD pair with no path: C->A" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_overflowing_logit_exits_3_and_writes_nothing(self, three_link_dir, tmp_path,
+                                                           monkeypatch, capsys):
+        # a finite theta whose product with the disutilities is not
+        monkeypatch.setenv("DSUEDHI_CHOICE_THETA", "1e308")
+        out = tmp_path / "o"
+        assert run(["solve", "--scenario", three_link_dir / "scenario.ini", "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "error: logit shares are not finite" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["validate", "solve"])
     def test_no_demand_exits_3(self, three_link_dir, tmp_path, capsys, command):
         demand = three_link_dir / "demand.csv"

@@ -214,19 +214,19 @@ def layout(path_od, first, n, T, cells, start, size):
 
 
 def logit_exponents(phi, first, T, path_od, target, cells, blocks, theta=1.0):
-    """``dnl_logit_exponents`` on the (n, paths, cols) travel times ``phi`` into exactly
+    """``dnl_logit_exponents`` on the (n, P, cols) travel times ``phi`` into exactly
     ``cells`` exponents and ``blocks`` flags: its return code, the exponents and the flags."""
     lay = layout(path_od, first, len(phi), T, cells, np.zeros(blocks), np.zeros(blocks))
     z, finite = np.full(cells, np.nan), np.zeros(blocks, dtype=np.bool_)
     code = dnl._kernel().dnl_logit_exponents(
-        lay.ptr, phi.ctypes.data, *phi.shape[1:], target.ctypes.data, len(target), 60.0, 0.8,
+        lay.ptr, phi.ctypes.data, phi.shape[2], target.ctypes.data, len(target), 60.0, 0.8,
         1.2, theta, z.ctypes.data, finite.ctypes.data)
     return code, z, finite
 
 
 @pytest.mark.parametrize("case", ["fits", "cells short", "cells left over", "blocks short",
                                   "blocks left over", "od past the targets", "negative od",
-                                  "paths", "columns", "past the horizon", "negative first",
+                                  "columns", "past the horizon", "negative first",
                                   "negative theta"])
 def test_logit_exponents_refuse_blocks_outside_their_arrays(case):
     # 3 paths, ODs 0, 0 and 1, at provision intervals 1 and 2 of 4: 9 then 6
@@ -240,7 +240,7 @@ def test_logit_exponents_refuse_blocks_outside_their_arrays(case):
         "blocks short": {"blocks": 3}, "blocks left over": {"blocks": 5},
         "od past the targets": {"path_od": np.array([0, 0, 2])},
         "negative od": {"path_od": np.array([-1, 0, 1])},
-        "paths": {"phi": phi[:, :2].copy()}, "columns": {"phi": phi[..., :3].copy()},
+        "columns": {"phi": phi[..., :3].copy()},
         "past the horizon": {"first": 3}, "negative first": {"first": -1},
         "negative theta": {"theta": -1.0},
     }[case])
@@ -271,22 +271,22 @@ def test_logit_shares_refuse_a_block_outside_the_array(start, size):
 
 def assign(case):
     """``dnl_assign`` on a table of 3 paths, ODs 0, 0 and 1, at provision intervals 1 and 2
-    of 4, changed by ``case``: its return code and its output, NaN where it wrote nothing.
+    of 4, changed by ``case``: its return code and its (n_rows, 3, 4) output, NaN where it
+    wrote nothing.
     The blocks have 6, 3, 4 and 2 cells in 15; each block's shares are 1 over its size."""
     args = dict(path_od=[0, 0, 1], first=1, n=2, T=4, cells=15, start=[0, 6, 9, 13],
                 size=[6, 3, 4, 2], top=[0, 6, 9, 13], finite=[1, 1, 1, 1], i0=0, n_rows=2,
-                n_od=2, wide=0, demand=[[6.0, 3.0], [4.0, 2.0]])
+                n_od=2, demand=[[6.0, 3.0], [4.0, 2.0]])
     args.update(case)
     lay = layout(args["path_od"], args["first"], args["n"], args["T"], args["cells"],
                  args["start"], args["size"])
     share = np.repeat(1.0 / np.array([6.0, 3.0, 4.0, 2.0]), [6, 3, 4, 2])
     top, finite = np.array(args["top"], np.int64), np.array(args["finite"], np.bool_)
     demand = np.array(args["demand"])
-    out = np.full((2, 3, 4) if args["wide"] else 15, np.nan)
+    out = np.full((args["n_rows"], 3, 4), np.nan)
     code = dnl._kernel().dnl_assign(lay.ptr, share.ctypes.data, top.ctypes.data,
                                     finite.ctypes.data, args["i0"], args["n_rows"],
-                                    demand.ctypes.data, args["n_od"], args["wide"],
-                                    out.ctypes.data)
+                                    demand.ctypes.data, args["n_od"], out.ctypes.data)
     return code, out
 
 
@@ -295,12 +295,12 @@ def assign(case):
     {"start": [0, 6, 9, 14]}, {"start": [0, -1, 9, 13]}, {"start": [0, 6, 9, 2**62]},
     {"top": [0, 6, 8, 13]}, {"top": [0, 6, 9, 15]}, {"top": [0, 6, 9, -2**63]}, {"n_od": 1},
     {"path_od": [0, 0, -1]}, {"start": [0, 6, 9], "size": [6, 3, 4], "top": [0, 6, 9]},
-    {"first": 3}, {"first": -1}, {"cells": 14}, {"wide": 1, "top": [0, 6, 9, 15]},
+    {"first": 3}, {"first": -1}, {"cells": 14},
 ], ids=["rows past the table", "no rows", "more rows than the table", "negative row",
         "block short", "block past the cells", "negative start", "huge start",
         "top before its block", "top past its block", "huge negative top", "od past the demand",
         "negative od", "blocks per interval", "past the horizon", "negative first",
-        "cells short", "wide"])
+        "cells short"])
 def test_assign_refuses_rows_or_blocks_outside_its_arrays(case):
     # each block is checked before any cell is written, which the sanitized
     # run checks: nothing is written past the arrays, nor at all
@@ -308,15 +308,15 @@ def test_assign_refuses_rows_or_blocks_outside_its_arrays(case):
     assert code == -1 and np.isnan(out).all()
 
 
-def test_assign_fills_the_open_cells_flat_or_wide():
-    code, flat = assign({})
-    assert code == 0 and flat.tolist() == [1.0] * 15
-    code, wide = assign({"wide": 1})
-    assert code == 0 and np.isnan(wide[0, :, :1]).all() and np.isnan(wide[1, :, :2]).all()
-    assert wide[0, :, 1:].ravel().tolist() == [1.0] * 9
-    assert wide[1, :, 2:].ravel().tolist() == [1.0] * 6
-    code, one = assign({"i0": 1, "n_rows": 1, "demand": [[4.0, 2.0]]})
-    assert code == 0 and one[:6].tolist() == [1.0] * 6 and np.isnan(one[6:]).all()
+@pytest.mark.parametrize("case, want", [
+    ({}, [[[0.0, 1.0, 1.0, 1.0]] * 3, [[0.0, 0.0, 1.0, 1.0]] * 3]),
+    ({"i0": 1, "n_rows": 1, "demand": [[4.0, 2.0]]}, [[[0.0, 0.0, 1.0, 1.0]] * 3]),
+], ids=["both rows", "the second row"])
+def test_assign_writes_every_cell(case, want):
+    # into an output poisoned with NaN: each row's open cells, from its
+    # interval on, get their assignment and the cells before them 0.0
+    code, out = assign(case)
+    assert code == 0 and out.tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("case, code", [
