@@ -17,23 +17,24 @@ broadcast over j, strategic forecasts vary with j.
 The logit has two parts. ``share_table`` computes the shares of every OD's
 choice set at any number of provision intervals, over the open cells of a
 cached ``_Layout``, whose argument block passes its arrays to the kernel
-(``dnl_step.c``, which states the disutility). A first kernel pass writes
-each block's exponents, shifted by the block's largest; numpy's ``exp``
+(``dnl_step.c``, which states the disutility, and finds the blocks from
+the runs of equal OD in the paths): a table is that layout and its
+shares. A first pass writes each block's exponents, shifted by the
+block's largest, and refuses a block that is not finite; numpy's ``exp``
 takes them in place, since libm's ``exp`` may differ from it in the last
-bit; a second pass divides each block by its total and finds its first
-largest share. ``assign`` scales the shares of consecutive intervals by one
-remaining-demand row each and folds the residual of each total into the
-block's first largest share, in one kernel pass (``dnl_assign``), into the
-information's (provision interval, path, departure interval) layout: the
-pooled reaction of a forecast assigns every interval at once, from
-``remaining_demand`` (one kernel pass, ``dnl_remaining``), as the array
-that the forecast batch reads, and ``tentative_departures`` is the
-one-interval case. Per block, results are bit-identical to a numpy logit
-over that block alone. ``rollout`` carries one class through the
-intervals of a table, realizing one column at a time from its own
-remaining demand, in closed form: an OD keeps what its current column does
-not take, so its remaining demand is its demand times the product of what
-it kept before.
+bit; a second pass divides each block by its total. ``assign`` scales the
+shares of each interval by one remaining-demand row and folds the residual
+of each total into the block's first largest share, found there, in one
+kernel pass (``dnl_assign``), into the information's (provision interval,
+path, departure interval) layout: the pooled reaction of a forecast
+assigns every interval at once, from ``remaining_demand`` (one kernel
+pass, ``dnl_remaining``), as the array that the forecast batch reads, and
+``tentative_departures`` is the one-interval case. Per block, results are
+bit-identical to a numpy logit over that block alone. ``rollout`` carries
+one class through the intervals of a table, realizing one column at a
+time from its own remaining demand, in closed form: an OD keeps what its
+current column does not take, so its remaining demand is its demand times
+the product of what it kept before.
 """
 
 from __future__ import annotations
@@ -94,13 +95,13 @@ def cell_disutility(phi_s, grid: TimeGrid, path_set: PathSet, params: ChoicePara
     if phi.shape != (P, T):
         raise ChoiceError(f"travel times of shape {phi.shape} are not ({P} paths, {T} intervals)")
     lay = _layout(_od_sizes(path_set), grid, 0, 1)
-    return _exponents(phi[None], params, 0.0, lay)[0].reshape(P, T)
+    return _exponents(phi[None], params, 0.0, lay).reshape(P, T)
 
 
 class _LayoutBlock(dnl._Block):
     """``layout_t``: a ``_Layout``'s arrays and sizes, for the logit kernels."""
 
-    _fields_ = dnl._fields("start size path_od mids", "n first T P cells blocks")
+    _fields_ = dnl._fields("path_od mids", "n first T P cells")
 
 
 @dataclass(frozen=True)
@@ -109,16 +110,15 @@ class _Layout:
 
     Interval t contributes its paths x (intervals t..T-1) cell matrix
     row-major, after the intervals before it, so the choice set of one OD at
-    t -- the rows of its paths -- is one contiguous block. Blocks are numbered
-    in that order; ODs without paths have none: the order ``open_cells``
-    selects in. ``block`` (``layout_t``) holds the arrays, read-only, for the
-    kernel, and the sizes: intervals ``n``, ``T``, paths ``P``.
+    t -- the rows of its paths -- is one contiguous block. Blocks come in
+    that order; ODs without paths have none: the order ``open_cells``
+    selects in. The kernel finds each block from the run of its OD's paths.
+    ``block`` (``layout_t``) holds the arrays, read-only, for the kernel, and
+    the sizes: intervals ``n``, ``T``, paths ``P``.
     """
 
-    start: np.ndarray  # (blocks,) int64, first cell of each block
-    size: np.ndarray  # (blocks,) int64, cells of each block
     cells: int  # cells of all blocks
-    block_od: np.ndarray  # (blocks,)
+    ods: np.ndarray  # the ODs that have paths, in block order
     own: np.ndarray  # (P, n) int64, the cell of each path's own departure interval
     heads: np.ndarray  # int64, first path of each OD that has paths
     rows: np.ndarray  # (P,) int64, each path's OD among those that have paths
@@ -128,13 +128,12 @@ class _Layout:
     block: _LayoutBlock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        (P, n), T, blocks, i64 = self.own.shape, len(self.mids), len(self.start), np.int64
+        (P, n), T, i64 = self.own.shape, len(self.mids), np.int64
         path_od = np.repeat(np.arange(len(self.od_sizes), dtype=i64), self.od_sizes)
-        for x in (self.block_od, self.own, self.heads, self.rows):
+        for x in (self.ods, self.own, self.heads, self.rows):
             x.flags.writeable = False
         object.__setattr__(self, "block", _LayoutBlock(
-            [(self.start, i64, blocks), (self.size, i64, blocks), (path_od, i64, P),
-             (self.mids, np.float64, T)], n, self.first, T, P, self.cells, blocks))
+            [(path_od, i64, P), (self.mids, np.float64, T)], n, self.first, T, P, self.cells))
 
 
 def open_cells(first: int, n: int, T: int) -> np.ndarray:
@@ -150,37 +149,37 @@ def _layout(od_sizes: tuple[int, ...], grid: TimeGrid, first: int, n: int) -> _L
     """
     sizes, T = np.array(od_sizes, dtype=np.int64), grid.n_intervals
     ods, P, width = np.flatnonzero(sizes), int(sizes.sum()), T - np.arange(first, first + n)
-    size, cells = (sizes[ods] * width[:, None]).ravel(), P * width  # per interval, OD
-    return _Layout(start=np.cumsum(size) - size,
-                   size=size, cells=int(size.sum()), block_od=np.tile(ods, n),
+    cells = P * width  # per interval
+    return _Layout(cells=int(cells.sum()), ods=ods,
                    own=np.cumsum(cells) - cells + np.arange(P)[:, None] * width,
                    heads=(np.cumsum(sizes) - sizes)[ods],
                    rows=np.repeat(np.arange(len(ods)), sizes[ods]), od_sizes=od_sizes,
                    first=first, mids=grid.interval_mids())
 
 
-def _exponents(phi: np.ndarray, params: ChoiceParams, theta: float,
-               lay: _Layout) -> tuple[np.ndarray, np.ndarray]:
+def _exponents(phi: np.ndarray, params: ChoiceParams, theta: float, lay: _Layout) -> np.ndarray:
     """The cells of ``lay`` by the first pass of the logit (``dnl_logit_exponents``).
 
     ``phi`` is C-contiguous (intervals, paths, 1 or T). Returns each
-    cell's exponent, -``theta`` times its disutility (times 0.0 in a block
-    that is not finite) less its block's largest, and whether each block's
-    disutilities are finite; with ``theta`` 0, the disutilities themselves.
+    cell's exponent, -``theta`` times its disutility less its block's
+    largest, and raises if a block's disutilities are not all finite; with
+    ``theta`` 0, the disutilities themselves, finite or not.
     """
     b, target = lay.block, np.array(params.target_arrival_s, dtype=float)
-    z, finite = np.empty(lay.cells), np.empty(lay.start.shape, dtype=bool)
+    z = np.empty(lay.cells)
     code = dnl._kernel().dnl_logit_exponents(
         b.ptr, dnl._arg(phi, np.float64, (b.n, b.P, phi.shape[2])), phi.shape[2],
         dnl._arg(target, np.float64, target.shape), len(target), params.time_unit_s,
-        params.mu_early, params.mu_late, theta, dnl._arg(z, np.float64, (b.cells,)),
-        dnl._arg(finite, np.bool_, (b.blocks,)))
+        params.mu_early, params.mu_late, theta, dnl._arg(z, np.float64, (b.cells,)))
+    if code == -3:
+        raise ChoiceError("non-finite disutilities: an open cell's travel time or schedule "
+                          "penalty is NaN or infinite")
     if code == -2:
         raise MemoryError("logit kernel could not allocate its work array")
     if code:
         raise ChoiceError(f"the blocks of {b.P} paths at provision intervals {b.first}.."
                           f"{b.first + b.n - 1} do not fill the layout's {b.cells} cells")
-    return z, finite
+    return z
 
 
 @dataclass(frozen=True)
@@ -194,8 +193,6 @@ class ShareTable:
 
     layout: _Layout  # with the first provision interval and the paths
     share: np.ndarray  # (cells,)
-    top: np.ndarray  # (blocks,) cell of each block's first largest share
-    finite: np.ndarray  # (blocks,) whether each block's disutilities are finite
 
 
 def share_table(
@@ -212,9 +209,10 @@ def share_table(
     is (intervals, paths, T) or, for instantaneous times reused for every
     departure, (intervals, paths, 1). Cells with j before the provision
     interval are not read. Each OD's block at each interval gets exactly the
-    shares, and the same first largest share, as a numpy logit over that
-    block alone; a block whose shares are not finite, as where theta times a
-    disutility overflows, raises.
+    shares of a numpy logit over that block alone. A block whose
+    disutilities are not all finite raises, whether its OD has demand or
+    not, and so does one whose shares are not, as where theta times a
+    disutility overflows.
     """
     T, P = grid.n_intervals, path_set.n_paths
     phi = np.asarray(phi_s, dtype=float)
@@ -225,52 +223,45 @@ def share_table(
     if not (n and 0 <= first and first + n <= T):
         raise ChoiceError(f"provision intervals {first}..{first + n - 1} outside horizon")
     lay = _layout(_od_sizes(path_set), grid, first, n)
-    share, finite = _exponents(np.ascontiguousarray(phi), params, params.theta, lay)
+    share = _exponents(np.ascontiguousarray(phi), params, params.theta, lay)
     np.exp(share, out=share)
-    top = np.empty(lay.start.shape, dtype=np.int64)
-    code = dnl._kernel().dnl_logit_shares(
-        lay.block.ptr, dnl._arg(share, np.float64, share.shape), dnl._arg(top, np.int64, top.shape))
+    code = dnl._kernel().dnl_logit_shares(lay.block.ptr, dnl._arg(share, np.float64, share.shape))
     if code == 1:
         raise ChoiceError(f"logit shares are not finite: theta {params.theta!r} times a "
                           "disutility overflows")
     if code:
         raise ChoiceError(f"a block does not lie inside the layout's {lay.cells} cells")
-    return ShareTable(lay, share, top, finite)
+    return ShareTable(lay, share)
 
 
-def assign(table: ShareTable, t_index: int, remaining_demand: np.ndarray) -> np.ndarray:
-    """Assign remaining demand over every OD's choice set at ``t_index``, ``t_index`` + 1, ...
+def assign(table: ShareTable, remaining_demand: np.ndarray) -> np.ndarray:
+    """Assign remaining demand over every OD's choice set at each interval of ``table``.
 
-    ``remaining_demand`` holds one row of demand for each of those
-    intervals, one entry per OD. Returns a (rows, paths, T) array: row i
-    holds interval ``t_index`` + i's cells (p, j) at [i, p, j] for j from
-    that interval on, its open cells, and 0.0 before them. Per-OD totals are
-    conserved exactly: each total's residual is folded into its block's
-    first largest share. By the kernel (``dnl_assign``).
+    ``remaining_demand`` holds one row of demand for each of the table's
+    provision intervals, one entry per OD. Returns a (rows, paths, T) array:
+    row i holds interval ``first`` + i's cells (p, j) at [i, p, j] for j
+    from that interval on, its open cells, and 0.0 before them. Per-OD
+    totals are conserved exactly: each total's residual is folded into its
+    block's first largest share, which the kernel (``dnl_assign``) finds
+    there.
     """
-    lay, b = table.layout, table.layout.block
+    b, n_od = table.layout.block, len(table.layout.od_sizes)
     demand = np.ascontiguousarray(remaining_demand, dtype=float)
-    i, n_od = t_index - b.first, len(lay.od_sizes)
-    rows = len(demand) if demand.ndim else 0
-    if demand.ndim != 2 or demand.shape[1] != n_od or not 0 <= i < i + rows <= b.n:
-        raise ChoiceError(f"demand rows {demand.shape} from provision interval {t_index} are "
-                          f"not rows of {n_od} ODs in the share table's {b.first}.."
+    if demand.shape != (b.n, n_od):
+        raise ChoiceError(f"demand of shape {demand.shape} is not one row of {n_od} ODs for "
+                          f"each of the share table's provision intervals {b.first}.."
                           f"{b.first + b.n - 1}")
-    out = np.empty((rows, b.P, b.T))
+    out = np.empty((b.n, b.P, b.T))
     code = dnl._kernel().dnl_assign(
         b.ptr, dnl._arg(table.share, np.float64, (b.cells,)),
-        dnl._arg(table.top, np.int64, (b.blocks,)), dnl._arg(table.finite, np.bool_, (b.blocks,)),
-        i, rows, dnl._arg(demand, np.float64, demand.shape), n_od,
-        dnl._arg(out, np.float64, out.shape))
+        dnl._arg(demand, np.float64, demand.shape), n_od, dnl._arg(out, np.float64, out.shape))
     if code > 0:
         raise ChoiceError(f"negative remaining demand for OD {code - 1}")
-    if code == -3:
-        raise ChoiceError("disutility matrix has non-finite entries")
     if code == -2:
-        raise MemoryError("assignment kernel could not allocate its work arrays")
+        raise MemoryError("assignment kernel could not allocate its work array")
     if code:
-        raise ChoiceError(f"the blocks of {b.P} paths at provision intervals {t_index}.."
-                          f"{t_index + rows - 1} do not fit the share table's layout")
+        raise ChoiceError(f"the blocks of {b.P} paths at provision intervals {b.first}.."
+                          f"{b.first + b.n - 1} do not fit the share table's layout")
     return out
 
 
@@ -296,7 +287,7 @@ def tentative_departures(
     table = share_table(phi[None, :, None] if phi.ndim == 1 else phi[None], t_index, grid,
                         path_set, params)
     demand = np.asarray(remaining_demand, dtype=float)[None]
-    return assign(table, t_index, demand)[0, :, t_index:]
+    return assign(table, demand)[0, :, t_index:]
 
 
 def remaining_demand(
@@ -349,7 +340,7 @@ def _unspent(remaining: np.ndarray, class_demand: np.ndarray) -> np.ndarray:
     return np.maximum(remaining, 0.0)
 
 
-def rollout(table: ShareTable, class_demand: np.ndarray, path_set: PathSet) -> np.ndarray:
+def rollout(table: ShareTable, class_demand: np.ndarray) -> np.ndarray:
     """One class's realized departures, paths x the table's provision intervals.
 
     At each interval the class realizes only the current column of the
@@ -358,15 +349,10 @@ def rollout(table: ShareTable, class_demand: np.ndarray, path_set: PathSet) -> n
     of it, c its column's shares, so what remains before interval i is its
     demand times the product of what it kept before. A remainder below zero
     is an overdraw (``_unspent``) or dust, clamped to zero; a negative
-    demand, or one left on a non-finite block, raises as ``assign`` does.
+    demand raises as ``assign`` does.
     """
     lay = table.layout
-    od_sizes = _od_sizes(path_set)
-    if lay.od_sizes != od_sizes:
-        raise ChoiceError(f"share table of ODs with {lay.od_sizes} paths does not fit the "
-                          f"path set's {od_sizes}")
-    demand = _per_od(class_demand, len(od_sizes))
-    ods = lay.block_od[: len(lay.heads)]  # the ODs with paths, in block order
+    demand, ods = _per_od(class_demand, len(lay.od_sizes)), lay.ods
     s = table.share[lay.own]
     keep = 1.0 - np.add.reduceat(s, lay.heads)  # (ODs with paths, n)
     rem = np.empty_like(keep)
@@ -380,6 +366,4 @@ def rollout(table: ShareTable, class_demand: np.ndarray, path_set: PathSet) -> n
         after = np.tile(demand, (rem.shape[1], 1))  # an OD without paths keeps its demand
         after[:, ods] = (rem * keep).T
         _unspent(after, demand)
-    if not table.finite.all() and (rem.T.ravel() != 0.0)[~table.finite].any():
-        raise ChoiceError("disutility matrix has non-finite entries")
     return s * rem[lay.rows]

@@ -50,8 +50,10 @@ Arguments. What stays the same from call to call reaches the kernel in
 argument blocks (``_Block``), C structs of pointers and sizes, each filled
 and checked once, when its owner is built: a plan's ``plan_t``, which holds
 the read-out of its paths, the ``readout_t`` of its link rows, and a share
-table's ``layout_t`` (``choice._Layout``). A call passes a block's address
-and only its own arrays, which ``_arg`` checks every time.
+table's ``layout_t`` (``choice._Layout``), which holds each path's OD and
+the sizes, and no block boundaries: the logit passes find each block from
+the run of its OD's paths. A call passes a block's address and only its
+own arrays, which ``_arg`` checks every time.
 
 Batch axis. ``load_batch`` loads B departure patterns of one (network, path
 set, grid) one after another through one block of curves, the plan's rows
@@ -498,10 +500,10 @@ def _kernel() -> ctypes.CDLL:
     for name, argtypes in (
             ("dnl_step", [ptr, i64] + [ptr] * 6 + [i64] * 3 + [ptr] * 3 + [i64] + [ptr] * 4),
             ("dnl_path_times", [ptr, i64, i64] + [ptr] * 4),
-            ("dnl_logit_exponents", [ptr, ptr, i64, ptr, i64] + [f64] * 4 + [ptr, ptr]),
-            ("dnl_logit_shares", [ptr] * 3),
+            ("dnl_logit_exponents", [ptr, ptr, i64, ptr, i64] + [f64] * 4 + [ptr]),
+            ("dnl_logit_shares", [ptr] * 2),
             ("dnl_remaining", [ptr, i64, i64, ptr, ptr, i64, ptr]),
-            ("dnl_assign", [ptr] * 4 + [i64, i64, ptr, i64, ptr]),
+            ("dnl_assign", [ptr] * 3 + [i64, ptr]),
             ("dnl_blocks", [ptr, i64])):
         getattr(lib, name).argtypes, getattr(lib, name).restype = argtypes, i64
     return lib

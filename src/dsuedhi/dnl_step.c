@@ -11,9 +11,10 @@
    ``dnl_logit_shares`` build a share table in two passes over its open
    cells, around numpy's ``exp``, and state the disutility;
    ``dnl_remaining`` takes the remaining demand of a departure history, and
-   ``dnl_assign`` assigns rows of remaining demand to a share table, each
-   row into the (path, departure interval) cells of its provision interval,
-   the layout a batch of forecast patterns reads.
+   ``dnl_assign`` assigns one row of remaining demand to each provision
+   interval of a share table, into that interval's (path, departure
+   interval) cells, the layout a batch of forecast patterns reads. A table's
+   blocks are not stored: each pass walks the runs of equal OD in its paths.
 
    Arguments. What stays the same from call to call comes in one argument
    block: a plan (``plan_t``), a read-out (``readout_t``) or a table layout
@@ -140,15 +141,35 @@ i64 dnl_remaining(const double *h, i64 P, i64 T, const i64 *path_od, const doubl
 /* The layout of a share table (``choice._Layout``): the open cells of the n
    provision intervals from ``first`` of T, interval i's P paths x
    departures ``first`` + i .. T - 1 row-major, after the cells of the
-   intervals before it. Path p belongs to OD ``path_od[p]``; the paths of
-   one OD are a run of equal ``path_od``, so they make one block at each
-   interval. Block k, ``blocks`` in all, is the ``size[k]`` cells from
-   ``start[k]`` of ``cells``. ``mids`` holds the T interval midpoints. */
+   intervals before it, ``cells`` in all. Path p belongs to OD
+   ``path_od[p]``; the paths of one OD are a run of equal ``path_od``, so
+   they make one block at each interval, and each pass finds the blocks by
+   walking those runs (``run_end``). ``mids`` holds the T interval
+   midpoints. */
 typedef struct {
-    const i64 *start, *size, *path_od;
+    const i64 *path_od;
     const double *mids;
-    i64 n, first, T, P, cells, blocks;
+    i64 n, first, T, P, cells;
 } layout_t;
+
+/* whether the n intervals of ``lay`` lie in its horizon and its ``cells``
+   are exactly their P x (T - ``first`` - i) cells: then every walk of its
+   blocks stays inside them */
+static int layout_fits(const layout_t *lay)
+{
+    const i64 n = lay->n, width = lay->T - lay->first;
+    return n >= 1 && lay->first >= 0 && n <= width && lay->P >= 0
+        && lay->cells == lay->P * (n * (2 * width - n + 1) / 2);
+}
+
+/* the end of the run of paths of ``lay`` from p that share p's OD */
+static i64 run_end(const layout_t *lay, i64 p)
+{
+    const i64 od = lay->path_od[p];
+    while (++p < lay->P && lay->path_od[p] == od)
+        ;
+    return p;
+}
 
 /* Systematic disutility of a trip of ``phi`` departing at ``t`` that aims to
    arrive at ``target``, all in one time unit: the travel time plus the
@@ -160,184 +181,150 @@ static double disutility(double phi, double t, double target, double mu_early, d
     return phi + (gap < 0.0 ? mu_early : mu_late) * gap * gap;
 }
 
-/* Pass 1 of ``choice.share_table``'s logit over the open cells of ``lay``,
-   whose blocks it finds from the runs of ``path_od``. A cell (i, p, j)
-   takes its travel time from ``phi[i, p, j]`` (n x P x ``phi_cols``, where
-   1 repeats one column), its departure time ``mids[j]`` and its OD's
-   ``target`` (one for each of ``n_target`` ODs), each divided by ``unit``,
-   and gets their ``disutility``. With
-   ``theta`` 0, ``z`` gets the disutilities themselves. With a positive
-   ``theta``, ``finite[k]`` tells whether block k's disutilities all are,
-   and its cells get the logit's exponents: -``theta`` times the disutility
-   (times 0.0 in a block that is not finite) less the block's largest.
-   Returns 0 when the blocks fill the ``cells`` numbers of ``z`` and the
-   ``blocks`` flags of ``finite``; -1, before writing past either, if a
-   block would leave them, some path's OD lies outside [0, ``n_target``),
-   or ``phi``, the intervals or ``theta`` do not fit; -2 if out of memory. */
+/* Pass 1 of ``choice.share_table``'s logit over the ``cells`` open cells
+   of ``lay`` in ``z``. A cell (i, p, j) takes its travel time from
+   ``phi[i, p, j]`` (n x P x ``phi_cols``, where 1 repeats one column), its
+   departure time ``mids[j]`` and its OD's ``target`` (one for each of
+   ``n_target`` ODs), each divided by ``unit``, and gets their
+   ``disutility``. With ``theta`` 0, ``z`` gets the disutilities
+   themselves; with a positive ``theta``, the logit's exponents: -``theta``
+   times the disutility less the block's largest. Returns 0; -1, before
+   writing, if ``lay`` does not fit (``layout_fits``) or ``phi`` or
+   ``theta`` do not, and before writing a block whose OD lies outside [0,
+   ``n_target``); with a positive ``theta``, -3 at the first block whose
+   disutilities are not all finite; -2 if out of memory. */
 i64 dnl_logit_exponents(const layout_t *lay, const double *phi, i64 phi_cols,
                         const double *target, i64 n_target, double unit, double mu_early,
-                        double mu_late, double theta, double *z, uint8_t *finite)
+                        double mu_late, double theta, double *z)
 {
-    const i64 n = lay->n, first = lay->first, T = lay->T, P = lay->P, cells = lay->cells;
-    const i64 blocks = lay->blocks, *path_od = lay->path_od;
-    const double *mids = lay->mids;
-    if (n < 0 || first < 0 || first + n > T || (phi_cols != 1 && phi_cols != T)
-        || !(theta >= 0.0))
+    const i64 n = lay->n, first = lay->first, T = lay->T, P = lay->P;
+    if (!layout_fits(lay) || (phi_cols != 1 && phi_cols != T) || !(theta >= 0.0))
         return -1;
     double *t = malloc(sizeof(double) * (size_t)T + 1);  /* departure times in the unit */
     if (!t)
         return -2;
     for (i64 j = 0; j < T; j++)
-        t[j] = mids[j] / unit;
-    i64 pos = 0, k = 0, code = 0;
+        t[j] = lay->mids[j] / unit;
+    i64 code = 0;
     for (i64 i = 0; i < n && !code; i++) {
         const i64 j0 = first + i, width = T - j0;
-        for (i64 p = 0, q; p < P; p = q, k++) {
-            const i64 od = path_od[p];
-            for (q = p + 1; q < P && path_od[q] == od; q++)
-                ;
-            const i64 size = (q - p) * width;
-            if (od < 0 || od >= n_target || k >= blocks || size > cells - pos) {
+        for (i64 p = 0, q; p < P; p = q) {
+            const i64 od = lay->path_od[p];
+            q = run_end(lay, p);
+            if (od < 0 || od >= n_target) {
                 code = -1;
                 break;
             }
-            double *out = z + pos;
             const double aim = target[od] / unit;
             double least = INFINITY;  /* the block's least disutility, if all are finite */
-            uint8_t all = 1;
+            int all = 1;
             for (i64 r = p, c = 0; r < q; r++) {
                 const double *x = phi + (i * P + r) * phi_cols;
                 const double once = x[0] / unit;  /* the row's one time, if it has one */
                 for (i64 j = j0; j < T; j++, c++) {
                     const double v = disutility(phi_cols == 1 ? once : x[j] / unit, t[j], aim,
                                                 mu_early, mu_late);
-                    out[c] = v;
+                    z[c] = v;
                     least = v < least ? v : least;
                     all &= isfinite(v) != 0;
                 }
             }
-            finite[k] = all;
-            pos += size;
-            if (theta == 0.0)
-                continue;
-            /* -theta x is monotone, so -theta least is the largest exponent */
-            const double top = -theta * (all ? least : 0.0);
-            for (i64 c = 0; c < size; c++)
-                out[c] = -theta * (all ? out[c] : 0.0) - top;
+            const i64 size = (q - p) * width;
+            if (theta > 0.0) {
+                if (!all) {
+                    code = -3;
+                    break;
+                }
+                /* -theta x is monotone, so -theta least is the largest exponent */
+                const double top = -theta * least;
+                for (i64 c = 0; c < size; c++)
+                    z[c] = -theta * z[c] - top;
+            }
+            z += size;
         }
     }
     free(t);
-    if (!code && (pos != cells || k != blocks))
-        code = -1;
     return code;
 }
 
-/* Pass 2 of the logit, after numpy's ``exp`` of the exponents: block k of
-   ``lay``, the ``size[k]`` numbers of ``w`` from ``start[k]``, is divided by
-   its ``ndarray.sum``, and ``top[k]`` is the block's first cell of largest
-   share, as numpy finds it. Returns -1 at the first block that is empty or
-   does not lie inside the ``cells`` numbers of ``w``; 1 at the first whose
-   sum is not finite, as it is if a share is not (theta times a disutility
-   overflowed); else 0. */
-i64 dnl_logit_shares(const layout_t *lay, double *w, i64 *top)
+/* Pass 2 of the logit, after numpy's ``exp`` of the exponents: each block
+   of ``lay`` in ``w`` is divided by its ``ndarray.sum``. Returns -1, before
+   writing, if ``lay`` does not fit (``layout_fits``); 1 at the first block
+   whose sum is not finite, as it is if a share is not (theta times a
+   disutility overflowed); else 0. */
+i64 dnl_logit_shares(const layout_t *lay, double *w)
 {
-    const i64 *start = lay->start, *size = lay->size, cells = lay->cells;
-    for (i64 k = 0; k < lay->blocks; k++) {
-        if (start[k] < 0 || size[k] < 1 || size[k] > cells - start[k])
-            return -1;
-        double *share = w + start[k];
-        const double sum = dnl_sum(share, size[k]);
-        if (!isfinite(sum))
-            return 1;
-        double most = share[0];
-        for (i64 c = 0; c < size[k]; c++) {
-            most = share[c] > most ? share[c] : most;
-            share[c] /= sum;
+    if (!layout_fits(lay))
+        return -1;
+    for (i64 i = 0; i < lay->n; i++) {
+        const i64 width = lay->T - lay->first - i;
+        for (i64 p = 0, q; p < lay->P; p = q) {
+            q = run_end(lay, p);
+            const i64 size = (q - p) * width;
+            const double sum = dnl_sum(w, size);
+            if (!isfinite(sum))
+                return 1;
+            for (i64 c = 0; c < size; c++)
+                w[c] /= sum;
+            w += size;
         }
-        /* division by sum is monotone, so most / sum is the largest share */
-        most /= sum;
-        top[k] = cells;
-        for (i64 c = 0; c < size[k] && top[k] == cells; c++)
-            if (share[c] == most)
-                top[k] = start[k] + c;
     }
     return 0;
 }
 
-/* ``choice.assign``: the ``n_rows`` rows of ``demand`` (``n_od`` numbers
-   each) assigned to the blocks of provision intervals ``i0`` .. ``i0`` +
-   ``n_rows`` - 1 of ``lay``, one row per interval. Every cell of block k
-   gets its ``share`` times its OD's demand d, and the cell ``top[k]`` then
+/* ``choice.assign``: row i of ``demand`` (n rows of ``n_od`` numbers)
+   assigned to the blocks of provision interval ``first`` + i of ``lay``.
+   Every cell of a block gets its ``share`` times its OD's demand d, and the
+   block's first cell of largest share, the one ``np.argmax`` finds, then
    gets d less the block's ``ndarray.sum`` added, as numpy folds the
-   residual. Cell (i, p, j) goes to ((i - ``i0``) P + p) T + j of the
-   ``n_rows`` x P x T array ``out``, whose cells before interval i get 0.0:
-   every cell is written. Before writing, returns -1 if the rows do not lie
-   in ``lay``, or a block's OD, cells or top do not fit it and ``n_od``;
-   then 1 + the OD of the first block, in block order, whose demand is
-   negative; then -3 if a block that is not ``finite`` has a demand other
-   than 0 (a NaN included); -2 if out of memory; else 0. */
-i64 dnl_assign(const layout_t *lay, const double *share, const i64 *top, const uint8_t *finite,
-               i64 i0, i64 n_rows, const double *demand, i64 n_od, double *out)
+   residual. Cell (i, p, j) goes to (i P + p) T + j of the n x P x T array
+   ``out``, whose cells before interval i get 0.0: every cell is written.
+   Before writing, returns -1 if ``lay`` does not fit (``layout_fits``) or
+   a path's OD lies outside [0, ``n_od``); then 1 + the OD of the first
+   block, in block order, whose demand is negative; -2 if out of memory;
+   else 0. */
+i64 dnl_assign(const layout_t *lay, const double *share, const double *demand, i64 n_od,
+               double *out)
 {
-    const i64 n = lay->n, first = lay->first, T = lay->T, P = lay->P, cells = lay->cells;
-    const i64 *start = lay->start, *size = lay->size, *path_od = lay->path_od;
-    if (n < 1 || first < 0 || first + n > T || i0 < 0 || n_rows < 1 || n_rows > n - i0
-        || lay->blocks % n)
+    const i64 n = lay->n, first = lay->first, T = lay->T, P = lay->P, *path_od = lay->path_od;
+    if (!layout_fits(lay))
         return -1;
-    const i64 m = lay->blocks / n;  /* blocks per interval */
-    /* the first path of each block of an interval, P after the last */
-    i64 *head = malloc(sizeof(i64) * (size_t)(m + 1) + 1);
+    i64 negative = -1;
+    for (i64 i = 0; i < n; i++)
+        for (i64 p = 0; p < P; p = run_end(lay, p)) {
+            if (path_od[p] < 0 || path_od[p] >= n_od)
+                return -1;
+            if (demand[i * n_od + path_od[p]] < 0.0 && negative < 0)
+                negative = path_od[p];
+        }
+    if (negative >= 0)
+        return 1 + negative;
     double *work = malloc(sizeof(double) * (size_t)(P * T) + 1);  /* one block's cells */
-    if (!head || !work) {
-        free(head);
-        free(work);
+    if (!work)
         return -2;
-    }
-    i64 b = 0, p = 0, code = 0, negative = -1, unfit = 0;
-    while (p < P && b < m) {
-        const i64 od = path_od[p];
-        head[b++] = p;
-        while (++p < P && path_od[p] == od)
-            ;
-    }
-    head[b] = P;
-    if (b != m || p != P)
-        code = -1;
-    for (i64 k = i0 * m; k < (i0 + n_rows) * m && !code; k++) {
-        const i64 i = k / m, rows = head[k % m + 1] - head[k % m], od = path_od[head[k % m]];
-        if (od < 0 || od >= n_od || start[k] < 0 || size[k] != rows * (T - first - i)
-            || size[k] > cells - start[k] || top[k] < start[k] || top[k] - start[k] >= size[k]) {
-            code = -1;
-            break;
-        }
-        const double d = demand[(i - i0) * n_od + od];
-        if (d < 0.0 && negative < 0)
-            negative = od;
-        unfit |= d != 0.0 && !finite[k];
-    }
-    if (!code && negative >= 0)
-        code = 1 + negative;
-    else if (!code && unfit)
-        code = -3;
-    for (i64 i = i0; i < i0 + n_rows && !code; i++) {
+    for (i64 i = 0; i < n; i++) {
         const i64 j0 = first + i, width = T - j0;
-        double *o = out + (i - i0) * P * T;  /* path p's row is o + p T */
-        for (i64 k = i * m; k < (i + 1) * m; k++) {
-            const i64 p = head[k % m], rows = head[k % m + 1] - p;
-            const double d = demand[(i - i0) * n_od + path_od[p]], *s = share + start[k];
-            for (i64 c = 0; c < size[k]; c++)
-                work[c] = s[c] * d;
-            work[top[k] - start[k]] += d - dnl_sum(work, size[k]);
-            for (i64 r = 0; r < rows; r++) {
-                double *row = o + (p + r) * T;
-                memset(row, 0, sizeof(double) * (size_t)j0);  /* 0.0 */
-                memcpy(row + j0, work + r * width, sizeof(double) * (size_t)width);
+        double *o = out + i * P * T;  /* path p's row is o + p T */
+        for (i64 p = 0, q; p < P; p = q) {
+            q = run_end(lay, p);
+            const i64 size = (q - p) * width;
+            const double d = demand[i * n_od + path_od[p]];
+            i64 top = 0;  /* the first largest share */
+            for (i64 c = 0; c < size; c++) {
+                work[c] = share[c] * d;
+                top = share[c] > share[top] ? c : top;
             }
+            work[top] += d - dnl_sum(work, size);
+            for (i64 r = p; r < q; r++) {
+                double *row = o + r * T;
+                memset(row, 0, sizeof(double) * (size_t)j0);  /* 0.0 */
+                memcpy(row + j0, work + (r - p) * width, sizeof(double) * (size_t)width);
+            }
+            share += size;
         }
     }
-    free(head);
     free(work);
-    return code;
+    return 0;
 }
 
 /* where ``time`` falls on a sampled curve, clamped to samples 0..last: a
@@ -818,10 +805,8 @@ i64 dnl_blocks(i64 *out, i64 n)
         FIELD(readout_t, path_end), FIELD(readout_t, row_ff), FIELD(readout_t, row_cap),
         FIELD(readout_t, times), FIELD(readout_t, K), FIELD(readout_t, P), FIELD(readout_t, T),
         FIELD(readout_t, dt),
-        sizeof(layout_t), FIELD(layout_t, start), FIELD(layout_t, size),
-        FIELD(layout_t, path_od), FIELD(layout_t, mids), FIELD(layout_t, n),
+        sizeof(layout_t), FIELD(layout_t, path_od), FIELD(layout_t, mids), FIELD(layout_t, n),
         FIELD(layout_t, first), FIELD(layout_t, T), FIELD(layout_t, P), FIELD(layout_t, cells),
-        FIELD(layout_t, blocks),
     };
     const i64 count = sizeof all / sizeof all[0];
     for (i64 k = 0; k < count && k < n; k++)

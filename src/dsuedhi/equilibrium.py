@@ -136,20 +136,13 @@ def fixed_point_map(
     instant_shares = choice.share_table(instant, 0, grid, path_set, params)
     forecast_batch = info.forecasts(net, path_set, grid, h_total, instant_shares, base)
     forecast_shares = choice.share_table(forecast_batch.path_time, 0, grid, path_set, params)
-    y = np.stack([choice.rollout(table, d, path_set)
+    y = np.stack([choice.rollout(table, d)
                   for table, d in zip((instant_shares, forecast_shares), net.class_demands())])
     return MapResult(y, base, forecast_batch)
 
 
-def residual(h: np.ndarray, y: np.ndarray) -> float:
-    """Squared relative gap between a pattern and its map image."""
-    h = np.asarray(h, dtype=float)
-    return _relative_gap(float(np.linalg.norm(h - np.asarray(y, dtype=float))),
-                         float(np.linalg.norm(h)))
-
-
 def _relative_gap(gap: float, hn: float) -> float:
-    """``residual`` of a gap norm ``gap`` and a pattern norm ``hn``."""
+    """Squared relative gap of a gap norm ``gap`` and a pattern norm ``hn``."""
     if hn == 0.0:
         return 0.0 if gap == 0.0 else np.inf
     return (gap / hn) ** 2
@@ -163,7 +156,7 @@ def _free_flow_start(
     One share table of the free-flow times serves every class.
     """
     table = choice.share_table(path_set.free_flow_s[None, :, None], 0, grid, path_set, params)
-    return np.stack([choice.assign(table, 0, d[None])[0] for d in demands])
+    return np.stack([choice.assign(table, d[None])[0] for d in demands])
 
 
 def _run_sram(model: str, apply_map, h: np.ndarray, config: SolverConfig) -> EquilibriumResult:

@@ -21,12 +21,14 @@ input, the predicted columns, and its output, the forecast travel times, are
 (provision interval t, path, departure interval j) arrays read only in their
 open cells j >= t, the layout that ``choice.share_table`` reads and
 ``choice.assign`` writes. The kernel assigns the predicted columns into
-that input (``choice.assign``'s pass) and splices each pattern with the
-candidate's departures before t as it loads it, so no (T, paths, T) array
-is formed in numpy on the way; the forecast times are the batch's own
-``path_time`` array; the batch keeps none of its curves, and returns its
-path times with each pattern's step count, drain flag and extrapolated
-cells.
+that input (``choice.assign``'s pass: one remaining-demand row for each
+interval of the instantaneous table, each block's residual folded into
+its first largest share, which the pass finds there) and splices each
+pattern with the candidate's departures before t as it loads it, so no
+(T, paths, T) array is formed in numpy on the way; the forecast times are
+the batch's own ``path_time`` array; the batch keeps none of its curves,
+and returns its path times with each pattern's step count, drain flag and
+extrapolated cells.
 """
 
 from __future__ import annotations
@@ -62,5 +64,5 @@ def forecasts(
     extrapolated past its last step.
     """
     pooled = choice.remaining_demand(h_total, net.class_demands().sum(axis=0), path_set)
-    reaction = choice.assign(instant_shares, 0, pooled)  # 0.0 before each t, not read
+    reaction = choice.assign(instant_shares, pooled)  # 0.0 before each t, not read
     return dnl.load_batch(base, reaction, np.arange(grid.n_intervals))

@@ -16,8 +16,9 @@ the input of every map a solve applies; ``systematic_disutility`` and
 ``logit`` state the disutility and the logit of one choice set in numpy;
 ``remaining_demand`` and ``assign`` are the numpy forms of the kernel passes
 behind ``choice.remaining_demand`` and ``choice.assign``; ``rollout`` is the
-per-interval loop of ``choice.assign`` calls that ``choice.rollout`` takes
-in closed form;
+per-interval loop of one-row assignments (``assign_row``) that
+``choice.rollout`` takes in closed form; ``residual`` is the squared
+relative gap of a pattern and its image, by the solver's rule;
 ``hop_chain`` reads path times out of a loading path by path, hop by hop,
 where ``dnl_path_times`` passes each node of the paths' prefix trie once.
 """
@@ -186,61 +187,78 @@ def remaining_demand(history, class_demand, path_set) -> np.ndarray:
     return choice._unspent(demand - departed, demand)
 
 
-def assign(table, t_index: int, remaining_demand) -> np.ndarray:
-    """``choice.assign`` in numpy: the table's blocks at ``t_index``, ... as (rows, P, T).
+def assign(table, remaining_demand) -> np.ndarray:
+    """``choice.assign`` in numpy: one row of demand per interval of the table, as (rows, P, T).
 
-    Each block's shares times its OD's demand in that interval's row, the
-    demand less the block's ``ndarray.sum`` then added at its ``top``; a
-    negative demand of an OD with paths raises first, then any demand other
-    than 0 on a block that is not finite. Row i holds interval ``t_index`` +
-    i's cells from that interval on, and 0.0 before them.
+    A negative demand of an OD with paths raises first, in block order.
+    Then row i holds interval ``first`` + i's cells from that interval on
+    (``assign_row``), and 0.0 before them.
     """
     lay = table.layout
     demand = np.asarray(remaining_demand, dtype=float)
-    n = lay.block.n
-    m = len(lay.block_od) // n  # blocks per interval
-    i, rows = t_index - lay.first, len(demand)
-    blocks = slice(i * m, (i + rows) * m)
-    start, size = lay.start[blocks], lay.size[blocks]
-    cells = slice(start[0], start[-1] + size[-1])
-    demand = demand[:, lay.block_od[:m]].ravel()  # per block
-    if (demand < 0).any():
+    ods = np.flatnonzero(lay.od_sizes)
+    negative = (demand[:, ods] < 0).ravel()
+    if negative.any():
         raise choice.ChoiceError(
-            f"negative remaining demand for OD {lay.block_od[np.argmax(demand < 0)]}")
-    if ((demand != 0.0) & ~table.finite[blocks]).any():
-        raise choice.ChoiceError("disutility matrix has non-finite entries")
-    flat = table.share[cells] * np.repeat(demand, size)
-    at = start - cells.start
-    residual = demand - np.array([flat[a : a + k].sum() for a, k in zip(at, size)])
-    flat[table.top[blocks] - cells.start] += residual
-    P, T = lay.block.P, lay.block.T
-    out = np.zeros((rows, P, T))
-    for r in range(rows):  # interval t_index + r: P x (T - t_index - r) cells
-        j0 = t_index + r
-        out[r, :, j0:] = flat[: P * (T - j0)].reshape(P, T - j0)
-        flat = flat[P * (T - j0) :]
+            f"negative remaining demand for OD {ods[np.argmax(negative) % len(ods)]}")
+    out = np.zeros((len(demand), lay.block.P, lay.block.T))
+    for i, row in enumerate(demand):
+        out[i, :, lay.first + i :] = assign_row(table, i, row)
     return out
 
 
+def assign_row(table, i: int, demand) -> np.ndarray:
+    """The (P, T - t) cells of interval t = ``first`` + i of ``table`` assigned ``demand``.
+
+    The table holds, for each interval in turn, its P paths x departures
+    from it on, row-major; each OD's paths are one block of them. A block's
+    shares times its OD's demand, the demand less the block's
+    ``ndarray.sum`` then added at its first largest share (``np.argmax``).
+    """
+    lay = table.layout
+    P, T, t = lay.block.P, lay.block.T, lay.first + i
+    before = P * sum(T - lay.first - k for k in range(i))
+    share = table.share[before : before + P * (T - t)]
+    out = np.empty(len(share))
+    edges = np.cumsum((0, *lay.od_sizes)) * (T - t)
+    for od, d in enumerate(demand):
+        s = share[edges[od] : edges[od + 1]]
+        if len(s):
+            block = s * d
+            block[np.argmax(s)] += d - block.sum()
+            out[edges[od] : edges[od + 1]] = block
+    return out.reshape(P, T - t)
+
+
 def rollout(table, class_demand, path_set) -> np.ndarray:
-    """One class's realized departures, one ``choice.assign`` per provision interval.
+    """One class's realized departures, one assignment (``assign_row``) per provision interval.
 
     At each interval the class's remaining demand is assigned to the table,
     and only the current column is realized and subtracted from it, per OD
-    in path order (``np.subtract.at``); ``choice._unspent`` raises on an
-    overdraw and clamps dust to zero.
+    in path order (``np.subtract.at``); a negative demand raises as
+    ``choice.assign`` does, and ``choice._unspent`` raises on an overdraw and
+    clamps dust to zero.
     """
     demand = np.asarray(class_demand, dtype=float)
+    ods = np.flatnonzero(table.layout.od_sizes)
+    if (demand[ods] < 0).any():
+        raise choice.ChoiceError(
+            f"negative remaining demand for OD {ods[np.argmax(demand[ods] < 0)]}")
     rem = demand.copy()
-    lay = table.layout
-    n, P = lay.block.n, lay.block.P
+    n, P = table.layout.block.n, table.layout.block.P
     y = np.zeros((P, n))
     for i in range(n):
-        t = lay.first + i
-        y[:, i] = choice.assign(table, t, rem[None])[0, :, t]
+        y[:, i] = assign_row(table, i, rem)[:, 0]
         np.subtract.at(rem, path_set.od_of_path, y[:, i])
         rem = choice._unspent(rem, demand)
     return y
+
+
+def residual(h, y) -> float:
+    """Squared relative gap between a pattern and its map image, by the solver's rule."""
+    h = np.asarray(h, dtype=float)
+    return equilibrium._relative_gap(float(np.linalg.norm(h - np.asarray(y, dtype=float))),
+                                     float(np.linalg.norm(h)))
 
 
 def hop_chain(res: dnl.LoadingResult, start: int = 0) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,6 @@ from dsuedhi.equilibrium import (
     SolverConfig,
     fixed_point_map,
     multistart,
-    residual,
     solve_dsue,
     solve_sram,
 )

@@ -67,8 +67,7 @@ class TestSegments:
         edges = np.cumsum([0, *sizes])
         want = np.array([x[a:b].sum() for a, b in zip(edges[:-1], edges[1:])])
         assert self.totals(x, sizes).tobytes() == want.tobytes()
-        assert np.array_equal(lay.start, edges[:-1]) and np.array_equal(lay.size, sizes)
-        assert lay.cells == sum(sizes)
+        assert lay.ods.tolist() == list(range(len(sizes))) and lay.cells == sum(sizes)
 
     def test_example_needs_more_than_bincount(self):
         sizes = [130, 3, 8]
@@ -218,8 +217,7 @@ class TestInformationLayout:
 
     @staticmethod
     def same_table(a, b):
-        return all(x.tobytes() == y.tobytes() for x, y in
-                   ((a.share, b.share), (a.top, b.top), (a.finite, b.finite)))
+        return a.layout is b.layout and a.share.tobytes() == b.share.tobytes()
 
     @pytest.mark.parametrize("fill", [np.nan, np.inf])
     @pytest.mark.parametrize("first", [0, 2])
@@ -246,15 +244,15 @@ class TestInformationLayout:
                                choice.share_table(repeated, first, grid, ps, params))
 
     @pytest.mark.parametrize("edit, message", [
-        ({"cells": 19}, "do not fill the layout's 19 cells"),
-        ({"start": np.array([0, 6, 9, 13, 15, 18])}, "does not lie inside"),
-    ], ids=["cells", "start"])
+        ({"cells": 19}, "intervals 0..2 do not fill the layout's 19 cells"),
+        ({"first": 1}, "intervals 1..3 do not fill the layout's 18 cells"),
+    ], ids=["cells", "past the horizon"])
     def test_a_layout_the_kernel_refuses_raises(self, three_path_set, monkeypatch, edit,
                                                  message):
-        # both passes check their blocks against the arrays they write
+        # the kernel checks that the layout's cells are those of its intervals
         net, ps = three_path_set
         lay = choice._layout((2, 1), nw.TimeGrid(360.0, 120.0), 0, 3)
-        assert lay.cells == 18 and lay.start.tolist() == [0, 6, 9, 13, 15, 17]
+        assert lay.cells == 18 and lay.ods.tolist() == [0, 1]
         monkeypatch.setattr(choice, "_layout", lambda *args: dataclasses.replace(lay, **edit))
         with pytest.raises(ValueError, match=message):
             choice.share_table(np.full((3, 3, 1), 60.0), 0, nw.TimeGrid(360.0, 120.0), ps,
@@ -287,17 +285,18 @@ class TestLogit:
         phi = np.random.default_rng(5).uniform(30.0, 900.0, size=(T, ps.n_paths, T))
         phi[1, 3] = 6e7
         table = choice.share_table(phi, 0, grid, ps, params)
-        lay, mids = table.layout, grid.interval_mids()
-        for b, (start, size, od) in enumerate(zip(lay.start, lay.size, lay.block_od)):
-            t, sl = b // 2, ps.od_slices[od]
-            psi = oracles.systematic_disutility(phi[t, sl, t:] / u, mids[t:] / u,
-                                                params.target_arrival_s[od] / u,
-                                                params.mu_early, params.mu_late)
-            want = logit(psi, theta).ravel()
-            assert table.share[start : start + size].tobytes() == want.tobytes(), b
-            assert table.top[b] == start + np.argmax(want)
-        # block 3: interval 1, OD 1's paths 2..4 x departures 1..3; path 3 takes none
-        assert table.share[lay.start[3] + 3 : lay.start[3] + 6].tolist() == [0.0] * 3
+        mids, start = grid.interval_mids(), 0
+        for t in range(T):  # each interval's blocks, one per OD, follow the interval before
+            for od, sl in enumerate(ps.od_slices):
+                psi = oracles.systematic_disutility(phi[t, sl, t:] / u, mids[t:] / u,
+                                                    params.target_arrival_s[od] / u,
+                                                    params.mu_early, params.mu_late)
+                want = logit(psi, theta).ravel()
+                assert table.share[start : start + want.size].tobytes() == want.tobytes(), (t, od)
+                start += want.size
+        assert start == table.layout.cells
+        # interval 1, OD 1's paths 2..4 x departures 1..3, from cell 20 + 6; path 3 takes none
+        assert table.share[29:32].tolist() == [0.0] * 3
 
     def test_two_equal_choices(self):
         p = logit(np.array([5.0, 5.0]), theta=1.0)
@@ -325,9 +324,9 @@ class TestLogit:
     def test_empty_choice_set(self):
         # an OD without paths gets no block, so the kernel never sees an empty choice set
         layout = choice._layout((2, 0, 1), nw.TimeGrid(360.0, 120.0), 0, 1)
-        assert layout.block_od.tolist() == [0, 2]
+        assert layout.ods.tolist() == [0, 2]
         assert layout.cells == 9
-        assert layout.start.tolist() == [0, 6] and layout.size.tolist() == [6, 3]
+        assert layout.block.arrays[0].tolist() == [0, 0, 2]  # the OD of each path
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -406,7 +405,7 @@ class TestTentativeDepartures:
         # two ODs: a third entry would be dropped, and a missing one read
         # past the end
         net, ps = three_path_set
-        with pytest.raises(choice.ChoiceError, match="not rows of 2 ODs"):
+        with pytest.raises(choice.ChoiceError, match="not one row of 2 ODs"):
             choice.tentative_departures(np.full(3, 60.0), np.array(demand), 0,
                                         nw.TimeGrid(360.0, 120.0), ps, params_for(net))
 
@@ -467,13 +466,14 @@ class TestRemainingDemand:
         grid = nw.TimeGrid(360.0, 120.0)
         table = choice.share_table(np.full((3, ps.n_paths, 1), 60.0), 0, grid, ps,
                                    params_for(net))
-        # every cell takes the whole demand and the residual goes to each
-        # block's last cell, so the first OD's two paths depart 24 of its 12
-        lay = table.layout
-        table = dataclasses.replace(table, share=np.ones_like(table.share),
-                                    top=lay.start + lay.size - 1)
+        # every cell takes the whole demand, and the residual goes to each
+        # block's largest share, its last cell (blocks of 6, 3, 4, 2, 2 and 1
+        # cells), so the first OD's two paths depart 24 of its 12
+        share = np.ones_like(table.share)
+        share[[5, 8, 12, 14, 16, 17]] = 2.0
+        table = dataclasses.replace(table, share=share)
         with pytest.raises(choice.ChoiceError, match="exceed") as err:
-            choice.rollout(table, np.array([12.0, 12.0]), ps)
+            choice.rollout(table, np.array([12.0, 12.0]))
         with pytest.raises(choice.ChoiceError) as loop:
             oracles.rollout(table, np.array([12.0, 12.0]), ps)
         assert str(err.value) == str(loop.value)
@@ -507,9 +507,9 @@ class TestRemainingDemand:
 
 
 class TestErrorTexts:
-    """``remaining_demand`` and ``assign`` name what they refuse as they did in numpy:
-    the overdrawn OD and its amount, the OD of a negative demand, a demand on a
-    block that is not finite."""
+    """``remaining_demand``, ``assign`` and ``share_table`` name what they refuse:
+    the overdrawn OD and its amount, the OD of a negative demand, as they did
+    in numpy, and disutilities that are not finite."""
 
     def test_an_overdraw_names_the_worst_od_and_its_amount(self, three_path_set):
         # before interval 2 the first OD's two paths took 16 of its 12, the
@@ -521,23 +521,38 @@ class TestErrorTexts:
         assert str(err.value) == (f"OD 0: departures exceed class demand {np.float64(12.0)!r} "
                                   f"by {np.float64(4.0)!r}")
 
-    def test_a_negative_demand_names_its_od_before_a_block_that_is_not_finite(
-            self, three_path_set):
+    def test_a_negative_demand_names_the_od_of_its_first_block(self, three_path_set):
         net, ps = three_path_set
         phi = np.full((2, ps.n_paths, 2), 60.0)
-        phi[1, 2, 1] = np.nan  # the second OD's block at interval 1
         table = choice.share_table(phi, 0, nw.TimeGrid(240.0, 120.0), ps, params_for(net))
-        assert table.finite.tolist() == [True, True, True, False]
         for demand, message in (([[1.0, 1.0], [1.0, -1.0]], "negative remaining demand for OD 1"),
                                 ([[1.0, -0.5], [-1.0, 1.0]], "negative remaining demand for OD 1"),
                                 ([[-1.0, 1.0], [1.0, 1.0]], "negative remaining demand for OD 0"),
-                                ([[1.0, 1.0], [-1.0, 1.0]], "negative remaining demand for OD 0"),
-                                ([[1.0, 1.0], [1.0, 1e-300]],
-                                 "disutility matrix has non-finite entries")):
+                                ([[1.0, 1.0], [-1.0, 1.0]], "negative remaining demand for OD 0")):
             with pytest.raises(choice.ChoiceError) as err:
-                choice.assign(table, 0, np.array(demand))
+                choice.assign(table, np.array(demand))
             assert str(err.value) == message
-        assert choice.assign(table, 0, np.array([[1.0, 1.0], [1.0, 0.0]]))[-1, -1, -1] == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_travel_time_that_is_not_finite_is_refused_without_demand(self, three_path_set,
+                                                                         bad):
+        # an open cell of the second OD's only path, which has no demand: the
+        # table is refused where it is built. Closed cells are not read, so a
+        # forecast stack that is NaN before each interval builds
+        net, ps = three_path_set
+        grid, params = nw.TimeGrid(360.0, 120.0), params_for(net)
+        phi = np.full((3, ps.n_paths, 3), 60.0)
+        phi[~np.broadcast_to(choice.open_cells(0, 3, 3), phi.shape)] = np.nan
+        choice.share_table(phi, 0, grid, ps, params)
+        phi[1, 2, 2] = bad
+        message = "non-finite disutilities: an open cell's travel time"
+        with pytest.raises(choice.ChoiceError, match=message):
+            choice.share_table(phi, 0, grid, ps, params)
+        with pytest.raises(choice.ChoiceError, match=message):
+            choice.tentative_departures(phi[1], np.array([6.0, 0.0]), 1, grid, ps, params)
+        with pytest.raises(choice.ChoiceError, match=message):
+            choice.tentative_departures(np.array([60.0, 60.0, bad]), np.array([6.0, 0.0]), 0,
+                                        grid, ps, params)
 
     def test_shares_that_are_not_finite_name_their_cause(self, three_path_set):
         # every disutility is at least 5 minutes, so theta times the least
@@ -564,8 +579,7 @@ class TestRealize:
         net, ps = three_path_set
         table = choice.share_table(np.full((len(plans), ps.n_paths, 1), 60.0), 0,
                                    nw.TimeGrid(360.0, 120.0), ps, params_for(net))
-        monkeypatch.setattr(choice, "assign",
-                            lambda table, t, rem: np.pad(plans[t], ((0, 0), (t, 0)))[None])
+        monkeypatch.setattr(oracles, "assign_row", lambda table, i, rem: plans[i])
         return oracles.rollout(table, np.array([6.0, 6.0]), ps)
 
     def test_first_column_only(self, monkeypatch, three_path_set):
@@ -619,7 +633,7 @@ def loop_tentative(phi_s, remaining, t, grid, ps, params):
 
     Each block is shifted by its own maximum, normalised with
     ``ndarray.sum`` and has its residual folded into ``np.argmax`` of its
-    shares. Returns the departures and each live block's argmax cell.
+    shares. Returns the departures.
     """
     u = params.time_unit_s
     dep = (np.arange(t, grid.n_intervals) + 0.5) * grid.dt_s
@@ -629,22 +643,20 @@ def loop_tentative(phi_s, remaining, t, grid, ps, params):
     psi = oracles.systematic_disutility(phi / u, dep[None, :] / u, ta[:, None] / u,
                                         params.mu_early, params.mu_late)
     out = np.zeros_like(psi)
-    tops = {}
     for k, sl in enumerate(ps.od_slices):
         d = float(remaining[k])
         if sl.stop == sl.start or d == 0.0:
             continue
-        if d < 0 or not np.isfinite(psi[sl]).all():
+        if d < 0:
             raise choice.ChoiceError("reference rejects the block")
         z = -params.theta * psi[sl]
         z -= z.max()
         w = np.exp(z)
         prob = w / w.sum()
         block = prob * d
-        tops[k] = int(np.argmax(prob.reshape(-1)))
-        block.reshape(-1)[tops[k]] += d - block.sum()
+        block.reshape(-1)[np.argmax(prob.reshape(-1))] += d - block.sum()
         out[sl] = block
-    return out, tops
+    return out
 
 
 def path_set_of(sizes):
@@ -708,15 +720,16 @@ class TestKernelPassesEqualNumpy:
     @given(
         sizes=st.lists(st.integers(0, 5), min_size=1, max_size=4).filter(any),
         T=st.integers(1, 12),
-        bad_cell=st.sampled_from([None, np.nan, np.inf]),
+        bad_cell=st.sampled_from([None, None, np.nan, np.inf]),
         negative=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_assign(self, sizes, T, bad_cell, negative, seed):
-        # a table from a random first interval, assigned from a random
-        # interval on: demand rows of zeros, -0.0, dust and ordinary demand,
-        # a block that is not finite with zero demand or not, and a negative
-        # demand; 0.0 in the cells before each row's interval
+        # a table from a random first interval, one demand row per interval:
+        # zeros, -0.0, dust and ordinary demand, and a negative demand; 0.0
+        # in the cells before each row's interval. An open cell that is not
+        # finite refuses the table where it is built, even where its OD has
+        # no demand
         rng = np.random.default_rng(seed)
         ps = path_set_of(sizes)
         P, n_od = ps.n_paths, len(sizes)
@@ -727,22 +740,18 @@ class TestKernelPassesEqualNumpy:
         phi = rng.uniform(30.0, 900.0, size=(T - first, P, T))
         if bad_cell is not None:
             phi[rng.integers(0, T - first), rng.integers(0, P), T - 1] = bad_cell
+            with pytest.raises(choice.ChoiceError, match="non-finite disutilities"):
+                choice.share_table(phi, first, grid, ps, params)
+            return
         table = choice.share_table(phi, first, grid, ps, params)
-        t = first + int(rng.integers(0, T - first))
-        rows = int(rng.integers(1, T - t + 1))
+        rows = T - first
         demand = np.choose(rng.integers(0, 4, size=(rows, n_od)),
                            [np.zeros((rows, n_od)), np.full((rows, n_od), -0.0),
                             rng.choice([5e-324, 1e-300, 1e-12], size=(rows, n_od)),
                             rng.uniform(0.5, 500.0, size=(rows, n_od))])
-        if bad_cell is not None and rng.random() < 0.5:  # no demand on the blocks not finite
-            lay, m = table.layout, len(table.top) // (T - first)
-            for k in np.flatnonzero(~table.finite):
-                if t <= first + k // m < t + rows:
-                    demand[first + k // m - t, lay.block_od[k]] = 0.0
         if negative:
             demand[rng.integers(0, rows), rng.integers(0, n_od)] = -rng.uniform(1e-300, 1.0)
-        got = same(lambda: choice.assign(table, t, demand),
-                   lambda: oracles.assign(table, t, demand))
+        got = same(lambda: choice.assign(table, demand), lambda: oracles.assign(table, demand))
         assert got is None or got.shape == (rows, P, T)
 
     @settings(max_examples=30, deadline=None)
@@ -795,7 +804,6 @@ class TestShareTable:
     """A share table assigns, at every interval, exactly what the one-interval
     logit does, and both equal the block-at-a-time reference bit for bit."""
 
-    # a NaN or infinite travel time makes NaN disutilities, as it always has
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @settings(max_examples=60, deadline=None)
     # 7 paths x 40 intervals: numpy sums a block of 280 shares in two halves
@@ -845,11 +853,17 @@ class TestShareTable:
         remaining = np.choose(kind, [np.zeros((T, n_od)),
                                      rng.choice([5e-324, 1e-300, 1e-12], size=(T, n_od)),
                                      rng.uniform(0.5, 500.0, size=(T, n_od))])
-        if bad_cell is not None:
+        if bad_cell is not None:  # refused where a table is built, whether the OD is live or not
             t, p = int(rng.integers(0, T)), int(rng.integers(0, P))
             phi[t, p] = bad_cell
-            if rng.random() < 0.5:  # the OD is not live there
+            if rng.random() < 0.5:
                 remaining[t, ps.od_of_path[p]] = 0.0
+            given = phi[t] if forecast else phi[t, :, 0]
+            with pytest.raises(choice.ChoiceError, match="non-finite disutilities"):
+                choice.share_table(phi, 0, grid, ps, params)
+            with pytest.raises(choice.ChoiceError, match="non-finite disutilities"):
+                choice.tentative_departures(given, remaining[t], t, grid, ps, params)
+            return
         if negative:  # an overdrawn OD; one without paths has nothing to assign
             remaining[rng.integers(0, T), rng.integers(0, n_od)] = -rng.uniform(1e-12, 1.0)
 
@@ -860,37 +874,39 @@ class TestShareTable:
             # takes (P,) or the whole horizon (P, T)
             ref, given = (phi[t, :, t:], phi[t]) if forecast else (phi[t, :, 0], phi[t, :, 0])
             try:
-                want, tops = loop_tentative(ref, remaining[t], t, grid, ps, params)
+                want = loop_tentative(ref, remaining[t], t, grid, ps, params)
             except choice.ChoiceError:
                 with pytest.raises(choice.ChoiceError):
                     choice.tentative_departures(given, remaining[t], t, grid, ps, params)
-                with pytest.raises(choice.ChoiceError):
-                    choice.assign(table, t, remaining[t : t + 1])
                 wants = None
                 continue
             one = choice.tentative_departures(given, remaining[t], t, grid, ps, params)
-            wide = choice.assign(table, t, remaining[t : t + 1])
-            assert wide.shape == (1, P, T)
-            assert wide[0, :, :t].tobytes() == np.zeros((P, t)).tobytes()
-            got = wide[0, :, t:]
-            assert one.shape == got.shape == want.shape == (P, T - t)
+            assert one.shape == want.shape == (P, T - t)
             assert np.array_equal(one, want)
-            assert np.array_equal(got, want)
             if wants is not None:
-                wants.append(wide)
-            # the residual goes to the first largest share, even where it is 0
-            m = len(table.layout.block_od) // T  # blocks per interval
-            for b in range(t * m, (t + 1) * m):
-                k = int(table.layout.block_od[b])
-                if k in tops:
-                    assert table.top[b] - table.layout.start[b] == tops[k]
-        # every interval at once, one demand row each, as the forecast reaction assigns
+                wants.append(want)
+        # every interval at once, one demand row each, as the forecast reaction assigns:
+        # each row's open cells, and 0.0 before them
         if wants is None:
             with pytest.raises(choice.ChoiceError):
-                choice.assign(table, 0, remaining)
-        else:
-            assert choice.assign(table, 0, remaining).tobytes() == np.concatenate(wants).tobytes()
+                choice.assign(table, remaining)
+            return
+        wide = choice.assign(table, remaining)
+        assert wide.shape == (T, P, T)
+        for t, want in enumerate(wants):
+            assert wide[t, :, :t].tobytes() == np.zeros((P, t)).tobytes()
+            assert np.array_equal(wide[t, :, t:], want)
 
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (3, 3), (3,)])
+    def test_assign_takes_one_demand_row_per_interval(self, three_path_set, shape):
+        # a table of intervals 0..2 for two ODs: no row is broadcast, dropped or read past
+        net, ps = three_path_set
+        table = choice.share_table(np.full((3, ps.n_paths, 1), 60.0), 0,
+                                   nw.TimeGrid(360.0, 120.0), ps, params_for(net))
+        with pytest.raises(choice.ChoiceError, match=r"not one row of 2 ODs for each of the "
+                                                     r"share table's provision intervals 0\.\.2"):
+            choice.assign(table, np.full(shape, 1.0))
 
     def test_peak_memory_is_the_returned_arrays_and_one_work_array(self):
         # the bound of a (30, 23, 30) forecast table, stated in CHANGES.md before
@@ -906,10 +922,10 @@ class TestShareTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (table.layout.cells, len(table.top)) == (10_695, 120)
-        returned = table.share.nbytes + table.top.nbytes + table.finite.nbytes
-        assert returned == 86_640
-        assert peak <= returned + 85_560 + 4096 == 176_296
+        assert table.layout.cells == 10_695
+        returned = table.share.nbytes
+        assert returned == 85_560
+        assert peak <= returned + 85_560 + 4096 == 175_216
 
 
 class TestRollout:
@@ -918,10 +934,10 @@ class TestRollout:
     vehicle) per cell, or an error where the loop raises one."""
 
     @staticmethod
-    def table_of(three_path_set, phi=None):
+    def table_of(three_path_set):
         net, ps = three_path_set
-        phi = np.full((3, ps.n_paths, 1), 60.0) if phi is None else phi
-        return choice.share_table(phi, 0, nw.TimeGrid(360.0, 120.0), ps, params_for(net))
+        return choice.share_table(np.full((3, ps.n_paths, 1), 60.0), 0, nw.TimeGrid(360.0, 120.0),
+                                  ps, params_for(net))
 
     @staticmethod
     def assert_close(got, want, demand, ps):
@@ -951,7 +967,6 @@ class TestRollout:
                             rng.uniform(0.5, 500.0, size=n_od)])
         return rng, ps, nw.TimeGrid(T * 120.0, 120.0), params, phi, demand
 
-    # a NaN or infinite travel time makes NaN disutilities, as it always has
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @settings(max_examples=60, deadline=None)
     # 7 paths x 40 intervals: numpy sums a block of 280 cells in two halves
@@ -978,10 +993,13 @@ class TestRollout:
         n = 1 + (n - 1) % (T - first)
         rng, ps, grid, params, phi, demand = self.drawn(sizes, empty_od, T, n, forecast, ties,
                                                         theta, seed)
-        if bad_cell is not None:  # one non-finite block, whose OD has no demand or some
+        if bad_cell is not None:  # refused where the table is built, whether its OD has demand
             p = int(rng.integers(0, ps.n_paths))
             phi[rng.integers(0, n), p] = bad_cell
             demand[ps.od_of_path[p]] = bad_demand
+            with pytest.raises(choice.ChoiceError, match="non-finite disutilities"):
+                choice.share_table(phi, first, grid, ps, params)
+            return
         if negative:
             demand[rng.integers(0, len(demand))] = -rng.uniform(1e-12, 1.0)
         table = choice.share_table(phi, first, grid, ps, params)
@@ -989,9 +1007,9 @@ class TestRollout:
             want = oracles.rollout(table, demand, ps)
         except choice.ChoiceError:
             with pytest.raises(choice.ChoiceError):
-                choice.rollout(table, demand, ps)
+                choice.rollout(table, demand)
             return
-        got = choice.rollout(table, demand, ps)
+        got = choice.rollout(table, demand)
         assert want.shape == (ps.n_paths, n)
         self.assert_close(got, want, demand, ps)
 
@@ -1016,7 +1034,7 @@ class TestRollout:
         _, ps, grid, params, phi, demand = self.drawn(sizes, empty_od, T, T - first, forecast,
                                                       ties, theta, seed)
         table = choice.share_table(phi, first, grid, ps, params)
-        total = np.bincount(ps.od_of_path, choice.rollout(table, demand, ps).sum(axis=1),
+        total = np.bincount(ps.od_of_path, choice.rollout(table, demand).sum(axis=1),
                             minlength=len(demand))
         live = np.bincount(ps.od_of_path, minlength=len(demand)) > 0
         np.testing.assert_allclose(total[live], demand[live], rtol=1e-9,
@@ -1024,26 +1042,8 @@ class TestRollout:
         assert (total[~live] == 0.0).all()
 
     def test_negative_demand_raises(self, three_path_set):
-        _, ps = three_path_set
         with pytest.raises(choice.ChoiceError, match="negative remaining demand for OD 1"):
-            choice.rollout(self.table_of(three_path_set), np.array([12.0, -1.0]), ps)
-
-    def test_non_finite_disutility_with_demand_raises(self, three_path_set):
-        _, ps = three_path_set
-        phi = np.full((3, ps.n_paths, 1), 60.0)
-        phi[1, 2] = np.inf  # the second OD's only path, from interval 1 on
-        table = self.table_of(three_path_set, phi)
-        assert choice.rollout(table, np.array([12.0, 0.0]), ps)[2].tolist() == [0.0] * 3
-        with pytest.raises(choice.ChoiceError, match="non-finite"):
-            choice.rollout(table, np.array([12.0, 12.0]), ps)
-
-    def test_table_of_other_path_count_rejected(self, three_path_set):
-        # a table built for two ODs of two paths each
-        net, ps = three_path_set
-        table = choice.share_table(np.full((3, 4, 1), 60.0), 0, nw.TimeGrid(360.0, 120.0),
-                                   path_set_of([2, 2]), params_for(net))
-        with pytest.raises(choice.ChoiceError, match="does not fit"):
-            choice.rollout(table, np.array([12.0, 12.0]), ps)
+            choice.rollout(self.table_of(three_path_set), np.array([12.0, -1.0]))
 
     def test_a_table_takes_its_first_interval_and_paths_from_its_layout(self, three_path_set):
         # no copy of either sits beside the layout to disagree with it: a
@@ -1055,34 +1055,20 @@ class TestRollout:
         for name in ("first", "n_paths"):
             with pytest.raises(TypeError):
                 dataclasses.replace(table, **{name: 0})
-        with pytest.raises(choice.ChoiceError, match=r"share table's 1\.\.2"):
-            choice.assign(table, 0, np.array([[12.0, 12.0]]))
+        with pytest.raises(choice.ChoiceError, match=r"share table's provision intervals 1\.\.2"):
+            choice.assign(table, np.array([[12.0, 12.0]]))
         demand = np.array([12.0, 12.0])
-        self.assert_close(choice.rollout(table, demand, ps), oracles.rollout(table, demand, ps),
+        self.assert_close(choice.rollout(table, demand), oracles.rollout(table, demand, ps),
                           demand, ps)
 
-    def test_table_of_other_od_sizes_rejected(self, three_path_set):
-        # three paths either way, but the table's first OD has two of them
-        with pytest.raises(choice.ChoiceError, match="does not fit"):
-            choice.rollout(self.table_of(three_path_set), np.array([12.0, 12.0]),
-                           path_set_of([1, 2]))
-
     def test_demand_of_other_od_count_rejected(self, three_path_set):
-        _, ps = three_path_set
         with pytest.raises(choice.ChoiceError, match="one per OD"):
-            choice.rollout(self.table_of(three_path_set), np.array([12.0, 12.0, 1.0]), ps)
+            choice.rollout(self.table_of(three_path_set), np.array([12.0, 12.0, 1.0]))
 
-    @pytest.mark.parametrize("bad_top, error", [
-        (lambda lay, top: np.where(np.arange(len(top)) == 0, lay.start + lay.size, top),
-         (choice.ChoiceError, "do not fit the share table's layout")),
-        (lambda lay, top: np.where(np.arange(len(top)) == 1, -1, top),
-         (choice.ChoiceError, "do not fit the share table's layout")),
-        (lambda lay, top: top[:-1], (ValueError, r"not C-contiguous int64 of shape \(6,\)")),
-    ], ids=["one past its block", "negative", "one short"])
-    def test_top_outside_its_block_rejected(self, three_path_set, bad_top, error):
-        # a table's arrays are writable, so ``assign`` checks each block's
-        # top, where it adds the block's residual, on every call
+    def test_shares_short_of_the_layout_rejected(self, three_path_set):
+        # a table's arrays are writable: ``assign`` checks its shares' length
+        # against the layout's cells on every call
         table = self.table_of(three_path_set)
-        table = dataclasses.replace(table, top=bad_top(table.layout, table.top))
-        with pytest.raises(error[0], match=error[1]):
-            choice.assign(table, 0, np.full((3, 2), 12.0))
+        table = dataclasses.replace(table, share=table.share[:-1])
+        with pytest.raises(ValueError, match=r"not C-contiguous float64 of shape \(18,\)"):
+            choice.assign(table, np.full((3, 2), 12.0))

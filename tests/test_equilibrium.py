@@ -11,10 +11,10 @@ from dsuedhi.equilibrium import (
     fixed_point_map,
     multistart,
     random_feasible_parts,
-    residual,
     solve_dsue,
     solve_sram,
 )
+from oracles import residual
 
 
 class TestResidual:

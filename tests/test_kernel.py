@@ -202,138 +202,173 @@ def test_source_curves_equal_the_numpy_formula(grid_congested, refine):
         assert up[plan.A :].tobytes() == want_rows[0].tobytes()
 
 
-def layout(path_od, first, n, T, cells, start, size):
+def layout(path_od, first, n, T, cells):
     """A ``layout_t`` of ``n`` provision intervals from ``first`` of ``T`` for paths of the ODs
-    ``path_od``, whose blocks are ``start`` and ``size`` in ``cells`` cells, and interval
-    midpoints 120 s apart."""
-    i64, blocks, P = np.int64, len(start), len(path_od)
+    ``path_od`` in ``cells`` cells, and interval midpoints 120 s apart."""
+    P = len(path_od)
     return choice._LayoutBlock(
-        [(np.array(start, i64), i64, blocks), (np.array(size, i64), i64, blocks),
-         (np.array(path_od, i64), i64, P), ((np.arange(T) + 0.5) * 120.0, np.float64, T)],
-        n, first, T, P, cells, blocks)
+        [(np.array(path_od, np.int64), np.int64, P), ((np.arange(T) + 0.5) * 120.0, np.float64, T)],
+        n, first, T, P, cells)
 
 
-def logit_exponents(phi, first, T, path_od, target, cells, blocks, theta=1.0):
-    """``dnl_logit_exponents`` on the (n, P, cols) travel times ``phi`` into exactly
-    ``cells`` exponents and ``blocks`` flags: its return code, the exponents and the flags."""
-    lay = layout(path_od, first, len(phi), T, cells, np.zeros(blocks), np.zeros(blocks))
-    z, finite = np.full(cells, np.nan), np.zeros(blocks, dtype=np.bool_)
+def logit_exponents(phi, first, T, path_od, target, cells, theta=1.0):
+    """``dnl_logit_exponents`` on the (n, P, cols) travel times ``phi`` into exactly ``cells``
+    exponents: its return code and the exponents, NaN where it wrote nothing."""
+    lay = layout(path_od, first, len(phi), T, cells)
+    z = np.full(cells, np.nan)
     code = dnl._kernel().dnl_logit_exponents(
         lay.ptr, phi.ctypes.data, phi.shape[2], target.ctypes.data, len(target), 60.0, 0.8,
-        1.2, theta, z.ctypes.data, finite.ctypes.data)
-    return code, z, finite
+        1.2, theta, z.ctypes.data)
+    return code, z
 
 
-@pytest.mark.parametrize("case", ["fits", "cells short", "cells left over", "blocks short",
-                                  "blocks left over", "od past the targets", "negative od",
-                                  "columns", "past the horizon", "negative first",
+# 3 paths, ODs 0, 0 and 1, at provision intervals 1 and 2 of 4: 9 then 6
+# cells, in blocks of 6, 3, 4 and 2
+BLOCKS = [(0, 6), (6, 9), (9, 13), (13, 15)]
+
+
+@pytest.mark.parametrize("case", ["fits", "cells short", "cells left over",
+                                  "od past the targets", "negative od", "columns",
+                                  "past the horizon", "negative first", "no intervals",
+                                  "an interval without departures", "horizon short",
                                   "negative theta"])
 def test_logit_exponents_refuse_blocks_outside_their_arrays(case):
-    # 3 paths, ODs 0, 0 and 1, at provision intervals 1 and 2 of 4: 9 then 6
-    # cells, in blocks of 6, 3, 4 and 2. A refused block writes nothing past
-    # the arrays, which the sanitized run checks.
+    # a refused layout writes nothing, and a refused block nothing past the
+    # arrays, which the sanitized run checks
     phi = np.random.default_rng(0).uniform(60.0, 900.0, size=(2, 3, 4))
     args = dict(phi=phi, first=1, T=4, path_od=np.array([0, 0, 1]), target=np.array([0.0, 1.0]),
-                cells=15, blocks=4)
+                cells=15)
     args.update({
         "fits": {}, "cells short": {"cells": 14}, "cells left over": {"cells": 16},
-        "blocks short": {"blocks": 3}, "blocks left over": {"blocks": 5},
         "od past the targets": {"path_od": np.array([0, 0, 2])},
         "negative od": {"path_od": np.array([-1, 0, 1])},
         "columns": {"phi": phi[..., :3].copy()},
         "past the horizon": {"first": 3}, "negative first": {"first": -1},
+        "no intervals": {"phi": phi[:0].copy(), "cells": 0},
+        "an interval without departures": {"phi": np.concatenate([phi, phi[:2]]), "cells": 18},
+        "horizon short": {"T": 3, "phi": phi[..., :3].copy()},
         "negative theta": {"theta": -1.0},
     }[case])
-    code, z, finite = logit_exponents(**args)
+    code, z = logit_exponents(**args)
     assert code == (0 if case == "fits" else -1)
     if case == "fits":
-        assert finite.all() and np.isfinite(z).all() and (z <= 0.0).all()
-        assert [np.max(z[a:b]) for a, b in ((0, 6), (6, 9), (9, 13), (13, 15))] == [0.0] * 4
+        assert np.isfinite(z).all() and (z <= 0.0).all()
+        assert [np.max(z[a:b]) for a, b in BLOCKS] == [0.0] * 4
+    elif case == "od past the targets":  # the block before it is written
+        assert np.isfinite(z[:6]).all() and np.isnan(z[6:]).all()
+    else:
+        assert np.isnan(z).all()
 
 
-@pytest.mark.parametrize("start, size", [(-1, 2), (0, 0), (5, 2), (6, 1), (7, 1),
-                                         (2**62, 2**62), (1, 2**63 - 1)])
-def test_logit_shares_refuse_a_block_outside_the_array(start, size):
-    # each block is checked in the kernel's loop, also after good blocks
-    w = np.array([1.0, 0.5, 0.5, 1.0, 0.25, 1.0])
-    top = np.full(2, -7, dtype=np.int64)
-    kernel = dnl._kernel()
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_logit_exponents_refuse_a_block_that_is_not_finite(bad):
+    # with a positive theta, -3 at the first block whose disutilities are not
+    # all finite; with theta 0 the disutilities themselves, as they are
+    phi = np.random.default_rng(0).uniform(60.0, 900.0, size=(2, 3, 4))
+    phi[1, 2, 3] = bad  # the last block: interval 2, OD 1
+    args = dict(phi=phi, first=1, T=4, path_od=np.array([0, 0, 1]), target=np.array([0.0, 1.0]),
+                cells=15)
+    code, z = logit_exponents(**args)
+    assert code == -3 and np.isfinite(z[:13]).all()
+    code, z = logit_exponents(**args, theta=0.0)
+    assert code == 0 and np.isfinite(z[:14]).all() and not np.isfinite(z[14])
 
-    def shares(starts, sizes):
-        lay = layout([0], 0, 1, 1, len(w), starts, sizes)
-        return kernel.dnl_logit_shares(lay.ptr, w.ctypes.data, top.ctypes.data)
 
-    assert shares([0, start], [3, size]) == -1
-    assert top[0] == 0 and w[:3].tolist() == [0.5, 0.25, 0.25]
-    assert shares([3, 5], [2, 1]) == 0
-    assert top.tolist() == [3, 5] and w[3:].tolist() == [0.8, 0.2, 1.0]
+@pytest.mark.parametrize("case", [{"cells": 14}, {"cells": 16}, {"first": 3}, {"first": -1},
+                                  {"n": 0, "cells": 0}, {"n": 4, "cells": 18}, {"T": 3}],
+                         ids=["cells short", "cells left over", "past the horizon",
+                              "negative first", "no intervals", "an interval without departures",
+                              "horizon short"])
+def test_logit_shares_refuse_a_layout_that_does_not_fit(case):
+    # the one check of the call, before any block is written
+    args = dict(path_od=[0, 0, 1], first=1, n=2, T=4, cells=15)
+    args.update(case)
+    w = np.ones(16)
+    assert dnl._kernel().dnl_logit_shares(layout(**args).ptr, w.ctypes.data) == -1
+    assert (w == 1.0).all()
+
+
+def test_logit_shares_divide_each_block_of_the_path_runs_by_its_sum():
+    # blocks found from the runs of the paths' ODs; 1 at the first block
+    # whose sum is not finite, after the blocks before it
+    lay, kernel = layout([0, 0, 1], 1, 2, 4, 15), dnl._kernel()
+    w = np.ones(15)
+    assert kernel.dnl_logit_shares(lay.ptr, w.ctypes.data) == 0
+    for a, b in BLOCKS:
+        assert w[a:b].tolist() == [1.0 / (b - a)] * (b - a)
+    w = np.ones(15)
+    w[10] = np.inf
+    assert kernel.dnl_logit_shares(lay.ptr, w.ctypes.data) == 1
+    assert w[:9].tolist() == [1.0 / 6] * 6 + [1.0 / 3] * 3
+    assert w[9:].tolist() == [1.0, np.inf] + [1.0] * 4
 
 
 def assign(case):
     """``dnl_assign`` on a table of 3 paths, ODs 0, 0 and 1, at provision intervals 1 and 2
-    of 4, changed by ``case``: its return code and its (n_rows, 3, 4) output, NaN where it
-    wrote nothing.
-    The blocks have 6, 3, 4 and 2 cells in 15; each block's shares are 1 over its size."""
-    args = dict(path_od=[0, 0, 1], first=1, n=2, T=4, cells=15, start=[0, 6, 9, 13],
-                size=[6, 3, 4, 2], top=[0, 6, 9, 13], finite=[1, 1, 1, 1], i0=0, n_rows=2,
-                n_od=2, demand=[[6.0, 3.0], [4.0, 2.0]])
+    of 4, changed by ``case``: its return code and its (n, 3, 4) output, NaN where it wrote
+    nothing. The blocks have 6, 3, 4 and 2 cells in 15; each block's shares are 1 over its
+    size, unless ``case`` gives ``share``."""
+    args = dict(path_od=[0, 0, 1], first=1, n=2, T=4, cells=15, n_od=2,
+                demand=[[6.0, 3.0], [4.0, 2.0]],
+                share=np.repeat(1.0 / np.array([6.0, 3.0, 4.0, 2.0]), [6, 3, 4, 2]))
     args.update(case)
-    lay = layout(args["path_od"], args["first"], args["n"], args["T"], args["cells"],
-                 args["start"], args["size"])
-    share = np.repeat(1.0 / np.array([6.0, 3.0, 4.0, 2.0]), [6, 3, 4, 2])
-    top, finite = np.array(args["top"], np.int64), np.array(args["finite"], np.bool_)
-    demand = np.array(args["demand"])
-    out = np.full((args["n_rows"], 3, 4), np.nan)
-    code = dnl._kernel().dnl_assign(lay.ptr, share.ctypes.data, top.ctypes.data,
-                                    finite.ctypes.data, args["i0"], args["n_rows"],
-                                    demand.ctypes.data, args["n_od"], out.ctypes.data)
+    lay = layout(args["path_od"], args["first"], args["n"], args["T"], args["cells"])
+    share, demand = np.array(args["share"]), np.array(args["demand"])
+    out = np.full((max(args["n"], 0), 3, 4), np.nan)
+    code = dnl._kernel().dnl_assign(lay.ptr, share.ctypes.data, demand.ctypes.data,
+                                    args["n_od"], out.ctypes.data)
     return code, out
 
 
 @pytest.mark.parametrize("case", [
-    {"i0": 1}, {"n_rows": 0}, {"n_rows": 3}, {"i0": -1}, {"size": [6, 3, 4, 1]},
-    {"start": [0, 6, 9, 14]}, {"start": [0, -1, 9, 13]}, {"start": [0, 6, 9, 2**62]},
-    {"top": [0, 6, 8, 13]}, {"top": [0, 6, 9, 15]}, {"top": [0, 6, 9, -2**63]}, {"n_od": 1},
-    {"path_od": [0, 0, -1]}, {"start": [0, 6, 9], "size": [6, 3, 4], "top": [0, 6, 9]},
-    {"first": 3}, {"first": -1}, {"cells": 14},
-], ids=["rows past the table", "no rows", "more rows than the table", "negative row",
-        "block short", "block past the cells", "negative start", "huge start",
-        "top before its block", "top past its block", "huge negative top", "od past the demand",
-        "negative od", "blocks per interval", "past the horizon", "negative first",
-        "cells short"])
-def test_assign_refuses_rows_or_blocks_outside_its_arrays(case):
-    # each block is checked before any cell is written, which the sanitized
-    # run checks: nothing is written past the arrays, nor at all
+    {"cells": 14}, {"cells": 16}, {"first": 3}, {"first": -1}, {"n": 0, "cells": 0},
+    {"n": 4, "cells": 18}, {"T": 3}, {"n_od": 1}, {"path_od": [0, 0, -1]},
+    {"n_od": 1, "demand": [[-6.0, 3.0], [4.0, 2.0]]},
+], ids=["cells short", "cells left over", "past the horizon", "negative first", "no intervals",
+        "an interval without departures", "horizon short", "od past the demand", "negative od",
+        "od past the demand after a negative demand"])
+def test_assign_refuses_a_layout_that_does_not_fit(case):
+    # checked before any cell is written, which the sanitized run checks:
+    # nothing is written past the arrays, nor at all
     code, out = assign(case)
     assert code == -1 and np.isnan(out).all()
 
 
-@pytest.mark.parametrize("case, want", [
-    ({}, [[[0.0, 1.0, 1.0, 1.0]] * 3, [[0.0, 0.0, 1.0, 1.0]] * 3]),
-    ({"i0": 1, "n_rows": 1, "demand": [[4.0, 2.0]]}, [[[0.0, 0.0, 1.0, 1.0]] * 3]),
-], ids=["both rows", "the second row"])
-def test_assign_writes_every_cell(case, want):
+def test_assign_writes_every_cell():
     # into an output poisoned with NaN: each row's open cells, from its
     # interval on, get their assignment and the cells before them 0.0
-    code, out = assign(case)
+    want = [[[0.0, 1.0, 1.0, 1.0]] * 3, [[0.0, 0.0, 1.0, 1.0]] * 3]
+    code, out = assign({})
     assert code == 0 and out.tobytes() == np.array(want).tobytes()
+
+
+def test_assign_folds_the_residual_into_the_first_largest_share():
+    # block 0, OD 0 at interval 1, ties its largest share at cells 1 and 2
+    # (path 0, departures 2 and 3); np.argmax takes the first
+    s = np.array([0.1, 0.3, 0.3, 0.1, 0.1, 0.1])
+    residual = 3.0 - (s * 3.0).sum()
+    assert residual != 0.0
+    share = np.concatenate([s, np.repeat(1.0 / np.array([3.0, 4.0, 2.0]), [3, 4, 2])])
+    code, out = assign({"share": share, "demand": [[3.0, 3.0], [4.0, 2.0]]})
+    assert code == 0
+    assert out[0, 0, 2] == 0.3 * 3.0 + residual and out[0, 0, 3] == 0.3 * 3.0
 
 
 @pytest.mark.parametrize("case, code", [
     ({"demand": [[6.0, 3.0], [4.0, -2.0]]}, 2), ({"demand": [[6.0, -0.0], [-1e-300, -2.0]]}, 1),
-    ({"finite": [1, 1, 0, 1]}, -3),
-    ({"finite": [1, 1, 0, 1], "demand": [[6.0, 3.0], [0.0, 2.0]]}, 0),
-    ({"finite": [1, 1, 1, 0], "demand": [[6.0, 3.0], [4.0, np.nan]]}, -3),
-    ({"finite": [0, 1, 1, 1], "demand": [[6.0, 3.0], [4.0, -2.0]]}, 2),
-], ids=["negative", "first negative in block order", "not finite", "not finite without demand",
-        "nan demand", "negative before not finite"])
-def test_assign_returns_a_negative_demand_before_a_block_that_is_not_finite(case, code):
-    # 1 + the OD of the first negative demand in block order, then -3 for a
-    # demand other than 0 on a block that is not finite, before any cell is
-    # written
+    ({"demand": [[6.0, 3.0], [-4.0, 2.0]]}, 1), ({"demand": [[-0.0, -0.0], [4.0, 2.0]]}, 0),
+    ({"demand": [[6.0, 3.0], [4.0, np.nan]]}, 0),
+], ids=["negative", "first negative in block order", "negative in the second row",
+        "-0.0 is not negative", "nan demand"])
+def test_assign_returns_the_od_of_the_first_negative_demand(case, code):
+    # 1 + the OD of the first negative demand in block order, before any
+    # cell is written; a NaN demand is assigned as it is
     got, out = assign(case)
     assert got == code
-    assert np.isnan(out).all() == (code != 0)
+    if code:
+        assert np.isnan(out).all()
+    else:  # NaN only in the two open cells of OD 1 at interval 2 that a NaN demand takes
+        assert np.isnan(out).sum() == 2 * np.isnan(case["demand"]).sum()
 
 
 C_TYPES = {"void": None, "i64": ctypes.c_int64, "double": ctypes.c_double}
@@ -395,7 +430,7 @@ def test_block_arrays_are_read_only_and_outlive_what_they_were_built_from():
     phi = res.instant_path_time.T[:, :, None]
     table = choice.share_table(phi, 0, grid, ps, params)
     plan, layout = res._state[0], table.layout
-    want = res.path_time.tobytes(), table.share.tobytes(), choice.rollout(table, demand, ps)
+    want = res.path_time.tobytes(), table.share.tobytes(), choice.rollout(table, demand)
     for block in (plan.block, plan.links, layout.block):
         addresses = list(pointers(block))
         assert len(addresses) == len(block.arrays)
@@ -413,7 +448,7 @@ def test_block_arrays_are_read_only_and_outlive_what_they_were_built_from():
     again = choice.share_table(phi, 0, grid, ps, params)
     assert again.layout is layout
     assert (got[0].tobytes(), again.share.tobytes()) == want[:2]
-    assert choice.rollout(again, demand, ps).tobytes() == want[2].tobytes()
+    assert choice.rollout(again, demand).tobytes() == want[2].tobytes()
     del junk
 
 
@@ -449,6 +484,15 @@ def test_kernel_arguments_are_checked_under_python_O():
     run = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
                          text=True)
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+def test_kernel_source_compiles_without_warnings():
+    # with the compiler ``dnl._kernel`` builds with: a local or a parameter
+    # that a change leaves unused, or a comparison of mixed signedness, fails
+    command = [*CC, "-fsyntax-only", "-Wall", "-Wextra", "-Werror",
+               str(SRC / "dsuedhi" / "dnl_step.c")]
+    run = subprocess.run(command, capture_output=True, text=True)
+    assert run.returncode == 0, f"{shlex.join(command)}\n{run.stderr}"
 
 
 def test_failed_build_names_the_command_and_its_stderr(cache):
@@ -488,15 +532,16 @@ def test_library_appears_only_through_os_replace(cache, monkeypatch):
     assert os.stat(cache).st_mode & 0o777 == 0o700
 
 
-def test_one_map_passes_47_arrays_to_the_kernel(monkeypatch):
+def test_one_map_passes_41_arrays_to_the_kernel(monkeypatch):
     # the arrays that stay the same from map to map go in argument blocks,
     # built once; a warm map checks and passes only its per-call arrays (83
     # before the blocks, 45 before the forecast's remaining demand and
     # assignment moved into the kernel and the batch took its base's
-    # departures)
+    # departures, 47 while share tables kept each block's top cell and
+    # finite flag)
     net, ps, grid, params, h_i, h_f = cases()["corridor"]
     equilibrium.fixed_point_map(h_i, h_f, net, ps, grid, params)
     own, calls = dnl._arg, []
     monkeypatch.setattr(dnl, "_arg", lambda *args: calls.append(args) or own(*args))
     equilibrium.fixed_point_map(h_i, h_f, net, ps, grid, params)
-    assert len(calls) == 47
+    assert len(calls) == 41
