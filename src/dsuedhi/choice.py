@@ -163,9 +163,13 @@ def _exponents(phi: np.ndarray, params: ChoiceParams, theta: float, lay: _Layout
     ``phi`` is C-contiguous (intervals, paths, 1 or T). Returns each
     cell's exponent, -``theta`` times its disutility less its block's
     largest, and raises if a block's disutilities are not all finite; with
-    ``theta`` 0, the disutilities themselves, finite or not.
+    ``theta`` 0, the disutilities themselves, finite or not. Raises unless
+    ``params`` has one target arrival per OD.
     """
     b, target = lay.block, np.array(params.target_arrival_s, dtype=float)
+    if len(target) != len(lay.od_sizes):
+        raise ChoiceError(f"{len(target)} target arrivals for {len(lay.od_sizes)} ODs: "
+                          "there must be one per OD")
     z = np.empty(lay.cells)
     code = dnl._kernel().dnl_logit_exponents(
         b.ptr, dnl._arg(phi, np.float64, (b.n, b.P, phi.shape[2])), phi.shape[2],

@@ -43,8 +43,11 @@ they go, compiled on first use with the C compiler Python was built with and
 cached on disk (``_kernel``). A cell's probe, the cohort's median vehicle,
 departs at the interval midpoint with half of its own column ahead of it, so
 a column feels the queue it builds itself, and passes its path's rows
-through the prefix trie of their row sequences (``_trie``); a load's link
-times are read out as paths of one row each (``dnl_path_times``).
+through the prefix trie of their row sequences (``_trie``), node by node,
+each over every interval; a load's link times are read out as paths of one
+row each (``dnl_path_times``). Each kernel call places the lagged reads of
+every link row and step once for all its patterns, and a pattern copies
+only the base columns that the pattern before it in the block did not take.
 
 Arguments. What stays the same from call to call reaches the kernel in
 argument blocks (``_Block``), C structs of pointers and sizes, each filled

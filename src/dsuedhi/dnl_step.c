@@ -29,20 +29,25 @@
    every operation rounds once, as its numpy form does. The block is one
    pattern's curves: ``up`` and ``dn`` hold the plan's rows (used links in
    link order, then sources), ``sl`` its slots, in row order, and every row
-   has ``cols`` samples. A pattern writes every sample of the block before
-   it reads it, so nothing of the pattern before it is seen. A link that no
-   path uses has no row, and nothing here reads it: a pattern's drain test
-   sums its own rows.
+   has ``cols`` samples. A pattern reads only samples it wrote or the
+   base's, which the pattern before it left as it took them, so nothing of
+   the pattern before it is seen. A link that no path uses has no row, and
+   nothing here reads it: a pattern's drain test sums its own rows.
 
    Work is saved only where it cannot change a bit. A row's FIFO window
    [tau0, tau1] is placed on the curve once (``locate``), and every slot of
    the row is read at those two positions. A row without outflow has tau0 =
-   tau1, so its slots move +0.0 and neither end is searched for. Every
+   tau1, so its slots move +0.0 and neither end is searched for. The
+   positions of the lagged reads of link rows depend on the plan and the
+   step alone, so a call places them once for all its patterns (``lags``).
+   A pattern copies only the base's columns that the pattern before it in
+   the block did not take, as it wrote none of them (``take_base``). Every
    search (``invert``) starts from the last answer of its row, kept across
    steps, or of its read-out node, kept across departure intervals: rows
    never decrease, so the answer does not depend on where the search
    starts. The read-out follows the paths' prefix trie, so a row sequence
-   that paths share is chained once per cell.
+   that paths share is read once per cell, and goes node by node, each
+   over every interval, so no cell waits on the one computed just before.
 
    Sums mirror numpy: ``np.bincount`` and ``np.add.at`` add in sequence, in
    index order; ``ndarray.sum`` is 0.0 plus numpy's pairwise sum
@@ -352,12 +357,6 @@ static double value_at(const double *row, position at)
     return row[at.idx] + at.frac * (row[at.idx + 1] - row[at.idx]);
 }
 
-/* value of a sampled curve at ``time``, as ``locate`` places it */
-static double lagged(const double *row, double time, double dt, i64 last)
-{
-    return value_at(row, locate(time, dt, last));
-}
-
 /* The earliest time a row of n samples reaches ``target``, relaxed by a
    vanishing epsilon so that a probe carrying only numerical dust (logit tail
    masses far below one vehicle) does not wait for the next real cohort.
@@ -442,21 +441,36 @@ typedef struct {
     readout_t paths;
 } plan_t;
 
-/* One node of the read-out's prefix trie, for the cell being read. */
-typedef struct {
-    double clock;  /* when the probe left the node's row */
-    i64 hint;      /* the node's last search answer */
-    uint8_t flag;  /* some row up to here read past its last sample */
-} node_t;
-
 /* The first k columns of n rows of ``cols`` samples: 0.0, then the base's
-   columns 1 to k - 1 (rows of ``base_cols`` samples). */
-static void take_base(double *x, const double *base, i64 n, i64 cols, i64 base_cols, i64 k)
+   columns 1 to k - 1 (rows of ``base_cols`` samples). Columns 1 to ``have``
+   - 1 already hold the base's and are not copied again. */
+static void take_base(double *x, const double *base, i64 n, i64 cols, i64 base_cols, i64 have,
+                      i64 k)
 {
     for (i64 r = 0; r < n; r++) {
         x[r * cols] = 0.0;
-        for (i64 c = 1; c < k; c++)
+        for (i64 c = have > 1 ? have : 1; c < k; c++)
             x[r * cols + c] = base[r * base_cols + c];
+    }
+}
+
+/* Where ``advance`` reads each link row a at steps t = 0 to ``stop`` - 1
+   (``locate``, clamped to samples 0..t + 1), 3 A positions per step: 3 a
+   its entries a free-flow time before now and 3 a + 1 before the step's
+   end, neither past now, and 3 a + 2 its exits a backward-wave lag before
+   now. They depend on the plan and the step alone, so every pattern of a
+   call reads one table. */
+static void lags(const plan_t *pl, i64 stop, position *lag)
+{
+    const i64 A = pl->A;
+    const double dt = pl->dt;
+    for (i64 t = 0; t < stop; t++) {
+        const double now = (double)t * dt;
+        for (i64 a = 0; a < A; a++, lag += 3) {
+            lag[0] = locate(min2(now - pl->ff[a], now), dt, t + 1);
+            lag[1] = locate(min2(now + dt - pl->ff[a], now), dt, t + 1);
+            lag[2] = locate(now - pl->wave_lag[a], dt, t + 1);
+        }
     }
 }
 
@@ -483,25 +497,27 @@ static i64 splice(const double *h, const double *base_h, i64 start, i64 P, i64 T
 /* Begin a pattern that starts at interval ``start`` in its block, its
    departures ``x`` (``splice``). Its first k = ``start`` ``refine`` + 1
    columns of link entries, of exits and of link slot entries are the
-   base's (``take_base``). Its source slot entries are the cumulative
-   departures of their paths, as numpy forms them:
+   base's (``take_base``). The pattern before it in the block took its
+   first ``have`` of them (0 if none did) and stepped on from there, so
+   only columns ``have`` to k - 1 are copied. Its source slot entries are
+   the cumulative departures of their paths, as numpy forms them:
    ``np.cumsum`` (the first departure itself, then a sequential sum) after a
    0.0, sampled at every ``refine``-th column, the columns between at ``a +
    frac[f] * (b - a)`` of their interval's ends, and the total from step T
    ``refine`` on. A source's entries are 0.0 plus its slots in sequence, as
    ``ndarray.sum`` adds across rows. Returns the pattern's drain tolerance,
    1e-9 of the ``ndarray.sum`` of ``x`` or of one vehicle. */
-static double begin(const plan_t *pl, const double *x, i64 start, const double *base_up,
-                    const double *base_dn, const double *base_sl, i64 base_cols, double *up,
-                    double *dn, double *sl, i64 cols)
+static double begin(const plan_t *pl, const double *x, i64 start, i64 have,
+                    const double *base_up, const double *base_dn, const double *base_sl,
+                    i64 base_cols, double *up, double *dn, double *sl, i64 cols)
 {
     const i64 A = pl->A, R = pl->R, L = pl->L, S = pl->S, P = pl->paths.P, T = pl->paths.T;
     const i64 refine = pl->refine, t_sim = T * refine, *src_path = pl->src_path;
     const i64 k = start * refine + 1;
     const double *frac = pl->frac;
-    take_base(up, base_up, A, cols, base_cols, k);
-    take_base(dn, base_dn, R, cols, base_cols, k);
-    take_base(sl, base_sl, L, cols, base_cols, k);
+    take_base(up, base_up, A, cols, base_cols, have, k);
+    take_base(dn, base_dn, R, cols, base_cols, have, k);
+    take_base(sl, base_sl, L, cols, base_cols, have, k);
     for (i64 j = L; j < S; j++) {
         const double *row = x + src_path[j - L] * T;
         double *s = sl + j * cols, cum = 0.0;
@@ -532,20 +548,22 @@ static double begin(const plan_t *pl, const double *x, i64 start, const double *
    (used links in link order, then sources), are tested against
    ``drain_tol``; the first pass sets ``*drained`` and ``*n_steps`` and ends
    the steps. Each row seeds its FIFO searches with its last answer,
-   ``hint[r]``, kept across steps. ``work`` holds 3 R + 2 A + S numbers. */
+   ``hint[r]``, kept across steps. Link rows read their lagged samples at
+   the positions of ``lag`` (``lags``). ``work`` holds 3 R + 2 A + S
+   numbers. */
 static i64 advance(const plan_t *pl, i64 t, i64 stop, i64 t_sim, i64 cols, double *up,
                    double *dn, double *sl, double drain_tol, uint8_t *drained, i64 *n_steps,
-                   double *work, i64 *hint)
+                   double *work, i64 *hint, const position *lag)
 {
     const i64 *row_start = pl->row_start, *slot_next = pl->slot_next;
-    const double *ff = pl->ff, *cap = pl->cap, dt = pl->dt;
+    const double *cap = pl->cap, dt = pl->dt;
     const i64 A = pl->A, R = pl->R, L = pl->L, S = pl->S;
     double *mass = work, *total = mass + R;
     double *recv = total + R, *factor = recv + A, *comp = factor + A, *inside = comp + S;
 
     for (; t < stop && !*drained; t++) {
         const i64 c0 = t, c1 = t + 1;
-        const double now = (double)t * dt;
+        const position *at = lag + 3 * A * t;
 
         /* the new column starts from the last: link entries, exits, link slots */
         for (i64 r = 0; r < A; r++)
@@ -560,9 +578,9 @@ static i64 advance(const plan_t *pl, i64 t, i64 stop, i64 t_sim, i64 cols, doubl
            supply rule; sources send all that entered */
         for (i64 a = 0; a < A; a++) {
             const double *u = up + a * cols, *d = dn + a * cols;
-            const double nup_lag = lagged(u, min2(now - ff[a], now), dt, c1);
-            const double arr_hi = lagged(u, min2(now + dt - ff[a], now), dt, c1);
-            const double ndn_wave = lagged(d, now - pl->wave_lag[a], dt, c1);
+            const double nup_lag = value_at(u, at[3 * a]);
+            const double arr_hi = value_at(u, at[3 * a + 1]);
+            const double ndn_wave = value_at(d, at[3 * a + 2]);
             const double ndn_now = d[c0];
             const double backlog = nup_lag - ndn_now;
             const double queued = min2(cap[a], backlog / dt);
@@ -661,35 +679,39 @@ static i64 advance(const plan_t *pl, i64 t, i64 stop, i64 t_sim, i64 cols, doubl
    The cell's probe leaves at ``times[j]`` and passes its path's rows in
    turn: at each it reads the entries ahead of it and leaves when the exits
    reach them, but no sooner than ``row_ff`` after it came. The nodes of the
-   paths' prefix trie carry the probe, so each node is passed once per
-   interval. Rows are read up to sample ``last`` and go on at ``row_cap``
-   after it; each node seeds its search with its answer for the interval
-   before. The P x T ``path_time`` and ``extrapolated`` get the time from
-   ``times[j]`` to the last exit, and whether some row was read past its
-   last sample. */
+   paths' prefix trie carry the probes, so each node is passed once per
+   interval: node by node, in trie order, every interval from the rows of
+   its parent, ``clock`` (when the probe left the node's row) and ``flag``
+   (some row up to there was read past its last sample), K x T each. Rows
+   are read up to sample ``last`` and go on at ``row_cap`` after it; each
+   node seeds its search with its answer for the interval before. The P x
+   T ``path_time`` and ``extrapolated`` get the time from ``times[j]`` to
+   the last exit, and the flag, of their path's end node. */
 static void read_out(const readout_t *ro, i64 start, i64 last, i64 cols, const double *up,
-                     const double *dn, node_t *node, double *path_time, uint8_t *extrapolated)
+                     const double *dn, double *clock, uint8_t *flag, double *path_time,
+                     uint8_t *extrapolated)
 {
     const i64 *node_row = ro->node_row, *node_parent = ro->node_parent, *path_end = ro->path_end;
     const i64 K = ro->K, P = ro->P, T = ro->T;
     const double *row_ff = ro->row_ff, *row_cap = ro->row_cap, *times = ro->times, dt = ro->dt;
-    for (i64 k = 0; k < K; k++)
-        node[k].hint = 0;
-    for (i64 j = start; j < T; j++) {
-        for (i64 k = 0; k < K; k++) {
-            const i64 r = node_row[k], parent = node_parent[k];
-            const double clock = parent < 0 ? times[j] : node[parent].clock;
+    for (i64 k = 0; k < K; k++) {
+        const i64 r = node_row[k], parent = node_parent[k];
+        const double *u = up + r * cols, *d = dn + r * cols;
+        const double *came = parent < 0 ? times : clock + parent * T;
+        i64 hint = 0;
+        for (i64 j = start; j < T; j++) {
             uint8_t beyond;
-            const double ahead = lagged(up + r * cols, clock, dt, last);
-            const double exit = invert(dn + r * cols, last + 1, ahead, dt, row_cap[r], &beyond,
-                                       &node[k].hint);
-            node[k].clock = max2(clock + row_ff[r], exit);
-            node[k].flag = (parent < 0 ? 0 : node[parent].flag) | beyond;
+            const double ahead = value_at(u, locate(came[j], dt, last));
+            const double exit = invert(d, last + 1, ahead, dt, row_cap[r], &beyond, &hint);
+            clock[k * T + j] = max2(came[j] + row_ff[r], exit);
+            flag[k * T + j] = (parent < 0 ? 0 : flag[parent * T + j]) | beyond;
         }
-        for (i64 p = 0; p < P; p++) {
-            const node_t *end = node + path_end[p];
-            path_time[p * T + j] = end->clock - times[j];
-            extrapolated[p * T + j] = end->flag;
+    }
+    for (i64 p = 0; p < P; p++) {
+        const i64 end = path_end[p] * T;
+        for (i64 j = start; j < T; j++) {
+            path_time[p * T + j] = clock[end + j] - times[j];
+            extrapolated[p * T + j] = flag[end + j];
         }
     }
 }
@@ -706,8 +728,8 @@ static void read_out(const readout_t *ro, i64 start, i64 last, i64 cols, const d
    writes its sources (``begin``), steps until it drains or reaches step
    ``s_max`` (``advance``), and reads its path times from its start on into
    ``path_time[b]`` and ``extrapolated[b]`` (``read_out`` by the plan's
-   ``paths``). A pattern writes each column before it reads it, so it steps
-   the same in any block. Returns 0 when every pattern is done; b + 1 when
+   ``paths``). A pattern reads only columns it wrote or the base's, so it
+   steps the same in any block. Returns 0 when every pattern is done; b + 1 when
    pattern b has not drained at the last column but is below ``s_max``: the
    caller calls again from b in a wider block, where b begins anew; -1 if
    out of memory; -2, before any pattern is stepped, if ``first`` is
@@ -721,22 +743,28 @@ i64 dnl_step(const plan_t *pl, i64 B, const double *h, const i64 *starts, const 
              i64 s_max, i64 cols, double *up, double *dn, double *sl, i64 first, i64 *n_steps,
              uint8_t *drained, double *path_time, uint8_t *extrapolated)
 {
-    const i64 A = pl->A, R = pl->R, P = pl->paths.P, T = pl->paths.T, refine = pl->refine;
+    const i64 A = pl->A, R = pl->R, K = pl->paths.K, P = pl->paths.P, T = pl->paths.T;
+    const i64 refine = pl->refine;
     const i64 t_sim = T * refine, stop = s_max < cols - 1 ? s_max : cols - 1;
 
-    /* per row, per link row, per slot, per trie node, per departure, and
-       one byte each: never malloc(0), and a read past the last is still out
-       of bounds */
+    /* per row, per link row, per slot, per link row and step, per trie
+       node and departure, per departure, and one byte each: never
+       malloc(0), and a read past the last is still out of bounds */
     double *work = malloc(sizeof(double) * (size_t)(3 * R + 2 * A + pl->S) + 1);
     i64 *hint = malloc(sizeof(i64) * (size_t)R + 1);  /* per row: last FIFO search answer */
-    node_t *node = malloc(sizeof(node_t) * (size_t)pl->paths.K + 1);
+    position *lag = malloc(sizeof(position) * (size_t)(3 * A * (stop > 0 ? stop : 0)) + 1);
+    double *clock = malloc(sizeof(double) * (size_t)(K * T) + 1);  /* the read-out's */
+    uint8_t *flag = malloc((size_t)(K * T) + 1);
     double *x = malloc(sizeof(double) * (size_t)(P * T) + 1);  /* a pattern's departures */
     i64 code = cols > t_sim && first >= 0 ? 0 : -2;  /* ``begin`` writes sources to t_sim */
-    if (!work || !hint || !node || !x)
+    i64 have = 0;  /* the columns of the base that the pattern before took */
+    if (!work || !hint || !lag || !clock || !flag || !x)
         code = -1;
     for (i64 b = first; b < B && !code; b++)
         if (starts[b] < 0 || starts[b] >= T || (starts[b] && starts[b] * refine + 1 > base_cols))
             code = -2;
+    if (!code)
+        lags(pl, stop, lag);
     for (i64 b = first; b < B && !code; b++) {
         code = splice(h + b * P * T, base_h, starts[b], P, T, x);
         for (i64 c = b + 1; c < B && code == -4; c++)
@@ -744,12 +772,13 @@ i64 dnl_step(const plan_t *pl, i64 B, const double *h, const i64 *starts, const 
                 code = -3;
         if (code)
             break;
-        const double tol = begin(pl, x, starts[b], base_up, base_dn, base_sl, base_cols, up, dn,
-                                 sl, cols);
+        const double tol = begin(pl, x, starts[b], have, base_up, base_dn, base_sl, base_cols, up,
+                                 dn, sl, cols);
+        have = starts[b] * refine + 1;
         drained[b] = 0;
         memset(hint, 0, sizeof(i64) * (size_t)R);
         const i64 t = advance(pl, starts[b] * refine, stop, t_sim, cols, up, dn, sl, tol,
-                              drained + b, n_steps + b, work, hint);
+                              drained + b, n_steps + b, work, hint, lag);
         if (!drained[b] && t < s_max) {
             code = b + 1;
             break;
@@ -760,12 +789,14 @@ i64 dnl_step(const plan_t *pl, i64 B, const double *h, const i64 *starts, const 
             code = -2;
             break;
         }
-        read_out(&pl->paths, starts[b], n_steps[b], cols, up, dn, node, path_time + b * P * T,
-                 extrapolated + b * P * T);
+        read_out(&pl->paths, starts[b], n_steps[b], cols, up, dn, clock, flag,
+                 path_time + b * P * T, extrapolated + b * P * T);
     }
     free(work);
     free(hint);
-    free(node);
+    free(lag);
+    free(clock);
+    free(flag);
     free(x);
     return code;
 }
@@ -776,12 +807,14 @@ i64 dnl_step(const plan_t *pl, i64 B, const double *h, const i64 *starts, const 
 i64 dnl_path_times(const readout_t *ro, i64 last, i64 cols, const double *up, const double *dn,
                    double *path_time, uint8_t *extrapolated)
 {
-    node_t *node = malloc(sizeof(node_t) * (size_t)ro->K + 1);
-    if (!node)
-        return -1;
-    read_out(ro, 0, last, cols, up, dn, node, path_time, extrapolated);
-    free(node);
-    return 0;
+    double *clock = malloc(sizeof(double) * (size_t)(ro->K * ro->T) + 1);
+    uint8_t *flag = malloc((size_t)(ro->K * ro->T) + 1);
+    i64 code = clock && flag ? 0 : -1;
+    if (!code)
+        read_out(ro, 0, last, cols, up, dn, clock, flag, path_time, extrapolated);
+    free(clock);
+    free(flag);
+    return code;
 }
 
 /* Each field of an argument block: its offset, and its kind (0 a pointer,

@@ -200,6 +200,19 @@ class TestDisutilityMatrices:
         got = self.shares_at_first(choice.share_table(phi[None], 0, grid, ps, params), ps, 3)
         np.testing.assert_allclose(got, self.logit_of(phi, grid, ps, params, 0), rtol=1e-12)
 
+    @pytest.mark.parametrize("targets", [(240.0,), (240.0, 240.0, 240.0)])
+    def test_one_target_arrival_per_od(self, three_path_set, targets):
+        # two ODs: a missing target is not a layout fault, and an extra one
+        # is not ignored
+        net, ps = three_path_set
+        grid = nw.TimeGrid(360.0, 120.0)
+        params = choice.ChoiceParams(theta=1.0, target_arrival_s=targets)
+        with pytest.raises(choice.ChoiceError,
+                           match=f"^{len(targets)} target arrivals for 2 ODs"):
+            choice.share_table(np.full((3, 3, 1), 60.0), 0, grid, ps, params)
+        with pytest.raises(choice.ChoiceError, match="target arrivals for 2 ODs"):
+            choice.cell_disutility(np.full((3, 3), 60.0), grid, ps, params)
+
     def test_forecast_shape_mismatch(self, three_path_set):
         # 3 paths, 3 intervals: no shape here broadcasts to (n, 3, 3); one
         # path's times are not repeated for every path

@@ -486,11 +486,13 @@ def test_kernel_arguments_are_checked_under_python_O():
     assert run.returncode == 0, run.stdout + run.stderr
 
 
-def test_kernel_source_compiles_without_warnings():
-    # with the compiler ``dnl._kernel`` builds with: a local or a parameter
-    # that a change leaves unused, or a comparison of mixed signedness, fails
-    command = [*CC, "-fsyntax-only", "-Wall", "-Wextra", "-Werror",
-               str(SRC / "dsuedhi" / "dnl_step.c")]
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    # with the compiler and the optimizing flags ``dnl._kernel`` builds
+    # with: a local or a parameter that a change leaves unused, a comparison
+    # of mixed signedness, or what only the optimizer finds (a read that may
+    # be uninitialized or out of bounds) fails
+    command = [*CC, "-O2", "-fPIC", "-ffp-contract=off", "-Wall", "-Wextra", "-Werror", "-c",
+               str(SRC / "dsuedhi" / "dnl_step.c"), "-o", str(tmp_path / "dnl_step.o")]
     run = subprocess.run(command, capture_output=True, text=True)
     assert run.returncode == 0, f"{shlex.join(command)}\n{run.stderr}"
 
